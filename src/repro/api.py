@@ -40,7 +40,7 @@ from repro.coyote.sweep import (
     SweepPoint,
     SweepTable,
 )
-from repro.kernels import KERNELS, instantiate
+from repro.kernels import KERNELS, instantiate, workload_factory
 from repro.memhier.noc import NocConfig, RoutingPolicy
 from repro.resilience.checkpoint import (
     CampaignCorruptError,
@@ -251,10 +251,7 @@ def sweep(kernel, cores: int = 8, *, axes: dict[str, list],
     (``table.degradations``) instead of aborting the campaign.
     """
     if isinstance(kernel, str):
-        name = kernel
-
-        def make_workload():
-            return instantiate(name, cores, size)
+        make_workload = workload_factory(kernel, cores, size)
     else:
         make_workload = kernel if callable(kernel) else lambda: kernel
     return Sweep(base_cores=cores, axes=axes, **base_overrides).run(

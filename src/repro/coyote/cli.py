@@ -42,7 +42,6 @@ from repro.resilience import (
 )
 from repro.resilience.faults import FaultPlan
 from repro.telemetry import TelemetryConfig
-from repro.utils.deprecation import warn_deprecated
 
 DEFAULT_SAMPLE_INTERVAL = 1000
 
@@ -53,18 +52,6 @@ EXIT_CONFIG = 2           # bad flags, config file, or fault plan
 EXIT_VERIFY = 3           # ran to completion but the output is wrong
 EXIT_DEADLOCK = 4         # watchdog trip or provable forward-progress loss
 EXIT_INTERRUPT = 130      # SIGINT (the shell convention: 128 + 2)
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Store the value under the canonical dest, warning once per use."""
-
-    def __init__(self, *args, canonical: str = "", **kwargs):
-        self.canonical = canonical
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warn_deprecated(option_string, self.canonical, stacklevel=2)
-        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,13 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     noc.add_argument("--noc-crossbar-latency", type=int, default=6,
                      dest="noc_crossbar_latency",
                      help="crossbar NoC latency in cycles")
-    noc.add_argument("--noc", choices=("crossbar", "mesh", "torus"),
-                     dest="noc_topology", action=_DeprecatedAlias,
-                     canonical="--noc-topology", help=argparse.SUPPRESS)
-    noc.add_argument("--noc-latency", type=int,
-                     dest="noc_crossbar_latency", action=_DeprecatedAlias,
-                     canonical="--noc-crossbar-latency",
-                     help=argparse.SUPPRESS)
     parser.add_argument("--mem-latency", type=int, default=100,
                         help="memory access latency in cycles")
     parser.add_argument("--vlen", type=int, default=512,
@@ -173,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="pause at this cycle, write a "
                                  "checkpoint (--checkpoint-out) and exit "
                                  "(mirrors Simulation.run(pause_at=))")
-    resilience.add_argument("--checkpoint-at", type=int, metavar="CYCLE",
-                            dest="pause_at", action=_DeprecatedAlias,
-                            canonical="--pause-at",
-                            help=argparse.SUPPRESS)
     resilience.add_argument("--checkpoint-out", metavar="PATH",
                             default=None,
                             help="where --pause-at writes the "
@@ -240,11 +216,6 @@ def build_profile_parser() -> argparse.ArgumentParser:
     parser.add_argument("--noc-crossbar-latency", type=int, default=6,
                         dest="noc_crossbar_latency",
                         help="crossbar NoC latency in cycles")
-    parser.add_argument("--noc-latency", type=int,
-                        dest="noc_crossbar_latency",
-                        action=_DeprecatedAlias,
-                        canonical="--noc-crossbar-latency",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--mem-latency", type=int, default=100,
                         help="memory access latency in cycles")
     parser.add_argument("--vlen", type=int, default=512,
@@ -964,8 +935,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--sample-interval must be >= 0, "
                      f"got {args.sample_interval}")
     if (args.pause_at is None) != (args.checkpoint_out is None):
-        parser.error("--pause-at (formerly --checkpoint-at) and "
-                     "--checkpoint-out go together")
+        parser.error("--pause-at and --checkpoint-out go together")
     if args.resume is not None and args.config is not None:
         parser.error("--resume restores the checkpointed configuration; "
                      "--config cannot apply")

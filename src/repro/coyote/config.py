@@ -18,32 +18,17 @@ from repro.resilience.config import ResilienceConfig
 from repro.spike.simulator import L1Config
 from repro.telemetry.config import TelemetryConfig
 from repro.utils.bitops import is_power_of_two
-from repro.utils.deprecation import warn_deprecated
 
 DEFAULT_CORES_PER_TILE = 8   # one VAS tile holds eight cores (paper §I-A)
 DEFAULT_BANKS_PER_TILE = 2
 
-# Pre-NocConfig flat spellings, still accepted (with a deprecation
-# warning) as for_cores overrides and in saved config files.
-_LEGACY_NOC_FIELDS = {
-    "noc_kind": "kind",
-    "noc_latency": "latency",
-    "mesh_columns": "columns",
-}
-
-
 def _split_noc_overrides(overrides: dict) -> tuple[dict, dict]:
-    """Separate dotted ``noc.*`` keys (and deprecated flat spellings)
-    from the remaining ``for_cores`` overrides."""
+    """Separate dotted ``noc.*`` keys from the remaining ``for_cores``
+    overrides."""
     noc_overrides: dict = {}
     rest: dict = {}
     for key, value in overrides.items():
-        legacy = _LEGACY_NOC_FIELDS.get(key)
-        if legacy is not None:
-            warn_deprecated(f"the {key!r} override",
-                            f"'noc.{legacy}'", stacklevel=4)
-            noc_overrides[legacy] = value
-        elif key.startswith("noc."):
+        if key.startswith("noc."):
             noc_overrides[key[len("noc."):]] = value
         else:
             rest[key] = value
@@ -112,9 +97,7 @@ class SimulationConfig:
         :class:`MemHierConfig` (for its field names) or to the
         ``SimulationConfig`` itself.  Interconnect fields are addressed
         with dotted keys (``**{"noc.kind": "torus", "noc.routing":
-        "adaptive"}``) or by passing a whole ``noc=NocConfig(...)``; the
-        pre-``NocConfig`` flat spellings (``noc_kind=``, ``noc_latency=``,
-        ``mesh_columns=``) still work but warn.
+        "adaptive"}``) or by passing a whole ``noc=NocConfig(...)``.
         """
         if num_cores < 1:
             raise ValueError(f"need at least one core, got {num_cores}")
@@ -158,25 +141,23 @@ class SimulationConfig:
     def from_dict(cls, data: dict) -> "SimulationConfig":
         """Rebuild a configuration from :meth:`to_dict` output.
 
-        Unknown keys raise, so stale config files fail loudly.  The one
-        exception: pre-``NocConfig`` files spelling the interconnect as
-        flat ``noc_kind``/``noc_latency``/``mesh_columns`` keys still
-        load, with a deprecation warning.
+        Unknown keys raise, so stale config files fail loudly.
         """
         data = dict(data)
         memhier_data = dict(data.pop("memhier", {}))
         noc = NocConfig.from_value(memhier_data.pop("noc", None))
-        legacy = {}
-        for old, new in _LEGACY_NOC_FIELDS.items():
-            if old in memhier_data:
-                warn_deprecated(f"the config key 'memhier.{old}'",
-                                f"'memhier.noc.{new}'")
-                legacy[new] = memhier_data.pop(old)
-        if legacy:
-            noc = replace(noc, **legacy)
-        memhier = MemHierConfig(noc=noc, **memhier_data)
-        l1 = L1Config(**data.pop("l1", {}))
-        telemetry = TelemetryConfig(**data.pop("telemetry", {}))
+
+        def section(kind, name: str, values: dict, **extra):
+            unknown = set(values) - set(kind.__dataclass_fields__)
+            if unknown:
+                raise ValueError(
+                    f"unknown config keys: {name}.{sorted(unknown)}")
+            return kind(**values, **extra)
+
+        memhier = section(MemHierConfig, "memhier", memhier_data, noc=noc)
+        l1 = section(L1Config, "l1", data.pop("l1", {}))
+        telemetry = section(TelemetryConfig, "telemetry",
+                            data.pop("telemetry", {}))
         resilience = ResilienceConfig.from_dict(
             data.pop("resilience", {}))
         known = set(cls.__dataclass_fields__) - {"memhier", "l1",
@@ -252,12 +233,6 @@ class ConfigBuilder:
             self.set(**{f"noc.{name}": value
                         for name, value in options.items()})
         return self
-
-    def noc_latency(self, cycles: int) -> "ConfigBuilder":
-        """Deprecated spelling of ``noc(latency=...)``."""
-        warn_deprecated("ConfigBuilder.noc_latency()",
-                        "ConfigBuilder.noc(latency=...)")
-        return self.set(**{"noc.latency": cycles})
 
     def mem_latency(self, cycles: int) -> "ConfigBuilder":
         return self.set(mem_latency=cycles)

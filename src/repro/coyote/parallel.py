@@ -1,12 +1,19 @@
-"""The parallel sweep execution engine, supervised.
+"""The point-worker pool and the parallel sweep engine over it.
 
 Coyote exists for "the fast comparison of different designs", but a
 cartesian campaign run serially leaves every host core but one idle.
-:class:`ParallelSweep` fans sweep points out to a pool of worker
-*processes* — one process per point, at most ``workers`` alive at a
-time — and reassembles the results in deterministic axis order, so a
-``workers=N`` table is bit-identical to a ``workers=1`` table
-(``SweepTable.to_dict()`` compares equal byte for byte).
+Two layers live here (docs/RESILIENCE.md, "How a sweep point is
+executed"):
+
+* :class:`PointPool` — the process-per-point *mechanics* shared by
+  every campaign tier (this engine, the campaign service, the cluster
+  node): spawn a worker, turn pipe traffic into beat / result / died
+  events, and the one SIGTERM → grace → SIGKILL teardown.
+* :class:`ParallelSweep` — the sweep's *policy* over those events: at
+  most ``workers`` points in flight, results reassembled in
+  deterministic axis order, so a ``workers=N`` table is bit-identical
+  to a ``workers=1`` table (``SweepTable.to_dict()`` compares equal
+  byte for byte).
 
 Design decisions, in the order they matter:
 
@@ -19,23 +26,18 @@ Design decisions, in the order they matter:
   from wall time.
 * **Crash isolation.**  One process per point means a worker that dies
   hard (segfault, ``os._exit``, OOM-kill) loses that point only: the
-  parent observes the EOF on the result pipe plus the exit code, reads
-  the worker's captured stderr tail, and records a
-  :class:`WorkerCrash` failure, exactly like any other
-  ``on_error="skip"`` failure.
+  pool reports the exit code and the captured stderr tail, recorded as
+  a :class:`WorkerCrash` failure like any other ``on_error="skip"``
+  failure.
 * **Supervision.**  With a
-  :class:`~repro.resilience.supervisor.SupervisorPolicy`, every
-  attempt runs under the full lifecycle: workers send periodic
-  ``(cycles, RSS)`` heartbeats over the result pipe, the parent
-  enforces a per-point wall-clock timeout, a heartbeat deadline and an
-  RSS ceiling, reaps overdue workers (SIGTERM → SIGKILL), re-dispatches
-  with bounded seeded backoff, and quarantines a point that exhausts
-  its retries as a structured
-  :class:`~repro.resilience.supervisor.QuarantinedPoint`.  Repeated
-  pool-level failures (fork failures, RSS trips) step the pool down
-  ``N → N/2 → … → 1 → serial`` with logged
-  :class:`~repro.resilience.supervisor.DegradationEvent` records
-  instead of aborting.
+  :class:`~repro.resilience.supervisor.SupervisorPolicy`, the loop
+  also enforces a per-point wall-clock timeout, a heartbeat deadline
+  and an RSS ceiling (reaping offenders), re-dispatches dead attempts
+  under the seeded :class:`~repro.resilience.supervisor.RetryPolicy`,
+  quarantines a point that exhausts it as a
+  :class:`~repro.resilience.supervisor.QuarantinedPoint`, and steps
+  the pool down ``N → N/2 → … → 1 → serial`` on repeated pool-level
+  failures (fork failures, RSS trips) instead of aborting.
 * **Error transport.**  A worker-side exception crosses the process
   boundary only if it survives a local pickle round-trip; otherwise a
   picklable :class:`RemoteError` stand-in carries the original type
@@ -48,29 +50,26 @@ Design decisions, in the order they matter:
   drains the pool and still flushes the partial checkpoint before the
   interrupt propagates.
 * **Progress.**  ``progress=True`` streams ``k/n points, ETA`` through
-  the ``repro.telemetry`` logger namespace
-  (:class:`~repro.telemetry.campaign.CampaignProgress`); the supervised
+  :class:`~repro.telemetry.campaign.CampaignProgress`; the supervised
   lifecycle reports to a
   :class:`~repro.telemetry.campaign.CampaignMonitor` (heartbeat gauges,
   retry/quarantine counters, per-attempt Chrome trace spans).
-
-The engine uses the ``fork`` start method where the platform offers it
-(workload factories may be closures); on spawn-only platforms the
-factory must be picklable (a module-level function).
 """
 
 from __future__ import annotations
 
+import contextlib
+import heapq
 import io
 import logging
 import multiprocessing
 import os
 import pickle
+import signal
 import sys
 import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any, Callable
@@ -135,7 +134,8 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
                  base_cores: int, base_overrides: dict[str, Any],
                  make_workload: Callable, require_verified: bool,
                  heartbeat_seconds: float = 0.0,
-                 stderr_path: str | None = None) -> None:
+                 stderr_path: str | None = None,
+                 close_fds: tuple = ()) -> None:
     """Run one point in a child process and ship the outcome back.
 
     The child's stderr (fd 2) is redirected to ``stderr_path`` first,
@@ -144,7 +144,21 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
     ``heartbeat_seconds > 0`` a daemon thread streams ``("hb", index,
     cycles, rss_mb)`` tuples over the same pipe the result travels on;
     a lock keeps the two senders from interleaving a message.
+
+    ``close_fds`` are descriptors a forked child inherited and must
+    not keep: flock follows the open file, not the process, so an
+    orphan left behind by a SIGKILLed service would otherwise keep the
+    service root locked — and a restarted service locked out — until
+    the orphan happened to die.
     """
+    if hasattr(signal, "pthread_sigmask"):
+        # Undo the mask PointPool.spawn held across our creation.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    for fd in close_fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
     if stderr_path is not None:
         try:
             fd = os.open(stderr_path,
@@ -232,19 +246,187 @@ def axes_key(axes: dict[str, list]) -> str:
                  for name, values in axes.items()})
 
 
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold SIGINT until the block exits.
+
+    A ``KeyboardInterrupt`` that fires inside ``os.fork``'s at-fork
+    hooks is swallowed as "unraisable": the campaign would run on as
+    if never interrupted.  Delivered after the block, it propagates.
+    """
+    if not hasattr(signal, "pthread_sigmask"):   # non-POSIX
+        yield
+        return
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 @dataclass
-class _ActiveWorker:
-    """Parent-side state of one in-flight attempt."""
+class PointWorker:
+    """Parent-side handle of one in-flight attempt of one point.
+
+    ``context`` is the owning tier's per-attempt record (the attempt
+    number of a supervised sweep, the lease of a service point, the
+    grant of a cluster node); the pool never looks inside it.
+    """
 
     process: Any
     conn: Any
     index: int
     settings: dict[str, Any]
-    attempt: int
+    stderr_path: str | None
+    context: Any
     started: float
     last_beat: float
     beats: list = field(default_factory=list)   # [(cycles, rss_mb)]
-    stderr_path: str | None = None
+
+
+class PointPool:
+    """The process-per-point mechanics under every campaign tier.
+
+    One worker process per point: :meth:`spawn` starts it (result pipe,
+    captured stderr, optional heartbeat thread), :meth:`poll` turns
+    whatever the workers sent or suffered into events, :meth:`reap` is
+    the single teardown (SIGTERM → ``term_grace_seconds`` → SIGKILL,
+    pipe closed, stderr tail harvested, temp file removed), and
+    :meth:`close` reaps whatever is left.  Which point runs next, what
+    a death costs it and where its result goes is the caller's policy:
+    :class:`ParallelSweep`, ``CampaignService`` and ``ClusterNode`` are
+    loops over these events.
+
+    Uses the ``fork`` start method where the platform offers it, else
+    ``spawn`` — which needs a picklable workload factory
+    (:func:`repro.kernels.workload_factory`, or any module-level
+    function).
+    """
+
+    def __init__(self, mp_context: str | None = None, *,
+                 heartbeat_seconds: float = 0.0,
+                 term_grace_seconds: float = 2.0):
+        if mp_context is None:
+            methods = multiprocessing.get_all_start_methods()
+            mp_context = "fork" if "fork" in methods else "spawn"
+        self._context = multiprocessing.get_context(mp_context)
+        self.heartbeat_seconds = heartbeat_seconds
+        self.term_grace_seconds = term_grace_seconds
+        # Descriptors a forked worker must drop (see _worker_main).
+        self.close_fds: tuple = ()
+        # Test seam: called with each PointWorker right after it
+        # starts (chaos tests SIGKILL/SIGSTOP workers here).
+        self.on_spawn: Callable[[PointWorker], None] | None = None
+        self._workers: dict[Any, PointWorker] = {}
+
+    def __len__(self) -> int:
+        return len(self._workers)
+
+    @property
+    def workers(self) -> list[PointWorker]:
+        """The in-flight workers, oldest first."""
+        return list(self._workers.values())
+
+    def spawn(self, index: int, settings: dict[str, Any],
+              base_cores: int, base_overrides: dict[str, Any],
+              make_workload: Callable, require_verified: bool = True,
+              context: Any = None) -> PointWorker:
+        """Start one worker running ``run_point`` on this recipe;
+        raises ``OSError`` (nothing left behind) when the host cannot
+        start another process."""
+        parent_conn, child_conn = self._context.Pipe(duplex=False)
+        fd, stderr_path = tempfile.mkstemp(prefix="coyote-point-",
+                                           suffix=".stderr")
+        os.close(fd)
+        # Only fork children inherit our descriptors (spawn starts from
+        # a fresh process whose fd numbers mean other files).
+        close_fds = (self.close_fds
+                     if self._context.get_start_method() == "fork" else ())
+        with _sigint_held():
+            try:
+                process = self._context.Process(
+                    target=_worker_main,
+                    args=(child_conn, index, settings, base_cores,
+                          base_overrides, make_workload, require_verified,
+                          self.heartbeat_seconds, stderr_path, close_fds),
+                    daemon=True)
+                process.start()
+            except BaseException:
+                parent_conn.close()
+                os.unlink(stderr_path)
+                raise
+            finally:
+                child_conn.close()
+            now = time.monotonic()
+            worker = PointWorker(process, parent_conn, index, settings,
+                                 stderr_path, context, now, now)
+            self._workers[parent_conn] = worker
+        if self.on_spawn is not None:
+            self.on_spawn(worker)
+        return worker
+
+    def poll(self, timeout: float = _WAIT_SECONDS) -> list[tuple]:
+        """Wait up to ``timeout`` for worker traffic; returns events:
+
+        * ``("beat", worker, cycles, rss_mb)`` — a heartbeat (also
+          folded into ``worker.last_beat`` / ``worker.beats``);
+        * ``("result", worker, point)`` — the point's
+          :class:`SweepPoint`; the worker is already reaped;
+        * ``("died", worker, exit_code, stderr_tail)`` — the pipe hit
+          EOF with no result; the worker is already reaped.
+        """
+        if not self._workers:
+            return []
+        events: list[tuple] = []
+        for conn in connection.wait(list(self._workers), timeout):
+            worker = self._workers[conn]
+            try:
+                message = conn.recv()
+            except EOFError:
+                tail = self.reap(worker)
+                events.append(("died", worker, worker.process.exitcode,
+                               tail))
+                continue
+            if message[0] == "hb":
+                _tag, _index, cycles, rss_mb = message
+                worker.last_beat = time.monotonic()
+                worker.beats.append((cycles, rss_mb))
+                del worker.beats[:-supervision.HEARTBEAT_TRAIL]
+                events.append(("beat", worker, cycles, rss_mb))
+            else:
+                self.reap(worker)
+                events.append(("result", worker, message[2]))
+        return events
+
+    def reap(self, worker: PointWorker) -> str:
+        """Ensure the worker is dead, its pipe closed and its stderr
+        file harvested and removed; returns the stderr tail.  Safe to
+        call twice (the second call returns ``""``)."""
+        process = worker.process
+        if process.is_alive():
+            process.terminate()
+            process.join(self.term_grace_seconds)
+            if process.is_alive():
+                process.kill()
+        process.join()
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        self._workers.pop(worker.conn, None)
+        tail = supervision.read_stderr_tail(worker.stderr_path)
+        if worker.stderr_path is not None:
+            try:
+                os.unlink(worker.stderr_path)
+            except OSError:
+                pass
+            worker.stderr_path = None
+        return tail
+
+    def close(self) -> None:
+        """Reap every in-flight worker (idempotent)."""
+        for worker in self.workers:
+            self.reap(worker)
 
 
 class ParallelSweep:
@@ -282,10 +464,10 @@ class ParallelSweep:
         self.policy.validate()
         self.monitor = CampaignMonitor()
         self.supervisor = Supervisor(self.policy, monitor=self.monitor)
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(mp_context)
+        self.pool = PointPool(
+            mp_context,
+            heartbeat_seconds=self.policy.heartbeat_interval_seconds,
+            term_grace_seconds=self.policy.term_grace_seconds)
 
     # -- public entry ------------------------------------------------------
 
@@ -338,14 +520,7 @@ class ParallelSweep:
                 raise point.error
 
         try:
-            if self.workers == 1 and not self.policy.supervised:
-                for index, settings in pending:
-                    record(index, run_point(
-                        settings, self.sweep.base_cores,
-                        self.sweep.base_overrides, make_workload,
-                        self.require_verified))
-            else:
-                self._run_pool(pending, make_workload, record)
+            self._run_pool(pending, make_workload, record)
         except KeyboardInterrupt:
             # The pool was drained by _run_pool's finally; persist what
             # the campaign already computed before the interrupt
@@ -364,209 +539,115 @@ class ParallelSweep:
 
     # -- the worker pool ---------------------------------------------------
 
-    def _spawn(self, index: int, settings: dict[str, Any],
-               make_workload: Callable,
-               attempt: int = 1) -> _ActiveWorker:
-        """Start one single-point worker under supervision state."""
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        fd, stderr_path = tempfile.mkstemp(prefix="coyote-sweep-",
-                                           suffix=".stderr")
-        os.close(fd)
-        try:
-            process = self._context.Process(
-                target=_worker_main,
-                args=(child_conn, index, settings, self.sweep.base_cores,
-                      self.sweep.base_overrides, make_workload,
-                      self.require_verified,
-                      self.policy.heartbeat_interval_seconds, stderr_path),
-                daemon=True)
-            process.start()
-        except BaseException:
-            parent_conn.close()
-            child_conn.close()
-            os.unlink(stderr_path)
-            raise
-        child_conn.close()
-        now = time.monotonic()
-        self.monitor.attempt_started(index, settings, attempt)
-        return _ActiveWorker(process, parent_conn, index, settings,
-                             attempt, now, now, [], stderr_path)
-
-    def _retire(self, state: _ActiveWorker,
-                active: dict[Any, _ActiveWorker]) -> str:
-        """Ensure the worker is dead, the pipe closed, the stderr file
-        harvested; returns the stderr tail."""
-        process = state.process
-        if process.is_alive():
-            process.terminate()
-            process.join(self.policy.term_grace_seconds)
-            if process.is_alive():
-                process.kill()
-                process.join()
-        else:
-            process.join()
-        try:
-            state.conn.close()
-        except OSError:
-            pass
-        active.pop(state.conn, None)
-        tail = supervision.read_stderr_tail(state.stderr_path)
-        if state.stderr_path is not None:
-            try:
-                os.unlink(state.stderr_path)
-            except OSError:
-                pass
-            state.stderr_path = None
-        return tail
-
     def _run_pool(self, pending: list[tuple[int, dict[str, Any]]],
                   make_workload: Callable,
                   record: Callable[[int, SweepPoint], None]) -> None:
+        """The sweep's policy over :class:`PointPool` events: dispatch
+        in index order, supervise deadlines, retry or quarantine
+        deaths, step the worker count down on pool-level failures."""
         policy = self.policy
         supervisor = self.supervisor
-        queue: deque = deque(pending)
-        retries: list[tuple[float, int, dict[str, Any]]] = []
-        active: dict[Any, _ActiveWorker] = {}
-        current_workers = self.workers
-        serial_mode = False
+        pool = self.pool
+        recipe = (self.sweep.base_cores, self.sweep.base_overrides,
+                  make_workload, self.require_verified)
+        # Min-heap of (not-before, index, settings): fresh points are
+        # due at once, in index order; a retry waits out its backoff.
+        waiting = [(0.0, index, settings) for index, settings in pending]
+        # The pool width; 0 is the in-process floor.  workers=1 without
+        # supervision needs no isolation: it starts where the
+        # degradation ladder ends.
+        current_workers = (0 if self.workers == 1 and not policy.supervised
+                           else self.workers)
 
-        def on_death(state: _ActiveWorker, outcome: str) -> None:
+        def on_death(worker: PointWorker, outcome: str,
+                     exit_code: int | None, tail: str) -> None:
             """One attempt died (crash observed or worker reaped):
             record the failure, then retry or quarantine."""
-            tail = self._retire(state, active)
-            exit_code = state.process.exitcode
-            self.monitor.attempt_finished(state.index, state.settings,
-                                          state.attempt, outcome)
+            self.monitor.attempt_finished(worker.index, worker.settings,
+                                          worker.context, outcome)
             if not policy.supervised:
-                record(state.index, SweepPoint(
-                    state.settings, None, False,
-                    WorkerCrash(
-                        f"sweep worker for point {state.settings} died "
-                        f"without reporting a result "
-                        f"(exit code {exit_code})",
-                        exit_code=exit_code, stderr_tail=tail)))
-                return
-            action, payload = supervisor.record_failure(
-                state.index, state.settings, outcome, exit_code, tail,
-                state.beats)
-            if action == "retry":
-                retries.append((time.monotonic() + payload, state.index,
-                                state.settings))
+                error = WorkerCrash(
+                    f"sweep worker for point {worker.settings} died "
+                    f"without reporting a result (exit code {exit_code})",
+                    exit_code=exit_code, stderr_tail=tail)
             else:
-                record(state.index, SweepPoint(
-                    state.settings, None, False, payload))
+                action, error = supervisor.record_failure(
+                    worker.index, worker.settings, outcome, exit_code,
+                    tail, worker.beats)
+                if action == "retry":   # ``error`` is the backoff delay
+                    heapq.heappush(waiting, (time.monotonic() + error,
+                                             worker.index, worker.settings))
+                    return
+            record(worker.index,
+                   SweepPoint(worker.settings, None, False, error))
+
+        def reap(worker: PointWorker, outcome: str) -> None:
+            """Supervision verdict: kill the worker, charge the point."""
+            self.monitor.reaped(worker.index, worker.settings, outcome)
+            tail = pool.reap(worker)
+            on_death(worker, outcome, worker.process.exitcode, tail)
 
         def degrade(reason: str) -> None:
-            nonlocal current_workers, serial_mode
+            nonlocal current_workers
             stepped = supervisor.pool_failure(reason, current_workers)
-            if stepped is None:
-                return
-            if stepped == 0:
-                serial_mode = True
-            else:
+            if stepped is not None:
                 current_workers = stepped
 
         try:
-            while queue or retries or active:
-                now = time.monotonic()
-                # Release retries whose backoff elapsed, in index order.
-                due = sorted((item for item in retries if item[0] <= now),
-                             key=lambda item: item[1])
-                if due:
-                    retries = [item for item in retries if item[0] > now]
-                    queue.extend((index, settings)
-                                 for _release, index, settings in due)
-
-                if serial_mode and not active:
-                    # Graceful-degradation floor: run the remainder
-                    # in-process (no isolation left, but the campaign
-                    # still terminates with every point accounted for).
-                    leftovers = sorted(
-                        list(queue) + [(index, settings) for _release,
-                                       index, settings in retries])
-                    for index, settings in leftovers:
-                        record(index, run_point(
-                            settings, self.sweep.base_cores,
-                            self.sweep.base_overrides, make_workload,
-                            self.require_verified))
+            while waiting or pool:
+                if not current_workers and not pool:
+                    # The in-process floor: no isolation (left), but
+                    # the campaign still terminates with every point
+                    # accounted for.
+                    for _due, index, settings in sorted(
+                            waiting, key=lambda item: item[1]):
+                        record(index, run_point(settings, *recipe))
                     return
 
-                while (queue and not serial_mode
-                       and len(active) < current_workers):
-                    index, settings = queue.popleft()
+                while (waiting and waiting[0][0] <= time.monotonic()
+                       and len(pool) < current_workers):
+                    due, index, settings = heapq.heappop(waiting)
                     attempt = supervisor.attempt_number(index)
                     try:
-                        state = self._spawn(index, settings,
-                                            make_workload, attempt)
+                        pool.spawn(index, settings, *recipe,
+                                   context=attempt)
                     except OSError as exc:
-                        queue.appendleft((index, settings))
+                        heapq.heappush(waiting, (due, index, settings))
                         if not policy.degrade_after:
                             raise
                         degrade(f"worker spawn failed: {exc}")
                         break
-                    active[state.conn] = state
+                    self.monitor.attempt_started(index, settings, attempt)
 
-                if active:
-                    ready = connection.wait(list(active), _WAIT_SECONDS)
-                else:
-                    ready = []
-                    if queue or retries:
-                        time.sleep(_WAIT_SECONDS)
-
-                for conn in ready:
-                    state = active.get(conn)
-                    if state is None:
-                        continue
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        on_death(state, "crash")
-                        continue
-                    if message[0] == "hb":
-                        _tag, _index, cycles, rss_mb = message
-                        state.last_beat = time.monotonic()
-                        state.beats.append((cycles, rss_mb))
-                        del state.beats[:-supervision.HEARTBEAT_TRAIL]
-                        self.monitor.heartbeat(state.index, cycles,
+                if not pool and waiting:
+                    time.sleep(_WAIT_SECONDS)
+                for kind, worker, *payload in pool.poll():
+                    if kind == "died":
+                        on_death(worker, "crash", *payload)
+                    elif kind == "result":
+                        point, = payload
+                        self.monitor.attempt_finished(
+                            worker.index, worker.settings, worker.context,
+                            "failed" if point.failed else "ok")
+                        record(worker.index, point)
+                    else:
+                        cycles, rss_mb = payload
+                        self.monitor.heartbeat(worker.index, cycles,
                                                rss_mb)
                         if (policy.max_rss_mb is not None
                                 and rss_mb > policy.max_rss_mb):
-                            self.monitor.reaped(state.index,
-                                                state.settings,
-                                                "rss-exceeded")
-                            on_death(state, "rss-exceeded")
+                            reap(worker, "rss-exceeded")
                             degrade(f"worker RSS {rss_mb:.0f} MB over "
                                     f"the {policy.max_rss_mb:.0f} MB "
                                     f"ceiling")
-                        continue
-                    _tag, received_index, point = message
-                    state.process.join()
-                    self.monitor.attempt_finished(
-                        state.index, state.settings, state.attempt,
-                        "failed" if point.failed else "ok")
-                    self._retire(state, active)
-                    record(received_index, point)
 
                 now = time.monotonic()
-                for state in list(active.values()):
-                    overdue = supervisor.overdue(state.started,
-                                                 state.last_beat, now)
+                for worker in pool.workers:
+                    overdue = supervisor.overdue(worker.started,
+                                                 worker.last_beat, now)
                     if overdue is not None:
-                        self.monitor.reaped(state.index, state.settings,
-                                            overdue)
-                        on_death(state, overdue)
+                        reap(worker, overdue)
         finally:
             # on_error="raise", SIGINT, or any unexpected parent-side
             # error: don't leave orphan simulations burning the host.
-            for state in list(active.values()):
-                state.process.terminate()
-                state.process.join()
-                try:
-                    state.conn.close()
-                except OSError:
-                    pass
-                if state.stderr_path is not None:
-                    try:
-                        os.unlink(state.stderr_path)
-                    except OSError:
-                        pass
+            pool.close()

@@ -31,7 +31,6 @@ from repro.coyote.config import SimulationConfig
 from repro.coyote.errors import SimulationError
 from repro.coyote.simulation import Simulation
 from repro.coyote.stats import SimulationResults
-from repro.utils.deprecation import warn_deprecated
 
 
 class SweepError(ValueError):
@@ -176,11 +175,6 @@ class SweepTable:
             lines.append("  ".join(cell.ljust(width)
                                    for cell, width in zip(row, widths)))
         return "\n".join(lines)
-
-    def format(self, metrics: tuple[str, ...] = ("cycles",)) -> str:
-        """Deprecated spelling of :meth:`to_text`."""
-        warn_deprecated("SweepTable.format()", "SweepTable.to_text()")
-        return self.to_text(metrics)
 
     def to_dict(self, metrics: tuple[str, ...] = ("cycles",)) -> dict:
         """A canonical, JSON-serialisable view of the campaign.

@@ -1,6 +1,8 @@
 """RISC-V kernel workloads for Coyote (assembled from genuine RV64+RVV
 assembly) plus their data generators and numpy verifiers."""
 
+import functools
+
 from repro.kernels.data import (
     CsrMatrix,
     banded_csr,
@@ -69,10 +71,22 @@ def instantiate(kernel: str, num_cores: int, size: int | None = None):
     return factory(length=size, num_cores=num_cores)
 
 
+def workload_factory(kernel: str, num_cores: int,
+                     size: int | None = None):
+    """A zero-argument, *picklable* factory for a named kernel.
+
+    What every campaign tier hands its point workers: a closure cannot
+    cross a ``spawn`` process boundary, a partial over the module-level
+    :func:`instantiate` can.
+    """
+    return functools.partial(instantiate, kernel, num_cores, size)
+
+
 __all__ = [
     "KERNELS",
     "SPMV_VARIANTS",
     "instantiate",
+    "workload_factory",
     "CsrMatrix",
     "Workload",
     "banded_csr",

@@ -57,7 +57,6 @@ _LOCAL_NAMES = {
     "Watchdog": "repro.resilience.watchdog",
     "build_snapshot": "repro.resilience.watchdog",
     "load_campaign": "repro.resilience.checkpoint",
-    "load_fault_plan": "repro.resilience.faults",
     "save_campaign": "repro.resilience.checkpoint",
 }
 

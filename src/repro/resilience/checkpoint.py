@@ -131,7 +131,7 @@ def restore_simulation(path: str | Path):
 
 CAMPAIGN_FORMAT = 2
 
-# Format-2 campaign files are a one-line header followed by the pickled
+# Campaign files are a one-line header followed by the pickled
 # payload: b"coyote-campaign 2 <sha256-of-payload>\n" + pickle bytes.
 # The checksum turns silent on-disk corruption (a flipped bit, a
 # truncated tail that still unpickles) into a structured
@@ -187,8 +187,9 @@ def load_campaign(path: str | Path, axes_key: str) -> dict:
         header = handle.readline(256)
         parts = header.split()
         if len(parts) != 3 or parts[0] != _CAMPAIGN_MAGIC:
-            # Pre-checksum (format 1) files are a bare pickle.
-            return _load_legacy_campaign(path, axes_key)
+            # Never unpickle bytes no checksum vouches for.
+            raise CampaignCorruptError(
+                f"{path} has no campaign header", path=path)
         try:
             version = int(parts[1])
         except ValueError:
@@ -211,26 +212,6 @@ def load_campaign(path: str | Path, axes_key: str) -> dict:
         raise CampaignCorruptError(
             f"{path} is not a readable campaign file: {exc}",
             path=path) from exc
-    return _validate_campaign(path, payload, axes_key)
-
-
-def _load_legacy_campaign(path: Path, axes_key: str) -> dict:
-    """Read a pre-checksum (format 1) campaign file."""
-    try:
-        with path.open("rb") as handle:
-            payload = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError, ImportError,
-            AttributeError, IndexError) as exc:
-        raise CampaignCorruptError(
-            f"{path} is not a readable campaign file: {exc}",
-            path=path) from exc
-    if not isinstance(payload, dict) or "format" not in payload:
-        raise CampaignCorruptError(
-            f"{path} is not a campaign file", path=path)
-    if payload["format"] != 1:
-        raise CheckpointError(
-            f"{path}: campaign format {payload['format']} is not "
-            f"supported (expected <= {CAMPAIGN_FORMAT})")
     return _validate_campaign(path, payload, axes_key)
 
 

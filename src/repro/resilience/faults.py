@@ -32,7 +32,6 @@ from pathlib import Path
 from repro.memhier.request import MemRequest, RequestKind
 from repro.resilience.config import FaultSpec, ResilienceConfig
 from repro.sparta.unit import Unit
-from repro.utils.deprecation import warn_deprecated
 
 # Extra delay of the duplicate copy when a duplicate spec leaves
 # ``extra`` at zero (a zero-cycle duplicate would be indistinguishable
@@ -97,16 +96,6 @@ class FaultPlan:
         if self.seed is not None:
             resilience.fault_seed = self.seed
         return resilience
-
-
-def load_fault_plan(path: str | Path) -> tuple[list[FaultSpec], int | None]:
-    """Deprecated spelling of :meth:`FaultPlan.load`.
-
-    Returns the historical ``(specs, seed_or_None)`` tuple.
-    """
-    warn_deprecated("load_fault_plan()", "FaultPlan.load()")
-    plan = FaultPlan.load(path)
-    return plan.faults, plan.seed
 
 
 def _duplicable(payload) -> bool:

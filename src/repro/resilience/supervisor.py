@@ -5,14 +5,18 @@ wedged worker (infinite loop), one leaking worker (runaway RSS), or one
 transient host failure (fork exhaustion) can wedge a multi-hour sweep.
 This module holds the *decision* layer of the supervised runtime — the
 process mechanics (pipes, signals, ``connection.wait``) live in
-:mod:`repro.coyote.parallel`, which consults these classes:
+:class:`repro.coyote.parallel.PointPool`, and the tiers looping over its
+events consult these classes:
 
 * :class:`SupervisorPolicy` — the knobs: per-point wall-clock timeout,
   heartbeat cadence and miss budget, per-worker RSS ceiling, the
   :class:`RetryPolicy`, and the degradation threshold.
+* :class:`RetryPolicy` — bounded retries with seeded backoff, and the
+  one retry-vs-quarantine rule (:meth:`RetryPolicy.after_failure`)
+  that the supervised sweep and the campaign service both apply.
 * :class:`Supervisor` — parent-side bookkeeping: per-point attempt
-  history, deadline checks, retry-vs-quarantine decisions, and the
-  pool-degradation ladder (``N → N/2 → … → 1 → serial``).
+  history, deadline checks, and the pool-degradation ladder
+  (``N → N/2 → … → 1 → serial``).
 * :class:`QuarantinedPoint` — the structured failure recorded on a
   point that exhausted its retries: full attempt history (outcome,
   exit code / signal, stderr tail, heartbeat trail), picklable so it
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 from dataclasses import dataclass, field
 
 from repro.coyote.errors import SimulationError
@@ -122,6 +125,26 @@ class RetryPolicy:
         rng = random.Random(1_000_003 * seed + 1_009 * index + attempt)
         return span / 2 + rng.random() * span / 2
 
+    def after_failure(self, attempts: int, what: str, outcome: str,
+                      exit_code: int | None, *, seed: int = 0,
+                      index: int = 0) -> tuple[str, object]:
+        """The one retry-vs-quarantine rule, for every campaign tier.
+
+        ``attempts`` counts the point's failed executions including
+        the one just observed.  Returns ``("retry", delay_seconds)``
+        while the budget lasts, else ``("quarantine", message)`` with
+        the message every tier records (``what`` names the point, e.g.
+        ``"sweep point {...}"``).
+        """
+        if attempts < self.max_attempts:
+            return "retry", self.backoff_seconds(attempts, seed=seed,
+                                                 index=index)
+        suffix = (f" (exit code {exit_code})" if exit_code is not None
+                  else "")
+        return "quarantine", (f"{what} quarantined after {attempts} "
+                              f"attempt(s); last outcome: "
+                              f"{outcome}{suffix}")
+
 
 @dataclass
 class SupervisorPolicy:
@@ -185,14 +208,11 @@ class Supervisor:
     pool-level failures step the worker count down.
     """
 
-    def __init__(self, policy: SupervisorPolicy, monitor=None,
-                 clock=time.monotonic):
+    def __init__(self, policy: SupervisorPolicy, monitor=None):
         policy.validate()
         self.policy = policy
         self.monitor = monitor
-        self._clock = clock
         self.attempts: dict[int, list[AttemptRecord]] = {}
-        self.quarantined: dict[int, QuarantinedPoint] = {}
         self.degradations: list[DegradationEvent] = []
         self.pool_failures = 0
 
@@ -233,22 +253,16 @@ class Supervisor:
             heartbeats=list(heartbeats)[-HEARTBEAT_TRAIL:])
         trail = self.attempts.setdefault(index, [])
         trail.append(record)
-        retry = self.policy.retry
-        if len(trail) < retry.max_attempts:
-            delay = retry.backoff_seconds(len(trail), seed=self.policy.seed,
-                                          index=index)
-            record.backoff_seconds = delay
+        action, payload = self.policy.retry.after_failure(
+            len(trail), f"sweep point {settings}", outcome, exit_code,
+            seed=self.policy.seed, index=index)
+        if action == "retry":
+            record.backoff_seconds = payload
             if self.monitor is not None:
                 self.monitor.retry_scheduled(index, settings,
-                                             record.attempt, delay)
-            return "retry", delay
-        suffix = (f" (exit code {exit_code})" if exit_code is not None
-                  else "")
-        error = QuarantinedPoint(
-            f"sweep point {settings} quarantined after {len(trail)} "
-            f"attempt(s); last outcome: {outcome}{suffix}",
-            attempts=list(trail))
-        self.quarantined[index] = error
+                                             record.attempt, payload)
+            return action, payload
+        error = QuarantinedPoint(payload, attempts=list(trail))
         if self.monitor is not None:
             self.monitor.quarantined(index, settings, len(trail))
         return "quarantine", error

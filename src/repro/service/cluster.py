@@ -32,8 +32,8 @@ Robust by construction:
   bit-identical to a serial sweep.
 * **Degradation is graceful, not silent.**  A cluster whose nodes all
   die (or never arrive) steps down cluster → single-node — the
-  dispatcher runs the remaining points itself through the inherited
-  PR-5/PR-8 forked-worker machinery — and, if it cannot even fork,
+  dispatcher runs the remaining points itself in the inherited
+  service's worker pool — and, if it cannot even fork,
   single-node → serial in-process execution.  Each step logs a
   :class:`~repro.resilience.supervisor.DegradationEvent`, surfaced on
   the final table's host-side ``degradations`` field.
@@ -49,21 +49,19 @@ from __future__ import annotations
 import os
 import secrets
 import socket
-import tempfile
 import time
-from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable
 
-import multiprocessing
-
-from repro.coyote.parallel import _worker_main
+from repro.coyote.parallel import PointPool, PointWorker
 from repro.coyote.sweep import SweepPoint, SweepTable, run_point
-from repro.kernels import instantiate
-from repro.resilience import supervisor as supervision
 from repro.resilience.supervisor import DegradationEvent
 from repro.service.cache import ResultCache
-from repro.service.service import CampaignService
+from repro.service.service import (
+    CampaignService,
+    completion_record,
+    spec_recipe,
+)
 from repro.service.store import (
     DONE_STATES,
     ServiceError,
@@ -155,27 +153,17 @@ class NodeRegistry:
         return dead
 
 
-class _NodeRunning:
-    """Node-side state of one in-flight granted point."""
-
-    def __init__(self, grant: dict, process, conn,
-                 stderr_path: str | None):
-        self.grant = grant
-        self.process = process
-        self.conn = conn
-        self.stderr_path = stderr_path
-
-
 class ClusterNode:
     """One node-local executor: leases work, runs it, reports fenced.
 
     The node half of the cluster protocol.  It registers with the
     dispatcher, heartbeats on a wall-clock cadence (which renews every
     lease it holds, dispatcher-side), requests work when it has idle
-    worker slots, runs each granted point in a forked child process
-    (the same PR-5 worker as the single-node service), writes results
-    into the shared content-addressed cache, and reports completion
-    with the grant's fencing token echoed back.
+    worker slots, runs each granted point in a
+    :class:`~repro.coyote.parallel.PointPool` worker (the same one as
+    the single-node service), writes results into the shared
+    content-addressed cache, and reports completion with the grant's
+    fencing token echoed back.
 
     The node holds no durable state and takes no locks: killing it at
     any instant loses nothing but its in-flight leases, which expire
@@ -197,11 +185,9 @@ class ClusterNode:
         self.heartbeat_seconds = heartbeat_seconds
         self.cache = ResultCache(self.root / "cache")
         self._clock = clock
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(mp_context)
-        self._inflight: dict[Any, _NodeRunning] = {}
+        # In-flight workers (context: the grant).  No worker heartbeats:
+        # the node heartbeats for itself.
+        self.pool = PointPool(mp_context)
         self._queued: list[dict] = []
         self._registered = False
         self._shutdown = False
@@ -226,8 +212,8 @@ class ClusterNode:
         of being renewed forever by an oblivious node."""
         held = [[grant["job"], grant["index"]]
                 for grant in self._queued]
-        held += [[running.grant["job"], running.grant["index"]]
-                 for running in self._inflight.values()]
+        held += [[worker.context["job"], worker.index]
+                 for worker in self.pool.workers]
         return held
 
     def _beat(self) -> None:
@@ -238,7 +224,7 @@ class ClusterNode:
                         "held": self._held_leases()})
 
     def _request_work(self) -> None:
-        slots = self.workers - len(self._inflight) - len(self._queued)
+        slots = self.workers - len(self.pool) - len(self._queued)
         if slots <= 0 or self._shutdown:
             return
         now = self._clock()
@@ -265,117 +251,40 @@ class ClusterNode:
 
     # -- execution ---------------------------------------------------------
 
-    def _workload_factory(self, spec: dict) -> Callable:
-        kernel, cores, size = spec["kernel"], spec["cores"], spec["size"]
-
-        def make_workload():
-            return instantiate(kernel, cores, size)
-
-        return make_workload
-
-    def _spawn(self, grant: dict) -> None:
-        spec = grant["spec"]
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        fd, stderr_path = tempfile.mkstemp(prefix="coyote-node-",
-                                           suffix=".stderr")
-        os.close(fd)
-        try:
-            process = self._context.Process(
-                target=_worker_main,
-                args=(child_conn, grant["index"], grant["settings"],
-                      spec["cores"], spec["overrides"],
-                      self._workload_factory(spec),
-                      spec["require_verified"], 0.0, stderr_path),
-                daemon=True)
-            process.start()
-        except BaseException:
-            parent_conn.close()
-            child_conn.close()
-            os.unlink(stderr_path)
-            raise
-        child_conn.close()
-        self._inflight[parent_conn] = _NodeRunning(
-            grant, process, parent_conn, stderr_path)
-
     def _fill_slots(self) -> bool:
         progressed = False
-        while self._queued and len(self._inflight) < self.workers:
+        while self._queued and len(self.pool) < self.workers:
             grant = self._queued.pop(0)
+            recipe = spec_recipe(grant["spec"])
             try:
-                self._spawn(grant)
+                self.pool.spawn(grant["index"], grant["settings"],
+                                *recipe, context=grant)
             except OSError:
                 # Fork pressure: run the point in-process instead of
                 # silently dropping the grant on the floor.
-                point = run_point(
-                    grant["settings"], grant["spec"]["cores"],
-                    grant["spec"]["overrides"],
-                    self._workload_factory(grant["spec"]),
-                    require_verified=grant["spec"]["require_verified"])
-                self._report(grant, point)
+                self._report(grant, run_point(grant["settings"], *recipe))
             progressed = True
         return progressed
 
-    def _retire(self, running: _NodeRunning) -> str:
-        process = running.process
-        if process.is_alive():
-            process.terminate()
-            process.join(2.0)
-            if process.is_alive():
-                process.kill()
-                process.join()
-        else:
-            process.join()
-        try:
-            running.conn.close()
-        except OSError:
-            pass
-        self._inflight.pop(running.conn, None)
-        tail = supervision.read_stderr_tail(running.stderr_path)
-        if running.stderr_path is not None:
-            try:
-                os.unlink(running.stderr_path)
-            except OSError:
-                pass
-            running.stderr_path = None
-        return tail
-
     def _report(self, grant: dict, point: SweepPoint) -> None:
-        cache_key = None
-        if point.results is not None and grant.get("cache_key"):
-            if self.cache.put(grant["cache_key"], point):
-                cache_key = grant["cache_key"]
         self._send({"type": "complete", "job": grant["job"],
                     "index": grant["index"], "fence": grant.get("fence"),
-                    "cache_key": cache_key, "verified": point.verified,
-                    "failure": point.failure_record()})
+                    **completion_record(self.cache,
+                                        grant.get("cache_key"), point)})
 
     def _pump(self) -> bool:
-        if not self._inflight:
-            return False
         progressed = False
-        for conn in connection.wait(list(self._inflight),
-                                    _POLL_SECONDS):
-            running = self._inflight.get(conn)
-            if running is None:
-                continue
-            try:
-                message = conn.recv()
-            except EOFError:
-                tail = self._retire(running)
-                grant = running.grant
+        for kind, worker, *payload in self.pool.poll(_POLL_SECONDS):
+            grant = worker.context
+            if kind == "result":
+                self._report(grant, payload[0])
+            else:   # "died" — this pool's worker heartbeats are off
+                exit_code, tail = payload
                 self._send({"type": "failure", "job": grant["job"],
                             "index": grant["index"],
                             "fence": grant.get("fence"),
-                            "outcome": "crash",
-                            "exit_code": running.process.exitcode,
+                            "outcome": "crash", "exit_code": exit_code,
                             "stderr_tail": tail})
-                progressed = True
-                continue
-            if message[0] == "hb":
-                continue  # the node heartbeats for itself
-            _tag, _index, point = message
-            self._retire(running)
-            self._report(running.grant, point)
             progressed = True
         return progressed
 
@@ -398,7 +307,7 @@ class ClusterNode:
 
     @property
     def idle(self) -> bool:
-        return not self._inflight and not self._queued
+        return not self.pool and not self._queued
 
     def run(self, *, max_seconds: float | None = None,
             stop: Callable[[], bool] | None = None) -> None:
@@ -414,11 +323,10 @@ class ClusterNode:
                 progressed = self.step()
                 if self._shutdown and self.idle:
                     break
-                if not progressed and not self._inflight:
+                if not progressed and not self.pool:
                     time.sleep(_POLL_SECONDS)
         finally:
-            for running in list(self._inflight.values()):
-                self._retire(running)
+            self.pool.close()
             self.transport.close()
 
 
@@ -537,22 +445,13 @@ class ClusterDispatcher(CampaignService):
             return  # a completion for a job this root never had
         if fence is None and point["state"] in DONE_STATES:
             # Unfenced duplicate delivery: drop it without journaling
-            # (with fencing on, the fence check below handles this and
-            # records the rejection durably).
+            # (with fencing on, the fence check in _settle handles this
+            # and records the rejection durably).
             return
-        try:
-            self.store.complete(
-                job_id, index, cache_key=message.get("cache_key"),
-                verified=message.get("verified"),
-                failure=message.get("failure"), cached=False,
-                fence=fence)
-        except StaleWriteError:
-            self.monitor.stale_write(job_id, index)
-            self.monitor.grant_settled(node, job_id, index, "stale")
-            return
-        self.monitor.completed(job_id, index, cached=False)
-        self.monitor.grant_settled(node, job_id, index, "complete")
-        self._not_before.pop((job_id, index), None)
+        settled = self._settle(
+            {"job_id": job_id, "index": index, "fence": fence}, message)
+        self.monitor.grant_settled(node, job_id, index,
+                                   "complete" if settled else "stale")
 
     def _on_failure(self, message: dict) -> None:
         node = str(message.get("node", "?"))
@@ -570,46 +469,27 @@ class ClusterDispatcher(CampaignService):
                              fence=message.get("fence"))
 
     def _grant(self, node: str) -> bool:
-        claimed = self.store.claim(node, self._now(),
-                                   self.lease_seconds,
-                                   eligible=self._eligible)
-        if claimed is None:
+        lease = self._claim_next(node)
+        if lease is None:
             return False
-        job_id, point = claimed
-        index = point["index"]
-        fence = (point["lease"] or {}).get("fence")
-        self.monitor.claimed(job_id, index)
-        key = self._cache_key(job_id, point["settings"])
-        cached = self.cache.get(key) if key is not None else None
-        if cached is not None:
+        if lease["settled"]:
             # Cache hits are served dispatcher-side; the node never
             # sees the point.
-            self.store.complete(job_id, index, cache_key=key,
-                                verified=cached.verified,
-                                failure=cached.failure_record(),
-                                cached=True, fence=fence)
-            self.monitor.completed(job_id, index, cached=True)
             return True
-        spec = self.store.jobs[job_id]["spec"]
+        fence = lease["fence"]
         self.transport.send(node, {
             "type": "grant", "src": DISPATCHER_ENDPOINT,
-            "job": job_id, "index": index,
-            "settings": point["settings"], "spec": spec,
+            "job": lease["job_id"], "index": lease["index"],
+            "settings": lease["settings"], "spec": lease["spec"],
             "fence": fence if self.fence_enabled else None,
-            "cache_key": key,
+            "cache_key": lease["cache_key"],
             "lease_seconds": self.lease_seconds})
-        self.monitor.granted(node, job_id, index, fence)
+        self.monitor.granted(node, lease["job_id"], lease["index"], fence)
         return True
 
     def _node_leases(self, node: str) -> list[tuple[str, dict]]:
-        held = []
-        for job_id in self.store.jobs_in_order():
-            for point in self.store.jobs[job_id]["points"]:
-                lease = point["lease"]
-                if point["state"] == "leased" and lease is not None \
-                        and lease.get("worker") == node:
-                    held.append((job_id, point))
-        return held
+        return [(job_id, point) for job_id, point in self.store.leases()
+                if point["lease"].get("worker") == node]
 
     # -- node death and rebalancing ----------------------------------------
 
@@ -656,10 +536,9 @@ class ClusterDispatcher(CampaignService):
             return True  # had a fleet, lost it
         return self._now() - self._started > self.grace_seconds
 
-    def _spawn(self, job_id: str, point: dict,
-               cache_key: str | None, fence: int | None = None) -> None:
+    def _spawn(self, lease: dict) -> PointWorker:
         try:
-            super()._spawn(job_id, point, cache_key, fence)
+            return super()._spawn(lease)
         except OSError as exc:
             if self._tier == "local":
                 self._note_degradation(
@@ -668,40 +547,14 @@ class ClusterDispatcher(CampaignService):
 
     def _serial_tick(self) -> bool:
         """The last rung: one point, in-process, no children at all."""
-        claimed = self.store.claim(self.worker_id, self._now(),
-                                   self.lease_seconds,
-                                   eligible=self._eligible)
-        if claimed is None:
+        lease = self._claim_next(self.worker_id)
+        if lease is None:
             return False
-        job_id, point = claimed
-        index = point["index"]
-        fence = (point["lease"] or {}).get("fence")
-        self.monitor.claimed(job_id, index)
-        key = self._cache_key(job_id, point["settings"])
-        cached = self.cache.get(key) if key is not None else None
-        if cached is not None:
-            result = cached
-            served_from_cache = True
-        else:
-            spec = self.store.jobs[job_id]["spec"]
-            result = run_point(point["settings"], spec["cores"],
-                               spec["overrides"],
-                               self._workload_factory(job_id),
-                               require_verified=spec["require_verified"])
-            served_from_cache = False
-        cache_key = None
-        if result.results is not None and key is not None:
-            if served_from_cache or self.cache.put(key, result):
-                cache_key = key
-        try:
-            self.store.complete(job_id, index, cache_key=cache_key,
-                                verified=result.verified,
-                                failure=result.failure_record(),
-                                cached=served_from_cache, fence=fence)
-        except StaleWriteError:
-            self.monitor.stale_write(job_id, index)
-            return True
-        self.monitor.completed(job_id, index, cached=served_from_cache)
+        if not lease["settled"]:
+            point = run_point(lease["settings"],
+                              *spec_recipe(lease["spec"]))
+            self._settle(lease, completion_record(
+                self.cache, lease["cache_key"], point))
         return True
 
     def _local_tick(self) -> bool:
@@ -714,7 +567,8 @@ class ClusterDispatcher(CampaignService):
     # -- the dispatcher loop -----------------------------------------------
 
     def step(self) -> bool:
-        """One dispatcher turn; the unit deterministic tests drive."""
+        """One dispatcher turn (what the inherited ``run`` loops
+        over); the unit deterministic tests drive."""
         self.ingest_inbox()
         self._recover_dead_leases()
         progressed = self._pump_transport()
@@ -732,27 +586,6 @@ class ClusterDispatcher(CampaignService):
         self.monitor.observe_queue(self.store.outstanding_points(),
                                    self.store.active_leases())
         return progressed
-
-    def run(self, *, max_seconds: float | None = None,
-            stop: Callable[[], bool] | None = None) -> int:
-        """Drive the cluster until the queue drains; returns
-        completions this call (the cluster spelling of
-        :meth:`CampaignService.run`)."""
-        self._require_open()
-        before = self.monitor.counters["completions"]
-        deadline = (time.monotonic() + max_seconds
-                    if max_seconds is not None else None)
-        while True:
-            if stop is not None and stop():
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            progressed = self.step()
-            if not self._inflight and not self.store.has_work():
-                break
-            if not progressed and not self._inflight:
-                time.sleep(_POLL_SECONDS)
-        return self.monitor.counters["completions"] - before
 
     def shutdown_nodes(self) -> None:
         """Tell every node (alive or not) to finish and exit."""

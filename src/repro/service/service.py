@@ -19,20 +19,26 @@ Execution model — at-least-once, made safe by idempotence:
   immediately without spending an attempt — a crashed service must
   not eat a point's retry budget; only a silent/wedged owner does.
 * **Workers never touch the journal or the cache.**  A point runs in a
-  child process (the PR-5 worker, heartbeats included); only the
-  parent journals transitions and writes cache entries, so an orphaned
-  worker left behind by a SIGKILLed service can corrupt nothing — it
-  dies on its next pipe write, and at worst its work is recomputed.
+  :class:`~repro.coyote.parallel.PointPool` worker (heartbeats
+  included); only the parent journals transitions and writes cache
+  entries, so an orphaned worker left behind by a SIGKILLed service
+  can corrupt nothing — it dies on its next pipe write, and at worst
+  its work is recomputed.
+* **One claim → settle path.**  Every way a point gets executed here —
+  a local worker, a cluster node's grant, the dispatcher's in-process
+  floor — goes through :meth:`CampaignService._claim_next` (lease,
+  cache lookup, cache hits settled on the spot) and
+  :meth:`CampaignService._settle` (the fenced ``complete``).
 * **Completions are idempotent.**  Results live in the
   content-addressed cache keyed by (config digest, kernel digest,
   seed); a point executed twice writes the same bytes under the same
   key, and the job store ignores duplicate ``complete`` events.
 * **Failures flow into the existing machinery.**  Crashed or expired
-  attempts are retried under the seeded
-  :class:`~repro.resilience.supervisor.RetryPolicy`; a point that
-  exhausts its budget is quarantined as a
-  :class:`~repro.resilience.supervisor.QuarantinedPoint`, exactly like
-  a supervised in-process sweep.
+  attempts are charged under the same seeded
+  :meth:`RetryPolicy.after_failure
+  <repro.resilience.supervisor.RetryPolicy.after_failure>` rule as a
+  supervised in-process sweep: retried with backoff, then quarantined
+  as a :class:`~repro.resilience.supervisor.QuarantinedPoint`.
 
 Cross-process shape: the serving process holds the journal lock; other
 processes submit by spooling JSON files into ``inbox/`` (atomic,
@@ -50,17 +56,13 @@ import signal
 import socket
 import tempfile
 import time
-from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable
 
-import multiprocessing
-
 from repro.coyote.config import SimulationConfig
-from repro.coyote.parallel import RemoteError, _worker_main
+from repro.coyote.parallel import PointPool, PointWorker, RemoteError
 from repro.coyote.sweep import Sweep, SweepPoint, SweepTable
-from repro.kernels import KERNELS, instantiate
-from repro.resilience import supervisor as supervision
+from repro.kernels import KERNELS, instantiate, workload_factory
 from repro.resilience.locking import PathLock
 from repro.resilience.supervisor import (
     AttemptRecord,
@@ -104,20 +106,6 @@ __all__ = [
 _POLL_SECONDS = 0.05
 
 
-def _service_worker_main(inherited_fds, *args) -> None:
-    # A forked worker inherits the parent's journal-lock descriptor,
-    # and flock follows the open file, not the process: an orphan left
-    # behind by a SIGKILLed service would keep the root locked — and a
-    # restarted service locked out — until the orphan happened to die.
-    # Drop the inherited handles before doing any work.
-    for fd in inherited_fds:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-    _worker_main(*args)
-
-
 def new_job_id() -> str:
     """A fresh, collision-resistant job id (client-generated, so
     submissions can be spooled without coordinating a counter)."""
@@ -152,6 +140,31 @@ def spec_points(spec: dict) -> list[dict]:
     """The cartesian settings dicts of one spec, in sweep order."""
     return Sweep(base_cores=spec["cores"], axes=spec["axes"],
                  **spec["overrides"]).points()
+
+
+def spec_recipe(spec: dict) -> tuple:
+    """The ``run_point`` / ``PointPool.spawn`` arguments after
+    ``settings`` that execute one point of ``spec``."""
+    return (spec["cores"], spec["overrides"],
+            workload_factory(spec["kernel"], spec["cores"], spec["size"]),
+            spec["require_verified"])
+
+
+def completion_record(cache: ResultCache, key: str | None,
+                      point: SweepPoint, *, cached: bool = False) -> dict:
+    """What a finished point journals; stores its results on the way.
+
+    A deterministic outcome (including a verification failure that
+    kept its results) is cacheable and shareable: it is written under
+    ``key`` unless it was just ``cached`` — read from there.
+    ``cache_key`` stays ``None`` for a point with no results, no key,
+    or a cache write that failed.
+    """
+    stored = (key is not None and point.results is not None
+              and (cached or cache.put(key, point)))
+    return {"cache_key": key if stored else None,
+            "verified": point.verified,
+            "failure": point.failure_record()}
 
 
 def spool_submission(root: str | Path, spec: dict,
@@ -259,27 +272,9 @@ def _quarantine_error(settings: dict, record: dict) -> QuarantinedPoint:
                       stderr_tail=entry.get("stderr_tail", ""))
         for number, entry in enumerate(record["attempts"], start=1)]
     failure = record.get("failure") or {}
-    message = failure.get("message") or (
-        f"service point {settings} quarantined after "
-        f"{len(attempts)} attempt(s)")
-    return QuarantinedPoint(message, attempts=attempts)
-
-
-class _Running:
-    """Parent-side state of one in-flight worker attempt."""
-
-    def __init__(self, job_id: str, index: int, settings: dict,
-                 cache_key: str | None, process, conn,
-                 stderr_path: str | None, fence: int | None = None):
-        self.job_id = job_id
-        self.index = index
-        self.settings = settings
-        self.cache_key = cache_key
-        self.process = process
-        self.conn = conn
-        self.stderr_path = stderr_path
-        self.fence = fence
-        self.last_renew = time.monotonic()
+    return QuarantinedPoint(
+        failure.get("message") or f"service point {settings} quarantined",
+        attempts=attempts)
 
 
 class CampaignService:
@@ -310,8 +305,6 @@ class CampaignService:
             max_attempts=3, base_delay=0.1, max_delay=5.0)
         self.retry.validate()
         self.seed = seed
-        self.heartbeat_seconds = heartbeat_seconds
-        self.term_grace_seconds = term_grace_seconds
         self.monitor = monitor if monitor is not None else ServiceMonitor()
         journal = Journal(self.root / "journal.jsonl", fsync=fsync)
         self.store = JobStore(journal, max_queue=max_queue,
@@ -320,17 +313,14 @@ class CampaignService:
         self.worker_id = (f"{socket.gethostname()}:{os.getpid()}:"
                           f"{secrets.token_hex(4)}")
         self._lock = PathLock(self.root / "journal.jsonl")
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(mp_context)
-        self._inflight: dict[Any, _Running] = {}
+        # In-flight workers; each worker's ``context`` is its lease (the
+        # dict _claim_next returned).
+        self.pool = PointPool(mp_context,
+                              heartbeat_seconds=heartbeat_seconds,
+                              term_grace_seconds=term_grace_seconds)
         self._not_before: dict[tuple[str, int], float] = {}
         self._kernel_digests: dict[str, str | None] = {}
         self._opened = False
-        # Test hook: called with the _Running record right after a
-        # worker spawns (chaos tests SIGKILL executors mid-lease here).
-        self._chaos_on_spawn: Callable[[_Running], None] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -338,6 +328,9 @@ class CampaignService:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "inbox").mkdir(exist_ok=True)
         self._lock.acquire()
+        if self._lock.fd is not None:
+            # Forked workers must not keep the journal lock open.
+            self.pool.close_fds = (self._lock.fd,)
         try:
             self.store.open()
             self._opened = True
@@ -520,57 +513,115 @@ class CampaignService:
                 break
             if deadline is not None and time.monotonic() > deadline:
                 break
-            self.ingest_inbox()
-            self._recover_dead_leases()
-            self._reap_expired()
-            progressed = self._fill_slots()
-            progressed |= self._pump()
-            self.monitor.observe_queue(self.store.outstanding_points(),
-                                       self.store.active_leases())
-            if not self._inflight and not self.store.has_work():
+            progressed = self.step()
+            if not self.pool and not self.store.has_work():
                 break
-            if not progressed and not self._inflight:
+            if not progressed and not self.pool:
                 # Only backoff windows or foreign leases remain.
                 time.sleep(_POLL_SECONDS)
         return self.monitor.counters["completions"] - before
+
+    def step(self) -> bool:
+        """One executor turn; returns True when anything progressed."""
+        self.ingest_inbox()
+        self._recover_dead_leases()
+        self._reap_expired()
+        progressed = self._fill_slots()
+        progressed |= self._pump()
+        self.monitor.observe_queue(self.store.outstanding_points(),
+                                   self.store.active_leases())
+        return progressed
 
     def _eligible(self, job_id: str, point: dict) -> bool:
         not_before = self._not_before.get((job_id, point["index"]))
         return not_before is None or not_before <= self._now()
 
+    # -- claim -> settle: the one path every tier takes ---------------------
+
+    def _claim_next(self, owner: str) -> dict | None:
+        """Claim the next eligible point under a lease for ``owner``
+        and serve it from the cache when possible.
+
+        Returns ``None`` when nothing is claimable, else the lease:
+        ``job_id`` / ``index`` / ``settings`` / ``spec`` / ``cache_key``
+        / ``fence``, with ``settled`` true when a cache hit already
+        completed the point (no simulation, lease settled now).
+        """
+        claimed = self.store.claim(owner, self._now(), self.lease_seconds,
+                                   eligible=self._eligible)
+        if claimed is None:
+            return None
+        job_id, point = claimed
+        lease = {"job_id": job_id, "index": point["index"],
+                 "settings": point["settings"],
+                 "spec": self.store.jobs[job_id]["spec"],
+                 "cache_key": self._cache_key(job_id, point["settings"]),
+                 "fence": (point["lease"] or {}).get("fence"),
+                 "last_renew": time.monotonic(), "settled": False}
+        self.monitor.claimed(job_id, lease["index"])
+        key = lease["cache_key"]
+        cached = self.cache.get(key) if key is not None else None
+        if cached is not None:
+            lease["settled"] = self._settle(
+                lease, completion_record(self.cache, key, cached,
+                                         cached=True), cached=True)
+        return lease
+
+    def _settle(self, lease: dict, record: dict, *,
+                cached: bool = False) -> bool:
+        """Journal one point's completion under its fence; False when
+        the write was stale.
+
+        A stale write means the lease was reaped while the result was
+        in flight and the point belongs to someone else now: any cache
+        write is harmless (same key, same bytes) but the journal stays
+        single-completion.
+        """
+        job_id, index = lease["job_id"], lease["index"]
+        try:
+            self.store.complete(job_id, index,
+                                cache_key=record.get("cache_key"),
+                                verified=record.get("verified"),
+                                failure=record.get("failure"),
+                                cached=cached, fence=lease["fence"])
+        except StaleWriteError:
+            self.monitor.stale_write(job_id, index)
+            return False
+        self.monitor.completed(job_id, index, cached=cached)
+        self._not_before.pop((job_id, index), None)
+        return True
+
+    def _release(self, lease: dict) -> None:
+        """Give a claimed point back without charging it an attempt."""
+        try:
+            self.store.release(lease["job_id"], lease["index"],
+                               fence=lease["fence"])
+        except StaleWriteError:
+            self.monitor.stale_write(lease["job_id"], lease["index"])
+            return
+        self.monitor.released(lease["job_id"], lease["index"])
+
     def _fill_slots(self) -> bool:
         progressed = False
-        while len(self._inflight) < self.workers:
-            claimed = self.store.claim(self.worker_id, self._now(),
-                                       self.lease_seconds,
-                                       eligible=self._eligible)
-            if claimed is None:
-                return progressed
-            job_id, point = claimed
-            index = point["index"]
-            fence = (point["lease"] or {}).get("fence")
-            self.monitor.claimed(job_id, index)
+        while len(self.pool) < self.workers:
+            lease = self._claim_next(self.worker_id)
+            if lease is None:
+                break
             progressed = True
-            key = self._cache_key(job_id, point["settings"])
-            cached = self.cache.get(key) if key is not None else None
-            if cached is not None:
-                # Served from disk: no simulation, lease settled now.
-                self.store.complete(
-                    job_id, index, cache_key=key,
-                    verified=cached.verified,
-                    failure=cached.failure_record(), cached=True,
-                    fence=fence)
-                self.monitor.completed(job_id, index, cached=True)
+            if lease["settled"]:
                 continue
             try:
-                self._spawn(job_id, point, key, fence)
+                self._spawn(lease)
             except OSError:
                 # Fork pressure: give the point back and breathe.
-                self.store.release(job_id, index, fence=fence)
-                self.monitor.released(job_id, index)
+                self._release(lease)
                 time.sleep(_POLL_SECONDS)
-                return progressed
+                break
         return progressed
+
+    def _spawn(self, lease: dict) -> PointWorker:
+        return self.pool.spawn(lease["index"], lease["settings"],
+                               *spec_recipe(lease["spec"]), context=lease)
 
     def _cache_key(self, job_id: str, settings: dict) -> str | None:
         spec = self.store.jobs[job_id]["spec"]
@@ -593,163 +644,52 @@ class CampaignService:
         return result_key(config_digest(config), kernel_hex,
                           config.resilience.fault_seed)
 
-    def _workload_factory(self, job_id: str) -> Callable:
-        spec = self.store.jobs[job_id]["spec"]
-        kernel, cores, size = spec["kernel"], spec["cores"], spec["size"]
-
-        def make_workload():
-            return instantiate(kernel, cores, size)
-
-        return make_workload
-
-    def _spawn(self, job_id: str, point: dict,
-               cache_key: str | None,
-               fence: int | None = None) -> None:
-        spec = self.store.jobs[job_id]["spec"]
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        fd, stderr_path = tempfile.mkstemp(prefix="coyote-service-",
-                                           suffix=".stderr")
-        os.close(fd)
-        try:
-            # Only fork children inherit our descriptors (spawn starts
-            # from a fresh process whose fd numbers mean other files).
-            inherited = []
-            if self._context.get_start_method() == "fork" \
-                    and self._lock.fd is not None:
-                inherited = [self._lock.fd]
-            process = self._context.Process(
-                target=_service_worker_main,
-                args=(inherited, child_conn, point["index"],
-                      point["settings"], spec["cores"],
-                      spec["overrides"], self._workload_factory(job_id),
-                      spec["require_verified"],
-                      self.heartbeat_seconds, stderr_path),
-                daemon=True)
-            process.start()
-        except BaseException:
-            parent_conn.close()
-            child_conn.close()
-            os.unlink(stderr_path)
-            raise
-        child_conn.close()
-        running = _Running(job_id, point["index"], point["settings"],
-                           cache_key, process, parent_conn, stderr_path,
-                           fence)
-        self._inflight[parent_conn] = running
-        if self._chaos_on_spawn is not None:
-            self._chaos_on_spawn(running)
-
     def _pump(self) -> bool:
-        if not self._inflight:
-            return False
         progressed = False
-        for conn in connection.wait(list(self._inflight),
-                                    _POLL_SECONDS):
-            running = self._inflight.get(conn)
-            if running is None:
+        for kind, worker, *payload in self.pool.poll(_POLL_SECONDS):
+            lease = worker.context
+            if kind == "beat":
+                self._heartbeat(lease)
                 continue
-            try:
-                message = conn.recv()
-            except EOFError:
-                self._worker_died(running, "crash")
-                progressed = True
-                continue
-            if message[0] == "hb":
-                self._heartbeat(running)
-                continue
-            _tag, _index, point = message
-            self._worker_finished(running, point)
+            if kind == "result":
+                self._settle(lease, completion_record(
+                    self.cache, lease["cache_key"], payload[0]))
+            else:
+                exit_code, tail = payload
+                self._record_failure(lease["job_id"], lease["index"],
+                                     lease["settings"], "crash",
+                                     exit_code, tail, fence=lease["fence"])
             progressed = True
         return progressed
 
-    def _heartbeat(self, running: _Running) -> None:
+    def _heartbeat(self, lease: dict) -> None:
         # Renew the lease at roughly a third of its term: enough slack
         # that one late heartbeat never expires a healthy worker, and
         # the journal is not flooded with renewals.
         now = time.monotonic()
-        if now - running.last_renew >= self.lease_seconds / 3:
-            running.last_renew = now
+        if now - lease["last_renew"] >= self.lease_seconds / 3:
+            lease["last_renew"] = now
             try:
-                self.store.renew(running.job_id, running.index,
+                self.store.renew(lease["job_id"], lease["index"],
                                  self._now(), self.lease_seconds,
-                                 fence=running.fence)
+                                 fence=lease["fence"])
             except StaleWriteError:
                 # The lease lapsed and was reaped out from under this
                 # worker; the expiry sweep will retire it.
-                self.monitor.stale_write(running.job_id, running.index)
-
-    def _retire(self, running: _Running) -> str:
-        process = running.process
-        if process.is_alive():
-            process.terminate()
-            process.join(self.term_grace_seconds)
-            if process.is_alive():
-                process.kill()
-                process.join()
-        else:
-            process.join()
-        try:
-            running.conn.close()
-        except OSError:
-            pass
-        self._inflight.pop(running.conn, None)
-        tail = supervision.read_stderr_tail(running.stderr_path)
-        if running.stderr_path is not None:
-            try:
-                os.unlink(running.stderr_path)
-            except OSError:
-                pass
-            running.stderr_path = None
-        return tail
-
-    def _worker_finished(self, running: _Running,
-                         point: SweepPoint) -> None:
-        self._retire(running)
-        cache_key = None
-        if point.results is not None and running.cache_key is not None:
-            # Deterministic outcome (including a verification failure
-            # that kept its results): cacheable and shareable.
-            if self.cache.put(running.cache_key, point):
-                cache_key = running.cache_key
-        try:
-            self.store.complete(running.job_id, running.index,
-                                cache_key=cache_key,
-                                verified=point.verified,
-                                failure=point.failure_record(),
-                                cached=False, fence=running.fence)
-        except StaleWriteError:
-            # The lease was reaped while the result was in flight; the
-            # point belongs to someone else now.  The cache write above
-            # is harmless (same key, same bytes) but the journal stays
-            # single-completion.
-            self.monitor.stale_write(running.job_id, running.index)
-            return
-        self.monitor.completed(running.job_id, running.index,
-                               cached=False)
-        self._not_before.pop((running.job_id, running.index), None)
-
-    def _worker_died(self, running: _Running, outcome: str) -> None:
-        tail = self._retire(running)
-        exit_code = running.process.exitcode
-        self._record_failure(running.job_id, running.index,
-                             running.settings, outcome, exit_code, tail,
-                             fence=running.fence)
+                self.monitor.stale_write(lease["job_id"], lease["index"])
 
     def _record_failure(self, job_id: str, index: int, settings: dict,
                         outcome: str, exit_code: int | None,
                         tail: str, fence: int | None = None) -> None:
+        """Charge one failed attempt under the seeded retry rule."""
         attempts = len(self.store.jobs[job_id]["points"][index]
                        ["attempts"]) + 1
-        final = attempts >= self.retry.max_attempts
-        failure = None
-        if final:
-            suffix = (f" (exit code {exit_code})"
-                      if exit_code is not None else "")
-            failure = {"kind": "QuarantinedPoint",
-                       "message": f"service point {settings} "
-                                  f"quarantined after {attempts} "
-                                  f"attempt(s); last outcome: "
-                                  f"{outcome}{suffix}"}
+        action, payload = self.retry.after_failure(
+            attempts, f"service point {settings}", outcome, exit_code,
+            seed=self.seed, index=index)
+        final = action == "quarantine"
+        failure = ({"kind": "QuarantinedPoint", "message": payload}
+                   if final else None)
         try:
             self.store.attempt(job_id, index, outcome=outcome,
                                exit_code=exit_code, stderr_tail=tail,
@@ -760,10 +700,8 @@ class CampaignService:
         if final:
             self.monitor.quarantined(job_id, index, attempts)
         else:
-            backoff = self.retry.backoff_seconds(
-                attempts, seed=self.seed, index=index)
-            self._not_before[(job_id, index)] = self._now() + backoff
-            self.monitor.retry(job_id, index, attempts, backoff)
+            self._not_before[(job_id, index)] = self._now() + payload
+            self.monitor.retry(job_id, index, attempts, payload)
 
     # -- lease recovery ----------------------------------------------------
 
@@ -771,63 +709,40 @@ class CampaignService:
         now = self._now()
         for job_id, point in self.store.expired_leases(now):
             index = point["index"]
-            running = self._find_inflight(job_id, index)
             self.monitor.lease_expired(job_id, index)
-            if running is not None:
-                # Our own wedged worker: its heartbeats stopped long
-                # enough for the lease to lapse.  Reap it.
-                tail = self._retire(running)
-                self._record_failure(job_id, index, point["settings"],
-                                     "lease-expired",
-                                     running.process.exitcode, tail)
-            else:
-                # A dead (or foreign, silent) executor's lease.
-                self._record_failure(job_id, index, point["settings"],
-                                     "lease-expired", None, "")
+            exit_code, tail = None, ""
+            for worker in self.pool.workers:
+                if worker.index == index \
+                        and worker.context["job_id"] == job_id:
+                    # Our own wedged worker: its heartbeats stopped
+                    # long enough for the lease to lapse.  Reap it.
+                    tail = self.pool.reap(worker)
+                    exit_code = worker.process.exitcode
+            # Otherwise a dead (or foreign, silent) executor's lease.
+            self._record_failure(job_id, index, point["settings"],
+                                 "lease-expired", exit_code, tail)
 
     def _recover_dead_leases(self) -> None:
         """Release leases whose owner is provably dead (same host,
         PID gone) without charging the point an attempt — a killed
         service is not the point's fault."""
         hostname = socket.gethostname()
-        for job_id in self.store.jobs_in_order():
-            for point in self.store.jobs[job_id]["points"]:
-                lease = point["lease"]
-                if point["state"] != "leased" or lease is None:
-                    continue
-                owner = str(lease.get("worker", ""))
-                parts = owner.split(":")
-                if len(parts) != 3 or parts[0] != hostname:
-                    continue
-                if owner == self.worker_id:
-                    continue
-                try:
-                    pid = int(parts[1])
-                except ValueError:
-                    continue
-                if not _pid_alive(pid):
-                    self.store.release(job_id, point["index"])
-                    self.monitor.released(job_id, point["index"])
-
-    def _find_inflight(self, job_id: str,
-                       index: int) -> _Running | None:
-        for running in self._inflight.values():
-            if running.job_id == job_id and running.index == index:
-                return running
-        return None
+        for job_id, point in self.store.leases():
+            owner = str(point["lease"].get("worker", ""))
+            parts = owner.split(":")
+            if len(parts) != 3 or parts[0] != hostname \
+                    or owner == self.worker_id or not parts[1].isdigit():
+                continue
+            if not _pid_alive(int(parts[1])):
+                self.store.release(job_id, point["index"])
+                self.monitor.released(job_id, point["index"])
 
     def _drain(self) -> None:
         """Stop in-flight work gracefully: terminate workers, release
         their leases (no attempt charged), persist."""
-        for running in list(self._inflight.values()):
-            self._retire(running)
-            try:
-                self.store.release(running.job_id, running.index,
-                                   fence=running.fence)
-            except StaleWriteError:
-                self.monitor.stale_write(running.job_id, running.index)
-                continue
-            self.monitor.released(running.job_id, running.index)
+        for worker in self.pool.workers:
+            self.pool.reap(worker)
+            self._release(worker.context)
 
     # -- the long-running server loop --------------------------------------
 

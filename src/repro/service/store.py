@@ -401,16 +401,17 @@ class JobStore:
         return sorted(self.jobs, key=lambda job_id:
                       self.jobs[job_id]["order"])
 
+    def leases(self) -> list[tuple[str, dict]]:
+        """Every leased ``(job_id, point)``, jobs in submission order."""
+        return [(job_id, point) for job_id in self.jobs_in_order()
+                for point in self.jobs[job_id]["points"]
+                if point["state"] == "leased"
+                and point["lease"] is not None]
+
     def expired_leases(self, now: float) -> list[tuple[str, dict]]:
         """Every leased point whose wall-clock lease has lapsed."""
-        lapsed = []
-        for job_id in self.jobs_in_order():
-            for point in self.jobs[job_id]["points"]:
-                lease = point["lease"]
-                if (point["state"] == "leased" and lease is not None
-                        and lease["expires"] <= now):
-                    lapsed.append((job_id, point))
-        return lapsed
+        return [(job_id, point) for job_id, point in self.leases()
+                if point["lease"]["expires"] <= now]
 
     def active_leases(self) -> int:
         return sum(1 for job in self.jobs.values()

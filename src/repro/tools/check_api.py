@@ -1,9 +1,8 @@
 """API-surface lint: every public name flows through ``repro.api``.
 
 The facade contract (docs/API.md) says there is exactly one canonical
-import path: a name is either exported by :mod:`repro.api`, declared
-internal-but-stable by its package (``_LOCAL_NAMES``), or a deprecation
-shim that forwards to a canonical name.  This tool fails (exit 1) the
+import path: a name is either exported by :mod:`repro.api` or declared
+internal-but-stable by its package (``_LOCAL_NAMES``).  This tool fails (exit 1) the
 moment a package gains a public name outside that contract, so API
 drift is caught in CI instead of in a release note.
 
@@ -16,8 +15,6 @@ Checks, in order:
 3. Re-exports are *identities*: ``repro.coyote.Simulation is
    repro.api.Simulation`` (two objects under one name would mean two
    canonical paths).
-4. The registered deprecation shims still exist and still emit
-   ``DeprecationWarning``.
 
 Run it as ``python -m repro.tools.check_api``.
 """
@@ -26,18 +23,9 @@ from __future__ import annotations
 
 import importlib
 import sys
-import warnings
 
 FACADE = "repro.api"
 FACADED_PACKAGES = ("repro.coyote", "repro.resilience", "repro.service")
-
-# Deprecated spellings that must keep working (and warning) until their
-# removal window closes: (module, attribute-path).
-DEPRECATED_SHIMS = (
-    ("repro.coyote.sweep", "SweepTable.format"),
-    ("repro.coyote.config", "ConfigBuilder.noc_latency"),
-    ("repro.resilience.faults", "load_fault_plan"),
-)
 
 # Names the facade is contractually required to export (subsystems that
 # were announced public; losing one is an API break even if the routing
@@ -121,35 +109,15 @@ def check() -> int:
                 errors.append(f"{package_name}.{name} is not the same "
                               f"object as {FACADE}.{name}")
 
-    for module_name, attribute_path in DEPRECATED_SHIMS:
-        module = importlib.import_module(module_name)
-        target = module
-        try:
-            for part in attribute_path.split("."):
-                target = getattr(target, part)
-        except AttributeError:
-            errors.append(f"deprecation shim {module_name}."
-                          f"{attribute_path} has disappeared")
-            continue
-        if "deprecated" not in (target.__doc__ or "").lower():
-            errors.append(f"deprecation shim {module_name}."
-                          f"{attribute_path} no longer documents its "
-                          f"deprecation")
-
     if errors:
         return _fail(errors)
     print(f"check_api: OK — {len(exported)} facade exports, "
-          f"{len(FACADED_PACKAGES)} packages routed, "
-          f"{len(DEPRECATED_SHIMS)} shims intact")
+          f"{len(FACADED_PACKAGES)} packages routed")
     return 0
 
 
 def main() -> int:
-    # Shims under test may warn during import-time probing; that is
-    # exactly what we are checking for, not something to print.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return check()
+    return check()
 
 
 if __name__ == "__main__":

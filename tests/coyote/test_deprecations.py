@@ -1,10 +1,10 @@
-"""Every deprecation shim warns exactly once per call and forwards.
+"""Retired spellings fail loudly through the ordinary rejection paths.
 
-The migration contract (docs/API.md) promises that pre-redesign
-spellings keep working, at the cost of a single ``DeprecationWarning``
-per call, and that the shim returns exactly what the canonical path
-returns.  This file is the canonical home of that coverage; everything
-else in the test suite uses the new spellings.
+The PR 4 / PR 9 deprecation shims served their warning period and are
+gone.  Each old spelling must now be rejected the way any unknown name
+is — unknown config key, missing attribute, argparse exit 2 — never
+silently accepted, and the canonical spellings must stay warning-free.
+One rejection test per retired spelling.
 """
 
 import json
@@ -12,11 +12,13 @@ import warnings
 
 import pytest
 
-from repro.coyote.cli import build_parser
-from repro.coyote.config import SimulationConfig
-from repro.coyote.sweep import Sweep
+import repro.resilience
+from repro.coyote.cli import build_parser, build_profile_parser, main
+from repro.coyote.config import ConfigBuilder, SimulationConfig
+from repro.coyote.sweep import Sweep, SweepTable
 from repro.kernels import vector_axpy
-from repro.resilience.faults import FaultPlan, load_fault_plan
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan
 
 PLAN_DOC = {
     "seed": 7,
@@ -26,73 +28,53 @@ PLAN_DOC = {
     ],
 }
 
+LEGACY_NOC_KEYS = (("noc_kind", "mesh"), ("noc_latency", 3),
+                   ("mesh_columns", 2))
+
 
 def make_axpy():
     return vector_axpy(length=32, num_cores=2)
 
 
-def run_tiny_sweep():
-    return Sweep(base_cores=2, axes={"noc.latency": [2]}).run(make_axpy)
-
-
 class TestSweepTableFormat:
-    def test_warns_exactly_once_and_forwards(self):
-        table = run_tiny_sweep()
-        with pytest.warns(DeprecationWarning,
-                          match=r"SweepTable\.format\(\) is deprecated; "
-                                r"use SweepTable\.to_text\(\)") as record:
-            legacy = table.format(("cycles",))
-        assert len(record) == 1
-        assert legacy == table.to_text(("cycles",))
+    def test_format_is_gone(self):
+        assert not hasattr(SweepTable, "format")
 
     def test_to_text_does_not_warn(self):
-        table = run_tiny_sweep()
+        table = Sweep(base_cores=2, axes={"noc.latency": [2]}).run(
+            make_axpy)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             table.to_text(("cycles",))
 
 
 class TestLoadFaultPlan:
-    def test_warns_exactly_once_and_forwards(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(PLAN_DOC))
-        with pytest.warns(DeprecationWarning,
-                          match=r"load_fault_plan\(\) is deprecated; "
-                                r"use FaultPlan\.load\(\)") as record:
-            faults, seed = load_fault_plan(path)
-        assert len(record) == 1
-        plan = FaultPlan.load(path)
-        assert faults == plan.faults
-        assert seed == plan.seed == 7
+    def test_load_fault_plan_is_gone(self):
+        assert not hasattr(faults, "load_fault_plan")
+        assert "load_fault_plan" not in repro.resilience.__all__
+        with pytest.raises(AttributeError):
+            repro.resilience.load_fault_plan
 
     def test_fault_plan_load_does_not_warn(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(PLAN_DOC))
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            FaultPlan.load(path)
+            assert FaultPlan.load(path).seed == 7
 
 
 class TestFlatNocOverrides:
-    def test_each_legacy_key_warns_once_and_forwards(self):
-        for legacy, value, attr in (("noc_kind", "mesh", "kind"),
-                                    ("noc_latency", 3, "latency"),
-                                    ("mesh_columns", 2, "columns")):
-            with pytest.warns(DeprecationWarning,
-                              match=rf"the '{legacy}' override is "
-                                    rf"deprecated") as record:
-                config = SimulationConfig.for_cores(2, **{legacy: value})
-            assert len(record) == 1
-            assert getattr(config.noc, attr) == value
+    @pytest.mark.parametrize("legacy, value", LEGACY_NOC_KEYS)
+    def test_flat_override_is_an_unknown_key(self, legacy, value):
+        with pytest.raises(TypeError, match=legacy):
+            SimulationConfig.for_cores(2, **{legacy: value})
 
-    def test_legacy_and_canonical_configs_are_equal(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = SimulationConfig.for_cores(
-                4, noc_kind="mesh", noc_latency=3, mesh_columns=2)
-        canonical = SimulationConfig.for_cores(
-            4, **{"noc.kind": "mesh", "noc.latency": 3,
-                  "noc.columns": 2})
-        assert legacy == canonical
+    @pytest.mark.parametrize("legacy, value", LEGACY_NOC_KEYS)
+    def test_flat_sweep_axis_fails_the_point(self, legacy, value):
+        table = Sweep(base_cores=2, axes={legacy: [value]}).run(
+            make_axpy, on_error="skip")
+        assert table.points[0].failed
+        assert legacy in str(table.points[0].error)
 
     def test_dotted_spellings_stay_silent(self):
         with warnings.catch_warnings():
@@ -100,60 +82,59 @@ class TestFlatNocOverrides:
             SimulationConfig.for_cores(
                 2, **{"noc.kind": "torus", "noc.routing": "yx"})
 
-    def test_from_dict_translates_legacy_memhier_keys(self):
+    @pytest.mark.parametrize("legacy, value", LEGACY_NOC_KEYS)
+    def test_from_dict_rejects_flat_memhier_keys(self, legacy, value):
         data = SimulationConfig.for_cores(2).to_dict()
-        data["memhier"].pop("noc")
-        data["memhier"]["noc_kind"] = "mesh"
+        data["memhier"][legacy] = value
+        with pytest.raises(ValueError,
+                           match=f"unknown config keys.*{legacy}"):
+            SimulationConfig.from_dict(data)
+
+    def test_config_file_with_flat_key_exits_2(self, tmp_path, capsys):
+        data = SimulationConfig.for_cores(2).to_dict()
         data["memhier"]["noc_latency"] = 4
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always", DeprecationWarning)
-            config = SimulationConfig.from_dict(data)
-        messages = sorted(str(entry.message) for entry in record)
-        assert len(messages) == 2  # one per legacy key
-        assert "the config key 'memhier.noc_kind' is deprecated" \
-            in messages[0]
-        assert "the config key 'memhier.noc_latency' is deprecated" \
-            in messages[1]
-        assert config.noc.kind == "mesh"
-        assert config.noc.latency == 4
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(data))
+        code = main(["--kernel", "vector-axpy", "--cores", "2",
+                     "--config", str(path)])
+        assert code == 2
+        assert "noc_latency" in capsys.readouterr().err
 
 
 class TestConfigBuilderNocLatency:
-    def test_warns_once_and_forwards(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"ConfigBuilder\.noc_latency\(\) is "
-                                r"deprecated; use "
-                                r"ConfigBuilder\.noc\(latency=") as record:
-            built = SimulationConfig.builder(2).noc_latency(9).build()
-        assert len(record) == 1
-        assert built == SimulationConfig.builder(2).noc(latency=9).build()
+    def test_noc_latency_is_gone(self):
+        assert not hasattr(ConfigBuilder, "noc_latency")
 
     def test_noc_method_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            SimulationConfig.builder(2).noc("mesh", latency=9).build()
+            built = SimulationConfig.builder(2).noc(
+                "mesh", latency=9).build()
+        assert built.noc.latency == 9
+
+
+def assert_exit_2(parser, argv, capsys, needle):
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    assert info.value.code == 2
+    assert needle in capsys.readouterr().err
 
 
 class TestNocCliAliases:
-    def test_noc_alias_warns_and_sets_topology(self):
-        parser = build_parser()
-        with pytest.warns(DeprecationWarning,
-                          match=r"--noc is deprecated; "
-                                r"use --noc-topology") as record:
-            args = parser.parse_args(
-                ["--kernel", "scalar-matmul", "--noc", "mesh"])
-        assert len(record) == 1
-        assert args.noc_topology == "mesh"
+    def test_noc_alias_is_rejected(self, capsys):
+        assert_exit_2(build_parser(),
+                      ["--kernel", "scalar-matmul", "--noc", "mesh"],
+                      capsys, "--noc")
 
-    def test_noc_latency_alias_warns_and_sets_crossbar_latency(self):
-        parser = build_parser()
-        with pytest.warns(DeprecationWarning,
-                          match=r"--noc-latency is deprecated; "
-                                r"use --noc-crossbar-latency") as record:
-            args = parser.parse_args(
-                ["--kernel", "scalar-matmul", "--noc-latency", "9"])
-        assert len(record) == 1
-        assert args.noc_crossbar_latency == 9
+    def test_noc_latency_alias_is_rejected(self, capsys):
+        assert_exit_2(build_parser(),
+                      ["--kernel", "scalar-matmul", "--noc-latency", "9"],
+                      capsys, "--noc-latency")
+
+    def test_profile_noc_latency_alias_is_rejected(self, capsys):
+        assert_exit_2(build_profile_parser(),
+                      ["--kernel", "scalar-matmul", "--noc-latency", "9"],
+                      capsys, "--noc-latency")
 
     def test_canonical_flags_stay_silent(self):
         parser = build_parser()
@@ -165,31 +146,26 @@ class TestNocCliAliases:
                  "--noc-crossbar-latency", "9"])
         assert args.noc_topology == "torus"
         assert args.noc_routing == "adaptive"
-
-    def test_aliases_are_hidden_from_help(self):
-        help_text = build_parser().format_help()
-        assert "--noc-latency" not in help_text
-        assert "--noc " not in help_text
+        assert args.noc_crossbar_latency == 9
 
 
 class TestCheckpointAtAlias:
-    def test_warns_exactly_once_and_sets_pause_at(self):
-        parser = build_parser()
-        with pytest.warns(DeprecationWarning,
-                          match=r"--checkpoint-at is deprecated; "
-                                r"use --pause-at") as record:
-            args = parser.parse_args(
-                ["--kernel", "scalar-matmul", "--checkpoint-at", "1300"])
-        assert len(record) == 1
-        assert args.pause_at == 1300
+    def test_checkpoint_at_is_rejected(self, capsys):
+        assert_exit_2(build_parser(),
+                      ["--kernel", "scalar-matmul",
+                       "--checkpoint-at", "1300"],
+                      capsys, "--checkpoint-at")
 
-    def test_canonical_flag_matches_and_stays_silent(self):
+    def test_checkpoint_at_exits_2_from_main(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--kernel", "scalar-matmul", "--checkpoint-at", "1300",
+                  "--checkpoint-out", "x.ckpt"])
+        assert info.value.code == 2
+
+    def test_canonical_flag_stays_silent(self):
         parser = build_parser()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             args = parser.parse_args(
                 ["--kernel", "scalar-matmul", "--pause-at", "1300"])
         assert args.pause_at == 1300
-
-    def test_alias_is_hidden_from_help(self):
-        assert "--checkpoint-at" not in build_parser().format_help()

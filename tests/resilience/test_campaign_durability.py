@@ -11,6 +11,7 @@ warm restart completes bit-identical to an uninterrupted run.
 
 import logging
 import os
+import pickle
 import subprocess
 import sys
 
@@ -80,6 +81,24 @@ class TestCampaignIntegrity:
         # campaign file.
         assert table.to_dict(METRICS) == reference_table().to_dict(METRICS)
         assert len(load_campaign(campaign, axes_key(AXES))) == 2
+
+    def test_headerless_file_is_corrupt_never_unpickled(
+            self, tmp_path, caplog):
+        """A bare pickle (the retired pre-checksum format) is damage:
+        rejected before ``pickle`` sees it, then cold-started over."""
+        campaign = tmp_path / "axpy.campaign"
+        campaign.write_bytes(pickle.dumps(
+            {"format": 1, "axes_key": axes_key(AXES), "completed": {}}))
+        with pytest.raises(CampaignCorruptError,
+                           match="no campaign header") as info:
+            load_campaign(campaign, axes_key(AXES))
+        assert info.value.path == campaign
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.coyote.parallel"):
+            table = run_campaign(campaign)
+        assert any("starting cold" in record.message
+                   for record in caplog.records)
+        assert table.to_dict(METRICS) == reference_table().to_dict(METRICS)
 
     def test_checksummed_roundtrip_survives_reload(self, tmp_path):
         campaign = tmp_path / "axpy.campaign"

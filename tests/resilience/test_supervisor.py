@@ -28,7 +28,12 @@ import pytest
 
 from repro.api import QuarantinedPoint, RetryPolicy, SupervisorPolicy
 from repro.coyote import cli
-from repro.coyote.parallel import ParallelSweep, WorkerCrash, axes_key
+from repro.coyote.parallel import (
+    ParallelSweep,
+    PointPool,
+    WorkerCrash,
+    axes_key,
+)
 from repro.coyote.sweep import Sweep
 from repro.kernels import vector_axpy
 from repro.resilience import supervisor as supervision
@@ -259,7 +264,7 @@ class TestDegradation:
         sweep = Sweep(base_cores=2, axes={"noc.latency": [2, 4, 6, 8]})
         engine = ParallelSweep(sweep, workers=4, on_error="skip",
                                policy=SupervisorPolicy(degrade_after=1))
-        real_spawn = ParallelSweep._spawn
+        real_spawn = PointPool.spawn
         failures = {"left": 2}
 
         def flaky_spawn(self, *args, **kwargs):
@@ -268,7 +273,7 @@ class TestDegradation:
                 raise OSError("fork: Resource temporarily unavailable")
             return real_spawn(self, *args, **kwargs)
 
-        monkeypatch.setattr(ParallelSweep, "_spawn", flaky_spawn)
+        monkeypatch.setattr(PointPool, "spawn", flaky_spawn)
         table = engine.run(_healthy_factory)
         assert [(event.from_workers, event.to_workers)
                 for event in table.degradations] == [(4, 2), (2, 1)]
@@ -282,7 +287,7 @@ class TestDegradation:
         def broken_spawn(self, *args, **kwargs):
             raise OSError("fork: Cannot allocate memory")
 
-        monkeypatch.setattr(ParallelSweep, "_spawn", broken_spawn)
+        monkeypatch.setattr(PointPool, "spawn", broken_spawn)
         table = engine.run(_healthy_factory)
         assert [event.to_workers for event in table.degradations][-1] == 0
         assert not any(point.failed for point in table.points)
@@ -302,7 +307,7 @@ class TestDegradation:
         def broken_spawn(self, *args, **kwargs):
             raise OSError("fork: Cannot allocate memory")
 
-        monkeypatch.setattr(ParallelSweep, "_spawn", broken_spawn)
+        monkeypatch.setattr(PointPool, "spawn", broken_spawn)
         with pytest.raises(OSError, match="Cannot allocate"):
             engine.run(_healthy_factory)
 

@@ -91,7 +91,7 @@ def drive(dispatcher, nodes, timeout=120.0):
         progressed = dispatcher.step()
         for node in nodes:
             progressed |= node.step()
-        if not dispatcher._inflight and not dispatcher.store.has_work():
+        if not dispatcher.pool and not dispatcher.store.has_work():
             return
         if not progressed:
             time.sleep(0.01)
@@ -490,7 +490,7 @@ class TestCrossProcessChaos:
                         os.kill(children["zombie"].pid, signal.SIGCONT)
                         resume_at = None
                     if not dispatcher.store.has_work() \
-                            and not dispatcher._inflight:
+                            and not dispatcher.pool:
                         break
                     time.sleep(0.02)
                 if resume_at is not None:

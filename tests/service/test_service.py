@@ -188,7 +188,7 @@ class TestFailureHandling:
                 if not killed:
                     killed.append(running.index)
                     os.kill(running.process.pid, signal.SIGKILL)
-            service._chaos_on_spawn = chaos
+            service.pool.on_spawn = chaos
             job = service.submit(KERNEL, AXES, cores=CORES, size=SIZE)
             service.run()
             assert killed  # the chaos actually fired
@@ -205,7 +205,7 @@ class TestFailureHandling:
             def chaos(running):
                 if running.settings["noc.latency"] == 6:
                     os.kill(running.process.pid, signal.SIGKILL)
-            service._chaos_on_spawn = chaos
+            service.pool.on_spawn = chaos
             job = service.submit(KERNEL, AXES, cores=CORES, size=SIZE)
             service.run()
             status = service.status(job)
@@ -232,7 +232,7 @@ class TestFailureHandling:
                 if not wedged:
                     wedged.append(running.index)
                     os.kill(running.process.pid, signal.SIGSTOP)
-            service._chaos_on_spawn = chaos
+            service.pool.on_spawn = chaos
             job = service.submit(KERNEL, AXES, cores=CORES, size=SIZE)
             service.run()
             assert wedged
