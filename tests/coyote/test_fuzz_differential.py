@@ -1,0 +1,235 @@
+"""Generated differential: random multi-hart programs through all loops.
+
+``test_differential.py`` and ``test_translate.py`` compare the loops on
+the fifteen hand-written kernels; this file lets Hypothesis write the
+programs.  Each generated program mixes straight-line RV64IM ALU work,
+loads and stores into per-hart and shared cache lines, counted loops,
+forward branches, one ``rdcycle``/``rdinstret`` read and (in a variant)
+a store into the hart's own upcoming code followed by ``fence.i``.  It
+runs at 1, 2 and 8 cores through
+
+(a) the reference loop (``use_reference_loop``),
+(b) the fast loop with ``translate=False``,
+(c) the fast loop with ``translate=True``,
+
+each in three modes — plain, interval sampler on, and paused at a drawn
+cycle then resumed — and everything observable must agree: the results
+document minus host fields, every hart's register file, and the data
+and patched-code bytes the program touched.
+
+The examples are derandomized (same programs on every run).  Tier-1
+runs the default profile below; CI's ``translate-smoke`` job runs the
+``ci`` profile registered in ``tests/conftest.py`` (500 examples).
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.assembler import assemble
+from repro.coyote import Simulation, SimulationConfig
+from repro.telemetry import TelemetryConfig
+
+_HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
+                "guest_profile")
+
+# Work registers the generator may read and write freely.  a0 keeps the
+# hart id for the whole body (read-only: it is what makes the harts
+# diverge); s8 (shared base), s9 (per-hart base), s2 (loop counter),
+# t3/t4 (patch scratch) and t6 (exit) belong to the scaffolding.
+_WORK = ("t0", "t1", "t2", "a1", "a2", "a3", "a4", "a5")
+_BASES = ("s8", "s9")
+
+_ALU_RR = ("add", "sub", "xor", "or", "and", "sll", "srl", "sra", "slt",
+           "sltu", "mul", "mulh", "mulhu", "mulhsu", "div", "divu", "rem",
+           "remu", "addw", "subw", "sllw", "srlw", "sraw", "mulw", "divw",
+           "divuw", "remw", "remuw")
+_ALU_IMM = ("addi", "xori", "ori", "andi", "slti", "sltiu", "addiw")
+_SHIFT_IMM = ("slli", "srli", "srai")
+_LOADS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4, "ld": 8}
+_STORES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
+_BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
+
+_SHARED_BYTES = 256      # four 64-byte lines every hart reads and writes
+_PRIVATE_BYTES = 256     # per hart
+_MAX_CORES = 8
+
+_reg = st.sampled_from(_WORK)
+_src = st.sampled_from(_WORK + ("a0",))
+
+
+def _offset(size):
+    return st.integers(0, _PRIVATE_BYTES // size - 1).map(
+        lambda slot: slot * size)
+
+
+@st.composite
+def _simple_op(draw):
+    """One straight-line instruction (no control flow)."""
+    kind = draw(st.sampled_from(("rr", "imm", "shift", "load", "store")))
+    if kind == "rr":
+        return (f"{draw(st.sampled_from(_ALU_RR))} "
+                f"{draw(_reg)}, {draw(_src)}, {draw(_src)}")
+    if kind == "imm":
+        return (f"{draw(st.sampled_from(_ALU_IMM))} {draw(_reg)}, "
+                f"{draw(_reg)}, {draw(st.integers(-2048, 2047))}")
+    if kind == "shift":
+        return (f"{draw(st.sampled_from(_SHIFT_IMM))} {draw(_reg)}, "
+                f"{draw(_reg)}, {draw(st.integers(0, 63))}")
+    if kind == "load":
+        mnemonic = draw(st.sampled_from(sorted(_LOADS)))
+        return (f"{mnemonic} {draw(_reg)}, "
+                f"{draw(_offset(_LOADS[mnemonic]))}"
+                f"({draw(st.sampled_from(_BASES))})")
+    mnemonic = draw(st.sampled_from(sorted(_STORES)))
+    return (f"{mnemonic} {draw(_reg)}, "
+            f"{draw(_offset(_STORES[mnemonic]))}"
+            f"({draw(st.sampled_from(_BASES))})")
+
+
+_straight = st.lists(_simple_op(), min_size=1, max_size=6)
+
+
+@st.composite
+def _segment(draw, index):
+    """A straight run, a counted loop or a forward branch over a run."""
+    kind = draw(st.sampled_from(("straight", "loop", "branch")))
+    body = draw(_straight)
+    if kind == "straight":
+        return body
+    if kind == "loop":
+        # Trip count 1..4 plus hart-id bits, so the harts drift apart.
+        return ([f"andi s2, a0, {draw(st.sampled_from((0, 1, 3, 7)))}",
+                 f"addi s2, s2, {draw(st.integers(1, 4))}",
+                 f"loop_{index}:"]
+                + body
+                + ["addi s2, s2, -1", f"bnez s2, loop_{index}"])
+    return ([f"{draw(st.sampled_from(_BRANCHES))} {draw(_src)}, "
+             f"{draw(_src)}, skip_{index}"]
+            + body + [f"skip_{index}:"])
+
+
+@st.composite
+def programs(draw):
+    """Assembly source of one generated multi-hart program."""
+    count = draw(st.integers(2, 8))
+    segments = [draw(_segment(index)) for index in range(count)]
+    # Exactly one timing-dependent read: any cycle or retire-count skew
+    # between the loops lands in an architectural register.
+    counter = draw(st.sampled_from(("rdcycle", "rdinstret")))
+    segments.insert(draw(st.integers(0, count)),
+                    [f"{counter} {draw(_reg)}"])
+    if draw(st.booleans()):
+        # Self-modifying variant: overwrite the upcoming ``addi`` with
+        # ``addi a1, a1, 7`` and make it visible with ``fence.i``.
+        segments.insert(draw(st.integers(0, len(segments))), [
+            "la t3, patch_site",
+            "li t4, 0x00758593",
+            "sw t4, 0(t3)",
+            "fence.i",
+            "patch_site:",
+            "addi a1, a1, 1",
+        ])
+    segments.insert(0, [
+        f"li {reg}, {draw(st.integers(-(1 << 31), (1 << 31) - 1))}"
+        for reg in _WORK[:4]])
+    body = "\n".join(
+        line if line.endswith(":") else f"    {line}"
+        for segment in segments for line in segment)
+    return f""".text
+_start:
+    la   s8, shared
+    la   s9, private
+    slli t0, a0, 8
+    add  s9, s9, t0
+{body}
+    li   a0, 1
+    la   t6, tohost
+    sd   a0, 0(t6)
+halt:
+    j    halt
+.data
+.align 3
+tohost: .dword 0
+.align 6
+shared:
+    .dword 0x0123456789abcdef, -1, 0x8000000000000000, 7
+    .zero {_SHARED_BYTES - 32}
+private:
+    .zero {_PRIVATE_BYTES * _MAX_CORES}
+"""
+
+
+def _observe(simulation, results, program):
+    """Everything a loop may not change: statistics, architectural
+    registers, and the bytes the program can have written."""
+    data = results.to_dict()
+    for field in _HOST_FIELDS:
+        data.pop(field, None)
+    memory = simulation.memory
+    symbols = program.symbols
+    touched = memory.load_bytes(
+        symbols["shared"],
+        _SHARED_BYTES + _PRIVATE_BYTES * _MAX_CORES)
+    if "patch_site" in symbols:
+        touched += memory.load_bytes(symbols["patch_site"], 4)
+    registers = [list(hart.regs)
+                 for hart in simulation.orchestrator.machine.harts]
+    return data, registers, touched
+
+
+def _run(program, cores, reference, translate, sample_interval=0,
+         pause_at=None):
+    telemetry = TelemetryConfig(sample_interval=sample_interval)
+    config = SimulationConfig.for_cores(cores, translate=translate,
+                                        telemetry=telemetry)
+    simulation = Simulation(config, program)
+    simulation.orchestrator.use_reference_loop = reference
+    if pause_at is not None:
+        simulation.run(pause_at=pause_at)
+    results = simulation.run()
+    assert results.exit_codes == {core: 0 for core in range(cores)}
+    return _observe(simulation, results, program)
+
+
+_LOOPS = (("reference", True, False),
+          ("fast-interpreter", False, False),
+          ("fast-translated", False, True))
+
+# 40 examples keep tier-1 under 15 s; ``--hypothesis-profile=ci`` runs
+# the profile's 500.
+_CI = settings.get_profile("ci")
+_EXAMPLES = _CI.max_examples if settings.default is _CI else 40
+
+
+@settings(max_examples=_EXAMPLES, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(source=programs(), sample_interval=st.integers(1, 40),
+       pause_fraction=st.floats(0.0, 1.2))
+def test_generated_programs_identical_across_loops(
+        source, sample_interval, pause_fraction):
+    program = assemble(source)
+    for cores in (1, 2, 8):
+        plain = {}
+        for name, reference, translate in _LOOPS:
+            plain[name] = _run(program, cores, reference, translate)
+        oracle = plain["reference"]
+        for name, observed in plain.items():
+            assert observed == oracle, f"{name} @ {cores} cores"
+
+        sampled = [_run(program, cores, reference, translate,
+                        sample_interval=sample_interval)
+                   for _name, reference, translate in _LOOPS]
+        for (name, *_), observed in zip(_LOOPS, sampled):
+            assert observed == sampled[0], \
+                f"{name} @ {cores} cores, sampler every {sample_interval}"
+        # Sampling observes without steering.
+        assert sampled[0][0].pop("timeseries") is not None
+        assert sampled[0] == oracle
+
+        # Paused anywhere — before the first cycle, mid-block, inside an
+        # all-stalled gap, past the end — and resumed: same run.
+        pause_at = int(oracle[0]["cycles"] * pause_fraction)
+        for name, reference, translate in _LOOPS:
+            resumed = _run(program, cores, reference, translate,
+                           pause_at=pause_at)
+            assert resumed == oracle, \
+                f"{name} @ {cores} cores, paused at {pause_at}"
