@@ -18,17 +18,12 @@ miss (the core waits for that specific fill).  When every live core is
 stalled the orchestrator fast-forwards the clock to the next scheduled
 event — a pure optimisation with identical observable behaviour.
 
-Two hot-loop optimisations keep host time proportional to simulated
-work (docs/INTERNALS.md, "The hot loop & fast-forward"):
-
-* the active-core list is kept incrementally sorted (bisect on wake,
-  in-place delete on stall/halt) instead of re-sorted every cycle;
-* when exactly one core is live and unstalled, a *run-ahead batch*
-  executes instructions back to back until the next scheduled event,
-  a miss, a stall or a halt — provably the same sequence of
-  (instruction, cycle) pairs the per-cycle loop produces, because with
-  one core there is nothing to interleave with and no event can fire
-  inside the batch window.
+The optimised loop keeps host time proportional to simulated work
+(docs/INTERNALS.md, "The hot loop & fast-forward"): one scheduling
+kernel visits only the (cycle, core) pairs that have something to do —
+a due-ring says who is due when, translated blocks let a core run ahead
+of the clock wherever nothing can observe the difference, and cycles in
+which the scheduler is silent and nobody is due are a clock assignment.
 
 ``use_reference_loop = True`` selects the original straight-line
 per-cycle loop; the differential tests run both and assert bit-identical
@@ -124,15 +119,19 @@ class Orchestrator:
         if config.translate:
             self.translators = [BlockTranslator(core, self.machine)
                                 for core in self.cores]
-        # Per-core "skip until" cycle for the multicore micro-block
-        # dispatch: a core whose dispatched micro-block covered cycles
-        # [c, c+n) already holds the architectural state of cycle c+n-1,
-        # so the lockstep loop skips it until then.  Persisted across
-        # pause/resume (a checkpoint can land mid-micro-block).
+        # Per-core "next due" cycle: a core whose dispatched block
+        # covered cycles [c, c+n) already holds the architectural state
+        # of cycle c+n-1, so the loop has nothing to do for it until
+        # c+n.  While _cycle_loop runs its due-ring is the authority
+        # (``_ring``, fed by _wake) and this list is settled from it on
+        # every exit — it is what persists across pause/resume (a
+        # checkpoint can land mid-block).
         self._resume_at = [0] * config.num_cores
-        # Incremented by every successful _wake; the dispatch-gap jump
-        # compares it across advance_cycle to prove no core became due.
-        self._wake_epoch = 0
+        self._ring: list[list[int]] | None = None
+        # Instructions retired by translated blocks but not yet settled
+        # into instret / core.instructions / L1I reads (all zero
+        # whenever the loop is not running).
+        self._credit = [0] * config.num_cores
         self.hierarchy = MemoryHierarchy(config.memhier, self.scheduler)
         self.hierarchy.on_complete = self._on_request_complete
         self.scoreboard = Scoreboard(config.num_cores)
@@ -141,9 +140,8 @@ class Orchestrator:
         # Cores ready to attempt execution; stalled cores leave and are
         # re-inserted by the completion that might unblock them
         # (event-driven wakeup: a stalled core costs nothing per cycle).
-        # The list is kept sorted incrementally — bisect on wake,
-        # in-place delete on stall/halt — so the cycle loop never sorts;
-        # the set mirrors it for O(1) membership tests.
+        # The list is kept sorted (bisect on wake, delete on stall or
+        # halt); the set mirrors it for O(1) membership tests.
         self._active_list: list[int] = list(range(config.num_cores))
         self._active_set: set[int] = set(self._active_list)
         self._raw_waiting: set[int] = set()
@@ -253,12 +251,14 @@ class Orchestrator:
     def _wake(self, core_id: int) -> None:
         if not self.cores[core_id].halted \
                 and core_id not in self._active_set:
-            self._wake_epoch += 1
             self._active_set.add(core_id)
             insort(self._active_list, core_id)
+            cycle = self.scheduler.current_cycle
+            if self._ring is not None:
+                # Wakes are events of ``cycle``; the core runs next cycle.
+                self._ring[(cycle + 1) & 127].append(core_id)
             if self._chrome is not None:
-                self._chrome.set_state(core_id, EXECUTING,
-                                       self.scheduler.current_cycle)
+                self._chrome.set_state(core_id, EXECUTING, cycle)
 
     def _submit_misses(self, core_id: int, misses) -> int | None:
         """Send one step's misses into the hierarchy.
@@ -396,10 +396,44 @@ class Orchestrator:
         """The optimised cycle loop; returns instructions executed.
 
         Identical observable behaviour to :meth:`_cycle_loop_reference`
-        (the differential tests assert it); the differences are pure
-        host-side engineering: an incrementally-sorted active list,
-        attribute lookups hoisted into locals, and the single-core
-        run-ahead batch.
+        (the differential tests assert it).  One scheduling *kernel*
+        decides which cycles need any work and one per-core *visit* does
+        that work (docs/INTERNALS.md, "The hot loop & fast-forward").
+
+        Kernel.  A 128-slot due-ring (``slot = cycle & 127``) holds every
+        active core at the cycle it next has something to do: the cycle
+        after its last instruction, or the cycle after the micro-block it
+        is inside retires.  A dispatch retires at most ``MAX_BLOCK`` (64)
+        instructions and a visit re-enters the ring within 128 cycles,
+        so live entries never wrap onto the slot being visited.  The
+        kernel visits the cores due at ``now`` in ascending id.  A cycle
+        in which a visit submitted a
+        request or changed the active set, an event is due, or a
+        per-cycle observer is live ends through ``advance_cycle()`` and
+        the tail hooks; any other cycle is a bare clock bump, and a run
+        of cycles in which nobody is due is one jump — bounded by the
+        next event, ``pause_at`` and the cycle budget, between which the
+        reference loop would do nothing but increment the clock.  The
+        ring is rebuilt from ``_resume_at`` on entry, fed by
+        :meth:`_wake`, and settled back on every exit, so ``_resume_at``
+        is what a checkpoint carries.
+
+        Visit.  RAW gate (only for a core with pending fills, which then
+        gets a budget of one instruction), then a translated dispatch,
+        then — when that made no progress — one interpreter step.  Which
+        compiled variant a dispatch uses follows from what the loop
+        observes (``translate.py`` has the protocol):
+
+        * budget 1 (pending fills, or the interval sampler live): the
+          checked micro-block, ``ucache``;
+        * exactly one live core and no event before ``bound``: the
+          checked whole block, ``cache``, with budget
+          ``min(bound - now, MAX_BLOCK)`` — nothing can interleave with
+          it, so it need not stop at memory accesses, and the visit
+          dispatches block after block in place;
+        * otherwise the unchecked micro-block, ``ufast``, at full budget:
+          its one memory access is instruction 0, executed on this cycle,
+          and the register-private tail runs ahead.
         """
         config = self.config
         scheduler = self.scheduler
@@ -412,55 +446,60 @@ class Orchestrator:
         fetch_waits = self._fetch_waits
         activity = self._activity
         blocks = self.scoreboard.blocks
+        outstanding = self.scoreboard.outstanding
+        all_cores = range(config.num_cores)
         # Live per-core busy-register maps, hoisted once: when a core's
-        # map is empty no RAW dependency can block it, so the loop skips
+        # map is empty no RAW dependency can block it, so the visit skips
         # the pre-step decode entirely (the common case on hit streaks).
         busy_maps = [self.scoreboard.busy_map(core_id)
-                     for core_id in range(config.num_cores)]
-        # Translated-block dispatch state, hoisted per core.  The cache
-        # dicts are mutated in place by invalidation, so holding them in
-        # locals is safe; ``None`` disables the fast path entirely.
+                     for core_id in all_cores]
+        harts = [core.hart for core in cores]
+        istats = [core.l1i.stats for core in cores]
+        # Block functions return how many instructions they retired but
+        # do not touch the pure counters (translate.py module docstring);
+        # the visit accrues the counts here and flush_credits settles
+        # them wherever they become observable.
+        credit = self._credit
+        resume = self._resume_at
+        # The translators' cache dicts are mutated in place by
+        # invalidation, so their bound ``get``s stay valid.  Without
+        # translators every budget is -1: no dispatch, always the step.
         translators = self.translators
-        resume = getattr(self, "_resume_at", None)
-        if resume is None:  # checkpoint from an older layout
-            resume = self._resume_at = [0] * config.num_cores
-        if not hasattr(self, "_wake_epoch"):  # ditto
-            self._wake_epoch = 0
         if translators is not None:
-            tcaches = [translator.cache for translator in translators]
-            ucaches = [translator.ucache for translator in translators]
-            harts = [core.hart for core in cores]
-            istats = [core.l1i.stats for core in cores]
-            # Block functions return how many instructions they retired
-            # but do not touch the pure counters (translate.py module
-            # docstring); the loop accrues the counts here and flushes
-            # them wherever they become observable.
-            credit = [0] * config.num_cores
-            ugets = [ucache.get for ucache in ucaches]
             ufgets = [translator.ufast.get for translator in translators]
+            ugets = [translator.ucache.get for translator in translators]
+            wgets = [translator.cache.get for translator in translators]
+            gated_budget = 1
         else:
-            tcaches = ucaches = harts = istats = credit = None
-            ugets = ufgets = None
+            gated_budget = -1
 
-        def flush_credits(single: int | None = None) -> None:
+        def flush_credits(core_ids) -> int:
             """Settle accrued instruction counts into ``hart.instret``,
-            ``core.instructions``, L1I read statistics and the loop's
-            running total — for one core (before its interpreter step,
-            which may read ``instret`` via a CSR) or for all (telemetry
-            samples, loop exits).  Dispatch paths accrue ``credit`` only;
-            everything downstream of a flush point sees exact counts."""
-            nonlocal total_instructions
-            if credit is None:
-                return
-            for cid in ((single,) if single is not None
-                        else range(config.num_cores)):
+            ``core.instructions`` and the L1I read statistics; returns
+            their sum, which the caller owes to the running total."""
+            settled = 0
+            for cid in core_ids:
                 n = credit[cid]
                 if n:
                     credit[cid] = 0
                     harts[cid].instret += n
                     cores[cid].instructions += n
                     istats[cid].reads += n
-                    total_instructions += n
+                    settled += n
+            return settled
+
+        # The per-cycle activity tally accumulates in a flat list and is
+        # folded into the shared histogram where somebody reads it: the
+        # interval sampler (tail hooks) and the loop exit.
+        tally = [0] * (config.num_cores + 1)
+
+        def fold_activity() -> None:
+            for cores_active, cycles in enumerate(tally):
+                if cycles:
+                    tally[cores_active] = 0
+                    activity[cores_active] = \
+                        activity.get(cores_active, 0) + cycles
+
         advance_cycle = scheduler.advance_cycle
         next_event_cycle = scheduler.next_event_cycle
         max_cycles = config.max_cycles
@@ -471,397 +510,235 @@ class Orchestrator:
         total_instructions = self._instructions_total
         watchdog = self.watchdog
         invariants = self.invariants
-        # The run-ahead batch advances several cycles between telemetry
-        # checkpoints; the interval sampler needs its per-cycle boundary
-        # checks, so its presence disables the batch.
-        run_ahead = sampler is None
-        base_limit = MAX_BLOCK if run_ahead else 1
-        _FAR = 1 << 62  # "no core becomes due" sentinel for min_due
-        tint = int
-        ring = None  # due-ring slots, allocated by the first batch
-        # One flag folds the four per-cycle telemetry checks; all of the
-        # observers need the instruction credits settled first.
-        tail_hooks = (sampler is not None or heartbeat is not None
+        # The sampler needs its boundary check on every cycle, so its
+        # presence holds every dispatch to one instruction; the other
+        # observers are content with the cycles that get visited.
+        unit = sampler is not None
+        tail_hooks = (unit or heartbeat is not None
                       or watchdog is not None or invariants is not None)
         executed = StepStatus.EXECUTED
         fetch_miss = StepStatus.FETCH_MISS
         clean_step = CLEAN_STEP
-        # With the sampler inactive nothing observes the activity
-        # histogram mid-run, so the per-cycle tally accumulates in a
-        # flat list (merged into the dict once, after the loop); with
-        # the sampler live the shared dict is updated in place.
-        activity_counts = ([0] * (config.num_cores + 1)
-                           if run_ahead else None)
+        tint = int
 
-        while remaining_cores:
-            now = scheduler.current_cycle
-            if pause_at is not None and now >= pause_at:
-                flush_credits()
-                self.paused = True
-                break
-            if now >= max_cycles:
-                flush_credits()
-                raise SimulationError(
-                    f"cycle budget exhausted ({max_cycles})",
-                    current_cycle=now, max_cycles=max_cycles,
-                    pending_events=scheduler.pending_events)
+        now = scheduler.current_cycle
+        ring = self._ring = [[] for _ in range(128)]
+        for core_id in active_list:
+            cycle = resume[core_id]
+            ring[(cycle if cycle > now else now) & 127].append(core_id)
 
-            if not active_list:
-                # Every live core is stalled: jump to the next event (an
-                # identical-behaviour fast-forward — only completions can
-                # wake anyone).
-                next_event = next_event_cycle()
-                if next_event is None:
-                    flush_credits()
-                    stalled = [core.core_id for core in cores
-                               if not core.halted]
-                    raise deadlock_error(
-                        self,
-                        f"cores {stalled} stalled with no pending events")
-                if pause_at is not None and next_event >= pause_at:
-                    # Stop inside the gap, before the event fires; the
-                    # resumed run re-enters this branch and counts the
-                    # remaining ``next_event - pause_at + 1`` stalled
-                    # cycles, so the split accounting matches an
-                    # uninterrupted run exactly.
-                    if activity_counts is not None:
-                        activity_counts[0] += pause_at - now
-                    else:
-                        activity[0] = activity.get(0, 0) + pause_at - now
-                    scheduler.advance_to(pause_at)
-                    flush_credits()
+        try:
+            while remaining_cores:
+                now = scheduler.current_cycle
+                if pause_at is not None and now >= pause_at:
                     self.paused = True
                     break
-                if activity_counts is not None:
-                    activity_counts[0] += next_event - now + 1
+                if now >= max_cycles:
+                    raise SimulationError(
+                        f"cycle budget exhausted ({max_cycles})",
+                        current_cycle=now, max_cycles=max_cycles,
+                        pending_events=scheduler.pending_events)
+                live = len(active_list)
+                next_event = next_event_cycle()
+
+                if not live:
+                    # Every live core is stalled and only a completion
+                    # can wake one: jump to the next event.
+                    if next_event is None:
+                        total_instructions += flush_credits(all_cores)
+                        stalled = [core.core_id for core in cores
+                                   if not core.halted]
+                        raise deadlock_error(
+                            self,
+                            f"cores {stalled} stalled with no pending "
+                            f"events")
+                    if pause_at is not None and next_event >= pause_at:
+                        # Stop inside the gap, before the event fires;
+                        # the resumed run re-enters this branch and
+                        # counts the remaining ``next_event - pause_at +
+                        # 1`` stalled cycles, so the split accounting
+                        # matches an uninterrupted run exactly.
+                        tally[0] += pause_at - now
+                        scheduler.advance_to(pause_at)
+                        self.paused = True
+                        break
+                    tally[0] += next_event - now + 1
+                    if profiler is not None:
+                        wall = clock()
+                    scheduler.advance_to(next_event)
+                    now = next_event
                 else:
-                    activity[0] = activity.get(0, 0) + next_event - now + 1
-                if profiler is not None:
-                    section_start = clock()
-                scheduler.advance_to(next_event)
-                advance_cycle()
-                if profiler is not None:
-                    profiler.sparta_seconds += clock() - section_start
-                if tail_hooks:
-                    flush_credits()
-                    if sampler is not None:
-                        sampler.maybe_sample(scheduler.current_cycle)
-                    if heartbeat is not None:
-                        heartbeat.maybe_heartbeat(scheduler.current_cycle,
-                                                  total_instructions,
-                                                  scheduler.events_fired)
-                    if watchdog is not None:
-                        watchdog.observe(scheduler.current_cycle,
-                                         total_instructions,
-                                         scheduler.events_fired)
-                    if invariants is not None:
-                        invariants.maybe_check(scheduler.current_cycle)
-                continue
-
-            if run_ahead and len(active_list) == 1 \
-                    and resume[active_list[0]] <= now:
-                next_event = next_event_cycle()
-                bound = max_cycles if next_event is None \
-                    else min(next_event, max_cycles)
-                if pause_at is not None and pause_at < bound:
-                    bound = pause_at
-                if bound > now:
-                    # Run-ahead batch: one live core, no event due before
-                    # ``bound``.  Each iteration is one simulated cycle,
-                    # byte-for-byte the per-cycle body specialised to a
-                    # single core (equivalence argument in
-                    # docs/INTERNALS.md).
-                    core_id = active_list[0]
-                    core = cores[core_id]
-                    state = states[core_id]
-                    peek = core.peek_registers
-                    step = core.step
-                    busy = busy_maps[core_id]
-                    if translators is not None:
-                        hart = harts[core_id]
-                        fns = tcaches[core_id]
-                        fns_get = fns.get
-                        translate = translators[core_id].translate
+                    if profiler is not None:
+                        section_start = clock()
+                    # No event, pause point or budget edge before
+                    # ``bound``: up to there the scheduler is silent and
+                    # ending a cycle is ``now += 1``.
+                    bound = max_cycles
+                    if next_event is not None and next_event < bound:
+                        bound = next_event
+                    if pause_at is not None and pause_at < bound:
+                        bound = pause_at
+                    lockstep = tail_hooks or bound <= now
+                    # Busy maps fill only by a submission and drain only
+                    # by an event, and either ends the stretch below, so
+                    # one look covers it: with nothing outstanding no
+                    # visit needs the RAW gate.
+                    gated = outstanding() != 0
+                    if unit or translators is None:
+                        budget = gated_budget
+                    elif live == 1 and bound > now:
+                        budget = MAX_BLOCK
                     else:
-                        fns_get = None
-                    if profiler is not None:
-                        section_start = clock()
-                    batch_cycles = 0
-                    while now < bound:
-                        if busy:
-                            try:
-                                registers = peek()
-                            except Trap as exc:
-                                raise SimulationError(
-                                    f"core {core_id}: {exc}") from exc
-                            blocked = blocks(core_id, registers)
-                        else:
-                            blocked = False
-                        if blocked:
-                            batch_cycles += 1
-                            del active_list[0]
-                            active_set.remove(core_id)
-                            raw_waiting.add(core_id)
-                            state.stall_start = now
-                            if chrome is not None:
-                                chrome.set_state(core_id, RAW_STALL, now)
-                            # No event can be due at ``now`` (now <
-                            # bound), so advancing the cycle is a bare
-                            # clock increment.
-                            now += 1
-                            scheduler.current_cycle = now
-                            break
-                        if fns_get is not None and not busy:
-                            # Translated sprint: dispatch whole blocks
-                            # back to back while the budget allows.  The
-                            # busy map cannot change mid-sprint (no
-                            # completion fires before ``bound``), so the
-                            # no-RAW gate above covers every sprinted
-                            # instruction; any event exits the sprint.
-                            fn = fns_get(hart.pc)
-                            if fn is None:
-                                fn = translate(hart.pc)
-                            if fn is not False:
-                                result = fn(bound - now)
-                                if result is None:
-                                    span = bound - now
-                                    credit[core_id] += span
-                                    batch_cycles += span
-                                    now = bound
-                                    scheduler.current_cycle = now
-                                    continue
-                                if type(result) is int:
-                                    credit[core_id] += result
-                                    batch_cycles += result
-                                    now += result
-                                    scheduler.current_cycle = now
-                                    continue
-                                span = result.executed
-                                if span:
-                                    # Last instruction missed and/or
-                                    # halted at cycle ``now + span - 1``.
-                                    credit[core_id] += span
-                                    batch_cycles += span
-                                    now += span - 1
-                                    scheduler.current_cycle = now
-                                    if result.misses:
-                                        self._submit_misses(core_id,
-                                                            result.misses)
-                                    if core.halted:
-                                        state.halt_cycle = now
-                                        if active_list and \
-                                                active_list[0] == core_id:
-                                            del active_list[0]
-                                            active_set.remove(core_id)
-                                        remaining_cores -= 1
-                                        if chrome is not None:
-                                            chrome.halt(core_id, now)
-                                    advance_cycle()
-                                    break
-                                # Zero progress (fetch miss or
-                                # untranslatable): one interpreter step.
-                        # The step may read instret (rdinstret CSR):
-                        # settle this core's accrued count first.
-                        if credit is not None and credit[core_id]:
-                            flush_credits(core_id)
-                        try:
-                            outcome = step()
-                        except EnvironmentCall:
-                            machine.exit_codes[core_id] = \
-                                core.hart.regs[10]
-                            core.halted = True
-                            outcome = None
-                        except Trap as exc:
-                            raise SimulationError(
-                                f"core {core_id}: {exc}") from exc
-                        if outcome is clean_step:
-                            # Executed, no misses, still running — the
-                            # dominant case the batch exists for.
-                            total_instructions += 1
-                            batch_cycles += 1
-                            now += 1
-                            scheduler.current_cycle = now
-                            continue
-                        batch_cycles += 1
-                        leave = False
-                        if outcome is not None:
-                            status = outcome.status
-                            if status is executed:
-                                total_instructions += 1
-                                if outcome.misses:
-                                    self._submit_misses(core_id,
-                                                        outcome.misses)
-                                    leave = True
-                            elif status is fetch_miss:
-                                fetch_id = self._submit_misses(
-                                    core_id, outcome.misses)
-                                state.waiting_fetch_id = fetch_id
-                                state.stall_start = now
-                                fetch_waits[fetch_id] = core_id
-                                del active_list[0]
-                                active_set.remove(core_id)
-                                if chrome is not None:
-                                    chrome.set_state(core_id, FETCH_STALL,
-                                                     now)
-                                leave = True
-                        if core.halted:
-                            state.halt_cycle = now
-                            if active_list and active_list[0] == core_id:
-                                del active_list[0]
-                                active_set.remove(core_id)
-                            remaining_cores -= 1
-                            if chrome is not None:
-                                chrome.halt(core_id, now)
-                            leave = True
-                        if leave:
-                            # Submissions may have scheduled events at
-                            # the current cycle (zero NoC latency), so
-                            # end the cycle through the scheduler.
-                            advance_cycle()
-                            break
-                        now += 1
-                        scheduler.current_cycle = now
-                    flush_credits(core_id)
-                    activity_counts[1] += batch_cycles
-                    if profiler is not None:
-                        profiler.spike_seconds += clock() - section_start
-                    if heartbeat is not None:
-                        heartbeat.maybe_heartbeat(scheduler.current_cycle,
-                                                  total_instructions,
-                                                  scheduler.events_fired)
-                    if watchdog is not None:
-                        watchdog.observe(scheduler.current_cycle,
-                                         total_instructions,
-                                         scheduler.events_fired)
-                    if invariants is not None:
-                        invariants.maybe_check(scheduler.current_cycle)
-                    continue
-
-            if run_ahead and ucaches is not None and not tail_hooks \
-                    and len(active_list) > 1:
-                next_event = next_event_cycle()
-                bound = max_cycles if next_event is None \
-                    else min(next_event, max_cycles)
-                if pause_at is not None and pause_at < bound:
-                    bound = pause_at
-                if bound > now:
-                    # Multicore run-ahead batch: no event, pause point or
-                    # budget boundary before ``bound`` and no per-cycle
-                    # observer is live, so only the cycles where some
-                    # core is due need a visit.  A private due-ring
-                    # (cycle -> sorted core ids) drives those visits;
-                    # between them every live core is mid-micro-block
-                    # and the scheduler queue is silent, so advancing
-                    # the clock is a bare assignment (same equivalence
-                    # argument as the dispatch-gap jump).  The ring is
-                    # seeded from ``resume`` and simply discarded on
-                    # every exit — ``resume`` stays authoritative, so
-                    # the per-cycle path picks up seamlessly.
-                    if profiler is not None:
-                        section_start = clock()
-                    # Slot ``cycle & 127``: dispatch returns are capped
-                    # at MAX_BLOCK (64) cycles ahead, so live entries
-                    # occupy at most 64 consecutive slots and can never
-                    # wrap onto each other.  The lists are reused across
-                    # batches (allocated once per loop invocation) and
-                    # left empty on every exit path.
-                    if ring is None:
-                        ring = [[] for _ in range(128)]
-                    live = len(active_list)
-                    for core_id in active_list:
-                        cycle = resume[core_id]
-                        if cycle < now:
-                            cycle = now
-                        ring[cycle & 127].append(core_id)
-                    # Busy maps only change at batch exits (submissions
-                    # end the batch; completions need events), so one
-                    # entry check covers every dispatch inside.
-                    check_busy = False
-                    for core_id in active_list:
-                        if busy_maps[core_id]:
-                            check_busy = True
-                            break
+                        budget = 0
+                    free_budget = budget
+                    # ``live`` cores count as active on every cycle of
+                    # this stretch (a core leaving ends it), so the
+                    # activity tally is one addition at its end.
+                    start = now
+                    sync = lockstep
                     while True:
                         todo = ring[now & 127]
-                        if not todo:
-                            # Gap: scan the (at most 64-slot) window for
-                            # the next due cycle; an empty window means
-                            # every core stalled or halted mid-batch.
-                            nxt = now + 1
-                            stop = now + 65
-                            if bound < stop:
-                                stop = bound
-                            while nxt < stop and not ring[nxt & 127]:
-                                nxt += 1
-                            if nxt >= bound:
-                                activity_counts[live] += bound - now
-                                now = bound
-                                scheduler.current_cycle = now
+                        if not todo and now < bound:
+                            # Nobody is due: every active core is inside
+                            # a dispatched block, so jump to the first
+                            # cycle one comes due (or to ``bound``).
+                            now += 1
+                            while now < bound and not ring[now & 127]:
+                                now += 1
+                            if now == bound:
+                                sync = False
                                 break
-                            if not ring[nxt & 127]:
-                                scheduler.current_cycle = now
-                                break  # ring empty; head handles it
-                            activity_counts[live] += nxt - now
-                            now = nxt
-                            continue
-                        activity_counts[live] += 1
-                        # Slots fill by appends from different source
-                        # cycles; restore ascending core order before
-                        # dispatching (determinism).
+                            todo = ring[now & 127]
+                        # A slot fills from different source cycles;
+                        # restore ascending core order (determinism).
                         if len(todo) > 1:
                             todo.sort()
-                        submitted = False
-                        if not check_busy:
-                            # Lean regime: no core has pending fills, so
-                            # the RAW gate is vacuous and every dispatch
-                            # gets the full budget — unchecked twins
-                            # only, which never return ``None``.  Twin
-                            # of the guarded regime below; keep the exit
-                            # handling in sync.
-                            for core_id in todo:
+                        for core_id in todo:
+                            if gated:
+                                budget = free_budget
+                                if busy_maps[core_id]:
+                                    # RAW check against pending misses
+                                    # (paper: the core is inactive until
+                                    # the dependency is satisfied).
+                                    try:
+                                        registers = \
+                                            cores[core_id].peek_registers()
+                                    except Trap as exc:
+                                        raise SimulationError(
+                                            f"core {core_id}: {exc}"
+                                        ) from exc
+                                    if blocks(core_id, registers):
+                                        active_list.remove(core_id)
+                                        active_set.remove(core_id)
+                                        raw_waiting.add(core_id)
+                                        states[core_id].stall_start = now
+                                        if chrome is not None:
+                                            chrome.set_state(
+                                                core_id, RAW_STALL, now)
+                                        sync = True
+                                        continue
+                                    # Pending fills: one instruction per
+                                    # cycle, so the gate sees every one.
+                                    budget = gated_budget
+
+                            if not budget:
+                                # The clean-dispatch fast case: the
+                                # core comes due again when the tail it
+                                # ran ahead has retired.  (An
+                                # untranslatable pc has a zero-progress
+                                # stub here, never ``False``.)
                                 fn = ufgets[core_id](harts[core_id].pc)
                                 if fn is None:
-                                    translators[core_id].translate_uop(
-                                        harts[core_id].pc)
-                                    fn = ufgets[core_id](
-                                        harts[core_id].pc)
+                                    pc = harts[core_id].pc
+                                    translators[core_id].translate_uop(pc)
+                                    fn = ufgets[core_id](pc)
                                 result = fn()
                                 if result.__class__ is tint:
-                                    # ``resume`` is settled lazily by
-                                    # the batch-exit ring scan.
                                     credit[core_id] += result
                                     ring[(now + result) & 127].append(
                                         core_id)
                                     continue
-                                if result.executed:
-                                    credit[core_id] += 1
-                                    if result.misses:
-                                        scheduler.current_cycle = now
-                                        self._submit_misses(
-                                            core_id, result.misses)
-                                        submitted = True
-                                    if cores[core_id].halted:
-                                        states[core_id].halt_cycle = now
-                                        active_list.remove(core_id)
-                                        active_set.remove(core_id)
-                                        remaining_cores -= 1
-                                        live -= 1
-                                        if chrome is not None:
-                                            chrome.halt(core_id, now)
-                                        continue
-                                    if not submitted:
-                                        ring[(now + 1) & 127].append(
-                                            core_id)
+                                span = result.executed
+                            elif budget > 0:
+                                # Only a whole block retires more than
+                                # one: with nothing to interleave, the
+                                # visit consumes its cycles on the spot,
+                                # and while the stretch stays silent the
+                                # lone core dispatches its next block in
+                                # place — coming back through the ring
+                                # within 128 cycles, so its slot never
+                                # wraps onto the one being visited.
+                                horizon = now + MAX_BLOCK \
+                                    if budget > 1 and not sync else now
+                                while True:
+                                    if budget == 1:
+                                        limit = 1
+                                        fn = ugets[core_id](
+                                            harts[core_id].pc)
+                                        if fn is None:
+                                            fn = translators[core_id] \
+                                                .translate_uop(
+                                                    harts[core_id].pc)
+                                    else:
+                                        # A block holds at most MAX_BLOCK
+                                        # instructions, so this is
+                                        # min(bound - now, MAX_BLOCK).
+                                        limit = bound - now
+                                        fn = wgets[core_id](
+                                            harts[core_id].pc)
+                                        if fn is None:
+                                            fn = translators[core_id] \
+                                                .translate(
+                                                    harts[core_id].pc)
+                                    span = 0
+                                    if fn is False:
+                                        break
+                                    result = fn(limit)
+                                    if result is None:
+                                        result = limit
+                                    if result.__class__ is not tint:
+                                        span = result.executed
+                                        break
+                                    credit[core_id] += result
+                                    now += result
+                                    if now >= horizon or now >= bound:
+                                        span = -1
+                                        break
+                                if span < 0:
+                                    # Retired cleanly: due again the
+                                    # cycle after its last instruction.
+                                    ring[now & 127].append(core_id)
+                                    now -= 1
                                     continue
-                                # Zero progress or untranslatable:
-                                # interpreter step.
+                            else:
+                                span = 0
+
+                            fetch_stall = False
+                            if span:
+                                # A block exit: its last instruction
+                                # missed and/or halted the hart.  Only a
+                                # whole block (one live core) retires
+                                # more than that one before it exits;
+                                # the last ran at ``now + span - 1``.
+                                credit[core_id] += span
+                                now += span - 1
+                                misses = result.misses
+                            else:
+                                # No translated progress (fetch miss,
+                                # untranslatable instruction, translation
+                                # off): one interpreter step.  It may
+                                # read the clock (rdcycle) and instret
+                                # (rdinstret): settle both first.
                                 scheduler.current_cycle = now
-                                core = cores[core_id]
                                 if credit[core_id]:
-                                    flush_credits(core_id)
+                                    total_instructions += \
+                                        flush_credits((core_id,))
+                                core = cores[core_id]
                                 try:
                                     outcome = core.step()
                                 except EnvironmentCall:
+                                    # Bare-metal convention: ecall halts
+                                    # the calling hart, exit code a0.
                                     machine.exit_codes[core_id] = \
                                         core.hart.regs[10]
                                     core.halted = True
@@ -869,525 +746,96 @@ class Orchestrator:
                                 except Trap as exc:
                                     raise SimulationError(
                                         f"core {core_id}: {exc}") from exc
-                                removed = False
-                                rerun = True
-                                if outcome is not None \
-                                        and outcome is not clean_step:
+                                if outcome is clean_step:
+                                    # Executed, no misses, still running.
+                                    total_instructions += 1
+                                    ring[(now + 1) & 127].append(core_id)
+                                    continue
+                                misses = None
+                                if outcome is not None:
+                                    misses = outcome.misses
                                     status = outcome.status
                                     if status is executed:
                                         total_instructions += 1
-                                        if outcome.misses:
-                                            self._submit_misses(
-                                                core_id, outcome.misses)
-                                            submitted = True
-                                            rerun = False
                                     elif status is fetch_miss:
-                                        fetch_id = self._submit_misses(
-                                            core_id, outcome.misses)
-                                        state = states[core_id]
-                                        state.waiting_fetch_id = fetch_id
-                                        state.stall_start = now
-                                        fetch_waits[fetch_id] = core_id
-                                        active_list.remove(core_id)
-                                        active_set.remove(core_id)
-                                        submitted = True
-                                        removed = True
-                                        live -= 1
-                                        if chrome is not None:
-                                            chrome.set_state(
-                                                core_id, FETCH_STALL,
-                                                now)
-                                elif outcome is clean_step:
-                                    total_instructions += 1
-                                if core.halted:
-                                    states[core_id].halt_cycle = now
-                                    if not removed:
-                                        active_list.remove(core_id)
-                                        active_set.remove(core_id)
-                                        removed = True
-                                        live -= 1
-                                    remaining_cores -= 1
-                                    if chrome is not None:
-                                        chrome.halt(core_id, now)
-                                if not removed and rerun:
-                                    ring[(now + 1) & 127].append(core_id)
-                            todo.clear()
-                            if submitted:
-                                advance_cycle()
-                                break
-                            now += 1
-                            if now >= bound:
+                                        fetch_stall = True
+
+                            if misses:
+                                # Events enter the scheduler (with zero
+                                # NoC latency even at this very cycle):
+                                # settle the lazily kept clock first and
+                                # end the cycle through the scheduler.
                                 scheduler.current_cycle = now
-                                break
-                            continue
-                        for core_id in todo:
-                            hart = harts[core_id]
-                            if busy_maps[core_id]:
-                                core = cores[core_id]
-                                try:
-                                    registers = core.peek_registers()
-                                except Trap as exc:
-                                    raise SimulationError(
-                                        f"core {core_id}: {exc}"
-                                    ) from exc
-                                if blocks(core_id, registers):
-                                    active_list.remove(core_id)
-                                    active_set.remove(core_id)
-                                    raw_waiting.add(core_id)
-                                    states[core_id].stall_start = now
-                                    live -= 1
-                                    if chrome is not None:
-                                        chrome.set_state(
-                                            core_id, RAW_STALL, now)
-                                    continue
-                                # Pending fills: one instruction per
-                                # cycle keeps the no-RAW gate tight.
-                                limit = 1
-                            else:
-                                limit = MAX_BLOCK
-                            # Guarded dispatches are rare; the checked
-                            # variant serves both limits.
-                            fn = ugets[core_id](hart.pc)
-                            if fn is None:
-                                fn = translators[core_id].translate_uop(
-                                    hart.pc)
-                            if fn is not False:
-                                result = fn(limit)
-                                if type(result) is int:
-                                    credit[core_id] += result
-                                    ring[(now + result) & 127].append(
-                                        core_id)
-                                    continue
-                                if result is None:
-                                    credit[core_id] += limit
-                                    ring[(now + limit) & 127].append(
-                                        core_id)
-                                    continue
-                                if result.executed:
-                                    # One instruction retired; misses
-                                    # and halts only at instruction 0.
-                                    credit[core_id] += 1
-                                    if result.misses:
-                                        # The clock is advanced lazily;
-                                        # settle it before events enter
-                                        # the scheduler.
-                                        scheduler.current_cycle = now
-                                        self._submit_misses(
-                                            core_id, result.misses)
-                                        # New events: end the batch at
-                                        # this cycle's boundary.  The
-                                        # core's stale resume (<= now)
-                                        # keeps it due next cycle.
-                                        submitted = True
-                                    if cores[core_id].halted:
-                                        states[core_id].halt_cycle = now
-                                        active_list.remove(core_id)
-                                        active_set.remove(core_id)
-                                        remaining_cores -= 1
-                                        live -= 1
-                                        if chrome is not None:
-                                            chrome.halt(core_id, now)
-                                        continue
-                                    if not submitted:
-                                        ring[(now + 1) & 127].append(
-                                            core_id)
-                                    continue
-                                # Zero progress: interpreter step below.
-                            scheduler.current_cycle = now
-                            core = cores[core_id]
-                            # The step may read instret (rdinstret CSR):
-                            # settle this core's accrued count first.
-                            if credit[core_id]:
-                                flush_credits(core_id)
-                            try:
-                                outcome = core.step()
-                            except EnvironmentCall:
-                                machine.exit_codes[core_id] = \
-                                    core.hart.regs[10]
-                                core.halted = True
-                                outcome = None
-                            except Trap as exc:
-                                raise SimulationError(
-                                    f"core {core_id}: {exc}") from exc
-                            removed = False
-                            rerun = True
-                            if outcome is not None \
-                                    and outcome is not clean_step:
-                                status = outcome.status
-                                if status is executed:
-                                    total_instructions += 1
-                                    if outcome.misses:
-                                        self._submit_misses(
-                                            core_id, outcome.misses)
-                                        submitted = True
-                                        rerun = False
-                                elif status is fetch_miss:
-                                    fetch_id = self._submit_misses(
-                                        core_id, outcome.misses)
+                                fetch_id = self._submit_misses(core_id,
+                                                               misses)
+                                sync = True
+                                if fetch_stall:
                                     state = states[core_id]
                                     state.waiting_fetch_id = fetch_id
                                     state.stall_start = now
                                     fetch_waits[fetch_id] = core_id
                                     active_list.remove(core_id)
                                     active_set.remove(core_id)
-                                    submitted = True
-                                    removed = True
-                                    live -= 1
                                     if chrome is not None:
-                                        chrome.set_state(
-                                            core_id, FETCH_STALL, now)
-                            elif outcome is clean_step:
-                                total_instructions += 1
-                            if core.halted:
-                                states[core_id].halt_cycle = now
-                                if not removed:
-                                    active_list.remove(core_id)
-                                    active_set.remove(core_id)
-                                    removed = True
-                                    live -= 1
-                                remaining_cores -= 1
-                                if chrome is not None:
-                                    chrome.halt(core_id, now)
-                            if not removed and rerun:
-                                ring[(now + 1) & 127].append(core_id)
-                        todo.clear()
-                        if submitted:
-                            # End the cycle through the scheduler (a
-                            # submission may complete with zero latency)
-                            # and rebuild bounds at the loop head; the
-                            # submit sites already settled the clock.
-                            advance_cycle()
-                            break
-                        now += 1
-                        if now >= bound:
-                            scheduler.current_cycle = now
-                            break
-                    # Exit: settle ``resume`` from the ring (dispatches
-                    # defer the writes — mid-batch the ring itself is
-                    # the authority on who is due when) and leave every
-                    # slot empty for the next batch.  Live entries all
-                    # sit in [now, now + 64]: a bound break can leave
-                    # an unconsumed entry at exactly ``now`` (the gap
-                    # scan stops short of the bound slot), so the scan
-                    # must start there, not one past it.  A core that
-                    # left on an event at ``now`` has no entry and a
-                    # resume still <= now, which the per-cycle path
-                    # reads as "due immediately" — exactly right.
-                    for cycle in range(now, now + 65):
-                        bucket = ring[cycle & 127]
-                        if bucket:
-                            for core_id in bucket:
-                                resume[core_id] = cycle
-                            bucket.clear()
-                    if profiler is not None:
-                        profiler.spike_seconds += clock() - section_start
-                    continue
-
-            active_now = len(active_list)
-
-            if activity_counts is not None:
-                activity_counts[active_now] += 1
-            else:
-                activity[active_now] = activity.get(active_now, 0) + 1
-
-            if profiler is not None:
-                section_start = clock()
-            index = 0
-            count = active_now
-            min_due = 0
-            if ucaches is None:
-                # Interpreter-only pass (``translate=False``).  A twin
-                # of the dispatching pass below — duplicated so the hot
-                # variant carries no per-visit mode checks; the RAW gate
-                # and the outcome handling must stay in sync.
-                while index < count:
-                    core_id = active_list[index]
-                    core = cores[core_id]
-                    busy = busy_maps[core_id]
-
-                    # RAW check against pending misses (paper: the core
-                    # is inactive until the dependency is satisfied).
-                    # Skipped outright with no busy registers.
-                    if busy:
-                        try:
-                            registers = core.peek_registers()
-                        except Trap as exc:
-                            raise SimulationError(
-                                f"core {core_id}: {exc}") from exc
-                        if blocks(core_id, registers):
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            raw_waiting.add(core_id)
-                            states[core_id].stall_start = now
-                            if chrome is not None:
-                                chrome.set_state(core_id, RAW_STALL, now)
-                            continue
-
-                    try:
-                        outcome = core.step()
-                    except EnvironmentCall:
-                        # Bare-metal convention: ecall halts the calling
-                        # hart with exit code a0.
-                        machine.exit_codes[core_id] = core.hart.regs[10]
-                        core.halted = True
-                        outcome = None
-                    except Trap as exc:
-                        raise SimulationError(
-                            f"core {core_id}: {exc}") from exc
-
-                    if outcome is clean_step:
-                        # Executed, no misses, still running: nothing
-                        # else to record for this core this cycle.
-                        total_instructions += 1
-                        index += 1
-                        continue
-
-                    removed = False
-                    if outcome is not None:
-                        status = outcome.status
-                        if status is executed:
-                            total_instructions += 1
-                            if outcome.misses:
-                                self._submit_misses(core_id,
-                                                    outcome.misses)
-                        elif status is fetch_miss:
-                            fetch_id = self._submit_misses(
-                                core_id, outcome.misses)
-                            state = states[core_id]
-                            state.waiting_fetch_id = fetch_id
-                            state.stall_start = now
-                            fetch_waits[fetch_id] = core_id
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            removed = True
-                            if chrome is not None:
-                                chrome.set_state(core_id, FETCH_STALL,
-                                                 now)
-
-                    if core.halted:
-                        states[core_id].halt_cycle = now
-                        if not removed:
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            removed = True
-                        remaining_cores -= 1
-                        if chrome is not None:
-                            chrome.halt(core_id, now)
-                    if not removed:
-                        index += 1
-            else:
-                # Dispatching pass: same visit order and per-cycle
-                # effects as the interpreter pass.  The translated
-                # micro-block's memory access (if any) is instruction 0,
-                # executed this cycle — every cross-core-visible effect
-                # lands on its exact lockstep cycle — and the register-
-                # private tail runs ahead, the resume skip covering its
-                # remaining cycles.  ``min_due`` tracks the earliest
-                # cycle any surviving core becomes due again (0 = due
-                # next cycle) and feeds the dispatch-gap jump after the
-                # pass.  Halted cores never appear here: every halt site
-                # removes the core and ``_wake`` refuses them.
-                min_due = _FAR
-                while index < count:
-                    core_id = active_list[index]
-                    due = resume[core_id]
-                    if due > now:
-                        # Mid-micro-block: the busy map stayed empty
-                        # (the dispatch required it empty and a miss
-                        # ends the micro-block), so no RAW or fetch
-                        # check applies until the next dispatch.
-                        if due < min_due:
-                            min_due = due
-                        index += 1
-                        continue
-                    busy = busy_maps[core_id]
-                    if busy:
-                        core = cores[core_id]
-                        try:
-                            registers = core.peek_registers()
-                        except Trap as exc:
-                            raise SimulationError(
-                                f"core {core_id}: {exc}") from exc
-                        if blocks(core_id, registers):
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            raw_waiting.add(core_id)
-                            states[core_id].stall_start = now
-                            if chrome is not None:
-                                chrome.set_state(core_id, RAW_STALL, now)
-                            continue
-                        # Pending fills: stay at one instruction per
-                        # cycle so the no-RAW gate covers every one.
-                        limit = 1
-                    else:
-                        limit = base_limit
-                    hart = harts[core_id]
-                    fn = ugets[core_id](hart.pc)
-                    if fn is None:
-                        fn = translators[core_id].translate_uop(hart.pc)
-                    if fn is not False:
-                        result = fn(limit)
-                        if result is None:
-                            credit[core_id] += limit
-                            if limit > 1:
-                                due = now + limit
-                                resume[core_id] = due
-                                if due < min_due:
-                                    min_due = due
-                            else:
-                                min_due = 0
-                            index += 1
-                            continue
-                        if type(result) is int:
-                            credit[core_id] += result
-                            if result > 1:
-                                due = now + result
-                                resume[core_id] = due
-                                if due < min_due:
-                                    min_due = due
-                            else:
-                                min_due = 0
-                            index += 1
-                            continue
-                        if result.executed:
-                            # Micro-blocks miss or halt only at
-                            # instruction 0, so exactly one instruction
-                            # retired on this cycle.
-                            credit[core_id] += 1
-                            min_due = 0
-                            if result.misses:
-                                self._submit_misses(core_id,
-                                                    result.misses)
+                                        chrome.set_state(core_id,
+                                                         FETCH_STALL, now)
+                                    continue
                             if cores[core_id].halted:
                                 states[core_id].halt_cycle = now
-                                del active_list[index]
-                                count -= 1
+                                active_list.remove(core_id)
                                 active_set.remove(core_id)
                                 remaining_cores -= 1
                                 if chrome is not None:
                                     chrome.halt(core_id, now)
+                                sync = True
                                 continue
-                            index += 1
-                            continue
-                        # Zero progress: interpreter step below handles
-                        # the fetch miss / untranslatable instruction.
-                    min_due = 0
-                    core = cores[core_id]
-                    # The step may read instret (rdinstret CSR): settle
-                    # this core's accrued count first.
-                    if credit[core_id]:
-                        flush_credits(core_id)
-                    try:
-                        outcome = core.step()
-                    except EnvironmentCall:
-                        # Bare-metal convention: ecall halts the calling
-                        # hart with exit code a0.
-                        machine.exit_codes[core_id] = core.hart.regs[10]
-                        core.halted = True
-                        outcome = None
-                    except Trap as exc:
-                        raise SimulationError(
-                            f"core {core_id}: {exc}") from exc
-
-                    if outcome is clean_step:
-                        total_instructions += 1
-                        index += 1
+                            ring[(now + 1) & 127].append(core_id)
+                        todo.clear()
+                        if sync:
+                            break
+                        now += 1
+                        if now >= bound:
+                            break
+                    scheduler.current_cycle = now
+                    tally[live] += now - start + sync
+                    if profiler is not None:
+                        wall = clock()
+                        profiler.spike_seconds += wall - section_start
+                    if not sync:
                         continue
 
-                    removed = False
-                    if outcome is not None:
-                        status = outcome.status
-                        if status is executed:
-                            total_instructions += 1
-                            if outcome.misses:
-                                self._submit_misses(core_id,
-                                                    outcome.misses)
-                        elif status is fetch_miss:
-                            fetch_id = self._submit_misses(
-                                core_id, outcome.misses)
-                            state = states[core_id]
-                            state.waiting_fetch_id = fetch_id
-                            state.stall_start = now
-                            fetch_waits[fetch_id] = core_id
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            removed = True
-                            if chrome is not None:
-                                chrome.set_state(core_id, FETCH_STALL,
-                                                 now)
-
-                    if core.halted:
-                        states[core_id].halt_cycle = now
-                        if not removed:
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            removed = True
-                        remaining_cores -= 1
-                        if chrome is not None:
-                            chrome.halt(core_id, now)
-                    if not removed:
-                        index += 1
-            if profiler is not None:
-                now_wall = clock()
-                profiler.spike_seconds += now_wall - section_start
-                section_start = now_wall
-
-            # Advance Sparta in sync with functional execution;
-            # completions fired here re-activate stalled cores (bumping
-            # the wake epoch, which vetoes the jump below).
-            epoch = self._wake_epoch
-            advance_cycle()
-            if profiler is not None:
-                profiler.sparta_seconds += clock() - section_start
-            if tail_hooks:
-                flush_credits()
-                if sampler is not None:
-                    sampler.maybe_sample(scheduler.current_cycle)
-                if heartbeat is not None:
-                    heartbeat.maybe_heartbeat(scheduler.current_cycle,
-                                              total_instructions,
-                                              scheduler.events_fired)
-                if watchdog is not None:
-                    watchdog.observe(scheduler.current_cycle,
-                                     total_instructions,
-                                     scheduler.events_fired)
-                if invariants is not None:
-                    invariants.maybe_check(scheduler.current_cycle)
-            if min_due > now + 1 and count and run_ahead \
-                    and epoch == self._wake_epoch:
-                # Dispatch-gap fast-forward: every surviving core is
-                # inside a previously dispatched micro-block and no
-                # event woke anyone, so nothing executes before the
-                # earliest resume cycle — jump the clock there (bounded
-                # by the next event, the pause point and the cycle
-                # budget, all identical-behaviour constraints; each
-                # skipped cycle would be an all-skip pass with no events
-                # due, i.e. a bare clock increment).
-                target = min_due
-                next_event = next_event_cycle()
-                if next_event is not None and next_event < target:
-                    target = next_event
-                if pause_at is not None and pause_at < target:
-                    target = pause_at
-                if max_cycles < target:
-                    target = max_cycles
-                here = now + 1
-                if target > here:
-                    activity_counts[count] += target - here
-                    scheduler.current_cycle = target
-
-        flush_credits()
-        if activity_counts is not None:
-            for cores_active, cycles in enumerate(activity_counts):
-                if cycles:
-                    activity[cores_active] = \
-                        activity.get(cores_active, 0) + cycles
+                # Advance Sparta in sync with functional execution;
+                # completions fired here re-activate stalled cores.
+                advance_cycle()
+                if profiler is not None:
+                    profiler.sparta_seconds += clock() - wall
+                now = scheduler.current_cycle
+                if tail_hooks:
+                    # Every observer needs the credits settled first.
+                    total_instructions += flush_credits(all_cores)
+                    if sampler is not None:
+                        fold_activity()
+                        sampler.maybe_sample(now)
+                    if heartbeat is not None:
+                        heartbeat.maybe_heartbeat(now, total_instructions,
+                                                  scheduler.events_fired)
+                    if watchdog is not None:
+                        watchdog.observe(now, total_instructions,
+                                         scheduler.events_fired)
+                    if invariants is not None:
+                        invariants.maybe_check(now, total_instructions)
+        finally:
+            # Settle what the loop deferred: the ring's due cycles into
+            # ``_resume_at`` (every entry sits in ``[now, now + 64]``),
+            # the credits, the activity tally.
+            self._ring = None
+            for slot, bucket in enumerate(ring):
+                if bucket:
+                    cycle = now + ((slot - now) & 127)
+                    for core_id in bucket:
+                        resume[core_id] = cycle
+            total_instructions += flush_credits(all_cores)
+            fold_activity()
         return total_instructions
 
     def _cycle_loop_reference(self, sampler, chrome, profiler, heartbeat,

@@ -26,7 +26,9 @@ from repro.coyote.errors import SimulationError
 
 # Bump when the checkpoint payload layout changes; loads refuse a
 # mismatched format instead of failing somewhere inside unpickling.
-CHECKPOINT_FORMAT = 1
+# 2: the cycle loop persists ``_resume_at`` + ``_credit`` (no
+# ``_wake_epoch``) and translators always carry ``ufast``.
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(SimulationError):

@@ -56,17 +56,24 @@ class InvariantChecker:
         self._last_cycle = -1
         self._last_events_fired = -1
 
-    def maybe_check(self, cycle: int) -> None:
+    def maybe_check(self, cycle: int,
+                    instructions: int | None = None) -> None:
         """Run the full check once ``interval`` cycles have passed."""
         if cycle < self._next_check:
             return
         self._next_check = cycle + self.interval
-        self.check()
+        self.check(instructions=instructions)
 
     # -- the checks ------------------------------------------------------------
 
-    def check(self, raise_on_violation: bool = True) -> list[dict]:
-        """Run every conservation check against the live state."""
+    def check(self, raise_on_violation: bool = True,
+              instructions: int | None = None) -> list[dict]:
+        """Run every conservation check against the live state.
+
+        ``instructions`` is the cycle loop's running total when the
+        caller has one (the optimised loop passes it from its tail
+        hooks); it is checked against the per-core counters.
+        """
         orchestrator = self.orchestrator
         scheduler = orchestrator.scheduler
         cycle = scheduler.current_cycle
@@ -134,6 +141,12 @@ class InvariantChecker:
         # refcounts must equal a recount over the pending misses.
         violations.extend(self._check_scoreboard(orchestrator))
 
+        # Retire-credit conservation: translated blocks defer their
+        # instruction counts and the loop settles them before any
+        # observer runs.
+        violations.extend(self._check_retire_credits(orchestrator,
+                                                     instructions))
+
         # Per-bank structural checks.
         for bank in orchestrator.hierarchy.all_cache_banks():
             violations.extend(self._check_bank(bank))
@@ -169,6 +182,48 @@ class InvariantChecker:
                               f"busy={dict(actual)} "
                               f"expected={expected.get(core_id, {})}",
                 })
+        return violations
+
+    @staticmethod
+    def _check_retire_credits(orchestrator,
+                              instructions: int | None) -> list[dict]:
+        """The three places a retired instruction is counted — the
+        core, its L1I read statistics, the loop's running total — must
+        have moved together, with no block credit left unsettled."""
+        violations = []
+        retired = 0
+        for core, credit in zip(orchestrator.cores, orchestrator._credit):
+            core_id = core.core_id
+            retired += core.instructions
+            if credit:
+                violations.append({
+                    "invariant": "retire_credit_settled",
+                    "component": f"core{core_id}",
+                    "detail": f"core {core_id} still holds {credit} "
+                              f"unsettled block-retire credits at a "
+                              f"check boundary",
+                })
+            # Every step fetches once: a retire, a fetch miss, or the
+            # one ``ecall`` that halts a hart without retiring.
+            fetches = core.l1i.stats.reads - core.fetch_stalls
+            if fetches != core.instructions and not (
+                    core.halted and fetches == core.instructions + 1):
+                violations.append({
+                    "invariant": "retire_conservation",
+                    "component": f"core{core_id}",
+                    "detail": f"core {core_id} retired "
+                              f"{core.instructions} instructions but "
+                              f"its L1I served {fetches} fetches "
+                              f"(reads minus fetch misses)",
+                })
+        if instructions is not None and instructions != retired:
+            violations.append({
+                "invariant": "retire_conservation",
+                "component": "orchestrator",
+                "detail": f"the cycle loop counts {instructions} "
+                          f"instructions but the cores retired "
+                          f"{retired}",
+            })
         return violations
 
     @staticmethod

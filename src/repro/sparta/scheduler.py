@@ -42,9 +42,9 @@ class Scheduler:
     def __init__(self):
         self._queue: list[tuple[int, int, int, Callable, tuple]] = []
         self._sequence = 0
-        # Public on purpose: the orchestrator's inner loop reads (and,
-        # in its single-core run-ahead, writes) the clock every
-        # simulated cycle; attribute access keeps that cheap.
+        # Public on purpose: the orchestrator's cycle loop reads the
+        # clock and, across event-free cycles, writes it directly;
+        # attribute access keeps that cheap.
         self.current_cycle = 0
         self._events_fired = 0
 

@@ -14,12 +14,13 @@ Fidelity contract (bit-identical to the interpreter, proven by
 
 * **Cycle exactness.**  A block function takes a ``limit`` (cycles it may
   consume) and never executes more than ``limit`` instructions.  The
-  single-core run-ahead loop dispatches whole bounded sprints; the
-  multicore loop dispatches *micro-blocks* (``translate_uop``: at most
-  one memory access, which must be instruction 0) so every
-  cross-core-visible access stays on its exact lockstep cycle while the
-  register-private tail runs ahead, the core skipping its next
-  dispatches until the tail's last logical cycle has passed.
+  orchestrator's cycle loop dispatches a whole bounded block only when
+  one core is live and no event is scheduled inside the bound; otherwise
+  it dispatches *micro-blocks* (``translate_uop``: at most one memory
+  access, which must be instruction 0) so every cross-core-visible
+  access stays on its exact lockstep cycle while the register-private
+  tail runs ahead, the core not coming due again until the tail's last
+  logical cycle has passed.
 * **L1 exactness.**  Data-side lookups replicate ``L1Cache.access_fast``
   (stats, true-LRU touch, allocate-on-miss, dirty-victim writeback)
   inline, with the access counters constant-folded into each exit.
@@ -827,12 +828,13 @@ class BlockTranslator:
     ``cache`` maps a block-start pc to its compiled ``run(limit)``
     closure, or ``False`` for pcs proven untranslatable (the dispatch
     loops hoist this dict and only call :meth:`translate` on a true
-    miss).  ``ucache`` holds the memory-leading micro-block variants the
-    multicore lockstep loop dispatches (:meth:`translate_uop`); ``ufast``
-    holds the unchecked twins of the same micro-blocks — no budget
-    guards, valid only for full-budget (``limit >= block length``)
-    dispatches.  All dict objects are mutated in place, never replaced,
-    so hoisted references stay valid across invalidations.
+    miss).  ``ucache`` holds the memory-leading micro-block variants
+    (:meth:`translate_uop`) the cycle loop dispatches whenever another
+    core or an event could interleave; ``ufast`` holds the unchecked
+    twins of the same micro-blocks — no budget guards, valid only for
+    full-budget (``limit >= block length``) dispatches.  All dict
+    objects are mutated in place, never replaced, so hoisted references
+    stay valid across invalidations.
     """
 
     def __init__(self, core, machine):
@@ -938,8 +940,3 @@ class BlockTranslator:
         state["_bounds"] = {}
         state["_ubounds"] = {}
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Checkpoints written before the unchecked twin existed.
-        self.__dict__.setdefault("ufast", {})

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
 
 from repro.assembler import assemble
 from repro.soc.memory import SparseMemory
@@ -15,9 +14,15 @@ TEXT_BASE = 0x8000_0000
 # ``--hypothesis-profile=ci``: the deep setting for generated
 # differentials that size themselves from the loaded profile
 # (tests/coyote/test_fuzz_differential.py).  Still derandomized, so a CI
-# failure reproduces locally with the same flag.
-settings.register_profile("ci", max_examples=500, derandomize=True,
-                          deadline=None)
+# failure reproduces locally with the same flag.  Jobs that run only
+# hypothesis-free directories (tests/service) install just pytest.
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("ci", max_examples=500, derandomize=True,
+                              deadline=None)
 
 
 def make_hart(source: str, vlen_bits: int = 256, hart_id: int = 0) -> Hart:

@@ -12,8 +12,11 @@ runs at 1, 2 and 8 cores through
 (b) the fast loop with ``translate=False``,
 (c) the fast loop with ``translate=True``,
 
-each in three modes — plain, interval sampler on, and paused at a drawn
-cycle then resumed — and everything observable must agree: the results
+each in four modes — plain, interval sampler on, paused at a drawn
+cycle then resumed, and the invariant checker live at a drawn interval
+(lockstep cycles under full-budget run-ahead, and the retire-credit
+invariant on every generated program) — and everything observable must
+agree: the results
 document minus host fields, every hart's register file, and the data
 and patched-code bytes the program touched.
 
@@ -22,10 +25,12 @@ runs the default profile below; CI's ``translate-smoke`` job runs the
 ``ci`` profile registered in ``tests/conftest.py`` (500 examples).
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.assembler import assemble
 from repro.coyote import Simulation, SimulationConfig
+from repro.resilience import ResilienceConfig
 from repro.telemetry import TelemetryConfig
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
@@ -131,9 +136,14 @@ def programs(draw):
     segments.insert(0, [
         f"li {reg}, {draw(st.integers(-(1 << 31), (1 << 31) - 1))}"
         for reg in _WORK[:4]])
-    body = "\n".join(
-        line if line.endswith(":") else f"    {line}"
-        for segment in segments for line in segment)
+    return _scaffold([line for segment in segments for line in segment])
+
+
+def _scaffold(lines):
+    """The body between the prologue (shared/private bases) and the
+    ``tohost`` exit, over the data every hart reads and writes."""
+    body = "\n".join(line if line.endswith(":") else f"    {line}"
+                     for line in lines)
     return f""".text
 _start:
     la   s8, shared
@@ -177,10 +187,12 @@ def _observe(simulation, results, program):
 
 
 def _run(program, cores, reference, translate, sample_interval=0,
-         pause_at=None):
+         pause_at=None, invariant_interval=0):
     telemetry = TelemetryConfig(sample_interval=sample_interval)
+    resilience = ResilienceConfig(invariant_interval=invariant_interval)
     config = SimulationConfig.for_cores(cores, translate=translate,
-                                        telemetry=telemetry)
+                                        telemetry=telemetry,
+                                        resilience=resilience)
     simulation = Simulation(config, program)
     simulation.orchestrator.use_reference_loop = reference
     if pause_at is not None:
@@ -203,9 +215,10 @@ _EXAMPLES = _CI.max_examples if settings.default is _CI else 40
 @settings(max_examples=_EXAMPLES, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(source=programs(), sample_interval=st.integers(1, 40),
-       pause_fraction=st.floats(0.0, 1.2))
+       pause_fraction=st.floats(0.0, 1.2),
+       invariant_interval=st.integers(1, 40))
 def test_generated_programs_identical_across_loops(
-        source, sample_interval, pause_fraction):
+        source, sample_interval, pause_fraction, invariant_interval):
     program = assemble(source)
     for cores in (1, 2, 8):
         plain = {}
@@ -233,3 +246,34 @@ def test_generated_programs_identical_across_loops(
                            pause_at=pause_at)
             assert resumed == oracle, \
                 f"{name} @ {cores} cores, paused at {pause_at}"
+
+        # Invariant checker live: every cycle ends in lockstep through
+        # the tail hooks, and no check may fire on any loop.
+        for name, reference, translate in _LOOPS:
+            checked = _run(program, cores, reference, translate,
+                           invariant_interval=invariant_interval)
+            assert checked == oracle, \
+                f"{name} @ {cores} cores, invariants every " \
+                f"{invariant_interval}"
+
+
+def _lone_loop(iterations, body_length):
+    """A counted loop whose body is one ``body_length``-instruction
+    block with no memory access."""
+    return _scaffold(
+        [f"li t0, {iterations}", "lone_loop:"]
+        + ["addi t1, t1, 1"] * (body_length - 2)
+        + ["addi t0, t0, -1", "bnez t0, lone_loop"])
+
+
+@pytest.mark.parametrize("iterations, body_length", [(80, 4), (6, 64)])
+def test_lone_core_paused_at_every_cycle(iterations, body_length):
+    """A lone core with nothing in flight runs block after block inside
+    one visit; every pause point bounds that run at a different distance,
+    including the multiples of the ring size, and full-length blocks
+    stretch it to the furthest slot it may land in."""
+    program = assemble(_lone_loop(iterations, body_length))
+    oracle = _run(program, 1, True, False)
+    for pause_at in range(oracle[0]["cycles"] + 2):
+        assert _run(program, 1, False, True, pause_at=pause_at) == oracle, \
+            f"paused at {pause_at}"

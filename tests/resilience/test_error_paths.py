@@ -3,6 +3,7 @@ isolation, structured scheduler errors, and the CLI exit-code taxonomy."""
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -15,7 +16,11 @@ from repro.coyote.errors import SimulationError
 from repro.coyote.orchestrator import Orchestrator
 from repro.coyote.sweep import Sweep, SweepTable
 from repro.kernels import scalar_matmul
-from repro.resilience import ResilienceConfig
+from repro.resilience import (
+    CheckpointError,
+    ResilienceConfig,
+    load_checkpoint,
+)
 from repro.sparta.scheduler import Scheduler, SchedulerError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -109,6 +114,20 @@ class TestSweepFailureIsolation:
         assert len(table.failures()) == 2
         with pytest.raises(ValueError, match="all 2 sweep points"):
             table.best()
+
+
+class TestOldCheckpointRejected:
+    def test_previous_format_is_refused_by_version(self, tmp_path):
+        # Format 1 predates the one-kernel cycle loop (different
+        # persisted loop state).  It is refused by its version number —
+        # there are no per-attribute layout shims to fall through.
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({"format": 1, "metadata": {},
+                                       "simulation": None}))
+        with pytest.raises(
+                CheckpointError,
+                match=r"format 1 is not supported \(expected 2\)"):
+            load_checkpoint(path)
 
 
 class TestSchedulerErrorStructure:

@@ -98,6 +98,30 @@ class TestCorruptionDetection:
                      if v["invariant"] == "scoreboard_refcounts")
         assert entry["component"] == "core1"
 
+    def test_dropped_credit_flush(self):
+        # A flush the loop skipped leaves block-retire credits behind at
+        # a check boundary.
+        simulation = _paused_simulation()
+        simulation.orchestrator._credit[2] = 5
+        checker = InvariantChecker(simulation.orchestrator, 1)
+        violations = checker.check(raise_on_violation=False)
+        assert _names(violations) == {"retire_credit_settled"}
+        assert violations[0]["component"] == "core2"
+
+    def test_partial_credit_flush(self):
+        # A flush that reached the core's counter but not its L1I read
+        # statistics, and a running total that missed it altogether.
+        simulation = _paused_simulation()
+        orchestrator = simulation.orchestrator
+        orchestrator.cores[1].instructions += 3
+        checker = InvariantChecker(orchestrator, 1)
+        violations = checker.check(
+            raise_on_violation=False,
+            instructions=orchestrator._instructions_total)
+        assert _names(violations) == {"retire_conservation"}
+        assert [entry["component"] for entry in violations] == \
+            ["core1", "orchestrator"]
+
     def test_violation_raises_with_structure(self):
         simulation = _paused_simulation()
         bank = simulation.orchestrator.hierarchy.banks[0]
