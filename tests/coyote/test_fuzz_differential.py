@@ -3,10 +3,12 @@
 ``test_differential.py`` and ``test_translate.py`` compare the loops on
 the fifteen hand-written kernels; this file lets Hypothesis write the
 programs.  Each generated program mixes straight-line RV64IM ALU work,
-loads and stores into per-hart and shared cache lines, counted loops,
-forward branches, one ``rdcycle``/``rdinstret`` read and (in a variant)
-a store into the hart's own upcoming code followed by ``fence.i``.  It
-runs at 1, 2 and 8 cores through
+scalar FP (``.s``/``.d`` arithmetic, FMA, compares, conversions, moves,
+sign injection), integer and FP loads and stores into per-hart and
+shared cache lines, counted loops, forward branches, one
+``rdcycle``/``rdinstret`` read and (in a variant) a store into the
+hart's own upcoming code followed by ``fence.i``.  It runs at 1, 2 and
+8 cores through
 
 (a) the reference loop (``use_reference_loop``),
 (b) the fast loop with ``translate=False``,
@@ -16,14 +18,16 @@ each in four modes — plain, interval sampler on, paused at a drawn
 cycle then resumed, and the invariant checker live at a drawn interval
 (lockstep cycles under full-budget run-ahead, and the retire-credit
 invariant on every generated program) — and everything observable must
-agree: the results
-document minus host fields, every hart's register file, and the data
-and patched-code bytes the program touched.
+agree: the results document minus host fields, every hart's integer
+and FP register files (FP bit for bit), and the data and patched-code
+bytes the program touched.
 
 The examples are derandomized (same programs on every run).  Tier-1
 runs the default profile below; CI's ``translate-smoke`` job runs the
 ``ci`` profile registered in ``tests/conftest.py`` (500 examples).
 """
+
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -53,12 +57,26 @@ _LOADS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4, "ld": 8}
 _STORES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 _BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
 
+# FP work registers (all start at +0.0; values arrive through loads of
+# the data lines' bit patterns and through conversions of the integer
+# work registers).
+_FWORK = ("ft0", "ft1", "ft2", "fa0", "fa1", "fa2")
+_FP_LOADS = {"flw": 4, "fld": 8}
+_FP_STORES = {"fsw": 4, "fsd": 8}
+_FP_FF = ("fadd", "fsub", "fmul", "fdiv", "fmin", "fmax", "fsgnj",
+          "fsgnjn", "fsgnjx")
+_FP_FMA = ("fmadd", "fmsub", "fnmadd", "fnmsub")
+_FP_CMP = ("feq", "flt", "fle")
+_FP_INT = ("w", "wu", "l", "lu")
+
 _SHARED_BYTES = 256      # four 64-byte lines every hart reads and writes
 _PRIVATE_BYTES = 256     # per hart
 _MAX_CORES = 8
 
 _reg = st.sampled_from(_WORK)
 _src = st.sampled_from(_WORK + ("a0",))
+_freg = st.sampled_from(_FWORK)
+_fmt = st.sampled_from(("d", "s"))
 
 
 def _offset(size):
@@ -69,7 +87,16 @@ def _offset(size):
 @st.composite
 def _simple_op(draw):
     """One straight-line instruction (no control flow)."""
-    kind = draw(st.sampled_from(("rr", "imm", "shift", "load", "store")))
+    kind = draw(st.sampled_from(("rr", "imm", "shift", "load", "store",
+                                 "fp", "fp-memory")))
+    if kind == "fp":
+        return draw(_fp_op())
+    if kind == "fp-memory":
+        table = draw(st.sampled_from((_FP_LOADS, _FP_STORES)))
+        mnemonic = draw(st.sampled_from(sorted(table)))
+        return (f"{mnemonic} {draw(_freg)}, "
+                f"{draw(_offset(table[mnemonic]))}"
+                f"({draw(st.sampled_from(_BASES))})")
     if kind == "rr":
         return (f"{draw(st.sampled_from(_ALU_RR))} "
                 f"{draw(_reg)}, {draw(_src)}, {draw(_src)}")
@@ -88,6 +115,38 @@ def _simple_op(draw):
     return (f"{mnemonic} {draw(_reg)}, "
             f"{draw(_offset(_STORES[mnemonic]))}"
             f"({draw(st.sampled_from(_BASES))})")
+
+
+@st.composite
+def _fp_op(draw):
+    """One register-to-register scalar FP instruction."""
+    shape = draw(st.sampled_from(("ff", "fma", "cmp", "to-int", "from-int",
+                                  "f", "move")))
+    fmt = draw(_fmt)
+    if shape == "ff":
+        return (f"{draw(st.sampled_from(_FP_FF))}.{fmt} {draw(_freg)}, "
+                f"{draw(_freg)}, {draw(_freg)}")
+    if shape == "fma":
+        return (f"{draw(st.sampled_from(_FP_FMA))}.{fmt} {draw(_freg)}, "
+                f"{draw(_freg)}, {draw(_freg)}, {draw(_freg)}")
+    if shape == "cmp":
+        return (f"{draw(st.sampled_from(_FP_CMP))}.{fmt} {draw(_reg)}, "
+                f"{draw(_freg)}, {draw(_freg)}")
+    if shape == "to-int":
+        return (f"fcvt.{draw(st.sampled_from(_FP_INT))}.{fmt} "
+                f"{draw(_reg)}, {draw(_freg)}")
+    if shape == "from-int":
+        return (f"fcvt.{fmt}.{draw(st.sampled_from(_FP_INT))} "
+                f"{draw(_freg)}, {draw(_src)}")
+    if shape == "f":
+        mnemonic = draw(st.sampled_from(
+            (f"fsqrt.{fmt}", "fcvt.s.d", "fcvt.d.s")))
+        return f"{mnemonic} {draw(_freg)}, {draw(_freg)}"
+    size = "d" if fmt == "d" else "w"
+    if draw(st.booleans()):
+        mnemonic = draw(st.sampled_from((f"fmv.x.{size}", f"fclass.{fmt}")))
+        return f"{mnemonic} {draw(_reg)}, {draw(_freg)}"
+    return f"fmv.{size}.x {draw(_freg)}, {draw(_src)}"
 
 
 _straight = st.lists(_simple_op(), min_size=1, max_size=6)
@@ -181,9 +240,12 @@ def _observe(simulation, results, program):
         _SHARED_BYTES + _PRIVATE_BYTES * _MAX_CORES)
     if "patch_site" in symbols:
         touched += memory.load_bytes(symbols["patch_site"], 4)
-    registers = [list(hart.regs)
-                 for hart in simulation.orchestrator.machine.harts]
-    return data, registers, touched
+    harts = simulation.orchestrator.machine.harts
+    registers = [list(hart.regs) for hart in harts]
+    # Packed, so NaNs (which never compare equal) and the sign of zero
+    # are held to the same bit-for-bit standard as everything else.
+    fp_registers = [struct.pack("<32d", *hart.fregs) for hart in harts]
+    return data, registers, fp_registers, touched
 
 
 def _run(program, cores, reference, translate, sample_interval=0,
