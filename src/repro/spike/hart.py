@@ -5,22 +5,34 @@ shared :class:`~repro.soc.memory.SparseMemory`.  Execution is purely
 functional; every data memory access performed by a step is recorded in
 ``hart.accesses`` so the caching/timing layers above can classify it.
 
-Executor functions are registered in the module-level ``EXEC`` dispatch
-table via the :func:`executor` decorator; :mod:`repro.spike.vector`
-registers the vector ISA on import.
+Executors live in the module-level ``EXEC`` dispatch table.  Those of
+the scalar compute, load/store and branch instructions are derived from
+the rows of :mod:`repro.spike.semantics` (the translator derives its
+emitted source from the same rows); the effectful rest — jumps, system,
+CSR, atomics — are registered here via the :func:`executor` decorator,
+and :mod:`repro.spike.vector` registers the vector ISA on import.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 from repro.isa import csr as csrdef
 from repro.isa.decoder import IllegalInstruction, Instruction, decode
 from repro.isa.vtype import VType
 from repro.soc.memory import SparseMemory
-from repro.utils.bitops import MASK32, MASK64, sign_extend, to_signed
+from repro.spike.semantics import (
+    BRANCHES,
+    COMPUTE,
+    FN,
+    LOADS,
+    STORES,
+    bits_to_f32,
+    bits_to_f64,
+    f32_to_bits,
+    f64_to_bits,
+)
+from repro.utils.bitops import MASK64, sign_extend
 
 DEFAULT_VLEN_BITS = 512
 
@@ -124,27 +136,6 @@ def executor(*mnemonics: str):
     return register
 
 
-def f64_to_bits(value: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", value))[0]
-
-
-def bits_to_f64(raw: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", raw & MASK64))[0]
-
-
-def f32_to_bits(value: float) -> int:
-    return struct.unpack("<I", struct.pack("<f", value))[0]
-
-
-def bits_to_f32(raw: int) -> float:
-    return struct.unpack("<f", struct.pack("<I", raw & MASK32))[0]
-
-
-def round_f32(value: float) -> float:
-    """Round a double to the nearest representable float32."""
-    return struct.unpack("<f", struct.pack("<f", value))[0]
-
-
 class Hart:
     """Architectural state and functional execution for one core."""
 
@@ -192,9 +183,6 @@ class Hart:
 
     # -- register helpers ---------------------------------------------------
 
-    def read_reg(self, index: int) -> int:
-        return self.regs[index]
-
     def write_reg(self, index: int, value: int) -> None:
         if index:
             self.regs[index] = value & MASK64
@@ -214,17 +202,6 @@ class Hart:
         if (address >> 12) in self._code_pages \
                 or ((address + size - 1) >> 12) in self._code_pages:
             self.code_registry.note_store(address, size)
-
-    def load_f64(self, address: int) -> float:
-        self.accesses.append(MemAccess(address, 8, False))
-        return bits_to_f64(self.memory.load_int(address, 8))
-
-    def store_f64(self, address: int, value: float) -> None:
-        self.accesses.append(MemAccess(address, 8, True))
-        self.memory.store_int(address, f64_to_bits(value), 8)
-        if (address >> 12) in self._code_pages \
-                or ((address + 7) >> 12) in self._code_pages:
-            self.code_registry.note_store(address, 8)
 
     # -- CSR access ---------------------------------------------------------
 
@@ -336,9 +313,13 @@ class Hart:
         for cache in self._code_caches:
             cache.drop_all()
 
-    def flush_decode_cache(self) -> None:
-        """Historical spelling of :meth:`drop_code_caches`."""
-        self.drop_code_caches()
+    def __getstate__(self):
+        # The decode cache pairs instructions with executors, most of
+        # them closures derived from the semantics table at import; it
+        # is rebuilt on demand, so a pickled hart travels without it.
+        state = self.__dict__.copy()
+        state["_decode_cache"] = {}
+        return state
 
     def step(self) -> Instruction:
         """Execute one instruction; returns the decoded instruction.
@@ -357,18 +338,79 @@ class Hart:
 
 
 # ---------------------------------------------------------------------------
-# Scalar integer executors
+# Executors derived from the semantics table
 # ---------------------------------------------------------------------------
 
-@executor("lui")
-def _lui(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, instr.imm)
+_READ = {"x": "hart.regs[instr.%s]", "f": "hart.fregs[instr.%s]",
+         None: "instr.%s"}
 
 
-@executor("auipc")
-def _auipc(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, hart.pc + instr.imm)
+def _derive_compute_executors() -> None:
+    """One generic handler per operand form, bound to each row's function.
 
+    A handler only routes operands: it reads what the form names, applies
+    the row's function and stores the value, which the row already
+    yields as stored.  The handler factories are compiled together, once.
+    """
+    binders: dict = {}  # form -> name of its handler factory
+    lines = []
+    for form in (row.form for row in COMPUTE.values()):
+        if form in binders:
+            continue
+        binders[form] = f"bind{len(binders)}"
+        args = ", ".join(
+            "hart.pc" if field == "pc" else _READ[file] % field
+            for _name, file, field in form.operands)
+        lines += [f"def {binders[form]}(fn):",
+                  "    def handler(hart, instr):"]
+        if form.dest == "x":
+            lines += ["        if instr.rd:",
+                      f"            hart.regs[instr.rd] = fn({args})"]
+        else:
+            lines += [f"        hart.fregs[instr.rd] = fn({args})"]
+        lines += ["    return handler"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<scalar executors>", "exec"), namespace)
+    for mnemonic, row in COMPUTE.items():
+        executor(mnemonic)(namespace[binders[row.form]](FN[mnemonic]))
+
+
+_derive_compute_executors()
+
+
+@executor(*BRANCHES)
+def _branch(hart: Hart, instr: Instruction) -> None:
+    if FN[instr.mnemonic](hart.regs[instr.rs1], hart.regs[instr.rs2]):
+        hart._pc_next = (hart.pc + instr.imm) & MASK64
+
+
+_FROM_BITS = {4: bits_to_f32, 8: bits_to_f64}
+_TO_BITS = {4: f32_to_bits, 8: f64_to_bits}
+
+
+@executor(*LOADS)
+def _load(hart: Hart, instr: Instruction) -> None:
+    size, signed, file = LOADS[instr.mnemonic]
+    address = (hart.regs[instr.rs1] + instr.imm) & MASK64
+    value = hart.load_int(address, size, signed)
+    if file == "x":
+        hart.write_reg(instr.rd, value)
+    else:
+        hart.fregs[instr.rd] = _FROM_BITS[size](value)
+
+
+@executor(*STORES)
+def _store(hart: Hart, instr: Instruction) -> None:
+    size, file = STORES[instr.mnemonic]
+    address = (hart.regs[instr.rs1] + instr.imm) & MASK64
+    value = hart.regs[instr.rs2] if file == "x" \
+        else _TO_BITS[size](hart.fregs[instr.rs2])
+    hart.store_int(address, value, size)
+
+
+# ---------------------------------------------------------------------------
+# Jumps
+# ---------------------------------------------------------------------------
 
 @executor("jal")
 def _jal(hart: Hart, instr: Instruction) -> None:
@@ -381,186 +423,6 @@ def _jalr(hart: Hart, instr: Instruction) -> None:
     target = (hart.regs[instr.rs1] + instr.imm) & ~1 & MASK64
     hart.write_reg(instr.rd, hart.pc + 4)
     hart._pc_next = target
-
-
-_BRANCH_TESTS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: to_signed(a) < to_signed(b),
-    "bge": lambda a, b: to_signed(a) >= to_signed(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
-}
-
-
-@executor(*_BRANCH_TESTS)
-def _branch(hart: Hart, instr: Instruction) -> None:
-    if _BRANCH_TESTS[instr.mnemonic](hart.regs[instr.rs1],
-                                     hart.regs[instr.rs2]):
-        hart._pc_next = (hart.pc + instr.imm) & MASK64
-
-
-_LOAD_SIZES = {"lb": (1, True), "lh": (2, True), "lw": (4, True),
-               "ld": (8, True), "lbu": (1, False), "lhu": (2, False),
-               "lwu": (4, False)}
-
-
-@executor(*_LOAD_SIZES)
-def _load(hart: Hart, instr: Instruction) -> None:
-    size, signed = _LOAD_SIZES[instr.mnemonic]
-    address = (hart.regs[instr.rs1] + instr.imm) & MASK64
-    hart.write_reg(instr.rd, hart.load_int(address, size, signed))
-
-
-_STORE_SIZES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
-
-
-@executor(*_STORE_SIZES)
-def _store(hart: Hart, instr: Instruction) -> None:
-    size = _STORE_SIZES[instr.mnemonic]
-    address = (hart.regs[instr.rs1] + instr.imm) & MASK64
-    hart.store_int(address, hart.regs[instr.rs2], size)
-
-
-@executor("addi")
-def _addi(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, hart.regs[instr.rs1] + instr.imm)
-
-
-@executor("slti")
-def _slti(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd,
-                   1 if to_signed(hart.regs[instr.rs1]) < instr.imm else 0)
-
-
-@executor("sltiu")
-def _sltiu(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd,
-                   1 if hart.regs[instr.rs1] < (instr.imm & MASK64) else 0)
-
-
-@executor("xori")
-def _xori(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, hart.regs[instr.rs1] ^ (instr.imm & MASK64))
-
-
-@executor("ori")
-def _ori(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, hart.regs[instr.rs1] | (instr.imm & MASK64))
-
-
-@executor("andi")
-def _andi(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, hart.regs[instr.rs1] & (instr.imm & MASK64))
-
-
-@executor("slli")
-def _slli(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, hart.regs[instr.rs1] << instr.shamt)
-
-
-@executor("srli")
-def _srli(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, hart.regs[instr.rs1] >> instr.shamt)
-
-
-@executor("srai")
-def _srai(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, to_signed(hart.regs[instr.rs1]) >> instr.shamt)
-
-
-@executor("addiw")
-def _addiw(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd,
-                   sign_extend(hart.regs[instr.rs1] + instr.imm, 32))
-
-
-@executor("slliw")
-def _slliw(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd,
-                   sign_extend(hart.regs[instr.rs1] << instr.shamt, 32))
-
-
-@executor("srliw")
-def _srliw(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(
-        instr.rd,
-        sign_extend((hart.regs[instr.rs1] & MASK32) >> instr.shamt, 32))
-
-
-@executor("sraiw")
-def _sraiw(hart: Hart, instr: Instruction) -> None:
-    value = sign_extend(hart.regs[instr.rs1], 32) >> instr.shamt
-    hart.write_reg(instr.rd, sign_extend(value, 32))
-
-
-def _div(a: int, b: int) -> int:
-    if b == 0:
-        return -1
-    if a == -(1 << 63) and b == -1:
-        return a
-    quotient = abs(a) // abs(b)
-    return -quotient if (a < 0) != (b < 0) else quotient
-
-
-def _rem(a: int, b: int) -> int:
-    if b == 0:
-        return a
-    if a == -(1 << 63) and b == -1:
-        return 0
-    return a - _div(a, b) * b
-
-
-_OP_FUNCS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "sll": lambda a, b: a << (b & 63),
-    "slt": lambda a, b: 1 if to_signed(a) < to_signed(b) else 0,
-    "sltu": lambda a, b: 1 if a < b else 0,
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: a >> (b & 63),
-    "sra": lambda a, b: to_signed(a) >> (b & 63),
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "mul": lambda a, b: a * b,
-    "mulh": lambda a, b: (to_signed(a) * to_signed(b)) >> 64,
-    "mulhsu": lambda a, b: (to_signed(a) * b) >> 64,
-    "mulhu": lambda a, b: (a * b) >> 64,
-    "div": lambda a, b: _div(to_signed(a), to_signed(b)),
-    "divu": lambda a, b: (a // b) if b else MASK64,
-    "rem": lambda a, b: _rem(to_signed(a), to_signed(b)),
-    "remu": lambda a, b: (a % b) if b else a,
-}
-
-
-@executor(*_OP_FUNCS)
-def _op(hart: Hart, instr: Instruction) -> None:
-    result = _OP_FUNCS[instr.mnemonic](hart.regs[instr.rs1],
-                                       hart.regs[instr.rs2])
-    hart.write_reg(instr.rd, result)
-
-
-_OP32_FUNCS = {
-    "addw": lambda a, b: a + b,
-    "subw": lambda a, b: a - b,
-    "sllw": lambda a, b: a << (b & 31),
-    "srlw": lambda a, b: (a & MASK32) >> (b & 31),
-    "sraw": lambda a, b: sign_extend(a, 32) >> (b & 31),
-    "mulw": lambda a, b: a * b,
-    "divw": lambda a, b: _div(sign_extend(a, 32), sign_extend(b, 32)),
-    "divuw": lambda a, b: ((a & MASK32) // (b & MASK32)) if (b & MASK32)
-    else MASK64,
-    "remw": lambda a, b: _rem(sign_extend(a, 32), sign_extend(b, 32)),
-    "remuw": lambda a, b: ((a & MASK32) % (b & MASK32)) if (b & MASK32)
-    else (a & MASK32),
-}
-
-
-@executor(*_OP32_FUNCS)
-def _op32(hart: Hart, instr: Instruction) -> None:
-    result = _OP32_FUNCS[instr.mnemonic](hart.regs[instr.rs1],
-                                         hart.regs[instr.rs2])
-    hart.write_reg(instr.rd, sign_extend(result, 32))
 
 
 # ---------------------------------------------------------------------------
@@ -641,293 +503,34 @@ def _sc(hart: Hart, instr: Instruction) -> None:
     hart.reservation = None
 
 
-_AMO_FUNCS = {
-    "amoswap": lambda old, val: val,
-    "amoadd": lambda old, val: old + val,
-    "amoxor": lambda old, val: old ^ val,
-    "amoand": lambda old, val: old & val,
-    "amoor": lambda old, val: old | val,
-    "amomin": lambda old, val: min(old, val, key=lambda v: v),
-    "amomax": lambda old, val: max(old, val, key=lambda v: v),
-    "amominu": min,
-    "amomaxu": max,
+# base -> (new memory value from (old, operand), compare them as signed)
+_AMO = {
+    "amoswap": (lambda old, val: val, False),
+    "amoadd": (lambda old, val: old + val, False),
+    "amoxor": (lambda old, val: old ^ val, False),
+    "amoand": (lambda old, val: old & val, False),
+    "amoor": (lambda old, val: old | val, False),
+    "amomin": (min, True),
+    "amomax": (max, True),
+    "amominu": (min, False),
+    "amomaxu": (max, False),
 }
 
 
-@executor(*[f"{base}.{sz}" for base in _AMO_FUNCS for sz in ("w", "d")])
+@executor(*[f"{base}.{sz}" for base in _AMO for sz in ("w", "d")])
 def _amo(hart: Hart, instr: Instruction) -> None:
-    base, _, _size_name = instr.mnemonic.rpartition(".")
+    combine, signed = _AMO[instr.mnemonic.rpartition(".")[0]]
     size = _amo_size(instr.mnemonic)
     width = 8 * size
     address = hart.regs[instr.rs1]
-    old_raw = hart.load_int(address, size)
-    value_raw = hart.regs[instr.rs2] & ((1 << width) - 1)
-    if base in ("amomin", "amomax"):
-        old_cmp, value_cmp = sign_extend(old_raw, width), \
-            sign_extend(value_raw, width)
-        result = min(old_cmp, value_cmp) if base == "amomin" \
-            else max(old_cmp, value_cmp)
-    else:
-        result = _AMO_FUNCS[base](old_raw, value_raw)
-    hart.store_int(address, result, size)
-    hart.write_reg(instr.rd, sign_extend(old_raw, width))
-
-
-# ---------------------------------------------------------------------------
-# Scalar FP executors (double-precision plus the float32 subset)
-# ---------------------------------------------------------------------------
-
-@executor("fld")
-def _fld(hart: Hart, instr: Instruction) -> None:
-    address = (hart.regs[instr.rs1] + instr.imm) & MASK64
-    hart.fregs[instr.rd] = hart.load_f64(address)
-
-
-@executor("fsd")
-def _fsd(hart: Hart, instr: Instruction) -> None:
-    address = (hart.regs[instr.rs1] + instr.imm) & MASK64
-    hart.store_f64(address, hart.fregs[instr.rs2])
-
-
-@executor("flw")
-def _flw(hart: Hart, instr: Instruction) -> None:
-    address = (hart.regs[instr.rs1] + instr.imm) & MASK64
-    raw = hart.load_int(address, 4)
-    hart.fregs[instr.rd] = bits_to_f32(raw)
-
-
-@executor("fsw")
-def _fsw(hart: Hart, instr: Instruction) -> None:
-    address = (hart.regs[instr.rs1] + instr.imm) & MASK64
-    hart.store_int(address, f32_to_bits(hart.fregs[instr.rs2]), 4)
-
-
-def fp_div(a: float, b: float) -> float:
-    if b == 0.0:
-        if a == 0.0 or math.isnan(a):
-            return math.nan
-        sign = -1.0 if (a < 0) != (math.copysign(1.0, b) < 0) else 1.0
-        return sign * math.inf
-    return a / b
-
-
-def fp_min(a: float, b: float) -> float:
-    if math.isnan(a):
-        return b
-    if math.isnan(b):
-        return a
-    if a == 0.0 and b == 0.0:  # -0.0 is the minimum
-        return a if math.copysign(1.0, a) < 0 else b
-    return min(a, b)
-
-
-def fp_max(a: float, b: float) -> float:
-    if math.isnan(a):
-        return b
-    if math.isnan(b):
-        return a
-    if a == 0.0 and b == 0.0:
-        return a if math.copysign(1.0, a) > 0 else b
-    return max(a, b)
-
-
-def fp_sgnj(a: float, b: float) -> float:
-    """Copy b's sign onto a's magnitude."""
-    if math.isnan(a):
-        return math.nan
-    return math.copysign(abs(a), b)
-
-
-def fp_sgnjx(a: float, b: float) -> float:
-    """Result sign is the XOR of both operand signs, on a's magnitude."""
-    if math.isnan(a):
-        return math.nan
-    negative = (math.copysign(1.0, a) < 0) != (math.copysign(1.0, b) < 0)
-    return math.copysign(abs(a), -1.0 if negative else 1.0)
-
-
-_FP_BIN_D = {
-    "fadd.d": lambda a, b: a + b,
-    "fsub.d": lambda a, b: a - b,
-    "fmul.d": lambda a, b: a * b,
-    "fdiv.d": fp_div,
-    "fmin.d": fp_min,
-    "fmax.d": fp_max,
-    "fsgnj.d": fp_sgnj,
-    "fsgnjn.d": lambda a, b: fp_sgnj(a, -b),
-    "fsgnjx.d": fp_sgnjx,
-}
-
-
-@executor(*_FP_BIN_D)
-def _fp_bin_d(hart: Hart, instr: Instruction) -> None:
-    hart.fregs[instr.rd] = _FP_BIN_D[instr.mnemonic](
-        hart.fregs[instr.rs1], hart.fregs[instr.rs2])
-
-
-_FP_BIN_S = {
-    "fadd.s": lambda a, b: a + b,
-    "fsub.s": lambda a, b: a - b,
-    "fmul.s": lambda a, b: a * b,
-    "fdiv.s": fp_div,
-    "fmin.s": fp_min,
-    "fmax.s": fp_max,
-    "fsgnj.s": _FP_BIN_D["fsgnj.d"],
-    "fsgnjn.s": _FP_BIN_D["fsgnjn.d"],
-    "fsgnjx.s": _FP_BIN_D["fsgnjx.d"],
-}
-
-
-@executor(*_FP_BIN_S)
-def _fp_bin_s(hart: Hart, instr: Instruction) -> None:
-    result = _FP_BIN_S[instr.mnemonic](hart.fregs[instr.rs1],
-                                       hart.fregs[instr.rs2])
-    hart.fregs[instr.rd] = round_f32(result)
-
-
-@executor("fsqrt.d")
-def _fsqrt_d(hart: Hart, instr: Instruction) -> None:
-    value = hart.fregs[instr.rs1]
-    hart.fregs[instr.rd] = math.sqrt(value) if value >= 0 else math.nan
-
-
-@executor("fsqrt.s")
-def _fsqrt_s(hart: Hart, instr: Instruction) -> None:
-    value = hart.fregs[instr.rs1]
-    hart.fregs[instr.rd] = round_f32(
-        math.sqrt(value) if value >= 0 else math.nan)
-
-
-_FMA_FUNCS = {
-    "fmadd": lambda a, b, c: a * b + c,
-    "fmsub": lambda a, b, c: a * b - c,
-    "fnmadd": lambda a, b, c: -(a * b) - c,
-    "fnmsub": lambda a, b, c: -(a * b) + c,
-}
-
-
-@executor(*[f"{base}.{sz}" for base in _FMA_FUNCS for sz in ("s", "d")])
-def _fma(hart: Hart, instr: Instruction) -> None:
-    base, _, size = instr.mnemonic.rpartition(".")
-    result = _FMA_FUNCS[base](hart.fregs[instr.rs1], hart.fregs[instr.rs2],
-                              hart.fregs[instr.rs3])
-    if size == "s":
-        result = round_f32(result)
-    hart.fregs[instr.rd] = result
-
-
-_FP_CMP_FUNCS = {
-    "feq": lambda a, b: a == b,
-    "flt": lambda a, b: a < b,
-    "fle": lambda a, b: a <= b,
-}
-
-
-@executor(*[f"{base}.{sz}" for base in _FP_CMP_FUNCS for sz in ("s", "d")])
-def _fp_cmp(hart: Hart, instr: Instruction) -> None:
-    base = instr.mnemonic[:3]
-    a, b = hart.fregs[instr.rs1], hart.fregs[instr.rs2]
-    if math.isnan(a) or math.isnan(b):
-        hart.write_reg(instr.rd, 0)
-    else:
-        hart.write_reg(instr.rd, 1 if _FP_CMP_FUNCS[base](a, b) else 0)
-
-
-def _fcvt_to_int(value: float, width: int, signed: bool) -> int:
-    if math.isnan(value):
-        return (1 << (width - 1)) - 1 if signed else (1 << width) - 1
-    truncated = math.trunc(value) if math.isfinite(value) else value
+    old = hart.load_int(address, size)
+    value = hart.regs[instr.rs2] & ((1 << width) - 1)
     if signed:
-        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        result = combine(sign_extend(old, width), sign_extend(value, width))
     else:
-        low, high = 0, (1 << width) - 1
-    if truncated == math.inf or truncated > high:
-        return high
-    if truncated == -math.inf or truncated < low:
-        return low
-    return int(truncated)
-
-
-_FCVT_TO_INT = {
-    "fcvt.w.d": (32, True), "fcvt.wu.d": (32, False),
-    "fcvt.l.d": (64, True), "fcvt.lu.d": (64, False),
-    "fcvt.w.s": (32, True), "fcvt.wu.s": (32, False),
-    "fcvt.l.s": (64, True), "fcvt.lu.s": (64, False),
-}
-
-
-@executor(*_FCVT_TO_INT)
-def _fcvt_int(hart: Hart, instr: Instruction) -> None:
-    width, signed = _FCVT_TO_INT[instr.mnemonic]
-    result = _fcvt_to_int(hart.fregs[instr.rs1], width, signed)
-    hart.write_reg(instr.rd, sign_extend(result & ((1 << width) - 1),
-                                         width) & MASK64
-                   if width == 32 else result & MASK64)
-
-
-_FCVT_FROM_INT = {
-    "fcvt.d.w": (32, True, False), "fcvt.d.wu": (32, False, False),
-    "fcvt.d.l": (64, True, False), "fcvt.d.lu": (64, False, False),
-    "fcvt.s.w": (32, True, True), "fcvt.s.wu": (32, False, True),
-    "fcvt.s.l": (64, True, True), "fcvt.s.lu": (64, False, True),
-}
-
-
-@executor(*_FCVT_FROM_INT)
-def _fcvt_float(hart: Hart, instr: Instruction) -> None:
-    width, signed, single = _FCVT_FROM_INT[instr.mnemonic]
-    raw = hart.regs[instr.rs1] & ((1 << width) - 1)
-    value = float(sign_extend(raw, width) if signed else raw)
-    hart.fregs[instr.rd] = round_f32(value) if single else value
-
-
-@executor("fcvt.s.d")
-def _fcvt_s_d(hart: Hart, instr: Instruction) -> None:
-    hart.fregs[instr.rd] = round_f32(hart.fregs[instr.rs1])
-
-
-@executor("fcvt.d.s")
-def _fcvt_d_s(hart: Hart, instr: Instruction) -> None:
-    hart.fregs[instr.rd] = hart.fregs[instr.rs1]
-
-
-@executor("fmv.x.d")
-def _fmv_x_d(hart: Hart, instr: Instruction) -> None:
-    hart.write_reg(instr.rd, f64_to_bits(hart.fregs[instr.rs1]))
-
-
-@executor("fmv.d.x")
-def _fmv_d_x(hart: Hart, instr: Instruction) -> None:
-    hart.fregs[instr.rd] = bits_to_f64(hart.regs[instr.rs1])
-
-
-@executor("fmv.x.w")
-def _fmv_x_w(hart: Hart, instr: Instruction) -> None:
-    raw = f32_to_bits(hart.fregs[instr.rs1])
-    hart.write_reg(instr.rd, sign_extend(raw, 32) & MASK64)
-
-
-@executor("fmv.w.x")
-def _fmv_w_x(hart: Hart, instr: Instruction) -> None:
-    hart.fregs[instr.rd] = bits_to_f32(hart.regs[instr.rs1])
-
-
-@executor("fclass.d", "fclass.s")
-def _fclass(hart: Hart, instr: Instruction) -> None:
-    value = hart.fregs[instr.rs1]
-    if math.isnan(value):
-        result = 1 << 9  # quiet NaN
-    elif value == math.inf:
-        result = 1 << 7
-    elif value == -math.inf:
-        result = 1 << 0
-    elif value == 0.0:
-        result = 1 << 4 if math.copysign(1.0, value) > 0 else 1 << 3
-    elif value > 0:
-        result = 1 << 6
-    else:
-        result = 1 << 1
-    hart.write_reg(instr.rd, result)
+        result = combine(old, value)
+    hart.store_int(address, result, size)
+    hart.write_reg(instr.rd, sign_extend(old, width))
 
 
 # Vector executors register themselves into EXEC on import.

@@ -8,6 +8,10 @@ caches *basic blocks* — straight-line decode runs ending at a branch,
 jump, or any instruction the interpreter must handle — and specialises
 each block into one generated-and-``compile()``d Python function with
 register file accesses, L1 lookups, and sparse-memory accesses inlined.
+What an instruction *computes* is not spelled here: the emitted
+expressions, access sizes and branch conditions are the rows of
+:mod:`repro.spike.semantics`, the table the interpreter's executors are
+derived from too; this module adds the timing model around them.
 
 Fidelity contract (bit-identical to the interpreter, proven by
 ``tests/coyote/test_translate.py`` and the differential suite):
@@ -63,31 +67,24 @@ else.
 
 from __future__ import annotations
 
-import math
+import re
 import struct
 
 from repro.soc.memory import PAGE_SIZE
-from repro.spike.hart import (
-    _FCVT_FROM_INT,
-    _FCVT_TO_INT,
-    _FP_BIN_D,
-    _FP_BIN_S,
-    _OP32_FUNCS,
-    _OP_FUNCS,
-    Trap,
-    _fcvt_to_int,
-    bits_to_f32,
-    bits_to_f64,
-    f32_to_bits,
-    f64_to_bits,
-    round_f32,
+from repro.spike.hart import Trap
+from repro.spike.semantics import (
+    BRANCHES,
+    COMPUTE,
+    FN,
+    HELPERS,
+    LOADS,
+    STORES,
+    X_XX,
 )
 from repro.spike.simulator import AccessKind, MissRequest
-from repro.utils.bitops import MASK32, MASK64, sign_extend
+from repro.utils.bitops import MASK64
 
 MAX_BLOCK = 64
-
-_M64 = "0xFFFFFFFFFFFFFFFF"
 
 
 class BlockExit:
@@ -137,134 +134,24 @@ def _data_miss(l1, tag, is_write, core_id, registers, pc):
     return misses
 
 
-def _fclass_value(value):
-    if math.isnan(value):
-        return 1 << 9
-    if value == math.inf:
-        return 1 << 7
-    if value == -math.inf:
-        return 1 << 0
-    if value == 0.0:
-        return 1 << 4 if math.copysign(1.0, value) > 0 else 1 << 3
-    if value > 0:
-        return 1 << 6
-    return 1 << 1
-
-
-# -- helper-op dictionaries (rare operations stay as one call) --------------
-
-def _masked(fn):
-    return lambda a, b: fn(a, b) & MASK64
-
-
-def _masked_w(fn):
-    return lambda a, b: sign_extend(fn(a, b), 32) & MASK64
-
-
-def _rounded(fn):
-    return lambda a, b: round_f32(fn(a, b))
-
-
-OPS: dict = {}
-for _name in ("mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"):
-    OPS[_name] = _masked(_OP_FUNCS[_name])
-for _name in ("divw", "divuw", "remw", "remuw"):
-    OPS[_name] = _masked_w(_OP32_FUNCS[_name])
-for _name in ("fdiv.d", "fmin.d", "fmax.d",
-              "fsgnj.d", "fsgnjn.d", "fsgnjx.d"):
-    OPS[_name] = _FP_BIN_D[_name]
-for _name in ("fdiv.s", "fmin.s", "fmax.s",
-              "fsgnj.s", "fsgnjn.s", "fsgnjx.s"):
-    OPS[_name] = _rounded(_FP_BIN_S[_name])
-
-
-def _fcvt_int_op(width, signed):
-    if width == 32:
-        return lambda v: sign_extend(_fcvt_to_int(v, 32, signed) & MASK32,
-                                     32) & MASK64
-    return lambda v: _fcvt_to_int(v, 64, signed) & MASK64
-
-
-def _fcvt_float_op(width, signed, single):
-    mask = (1 << width) - 1
-
-    def convert(raw):
-        raw &= mask
-        value = float(sign_extend(raw, width) if signed else raw)
-        return round_f32(value) if single else value
-    return convert
-
-
-UN: dict = {
-    "fsqrt.d": lambda v: math.sqrt(v) if v >= 0 else math.nan,
-    "fsqrt.s": lambda v: round_f32(math.sqrt(v) if v >= 0 else math.nan),
-    "fcvt.s.d": round_f32,
-    "fcvt.d.s": lambda v: v,
-    "fmv.x.d": f64_to_bits,
-    "fmv.d.x": bits_to_f64,
-    "fmv.x.w": lambda v: sign_extend(f32_to_bits(v), 32) & MASK64,
-    "fmv.w.x": bits_to_f32,
-    "fclass.d": _fclass_value,
-    "fclass.s": _fclass_value,
-}
-for _name, (_width, _signed) in _FCVT_TO_INT.items():
-    UN[_name] = _fcvt_int_op(_width, _signed)
-for _name, (_width, _signed, _single) in _FCVT_FROM_INT.items():
-    UN[_name] = _fcvt_float_op(_width, _signed, _single)
-
-# Unary-op register routing: f->f, f->x, x->f.
-_UN_FF = frozenset({"fsqrt.d", "fsqrt.s", "fcvt.s.d", "fcvt.d.s"})
-_UN_FX = frozenset({"fmv.x.d", "fmv.x.w", "fclass.d", "fclass.s"}
-                   | set(_FCVT_TO_INT))
-_UN_XF = frozenset({"fmv.d.x", "fmv.w.x"} | set(_FCVT_FROM_INT))
-
-# -- mnemonic categories ----------------------------------------------------
-
-_I_OPS = frozenset({"addi", "slti", "sltiu", "xori", "ori", "andi", "slli",
-                    "srli", "srai", "addiw", "slliw", "srliw", "sraiw",
-                    "lui", "auipc"})
-_R_SIMPLE = frozenset({"add", "sub", "sll", "slt", "sltu", "xor", "srl",
-                       "sra", "or", "and", "mul"})
-_R_HELPER = frozenset({"mulh", "mulhsu", "mulhu", "div", "divu", "rem",
-                       "remu", "divw", "divuw", "remw", "remuw"})
-_W_SIMPLE = frozenset({"addw", "subw", "sllw", "srlw", "sraw", "mulw"})
-_BRANCH_OPS = {"beq": "==", "bne": "!=", "bltu": "<", "bgeu": ">=",
-               "blt": "<", "bge": ">="}
-_SIGNED_BRANCHES = frozenset({"blt", "bge"})
-_LOAD_OPS = frozenset({"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu",
-                       "flw", "fld"})
-_LOAD_SIZE = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4,
-              "ld": 8, "flw": 4, "fld": 8}
-_STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4, "sd": 8, "fsw": 4, "fsd": 8}
-_FP_ARITH = {"fadd": "+", "fsub": "-", "fmul": "*"}
-_FMA_EXPR = {"fmadd": "f[{a}] * f[{b}] + f[{c}]",
-             "fmsub": "f[{a}] * f[{b}] - f[{c}]",
-             "fnmadd": "-(f[{a}] * f[{b}]) - f[{c}]",
-             "fnmsub": "-(f[{a}] * f[{b}]) + f[{c}]"}
-_FCMP = {"feq": "==", "flt": "<", "fle": "<="}
-
-_CONTROL_OK = frozenset(_BRANCH_OPS) | {"jal", "jalr"}
-
-_TRANSLATABLE = frozenset(
-    set(_I_OPS) | _R_SIMPLE | _R_HELPER | _W_SIMPLE | set(_BRANCH_OPS)
-    | {"jal", "jalr"} | _LOAD_OPS | set(_STORE_SIZE)
-    | {f"{base}.{sz}" for base in _FP_ARITH for sz in ("s", "d")}
-    | set(OPS) - set(_OP_FUNCS) - set(_OP32_FUNCS)
-    | {f"{base}.{sz}" for base in _FMA_EXPR for sz in ("s", "d")}
-    | {f"{base}.{sz}" for base in _FCMP for sz in ("s", "d")}
-    | _UN_FF | _UN_FX | _UN_XF)
+# What a block may contain: every row of the semantics table, plus the
+# two jumps this module emits by hand.
+_LOAD_OPS = frozenset(LOADS)
+_CONTROL_OK = frozenset(BRANCHES) | {"jal", "jalr"}
+_TRANSLATABLE = frozenset(COMPUTE) | _LOAD_OPS | frozenset(STORES) \
+    | _CONTROL_OK
 
 # Globals shared by every compiled factory (the generated code's module
 # namespace).  Struct methods are pre-bound so a load is one call.
 _G = {
-    # Generated code runs with empty builtins by design; the one
-    # exception class the fused cache probes catch is passed in.
+    # Everything a row expression may call.
+    **HELPERS,
+    # Generated code runs with empty builtins by design; the exception
+    # classes its fused probes and packs catch are passed in.
     "__builtins__": {},
     "KeyError": KeyError,
-    "OPS": OPS,
-    "UN": UN,
+    "OverflowError": OverflowError,
     "DMISS": _data_miss,
-    "R": round_f32,
     "U2": struct.Struct("<H").unpack_from,
     "U4": struct.Struct("<I").unpack_from,
     "U8": struct.Struct("<Q").unpack_from,
@@ -282,17 +169,33 @@ def _x(reg: int) -> str:
     return "0" if reg == 0 else f"x[{reg}]"
 
 
-def _sx64(setup: list, reg: int, tmp: str) -> str:
-    """Signed view of integer register ``reg`` (64-bit)."""
-    if reg == 0:
-        return "0"
-    setup.append(f"{tmp} = x[{reg}]")
-    return f"({tmp} - (({tmp} >> 63) << 64))"
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
 
 
-_SIGN_OR = {1: ("0x80", "0xFFFFFFFFFFFFFF00"),
-            2: ("0x8000", "0xFFFFFFFFFFFF0000"),
-            4: ("0x80000000", "0xFFFFFFFF00000000")}
+def _substitute(emit, expr: str, operands: tuple, ins, pc: int):
+    """Paste a semantics-table expression into block source.
+
+    Each operand name becomes the register read it stands for
+    (``x[n]``/``f[n]``) or, for immediates, the pc and reads of ``x0``,
+    a literal.  A register the expression names more than once is read
+    once, into a temp.  Returns the text, and the operand values when
+    every one of them was a translate-time constant (else ``None``).
+    """
+    names = _NAME.findall(expr)
+    text = {}
+    constants = []
+    for index, (name, file, field) in enumerate(operands, 1):
+        value = pc if field == "pc" else getattr(ins, field)
+        if file is None or (file == "x" and value == 0):
+            text[name] = str(value)
+            constants.append(value)
+        elif names.count(name) > 1:
+            emit(2, f"w{index} = {file}[{value}]")
+            text[name] = f"w{index}"
+        else:
+            text[name] = f"{file}[{value}]"
+    source = _NAME.sub(lambda match: text.get(match[0], match[0]), expr)
+    return source, constants if len(constants) == len(operands) else None
 
 
 def _discover(hart, pc: int, uop: bool = False) -> list:
@@ -325,7 +228,7 @@ def _discover(hart, pc: int, uop: bool = False) -> list:
         if instr.is_control or mnemonic not in _TRANSLATABLE:
             break
         if uop and instrs and (mnemonic in _LOAD_OPS
-                               or mnemonic in _STORE_SIZE):
+                               or mnemonic in STORES):
             break
         instrs.append(instr)
         cursor += 4
@@ -384,7 +287,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         loads_before[k + 1] = loads_before[k] + \
             (1 if ins.mnemonic in _LOAD_OPS else 0)
         stores_before[k + 1] = stores_before[k] + \
-            (1 if ins.mnemonic in _STORE_SIZE else 0)
+            (1 if ins.mnemonic in STORES else 0)
 
     pre: list[str] = []
     body: list[str] = []
@@ -441,8 +344,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         pc = pc0 + 4 * k
         npc = pc + 4
         m = ins.mnemonic
-        rd, rs1, rs2, rs3 = ins.rd, ins.rs1, ins.rs2, ins.rs3
-        imm, sh = ins.imm, ins.shamt
+        rd, rs1, rs2, imm = ins.rd, ins.rs1, ins.rs2, ins.imm
 
         # Cycle-budget boundary: stop cleanly *before* instruction k.
         if checked and k:
@@ -468,15 +370,15 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
             emit(3, f"IM[{si}] = {tag}")
             seg_index += 1
 
-        is_mem = m in _LOAD_OPS or m in _STORE_SIZE
-        if is_mem:
-            size = _LOAD_SIZE.get(m) or _STORE_SIZE[m]
+        access = LOADS.get(m) or STORES.get(m)
+        if access:
+            size = access[0]
             if rs1 == 0:
                 emit(2, f"a = {imm & MASK64}")
             elif imm == 0:
                 emit(2, f"a = x[{rs1}]")
             else:
-                emit(2, f"a = (x[{rs1}] + {imm}) & {_M64}")
+                emit(2, f"a = (x[{rs1}] + {imm}) & 0xFFFFFFFFFFFFFFFF")
             if size > 1:
                 # Line-crossing access: bail to the interpreter, which
                 # classifies it per line.  Within-line implies
@@ -493,38 +395,28 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
             # is present for every address a program has ever written,
             # so the KeyError arm (read of untouched memory -> zero)
             # costs nothing on the path that matters.
+            _size, signed, file = access
+            if file == "f":
+                target, missing = f"f[{rd}]", "0.0"
+                raw = f"U{'D' if size == 8 else 'F'}" \
+                    "(pages[a >> 12], a & 4095)[0]"
+            else:
+                # A sign-extending load goes through ``v``.
+                target, missing = ("v" if signed else f"x[{rd}]"), "0"
+                raw = "pages[a >> 12][a & 4095]" if size == 1 \
+                    else f"U{size}(pages[a >> 12], a & 4095)[0]"
+
             def emit_value(base: int) -> None:
-                if m == "fld":
-                    emit(base, "try:")
-                    emit(base + 1,
-                         f"f[{rd}] = UD(pages[a >> 12], a & 4095)[0]")
-                    emit(base, "except KeyError:")
-                    emit(base + 1, f"f[{rd}] = 0.0")
-                elif m == "flw":
-                    emit(base, "try:")
-                    emit(base + 1,
-                         f"f[{rd}] = UF(pages[a >> 12], a & 4095)[0]")
-                    emit(base, "except KeyError:")
-                    emit(base + 1, f"f[{rd}] = 0.0")
-                elif rd:
-                    if size == 1:
-                        raw = "pages[a >> 12][a & 4095]"
-                    else:
-                        unpack = {2: "U2", 4: "U4", 8: "U8"}[size]
-                        raw = f"{unpack}(pages[a >> 12], a & 4095)[0]"
-                    if m in ("lb", "lh", "lw"):
-                        threshold, high = _SIGN_OR[size]
-                        emit(base, "try:")
-                        emit(base + 1, f"v = {raw}")
-                        emit(base, "except KeyError:")
-                        emit(base + 1, "v = 0")
-                        emit(base, f"x[{rd}] = v if v < {threshold} "
-                             f"else v | {high}")
-                    else:
-                        emit(base, "try:")
-                        emit(base + 1, f"x[{rd}] = {raw}")
-                        emit(base, "except KeyError:")
-                        emit(base + 1, f"x[{rd}] = 0")
+                if file == "x" and not rd:
+                    return
+                emit(base, "try:")
+                emit(base + 1, f"{target} = {raw}")
+                emit(base, "except KeyError:")
+                emit(base + 1, f"{target} = {missing}")
+                if file == "x" and signed:
+                    sign = 1 << (8 * size - 1)
+                    emit(base, f"x[{rd}] = v if v < 0x{sign:X} "
+                         f"else v | 0x{MASK64 ^ (2 * sign - 1):X}")
             emit(2, f"t = a >> {d_off}")
             emit(2, f"dw = dsets[t & {d_mask}]")
             emit(2, "try:")
@@ -537,7 +429,8 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
             emit_value(2)
             pre.append(f"r{k} = instrs[{k}].dests")
 
-        elif m in _STORE_SIZE:
+        elif m in STORES:
+            file = access[1]
             emit(2, f"t = a >> {d_off}")
             emit(2, f"dw = dsets[t & {d_mask}]")
             emit(2, "try:")
@@ -551,19 +444,23 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
             emit(3, "p = pages[g]")
             emit(2, "except KeyError:")
             emit(3, "p = alloc(g)")
-            if m == "fsd":
+            if file == "f" and size == 8:
                 emit(2, f"PD(p, a & 4095, f[{rs2}])")
-            elif m == "fsw":
-                emit(2, f"PF(p, a & 4095, f[{rs2}])")
-            elif m == "sb":
+            elif file == "f":
+                # Beyond the binary32 range the pack raises; the bit
+                # cast rounds to the infinity IEEE 754 asks for.
+                emit(2, "try:")
+                emit(3, f"PF(p, a & 4095, f[{rs2}])")
+                emit(2, "except OverflowError:")
+                emit(3, f"P4(p, a & 4095, f32_to_bits(f[{rs2}]))")
+            elif size == 1:
                 emit(2, f"p[a & 4095] = {_x(rs2)} & 0xFF"
                      if rs2 else "p[a & 4095] = 0")
             else:
-                pack = {2: "P2", 4: "P4", 8: "P8"}[size]
                 val = _x(rs2)
                 if size < 8 and rs2:
                     val = f"{val} & {(1 << (8 * size)) - 1:#x}"
-                emit(2, f"{pack}(p, a & 4095, {val})")
+                emit(2, f"P{size}(p, a & 4095, {val})")
             # Rare tail: self-modifying store, HTIF, or L1D miss.  The
             # common store falls through with a single compound test.
             emit(2, f"if ms is not None or g in CP or a == {tohost}:")
@@ -582,16 +479,9 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
             # block: stop cleanly and let the caller re-dispatch.
             emit_clean(3, k + 1, npc)
 
-        elif m in _BRANCH_OPS:
-            if m in _SIGNED_BRANCHES:
-                setup: list[str] = []
-                left = _sx64(setup, rs1, "w1")
-                right = _sx64(setup, rs2, "w2")
-                for text in setup:
-                    emit(2, text)
-                cond = f"{left} {_BRANCH_OPS[m]} {right}"
-            else:
-                cond = f"{_x(rs1)} {_BRANCH_OPS[m]} {_x(rs2)}"
+        elif m in BRANCHES:
+            cond, _constants = _substitute(emit, BRANCHES[m], X_XX.operands,
+                                           ins, pc)
             emit(2, f"if {cond}:")
             emit_clean(3, k + 1, (pc + imm) & MASK64)
             emit_clean(2, k + 1, npc)
@@ -611,45 +501,18 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
                 emit(2, f"x[{rd}] = {npc & MASK64}")
             emit_clean(2, k + 1, "npc")
 
-        elif m in _I_OPS:
-            if rd:
-                _emit_alu_imm(emit, m, rd, rs1, imm, sh, pc)
-        elif m in _R_SIMPLE or m in _W_SIMPLE:
-            if rd:
-                _emit_alu_reg(emit, m, rd, rs1, rs2)
-        elif m in _R_HELPER:
-            if rd:
-                pre.append(f"O{k} = OPS[{m!r}]")
-                emit(2, f"x[{rd}] = O{k}({_x(rs1)}, {_x(rs2)})")
-        elif m[:4] in _FP_ARITH and m[4:] in (".s", ".d"):
-            expr = f"f[{rs1}] {_FP_ARITH[m[:4]]} f[{rs2}]"
-            if m.endswith(".s"):
-                expr = f"R({expr})"
-            emit(2, f"f[{rd}] = {expr}")
-        elif m in OPS and m[0] == "f":
-            pre.append(f"O{k} = OPS[{m!r}]")
-            emit(2, f"f[{rd}] = O{k}(f[{rs1}], f[{rs2}])")
-        elif m[:-2] in _FMA_EXPR and m[-2:] in (".s", ".d"):
-            expr = _FMA_EXPR[m[:-2]].format(a=rs1, b=rs2, c=rs3)
-            if m.endswith(".s"):
-                expr = f"R({expr})"
-            emit(2, f"f[{rd}] = {expr}")
-        elif m[:3] in _FCMP and m[3:] in (".s", ".d"):
-            # Python comparisons on NaN are all False, matching the
-            # executor's explicit isnan -> 0 handling.
-            if rd:
-                emit(2, f"x[{rd}] = 1 if f[{rs1}] {_FCMP[m[:3]]} "
-                     f"f[{rs2}] else 0")
-        elif m in _UN_FF:
-            pre.append(f"U{k} = UN[{m!r}]")
-            emit(2, f"f[{rd}] = U{k}(f[{rs1}])")
-        elif m in _UN_FX:
-            if rd:
-                pre.append(f"U{k} = UN[{m!r}]")
-                emit(2, f"x[{rd}] = U{k}(f[{rs1}])")
-        elif m in _UN_XF:
-            pre.append(f"U{k} = UN[{m!r}]")
-            emit(2, f"f[{rd}] = U{k}({_x(rs1)})")
+        elif m in COMPUTE:
+            # The row's own expression with this instruction's operands
+            # pasted in; all-constant integer rows are evaluated now.
+            row = COMPUTE[m]
+            dest = row.form.dest
+            if rd or dest == "f":
+                expr = row.imm0 if row.imm0 and imm == 0 else row.expr
+                value, constants = _substitute(emit, expr, row.form.operands,
+                                               ins, pc)
+                if constants is not None and dest == "x":
+                    value = FN[m](*constants)
+                emit(2, f"{dest}[{rd}] = {value}")
         else:  # pragma: no cover - _discover only admits known mnemonics
             raise AssertionError(f"untranslatable mnemonic {m}")
 
@@ -676,113 +539,6 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
     lines += body
     lines.append("    return run")
     return "\n".join(lines) + "\n"
-
-
-def _emit_w_result(emit, rd: int, expr32: str) -> None:
-    """Write the 32-bit value ``expr32`` sign-extended into x[rd]."""
-    emit(2, f"w1 = {expr32}")
-    emit(2, f"x[{rd}] = (w1 - ((w1 >> 31) << 32)) & {_M64}")
-
-
-def _emit_alu_imm(emit, m, rd, rs1, imm, sh, pc) -> None:
-    a = _x(rs1)
-    if m == "lui":
-        emit(2, f"x[{rd}] = {imm & MASK64}")
-    elif m == "auipc":
-        emit(2, f"x[{rd}] = {(pc + imm) & MASK64}")
-    elif m == "addi":
-        if rs1 == 0:
-            emit(2, f"x[{rd}] = {imm & MASK64}")
-        elif imm == 0:
-            emit(2, f"x[{rd}] = x[{rs1}]")
-        else:
-            emit(2, f"x[{rd}] = (x[{rs1}] + {imm}) & {_M64}")
-    elif m == "slti":
-        setup: list[str] = []
-        left = _sx64(setup, rs1, "w1")
-        for text in setup:
-            emit(2, text)
-        emit(2, f"x[{rd}] = 1 if {left} < {imm} else 0")
-    elif m == "sltiu":
-        emit(2, f"x[{rd}] = 1 if {a} < {imm & MASK64} else 0")
-    elif m == "xori":
-        emit(2, f"x[{rd}] = {a} ^ {imm & MASK64}")
-    elif m == "ori":
-        emit(2, f"x[{rd}] = {a} | {imm & MASK64}")
-    elif m == "andi":
-        emit(2, f"x[{rd}] = {a} & {imm & MASK64}")
-    elif m == "slli":
-        emit(2, f"x[{rd}] = ({a} << {sh}) & {_M64}")
-    elif m == "srli":
-        emit(2, f"x[{rd}] = {a} >> {sh}")
-    elif m == "srai":
-        setup = []
-        left = _sx64(setup, rs1, "w1")
-        for text in setup:
-            emit(2, text)
-        emit(2, f"x[{rd}] = ({left} >> {sh}) & {_M64}")
-    elif m == "addiw":
-        _emit_w_result(emit, rd, f"({a} + {imm}) & 0xFFFFFFFF")
-    elif m == "slliw":
-        _emit_w_result(emit, rd, f"({a} << {sh}) & 0xFFFFFFFF")
-    elif m == "srliw":
-        _emit_w_result(emit, rd, f"({a} & 0xFFFFFFFF) >> {sh}")
-    elif m == "sraiw":
-        emit(2, f"w1 = {a} & 0xFFFFFFFF")
-        emit(2, f"x[{rd}] = ((w1 - ((w1 >> 31) << 32)) >> {sh}) & {_M64}")
-    else:  # pragma: no cover
-        raise AssertionError(m)
-
-
-def _emit_alu_reg(emit, m, rd, rs1, rs2) -> None:
-    a, b = _x(rs1), _x(rs2)
-    if m == "add":
-        emit(2, f"x[{rd}] = ({a} + {b}) & {_M64}")
-    elif m == "sub":
-        emit(2, f"x[{rd}] = ({a} - {b}) & {_M64}")
-    elif m == "mul":
-        emit(2, f"x[{rd}] = ({a} * {b}) & {_M64}")
-    elif m == "xor":
-        emit(2, f"x[{rd}] = {a} ^ {b}")
-    elif m == "or":
-        emit(2, f"x[{rd}] = {a} | {b}")
-    elif m == "and":
-        emit(2, f"x[{rd}] = {a} & {b}")
-    elif m == "sll":
-        emit(2, f"x[{rd}] = ({a} << ({b} & 63)) & {_M64}")
-    elif m == "srl":
-        emit(2, f"x[{rd}] = {a} >> ({b} & 63)")
-    elif m == "sra":
-        setup: list[str] = []
-        left = _sx64(setup, rs1, "w1")
-        for text in setup:
-            emit(2, text)
-        emit(2, f"x[{rd}] = ({left} >> ({b} & 63)) & {_M64}")
-    elif m == "sltu":
-        emit(2, f"x[{rd}] = 1 if {a} < {b} else 0")
-    elif m == "slt":
-        setup = []
-        left = _sx64(setup, rs1, "w1")
-        right = _sx64(setup, rs2, "w2")
-        for text in setup:
-            emit(2, text)
-        emit(2, f"x[{rd}] = 1 if {left} < {right} else 0")
-    elif m == "addw":
-        _emit_w_result(emit, rd, f"({a} + {b}) & 0xFFFFFFFF")
-    elif m == "subw":
-        _emit_w_result(emit, rd, f"({a} - {b}) & 0xFFFFFFFF")
-    elif m == "mulw":
-        _emit_w_result(emit, rd, f"({a} * {b}) & 0xFFFFFFFF")
-    elif m == "sllw":
-        _emit_w_result(emit, rd, f"({a} << ({b} & 31)) & 0xFFFFFFFF")
-    elif m == "srlw":
-        _emit_w_result(emit, rd, f"({a} & 0xFFFFFFFF) >> ({b} & 31)")
-    elif m == "sraw":
-        emit(2, f"w1 = {a} & 0xFFFFFFFF")
-        emit(2, f"x[{rd}] = ((w1 - ((w1 >> 31) << 32)) >> "
-             f"({b} & 31)) & {_M64}")
-    else:  # pragma: no cover
-        raise AssertionError(m)
 
 
 # Compiled factories are pure functions of (code words, geometry,

@@ -18,13 +18,10 @@ import struct
 
 from repro.isa.decoder import Instruction
 from repro.isa.vtype import VType
-from repro.spike.hart import (
-    EXEC,
-    Hart,
-    Trap,
+from repro.spike.hart import EXEC, Hart, Trap, executor
+from repro.spike.semantics import (
     bits_to_f32,
     bits_to_f64,
-    executor,
     f32_to_bits,
     f64_to_bits,
     fp_div,
