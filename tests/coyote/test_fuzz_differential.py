@@ -6,9 +6,13 @@ programs.  Each generated program mixes straight-line RV64IM ALU work,
 scalar FP (``.s``/``.d`` arithmetic, FMA, compares, conversions, moves,
 sign injection), integer and FP loads and stores into per-hart and
 shared cache lines, counted loops, forward branches, one
-``rdcycle``/``rdinstret`` read and (in a variant) a store into the
-hart's own upcoming code followed by ``fence.i``.  It runs at 1, 2 and
-8 cores through
+``rdcycle``/``rdinstret`` read, RVV (``vsetvli``/``vsetivli`` at
+e8-e64 and m1/m2 with drawn AVLs, unit-stride / strided / indexed
+loads and stores, element-wise integer and FP operations in every
+shape, multiply-accumulates, compares into a mask, ``v0.t``-masked
+forms, reductions, moves, merges, slides and gathers) and (in a
+variant) a store into the hart's own upcoming code followed by
+``fence.i``.  It runs at 1, 2 and 8 cores through
 
 (a) the reference loop (``use_reference_loop``),
 (b) the fast loop with ``translate=False``,
@@ -18,9 +22,11 @@ each in four modes — plain, interval sampler on, paused at a drawn
 cycle then resumed, and the invariant checker live at a drawn interval
 (lockstep cycles under full-budget run-ahead, and the retire-credit
 invariant on every generated program) — and everything observable must
-agree: the results document minus host fields, every hart's integer
-and FP register files (FP by bit pattern, any NaN equal to any other),
-and the data and patched-code bytes the program touched.
+agree: the results document minus host fields, every hart's integer,
+FP and vector register files (FP by bit pattern, any NaN equal to any
+other; vector registers byte for byte outside the numeric domain
+described below), ``vl`` and ``vtype``, and the data and patched-code
+bytes the program touched.
 
 The examples are derandomized (same programs on every run).  Tier-1
 runs the default profile below; CI's ``translate-smoke`` job runs the
@@ -34,6 +40,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.assembler import assemble
+from repro.assembler.encoder import supported_mnemonics
 from repro.coyote import Simulation, SimulationConfig
 from repro.resilience import ResilienceConfig
 from repro.telemetry import TelemetryConfig
@@ -44,7 +51,8 @@ _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
 # Work registers the generator may read and write freely.  a0 keeps the
 # hart id for the whole body (read-only: it is what makes the harts
 # diverge); s8 (shared base), s9 (per-hart base), s2 (loop counter),
-# t3/t4 (patch scratch) and t6 (exit) belong to the scaffolding.
+# t3/t4 (patch scratch), t4/t5 (vector stride and address scratch, set
+# right before each use) and t6 (exit) belong to the scaffolding.
 _WORK = ("t0", "t1", "t2", "a1", "a2", "a3", "a4", "a5")
 _BASES = ("s8", "s9")
 
@@ -99,10 +107,15 @@ def _offset(size):
 
 
 @st.composite
-def _simple_op(draw):
-    """One straight-line instruction (no control flow)."""
-    kind = draw(st.sampled_from(("rr", "imm", "shift", "load", "store",
-                                 "fp", "fp-memory")))
+def _simple_op(draw, vtype=None):
+    """One straight-line instruction (no control flow); under a static
+    ``vtype = (sew, lmul)`` also vector instructions, which may come
+    with set-up lines of their own."""
+    kind = draw(st.sampled_from(
+        ("rr", "imm", "shift", "load", "store", "fp", "fp-memory")
+        + (("vector", "vector", "vector") if vtype else ())))
+    if kind == "vector":
+        return "\n    ".join(draw(_vector_op(*vtype)))
     if kind == "fp":
         return draw(_fp_op())
     if kind == "fp-memory":
@@ -173,14 +186,242 @@ def _fp_op(draw):
     return f"fmv.{size}.x {draw(_fany)}, {draw(_src)}"
 
 
+# ---------------------------------------------------------------------------
+# RVV
+# ---------------------------------------------------------------------------
+# The generator knows SEW and LMUL at every instruction: ``vsetvli`` /
+# ``vsetivli`` are only drawn between segments, never inside a loop or
+# branch body, so ``vtype`` is a static property of the program text
+# (``vl`` is not: AVLs come from work registers too).  Vector registers
+# follow the scalar FP discipline.  The *numeric* groups only receive FP
+# arithmetic (element-wise, multiply-accumulate, reductions), are read
+# only by FP arithmetic and by instructions blind to a NaN's bits (FP
+# compares into a mask, ``vfmv.f.s`` into a numeric scalar), and are
+# zeroed whenever ``vtype`` changes — so every lane holds zero or an FP
+# result at the final SEW, and they are compared lane by lane with all
+# NaNs alike.  Everything else (v0, v1 and the *exact* groups: loads,
+# integer work, moves, merges, slides, gathers, masks) is compared byte
+# for byte and is what stores and integer instructions read.  Group
+# bases are even, so an m2 group never reaches into a neighbour.
+_VLEN_BITS = 512         # SimulationConfig's default
+_VEXACT = ("v2", "v4", "v6")
+_VNUM = ("v8", "v10", "v12")
+_NUMERIC_REGISTERS = range(8, 14)
+_VMASKS = ("v0", "v1")
+
+_V_INT = ("vadd", "vsub", "vrsub", "vand", "vor", "vxor", "vsll", "vsrl",
+          "vsra", "vmin", "vminu", "vmax", "vmaxu", "vmul", "vmulh",
+          "vmulhu", "vmulhsu", "vdiv", "vdivu", "vrem", "vremu")
+_V_MACC = ("vmacc", "vnmsac", "vmadd", "vnmsub")
+_V_COMPARE = ("vmseq", "vmsne", "vmsltu", "vmslt", "vmsleu", "vmsle",
+              "vmsgtu", "vmsgt")
+_V_REDUCE = ("vredsum", "vredand", "vredor", "vredxor", "vredminu",
+             "vredmin", "vredmaxu", "vredmax")
+_V_UNSIGNED_IMM = ("vsll", "vsrl", "vsra", "vslideup", "vslidedown",
+                   "vrgather")
+_VF_ARITH = ("vfadd", "vfsub", "vfmul", "vfdiv", "vfmin", "vfmax",
+             "vfsgnj", "vfsgnjn", "vfsgnjx")
+_VF_MACC = ("vfmacc", "vfnmacc", "vfmsac", "vfnmsac", "vfmadd", "vfnmadd",
+            "vfmsub", "vfnmsub")
+_VF_COMPARE = ("vmfeq", "vmfne", "vmflt", "vmfle")
+_VF_REDUCE = ("vfredosum", "vfredusum", "vfredmin", "vfredmax")
+_ASSEMBLES = supported_mnemonics()
+
+_vexact = st.sampled_from(_VEXACT)
+_vnum = st.sampled_from(_VNUM)
+_vany = st.sampled_from(_VEXACT + _VNUM)
+_vmask = st.sampled_from(("", "", ", v0.t"))
+
+
+@st.composite
+def _vset(draw):
+    """Zero the numeric groups at full length, then a new ``vtype`` and
+    ``vl``; returns the lines and the ``(sew, lmul)`` now in force."""
+    sew = draw(st.sampled_from((8, 16, 32, 64)))
+    lmul = draw(st.sampled_from((1, 2)))
+    vlmax = _VLEN_BITS // sew * lmul
+    vtype = (f"e{sew}, m{lmul}, {draw(st.sampled_from(('ta', 'tu')))}, "
+             f"{draw(st.sampled_from(('ma', 'mu')))}")
+    lines = ["vsetvli t5, zero, e8, m2, ta, ma"] \
+        + [f"vmv.v.i {group}, 0" for group in _VNUM]
+    form = draw(st.sampled_from(("avl", "avl", "register", "vlmax", "keep",
+                                 "immediate")))
+    if form == "avl":
+        avl = draw(st.sampled_from((0, 1, 2, 3, vlmax - 1, vlmax,
+                                    vlmax + 1, 2 * vlmax, 1000)))
+        lines += [f"li t5, {avl}", f"vsetvli {draw(_reg)}, t5, {vtype}"]
+    elif form == "register":
+        lines += [f"vsetvli {draw(_reg)}, {draw(_src)}, {vtype}"]
+    elif form == "vlmax":
+        lines += [f"vsetvli {draw(_reg)}, zero, {vtype}"]
+    elif form == "keep":    # vl carried over, clipped to the new VLMAX
+        lines += [f"vsetvli zero, zero, {vtype}"]
+    else:
+        lines += [f"vsetivli {draw(_reg)}, {draw(st.integers(0, 31))}, "
+                  f"{vtype}"]
+    return lines, (sew, lmul)
+
+
+def _shapes(base, shapes):
+    return [shape for shape in shapes if f"{base}.{shape}" in _ASSEMBLES]
+
+
+@st.composite
+def _second_operand(draw, base, shape, vector=_vexact):
+    if shape == "vv":
+        return draw(vector)
+    if shape == "vx":
+        return draw(_src)
+    if shape == "vf":
+        return draw(_fany)
+    low, high = (0, 31) if base in _V_UNSIGNED_IMM else (-16, 15)
+    return str(draw(st.integers(low, high)))
+
+
+@st.composite
+def _vector_memory(draw, sew, lmul):
+    """A unit-stride, strided or indexed load or store of the current
+    SEW whose VLMAX footprint stays inside one 256-byte region; any byte
+    offset, so accesses straddle lines."""
+    size = sew // 8
+    vlmax = _VLEN_BITS // sew * lmul
+    base = draw(st.sampled_from(_BASES))
+    data = draw(_vexact)
+    store = draw(st.booleans())
+    mask = draw(_vmask)
+    mode = draw(st.sampled_from(("unit", "strided", "indexed")))
+    if mode == "unit":
+        offset = draw(st.integers(0, _PRIVATE_BYTES - vlmax * size))
+        return [f"addi t5, {base}, {offset}",
+                f"v{'s' if store else 'l'}e{sew}.v {data}, (t5){mask}"]
+    if mode == "strided":
+        stride = draw(st.sampled_from(
+            [candidate for candidate in (0, size, 2 * size, -size,
+                                         size + 1, 3)
+             if (vlmax - 1) * abs(candidate) + size <= _PRIVATE_BYTES]))
+        span = (vlmax - 1) * abs(stride) + size
+        offset = draw(st.integers(0, _PRIVATE_BYTES - span))
+        if stride < 0:
+            offset += span - size
+        return [f"addi t5, {base}, {offset}", f"li t4, {stride}",
+                f"v{'s' if store else 'l'}se{sew}.v {data}, (t5), t4{mask}"]
+    # Indexed: byte offsets (i & 15) * size, optionally reversed.
+    index = draw(_vexact.filter(lambda register: register != data))
+    lines = [f"vid.v {index}", f"vand.vi {index}, {index}, 15"]
+    if draw(st.booleans()):
+        lines.append(f"vrsub.vi {index}, {index}, 15")
+    lines += [f"vsll.vi {index}, {index}, {size.bit_length() - 1}",
+              f"addi t5, {base}, "
+              f"{draw(st.integers(0, _PRIVATE_BYTES - 16 * size))}",
+              f"v{'s' if store else 'l'}{draw(st.sampled_from('uo'))}xei"
+              f"{sew}.v {data}, (t5), {index}{mask}"]
+    return lines
+
+
+@st.composite
+def _vector_fp(draw, mask):
+    """FP vector work (SEW 32 and 64 only): arithmetic lands in a numeric
+    group; NaN-blind reads and bit-exact moves may leave it."""
+    kind = draw(st.sampled_from(("arith", "macc", "compare", "reduce",
+                                 "move")))
+    if kind == "arith":
+        base = draw(st.sampled_from(_VF_ARITH))
+        shape = draw(st.sampled_from(("vv", "vf")))
+        return (f"{base}.{shape} {draw(_vnum)}, {draw(_vany)}, "
+                f"{draw(_second_operand(base, shape, _vany))}{mask}")
+    if kind == "macc":
+        base = draw(st.sampled_from(_VF_MACC))
+        shape = draw(st.sampled_from(("vv", "vf")))
+        return (f"{base}.{shape} {draw(_vnum)}, "
+                f"{draw(_second_operand(base, shape, _vany))}, "
+                f"{draw(_vany)}{mask}")
+    if kind == "compare":
+        base = draw(st.sampled_from(_VF_COMPARE))
+        shape = draw(st.sampled_from(("vv", "vf")))
+        return (f"{base}.{shape} {draw(st.sampled_from(_VMASKS))}, "
+                f"{draw(_vany)}, "
+                f"{draw(_second_operand(base, shape, _vany))}{mask}")
+    if kind == "reduce":
+        return (f"{draw(st.sampled_from(_VF_REDUCE))}.vs {draw(_vnum)}, "
+                f"{draw(_vany)}, {draw(_vany)}{mask}")
+    return draw(st.sampled_from((
+        f"vfmv.f.s {draw(_fnum)}, {draw(_vany)}",
+        f"vfmv.s.f {draw(_vexact)}, {draw(_fexact)}",
+        f"vfmv.v.f {draw(_vexact)}, {draw(_fexact)}",
+        f"vfmerge.vfm {draw(_vexact)}, {draw(_vexact)}, {draw(_fexact)}, "
+        "v0")))
+
+
+@st.composite
+def _vector_op(draw, sew, lmul):
+    """One vector instruction (with its address or index set-up, where
+    it needs one) under the given static ``vtype``; a list of lines."""
+    kinds = ["int", "macc", "compare", "reduce", "move", "permute",
+             "memory", "memory"] + (["fp", "fp"] if sew >= 32 else [])
+    kind = draw(st.sampled_from(kinds))
+    mask = draw(_vmask)
+    if kind == "memory":
+        return draw(_vector_memory(sew, lmul))
+    if kind == "fp":
+        return [draw(_vector_fp(mask))]
+    if kind == "int":
+        base = draw(st.sampled_from(_V_INT))
+        shape = draw(st.sampled_from(_shapes(base, ("vv", "vx", "vi"))))
+        return [f"{base}.{shape} {draw(_vexact)}, {draw(_vexact)}, "
+                f"{draw(_second_operand(base, shape))}{mask}"]
+    if kind == "macc":
+        base = draw(st.sampled_from(_V_MACC))
+        shape = draw(st.sampled_from(("vv", "vx")))
+        return [f"{base}.{shape} {draw(_vexact)}, "
+                f"{draw(_second_operand(base, shape))}, "
+                f"{draw(_vexact)}{mask}"]
+    if kind == "compare":
+        base = draw(st.sampled_from(_V_COMPARE))
+        shape = draw(st.sampled_from(_shapes(base, ("vv", "vx", "vi"))))
+        return [f"{base}.{shape} {draw(st.sampled_from(_VMASKS))}, "
+                f"{draw(_vexact)}, "
+                f"{draw(_second_operand(base, shape))}{mask}"]
+    if kind == "reduce":
+        return [f"{draw(st.sampled_from(_V_REDUCE))}.vs {draw(_vexact)}, "
+                f"{draw(_vexact)}, {draw(_vexact)}{mask}"]
+    if kind == "permute":
+        base = draw(st.sampled_from(("vslideup", "vslidedown", "vrgather")))
+        shape = draw(st.sampled_from(_shapes(base, ("vv", "vx", "vi"))
+                                     if base == "vrgather"
+                                     else ("vx", "vi")))
+        if shape == "vx" and draw(st.booleans()):
+            # Mostly in-range offsets; a raw work register is nearly
+            # always beyond VLMAX.
+            scalar = [f"andi t4, {draw(_src)}, 7"]
+            operand = "t4"
+        else:
+            scalar = []
+            operand = draw(_second_operand(base, shape))
+        return scalar + [f"{base}.{shape} {draw(_vexact)}, "
+                         f"{draw(_vexact)}, {operand}{mask}"]
+    return [draw(st.sampled_from((
+        f"vmv.v.v {draw(_vexact)}, {draw(_vexact)}",
+        f"vmv.v.x {draw(_vexact)}, {draw(_src)}",
+        f"vmv.v.i {draw(_vexact)}, {draw(st.integers(-16, 15))}",
+        f"vmv.s.x {draw(_vexact)}, {draw(_src)}",
+        f"vmv.x.s {draw(_reg)}, {draw(_vexact)}",
+        f"vid.v {draw(_vexact)}{mask}",
+        f"viota.m {draw(_vexact)}, {draw(st.sampled_from(_VMASKS))}{mask}",
+        f"vmerge.vvm {draw(_vexact)}, {draw(_vexact)}, {draw(_vexact)}, v0",
+        f"vmerge.vxm {draw(_vexact)}, {draw(_vexact)}, {draw(_src)}, v0",
+        f"vmerge.vim {draw(_vexact)}, {draw(_vexact)}, "
+        f"{draw(st.integers(-16, 15))}, v0")))]
+
+
 _straight = st.lists(_simple_op(), min_size=1, max_size=6)
 
 
 @st.composite
-def _segment(draw, index):
+def _segment(draw, index, vtype=None):
     """A straight run, a counted loop or a forward branch over a run."""
     kind = draw(st.sampled_from(("straight", "loop", "branch")))
-    body = draw(_straight)
+    body = draw(st.lists(_simple_op(vtype), min_size=1, max_size=6)
+                if vtype else _straight)
     if kind == "straight":
         return body
     if kind == "loop":
@@ -199,7 +440,16 @@ def _segment(draw, index):
 def programs(draw):
     """Assembly source of one generated multi-hart program."""
     count = draw(st.integers(2, 8))
-    segments = [draw(_segment(index)) for index in range(count)]
+    # ``vtype`` is legal from the first instruction on and changes only
+    # between segments (the RVV section above says why).
+    prologue, vtype = draw(_vset())
+    segments = []
+    for index in range(count):
+        if draw(st.integers(0, 3)) == 0:
+            lines, vtype = draw(_vset())
+            segments.append(lines)
+        segments.append(draw(_segment(index, vtype)))
+    count = len(segments)
     # Exactly one timing-dependent read: any cycle or retire-count skew
     # between the loops lands in an architectural register.
     counter = draw(st.sampled_from(("rdcycle", "rdinstret")))
@@ -218,7 +468,7 @@ def programs(draw):
         ])
     segments.insert(0, [
         f"li {reg}, {draw(st.integers(-(1 << 31), (1 << 31) - 1))}"
-        for reg in _WORK[:4]])
+        for reg in _WORK[:4]] + prologue)
     return _scaffold([line for segment in segments for line in segment])
 
 
@@ -272,7 +522,26 @@ def _observe(simulation, results, program):
         struct.pack("<32d", *(math.nan if value != value else value
                               for value in hart.fregs))
         for hart in harts]
-    return data, registers, fp_registers, touched
+    return (data, registers, fp_registers, touched,
+            [_vector_state(hart) for hart in harts])
+
+
+def _vector_state(hart):
+    """``vl``, ``vtype`` and the 32 vector registers: bytes, except the
+    numeric groups, which are lanes of the final SEW with any NaN
+    standing for every NaN (RVV section above).  Below SEW 32 no FP
+    instruction ran since they were zeroed."""
+    sew = hart.vtype.sew
+    state = [hart.vl, hart.vtype.encode()]
+    for number, register in enumerate(hart.vregs):
+        raw = bytes(register)
+        if number in _NUMERIC_REGISTERS and sew >= 32:
+            lanes = struct.Struct(
+                f"<{len(raw) * 8 // sew}{'d' if sew == 64 else 'f'}")
+            raw = lanes.pack(*(math.nan if value != value else value
+                               for value in lanes.unpack(raw)))
+        state.append(raw)
+    return state
 
 
 def _run(program, cores, reference, translate, sample_interval=0,
