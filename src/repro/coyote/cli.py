@@ -41,6 +41,7 @@ from repro.resilience import (
     save_checkpoint,
 )
 from repro.resilience.faults import FaultPlan
+from repro.spike.translate import translator_totals
 from repro.telemetry import TelemetryConfig
 
 DEFAULT_SAMPLE_INTERVAL = 1000
@@ -290,6 +291,15 @@ def profile_main(argv: list[str]) -> int:
     print(f"output verified      : {verified}")
     print()
     print(render_flat(profile, top=args.top, per_core=args.per_core))
+    totals = translator_totals(simulation.orchestrator.translators)
+    if totals is not None:
+        print()
+        print(f"translator           : {totals['blocks_compiled']} blocks "
+              f"compiled, {totals['factory_hits']} served by the "
+              f"factory cache")
+        print("block enders         : " + (", ".join(
+            f"{mnemonic} {count}"
+            for mnemonic, count in totals["enders"].items()) or "none"))
     if args.annotate:
         print()
         print(render_annotated(profile, top=args.top))
@@ -1048,8 +1058,15 @@ def main(argv: list[str] | None = None) -> int:
         path = simulation.write_chrome_trace(args.chrome_trace)
         print(f"chrome trace written : {path}")
     if args.metrics_out is not None:
+        document = results.to_dict()
+        # Host-side like the rest of host_profile, and only here: the
+        # results document itself (what campaigns cache) keeps its shape.
+        # A resumed run takes its telemetry from the checkpoint, so the
+        # section may not exist yet.
+        document.setdefault("host_profile", {})["translator"] = (
+            translator_totals(simulation.orchestrator.translators))
         with open(args.metrics_out, "w") as handle:
-            json.dump(results.to_dict(), handle, indent=1)
+            json.dump(document, handle, indent=1)
             handle.write("\n")
         print(f"metrics written      : {args.metrics_out}")
 

@@ -10,7 +10,9 @@ the scalar compute, load/store and branch instructions are derived from
 the rows of :mod:`repro.spike.semantics` (the translator derives its
 emitted source from the same rows); the effectful rest — jumps, system,
 CSR, atomics — are registered here via the :func:`executor` decorator,
-and :mod:`repro.spike.vector` registers the vector ISA on import.
+and :mod:`repro.spike.vector` adds the vector ISA's: the memory and
+configuration instructions on import, a vector row's when one is first
+decoded.
 """
 
 from __future__ import annotations
@@ -139,6 +141,11 @@ def executor(*mnemonics: str):
 class Hart:
     """Architectural state and functional execution for one core."""
 
+    # The vector unit's element-access plan for the current vtype and
+    # vl (repro.spike.vector.group_plan): derived state, dropped by
+    # set_vl and never pickled.
+    _vplan = None
+
     def __init__(self, hart_id: int, memory: SparseMemory,
                  vlen_bits: int = DEFAULT_VLEN_BITS, reset_pc: int = 0,
                  code_registry: CodeCacheRegistry | None = None):
@@ -240,6 +247,7 @@ class Hart:
     def set_vl(self, avl: int, vtype: VType) -> int:
         """Apply a vset{i}vl{i}; returns the new vl."""
         self.vtype = vtype
+        self._vplan = None
         if vtype.vill:
             self.vl = 0
             return 0
@@ -290,7 +298,9 @@ class Hart:
                 instr = decode(word)
             except IllegalInstruction as exc:
                 raise IllegalInstructionTrap(pc, word) from exc
-            fn = EXEC.get(instr.mnemonic)
+            # A vector row's executor is compiled on first decode.
+            fn = EXEC.get(instr.mnemonic) \
+                or _vector.derive_executor(instr.mnemonic)
             if fn is None:
                 raise IllegalInstructionTrap(pc, word)
             entry = (instr, fn)
@@ -319,6 +329,7 @@ class Hart:
         # is rebuilt on demand, so a pickled hart travels without it.
         state = self.__dict__.copy()
         state["_decode_cache"] = {}
+        state.pop("_vplan", None)
         return state
 
     def step(self) -> Instruction:
@@ -533,5 +544,6 @@ def _amo(hart: Hart, instr: Instruction) -> None:
     hart.write_reg(instr.rd, sign_extend(old, width))
 
 
-# Vector executors register themselves into EXEC on import.
+# The vector executors register into EXEC, some on import, the rows'
+# on first decode (vector.derive_executor).
 from repro.spike import vector as _vector  # noqa: E402,F401

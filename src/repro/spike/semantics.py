@@ -1,8 +1,9 @@
-"""The one table of scalar instruction semantics.
+"""The one table of instruction semantics.
 
 Every scalar instruction that computes a value from registers and
-immediates, every scalar load/store and every conditional branch is
-defined here once.  :mod:`repro.spike.hart` derives its executors from
+immediates, every scalar load/store, every conditional branch and every
+RVV instruction that computes elements from elements is defined here
+once.  :mod:`repro.spike.hart` derives its executors from
 the table and :mod:`repro.spike.translate` derives the source it emits
 from the same rows (the approach of Guo & Mullins, PAPERS.md: generate
 interpreter and translator from one description so they cannot drift),
@@ -22,14 +23,22 @@ consumers only add operand routing (interpreter) and the timing model
   function of its operands.
 * ``HELPERS`` — the names an expression may call; rare operations stay
   one call rather than an inlined expression.
+* ``VECTOR`` — one :class:`VRow` per RVV mnemonic: what the expression
+  computes (``kind``), where its ``b`` operand comes from, how elements
+  are viewed, and one per-element expression.  ``VLOADS`` / ``VSTORES``
+  give the vector memory instructions' element width and addressing.
+  :func:`repro.spike.vector.row_source` turns a row into the statements
+  both consumers run.
 
-Effectful instructions (jumps, system, CSR, atomics) and the vector ISA
-are not rows; their executors live in ``hart.py`` / ``vector.py``.
+Effectful instructions (jumps, system, CSR, atomics, ``vsetvl``,
+``viota.m``) are not rows; their executors live in ``hart.py`` /
+``vector.py``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from typing import NamedTuple
 
@@ -179,8 +188,11 @@ HELPERS = {
     "fclass": fclass, "f64_to_bits": f64_to_bits,
     "bits_to_f64": bits_to_f64, "f32_to_bits": f32_to_bits,
     "bits_to_f32": bits_to_f32, "float": float, "sqrt": math.sqrt,
-    "nan": math.nan,
+    "nan": math.nan, "min": min, "max": max,
 }
+
+# An identifier in a row's expression: an operand name or a helper.
+NAME = re.compile(r"\b[A-Za-z_]\w*")
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +388,138 @@ BRANCHES = {
     "bltu": "a < b",
     "bgeu": "a >= b",
 }
+
+
+# ---------------------------------------------------------------------------
+# Vector rows
+# ---------------------------------------------------------------------------
+
+class VRow(NamedTuple):
+    """One RVV instruction as a per-element expression.
+
+    ``kind`` says what the expression's value is:
+
+    * ``"each"`` — element ``i`` of vd;
+    * ``"mask"`` — bit ``i`` of the mask register vd (its truth);
+    * ``"fold"`` — the next accumulator of a reduction, ``b`` being the
+      accumulator (element 0 of vs1 to begin with); element 0 of vd gets
+      the last one, and nothing is written when ``vl`` is 0;
+    * ``"pick"`` — element ``i`` of vd chosen out of ``A``, all VLMAX
+      elements of vs2 (slides, gather);
+    * ``"first"`` — element 0 of vd (written when ``vl`` > 0);
+    * ``"to_x"`` / ``"to_f"`` — the scalar register rd.
+
+    Operands by name: ``a`` is element ``i`` of vs2 (element 0 for
+    ``to_x``/``to_f``), ``d`` the old element ``i`` of vd, ``i`` the
+    element index, ``b`` whatever ``b`` names — ``"v"`` element ``i`` of
+    vs1, ``"x"`` x[rs1], ``"i"`` the immediate, ``"f"`` f[rs1] —
+    ``sew`` the element width, ``m`` its all-ones mask and ``vlmax``.
+    ``view`` is how elements and integer scalars are read: ``"u"``
+    unsigned, ``"s"`` signed, ``"f"`` the binary32/binary64 value
+    (``pick`` rows take an integer scalar as it stands: a slide amount
+    is not an element).  The value is the element *as stored*: an
+    unsigned SEW-bit integer or a float (binary32 rounding, overflow to
+    the infinity of the sign, happens where the group is packed).
+
+    Under ``v0.t`` the expression's value is kept for the active
+    elements only; with ``merge`` the others come from vs2 instead of
+    vd, which is all that ``vmerge`` adds to a masked move.
+    """
+
+    kind: str
+    b: str | None
+    view: str
+    expr: str
+    merge: bool = False
+
+
+VECTOR: dict[str, VRow] = {}
+
+_B_OF_SHAPE = {"vv": "v", "vx": "x", "vi": "i", "vf": "f", "vs": "v"}
+_OPI, _OPM, _OPF = ("vv", "vx", "vi"), ("vv", "vx"), ("vv", "vf")
+
+
+def _vrows(kind: str, view: str, shapes: tuple, rows: dict[str, str]) -> None:
+    for base, expr in rows.items():
+        for shape in shapes:
+            VECTOR[f"{base}.{shape}"] = VRow(kind, _B_OF_SHAPE[shape], view,
+                                             expr)
+
+
+_SHIFT = "(b & (sew - 1))"
+_vrows("each", "u", _OPI, {
+    "vadd": "(a + b) & m", "vsub": "(a - b) & m", "vrsub": "(b - a) & m",
+    "vand": "a & b", "vor": "a | b", "vxor": "a ^ b",
+    "vsll": f"(a << {_SHIFT}) & m", "vsrl": f"a >> {_SHIFT}",
+    "vminu": "min(a, b)", "vmaxu": "max(a, b)"})
+_vrows("each", "s", _OPI, {
+    "vsra": f"(a >> {_SHIFT}) & m",
+    "vmin": "min(a, b) & m", "vmax": "max(a, b) & m"})
+_vrows("each", "u", _OPM, {
+    "vmul": "(a * b) & m", "vmulhu": "(a * b) >> sew",
+    "vdivu": "a // b if b else m", "vremu": "a % b if b else a",
+    # Multiply-accumulate: b is vs1/rs1, a is vs2, d is vd.
+    "vmacc": "(d + b * a) & m", "vnmsac": "(d - b * a) & m",
+    "vmadd": "(d * b + a) & m", "vnmsub": "(a - d * b) & m"})
+_vrows("each", "s", _OPM, {
+    "vmulh": "((a * b) >> sew) & m", "vmulhsu": "((a * (b & m)) >> sew) & m",
+    # The most negative dividend over -1 is 2**(sew-1), i.e. itself
+    # once masked; a remainder of 0 follows.
+    "vdiv": "sdiv(a, b) & m", "vrem": "srem(a, b) & m"})
+_vrows("each", "f", _OPF, {
+    "vfadd": "a + b", "vfsub": "a - b", "vfmul": "a * b",
+    "vfdiv": "fp_div(a, b)", "vfmin": "fp_min(a, b)", "vfmax": "fp_max(a, b)",
+    "vfsgnj": "fp_sgnj(a, b)", "vfsgnjn": "fp_sgnj(a, -b)",
+    "vfsgnjx": "fp_sgnjx(a, b)",
+    "vfmacc": "b * a + d", "vfnmacc": "-(b * a) - d",
+    "vfmsac": "b * a - d", "vfnmsac": "-(b * a) + d",
+    "vfmadd": "d * b + a", "vfnmadd": "-(d * b) - a",
+    "vfmsub": "d * b - a", "vfnmsub": "-(d * b) + a"})
+
+_vrows("mask", "u", _OPI, {
+    "vmseq": "a == b", "vmsne": "a != b", "vmsltu": "a < b",
+    "vmsleu": "a <= b", "vmsgtu": "a > b"})
+_vrows("mask", "s", _OPI, {
+    "vmslt": "a < b", "vmsle": "a <= b", "vmsgt": "a > b"})
+# Python's float comparisons are IEEE's: false with a NaN, != true.
+_vrows("mask", "f", _OPF, {
+    "vmfeq": "a == b", "vmfne": "a != b", "vmflt": "a < b",
+    "vmfle": "a <= b"})
+
+_vrows("fold", "u", ("vs",), {
+    "vredsum": "(b + a) & m", "vredand": "b & a", "vredor": "b | a",
+    "vredxor": "b ^ a", "vredminu": "min(b, a)", "vredmaxu": "max(b, a)"})
+_vrows("fold", "s", ("vs",), {"vredmin": "min(b, a)", "vredmax": "max(b, a)"})
+_vrows("fold", "f", ("vs",), {
+    "vfredosum": "b + a", "vfredusum": "b + a",
+    "vfredmin": "fp_min(b, a)", "vfredmax": "fp_max(b, a)"})
+
+_vrows("pick", "u", ("vx", "vi"), {
+    "vslideup": "A[i - b] if i >= b else d",
+    "vslidedown": "A[i + b] if i + b < vlmax else 0"})
+_vrows("pick", "u", _OPI, {"vrgather": "A[b] if b < vlmax else 0"})
+
+for _shape, _b in (("v", "v"), ("x", "x"), ("i", "i")):
+    VECTOR[f"vmv.v.{_shape}"] = VRow("each", _b, "u", "b")
+    VECTOR[f"vmerge.v{_shape}m"] = VRow("each", _b, "u", "b", merge=True)
+VECTOR["vfmv.v.f"] = VRow("each", "f", "f", "b")
+VECTOR["vfmerge.vfm"] = VRow("each", "f", "f", "b", merge=True)
+VECTOR["vid.v"] = VRow("each", None, "u", "i & m")
+VECTOR["vmv.s.x"] = VRow("first", "x", "u", "b")
+VECTOR["vfmv.s.f"] = VRow("first", "f", "f", "b")
+VECTOR["vmv.x.s"] = VRow("to_x", None, "s", f"a & {_M}")
+VECTOR["vfmv.f.s"] = VRow("to_f", None, "f", "a")
+
+# mnemonic -> (element width the instruction names, addressing)
+VLOADS: dict[str, tuple] = {}
+VSTORES: dict[str, tuple] = {}
+for _eew in (8, 16, 32, 64):
+    for _table, _way in ((VLOADS, "l"), (VSTORES, "s")):
+        _table[f"v{_way}e{_eew}.v"] = (_eew, "unit")
+        _table[f"v{_way}se{_eew}.v"] = (_eew, "strided")
+        # Indexed: the width is the indices'; data elements are SEW.
+        _table[f"v{_way}uxei{_eew}.v"] = (_eew, "indexed")
+        _table[f"v{_way}oxei{_eew}.v"] = (_eew, "indexed")
 
 
 def _compile_table() -> dict:

@@ -38,10 +38,25 @@ Fidelity contract (bit-identical to the interpreter, proven by
   exits), trading three read-modify-writes per dispatch for one per
   flush.
 * **Fallback edges.**  The block exits back to the interpreter loop at
-  L1 misses, HTIF halts, line-crossing accesses, stores into decoded
-  code pages, and every untranslatable instruction (vector, AMO, CSR,
-  system).  A zero-progress exit tells the caller to take one
+  L1 misses, HTIF halts, line-crossing scalar accesses, stores into
+  decoded code pages, and every untranslatable instruction (AMO, CSR,
+  system, ``vsetvl``, ``viota.m``, masked or scattering vector memory
+  instructions).  A zero-progress exit tells the caller to take one
   interpreter step instead.
+* **Vector instructions.**  A row-backed vector instruction is the
+  statements :func:`repro.spike.vector.row_source` makes of its row —
+  the same ones its interpreter executor is compiled from — with the
+  instruction's fields as literals.  They work through the hart's
+  ``GroupPlan``, fetched once per block (again after a ``vsetvli``
+  inside it), so blocks are not keyed by ``vtype``.  A vector memory
+  instruction counts as a memory instruction for the micro-block rule;
+  it probes the L1D once per distinct line in first-touch order (what
+  ``CoreModel.step`` makes of the per-element access records: for a
+  unit-stride access the lines of its byte range, ascending, probed
+  inline; :func:`_probe_lines` for a strided or indexed load), reports
+  every miss through ``E.misses``, and stalls to the interpreter under
+  ``vill``, when a unit-stride group crosses a page, and when a store
+  range touches a decoded code page or ``tohost``.
 * **Invalidation.**  Every translated instruction was decoded through
   ``Hart.decode_at``, which registers its page(s) in the shared
   :class:`~repro.spike.hart.CodeCacheRegistry`; stores into those pages
@@ -67,8 +82,8 @@ else.
 
 from __future__ import annotations
 
-import re
 import struct
+from dataclasses import dataclass, field
 
 from repro.soc.memory import PAGE_SIZE
 from repro.spike.hart import Trap
@@ -78,10 +93,23 @@ from repro.spike.semantics import (
     FN,
     HELPERS,
     LOADS,
+    NAME,
     STORES,
+    VECTOR,
+    VLOADS,
+    VSTORES,
     X_XX,
 )
 from repro.spike.simulator import AccessKind, MissRequest
+from repro.spike.vector import (
+    decode_vtype,
+    element_addresses,
+    group_plan,
+    read_group,
+    row_source,
+    transfer,
+    write_group,
+)
 from repro.utils.bitops import MASK64
 
 MAX_BLOCK = 64
@@ -134,12 +162,45 @@ def _data_miss(l1, tag, is_write, core_id, registers, pc):
     return misses
 
 
+def _probe_lines(l1, addresses, size, is_write, core_id, registers, pc):
+    """The L1D lookups of one vector memory instruction: every line its
+    accesses touch, once, in first-touch order — what ``CoreModel.step``
+    makes of the per-element access records.  Returns the miss and
+    writeback requests, or ``None``."""
+    offset_bits = l1._offset_bits
+    kind = AccessKind.STORE if is_write else AccessKind.LOAD
+    seen = set()
+    misses = None
+    for address in addresses:
+        for tag in range(address >> offset_bits,
+                         ((address + size - 1) >> offset_bits) + 1):
+            if tag in seen:
+                continue
+            seen.add(tag)
+            result = l1.access_fast(tag << offset_bits, is_write)
+            if result is not None:
+                if misses is None:
+                    misses = []
+                misses.append(MissRequest(core_id, result[0], kind,
+                                          registers, pc=pc))
+                if result[1] is not None:
+                    misses.append(MissRequest(core_id, result[1],
+                                              AccessKind.WRITEBACK, pc=pc))
+    return misses
+
+
 # What a block may contain: every row of the semantics table, plus the
-# two jumps this module emits by hand.
+# jumps and the two vtype-immediate configuration instructions this
+# module emits by hand.  Of the vector stores only the unit-stride ones:
+# a scatter would need the code-page and ``tohost`` checks per element,
+# and no kernel scatters.
 _LOAD_OPS = frozenset(LOADS)
 _CONTROL_OK = frozenset(BRANCHES) | {"jal", "jalr"}
+_CONFIG_OK = frozenset({"vsetvli", "vsetivli"})
+_VECTOR_MEMORY = frozenset(VLOADS) | frozenset(
+    mnemonic for mnemonic, (_eew, kind) in VSTORES.items() if kind == "unit")
 _TRANSLATABLE = frozenset(COMPUTE) | _LOAD_OPS | frozenset(STORES) \
-    | _CONTROL_OK
+    | _CONTROL_OK | frozenset(VECTOR) | _VECTOR_MEMORY | _CONFIG_OK
 
 # Globals shared by every compiled factory (the generated code's module
 # namespace).  Struct methods are pre-bound so a load is one call.
@@ -151,7 +212,18 @@ _G = {
     "__builtins__": {},
     "KeyError": KeyError,
     "OverflowError": OverflowError,
+    "zip": zip,
+    "range": range,
+    "bytes": bytes,
     "DMISS": _data_miss,
+    # Vector: the plan fetch, group bytes, element-wise loads, probes.
+    "PLAN": group_plan,
+    "VTYPE": decode_vtype,
+    "RG": read_group,
+    "WG": write_group,
+    "VADDR": element_addresses,
+    "VMOVE": transfer,
+    "VLINES": _probe_lines,
     "U2": struct.Struct("<H").unpack_from,
     "U4": struct.Struct("<I").unpack_from,
     "U8": struct.Struct("<Q").unpack_from,
@@ -169,9 +241,6 @@ def _x(reg: int) -> str:
     return "0" if reg == 0 else f"x[{reg}]"
 
 
-_NAME = re.compile(r"\b[A-Za-z_]\w*")
-
-
 def _substitute(emit, expr: str, operands: tuple, ins, pc: int):
     """Paste a semantics-table expression into block source.
 
@@ -181,7 +250,7 @@ def _substitute(emit, expr: str, operands: tuple, ins, pc: int):
     once, into a temp.  Returns the text, and the operand values when
     every one of them was a translate-time constant (else ``None``).
     """
-    names = _NAME.findall(expr)
+    names = NAME.findall(expr)
     text = {}
     constants = []
     for index, (name, file, field) in enumerate(operands, 1):
@@ -194,44 +263,54 @@ def _substitute(emit, expr: str, operands: tuple, ins, pc: int):
             text[name] = f"w{index}"
         else:
             text[name] = f"{file}[{value}]"
-    source = _NAME.sub(lambda match: text.get(match[0], match[0]), expr)
+    source = NAME.sub(lambda match: text.get(match[0], match[0]), expr)
     return source, constants if len(constants) == len(operands) else None
 
 
-def _discover(hart, pc: int, uop: bool = False) -> list:
+def _discover(hart, pc: int, uop: bool = False, enders=None) -> list:
     """Collect the translatable straight-line run starting at ``pc``.
 
     Branches and jumps are included as block enders; anything the
-    interpreter must execute (vector, AMO, CSR, system, unknown) stops
-    the block *before* itself.  Decoding goes through ``decode_at`` so
-    every instruction's page is registered for store invalidation.
+    interpreter must execute (AMO, CSR, system, ``vsetvl``, a masked
+    vector memory access, unknown) stops the block *before* itself.
+    Decoding goes through ``decode_at`` so every instruction's page is
+    registered for store invalidation.  ``enders`` (mnemonic -> count)
+    is told which instruction ended the run, unless that was only the
+    length cap or the micro-block rule.
 
     With ``uop=True`` the run additionally stops *before* any memory
-    instruction past position 0: the resulting micro-block performs its
-    one (optional) memory access on the cycle it is dispatched and the
-    rest of the block touches only this core's registers.  The multicore
-    lockstep loop exploits that shape to dispatch whole micro-blocks
-    while keeping every cross-core-visible access on its exact cycle
-    (docs/INTERNALS.md, "Translated fast path").
+    instruction, scalar or vector, past position 0: the resulting
+    micro-block performs its one (optional) memory instruction on the
+    cycle it is dispatched and the rest of the block touches only this
+    core's registers.  The multicore lockstep loop exploits that shape
+    to dispatch whole micro-blocks while keeping every
+    cross-core-visible access on its exact cycle (docs/INTERNALS.md,
+    "Translated fast path").
     """
     instrs = []
     cursor = pc
+    ender = None
     while len(instrs) < MAX_BLOCK:
         try:
             instr = hart.decode_at(cursor)
         except Trap:
+            ender = "<illegal>"
             break
-        mnemonic = instr.mnemonic
+        ender = mnemonic = instr.mnemonic
         if mnemonic in _CONTROL_OK:
             instrs.append(instr)
             break
-        if instr.is_control or mnemonic not in _TRANSLATABLE:
+        if instr.is_control or mnemonic not in _TRANSLATABLE \
+                or (instr.is_vector_mem and not instr.vm):
             break
-        if uop and instrs and (mnemonic in _LOAD_OPS
-                               or mnemonic in STORES):
+        ender = None
+        if uop and instrs and (mnemonic in _LOAD_OPS or mnemonic in STORES
+                               or instr.is_vector_mem):
             break
         instrs.append(instr)
         cursor += 4
+    if enders is not None and ender is not None:
+        enders[ender] = enders.get(ender, 0) + 1
     return instrs
 
 
@@ -340,6 +419,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         emit(indent, "return E")
 
     seg_index = 0
+    have_plan = fp_checked = False
     for k, ins in enumerate(instrs):
         pc = pc0 + 4 * k
         npc = pc + 4
@@ -386,8 +466,42 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
                 # may index one backing page directly.
                 emit(2, f"if (a & {line_mask}) > {line_bytes - size}:")
                 emit_stall(3, k, pc)
+        vaccess = VLOADS.get(m) or VSTORES.get(m)
+        if m in VECTOR or vaccess:
+            # Everything vector goes through the hart's group plan,
+            # fetched once per block and again after a vsetvli in it;
+            # none under vill: the interpreter raises the trap.
+            if not have_plan:
+                emit(2, "P = hart._vplan or PLAN(hart)")
+                emit(2, "if P is None:")
+                emit_stall(3, k, pc)
+                have_plan, fp_checked = True, False
+            if m in VECTOR and VECTOR[m].view == "f" and not fp_checked:
+                emit(2, "if P.sew < 32:")
+                emit_stall(3, k, pc)
+                fp_checked = True
+        if vaccess:
+            eew, addressing = vaccess
+            if addressing == "unit":
+                # One byte range [a, a + n) inside one backing page;
+                # the interpreter takes the group that crosses a page,
+                # and the store that reaches decoded code or tohost.
+                emit(2, f"a = {_x(rs1)}")
+                emit(2, f"n = P.vl * {eew // 8}")
+                emit(2, "o = a & 4095")
+                stall = "o + n > 4096"
+                if m in VSTORES:
+                    stall += f" or a >> 12 in CP or a <= {tohost} < a + n"
+                emit(2, f"if {stall}:")
+                emit_stall(3, k, pc)
+            else:
+                # Element addresses and the element size.
+                emit(2, f"A, z = VADDR(hart, i{k}, P, {eew}, "
+                        f"{addressing!r})")
         if profiled:
             emit(2, f"prof.retire({pc}, i{k})")
+        if profiled or (vaccess and vaccess[1] != "unit") \
+                or m in _CONFIG_OK:
             pre.append(f"i{k} = instrs[{k}]")
 
         if m in _LOAD_OPS:
@@ -501,6 +615,72 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
                 emit(2, f"x[{rd}] = {npc & MASK64}")
             emit_clean(2, k + 1, "npc")
 
+        elif vaccess:
+            is_store = m in VSTORES
+            registers = "()" if is_store else f"r{k}"
+            if not is_store:
+                pre.append(f"r{k} = instrs[{k}].dests")
+            if addressing != "unit":
+                emit(2, f"VMOVE(hart, i{k}, A, z, True)")
+                emit(2, f"ms = VLINES(l1d, A, z, False, cid, r{k}, {pc})")
+            else:
+                if is_store:
+                    emit(2, "if n:")
+                    emit(3, "g = a >> 12")
+                    emit(3, "try:")
+                    emit(4, "p = pages[g]")
+                    emit(3, "except KeyError:")
+                    emit(4, "p = alloc(g)")
+                    emit(3, f"p[o:o + n] = RG(V, {rd}, n, hart.vlenb)")
+                else:
+                    emit(2, "try:")
+                    emit(3, f"WG(V, {rd}, pages[a >> 12][o:o + n], "
+                            "hart.vlenb)")
+                    emit(2, "except KeyError:")
+                    emit(3, f"WG(V, {rd}, bytes(n), hart.vlenb)")
+                # The scalar probe once per line of [a, a + n),
+                # ascending: the order a unit-stride access first
+                # touches them in (no line when vl is 0).
+                emit(2, "ms = None")
+                emit(2, f"for t in range(a >> {d_off}, "
+                        f"(a + n - 1 >> {d_off}) + 1) if n else ():")
+                emit(3, f"dst.{'writes' if is_store else 'reads'} += 1")
+                emit(3, f"dw = dsets[t & {d_mask}]")
+                emit(3, "try:")
+                if is_store:
+                    emit(4, "dw.pop(t)")
+                    emit(4, "dw[t] = True")
+                else:
+                    emit(4, "dw[t] = dw.pop(t)")
+                emit(3, "except KeyError:")
+                emit(4, f"q = DMISS(l1d, t, {is_store}, cid, {registers}, "
+                        f"{pc})")
+                emit(4, "ms = q if ms is None else ms + q")
+            emit(2, "if ms is not None:")
+            emit(3, "E.misses = ms")
+            emit(3, "E.halted = False")
+            emit_event(3, k + 1, npc)
+
+        elif m in VECTOR:
+            # The row's statements, the ones its interpreter executor
+            # is made of, over this instruction's fields.
+            for line in row_source(m, rd, rs1, rs2, imm, ins.vm):
+                emit(2, line)
+
+        elif m in _CONFIG_OK:
+            if m == "vsetivli":
+                avl = ins.shamt
+            elif rs1:
+                avl = f"x[{rs1}]"
+            else:
+                # rs1 = x0: VLMAX when rd is named, else keep vl.
+                avl = 1 << 62 if rd else "hart.vl"
+            emit(2, f"n = hart.set_vl({avl}, vt{k})")
+            if rd:
+                emit(2, f"x[{rd}] = n")
+            pre.append(f"vt{k} = VTYPE(i{k}.imm)")
+            have_plan = False
+
         elif m in COMPUTE:
             # The row's own expression with this instruction's operands
             # pasted in; all-constant integer rows are evaluated now.
@@ -522,6 +702,8 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
 
     for s in range(len(seg_tags)):
         pre.append(f"iw{s} = isets[{seg_tags[s] & i_mask}]")
+    if any(ins.is_vector for ins in instrs):
+        pre.append("V = hart.vregs")
 
     lines = [
         "def _factory(C):",
@@ -560,12 +742,47 @@ def _zero_progress_stub(exit_obj):
     return run
 
 
+@dataclass
+class TranslatorStats:
+    """What one core's translator did, counted where it translates —
+    never by a running block, so the counters cost a run nothing."""
+
+    blocks_compiled: int = 0   # block sources generated and compile()d
+    factory_hits: int = 0      # blocks served by the machine-wide cache
+    # mnemonic -> how often it ended a block or made a pc untranslatable
+    # ("<illegal>": an undecodable word).
+    enders: dict = field(default_factory=dict)
+
+
+def translator_totals(translators) -> dict | None:
+    """One run's translator counters summed over its cores, JSON-ready
+    (``None`` when the run did not translate); enders most frequent
+    first."""
+    if translators is None:
+        return None
+    enders: dict = {}
+    for translator in translators:
+        for mnemonic, count in translator.stats.enders.items():
+            enders[mnemonic] = enders.get(mnemonic, 0) + count
+    return {
+        "blocks_compiled": sum(translator.stats.blocks_compiled
+                               for translator in translators),
+        "factory_hits": sum(translator.stats.factory_hits
+                            for translator in translators),
+        "enders": dict(sorted(enders.items(),
+                              key=lambda item: (-item[1], item[0]))),
+    }
+
+
 def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
-                 d_off, d_mask, checked=True):
+                 d_off, d_mask, checked, stats):
     key = (pc0, tuple(ins.word for ins in instrs), profiled, tohost,
            i_off, i_mask, d_off, d_mask, checked)
     factory = _FACTORY_CACHE.get(key)
-    if factory is None:
+    if factory is not None:
+        stats.factory_hits += 1
+    else:
+        stats.blocks_compiled += 1
         source = _build_source(pc0, instrs, profiled, tohost,
                                i_off, i_mask, d_off, d_mask, checked)
         code = compile(source, f"<block@{pc0:#x}>", "exec")
@@ -602,6 +819,7 @@ class BlockTranslator:
         self._bounds: dict = {}
         self._ubounds: dict = {}
         self._exit = BlockExit()
+        self.stats = TranslatorStats()
         hart = core.hart
         hart._code_caches.append(self)
         hart.code_registry.register_cache(self)
@@ -611,7 +829,8 @@ class BlockTranslator:
 
     def translate(self, pc: int):
         """Translate the block at ``pc``; returns a run-fn or ``False``."""
-        instrs = _discover(self.core.hart, pc) if self._enabled else []
+        instrs = _discover(self.core.hart, pc, enders=self.stats.enders) \
+            if self._enabled else []
         return self._install(pc, instrs, self.cache, self._bounds)
 
     def translate_uop(self, pc: int):
@@ -619,7 +838,8 @@ class BlockTranslator:
         position 0); installs the checked variant in ``ucache`` and its
         unchecked twin in ``ufast`` (sharing ``_ubounds``), returning
         the checked run-fn or ``False``."""
-        instrs = _discover(self.core.hart, pc, uop=True) \
+        instrs = _discover(self.core.hart, pc, uop=True,
+                           enders=self.stats.enders) \
             if self._enabled else []
         fn = self._install(pc, instrs, self.ucache, self._ubounds)
         if fn is False:
@@ -650,7 +870,7 @@ class BlockTranslator:
         factory = _factory_for(pc, instrs, profiled, tohost,
                                l1i._offset_bits, l1i._index_mask,
                                l1d._offset_bits, l1d._index_mask,
-                               checked)
+                               checked, self.stats)
         memory = machine.memory
         context = (hart, hart.regs, hart.fregs, core, self._exit,
                    core.profile, instrs, l1i, l1d, memory._pages,
@@ -695,4 +915,13 @@ class BlockTranslator:
         state["ufast"] = {}
         state["_bounds"] = {}
         state["_ubounds"] = {}
+        # Counters of what was translated go with what was translated.
+        del state["stats"]
         return state
+
+    def __setstate__(self, state):
+        # Fresh counters on load rather than pickled zeros: a checkpoint
+        # of this CHECKPOINT_FORMAT written before the counters existed
+        # carries none, and must still resume.
+        self.__dict__.update(state)
+        self.stats = TranslatorStats()

@@ -1,39 +1,41 @@
-"""RVV-subset vector executors.
+"""The RVV subset: whole-group execution of the vector semantics rows.
 
-Registered into :data:`repro.spike.hart.EXEC` on import.  The model follows
-RVV 1.0 semantics for the subset the kernels need: vset{i}vl{i}, unit-stride
-/ strided / indexed loads and stores, integer and FP arithmetic (including
-multiply-accumulate), reductions, masks, merges, slides and gathers.
+What a vector instruction *computes* is a row of
+:mod:`repro.spike.semantics` (``VECTOR``, ``VLOADS``, ``VSTORES``).  This
+module turns a row into statements (:func:`row_source`) that work on a
+whole register group at once — one ``struct`` unpack per source group,
+one list comprehension applying the row's expression, one pack that
+leaves the tail bytes alone — and compiles an interpreter executor
+from them when a hart first decodes the mnemonic;
+:mod:`repro.spike.translate` pastes the same statements, with the
+instruction's fields as literals, into block source.  The
+memory instructions, ``vset{i}vl{i}`` and ``viota.m`` are written out
+here; the translator reuses their pieces (:func:`element_addresses`,
+:func:`transfer`, :func:`read_group`, :func:`write_group`).
 
 Elements are stored little-endian inside each vector register's backing
-``bytearray``; LMUL > 1 treats consecutive registers as one group.  Masked
-elements (``vm = 0`` and mask bit clear) are left undisturbed, which is a
-legal mask-undisturbed implementation.
+``bytearray``; LMUL > 1 treats consecutive registers as one group.
+Masked-off elements (``vm = 0`` and mask bit clear) and the tail are
+left undisturbed, which is a legal implementation of both policies.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import struct
 
 from repro.isa.decoder import Instruction
 from repro.isa.vtype import VType
-from repro.spike.hart import EXEC, Hart, Trap, executor
+from repro.spike.hart import Hart, MemAccess, Trap, executor
 from repro.spike.semantics import (
-    bits_to_f32,
-    bits_to_f64,
-    f32_to_bits,
-    f64_to_bits,
-    fp_div,
-    fp_max,
-    fp_min,
-    fp_sgnj,
-    fp_sgnjx,
+    HELPERS,
+    NAME,
+    VECTOR,
+    VLOADS,
+    VSTORES,
     round_f32,
 )
 from repro.utils.bitops import MASK64, sign_extend
-
-_SEWS = (8, 16, 32, 64)
 
 
 class VectorConfigError(Trap):
@@ -44,617 +46,440 @@ class VectorConfigError(Trap):
 
 
 # ---------------------------------------------------------------------------
+# Register groups as bytes and as elements
+# ---------------------------------------------------------------------------
+
+def read_group(vregs: list, reg: int, nbytes: int, vlenb: int):
+    """The first ``nbytes`` of the register group starting at ``reg``."""
+    if nbytes <= vlenb:
+        return vregs[reg][:nbytes]
+    return b"".join(vregs[reg:reg - (-nbytes // vlenb)])[:nbytes]
+
+
+def write_group(vregs: list, reg: int, data, vlenb: int) -> None:
+    """Overwrite the start of the group at ``reg``; the tail stays."""
+    if len(data) <= vlenb:
+        vregs[reg][:len(data)] = data
+        return
+    for start in range(0, len(data), vlenb):
+        chunk = data[start:start + vlenb]
+        vregs[reg][:len(chunk)] = chunk
+        reg += 1
+
+
+_CODES = {("u", 8): "B", ("u", 16): "H", ("u", 32): "I", ("u", 64): "Q",
+          ("s", 8): "b", ("s", 16): "h", ("s", 32): "i", ("s", 64): "q",
+          ("f", 32): "f", ("f", 64): "d"}
+
+
+@functools.lru_cache(maxsize=None)
+def lanes(view: str, width: int, count: int) -> struct.Struct:
+    """``count`` little-endian elements of ``width`` bits, unsigned,
+    signed or float.  Built on first use: a run meets a handful of
+    (view, SEW, vl) combinations out of the few thousand there are."""
+    return struct.Struct(f"<{count}{_CODES[view, width]}")
+
+
+class GroupPlan:
+    """Element access for one (SEW, vl, VLMAX) configuration of a hart.
+
+    ``ru``/``rs``/``rf`` read the ``vl`` elements of a register group as
+    unsigned, signed or float values, ``rall`` all VLMAX of them;
+    ``wu``/``wf`` pack ``vl`` values back and ``wm`` does so under v0,
+    all leaving the bytes beyond them alone.  Plans are immutable and
+    shared by every hart in the same configuration.
+    """
+
+    __slots__ = ("vl", "sew", "m", "h", "vlmax", "vlenb", "nbytes", "whole",
+                 "u", "s", "f", "all")
+
+    def __init__(self, sew: int, vl: int, vlmax: int, vlenb: int):
+        self.vl, self.sew, self.vlmax, self.vlenb = vl, sew, vlmax, vlenb
+        self.m = (1 << sew) - 1
+        self.h = 1 << (sew - 1)
+        self.nbytes = vl * sew // 8
+        # The common case: the vl elements sit in the group's first
+        # register, so a struct can work on its bytearray directly.
+        self.whole = self.nbytes <= vlenb
+        self.u = lanes("u", sew, vl)
+        self.s = lanes("s", sew, vl)
+        self.f = lanes("f", sew, vl) if sew >= 32 else None
+        self.all = lanes("u", sew, vlmax)
+
+    # -- reads ----------------------------------------------------------------
+
+    def _bytes(self, v, reg):
+        return read_group(v, reg, self.nbytes, self.vlenb)
+
+    def ru(self, v, reg):
+        return self.u.unpack_from(
+            v[reg] if self.whole else self._bytes(v, reg))
+
+    def rs(self, v, reg):
+        return self.s.unpack_from(
+            v[reg] if self.whole else self._bytes(v, reg))
+
+    def rf(self, v, reg):
+        return self.f.unpack_from(
+            v[reg] if self.whole else self._bytes(v, reg))
+
+    def rall(self, v, reg):
+        return self.all.unpack(read_group(v, reg, self.all.size, self.vlenb))
+
+    def r0(self, v, reg, view):
+        return lanes(view, self.sew, 1).unpack_from(v[reg])[0]
+
+    def active(self, elements, v):
+        """The elements whose bit in v0 is set."""
+        mask = int.from_bytes(v[0], "little")
+        return [element for index, element in enumerate(elements)
+                if mask >> index & 1]
+
+    # -- writes ---------------------------------------------------------------
+
+    def _pack(self, view, values) -> bytes:
+        lanes_ = getattr(self, view)
+        try:
+            return lanes_.pack(*values)
+        except OverflowError:
+            # binary32 only: beyond its range rounds to the infinity of
+            # that sign, which ``struct`` refuses and round_f32 does.
+            return lanes_.pack(*map(round_f32, values))
+
+    def wu(self, v, reg, values):
+        if self.whole:
+            self.u.pack_into(v[reg], 0, *values)
+        else:
+            write_group(v, reg, self.u.pack(*values), self.vlenb)
+
+    def wf(self, v, reg, values):
+        if self.whole:
+            try:
+                self.f.pack_into(v[reg], 0, *values)
+                return
+            except OverflowError:
+                pass
+        write_group(v, reg, self._pack("f", values), self.vlenb)
+
+    def wm(self, v, reg, view, values, old):
+        """Write ``values`` where v0's bit is set and the bytes of the
+        group ``old`` elsewhere (``old`` is ``reg`` itself for a masked
+        operation, vs2 for a merge).  Bytes, not values: an inactive
+        binary32 element must not pass through a float."""
+        new = self._pack(view, values)
+        kept = self._bytes(v, old)
+        mask = int.from_bytes(v[0], "little")
+        size = self.sew // 8
+        write_group(v, reg, b"".join(
+            (new if mask >> index & 1 else kept)[start:start + size]
+            for index, start in enumerate(range(0, self.nbytes, size))),
+            self.vlenb)
+
+    def w0(self, v, reg, view, value):
+        if view == "f" and self.sew == 32:
+            value = round_f32(value)
+        lanes(view, self.sew, 1).pack_into(v[reg], 0, value)
+
+    def wbits(self, v, reg, bits, vm):
+        """Mask-register bits 0..vl-1 from ``bits`` (under v0 when
+        ``vm`` is 0); every other bit of the register stays."""
+        written = (1 << self.vl) - 1
+        if not vm:
+            written &= int.from_bytes(v[0], "little")
+        value = sum(1 << index for index, bit in enumerate(bits) if bit)
+        register = v[reg]
+        old = int.from_bytes(register, "little")
+        register[:] = ((old & ~written) | (value & written)).to_bytes(
+            len(register), "little")
+
+
+_shared_plan = functools.lru_cache(maxsize=None)(GroupPlan)
+
+
+def group_plan(hart: Hart) -> GroupPlan | None:
+    """The plan for ``hart``'s current vtype and vl; ``None`` under
+    ``vill``.  Kept on the hart until the next ``set_vl``."""
+    vtype = hart.vtype
+    if vtype.vill:
+        return None
+    plan = hart._vplan = _shared_plan(
+        vtype.sew, hart.vl, hart.vlmax(), hart.vlenb)
+    return plan
+
+
+def _require_plan(hart: Hart) -> GroupPlan:
+    plan = hart._vplan or group_plan(hart)
+    if plan is None:
+        raise VectorConfigError(hart.pc, "vtype is vill")
+    return plan
+
+
+# ---------------------------------------------------------------------------
+# Rows into statements
+# ---------------------------------------------------------------------------
+
+def _comprehension(expr: str, loops: list) -> str:
+    if not loops:
+        return f"[{expr}] * P.vl"
+    names = ", ".join(name for name, _group in loops)
+    groups = ", ".join(group for _name, group in loops)
+    if len(loops) > 1:
+        groups = f"zip({groups})"
+    return f"[{expr} for {names} in {groups}]"
+
+
+def _either(vm, unmasked: str | None, masked: str) -> list[str]:
+    """One statement or the other; ``vm`` is 1, 0, or the text of a
+    run-time test."""
+    if vm == 1:
+        return [unmasked] if unmasked else []
+    if vm == 0:
+        return [masked]
+    if unmasked is None:
+        return [f"if not {vm}:", f"    {masked}"]
+    return [f"if {vm}:", f"    {unmasked}", "else:", f"    {masked}"]
+
+
+def row_source(mnemonic: str, rd, rs1, rs2, imm, vm) -> list[str]:
+    """The statements that execute one row-backed vector instruction.
+
+    They run over ``P`` (the hart's :class:`GroupPlan`), ``V``, ``x``
+    and ``f`` (the three register files) and the names of
+    ``semantics.HELPERS``.  The instruction's fields arrive as text —
+    ``"instr.rd"`` for an executor that serves every encoding, ``"7"``
+    inside a translated block — and ``vm`` as 1, 0 or such a text.  The
+    caller has established that ``P`` exists (not ``vill``) and, for a
+    row whose view is ``"f"``, that SEW is 32 or 64.
+    """
+    row = VECTOR[mnemonic]
+    kind, view, expr = row.kind, row.view, row.expr
+    used = set(NAME.findall(expr))
+    out = "f" if view == "f" else "u"
+    lines = [f"{name} = P.{name}" for name in ("m", "sew", "vlmax")
+             if name in used]
+
+    if row.b == "x" and kind != "pick":
+        scalar = f"x[{rs1}] & P.m" if view == "u" \
+            else f"((x[{rs1}] & P.m) ^ P.h) - P.h"
+    elif row.b == "i" and kind != "pick" and view == "u":
+        scalar = f"{imm} & P.m"
+    else:
+        # A slide amount or gather index is used as it stands, and a
+        # 5-bit immediate is its own signed SEW-bit value.
+        scalar = {"x": f"x[{rs1}]", "i": f"{imm}", "f": f"f[{rs1}]"} \
+            .get(row.b)
+
+    if kind == "to_x":
+        return lines + [f"a = P.r0(V, {rs2}, {view!r})",
+                        f"if {rd}:", f"    x[{rd}] = {expr}"]
+    if kind == "to_f":
+        return lines + [f"a = P.r0(V, {rs2}, {view!r})",
+                        f"f[{rd}] = {expr}"]
+    if kind == "first":
+        return lines + ["if P.vl:",
+                        f"    P.w0(V, {rd}, {out!r}, {scalar})"]
+    if kind == "fold":
+        lines.append(f"A = P.r{view}(V, {rs2})")
+        lines += _either(vm, None, "A = P.active(A, V)")
+        stored = "b" if view == "f" else "b & P.m"
+        return lines + ["if P.vl:",
+                        f"    b = P.r0(V, {rs1}, {view!r})",
+                        "    for a in A:",
+                        f"        b = {expr}",
+                        f"    P.w0(V, {rd}, {out!r}, {stored})"]
+
+    loops = []
+    if kind == "pick":
+        lines.append(f"A = P.rall(V, {rs2})")
+    elif "a" in used:
+        lines.append(f"A = P.r{view}(V, {rs2})")
+        loops.append(("a", "A"))
+    if row.b == "v":
+        lines.append(f"B = P.r{view}(V, {rs1})")
+        loops.append(("b", "B"))
+    elif row.b:
+        lines.append(f"b = {scalar}")
+    if "d" in used:
+        lines.append(f"D = P.r{view}(V, {rd})")
+        loops.append(("d", "D"))
+    if "i" in used:
+        loops.append(("i", "range(P.vl)"))
+    values = _comprehension(expr, loops)
+    if kind == "mask":
+        return lines + [f"P.wbits(V, {rd}, {values}, {vm})"]
+    lines.append(f"values = {values}")
+    return lines + _either(
+        vm, f"P.w{out}(V, {rd}, values)",
+        f"P.wm(V, {rd}, {out!r}, values, {rs2 if row.merge else rd})")
+
+
+_EXECUTOR_GLOBALS = {**HELPERS, "plan": _require_plan,
+                     "VectorConfigError": VectorConfigError}
+
+
+def derive_executor(mnemonic: str):
+    """Compile and register ``EXEC[mnemonic]`` for a vector row — its
+    statements over the decoded instruction's fields — and return it;
+    ``None`` when ``mnemonic`` is not a row.
+
+    Called by the hart the first time it decodes the mnemonic rather
+    than for every row at import: compiling all of them costs ~17 ms a
+    process, and a run that translates executes a handful at most.
+    """
+    row = VECTOR.get(mnemonic)
+    if row is None:
+        return None
+    source = ["def handler(hart, instr):",
+              "    P = hart._vplan or plan(hart)",
+              "    V, x, f = hart.vregs, hart.regs, hart.fregs"]
+    if row.view == "f":
+        source += ["    if P.sew < 32:",
+                   "        raise VectorConfigError(hart.pc, "
+                   "f'FP vector op at SEW={P.sew}')"]
+    source += ["    " + line for line in row_source(
+        mnemonic, "instr.rd", "instr.rs1", "instr.rs2", "instr.imm",
+        "instr.vm")]
+    exec(compile("\n".join(source), f"<{mnemonic}>", "exec"),
+         _EXECUTOR_GLOBALS)
+    return executor(mnemonic)(_EXECUTOR_GLOBALS.pop("handler"))
+
+
+# ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
-@executor("vsetvli")
-def _vsetvli(hart: Hart, instr: Instruction) -> None:
-    vtype = VType.decode(instr.imm)
-    _apply_vset(hart, instr, vtype, avl_reg=instr.rs1)
+# A kernel executes a handful of distinct vtype immediates, millions of
+# times; decoding builds a frozen dataclass around a Fraction.
+decode_vtype = functools.lru_cache(maxsize=256)(VType.decode)
+
+
+@executor("vsetvli", "vsetvl")
+def _vsetvl(hart: Hart, instr: Instruction) -> None:
+    vtype = decode_vtype(instr.imm if instr.mnemonic == "vsetvli"
+                         else hart.regs[instr.rs2])
+    if instr.rs1:
+        avl = hart.regs[instr.rs1]
+    elif instr.rd:
+        avl = 1 << 62   # AVL = ~0: request VLMAX
+    else:
+        avl = hart.vl   # keep vl, change vtype only
+    hart.write_reg(instr.rd, hart.set_vl(avl, vtype))
 
 
 @executor("vsetivli")
 def _vsetivli(hart: Hart, instr: Instruction) -> None:
-    vtype = VType.decode(instr.imm)
-    new_vl = hart.set_vl(instr.shamt, vtype)
-    hart.write_reg(instr.rd, new_vl)
+    hart.write_reg(instr.rd,
+                   hart.set_vl(instr.shamt, decode_vtype(instr.imm)))
 
 
-@executor("vsetvl")
-def _vsetvl(hart: Hart, instr: Instruction) -> None:
-    vtype = VType.decode(hart.regs[instr.rs2])
-    _apply_vset(hart, instr, vtype, avl_reg=instr.rs1)
-
-
-def _apply_vset(hart: Hart, instr: Instruction, vtype: VType,
-                avl_reg: int) -> None:
-    if avl_reg != 0:
-        avl = hart.regs[avl_reg]
-    elif instr.rd != 0:
-        avl = (1 << 62)  # AVL = ~0: request VLMAX
+@executor("viota.m")
+def _viota(hart: Hart, instr: Instruction) -> None:
+    """vd[i] = how many active elements below i have their vs2 bit set:
+    a running count, not a function of one element, hence not a row."""
+    plan = _require_plan(hart)
+    vregs = hart.vregs
+    source = int.from_bytes(vregs[instr.rs2], "little")
+    active = -1 if instr.vm else int.from_bytes(vregs[0], "little")
+    values, count = [], 0
+    for index in range(plan.vl):
+        values.append(count & plan.m)
+        count += source >> index & active >> index & 1
+    if instr.vm:
+        plan.wu(vregs, instr.rd, values)
     else:
-        avl = hart.vl  # keep vl, change vtype only
-    new_vl = hart.set_vl(avl, vtype)
-    hart.write_reg(instr.rd, new_vl)
-
-
-def _require_vconfig(hart: Hart) -> int:
-    if hart.vtype.vill:
-        raise VectorConfigError(hart.pc, "vtype is vill")
-    return hart.vtype.sew
-
-
-def _active(hart: Hart, instr: Instruction, index: int) -> bool:
-    return bool(instr.vm) or bool(hart.read_vmask_bit(index))
+        plan.wm(vregs, instr.rd, "u", values, instr.rd)
 
 
 # ---------------------------------------------------------------------------
 # Loads and stores
 # ---------------------------------------------------------------------------
 
-def _unit_stride(hart: Hart, instr: Instruction, eew: int,
-                 is_load: bool) -> None:
+def element_addresses(hart: Hart, instr: Instruction, plan: GroupPlan,
+                      eew: int, kind: str) -> tuple:
+    """``(addresses of elements 0..vl-1, element bytes)`` of a vector
+    memory instruction; indexed forms move SEW-wide data."""
     base = hart.regs[instr.rs1]
-    step = eew // 8
-    for i in range(hart.vl):
-        if not _active(hart, instr, i):
-            continue
-        address = (base + i * step) & MASK64
-        if is_load:
-            hart.write_velem(instr.rd, i, eew,
-                             hart.load_int(address, step))
+    count = plan.vl
+    if kind == "indexed":
+        offsets = lanes("u", eew, count).unpack(read_group(
+            hart.vregs, instr.rs2, count * eew // 8, hart.vlenb))
+        return [(base + offset) & MASK64 for offset in offsets], \
+            plan.sew // 8
+    stride = eew // 8 if kind == "unit" \
+        else sign_extend(hart.regs[instr.rs2], 64)
+    return [(base + index * stride) & MASK64 for index in range(count)], \
+        eew // 8
+
+
+def transfer(hart: Hart, instr: Instruction, addresses: list, size: int,
+             is_load: bool) -> list:
+    """Move the active elements between memory and the data group, in
+    element order; returns their addresses."""
+    vregs, memory, vlenb = hart.vregs, hart.memory, hart.vlenb
+    data = lanes("u", 8 * size, len(addresses))
+    if not instr.vm:
+        mask = int.from_bytes(vregs[0], "little")
+        active = [bool(mask >> index & 1) for index in range(len(addresses))]
+    if is_load:
+        load = memory.load_int
+        if instr.vm:
+            values = [load(address, size) for address in addresses]
         else:
-            hart.store_int(address, hart.read_velem(instr.rd, i, eew), step)
-
-
-def _strided(hart: Hart, instr: Instruction, eew: int,
-             is_load: bool) -> None:
-    base = hart.regs[instr.rs1]
-    stride = sign_extend(hart.regs[instr.rs2], 64)
-    step = eew // 8
-    for i in range(hart.vl):
-        if not _active(hart, instr, i):
-            continue
-        address = (base + i * stride) & MASK64
-        if is_load:
-            hart.write_velem(instr.rd, i, eew,
-                             hart.load_int(address, step))
-        else:
-            hart.store_int(address, hart.read_velem(instr.rd, i, eew), step)
-
-
-def _indexed(hart: Hart, instr: Instruction, index_eew: int,
-             is_load: bool) -> None:
-    sew = _require_vconfig(hart)
-    base = hart.regs[instr.rs1]
-    step = sew // 8
-    for i in range(hart.vl):
-        if not _active(hart, instr, i):
-            continue
-        offset = hart.read_velem(instr.rs2, i, index_eew)
-        address = (base + offset) & MASK64
-        if is_load:
-            hart.write_velem(instr.rd, i, sew, hart.load_int(address, step))
-        else:
-            hart.store_int(address, hart.read_velem(instr.rd, i, sew), step)
-
-
-def _register_vector_memops() -> None:
-    for eew in _SEWS:
-        def make_unit(eew=eew, is_load=True):
-            def fn(hart, instr):
-                _unit_stride(hart, instr, eew, is_load)
-            return fn
-
-        def make_strided(eew=eew, is_load=True):
-            def fn(hart, instr):
-                _strided(hart, instr, eew, is_load)
-            return fn
-
-        def make_indexed(eew=eew, is_load=True):
-            def fn(hart, instr):
-                _indexed(hart, instr, eew, is_load)
-            return fn
-
-        EXEC[f"vle{eew}.v"] = make_unit(eew, True)
-
-        def unit_store(hart, instr, eew=eew):
-            _unit_stride(hart, instr, eew, False)
-        EXEC[f"vse{eew}.v"] = unit_store
-
-        EXEC[f"vlse{eew}.v"] = make_strided(eew, True)
-
-        def strided_store(hart, instr, eew=eew):
-            _strided(hart, instr, eew, False)
-        EXEC[f"vsse{eew}.v"] = strided_store
-
-        EXEC[f"vluxei{eew}.v"] = make_indexed(eew, True)
-        EXEC[f"vloxei{eew}.v"] = make_indexed(eew, True)
-
-        def indexed_store(hart, instr, eew=eew):
-            _indexed(hart, instr, eew, False)
-        EXEC[f"vsuxei{eew}.v"] = indexed_store
-        EXEC[f"vsoxei{eew}.v"] = indexed_store
-
-
-_register_vector_memops()
-
-
-# ---------------------------------------------------------------------------
-# Integer arithmetic
-# ---------------------------------------------------------------------------
-
-def _mask_to(value: int, sew: int) -> int:
-    return value & ((1 << sew) - 1)
-
-
-_V_INT_BINOPS = {
-    "vadd": lambda a, b, sew: a + b,
-    "vsub": lambda a, b, sew: a - b,
-    "vrsub": lambda a, b, sew: b - a,
-    "vand": lambda a, b, sew: a & b,
-    "vor": lambda a, b, sew: a | b,
-    "vxor": lambda a, b, sew: a ^ b,
-    "vsll": lambda a, b, sew: a << (b & (sew - 1)),
-    "vsrl": lambda a, b, sew: a >> (b & (sew - 1)),
-    "vsra": lambda a, b, sew: sign_extend(a, sew) >> (b & (sew - 1)),
-    "vmin": lambda a, b, sew: min(sign_extend(a, sew), sign_extend(b, sew)),
-    "vminu": lambda a, b, sew: min(a, b),
-    "vmax": lambda a, b, sew: max(sign_extend(a, sew), sign_extend(b, sew)),
-    "vmaxu": lambda a, b, sew: max(a, b),
-    "vmul": lambda a, b, sew: a * b,
-    "vmulh": lambda a, b, sew:
-        (sign_extend(a, sew) * sign_extend(b, sew)) >> sew,
-    "vmulhu": lambda a, b, sew: (a * b) >> sew,
-    "vmulhsu": lambda a, b, sew: (sign_extend(a, sew) * b) >> sew,
-    "vdivu": lambda a, b, sew: (a // b) if b else (1 << sew) - 1,
-    "vremu": lambda a, b, sew: (a % b) if b else a,
-}
-
-
-def _signed_div(a: int, b: int, sew: int) -> int:
-    sa, sb = sign_extend(a, sew), sign_extend(b, sew)
-    if sb == 0:
-        return -1
-    if sa == -(1 << (sew - 1)) and sb == -1:
-        return sa
-    quotient = abs(sa) // abs(sb)
-    return -quotient if (sa < 0) != (sb < 0) else quotient
-
-
-def _signed_rem(a: int, b: int, sew: int) -> int:
-    sa, sb = sign_extend(a, sew), sign_extend(b, sew)
-    if sb == 0:
-        return sa
-    return sa - _signed_div(a, b, sew) * sb
-
-
-_V_INT_BINOPS["vdiv"] = _signed_div
-_V_INT_BINOPS["vrem"] = _signed_rem
-
-
-def _v_operand2(hart: Hart, instr: Instruction, index: int, sew: int,
-                shape: str) -> int:
-    if shape == "vv":
-        return hart.read_velem(instr.rs1, index, sew)
-    if shape == "vx":
-        return _mask_to(hart.regs[instr.rs1], sew)
-    return _mask_to(instr.imm, sew)  # vi
-
-
-def _register_int_binops() -> None:
-    for base, fn in _V_INT_BINOPS.items():
-        for shape in ("vv", "vx", "vi"):
-            def vexec(hart, instr, fn=fn, shape=shape):
-                sew = _require_vconfig(hart)
-                for i in range(hart.vl):
-                    if not _active(hart, instr, i):
-                        continue
-                    a = hart.read_velem(instr.rs2, i, sew)
-                    b = _v_operand2(hart, instr, i, sew, shape)
-                    hart.write_velem(instr.rd, i, sew,
-                                     _mask_to(fn(a, b, sew), sew))
-            EXEC[f"{base}.{shape}"] = vexec
-
-
-_register_int_binops()
-
-
-_V_MACC = {
-    # result = fn(vd, vs1/rs1, vs2)
-    "vmacc": lambda vd, op1, vs2: vd + op1 * vs2,
-    "vnmsac": lambda vd, op1, vs2: vd - op1 * vs2,
-    "vmadd": lambda vd, op1, vs2: vd * op1 + vs2,
-    "vnmsub": lambda vd, op1, vs2: vs2 - vd * op1,
-}
-
-
-def _register_int_macc() -> None:
-    for base, fn in _V_MACC.items():
-        for shape in ("vv", "vx"):
-            def vexec(hart, instr, fn=fn, shape=shape):
-                sew = _require_vconfig(hart)
-                for i in range(hart.vl):
-                    if not _active(hart, instr, i):
-                        continue
-                    vd = hart.read_velem(instr.rd, i, sew)
-                    op1 = (hart.read_velem(instr.rs1, i, sew) if shape == "vv"
-                           else _mask_to(hart.regs[instr.rs1], sew))
-                    vs2 = hart.read_velem(instr.rs2, i, sew)
-                    hart.write_velem(instr.rd, i, sew,
-                                     _mask_to(fn(vd, op1, vs2), sew))
-            EXEC[f"{base}.{shape}"] = vexec
-
-
-_register_int_macc()
-
-
-_V_INT_COMPARES = {
-    "vmseq": lambda a, b, sew: a == b,
-    "vmsne": lambda a, b, sew: a != b,
-    "vmsltu": lambda a, b, sew: a < b,
-    "vmslt": lambda a, b, sew: sign_extend(a, sew) < sign_extend(b, sew),
-    "vmsleu": lambda a, b, sew: a <= b,
-    "vmsle": lambda a, b, sew: sign_extend(a, sew) <= sign_extend(b, sew),
-    "vmsgtu": lambda a, b, sew: a > b,
-    "vmsgt": lambda a, b, sew: sign_extend(a, sew) > sign_extend(b, sew),
-}
-
-
-def _register_int_compares() -> None:
-    for base, fn in _V_INT_COMPARES.items():
-        for shape in ("vv", "vx", "vi"):
-            def vexec(hart, instr, fn=fn, shape=shape):
-                sew = _require_vconfig(hart)
-                for i in range(hart.vl):
-                    if not _active(hart, instr, i):
-                        continue
-                    a = hart.read_velem(instr.rs2, i, sew)
-                    b = _v_operand2(hart, instr, i, sew, shape)
-                    hart.write_vmask_bit(instr.rd, i,
-                                         1 if fn(a, b, sew) else 0)
-            EXEC[f"{base}.{shape}"] = vexec
-
-
-_register_int_compares()
-
-
-_V_REDUCTIONS = {
-    "vredsum": lambda acc, v, sew: acc + v,
-    "vredand": lambda acc, v, sew: acc & v,
-    "vredor": lambda acc, v, sew: acc | v,
-    "vredxor": lambda acc, v, sew: acc ^ v,
-    "vredminu": lambda acc, v, sew: min(acc, v),
-    "vredmaxu": lambda acc, v, sew: max(acc, v),
-    "vredmin": lambda acc, v, sew:
-        min(sign_extend(acc, sew), sign_extend(v, sew)),
-    "vredmax": lambda acc, v, sew:
-        max(sign_extend(acc, sew), sign_extend(v, sew)),
-}
-
-
-def _register_int_reductions() -> None:
-    for base, fn in _V_REDUCTIONS.items():
-        def vexec(hart, instr, fn=fn):
-            sew = _require_vconfig(hart)
-            acc = hart.read_velem(instr.rs1, 0, sew)
-            for i in range(hart.vl):
-                if not _active(hart, instr, i):
-                    continue
-                acc = _mask_to(fn(acc, hart.read_velem(instr.rs2, i, sew),
-                                  sew), sew)
-            hart.write_velem(instr.rd, 0, sew, acc)
-        EXEC[f"{base}.vs"] = vexec
-
-
-_register_int_reductions()
-
-
-# ---------------------------------------------------------------------------
-# Moves, merges, slides, gathers, vid/viota
-# ---------------------------------------------------------------------------
-
-@executor("vmv.v.v")
-def _vmv_v_v(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    for i in range(hart.vl):
-        hart.write_velem(instr.rd, i, sew,
-                         hart.read_velem(instr.rs1, i, sew))
-
-
-@executor("vmv.v.x")
-def _vmv_v_x(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    value = _mask_to(hart.regs[instr.rs1], sew)
-    for i in range(hart.vl):
-        hart.write_velem(instr.rd, i, sew, value)
-
-
-@executor("vmv.v.i")
-def _vmv_v_i(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    value = _mask_to(instr.imm, sew)
-    for i in range(hart.vl):
-        hart.write_velem(instr.rd, i, sew, value)
-
-
-@executor("vmv.x.s")
-def _vmv_x_s(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    hart.write_reg(instr.rd,
-                   sign_extend(hart.read_velem(instr.rs2, 0, sew), sew)
-                   & MASK64)
-
-
-@executor("vmv.s.x")
-def _vmv_s_x(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    if hart.vl > 0:
-        hart.write_velem(instr.rd, 0, sew, _mask_to(hart.regs[instr.rs1],
-                                                    sew))
-
-
-@executor("vid.v")
-def _vid(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    for i in range(hart.vl):
-        if _active(hart, instr, i):
-            hart.write_velem(instr.rd, i, sew, _mask_to(i, sew))
-
-
-@executor("viota.m")
-def _viota(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    count = 0
-    for i in range(hart.vl):
-        if not _active(hart, instr, i):
-            continue
-        hart.write_velem(instr.rd, i, sew, _mask_to(count, sew))
-        if (hart.vregs[instr.rs2][i >> 3] >> (i & 7)) & 1:
-            count += 1
-
-
-def _merge_operand(hart: Hart, instr: Instruction, index: int, sew: int,
-                   shape: str) -> int:
-    if shape == "vvm":
-        return hart.read_velem(instr.rs1, index, sew)
-    if shape == "vxm":
-        return _mask_to(hart.regs[instr.rs1], sew)
-    return _mask_to(instr.imm, sew)
-
-
-def _register_merges() -> None:
-    for shape in ("vvm", "vxm", "vim"):
-        def vexec(hart, instr, shape=shape):
-            sew = _require_vconfig(hart)
-            for i in range(hart.vl):
-                if hart.read_vmask_bit(i):
-                    value = _merge_operand(hart, instr, i, sew, shape)
-                else:
-                    value = hart.read_velem(instr.rs2, i, sew)
-                hart.write_velem(instr.rd, i, sew, value)
-        EXEC[f"vmerge.{shape}"] = vexec
-
-
-_register_merges()
-
-
-@executor("vslideup.vx", "vslideup.vi")
-def _vslideup(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    offset = (hart.regs[instr.rs1] if instr.mnemonic.endswith(".vx")
-              else instr.imm)
-    for i in range(hart.vl - 1, -1, -1):
-        if i < offset or not _active(hart, instr, i):
-            continue
-        hart.write_velem(instr.rd, i, sew,
-                         hart.read_velem(instr.rs2, i - offset, sew))
-
-
-@executor("vslidedown.vx", "vslidedown.vi")
-def _vslidedown(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    offset = (hart.regs[instr.rs1] if instr.mnemonic.endswith(".vx")
-              else instr.imm)
-    vlmax = hart.vlmax()
-    for i in range(hart.vl):
-        if not _active(hart, instr, i):
-            continue
-        source = i + offset
-        value = (hart.read_velem(instr.rs2, source, sew)
-                 if source < vlmax else 0)
-        hart.write_velem(instr.rd, i, sew, value)
-
-
-@executor("vrgather.vv", "vrgather.vx", "vrgather.vi")
-def _vrgather(hart: Hart, instr: Instruction) -> None:
-    sew = _require_vconfig(hart)
-    vlmax = hart.vlmax()
-    results = []
-    for i in range(hart.vl):
-        if not _active(hart, instr, i):
-            results.append(None)
-            continue
-        if instr.mnemonic.endswith(".vv"):
-            index = hart.read_velem(instr.rs1, i, sew)
-        elif instr.mnemonic.endswith(".vx"):
-            index = hart.regs[instr.rs1]
-        else:
-            index = instr.imm
-        results.append(hart.read_velem(instr.rs2, index, sew)
-                       if index < vlmax else 0)
-    for i, value in enumerate(results):
-        if value is not None:
-            hart.write_velem(instr.rd, i, sew, value)
-
-
-# ---------------------------------------------------------------------------
-# Floating-point
-# ---------------------------------------------------------------------------
-
-def _read_vfp(hart: Hart, reg: int, index: int, sew: int) -> float:
-    raw = hart.read_velem(reg, index, sew)
-    return bits_to_f64(raw) if sew == 64 else bits_to_f32(raw)
-
-
-def _write_vfp(hart: Hart, reg: int, index: int, sew: int,
-               value: float) -> None:
-    if sew == 64:
-        hart.write_velem(reg, index, sew, f64_to_bits(value))
+            old = data.unpack(read_group(vregs, instr.rd, data.size, vlenb))
+            values = [load(address, size) if on else kept
+                      for address, on, kept in zip(addresses, active, old)]
+        write_group(vregs, instr.rd, data.pack(*values), vlenb)
     else:
-        hart.write_velem(reg, index, sew, f32_to_bits(round_f32(value)))
+        values = data.unpack(read_group(vregs, instr.rd, data.size, vlenb))
+        pages = hart._code_pages
+        for index, (address, value) in enumerate(zip(addresses, values)):
+            if instr.vm or active[index]:
+                memory.store_int(address, value, size)
+                if (address >> 12) in pages \
+                        or ((address + size - 1) >> 12) in pages:
+                    hart.code_registry.note_store(address, size)
+    if instr.vm:
+        return addresses
+    return [address for address, on in zip(addresses, active) if on]
 
 
-def _fp_sew(hart: Hart) -> int:
-    sew = _require_vconfig(hart)
-    if sew not in (32, 64):
-        raise VectorConfigError(hart.pc, f"FP vector op at SEW={sew}")
-    return sew
+def transfer_unit(hart: Hart, reg: int, base: int, nbytes: int,
+                  is_load: bool) -> None:
+    """An unmasked unit-stride access as one byte range: one slice per
+    backing page instead of one access per element."""
+    if is_load:
+        write_group(hart.vregs, reg, hart.memory.load_bytes(base, nbytes),
+                    hart.vlenb)
+        return
+    hart.memory.store_bytes(base, read_group(hart.vregs, reg, nbytes,
+                                             hart.vlenb))
+    pages = hart._code_pages
+    if any(page in pages
+           for page in range(base >> 12, ((base + nbytes - 1) >> 12) + 1)):
+        hart.code_registry.note_store(base, nbytes)
 
 
-_V_FP_BINOPS = {
-    "vfadd": lambda a, b: a + b,
-    "vfsub": lambda a, b: a - b,
-    "vfmul": lambda a, b: a * b,
-    "vfdiv": fp_div,
-    "vfmin": fp_min,
-    "vfmax": fp_max,
-    "vfsgnj": fp_sgnj,
-    "vfsgnjn": lambda a, b: fp_sgnj(a, -b),
-    "vfsgnjx": fp_sgnjx,
-}
-
-
-def _register_fp_binops() -> None:
-    for base, fn in _V_FP_BINOPS.items():
-        for shape in ("vv", "vf"):
-            def vexec(hart, instr, fn=fn, shape=shape):
-                sew = _fp_sew(hart)
-                for i in range(hart.vl):
-                    if not _active(hart, instr, i):
-                        continue
-                    a = _read_vfp(hart, instr.rs2, i, sew)
-                    b = (_read_vfp(hart, instr.rs1, i, sew) if shape == "vv"
-                         else hart.fregs[instr.rs1])
-                    _write_vfp(hart, instr.rd, i, sew, fn(a, b))
-            EXEC[f"{base}.{shape}"] = vexec
-
-
-_register_fp_binops()
-
-
-_V_FP_MACC = {
-    # result = fn(vd, op1, vs2) matching RVV operand roles
-    "vfmacc": lambda vd, op1, vs2: op1 * vs2 + vd,
-    "vfnmacc": lambda vd, op1, vs2: -(op1 * vs2) - vd,
-    "vfmsac": lambda vd, op1, vs2: op1 * vs2 - vd,
-    "vfnmsac": lambda vd, op1, vs2: -(op1 * vs2) + vd,
-    "vfmadd": lambda vd, op1, vs2: vd * op1 + vs2,
-    "vfnmadd": lambda vd, op1, vs2: -(vd * op1) - vs2,
-    "vfmsub": lambda vd, op1, vs2: vd * op1 - vs2,
-    "vfnmsub": lambda vd, op1, vs2: -(vd * op1) + vs2,
-}
-
-
-def _register_fp_macc() -> None:
-    for base, fn in _V_FP_MACC.items():
-        for shape in ("vv", "vf"):
-            def vexec(hart, instr, fn=fn, shape=shape):
-                sew = _fp_sew(hart)
-                for i in range(hart.vl):
-                    if not _active(hart, instr, i):
-                        continue
-                    vd = _read_vfp(hart, instr.rd, i, sew)
-                    op1 = (_read_vfp(hart, instr.rs1, i, sew)
-                           if shape == "vv" else hart.fregs[instr.rs1])
-                    vs2 = _read_vfp(hart, instr.rs2, i, sew)
-                    _write_vfp(hart, instr.rd, i, sew, fn(vd, op1, vs2))
-            EXEC[f"{base}.{shape}"] = vexec
-
-
-_register_fp_macc()
-
-
-_V_FP_COMPARES = {
-    "vmfeq": lambda a, b: a == b,
-    "vmfne": lambda a, b: a != b,
-    "vmflt": lambda a, b: a < b,
-    "vmfle": lambda a, b: a <= b,
-}
-
-
-def _register_fp_compares() -> None:
-    for base, fn in _V_FP_COMPARES.items():
-        for shape in ("vv", "vf"):
-            def vexec(hart, instr, fn=fn, shape=shape):
-                sew = _fp_sew(hart)
-                for i in range(hart.vl):
-                    if not _active(hart, instr, i):
-                        continue
-                    a = _read_vfp(hart, instr.rs2, i, sew)
-                    b = (_read_vfp(hart, instr.rs1, i, sew) if shape == "vv"
-                         else hart.fregs[instr.rs1])
-                    if math.isnan(a) or math.isnan(b):
-                        result = 1 if base == "vmfne" else 0
-                    else:
-                        result = 1 if fn(a, b) else 0
-                    hart.write_vmask_bit(instr.rd, i, result)
-            EXEC[f"{base}.{shape}"] = vexec
-
-
-_register_fp_compares()
-
-
-_V_FP_REDUCTIONS = {
-    "vfredosum": lambda acc, v: acc + v,
-    "vfredusum": lambda acc, v: acc + v,
-    "vfredmin": fp_min,
-    "vfredmax": fp_max,
-}
-
-
-def _register_fp_reductions() -> None:
-    for base, fn in _V_FP_REDUCTIONS.items():
-        def vexec(hart, instr, fn=fn):
-            sew = _fp_sew(hart)
-            acc = _read_vfp(hart, instr.rs1, 0, sew)
-            for i in range(hart.vl):
-                if not _active(hart, instr, i):
-                    continue
-                acc = fn(acc, _read_vfp(hart, instr.rs2, i, sew))
-            _write_vfp(hart, instr.rd, 0, sew, acc)
-        EXEC[f"{base}.vs"] = vexec
-
-
-_register_fp_reductions()
-
-
-@executor("vfmv.v.f")
-def _vfmv_v_f(hart: Hart, instr: Instruction) -> None:
-    sew = _fp_sew(hart)
-    for i in range(hart.vl):
-        _write_vfp(hart, instr.rd, i, sew, hart.fregs[instr.rs1])
-
-
-@executor("vfmv.f.s")
-def _vfmv_f_s(hart: Hart, instr: Instruction) -> None:
-    sew = _fp_sew(hart)
-    hart.fregs[instr.rd] = _read_vfp(hart, instr.rs2, 0, sew)
-
-
-@executor("vfmv.s.f")
-def _vfmv_s_f(hart: Hart, instr: Instruction) -> None:
-    sew = _fp_sew(hart)
-    if hart.vl > 0:
-        _write_vfp(hart, instr.rd, 0, sew, hart.fregs[instr.rs1])
-
-
-@executor("vfmerge.vfm")
-def _vfmerge(hart: Hart, instr: Instruction) -> None:
-    sew = _fp_sew(hart)
-    for i in range(hart.vl):
-        if hart.read_vmask_bit(i):
-            _write_vfp(hart, instr.rd, i, sew, hart.fregs[instr.rs1])
+def _memory_executor(eew: int, kind: str, is_load: bool):
+    def handler(hart: Hart, instr: Instruction) -> None:
+        plan = _require_plan(hart)
+        base = hart.regs[instr.rs1]
+        nbytes = plan.vl * eew // 8
+        if kind == "unit" and instr.vm and nbytes \
+                and base + nbytes <= MASK64:
+            size = eew // 8
+            touched = range(base, base + nbytes, size)
+            transfer_unit(hart, instr.rd, base, nbytes, is_load)
         else:
-            hart.write_velem(instr.rd, i, sew,
-                             hart.read_velem(instr.rs2, i, sew))
+            addresses, size = element_addresses(hart, instr, plan, eew, kind)
+            touched = transfer(hart, instr, addresses, size, is_load)
+        # The caching layer's contract: one record per active element,
+        # in element order.
+        write = not is_load
+        hart.accesses += [MemAccess(address, size, write)
+                          for address in touched]
+    return handler
+
+
+for _table, _is_load in ((VLOADS, True), (VSTORES, False)):
+    for _mnemonic, (_eew, _kind) in _table.items():
+        executor(_mnemonic)(_memory_executor(_eew, _kind, _is_load))

@@ -19,6 +19,17 @@ def test_profile_flat_report(capsys):
     assert "retired" in captured.out
 
 
+def test_profile_lists_translator_counters(capsys):
+    exit_code = cli_main(["profile", "--kernel", "vector-matmul",
+                          "--cores", "2", "--size", "16"])
+    captured = capsys.readouterr()
+    assert exit_code == 0, captured.out
+    assert "blocks compiled" in captured.out
+    enders = next(line for line in captured.out.splitlines()
+                  if line.startswith("block enders"))
+    assert " v" not in enders.split(":", 1)[1]
+
+
 def test_profile_annotated_and_per_core(capsys):
     exit_code = cli_main(["profile", "--kernel", "scalar-matmul",
                           "--cores", "2", "--size", "6",

@@ -4,6 +4,8 @@ import struct
 
 import pytest
 
+from repro.assembler import assemble
+from repro.coyote import Simulation, SimulationConfig, SimulationError
 from repro.spike.vector import VectorConfigError
 from repro.utils.bitops import to_unsigned
 
@@ -442,3 +444,84 @@ class TestLmulGroups:
     ld a2, 56(a0)
 """)
         assert hart.regs[12] == 7
+
+
+def simulate(body: str, translate: bool):
+    """Run ``body`` to its HTIF exit on one core of the full simulator,
+    interpreted or through translated blocks; returns the hart."""
+    program = assemble(f""".text
+_start:
+{body}
+    li   a0, 1
+    la   t6, tohost
+    sd   a0, 0(t6)
+halt:
+    j    halt
+.data
+.align 3
+tohost: .dword 0
+vin:    .dword 10, 20, 30, 40, 50, 60, 70, 80
+""")
+    simulation = Simulation(
+        SimulationConfig.for_cores(1, translate=translate), program)
+    simulation.run()
+    return simulation.orchestrator.machine.harts[0]
+
+
+_REDUCTIONS = ("vredsum", "vredand", "vredor", "vredxor", "vredminu",
+               "vredmin", "vredmaxu", "vredmax", "vfredosum", "vfredusum",
+               "vfredmin", "vfredmax")
+
+
+@pytest.mark.parametrize("translate", [False, True])
+class TestRegressions:
+    @pytest.mark.parametrize("op", _REDUCTIONS)
+    def test_reduction_with_vl_zero_leaves_vd_alone(self, op, translate):
+        """RVV 1.0: with vl = 0 a reduction performs no operation and
+        does not update vd (it used to copy vs1[0] into vd[0])."""
+        hart = simulate(f"""
+    vsetvli t1, zero, e64, m1, ta, ma
+    vid.v v2
+    vmv.v.i v5, 7
+    vmv.v.i v6, 9
+    li t0, 0
+    vsetvli t1, t0, e64, m1, ta, ma
+    {op}.vs v6, v2, v5
+""", translate)
+        assert hart.vl == 0
+        assert velems(hart, 6, 8) == [9] * 8
+
+    @pytest.mark.parametrize("line", [
+        "vle64.v v1, (a1)", "vse32.v v1, (a1)",
+        "vlse16.v v1, (a1), a2", "vsse8.v v1, (a1), a2",
+        "vluxei64.v v1, (a1), v2", "vadd.vv v1, v2, v3"])
+    def test_every_vector_instruction_traps_under_vill(self, line,
+                                                       translate):
+        """vtype is vill out of reset.  Arithmetic and indexed accesses
+        trapped; unit-stride and strided ones ran zero elements."""
+        with pytest.raises(SimulationError, match="vtype is vill"):
+            simulate(f"    la a1, vin\n    li a2, 8\n    {line}", translate)
+
+    def test_vmfne_is_true_of_a_nan(self, translate):
+        """IEEE: != holds when either side is a NaN (it came out 0)."""
+        hart = simulate("""
+    vsetvli t1, zero, e64, m1, ta, ma
+    la a1, vin
+    vle64.v v1, (a1)              # integers as doubles: ordinary numbers
+    vmv.v.v v2, v1
+    li t0, -1                     # all-ones: a NaN
+    vmv.s.x v2, t0
+    fmv.d.x fa0, t0
+    vmfne.vv v4, v1, v2           # NaN in element 0 only
+    vmfne.vf v5, v1, fa0          # NaN against every element
+    vmfeq.vf v6, v1, fa0
+""", translate)
+        assert hart.vregs[4][0] == 0b0000_0001
+        assert hart.vregs[5][0] == 0b1111_1111
+        assert hart.vregs[6][0] == 0
+
+
+def test_vill_traps_in_the_bare_hart_too():
+    hart = make_hart(".text\n_start:\nvle64.v v1, (a0)\n")
+    with pytest.raises(VectorConfigError):
+        hart.step()

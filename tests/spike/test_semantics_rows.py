@@ -1,4 +1,4 @@
-"""One differential per row of the scalar semantics table.
+"""One differential per row of the semantics table, scalar and vector.
 
 ``repro.spike.semantics`` is the single definition both the interpreter
 (``Hart.step``) and the block translator are derived from, so the two
@@ -16,6 +16,13 @@ and through its unchecked twin (``run()``) — over boundary operands and
 aliased / ``x0`` register assignments, and all three must leave the same
 registers, pc and memory.  The closure tests pin the table to the
 decoder, the encoder and the translator's notion of translatable.
+
+The vector rows (second half) are more inputs to the same check: each
+row's instruction through ``CoreModel.step`` and through a
+one-instruction block, checked and unchecked, over ``vl`` 0 / 1 /
+VLMAX, every SEW the row allows, LMUL 1 and 2, masked and unmasked,
+``vd == vs2``, and register contents made of all-ones, ``INT_MIN``,
+NaN, signed zeros and infinities at every width.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import pytest
 from repro.assembler import AsmSyntaxError, assemble
 from repro.assembler.encoder import supported_mnemonics
 from repro.isa.decoder import IllegalInstruction, decode
+from repro.isa.vtype import VType
 from repro.spike import BareMetalMachine, CoreModel
 from repro.spike import translate
 from repro.spike.hart import EXEC
@@ -40,8 +48,12 @@ from repro.spike.semantics import (
     HELPERS,
     LOADS,
     STORES,
+    VECTOR,
+    VLOADS,
+    VSTORES,
     X_XX,
 )
+from repro.spike.vector import derive_executor
 
 _M64 = (1 << 64) - 1
 _INTS = (0, 1, _M64, 1 << 63, (1 << 63) - 1, 0xFFFF_FFFF_8000_0000,
@@ -278,7 +290,15 @@ def test_every_scalar_mnemonic_has_exactly_one_definition():
 
 
 def test_translatable_is_computed_from_the_table():
-    assert translate._TRANSLATABLE == _ROW_MNEMONICS | {"jal", "jalr"}
+    # Rows, memory and control: the scalar tables and both jumps; every
+    # vector row; the vector loads and the unit-stride vector stores
+    # (a scatter stays with the interpreter); the two configuration
+    # instructions whose vtype is an immediate.
+    unit_stores = {mnemonic for mnemonic, (_eew, addressing)
+                   in VSTORES.items() if addressing == "unit"}
+    assert len(unit_stores) == 4
+    assert translate._TRANSLATABLE == _ROW_MNEMONICS | {"jal", "jalr"} \
+        | set(VECTOR) | set(VLOADS) | unit_stores | {"vsetvli", "vsetivli"}
     assert translate._LOAD_OPS == frozenset(LOADS)
     assert translate._CONTROL_OK == frozenset(BRANCHES) | {"jal", "jalr"}
 
@@ -362,3 +382,379 @@ def test_helper_names_are_not_names_the_emitted_code_uses():
             assert not used & set(HELPERS), line
     assert not [name for name in HELPERS
                 if re.fullmatch(r"(r|i|iw|w)\d+", name)]
+
+
+# ---------------------------------------------------------------------------
+# Vector rows
+# ---------------------------------------------------------------------------
+
+# 64-bit patterns that are a boundary value at some width: all-ones
+# (-1, a NaN), INT_MIN / -0.0 at 64, 32 (with +0.0 beside it) and 8
+# bits, binary64 and binary32 infinities of both signs, quiet NaNs,
+# 1.0, -1.5, INT_MAX, the largest binary32 (times two overflows) and
+# small integers.
+_LANES = (
+    0xFFFF_FFFF_FFFF_FFFF, 0x8000_0000_0000_0000, 0x8000_0000_0000_0000 >> 32,
+    0x8080_8080_8080_8080, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
+    0x7F80_0000_FF80_0000, 0x7FF8_0000_0000_0000, 0x7FC0_0000_FFC0_0001,
+    0x3FF0_0000_0000_0000, 0xBFF8_0000_0000_0000, 0x3F80_0000_BFC0_0000,
+    0x7FFF_FFFF_FFFF_FFFF, 0x7F7F_FFFF_7F7F_FFFF, 0x0000_0001_0000_0002,
+    0x0000_0000_0000_0000, 0x0003_0001_0000_0002, 0x0000_0000_0000_0007,
+)
+_V_SCALARS = {"x": (0, 1, 3, _M64, 1 << 63, 0x80, 0x7FFF_FFFF),
+              "f": (0.0, -0.0, 1.0, -1.5, math.inf, math.nan, 3.0e38)}
+_VLENB = 64     # BareMetalMachine's default VLEN of 512
+
+
+def _planted(register: int) -> bytes:
+    """Register contents: the boundary lanes, rotated per register so
+    that two operands never line up value for value."""
+    lanes = [_LANES[(register * 5 + lane) % len(_LANES)]
+             for lane in range(_VLENB // 8)]
+    return struct.pack(f"<{len(lanes)}Q", *lanes)
+
+
+class _VectorBench:
+    """One vector instruction, assembled alone, runnable three ways over
+    a planted vector state.  Its data sits across a page boundary:
+    ``buffer + 128`` is the first byte of the next page."""
+
+    def __init__(self, line: str):
+        program = assemble(f""".text
+_start:
+    {line}
+    ebreak
+    ebreak
+.data
+tohost: .dword 0
+.align 12
+    .zero 3968
+buffer:
+    .zero 512
+""")
+        self.machine = BareMetalMachine(program, 1)
+        self.hart = self.machine.harts[0]
+        self.core = CoreModel(self.hart, self.machine)
+        self.entry = program.entry
+        self.buffer = program.symbols["buffer"]
+        translator = translate.BlockTranslator(self.core, self.machine)
+        self.checked = translator.translate_uop(self.entry)
+        assert self.checked is not False, f"not translated: {line}"
+        self.unchecked = translator.ufast[self.entry]
+        self.line = line
+
+    def run(self, path: str, vtype: VType, avl: int, xregs: dict,
+            fregs: dict, vregs: dict | None = None):
+        hart, core = self.hart, self.core
+        hart.regs[:] = [0] * 32
+        hart.fregs[:] = [0.0] * 32
+        for index, value in xregs.items():
+            hart.regs[index] = value
+        for index, value in fregs.items():
+            hart.fregs[index] = value
+        for register in range(32):
+            hart.vregs[register][:] = _planted(register)
+        for register, contents in (vregs or {}).items():
+            hart.vregs[register][:] = contents
+        hart.set_vl(avl, vtype)
+        hart.pc = self.entry
+        core.halted = False
+        memory = self.machine.memory
+        memory.store_bytes(self.buffer, bytes(range(256)) * 2)
+        memory.store_bytes(self.entry + 64, bytes(192))
+        memory.store_int(self.machine.tohost_address, 0, 8)
+        # Cold L1D, warm fetch line: the instruction's own lookups are
+        # all there is to see in the data cache afterwards.
+        core.l1d.invalidate_all()
+        vars(core.l1d.stats).update(vars(type(core.l1d.stats)()))
+        core.l1i.access_fast(self.entry, False)
+        if path == "interpreter":
+            misses = core.step().misses
+        else:
+            result = self.checked(1) if path == "checked" \
+                else self.unchecked()
+            if result is None or result == 1:
+                misses = []
+            elif result.executed:
+                misses = result.misses
+            else:
+                # Zero progress: the dispatcher's contract is one
+                # interpreter step.
+                assert result.misses is None and not result.halted
+                misses = core.step().misses
+        return (list(hart.regs), list(hart.fregs), hart.pc, hart.vl,
+                hart.vtype, [bytes(register) for register in hart.vregs],
+                memory.load_bytes(self.buffer - 64, 640),
+                memory.load_bytes(self.entry, 256),
+                memory.load_bytes(self.machine.tohost_address, 8),
+                core.halted, dict(vars(core.l1d.stats)), [list(ways.items())
+                                 for ways in core.l1d._sets],
+                list(misses or ()))
+
+
+def _same_vector_outcome(expected, observed, numeric, sew) -> bool:
+    """Equal, where FP arithmetic results (the lanes of the ``numeric``
+    registers, and every scalar FP register) count any NaN as every
+    NaN: which operand's NaN ``nan1 + nan2`` hands back is the host's
+    choice (see ``_Bench.run``)."""
+    def canonical(outcome):
+        regs, fregs, pc, vl, vtype, vregs, *rest = outcome
+        fregs = struct.pack("<32d", *(math.nan if value != value else value
+                                      for value in fregs))
+        vregs = list(vregs)
+        code = {32: "f", 64: "d"}.get(sew)
+        for register in numeric if code else ():
+            lanes = struct.Struct(f"<{_VLENB * 8 // sew}{code}")
+            vregs[register] = lanes.pack(*(
+                math.nan if value != value else value
+                for value in lanes.unpack(vregs[register])))
+        return regs, fregs, pc, vl, vtype, vregs, *rest
+    return canonical(expected) == canonical(observed)
+
+
+def _vector_cases(sews):
+    for sew in sews:
+        for lmul in (1, 2):
+            vlmax = _VLENB * 8 // sew * lmul
+            for avl in (0, 1, vlmax):
+                yield VType(sew=sew, lmul=lmul), avl
+
+
+def _check_vector_line(line, sews, xregs=None, fregs=None, numeric=()):
+    bench = _VectorBench(line)
+    for vtype, avl in _vector_cases(sews):
+        expected = bench.run("interpreter", vtype, avl, xregs or {},
+                             fregs or {})
+        for path in ("checked", "unchecked"):
+            observed = bench.run(path, vtype, avl, xregs or {}, fregs or {})
+            assert _same_vector_outcome(expected, observed, numeric,
+                                        vtype.sew), \
+                f"{path} block differs from CoreModel.step: {line} " \
+                f"{vtype.describe()} avl={avl} x={xregs} f={fregs}"
+
+
+def _row_lines(mnemonic, row):
+    """Assembly lines of one vector row — distinct registers and
+    ``vd == vs2``, with and without ``v0.t`` where the encoding has a
+    mask bit — each with the scalar values to run it over and the
+    registers its FP results land in."""
+    scalars = {"x": "x11", "f": "f11"}
+    for vd, vs2 in ((8, 4), (4, 4)):
+        if row.b == "i":
+            unsigned = row.kind == "pick" or mnemonic.split(".")[0] in (
+                "vsll", "vsrl", "vsra")
+            seconds = [str(value) for value in
+                       ((0, 1, 7, 31) if unsigned else (-16, -1, 0, 15))]
+        else:
+            seconds = [{"v": "v6"}.get(row.b, scalars.get(row.b))]
+        for second in seconds:
+            if row.kind == "to_x":
+                operands = f"x5, v{vs2}"
+            elif row.kind == "to_f":
+                operands = f"f5, v{vs2}"
+            elif row.kind == "first" or mnemonic in (
+                    "vmv.v.v", "vmv.v.x", "vmv.v.i", "vfmv.v.f"):
+                operands = f"v{vd}, {second}"
+            elif row.b is None:
+                operands = f"v{vd}"
+            elif row.merge:
+                operands = f"v{vd}, v{vs2}, {second}, v0"
+            elif row.kind == "each" and re.search(r"\bd\b", row.expr):
+                operands = f"v{vd}, {second}, v{vs2}"      # multiply-add
+            else:
+                operands = f"v{vd}, v{vs2}, {second}"
+            maskable = row.kind in ("each", "mask", "fold", "pick") \
+                and not row.merge and not mnemonic.startswith(
+                    ("vmv.v", "vfmv.v"))
+            for suffix in ("", ", v0.t") if maskable else ("",):
+                numeric = (vd, vd + 1) if row.view == "f" \
+                    and row.kind in ("each", "fold") else ()
+                yield f"{mnemonic} {operands}{suffix}", numeric
+
+
+@pytest.mark.parametrize("mnemonic", sorted(VECTOR))
+def test_vector_row_interpreter_equals_translated(mnemonic):
+    row = VECTOR[mnemonic]
+    sews = (32, 64) if row.view == "f" else (8, 16, 32, 64)
+    lines = 0
+    for line, numeric in _row_lines(mnemonic, row):
+        lines += 1
+        for value in _V_SCALARS.get(row.b, (None,)):
+            _check_vector_line(
+                line, sews,
+                xregs={11: value} if row.b == "x" else None,
+                fregs={11: value} if row.b == "f" else None,
+                numeric=numeric)
+    assert lines >= 2      # distinct registers, and vd == vs2
+
+
+def test_fp_vector_rows_trap_alike_below_sew_32():
+    """A block must hand an FP row at SEW 8/16 — and anything vector
+    under vill — to the interpreter, which raises the trap."""
+    for line, vtype in (("vfadd.vv v8, v4, v6", VType(sew=16)),
+                        ("vfmv.f.s f5, v4", VType(sew=8)),
+                        ("vadd.vv v8, v4, v6", VType(vill=True)),
+                        ("vle32.v v8, (x11)", VType(vill=True))):
+        bench = _VectorBench(line)
+        for path in ("interpreter", "checked", "unchecked"):
+            with pytest.raises(translate.Trap, match="vector configuration"):
+                bench.run(path, vtype, 4, {11: bench.buffer}, {})
+
+
+@pytest.mark.parametrize("mnemonic", sorted(VLOADS) + sorted(VSTORES))
+def test_vector_memory_row_interpreter_equals_translated(mnemonic):
+    """Registers, memory, and the data cache: its statistics, every
+    set's lines in LRU order, and the miss requests in order — the
+    per-line first-touch probe of a block against ``CoreModel.step``
+    classifying the per-element records."""
+    eew, addressing = (VLOADS.get(mnemonic) or VSTORES[mnemonic])
+    translated = mnemonic in translate._TRANSLATABLE
+    for suffix in ("", ", v0.t"):
+        if addressing == "unit":
+            line = f"{mnemonic} v8, (x11){suffix}"
+        elif addressing == "strided":
+            line = f"{mnemonic} v8, (x11), x12{suffix}"
+        else:
+            line = f"{mnemonic} v8, (x11), v6{suffix}"
+        if not translated or suffix:
+            # Left to the interpreter, by mnemonic or by its mask bit.
+            with pytest.raises(AssertionError, match="not translated"):
+                _VectorBench(line)
+            continue
+        bench = _VectorBench(line)
+        # Line-aligned, straddling lines, running over the page end,
+        # and (stores) the hart's own code page and tohost.
+        bases = [bench.buffer, bench.buffer + 8, bench.buffer + 100,
+                 bench.buffer + 127]
+        if mnemonic in VSTORES:
+            bases += [bench.entry + 64, bench.machine.tohost_address]
+        for base in bases:
+            for stride in (0, eew // 8, 24, -8 & _M64) \
+                    if addressing == "strided" else (0,):
+                # Index lanes as planted are far out of range: use
+                # small byte offsets, out of order, some repeated.
+                lanes = _VLENB * 8 // eew
+                indices = struct.pack(
+                    f"<{lanes}{'BHIQ'[eew.bit_length() - 4]}",
+                    *((lane * 37) % 96 for lane in range(lanes)))
+                vregs = {6: indices, 7: indices} \
+                    if addressing == "indexed" else None
+                for vtype, avl in _vector_cases((8, 16, 32, 64)):
+                    expected, *translated_runs = (
+                        bench.run(path, vtype, avl, {11: base, 12: stride},
+                                  {}, vregs)
+                        for path in ("interpreter", "checked", "unchecked"))
+                    assert translated_runs == [expected, expected], \
+                        f"{line} {vtype.describe()} avl={avl} " \
+                        f"base=buffer{base - bench.buffer:+d} stride={stride}"
+
+
+@pytest.mark.parametrize("line", [
+    "vsetvli x5, x11, e32, m2, ta, ma", "vsetvli x0, x11, e8, m1, tu, mu",
+    "vsetvli x5, x0, e64, m1, ta, ma", "vsetvli x0, x0, e16, m2, ta, ma",
+    "vsetvli x11, x11, e64, m1, ta, ma", "vsetivli x5, 0, e32, m1, ta, ma",
+    "vsetivli x5, 31, e8, m2, ta, ma", "vsetivli x0, 5, e64, m1, ta, ma"])
+def test_vset_interpreter_equals_translated(line):
+    bench = _VectorBench(line)
+    for vtype, avl in _vector_cases((8, 64)):
+        for requested in (0, 1, 5, 1 << 40, _M64):
+            expected = bench.run("interpreter", vtype, avl,
+                                 {11: requested}, {})
+            for path in ("checked", "unchecked"):
+                assert bench.run(path, vtype, avl, {11: requested}, {}) \
+                    == expected, f"{path}: {line} avl={requested}"
+
+
+def test_a_vsetvli_inside_a_block_refreshes_the_plan():
+    """SEW, vl and the group structs are read through a plan fetched
+    once per block; a vsetvli in the block must drop it."""
+    body = """
+    vsetvli x5, x11, e64, m1, ta, ma
+    vid.v v8
+    vadd.vi v8, v8, 1
+    vsetvli x6, x12, e8, m2, ta, ma
+    vid.v v10
+    vadd.vv v12, v10, v10
+    vsetvli x0, x0, e32, m1, ta, ma
+    vmv.v.i v14, -1"""
+    count = 8
+    _program, stepped, _core, _machine = _whole_block(body)
+    stepped.regs[11], stepped.regs[12] = 3, 100
+    for _ in range(count):
+        stepped.step()
+
+    program, hart, core, machine = _whole_block(body)
+    hart.regs[11], hart.regs[12] = 3, 100
+    core.l1i.access_fast(program.entry, False)
+    block = translate.BlockTranslator(core, machine).translate(program.entry)
+    assert block(count) is None
+    assert hart.pc == stepped.pc and hart.regs == stepped.regs
+    assert (hart.vl, hart.vtype) == (stepped.vl, stepped.vtype)
+    assert hart.vregs == stepped.vregs
+    assert hart.vl == 16 and bytes(hart.vregs[14][:8]) == b"\xff" * 8
+
+
+# -- closure ------------------------------------------------------------------
+
+_VECTOR_EFFECTFUL = {"vsetvli", "vsetivli", "vsetvl", "viota.m"}
+
+
+def _decodable_vector_mnemonics() -> set:
+    """Every vector mnemonic ``isa.decoder`` produces: OP-V and the FP
+    load/store opcodes, over funct3 (the width field), the top seven
+    bits (funct6 + vm, or nf/mew/mop + vm) and the rs1/rs2 values that
+    select a unary operation."""
+    found = set()
+    for opcode in (0x57, 0x07, 0x27):
+        for funct3 in range(8):
+            for top in range(128):
+                for rs2 in (0, 1):
+                    for rs1 in (0, 1, 0b10000, 0b10001):
+                        word = top << 25 | rs2 << 20 | rs1 << 15 \
+                            | funct3 << 12 | 0x2 << 7 | opcode
+                        try:
+                            instr = decode(word)
+                        except IllegalInstruction:
+                            continue
+                        if instr.is_vector:
+                            found.add(instr.mnemonic)
+    return found
+
+
+def test_every_vector_mnemonic_has_exactly_one_definition():
+    tables = [VECTOR, VLOADS, VSTORES]
+    rows = frozenset().union(*tables)
+    assert sum(len(table) for table in tables) == len(rows)
+    assert not rows & _VECTOR_EFFECTFUL and not rows & _ROW_MNEMONICS
+    decodable = _decodable_vector_mnemonics()
+    assert len(decodable) > 190
+    # A row or a hand-written executor, never both — ``executor()``
+    # refuses a second registration, also the one that derives a vector
+    # row's executor when it is first decoded — and nothing the decoder
+    # cannot produce.
+    for mnemonic in VECTOR:
+        assert mnemonic in EXEC or derive_executor(mnemonic) is not None
+    assert rows | _VECTOR_EFFECTFUL \
+        == {mnemonic for mnemonic in EXEC if mnemonic.startswith("v")}
+    assert not (rows | _VECTOR_EFFECTFUL) - decodable
+    # The decoder gives OPIVV funct6 0x0e/0x0f a slide's name; RVV 1.0
+    # has vrgatherei16 and a reserved encoding there.  They have no
+    # definition and trap as illegal instructions when fetched.
+    assert decodable - rows - _VECTOR_EFFECTFUL \
+        == {"vslideup.vv", "vslidedown.vv"}
+
+
+def test_every_vector_row_can_be_assembled():
+    assert set(VECTOR) | set(VLOADS) | set(VSTORES) <= supported_mnemonics()
+
+
+def test_vector_expressions_name_only_operands_and_helpers():
+    operands = {"a", "b", "d", "i", "A", "m", "sew", "vlmax"}
+    for mnemonic, row in VECTOR.items():
+        unknown = set(re.findall(r"\b[A-Za-z_]\w*", row.expr)) \
+            - operands - set(HELPERS) - set(keyword.kwlist)
+        assert not unknown, f"{mnemonic}: {unknown}"
+    # ... which the statements around them (vector.row_source) and the
+    # block code they are pasted into must not use for anything else.
+    assert not set(HELPERS) & (operands | {"P", "V", "B", "D", "values",
+                                           "x", "f", "n", "o"})

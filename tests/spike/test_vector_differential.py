@@ -315,10 +315,9 @@ _INT_COMPARES = {
 }
 _FP_COMPARES = {"vmfeq": np.equal, "vmfne": np.not_equal,
                 "vmflt": np.less, "vmfle": np.less_equal}
-# This oracle found ``vmfne`` answering 0 for a NaN operand (IEEE: 1).
-# The fix and its directed regression test (test_hart_vector.py) land
-# with the vector semantics rows; the switch goes with them.
-_VMFNE_SEES_NANS = False
+# (This oracle found ``vmfne`` answering 0 for a NaN operand — IEEE: 1;
+# fixed with the vector semantics rows, directed regression test in
+# test_hart_vector.py.)
 
 
 def _expected_mask(old_mask, active, outcome):
@@ -366,15 +365,14 @@ def test_integer_compare_matches_numpy(op, shape, sew, data):
 @given(data=st.data())
 def test_fp_compare_matches_numpy(op, shape, sew, data):
     lmul, vlmax, vl, suffix, v0, active = _draw_case(data, sew)
-    nans = dict(allow_nan=_VMFNE_SEES_NANS or op != "vmfne")
-    a = _draw_floats(data, sew, lmul, **nans)
+    a = _draw_floats(data, sew, lmul)
     if shape == "vv":
-        b = _draw_floats(data, sew, lmul, **nans)
+        b = _draw_floats(data, sew, lmul)
         if data.draw(st.booleans()):
             b = np.where(np.arange(vlmax) % 2 == 0, a, b)
         groups, fregs, text = {4: a, 6: b}, (), "v6"
     else:
-        scalar = data.draw(st.floats(width=sew, **nans))
+        scalar = data.draw(st.floats(width=sew))
         b = np.full(vlmax, scalar, dtype=_FLOATS[sew])
         groups, fregs, text = {4: a}, ((10, scalar),), "fa0"
     old_mask = _draw_bytes(data, _VLENB)

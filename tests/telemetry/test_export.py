@@ -86,6 +86,46 @@ class TestCliMetricsOut:
         assert data["host_profile"]["spike_seconds"] > 0
         assert "metrics written" in capsys.readouterr().out
 
+    def test_translator_counters(self, tmp_path):
+        """Translate-time counters ride in host_profile; no vector
+        mnemonic with a semantics row ends a block."""
+        path = tmp_path / "metrics.json"
+        assert cli_main(["--kernel", "vector-matmul", "--cores", "2",
+                         "--size", "16", "--metrics-out", str(path)]) == 0
+        translator = json.loads(path.read_text())["host_profile"][
+            "translator"]
+        assert translator["blocks_compiled"] \
+            + translator["factory_hits"] > 0
+        assert translator["enders"]
+        assert not [mnemonic for mnemonic in translator["enders"]
+                    if mnemonic.startswith("v")]
+
+    def test_no_translate_has_no_translator_section(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        assert cli_main(["--kernel", "scalar-matmul", "--cores", "2",
+                         "--size", "8", "--no-translate",
+                         "--metrics-out", str(path)]) == 0
+        assert json.loads(path.read_text())["host_profile"][
+            "translator"] is None
+
+    def test_resume_of_a_checkpoint_written_without_telemetry(
+            self, tmp_path, capsys):
+        """A resumed run takes its telemetry from the checkpoint: one
+        written by a plain run has no host profile to add to."""
+        ckpt = tmp_path / "plain.ckpt"
+        path = tmp_path / "metrics.json"
+        assert cli_main(["--kernel", "vector-matmul", "--cores", "2",
+                         "--size", "16", "--pause-at", "2000",
+                         "--checkpoint-out", str(ckpt)]) == 0
+        assert cli_main(["--resume", str(ckpt),
+                         "--metrics-out", str(path)]) == 0
+        assert "output verified      : True" in capsys.readouterr().out
+        data = json.loads(path.read_text())
+        assert data["cycles"] > 2000
+        assert set(data["host_profile"]) == {"translator"}
+        assert data["host_profile"]["translator"]["blocks_compiled"] \
+            + data["host_profile"]["translator"]["factory_hits"] > 0
+
     def test_sample_interval_flag_respected(self, tmp_path):
         path = tmp_path / "metrics.json"
         assert cli_main(["--kernel", "scalar-matmul", "--cores", "2",
