@@ -249,6 +249,11 @@ def sweep(kernel, cores: int = 8, *, axes: dict[str, list],
     quarantine (:class:`QuarantinedPoint`) of points that exhaust them;
     repeated pool-level failures degrade the worker count gracefully
     (``table.degradations``) instead of aborting the campaign.
+
+    ``campaign_path`` names a directory that keeps every settled point
+    (the result cache's format and keys): a rerun — after an interrupt
+    or a crash, or simply again — is served those as cache hits and
+    simulates only the rest.
     """
     if isinstance(kernel, str):
         make_workload = workload_factory(kernel, cores, size)

@@ -737,10 +737,10 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         help="write the canonical table "
                              "(SweepTable.to_dict) plus the campaign "
                              "aggregate as JSON")
-    parser.add_argument("--campaign", metavar="PATH", default=None,
-                        help="campaign checkpoint: completed points are "
-                             "persisted here and a restarted sweep "
-                             "warm-starts from them")
+    parser.add_argument("--campaign", metavar="DIR", default=None,
+                        help="campaign directory: every settled point "
+                             "is kept here and a restarted or repeated "
+                             "sweep is served from it")
     parser.add_argument("--progress", action="store_true",
                         help="stream k/n-points progress with ETA "
                              "through the telemetry logger")
@@ -841,6 +841,8 @@ def sweep_exit_code(table) -> int:
 def sweep_main(argv: list[str]) -> int:
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
+    from repro.coyote.parallel import ParallelSweep
+    from repro.resilience.checkpoint import CheckpointError
     if args.progress:
         logging.basicConfig(
             level=logging.INFO,
@@ -855,7 +857,11 @@ def sweep_main(argv: list[str]) -> int:
                 if not os.path.isdir(directory):
                     raise ValueError(
                         f"output directory does not exist: {directory}")
-    except ValueError as exc:
+        engine = ParallelSweep(sweep, workers=args.workers,
+                               on_error=args.on_error,
+                               progress=args.progress,
+                               campaign_path=args.campaign, policy=policy)
+    except (ValueError, CheckpointError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     kernel, cores, size = args.kernel, args.cores, args.size
@@ -865,19 +871,14 @@ def sweep_main(argv: list[str]) -> int:
 
     metrics = tuple(name.strip() for name in args.metrics.split(",")
                     if name.strip())
-    from repro.coyote.parallel import ParallelSweep
-    engine = ParallelSweep(sweep, workers=args.workers,
-                           on_error=args.on_error,
-                           progress=args.progress,
-                           campaign_path=args.campaign, policy=policy)
     try:
         table = engine.run(factory)
     except KeyboardInterrupt:
-        # The engine drained its pool and flushed the partial campaign
-        # checkpoint before letting the interrupt reach us.
+        # The engine drained its pool; every point that settled before
+        # the interrupt is already in the campaign directory.
         print("interrupted", file=sys.stderr)
         if args.campaign is not None:
-            print(f"  campaign checkpoint: {args.campaign} "
+            print(f"  campaign directory: {args.campaign} "
                   f"(rerun with --campaign to warm-start)",
                   file=sys.stderr)
         return EXIT_INTERRUPT
@@ -892,14 +893,18 @@ def sweep_main(argv: list[str]) -> int:
           f"({aggregate['failed']} failed)")
     print(f"workers              : {table.workers}")
     print(f"campaign wall time   : {table.wall_seconds:.2f} s")
+    counters = engine.monitor.counters
+    if args.campaign is not None:
+        print(f"campaign directory   : {counters['cache_hits']} of "
+              f"{aggregate['points']} points were cache hits "
+              f"({args.campaign})")
     if policy is not None:
-        counters = engine.monitor.counters
         print(f"supervisor           : {counters['attempts']} attempts, "
               f"{counters['retries']} retries, "
               f"{counters['quarantined']} quarantined")
     for event in table.degradations:
         print(f"pool degraded        : {event.from_workers} -> "
-              f"{event.to_workers or 'serial'} workers "
+              f"{event.to_workers or 'in-process'} workers "
               f"({event.reason})", file=sys.stderr)
     if args.best is not None and aggregate["succeeded"]:
         best = table.best(args.best)

@@ -1,68 +1,64 @@
-"""The point-worker pool and the parallel sweep engine over it.
+"""The point-worker pool, and the sweep tier of the campaign executor.
 
 Coyote exists for "the fast comparison of different designs", but a
 cartesian campaign run serially leaves every host core but one idle.
 Two layers live here (docs/RESILIENCE.md, "How a sweep point is
 executed"):
 
-* :class:`PointPool` — the process-per-point *mechanics* shared by
-  every campaign tier (this engine, the campaign service, the cluster
-  node): spawn a worker, turn pipe traffic into beat / result / died
-  events, and the one SIGTERM → grace → SIGKILL teardown.
-* :class:`ParallelSweep` — the sweep's *policy* over those events: at
-  most ``workers`` points in flight, results reassembled in
-  deterministic axis order, so a ``workers=N`` table is bit-identical
-  to a ``workers=1`` table (``SweepTable.to_dict()`` compares equal
-  byte for byte).
+* :class:`PointPool` — the process-per-point *mechanics* under every
+  campaign tier: spawn a worker, turn pipe traffic into beat / result /
+  died events, and the one SIGTERM → grace → SIGKILL teardown.
+* :class:`ParallelSweep` — ``Sweep.run`` as a tier of the one campaign
+  loop (:class:`repro.service.service.CampaignExecutor`): the sweep is
+  one job submitted to a job store whose journal has no file, its
+  recipe is any callable, its results stay on the store's records, and
+  its :class:`SweepTable` is assembled from the settled store exactly
+  as a service job's is — so a ``workers=N`` table is bit-identical to
+  a ``workers=1`` table, and both to the same campaign run through
+  ``repro.api.submit`` or a cluster.
 
 Design decisions, in the order they matter:
 
 * **Determinism.**  Every worker rebuilds its point's full
   configuration (seeded fault injection, telemetry, watchdog) from the
-  same ``base + settings`` recipe as the serial loop — the shared
-  :func:`~repro.coyote.sweep.run_point` — and the parent orders
-  outcomes by point index, never by completion order.  Retry backoff
-  jitter is seeded (policy seed × point index × attempt), never drawn
-  from wall time.
+  same ``base + settings`` recipe as in-process execution — the shared
+  :func:`~repro.coyote.sweep.run_point` — and the table is assembled
+  in point-index order, never completion order.  Retry backoff jitter
+  is seeded (policy seed × point index × attempt), never drawn from
+  wall time.
 * **Crash isolation.**  One process per point means a worker that dies
   hard (segfault, ``os._exit``, OOM-kill) loses that point only: the
   pool reports the exit code and the captured stderr tail, recorded as
   a :class:`WorkerCrash` failure like any other ``on_error="skip"``
   failure.
 * **Supervision.**  With a
-  :class:`~repro.resilience.supervisor.SupervisorPolicy`, the loop
-  also enforces a per-point wall-clock timeout, a heartbeat deadline
-  and an RSS ceiling (reaping offenders), re-dispatches dead attempts
-  under the seeded :class:`~repro.resilience.supervisor.RetryPolicy`,
-  quarantines a point that exhausts it as a
-  :class:`~repro.resilience.supervisor.QuarantinedPoint`, and steps
-  the pool down ``N → N/2 → … → 1 → serial`` on repeated pool-level
-  failures (fork failures, RSS trips) instead of aborting.
+  :class:`~repro.resilience.supervisor.SupervisorPolicy` the executor
+  holds every worker to its deadlines, retries or quarantines dead
+  attempts and steps the pool down on pool-level failures — none of
+  which is this module's code any more.
 * **Error transport.**  A worker-side exception crosses the process
   boundary only if it survives a local pickle round-trip; otherwise a
   picklable :class:`RemoteError` stand-in carries the original type
   name and message, so failure records stay identical either way.
-* **Warm-start.**  With ``campaign_path`` set, every completed point is
-  appended to an atomic campaign checkpoint
-  (:func:`repro.resilience.checkpoint.save_campaign`); a restarted
-  campaign loads it and only runs the missing points — including
-  quarantined ones, which are never re-executed.  A SIGINT mid-campaign
-  drains the pool and still flushes the partial checkpoint before the
-  interrupt propagates.
+* **Warm-start.**  ``campaign_path`` names a directory: a
+  :class:`CampaignDirectory` in the result cache's own format, keyed by
+  :func:`~repro.service.cache.point_key`.  Every settled point —
+  quarantined ones included — is written there as it settles, and a
+  restarted (or interrupted, or repeated) sweep is served those as
+  cache hits and only runs the rest.
 * **Progress.**  ``progress=True`` streams ``k/n points, ETA`` through
-  :class:`~repro.telemetry.campaign.CampaignProgress`; the supervised
-  lifecycle reports to a
-  :class:`~repro.telemetry.campaign.CampaignMonitor` (heartbeat gauges,
-  retry/quarantine counters, per-attempt Chrome trace spans).
+  :class:`~repro.telemetry.campaign.CampaignProgress`; the executor
+  reports into a :class:`~repro.telemetry.campaign.CampaignMetrics`
+  (heartbeat gauges, retry/quarantine counters, per-attempt Chrome
+  trace spans).
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import io
-import logging
 import multiprocessing
+import operator
 import os
 import pickle
 import signal
@@ -70,29 +66,20 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection
+from pathlib import Path
 from typing import Any, Callable
 
 from repro.coyote.errors import SimulationError
-from repro.coyote.sweep import (
-    Sweep,
-    SweepPoint,
-    SweepTable,
-    _canonical_value,
-    run_point,
-)
+from repro.coyote.sweep import Sweep, SweepPoint, SweepTable, run_point
 from repro.resilience import supervisor as supervision
-from repro.resilience.checkpoint import (
-    CampaignCorruptError,
-    load_campaign,
-    save_campaign,
-)
-from repro.resilience.locking import PathLock
-from repro.resilience.supervisor import Supervisor, SupervisorPolicy
-from repro.telemetry.campaign import CampaignMonitor, CampaignProgress
-
-logger = logging.getLogger("repro.coyote.parallel")
+from repro.resilience.checkpoint import CheckpointError
+from repro.resilience.supervisor import SupervisorPolicy
+from repro.service.cache import ResultCache
+from repro.service.journal import Journal
+from repro.service.store import JobStore
+from repro.telemetry.campaign import CampaignProgress
 
 # How long the parent sleeps in connection.wait when nothing is ready.
 _WAIT_SECONDS = 0.05
@@ -234,18 +221,6 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
         conn.close()
 
 
-def settings_key(settings: dict[str, Any]) -> tuple:
-    """A canonical, hashable identity of one point's settings."""
-    return tuple((name, _canonical_value(value))
-                 for name, value in settings.items())
-
-
-def axes_key(axes: dict[str, list]) -> str:
-    """A canonical identity of a sweep's axes (campaign-file guard)."""
-    return repr({name: [_canonical_value(value) for value in values]
-                 for name, values in axes.items()})
-
-
 @contextlib.contextmanager
 def _sigint_held():
     """Hold SIGINT until the block exits.
@@ -268,9 +243,8 @@ def _sigint_held():
 class PointWorker:
     """Parent-side handle of one in-flight attempt of one point.
 
-    ``context`` is the owning tier's per-attempt record (the attempt
-    number of a supervised sweep, the lease of a service point, the
-    grant of a cluster node); the pool never looks inside it.
+    ``context`` is the owner's per-attempt record (the executor's
+    lease, a cluster node's grant); the pool never looks inside it.
     """
 
     process: Any
@@ -294,8 +268,8 @@ class PointPool:
     pipe closed, stderr tail harvested, temp file removed), and
     :meth:`close` reaps whatever is left.  Which point runs next, what
     a death costs it and where its result goes is the caller's policy:
-    :class:`ParallelSweep`, ``CampaignService`` and ``ClusterNode`` are
-    loops over these events.
+    the campaign executor (under every sweep, service and dispatcher)
+    and ``ClusterNode`` are the loops over these events.
 
     Uses the ``fork`` start method where the platform offers it, else
     ``spawn`` — which needs a picklable workload factory
@@ -429,8 +403,25 @@ class PointPool:
             self.reap(worker)
 
 
+class CampaignDirectory(ResultCache):
+    """One sweep's own progress record (``campaign_path=``, CLI
+    ``--campaign DIR``): the result cache's entries under the result
+    cache's keys, but *every* settled point is kept — failures and
+    quarantine records included — so a restarted sweep recomputes none
+    of them."""
+
+    def storable(self, point: SweepPoint) -> bool:
+        return True
+
+    def put(self, key: str, point: SweepPoint) -> bool:
+        # An in-process failure may hold an exception that would not
+        # unpickle; keep the stand-in a pool worker would have sent.
+        return super().put(key, replace(
+            point, error=_portable_error(point.error)))
+
+
 class ParallelSweep:
-    """Campaign executor behind :meth:`repro.coyote.sweep.Sweep.run`.
+    """``Sweep.run`` as a tier of the campaign executor.
 
     ``workers=1`` executes in-process (no fork overhead, but also no
     crash isolation); ``workers=N`` runs at most N single-point worker
@@ -449,11 +440,18 @@ class ParallelSweep:
                  progress: bool = False, campaign_path=None,
                  mp_context: str | None = None,
                  policy: SupervisorPolicy | None = None):
+        from repro.service.service import CampaignExecutor
         if on_error not in ("raise", "skip"):
             raise ValueError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if campaign_path is not None and Path(campaign_path).is_file():
+            raise CheckpointError(
+                f"{campaign_path} is a campaign file from an older "
+                f"version; campaign_path is now a directory of per-point "
+                f"results — pass a directory (a new one recomputes the "
+                f"points)")
         self.sweep = sweep
         self.workers = workers
         self.on_error = on_error
@@ -461,193 +459,53 @@ class ParallelSweep:
         self.progress = progress
         self.campaign_path = campaign_path
         self.policy = policy if policy is not None else SupervisorPolicy()
-        self.policy.validate()
-        self.monitor = CampaignMonitor()
-        self.supervisor = Supervisor(self.policy, monitor=self.monitor)
-        self.pool = PointPool(
-            mp_context,
+        supervised = self.policy.supervised
+        self.executor = CampaignExecutor(
+            JobStore(Journal(), max_queue=sys.maxsize, compact_every=0),
+            (CampaignDirectory(campaign_path)
+             if campaign_path is not None else None),
+            # workers=1 without supervision needs no isolation: it
+            # starts where the degradation ladder ends.
+            slots=workers if workers > 1 or supervised else 0,
+            retry=self.policy.retry if supervised else None,
+            policy=self.policy,
             heartbeat_seconds=self.policy.heartbeat_interval_seconds,
-            term_grace_seconds=self.policy.term_grace_seconds)
-
-    # -- public entry ------------------------------------------------------
+            recipe_for=operator.itemgetter("recipe"),
+            mp_context=mp_context)
+        self.pool = self.executor.pool
+        self.monitor = self.executor.monitor
 
     def run(self, make_workload: Callable) -> SweepTable:
-        if self.campaign_path is None:
-            return self._run(make_workload)
-        # Advisory lock: a second process pointed at the same campaign
-        # fails fast instead of silently interleaving atomic replaces.
-        with PathLock(self.campaign_path):
-            return self._run(make_workload)
-
-    def _run(self, make_workload: Callable) -> SweepTable:
         started = time.perf_counter()
+        executor = self.executor
         points = self.sweep.points()
-        outcomes: dict[int, SweepPoint] = {}
-        completed_store: dict[tuple, SweepPoint] = {}
-        key = axes_key(self.sweep.axes)
-        if self.campaign_path is not None:
-            try:
-                completed_store = load_campaign(self.campaign_path, key)
-            except CampaignCorruptError as exc:
-                # Damage, not misuse: warn and recompute from scratch
-                # rather than refusing to run the campaign at all.
-                logger.warning(
-                    "campaign checkpoint %s is corrupt (%s); "
-                    "starting cold", self.campaign_path, exc)
-                completed_store = {}
-            for index, settings in enumerate(points):
-                stored = completed_store.get(settings_key(settings))
-                if stored is not None:
-                    outcomes[index] = stored
-        pending = [(index, settings)
-                   for index, settings in enumerate(points)
-                   if index not in outcomes]
         reporter = CampaignProgress(len(points)) if self.progress else None
-        if reporter is not None and outcomes:
-            for index in sorted(outcomes):
-                reporter.point_completed(points[index],
-                                         failed=outcomes[index].failed)
 
-        def record(index: int, point: SweepPoint) -> None:
-            outcomes[index] = point
+        def settled(point: SweepPoint) -> None:
             if reporter is not None:
                 reporter.point_completed(point.settings,
                                          failed=point.failed)
-            if self.campaign_path is not None:
-                completed_store[settings_key(point.settings)] = point
-                save_campaign(self.campaign_path, key, completed_store)
             if point.failed and self.on_error == "raise":
                 raise point.error
 
+        executor.on_settle = settled
+        job = executor.store.submit(
+            f"sweep-{len(executor.store.jobs)}",
+            {"axes": self.sweep.axes,
+             "recipe": (self.sweep.base_cores, self.sweep.base_overrides,
+                        make_workload, self.require_verified)},
+            points)
         try:
-            self._run_pool(pending, make_workload, record)
-        except KeyboardInterrupt:
-            # The pool was drained by _run_pool's finally; persist what
-            # the campaign already computed before the interrupt
-            # propagates (the CLI maps it to exit 130).
-            if self.campaign_path is not None:
-                save_campaign(self.campaign_path, key, completed_store)
-            raise
-
-        table = SweepTable(
-            axes=self.sweep.axes,
-            points=[outcomes[index] for index in range(len(points))],
-            workers=self.workers,
-            wall_seconds=time.perf_counter() - started,
-            degradations=list(self.supervisor.degradations))
-        return table
-
-    # -- the worker pool ---------------------------------------------------
-
-    def _run_pool(self, pending: list[tuple[int, dict[str, Any]]],
-                  make_workload: Callable,
-                  record: Callable[[int, SweepPoint], None]) -> None:
-        """The sweep's policy over :class:`PointPool` events: dispatch
-        in index order, supervise deadlines, retry or quarantine
-        deaths, step the worker count down on pool-level failures."""
-        policy = self.policy
-        supervisor = self.supervisor
-        pool = self.pool
-        recipe = (self.sweep.base_cores, self.sweep.base_overrides,
-                  make_workload, self.require_verified)
-        # Min-heap of (not-before, index, settings): fresh points are
-        # due at once, in index order; a retry waits out its backoff.
-        waiting = [(0.0, index, settings) for index, settings in pending]
-        # The pool width; 0 is the in-process floor.  workers=1 without
-        # supervision needs no isolation: it starts where the
-        # degradation ladder ends.
-        current_workers = (0 if self.workers == 1 and not policy.supervised
-                           else self.workers)
-
-        def on_death(worker: PointWorker, outcome: str,
-                     exit_code: int | None, tail: str) -> None:
-            """One attempt died (crash observed or worker reaped):
-            record the failure, then retry or quarantine."""
-            self.monitor.attempt_finished(worker.index, worker.settings,
-                                          worker.context, outcome)
-            if not policy.supervised:
-                error = WorkerCrash(
-                    f"sweep worker for point {worker.settings} died "
-                    f"without reporting a result (exit code {exit_code})",
-                    exit_code=exit_code, stderr_tail=tail)
-            else:
-                action, error = supervisor.record_failure(
-                    worker.index, worker.settings, outcome, exit_code,
-                    tail, worker.beats)
-                if action == "retry":   # ``error`` is the backoff delay
-                    heapq.heappush(waiting, (time.monotonic() + error,
-                                             worker.index, worker.settings))
-                    return
-            record(worker.index,
-                   SweepPoint(worker.settings, None, False, error))
-
-        def reap(worker: PointWorker, outcome: str) -> None:
-            """Supervision verdict: kill the worker, charge the point."""
-            self.monitor.reaped(worker.index, worker.settings, outcome)
-            tail = pool.reap(worker)
-            on_death(worker, outcome, worker.process.exitcode, tail)
-
-        def degrade(reason: str) -> None:
-            nonlocal current_workers
-            stepped = supervisor.pool_failure(reason, current_workers)
-            if stepped is not None:
-                current_workers = stepped
-
-        try:
-            while waiting or pool:
-                if not current_workers and not pool:
-                    # The in-process floor: no isolation (left), but
-                    # the campaign still terminates with every point
-                    # accounted for.
-                    for _due, index, settings in sorted(
-                            waiting, key=lambda item: item[1]):
-                        record(index, run_point(settings, *recipe))
-                    return
-
-                while (waiting and waiting[0][0] <= time.monotonic()
-                       and len(pool) < current_workers):
-                    due, index, settings = heapq.heappop(waiting)
-                    attempt = supervisor.attempt_number(index)
-                    try:
-                        pool.spawn(index, settings, *recipe,
-                                   context=attempt)
-                    except OSError as exc:
-                        heapq.heappush(waiting, (due, index, settings))
-                        if not policy.degrade_after:
-                            raise
-                        degrade(f"worker spawn failed: {exc}")
-                        break
-                    self.monitor.attempt_started(index, settings, attempt)
-
-                if not pool and waiting:
-                    time.sleep(_WAIT_SECONDS)
-                for kind, worker, *payload in pool.poll():
-                    if kind == "died":
-                        on_death(worker, "crash", *payload)
-                    elif kind == "result":
-                        point, = payload
-                        self.monitor.attempt_finished(
-                            worker.index, worker.settings, worker.context,
-                            "failed" if point.failed else "ok")
-                        record(worker.index, point)
-                    else:
-                        cycles, rss_mb = payload
-                        self.monitor.heartbeat(worker.index, cycles,
-                                               rss_mb)
-                        if (policy.max_rss_mb is not None
-                                and rss_mb > policy.max_rss_mb):
-                            reap(worker, "rss-exceeded")
-                            degrade(f"worker RSS {rss_mb:.0f} MB over "
-                                    f"the {policy.max_rss_mb:.0f} MB "
-                                    f"ceiling")
-
-                now = time.monotonic()
-                for worker in pool.workers:
-                    overdue = supervisor.overdue(worker.started,
-                                                 worker.last_beat, now)
-                    if overdue is not None:
-                        reap(worker, overdue)
-        finally:
+            table = executor.result(job, wait=True)
+        except BaseException:
             # on_error="raise", SIGINT, or any unexpected parent-side
-            # error: don't leave orphan simulations burning the host.
-            pool.close()
+            # error.  What settled is already in the campaign
+            # directory; a later run() must not pick the rest up.
+            executor.store.cancel(job)
+            raise
+        finally:
+            # Don't leave orphan simulations burning the host.
+            self.pool.close()
+        table.workers = self.workers
+        table.wall_seconds = time.perf_counter() - started
+        return table

@@ -16,8 +16,9 @@ fields), a workload factory, and get back a tidy result table.
 4
 
 Campaign-scale execution lives in :mod:`repro.coyote.parallel`:
-``sweep.run(..., workers=4)`` fans the cartesian points out to a worker
-pool while keeping the resulting table bit-identical to a serial run.
+``sweep.run(...)`` submits the cartesian points as one job to the
+campaign executor, and ``workers=4`` lets it keep four worker processes
+busy while the resulting table stays bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -231,6 +232,16 @@ class SweepTable:
         return summary
 
 
+def factory_takes_settings(make_workload: Callable) -> bool:
+    """Whether a workload factory's signature binds one positional
+    argument — the point's settings dict."""
+    try:
+        inspect.signature(make_workload).bind({})
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 def call_workload_factory(make_workload: Callable,
                           settings: dict[str, Any]):
     """Call a workload factory, passing the point's settings when the
@@ -241,15 +252,9 @@ def call_workload_factory(make_workload: Callable,
     settings dict, so workload shape can itself be swept (problem size
     axes, kernel-variant axes) alongside configuration axes.
     """
-    try:
-        signature = inspect.signature(make_workload)
-    except (TypeError, ValueError):
-        return make_workload()
-    try:
-        signature.bind(settings)
-    except TypeError:
-        return make_workload()
-    return make_workload(settings)
+    if factory_takes_settings(make_workload):
+        return make_workload(settings)
+    return make_workload()
 
 
 def run_point(settings: dict[str, Any], base_cores: int,
@@ -258,8 +263,8 @@ def run_point(settings: dict[str, Any], base_cores: int,
               on_simulation: Callable | None = None) -> SweepPoint:
     """Execute one sweep point, never raising.
 
-    This is the single execution path shared by the serial loop and
-    every parallel worker — both build the point's full configuration
+    This is the single execution path shared by in-process execution
+    and every pool worker — both build the point's full configuration
     (including seeded fault and telemetry setup) from the same
     ``base + settings`` recipe, which is what makes a parallel table
     bit-identical to a serial one.
@@ -333,9 +338,9 @@ class Sweep:
         crash isolation, while the returned table stays bit-identical
         (deterministic axis order, same metrics, same failure records).
         ``progress`` streams ``k/n points, ETA`` through the
-        ``repro.telemetry`` logger; ``campaign_path`` persists completed
-        points so an interrupted campaign warm-starts instead of
-        recomputing.
+        ``repro.telemetry`` logger; ``campaign_path`` names a directory
+        that keeps every settled point, so an interrupted or repeated
+        campaign serves them from there instead of recomputing.
 
         ``policy`` (a
         :class:`~repro.resilience.supervisor.SupervisorPolicy`) runs

@@ -10,15 +10,18 @@ any instant (docs/RESILIENCE.md, "Campaign service"):
   events, so recovery is replay and a torn final line is simply an
   event that never committed.
 * :mod:`repro.service.store` — the job store folding that journal into
-  queue state: submitted jobs, point lifecycles, wall-clock leases.
+  queue state: submitted jobs, point lifecycles, wall-clock leases,
+  fencing tokens, each point's attempt book.
 * :mod:`repro.service.cache` — the content-addressed result cache
   keyed by (config digest, kernel digest, seed); checksummed entries,
   corrupt ones quarantined aside and recomputed, overlapping sweeps
   served from disk.
-* :mod:`repro.service.service` — :class:`CampaignService` itself: the
-  lease-based executor (heartbeat renewal, seeded retries, poison-point
-  quarantine), the bounded submission queue, the spool inbox, and the
-  SIGTERM/SIGINT drain behind ``coyote-sim serve``.
+* :mod:`repro.service.service` — ``CampaignExecutor``, the one
+  campaign loop under every tier (leases, heartbeat renewal, the
+  deadline check, seeded retries, poison-point quarantine, the
+  degradation ladder), and :class:`CampaignService`: that loop plus a
+  root directory — the bounded submission queue, the spool inbox, and
+  the SIGTERM/SIGINT drain behind ``coyote-sim serve``.
 * :mod:`repro.service.transport` — pluggable cluster messaging
   (in-process deques, atomic filesystem spools) plus the seeded
   :class:`ServiceFaultPlan` layer that injects drop/delay/duplicate/

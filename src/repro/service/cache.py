@@ -155,13 +155,16 @@ class ResultCache:
             except OSError:
                 pass
 
+    def storable(self, point: SweepPoint) -> bool:
+        """Whether ``point`` belongs here.  Only outcomes with results
+        do: a point that failed without any (a crash, a timeout, a
+        quarantine) is a fact about a host or a model bug, and a cache
+        other campaigns read must not serve it to them."""
+        return point.results is not None
+
     def put(self, key: str, point: SweepPoint) -> bool:
         """Atomically store one point; returns False when unpicklable.
-
-        Only deterministic outcomes belong here: callers must not cache
-        points that failed without results (crashes, timeouts — those
-        are host facts, not simulation facts).
-        """
+        Callers ask :meth:`storable` first."""
         try:
             body = pickle.dumps(point, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
@@ -190,3 +193,4 @@ class ResultCache:
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
                 "corrupt": self.corrupt, "writes": self.writes}
+

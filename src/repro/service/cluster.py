@@ -31,10 +31,11 @@ Robust by construction:
   campaign still drains to a :class:`~repro.coyote.sweep.SweepTable`
   bit-identical to a serial sweep.
 * **Degradation is graceful, not silent.**  A cluster whose nodes all
-  die (or never arrive) steps down cluster → single-node — the
-  dispatcher runs the remaining points itself in the inherited
-  service's worker pool — and, if it cannot even fork,
-  single-node → serial in-process execution.  Each step logs a
+  die (or never arrive) takes the first step of the executor's one
+  ladder, ``cluster → N → N/2 → … → 1 → in-process``: the dispatcher
+  runs the remaining points itself in the inherited worker pool, and
+  repeated fork failures step that pool down to in-process execution.
+  Each step logs a
   :class:`~repro.resilience.supervisor.DegradationEvent`, surfaced on
   the final table's host-side ``degradations`` field.
 
@@ -53,9 +54,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.coyote.parallel import PointPool, PointWorker
-from repro.coyote.sweep import SweepPoint, SweepTable, run_point
-from repro.resilience.supervisor import DegradationEvent
+from repro.coyote.parallel import PointPool
+from repro.coyote.sweep import SweepPoint, run_point
 from repro.service.cache import ResultCache
 from repro.service.service import (
     CampaignService,
@@ -73,7 +73,7 @@ from repro.service.transport import (
     ServiceFaultPlan,
     Transport,
 )
-from repro.telemetry.campaign import ClusterMonitor
+from repro.telemetry.campaign import CampaignMetrics
 
 __all__ = [
     "ClusterDispatcher",
@@ -338,9 +338,9 @@ class ClusterDispatcher(CampaignService):
     them locally.  All single-node behaviour is inherited — journal
     ownership, inbox ingestion, bounded queue, cache-hit service,
     expired-lease reaping, retry/quarantine policy — and stays the
-    degradation target: when every node is dead or none ever arrives,
-    the dispatcher runs the remaining points itself (forked workers;
-    serial in-process if even forking fails).
+    degradation target: it starts with no local slots (``slots is
+    None``: every point is granted out), and when every node is dead
+    or none ever arrives the ladder gives it ``local_workers`` of them.
 
     ``fence=False`` disables fencing *enforcement* (tokens are still
     minted) to demonstrate the legacy at-least-once behaviour; leave
@@ -354,11 +354,11 @@ class ClusterDispatcher(CampaignService):
                  grace_seconds: float = 5.0, fence: bool = True,
                  local_workers: int = 1,
                  clock: Callable[[], float] = time.time,
-                 monitor: ClusterMonitor | None = None,
+                 monitor: CampaignMetrics | None = None,
                  **service_kwargs: Any):
-        monitor = monitor if monitor is not None else ClusterMonitor()
         super().__init__(root, workers=local_workers, monitor=monitor,
                          **service_kwargs)
+        self.slots = None   # the cluster rung: every point is granted out
         base = transport if transport is not None \
             else FilesystemTransport(self.root, DISPATCHER_ENDPOINT)
         if fault_plan is not None:
@@ -370,9 +370,6 @@ class ClusterDispatcher(CampaignService):
         if node_deadline_seconds is None:
             node_deadline_seconds = self.lease_seconds
         self.registry = NodeRegistry(node_deadline_seconds, clock=clock)
-        self.degradations: list[DegradationEvent] = []
-        # "cluster" -> "local" (forked workers) -> "serial".
-        self._tier = "cluster"
         self._started = clock()
         self._ever_had_nodes = False
 
@@ -396,7 +393,11 @@ class ClusterDispatcher(CampaignService):
         node = str(message["node"])
         workers = int(message.get("workers", 1))
         if self.registry.register(node, workers):
-            self.monitor.node_registered(node, workers)
+            self.monitor.count(
+                "nodes_registered", f"cluster: node {node} registered "
+                                    f"({workers} worker slot(s))")
+            self.monitor.node_gauges[node] = {"last_seen_age": 0.0,
+                                              "leases_held": 0}
         self._ever_had_nodes = True
 
     def _on_heartbeat(self, message: dict) -> None:
@@ -411,8 +412,10 @@ class ClusterDispatcher(CampaignService):
         for entry in message.get("held") or []:
             if isinstance(entry, (list, tuple)) and len(entry) >= 2:
                 held_keys.add((str(entry[0]), int(entry[1])))
-        self.monitor.node_heartbeat(node, self.registry.age(node),
-                                    len(held_keys))
+        self.monitor.count("node_heartbeats")
+        self.monitor.node_gauges[node] = {
+            "last_seen_age": round(self.registry.age(node), 3),
+            "leases_held": len(held_keys)}
         # A heartbeat renews exactly the leases the node acknowledges.
         # A lease the node does not know about (its grant was dropped
         # in transit) is deliberately left to expire and rebalance.
@@ -424,7 +427,8 @@ class ClusterDispatcher(CampaignService):
                 self.store.renew(job_id, point["index"], self._now(),
                                  self.lease_seconds, fence=fence)
             except StaleWriteError:
-                self.monitor.stale_write(job_id, point["index"])
+                self._stale_write({"job_id": job_id,
+                                   "index": point["index"]})
 
     def _on_request(self, message: dict) -> None:
         node = str(message["node"])
@@ -450,23 +454,23 @@ class ClusterDispatcher(CampaignService):
             return
         settled = self._settle(
             {"job_id": job_id, "index": index, "fence": fence}, message)
-        self.monitor.grant_settled(node, job_id, index,
-                                   "complete" if settled else "stale")
+        self._grant_settled(node, job_id, index,
+                            "complete" if settled else "stale")
 
     def _on_failure(self, message: dict) -> None:
         node = str(message.get("node", "?"))
         job_id, index = message["job"], int(message["index"])
-        try:
-            point = self.store.jobs[job_id]["points"][index]
-        except (KeyError, IndexError):
-            return
-        self.monitor.grant_settled(node, job_id, index,
-                                   message.get("outcome", "failure"))
-        self._record_failure(job_id, index, point["settings"],
-                             str(message.get("outcome", "crash")),
-                             message.get("exit_code"),
-                             str(message.get("stderr_tail", "")),
-                             fence=message.get("fence"))
+        if job_id not in self.store.jobs or not \
+                0 <= index < len(self.store.jobs[job_id]["points"]):
+            return  # a failure for a job this root never had
+        self._grant_settled(node, job_id, index,
+                            message.get("outcome", "failure"))
+        self._record_failure(
+            {"job_id": job_id, "index": index,
+             "fence": message.get("fence")},
+            str(message.get("outcome", "crash")),
+            message.get("exit_code"),
+            str(message.get("stderr_tail", "")))
 
     def _grant(self, node: str) -> bool:
         lease = self._claim_next(node)
@@ -484,8 +488,15 @@ class ClusterDispatcher(CampaignService):
             "fence": fence if self.fence_enabled else None,
             "cache_key": lease["cache_key"],
             "lease_seconds": self.lease_seconds})
-        self.monitor.granted(node, lease["job_id"], lease["index"], fence)
+        self.monitor.count("grants")
+        self.monitor.span_open((node, lease["job_id"], lease["index"]))
         return True
+
+    def _grant_settled(self, node: str, job_id: str, index: int,
+                       outcome: str) -> None:
+        self.monitor.span_close((node, job_id, index),
+                                f"{job_id}[{index}]", node,
+                                node=node, outcome=outcome)
 
     def _node_leases(self, node: str) -> list[tuple[str, dict]]:
         return [(job_id, point) for job_id, point in self.store.leases()
@@ -497,38 +508,32 @@ class ClusterDispatcher(CampaignService):
         progressed = False
         for node in self.registry.reap():
             leases = self._node_leases(node)
-            self.monitor.node_dead(node, self.registry.age(node),
-                                   len(leases))
+            self.monitor.node_gauges.pop(node, None)
+            self.monitor.count(
+                "nodes_dead",
+                f"cluster: node {node} declared dead (silent "
+                f"{self.registry.age(node):.1f}s, {len(leases)} "
+                f"lease(s) to rebalance)")
             for job_id, point in leases:
                 index = point["index"]
-                self.monitor.grant_settled(node, job_id, index,
-                                           "node-lost")
-                self.monitor.rebalanced(node, job_id, index)
+                self._grant_settled(node, job_id, index, "node-lost")
+                self.monitor.count(
+                    "rebalanced", f"cluster: {job_id}[{index}] reaped "
+                                  f"from dead node {node}; point re-queued")
                 # Charged as an attempt: a lost node's in-flight work
                 # is indistinguishable from a wedged point, so the
                 # seeded RetryPolicy governs the re-dispatch (and a
                 # point that keeps killing nodes quarantines).
-                self._record_failure(job_id, index, point["settings"],
-                                     "node-lost", None, "")
+                self._record_failure(
+                    {"job_id": job_id, "index": index, "fence": None},
+                    "node-lost", None, "")
             progressed = True
         return progressed
 
-    # -- degradation ladder ------------------------------------------------
-
-    def _note_degradation(self, to_tier: str, reason: str) -> None:
-        from_workers = (len(self.registry.nodes)
-                        if self._tier == "cluster" else self.workers)
-        to_workers = self.workers if to_tier == "local" else 0
-        event = DegradationEvent(reason=reason,
-                                 from_workers=from_workers,
-                                 to_workers=to_workers,
-                                 pool_failures=len(self.degradations))
-        self.degradations.append(event)
-        self.monitor.degraded(event)
-        self._tier = to_tier
+    # -- the cluster rung of the ladder -----------------------------------
 
     def _should_degrade(self) -> bool:
-        if self._tier != "cluster" or not self.store.has_work():
+        if self.slots is not None or not self.store.has_work():
             return False
         if self.registry.alive():
             return False
@@ -536,56 +541,21 @@ class ClusterDispatcher(CampaignService):
             return True  # had a fleet, lost it
         return self._now() - self._started > self.grace_seconds
 
-    def _spawn(self, lease: dict) -> PointWorker:
-        try:
-            return super()._spawn(lease)
-        except OSError as exc:
-            if self._tier == "local":
-                self._note_degradation(
-                    "serial", f"cannot fork local workers: {exc}")
-            raise
-
-    def _serial_tick(self) -> bool:
-        """The last rung: one point, in-process, no children at all."""
-        lease = self._claim_next(self.worker_id)
-        if lease is None:
-            return False
-        if not lease["settled"]:
-            point = run_point(lease["settings"],
-                              *spec_recipe(lease["spec"]))
-            self._settle(lease, completion_record(
-                self.cache, lease["cache_key"], point))
-        return True
-
-    def _local_tick(self) -> bool:
-        if self._tier == "serial":
-            return self._serial_tick()
-        progressed = self._fill_slots()
-        progressed |= self._pump()
-        return progressed
-
     # -- the dispatcher loop -----------------------------------------------
 
     def step(self) -> bool:
         """One dispatcher turn (what the inherited ``run`` loops
         over); the unit deterministic tests drive."""
-        self.ingest_inbox()
-        self._recover_dead_leases()
         progressed = self._pump_transport()
         progressed |= self._reap_dead_nodes()
-        self._reap_expired()
         if self._should_degrade():
-            self._note_degradation(
-                "local",
+            self._degrade(
                 "no live nodes; dispatcher running points itself"
                 if self._ever_had_nodes else
                 f"no node registered within {self.grace_seconds:.1f}s; "
-                f"dispatcher running points itself")
-        if self._tier != "cluster":
-            progressed |= self._local_tick()
-        self.monitor.observe_queue(self.store.outstanding_points(),
-                                   self.store.active_leases())
-        return progressed
+                f"dispatcher running points itself",
+                self.workers, from_workers=len(self.registry.nodes))
+        return super().step() | progressed
 
     def shutdown_nodes(self) -> None:
         """Tell every node (alive or not) to finish and exit."""
@@ -595,11 +565,6 @@ class ClusterDispatcher(CampaignService):
                                            "src": DISPATCHER_ENDPOINT})
             except ServiceError:
                 continue
-
-    def result(self, job_id: str, *, wait: bool = False) -> SweepTable:
-        table = super().result(job_id, wait=wait)
-        table.degradations = list(self.degradations)
-        return table
 
     def close(self) -> None:
         if self._opened:

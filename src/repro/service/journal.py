@@ -28,6 +28,12 @@ Two mechanisms make that safe:
 Durability scope: flush-to-OS per append, which survives process kills
 (SIGKILL included).  Pass ``fsync=True`` to also survive host power
 loss at the cost of one ``fsync`` per event.
+
+A journal built without a path has no file behind it: the same
+sequence-numbered events are kept in memory and handed back by
+:meth:`Journal.load`, nothing is serialised, and compaction has
+nothing to fold.  An in-process sweep is a job in a store over such a
+journal (``repro.coyote.parallel.ParallelSweep``).
 """
 
 from __future__ import annotations
@@ -52,12 +58,14 @@ class Journal:
     yields after any crash.
     """
 
-    def __init__(self, path: str | Path, *, fsync: bool = False):
-        self.path = Path(path)
-        self.snapshot_path = self.path.with_name(
-            self.path.name + ".snap")
+    def __init__(self, path: str | Path | None = None, *,
+                 fsync: bool = False):
+        self.path = Path(path) if path is not None else None
+        self.snapshot_path = (self.path.with_name(self.path.name + ".snap")
+                              if path is not None else None)
         self.fsync = fsync
         self._handle = None
+        self._memory: list[dict] = []   # the history when there is no file
         self._seq = 0
         self.appends = 0
 
@@ -79,6 +87,8 @@ class Journal:
         it neither opens the file for appending nor truncates a torn
         tail, so a live writer is never disturbed.
         """
+        if self.path is None:
+            return None, list(self._memory)
         state, snap_seq = self._read_snapshot()
         events = []
         last_seq = snap_seq
@@ -158,18 +168,21 @@ class Journal:
 
     def append(self, type: str, **fields: Any) -> dict:
         """Durably append one event; returns it (with its ``seq``)."""
-        if self._handle is None:
+        if self.path is not None and self._handle is None:
             raise CampaignCorruptError(
                 f"{self.path}: journal is not open (call load() first)",
                 path=self.path)
         self._seq += 1
         event = {"seq": self._seq, "type": type, **fields}
-        line = json.dumps(event, sort_keys=True,
-                          separators=(",", ":")).encode()
-        self._handle.write(line + b"\n")
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        if self.path is None:
+            self._memory.append(event)
+        else:
+            line = json.dumps(event, sort_keys=True,
+                              separators=(",", ":")).encode()
+            self._handle.write(line + b"\n")
+            self._handle.flush()
+            if self.fsync:
+                os.fsync(self._handle.fileno())
         self.appends += 1
         return event
 
@@ -182,6 +195,9 @@ class Journal:
         journal reset are each atomic, and the seq guard makes the
         window between them harmless (see the module docstring).
         """
+        self.appends = 0
+        if self.path is None:
+            return  # the whole history stays replayable in memory
         body = json.dumps({"format": JOURNAL_FORMAT, "seq": self._seq,
                            "state": state},
                           sort_keys=True).encode()
@@ -205,7 +221,6 @@ class Journal:
             self._handle = None
         os.replace(journal_scratch, self.path)
         self._open_for_append()
-        self.appends = 0
 
     def _read_snapshot(self) -> tuple[dict | None, int]:
         if not self.snapshot_path.exists():

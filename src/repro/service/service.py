@@ -1,4 +1,11 @@
-"""The durable campaign service: submit sweeps, survive anything.
+"""The campaign executor, and the durable service built on it.
+
+:class:`CampaignExecutor` is the one loop every campaign tier runs —
+claim, cache hit or pool worker or in-process, settle, retry or
+quarantine — and a tier is what it hands that loop (its docstring, and
+docs/RESILIENCE.md "How a sweep point is executed"): ``Sweep.run`` a
+store whose journal has no file, :class:`CampaignService` a root
+directory, the cluster dispatcher that plus transport grants.
 
 :class:`CampaignService` turns ``repro.api.sweep()`` from a library
 call into a crash-consistent job system rooted in one directory::
@@ -24,21 +31,22 @@ Execution model — at-least-once, made safe by idempotence:
   entries, so an orphaned worker left behind by a SIGKILLed service
   can corrupt nothing — it dies on its next pipe write, and at worst
   its work is recomputed.
-* **One claim → settle path.**  Every way a point gets executed here —
-  a local worker, a cluster node's grant, the dispatcher's in-process
-  floor — goes through :meth:`CampaignService._claim_next` (lease,
-  cache lookup, cache hits settled on the spot) and
-  :meth:`CampaignService._settle` (the fenced ``complete``).
+* **One claim → settle path.**  Every way a point gets executed — a
+  local worker, a cluster node's grant, the in-process floor of the
+  degradation ladder — goes through
+  :meth:`CampaignExecutor._claim_next` (lease, cache lookup, cache
+  hits settled on the spot) and :meth:`CampaignExecutor._settle` (the
+  fenced ``complete``).
 * **Completions are idempotent.**  Results live in the
   content-addressed cache keyed by (config digest, kernel digest,
   seed); a point executed twice writes the same bytes under the same
   key, and the job store ignores duplicate ``complete`` events.
-* **Failures flow into the existing machinery.**  Crashed or expired
-  attempts are charged under the same seeded
-  :meth:`RetryPolicy.after_failure
-  <repro.resilience.supervisor.RetryPolicy.after_failure>` rule as a
-  supervised in-process sweep: retried with backoff, then quarantined
-  as a :class:`~repro.resilience.supervisor.QuarantinedPoint`.
+* **One failure path.**  A crashed, overdue, expired or node-lost
+  attempt is charged in :meth:`CampaignExecutor._record_failure`
+  under the seeded :meth:`RetryPolicy.after_failure
+  <repro.resilience.supervisor.RetryPolicy.after_failure>` rule:
+  retried with backoff, then quarantined as a
+  :class:`~repro.resilience.supervisor.QuarantinedPoint`.
 
 Cross-process shape: the serving process holds the journal lock; other
 processes submit by spooling JSON files into ``inbox/`` (atomic,
@@ -60,14 +68,24 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.coyote.config import SimulationConfig
-from repro.coyote.parallel import PointPool, PointWorker, RemoteError
-from repro.coyote.sweep import Sweep, SweepPoint, SweepTable
-from repro.kernels import KERNELS, instantiate, workload_factory
+from repro.coyote.errors import SimulationError
+from repro.coyote.parallel import PointPool, RemoteError, WorkerCrash
+from repro.coyote.sweep import (
+    Sweep,
+    SweepPoint,
+    SweepTable,
+    call_workload_factory,
+    factory_takes_settings,
+    run_point,
+)
+from repro.kernels import KERNELS, workload_factory
 from repro.resilience.locking import PathLock
 from repro.resilience.supervisor import (
     AttemptRecord,
+    DegradationEvent,
     QuarantinedPoint,
     RetryPolicy,
+    SupervisorPolicy,
 )
 from repro.service.cache import (
     ResultCache,
@@ -77,6 +95,7 @@ from repro.service.cache import (
 )
 from repro.service.journal import Journal
 from repro.service.store import (
+    DONE_STATES,
     JobNotFoundError,
     JobStatus,
     JobStore,
@@ -84,9 +103,10 @@ from repro.service.store import (
     ServiceError,
     StaleWriteError,
 )
-from repro.telemetry.campaign import ServiceMonitor
+from repro.telemetry.campaign import CampaignMetrics
 
 __all__ = [
+    "CampaignExecutor",
     "CampaignService",
     "JobNotFoundError",
     "JobStatus",
@@ -144,27 +164,30 @@ def spec_points(spec: dict) -> list[dict]:
 
 def spec_recipe(spec: dict) -> tuple:
     """The ``run_point`` / ``PointPool.spawn`` arguments after
-    ``settings`` that execute one point of ``spec``."""
+    ``settings`` that execute one point of a named-kernel ``spec``."""
     return (spec["cores"], spec["overrides"],
             workload_factory(spec["kernel"], spec["cores"], spec["size"]),
             spec["require_verified"])
 
 
-def completion_record(cache: ResultCache, key: str | None,
+def completion_record(cache: ResultCache | None, key: str | None,
                       point: SweepPoint, *, cached: bool = False) -> dict:
     """What a finished point journals; stores its results on the way.
 
-    A deterministic outcome (including a verification failure that
-    kept its results) is cacheable and shareable: it is written under
-    ``key`` unless it was just ``cached`` — read from there.
-    ``cache_key`` stays ``None`` for a point with no results, no key,
-    or a cache write that failed.
+    With a cache, an outcome it deems storable (see
+    :meth:`ResultCache.storable`) is written under ``key`` unless it
+    was just ``cached`` — read from there; ``cache_key`` stays ``None``
+    for a point the cache does not keep, one with no key, or a write
+    that failed.  Without a cache the point itself rides on the record.
     """
-    stored = (key is not None and point.results is not None
-              and (cached or cache.put(key, point)))
-    return {"cache_key": key if stored else None,
-            "verified": point.verified,
-            "failure": point.failure_record()}
+    record = {"cache_key": None, "verified": point.verified,
+              "failure": point.failure_record()}
+    if cache is None:
+        record["result"] = point
+    elif key is not None and (cached or (cache.storable(point)
+                                         and cache.put(key, point))):
+        record["cache_key"] = key
+    return record
 
 
 def spool_submission(root: str | Path, spec: dict,
@@ -211,74 +234,570 @@ def readonly_store(root: str | Path) -> "JobStore":
     return store
 
 
-def assemble_result(store: JobStore, cache: ResultCache,
+def settled_point(record: dict,
+                  cache: ResultCache | None) -> SweepPoint | None:
+    """The :class:`SweepPoint` one settled store record stands for, or
+    ``None`` when its cache entry could not be served (the cache has
+    already set it aside)."""
+    settings, state = record["settings"], record["state"]
+    if state == "quarantined":
+        return SweepPoint(settings, None, False,
+                          _final_error(settings, record))
+    if state == "cancelled":
+        return SweepPoint(settings, None, False, ServiceError(
+            f"point {settings} was cancelled"))
+    if "result" in record:
+        return record["result"]
+    if record["cache_key"] is not None:
+        return cache.get(record["cache_key"])
+    failure = record["failure"] or {
+        "kind": "ServiceError", "message": "point failed"}
+    return SweepPoint(settings, None, bool(record["verified"]),
+                      RemoteError(failure["kind"], failure["message"]))
+
+
+def assemble_result(store: JobStore, cache: ResultCache | None,
                     job_id: str) -> tuple[SweepTable | None,
                                           list[tuple[int, str]]]:
-    """Build a job's :class:`SweepTable` from the store + cache.
+    """Build a job's :class:`SweepTable` from the settled store.
 
     Returns ``(table, corrupt)`` where ``corrupt`` lists the
     ``(index, cache_key)`` of completed points whose cache entry could
-    not be served (the cache has already quarantined them aside); when
-    any exist the table is ``None`` and those points need recomputing.
-    Journal-write-free, so the read-only API path shares it.
+    not be served; when any exist the table is ``None`` and those
+    points need recomputing.  Journal-write-free, so the read-only API
+    path shares it.
     """
     job = store._job(job_id)
     points: list[SweepPoint] = []
     corrupt: list[tuple[int, str]] = []
     for record in job["points"]:
-        settings = record["settings"]
-        state = record["state"]
-        if state == "done" and record["cache_key"] is not None:
-            cached = cache.get(record["cache_key"])
-            if cached is None:
-                corrupt.append((record["index"], record["cache_key"]))
-                continue
-            points.append(cached)
-        elif state == "done":
-            points.append(_failure_point(settings, record))
-        elif state == "quarantined":
-            points.append(SweepPoint(
-                settings, None, False,
-                _quarantine_error(settings, record)))
-        elif state == "cancelled":
-            points.append(SweepPoint(
-                settings, None, False,
-                ServiceError(f"point {settings} was cancelled")))
-        else:
+        if record["state"] not in DONE_STATES:
             raise ServiceError(
-                f"{job_id}[{record['index']}] is still {state}; "
-                f"wait for the job to complete")
+                f"{job_id}[{record['index']}] is still "
+                f"{record['state']}; wait for the job to complete")
+        point = settled_point(record, cache)
+        if point is None:
+            corrupt.append((record["index"], record["cache_key"]))
+        else:
+            points.append(point)
     if corrupt:
         return None, corrupt
     return SweepTable(axes=dict(job["spec"]["axes"]),
                       points=points), []
 
 
-def _failure_point(settings: dict, record: dict) -> SweepPoint:
-    failure = record["failure"] or {
-        "kind": "ServiceError", "message": "point failed"}
-    return SweepPoint(
-        settings, None, bool(record["verified"]),
-        RemoteError(failure["kind"], failure["message"]))
-
-
-def _quarantine_error(settings: dict, record: dict) -> QuarantinedPoint:
+def _final_error(settings: dict, record: dict) -> SimulationError:
+    """The error of a point whose every attempt died: a
+    :class:`QuarantinedPoint` carrying the store's attempt book — or,
+    where no supervision was asked for, the plain
+    :class:`WorkerCrash`."""
     attempts = [
         AttemptRecord(attempt=number, outcome=entry["outcome"],
                       exit_code=entry.get("exit_code"),
                       signal=(-entry["exit_code"]
                               if entry.get("exit_code") is not None
                               and entry["exit_code"] < 0 else None),
-                      stderr_tail=entry.get("stderr_tail", ""))
+                      stderr_tail=entry.get("stderr_tail", ""),
+                      heartbeats=[tuple(beat) for beat
+                                  in entry.get("heartbeats", ())],
+                      backoff_seconds=entry.get("backoff_seconds", 0.0))
         for number, entry in enumerate(record["attempts"], start=1)]
     failure = record.get("failure") or {}
-    return QuarantinedPoint(
-        failure.get("message") or f"service point {settings} quarantined",
-        attempts=attempts)
+    message = (failure.get("message")
+               or f"sweep point {settings} quarantined")
+    if failure.get("kind") == "WorkerCrash":
+        return WorkerCrash(message, exit_code=attempts[-1].exit_code,
+                           stderr_tail=attempts[-1].stderr_tail)
+    return QuarantinedPoint(message, attempts=attempts)
 
 
-class CampaignService:
-    """One durable campaign service rooted in a directory.
+class CampaignExecutor:
+    """The one campaign loop: claim → (cache hit | pool worker |
+    in-process) → settle → on a death, retry or quarantine.
+
+    What a tier passes in is all that tells the tiers apart:
+
+    * ``store`` — where points come from: any :class:`JobStore`,
+      durable or over a journal with no file;
+    * ``cache`` — where results go: a :class:`ResultCache`, or
+      ``None`` to keep each finished point on its store record;
+    * ``slots`` — how many local workers may run at once: ``N``, ``0``
+      to run points in this process (the floor of the degradation
+      ladder), ``None`` while every point is granted to remote
+      executors;
+    * ``recipe_for`` — how a job's spec becomes the ``run_point``
+      arguments (a named-kernel JSON spec by default);
+    * ``retry`` — what a death costs: a :class:`RetryPolicy`, or
+      ``None`` for no supervision, where a dead worker is final and
+      recorded as a :class:`WorkerCrash`;
+    * ``policy`` — the deadlines local workers are held to, the
+      backoff seed, the teardown grace and the ladder's
+      ``degrade_after``;
+    * ``lease_seconds`` / ``heartbeat_seconds`` — the lease term and
+      the worker beat cadence that renews it.
+    """
+
+    def __init__(self, store: JobStore, cache: ResultCache | None = None,
+                 *, slots: int | None = 1,
+                 retry: RetryPolicy | None = None,
+                 policy: SupervisorPolicy | None = None,
+                 lease_seconds: float = float("inf"),
+                 heartbeat_seconds: float = 0.0,
+                 recipe_for: Callable[[dict], tuple] = spec_recipe,
+                 monitor: CampaignMetrics | None = None,
+                 mp_context: str | None = None):
+        if lease_seconds <= 0:
+            raise ValueError(
+                f"lease_seconds must be > 0, got {lease_seconds}")
+        self.store = store
+        self.cache = cache
+        self.slots = slots
+        self.retry = retry
+        self.policy = policy if policy is not None else SupervisorPolicy()
+        self.policy.validate()
+        if retry is not None:
+            retry.validate()
+        self.lease_seconds = lease_seconds
+        self.recipe_for = recipe_for
+        self.monitor = monitor if monitor is not None else CampaignMetrics()
+        self.worker_id = (f"{socket.gethostname()}:{os.getpid()}:"
+                          f"{secrets.token_hex(4)}")
+        # In-flight workers; each worker's ``context`` is its lease (the
+        # dict _claim_next returned).
+        self.pool = PointPool(
+            mp_context, heartbeat_seconds=heartbeat_seconds,
+            term_grace_seconds=self.policy.term_grace_seconds)
+        # Test/tier seam: called with each point's SweepPoint as it
+        # settles for good (progress lines, ``on_error="raise"``).
+        self.on_settle: Callable[[SweepPoint], None] | None = None
+        self.degradations: list[DegradationEvent] = []
+        self._pool_failures = 0
+        self._not_before: dict[tuple[str, int], float] = {}
+        self._kernel_digests: dict[str, str] = {}
+
+    def _now(self) -> float:
+        """Lease-clock wall time; subclasses may inject a test clock."""
+        return time.time()
+
+    # -- the loop ------------------------------------------------------------
+
+    def run(self, *, max_seconds: float | None = None,
+            stop: Callable[[], bool] | None = None) -> int:
+        """Execute queued points until none remain (or ``stop`` says
+        so); returns the number of points completed this call.
+
+        Claims points under leases, serves cache hits without
+        simulating, runs misses in worker processes (or in-process at
+        the ladder's floor) with heartbeat-renewed leases, retries or
+        quarantines failures, and reclaims expired leases — including
+        those left behind by a previous, killed process.
+        """
+        before = self.monitor.counters["completions"]
+        deadline = (time.monotonic() + max_seconds
+                    if max_seconds is not None else None)
+        while not (stop is not None and stop()):
+            if deadline is not None and time.monotonic() > deadline:
+                break
+            if self.step() or self.pool:
+                continue
+            self.monitor.gauges.update(
+                queue_depth=self.store.outstanding_points(),
+                active_leases=self.store.active_leases())
+            if not self.store.has_work():
+                break
+            # Only backoff windows or foreign leases remain.
+            time.sleep(_POLL_SECONDS)
+        return self.monitor.counters["completions"] - before
+
+    def step(self) -> bool:
+        """One executor turn; returns True when anything progressed."""
+        self._reap_expired()
+        progressed = self._fill_slots()
+        progressed |= self._pump()
+        self._reap_overdue()
+        return progressed
+
+    def _eligible(self, job_id: str, point: dict) -> bool:
+        not_before = self._not_before.get((job_id, point["index"]))
+        return not_before is None or not_before <= self._now()
+
+    # -- claim -> settle: the one path every tier takes ---------------------
+
+    def _claim_next(self, owner: str) -> dict | None:
+        """Claim the next eligible point under a lease for ``owner``
+        and serve it from the cache when possible.
+
+        Returns ``None`` when nothing is claimable, else the lease:
+        ``job_id`` / ``index`` / ``settings`` / ``spec`` / ``cache_key``
+        / ``fence`` / ``attempt``, with ``settled`` true when a cache
+        hit already completed the point (no simulation, lease settled
+        now).
+        """
+        claimed = self.store.claim(owner, self._now(), self.lease_seconds,
+                                   eligible=self._eligible)
+        if claimed is None:
+            return None
+        job_id, point = claimed
+        spec = self.store.jobs[job_id]["spec"]
+        lease = {"job_id": job_id, "index": point["index"],
+                 "settings": point["settings"], "spec": spec,
+                 "cache_key": self._cache_key(job_id, spec,
+                                              point["settings"]),
+                 "fence": (point["lease"] or {}).get("fence"),
+                 "attempt": len(point["attempts"]) + 1,
+                 "last_renew": time.monotonic(), "settled": False}
+        self.monitor.count("claims")
+        key = lease["cache_key"]
+        cached = self.cache.get(key) if key is not None else None
+        if cached is not None:
+            lease["settled"] = self._finish(lease, cached, cached=True)
+        return lease
+
+    def _finish(self, lease: dict, point: SweepPoint, *,
+                cached: bool = False) -> bool:
+        """A claimed point has its :class:`SweepPoint` (simulated just
+        now, or ``cached``): store the results, settle the lease."""
+        return self._settle(
+            lease, completion_record(self.cache, lease["cache_key"],
+                                     point, cached=cached),
+            point, cached=cached)
+
+    def _settle(self, lease: dict, record: dict,
+                point: SweepPoint | None = None, *,
+                cached: bool = False) -> bool:
+        """Journal one point's completion under its fence; False when
+        the write was stale.
+
+        A stale write means the lease was reaped while the result was
+        in flight and the point belongs to someone else now: any cache
+        write is harmless (same key, same bytes) but the journal stays
+        single-completion.
+        """
+        job_id, index = lease["job_id"], lease["index"]
+        try:
+            self.store.complete(job_id, index,
+                                cache_key=record.get("cache_key"),
+                                verified=record.get("verified"),
+                                failure=record.get("failure"),
+                                cached=cached, fence=lease["fence"],
+                                result=record.get("result"))
+        except StaleWriteError:
+            self._stale_write(lease)
+            return False
+        self.monitor.count("completions")
+        self.monitor.count("cache_hits" if cached else "cache_misses")
+        self._not_before.pop((job_id, index), None)
+        if self.on_settle is not None and point is not None:
+            self.on_settle(point)
+        return True
+
+    def _stale_write(self, lease: dict) -> None:
+        self.monitor.count(
+            "stale_writes", f"{lease['job_id']}[{lease['index']}]: stale "
+                            f"fenced write rejected")
+
+    def _release(self, lease: dict) -> None:
+        """Give a claimed point back without charging it an attempt."""
+        try:
+            self.store.release(lease["job_id"], lease["index"],
+                               fence=lease["fence"])
+        except StaleWriteError:
+            self._stale_write(lease)
+            return
+        self.monitor.count("released")
+
+    def _fill_slots(self) -> bool:
+        """Claim points into the free local slots: a cache hit settles
+        on the spot, a miss gets a pool worker — or, once the ladder
+        is at its floor and the pool has drained, runs right here."""
+        progressed = False
+        while self.slots is not None \
+                and len(self.pool) < max(self.slots, 1):
+            lease = self._claim_next(self.worker_id)
+            if lease is None:
+                break
+            progressed = True
+            if lease["settled"]:
+                continue
+            recipe = self.recipe_for(lease["spec"])
+            if not self.slots:
+                self._finish(lease, run_point(lease["settings"], *recipe))
+                break   # one point a turn: stop() and deadlines stay live
+            try:
+                self.pool.spawn(lease["index"], lease["settings"],
+                                *recipe, context=lease)
+            except OSError as exc:
+                # Fork pressure: give the point back, step the ladder.
+                self._release(lease)
+                if not self.policy.degrade_after:
+                    raise
+                self._pool_failure(f"worker spawn failed: {exc}")
+                break
+            self.monitor.count("attempts")
+            self.monitor.span_open((lease["job_id"], lease["index"],
+                                    lease["attempt"]))
+        return progressed
+
+    def _cache_key(self, job_id: str, spec: dict,
+                   settings: dict) -> str | None:
+        """The point's :func:`~repro.service.cache.point_key` (``None``
+        without a cache, or when the recipe cannot even be built — the
+        worker will record that deterministic failure).  A factory that
+        ignores the settings is digested once per job."""
+        if self.cache is None:
+            return None
+        try:
+            cores, overrides, make_workload, _verify = self.recipe_for(spec)
+            kernel_hex = self._kernel_digests.get(job_id)
+            if kernel_hex is None:
+                kernel_hex = kernel_digest(
+                    call_workload_factory(make_workload, settings))
+                if not factory_takes_settings(make_workload):
+                    self._kernel_digests[job_id] = kernel_hex
+            config = SimulationConfig.for_cores(
+                cores, **{**overrides, **settings})
+        except Exception:
+            return None
+        return result_key(config_digest(config), kernel_hex,
+                          config.resilience.fault_seed)
+
+    def _pump(self) -> bool:
+        progressed = False
+        for kind, worker, *payload in self.pool.poll(_POLL_SECONDS):
+            lease = worker.context
+            if kind == "beat":
+                self._heartbeat(lease, *payload)
+                continue
+            progressed = True
+            if kind == "result":
+                point, = payload
+                self._attempt_ended(lease, "failed" if point.failed
+                                    else "ok")
+                self._finish(lease, point)
+            else:
+                self._worker_died(worker, "crash", *payload)
+        return progressed
+
+    def _heartbeat(self, lease: dict, cycles: int, rss_mb: float) -> None:
+        self.monitor.count("heartbeats")
+        self.monitor.heartbeat_gauges[lease["job_id"], lease["index"]] = {
+            "cycles": cycles, "rss_mb": rss_mb}
+        # Renew the lease at roughly a third of its term: enough slack
+        # that one late heartbeat never expires a healthy worker, and
+        # the journal is not flooded with renewals.
+        now = time.monotonic()
+        if now - lease["last_renew"] >= self.lease_seconds / 3:
+            lease["last_renew"] = now
+            try:
+                self.store.renew(lease["job_id"], lease["index"],
+                                 self._now(), self.lease_seconds,
+                                 fence=lease["fence"])
+            except StaleWriteError:
+                # The lease lapsed and was reaped out from under this
+                # worker; the expiry sweep will retire it.
+                self._stale_write(lease)
+
+    def _attempt_ended(self, lease: dict, outcome: str) -> None:
+        index = lease["index"]
+        self.monitor.span_close(
+            (lease["job_id"], index, lease["attempt"]),
+            f"point[{index}] attempt {lease['attempt']}", index,
+            outcome=outcome, settings=str(lease["settings"]))
+
+    # -- deaths: deadlines, expiry, the one failure path ---------------------
+
+    def _overdue(self, worker, now: float) -> str | None:
+        """The one deadline check a local worker is held to: its
+        wall-clock budget, its heartbeat silence, its RSS ceiling."""
+        policy = self.policy
+        if (policy.point_timeout_seconds is not None
+                and now - worker.started > policy.point_timeout_seconds):
+            return "timeout"
+        interval = policy.heartbeat_interval_seconds
+        if interval > 0 \
+                and now - worker.last_beat > interval * policy.heartbeat_misses:
+            return "heartbeat-lost"
+        if policy.max_rss_mb is not None and worker.beats \
+                and worker.beats[-1][1] > policy.max_rss_mb:
+            return "rss-exceeded"
+        return None
+
+    def _reap_overdue(self) -> None:
+        now = time.monotonic()
+        for worker in self.pool.workers:
+            verdict = self._overdue(worker, now)
+            if verdict is None:
+                continue
+            self.monitor.count(
+                "reaped", f"point {worker.settings}: worker reaped "
+                          f"({verdict})")
+            tail = self.pool.reap(worker)
+            self._worker_died(worker, verdict, worker.process.exitcode,
+                              tail)
+            if verdict == "rss-exceeded":
+                self._pool_failure(
+                    f"worker RSS {worker.beats[-1][1]:.0f} MB over the "
+                    f"{self.policy.max_rss_mb:.0f} MB ceiling")
+
+    def _worker_died(self, worker, outcome: str, exit_code: int | None,
+                     tail: str) -> None:
+        self._attempt_ended(worker.context, outcome)
+        self._record_failure(worker.context, outcome, exit_code, tail,
+                             worker.beats)
+
+    def _reap_expired(self) -> None:
+        for job_id, point in self.store.expired_leases(self._now()):
+            index = point["index"]
+            self.monitor.count(
+                "lease_expired", f"{job_id}[{index}]: lease expired; "
+                                 f"point reclaimed")
+            for worker in self.pool.workers:
+                if worker.index == index \
+                        and worker.context["job_id"] == job_id:
+                    # Our own wedged worker: its heartbeats stopped
+                    # long enough for the lease to lapse.  Reap it.
+                    tail = self.pool.reap(worker)
+                    self._worker_died(worker, "lease-expired",
+                                      worker.process.exitcode, tail)
+                    break
+            else:
+                # A dead (or foreign, silent) executor's lease; the
+                # store is the authority, so the charge is unfenced.
+                self._record_failure(
+                    {"job_id": job_id, "index": index, "fence": None},
+                    "lease-expired", None, "")
+
+    def _record_failure(self, lease: dict, outcome: str,
+                        exit_code: int | None, tail: str,
+                        beats: list = ()) -> None:
+        """Charge one dead attempt: the single place a death is turned
+        into a retry, a quarantine or (unsupervised) a crash record."""
+        job_id, index = lease["job_id"], lease["index"]
+        record = self.store.jobs[job_id]["points"][index]
+        settings = record["settings"]
+        attempts = len(record["attempts"]) + 1
+        if self.retry is None:
+            action, payload = "crash", (
+                f"sweep worker for point {settings} died without "
+                f"reporting a result (exit code {exit_code})")
+        else:
+            action, payload = self.retry.after_failure(
+                attempts, f"sweep point {settings}", outcome, exit_code,
+                seed=self.policy.seed, index=index)
+        final = action != "retry"
+        kind = "WorkerCrash" if action == "crash" else "QuarantinedPoint"
+        try:
+            self.store.attempt(
+                job_id, index, outcome=outcome, exit_code=exit_code,
+                stderr_tail=tail, final=final,
+                failure={"kind": kind, "message": payload} if final
+                else None, fence=lease["fence"],
+                heartbeats=[list(beat) for beat in beats],
+                backoff_seconds=0.0 if final else payload)
+        except StaleWriteError:
+            self._stale_write(lease)
+            return
+        label = f"{job_id}[{index}] {settings}"
+        if not final:
+            self._not_before[job_id, index] = self._now() + payload
+            self.monitor.count(
+                "retries", f"{label}: attempt {attempts} failed "
+                           f"({outcome}), retrying in {payload:.2f}s")
+            return
+        if action == "quarantine":
+            self.monitor.count(
+                "quarantined", f"{label}: quarantined after {attempts} "
+                               f"attempt(s)")
+        point = settled_point(record, None)
+        key = lease.get("cache_key")
+        if key is not None and self.cache.storable(point):
+            self.cache.put(key, point)
+        if self.on_settle is not None:
+            self.on_settle(point)
+
+    # -- the degradation ladder ----------------------------------------------
+
+    def _pool_failure(self, reason: str) -> None:
+        """Register a pool-level failure (fork failure, RSS trip);
+        every ``policy.degrade_after``-th one steps the local pool
+        down ``N → N/2 → … → 1 → in-process``."""
+        self._pool_failures += 1
+        after = self.policy.degrade_after
+        if after and self.slots and not self._pool_failures % after:
+            self._degrade(reason, self.slots // 2)
+
+    def _degrade(self, reason: str, to_workers: int,
+                 from_workers: int | None = None) -> None:
+        """One step down the ladder
+        ``cluster → N → N/2 → … → 1 → in-process``."""
+        event = DegradationEvent(
+            reason=reason, to_workers=to_workers,
+            from_workers=(self.slots if from_workers is None
+                          else from_workers),
+            pool_failures=self._pool_failures)
+        self.degradations.append(event)
+        self.monitor.count(
+            "degradations",
+            f"degraded: {reason} ({event.from_workers} -> "
+            f"{to_workers or 'in-process'} workers)")
+        self.slots = to_workers
+
+    def _drain(self) -> None:
+        """Stop in-flight work gracefully: terminate workers, release
+        their leases (no attempt charged)."""
+        for worker in self.pool.workers:
+            self.pool.reap(worker)
+            self._release(worker.context)
+
+    # -- results -------------------------------------------------------------
+
+    def result(self, job_id: str, *, wait: bool = False) -> SweepTable:
+        """The job's :class:`SweepTable`, assembled from the settled
+        store (and the cache behind it).
+
+        A corrupt cache entry discovered here is quarantined aside and
+        its point re-queued; with ``wait=True`` the executor then runs
+        the missing points itself, otherwise a :class:`ServiceError`
+        reports what was re-queued.  Tables are bit-identical across
+        tiers: ``repro.api.sweep()`` and the service run this very
+        method.
+        """
+        for _attempt in range(4):
+            if wait:
+                self.run()
+            status = self.store.status(job_id)
+            if not status.complete:
+                if wait:
+                    continue
+                raise ServiceError(
+                    f"{job_id} is not complete ({status.pending} "
+                    f"pending, {status.leased} leased of "
+                    f"{status.total}); run `coyote-sim serve`")
+            table, corrupt = assemble_result(self.store, self.cache,
+                                             job_id)
+            if table is not None:
+                table.degradations = list(self.degradations)
+                return table
+            for index, key in corrupt:
+                # Corrupt or missing entry: never served, never fatal —
+                # the cache set it aside; re-queue the point.
+                self.monitor.count(
+                    "cache_corrupt", f"corrupt cache entry {key[:12]} "
+                                     f"set aside; point will be recomputed")
+                self.store.invalidate(job_id, index)
+            if not wait:
+                raise ServiceError(
+                    f"{len(corrupt)} cached result(s) for {job_id} were "
+                    f"corrupt; the points were quarantined aside and "
+                    f"re-queued — run `coyote-sim serve` to recompute")
+        raise ServiceError(
+            f"results for {job_id} remained incomplete after repeated "
+            f"recovery attempts")
+
+
+class CampaignService(CampaignExecutor):
+    """The campaign executor plus a root directory: a lock, an inbox,
+    a durable journal and a disk cache.
 
     Use as a context manager (or call :meth:`open`/:meth:`close`):
     opening acquires the journal lock, replays the journal, recovers
@@ -291,35 +810,25 @@ class CampaignService:
                  heartbeat_seconds: float = 0.2,
                  term_grace_seconds: float = 2.0,
                  compact_every: int = 512, fsync: bool = False,
-                 monitor: ServiceMonitor | None = None,
+                 monitor: CampaignMetrics | None = None,
                  mp_context: str | None = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if lease_seconds <= 0:
-            raise ValueError(
-                f"lease_seconds must be > 0, got {lease_seconds}")
         self.root = Path(root)
         self.workers = workers
-        self.lease_seconds = lease_seconds
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=3, base_delay=0.1, max_delay=5.0)
-        self.retry.validate()
-        self.seed = seed
-        self.monitor = monitor if monitor is not None else ServiceMonitor()
         journal = Journal(self.root / "journal.jsonl", fsync=fsync)
-        self.store = JobStore(journal, max_queue=max_queue,
-                              compact_every=compact_every)
-        self.cache = ResultCache(self.root / "cache")
-        self.worker_id = (f"{socket.gethostname()}:{os.getpid()}:"
-                          f"{secrets.token_hex(4)}")
+        super().__init__(
+            JobStore(journal, max_queue=max_queue,
+                     compact_every=compact_every),
+            ResultCache(self.root / "cache"), slots=workers,
+            retry=retry if retry is not None else RetryPolicy(
+                max_attempts=3, base_delay=0.1, max_delay=5.0),
+            policy=SupervisorPolicy(
+                seed=seed, term_grace_seconds=term_grace_seconds),
+            lease_seconds=lease_seconds,
+            heartbeat_seconds=heartbeat_seconds, monitor=monitor,
+            mp_context=mp_context)
         self._lock = PathLock(self.root / "journal.jsonl")
-        # In-flight workers; each worker's ``context`` is its lease (the
-        # dict _claim_next returned).
-        self.pool = PointPool(mp_context,
-                              heartbeat_seconds=heartbeat_seconds,
-                              term_grace_seconds=term_grace_seconds)
-        self._not_before: dict[tuple[str, int], float] = {}
-        self._kernel_digests: dict[str, str | None] = {}
         self._opened = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -362,9 +871,22 @@ class CampaignService:
             raise ServiceError("service is not open (use it as a "
                                "context manager or call open())")
 
-    def _now(self) -> float:
-        """Lease-clock wall time; subclasses may inject a test clock."""
-        return time.time()
+    def _recover_dead_leases(self) -> None:
+        """Release leases whose owner is provably dead (same host,
+        PID gone) without charging the point an attempt — a killed
+        service is not the point's fault.  Only a previous holder of
+        this root's lock can have left one, so opening is the one time
+        to look."""
+        hostname = socket.gethostname()
+        for job_id, point in self.store.leases():
+            owner = str(point["lease"].get("worker", ""))
+            parts = owner.split(":")
+            if len(parts) != 3 or parts[0] != hostname \
+                    or owner == self.worker_id or not parts[1].isdigit():
+                continue
+            if not _pid_alive(int(parts[1])):
+                self.store.release(job_id, point["index"])
+                self.monitor.count("released")
 
     # -- submission --------------------------------------------------------
 
@@ -380,15 +902,20 @@ class CampaignService:
         self._require_open()
         spec = build_spec(kernel, axes, cores=cores, size=size,
                           require_verified=require_verified, **overrides)
-        points = spec_points(spec)
         job_id = job_id or new_job_id()
+        self._submit(job_id, spec, spec_points(spec))
+        return job_id
+
+    def _submit(self, job_id: str, spec: dict, points: list) -> None:
         try:
             self.store.submit(job_id, spec, points)
         except QueueFullError as exc:
-            self.monitor.rejected(str(exc))
+            self.monitor.count("rejected",
+                               f"submission rejected ({exc})")
             raise
-        self.monitor.submitted(job_id, len(points))
-        return job_id
+        self.monitor.count("points_submitted", amount=len(points))
+        self.monitor.count(
+            "submits", f"job {job_id} submitted ({len(points)} points)")
 
     def ingest_inbox(self) -> int:
         """Fold spooled submissions into the journal; returns count.
@@ -410,16 +937,16 @@ class CampaignService:
                 points = spec_points(spec)
             except Exception:
                 path.rename(path.with_suffix(".corrupt"))
-                self.monitor.rejected(f"unreadable submission {path.name}")
+                self.monitor.count(
+                    "rejected", f"submission rejected (unreadable "
+                                f"submission {path.name})")
                 continue
             if job_id not in self.store.jobs:
                 try:
-                    self.store.submit(job_id, spec, points)
-                except QueueFullError as exc:
+                    self._submit(job_id, spec, points)
+                except QueueFullError:
                     path.rename(path.with_suffix(".rejected"))
-                    self.monitor.rejected(str(exc))
                     continue
-                self.monitor.submitted(job_id, len(points))
                 ingested += 1
             path.unlink(missing_ok=True)
         # Cancel markers apply after submissions, so cancelling a job
@@ -435,314 +962,24 @@ class CampaignService:
     # -- queries -----------------------------------------------------------
 
     def status(self, job_id: str) -> JobStatus:
-        self._require_open()
         self.ingest_inbox()
         return self.store.status(job_id)
 
     def cancel(self, job_id: str) -> JobStatus:
         """Stop executing a job's remaining points (in-flight leases
         settle on their own); returns the resulting status."""
-        self._require_open()
         self.ingest_inbox()
         self.store.cancel(job_id)
         return self.store.status(job_id)
 
-    # -- results -----------------------------------------------------------
-
     def result(self, job_id: str, *, wait: bool = False) -> SweepTable:
-        """The job's :class:`SweepTable`, assembled from the cache.
-
-        A corrupt cache entry discovered here is quarantined aside and
-        its point re-queued; with ``wait=True`` the service then runs
-        the missing points itself, otherwise a :class:`ServiceError`
-        reports what was re-queued.  Tables are bit-identical to an
-        in-process ``repro.api.sweep()`` of the same campaign.
-        """
         self._require_open()
-        for _attempt in range(4):
-            if wait:
-                self.run()
-            status = self.store.status(job_id)
-            if not status.complete:
-                if wait:
-                    continue
-                raise ServiceError(
-                    f"{job_id} is not complete ({status.pending} "
-                    f"pending, {status.leased} leased of "
-                    f"{status.total}); run `coyote-sim serve`")
-            table, requeued = self._assemble(job_id)
-            if not requeued:
-                return table
-            if not wait:
-                raise ServiceError(
-                    f"{requeued} cached result(s) for {job_id} were "
-                    f"corrupt; the points were quarantined aside and "
-                    f"re-queued — run `coyote-sim serve` to recompute")
-        raise ServiceError(
-            f"results for {job_id} remained incomplete after repeated "
-            f"recovery attempts")
-
-    def _assemble(self, job_id: str) -> tuple[SweepTable | None, int]:
-        table, corrupt = assemble_result(self.store, self.cache, job_id)
-        for index, key in corrupt:
-            # Corrupt or missing entry: never served, never fatal —
-            # the cache set it aside; re-queue the point to recompute.
-            self.monitor.cache_corrupt(key)
-            self.store.invalidate(job_id, index)
-        return table, len(corrupt)
-
-    # -- the executor ------------------------------------------------------
-
-    def run(self, *, max_seconds: float | None = None,
-            stop: Callable[[], bool] | None = None) -> int:
-        """Execute queued points until none remain (or ``stop`` says
-        so); returns the number of points completed this call.
-
-        The node-local executor tier: claims points under leases,
-        serves cache hits without simulating, runs misses in worker
-        processes with heartbeat-renewed leases, retries or
-        quarantines failures, and reclaims expired leases — including
-        those left behind by a previous, killed service process.
-        """
-        self._require_open()
-        before = self.monitor.counters["completions"]
-        deadline = (time.monotonic() + max_seconds
-                    if max_seconds is not None else None)
-        while True:
-            if stop is not None and stop():
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            progressed = self.step()
-            if not self.pool and not self.store.has_work():
-                break
-            if not progressed and not self.pool:
-                # Only backoff windows or foreign leases remain.
-                time.sleep(_POLL_SECONDS)
-        return self.monitor.counters["completions"] - before
+        return super().result(job_id, wait=wait)
 
     def step(self) -> bool:
-        """One executor turn; returns True when anything progressed."""
+        """The executor's turn, fed from the inbox first."""
         self.ingest_inbox()
-        self._recover_dead_leases()
-        self._reap_expired()
-        progressed = self._fill_slots()
-        progressed |= self._pump()
-        self.monitor.observe_queue(self.store.outstanding_points(),
-                                   self.store.active_leases())
-        return progressed
-
-    def _eligible(self, job_id: str, point: dict) -> bool:
-        not_before = self._not_before.get((job_id, point["index"]))
-        return not_before is None or not_before <= self._now()
-
-    # -- claim -> settle: the one path every tier takes ---------------------
-
-    def _claim_next(self, owner: str) -> dict | None:
-        """Claim the next eligible point under a lease for ``owner``
-        and serve it from the cache when possible.
-
-        Returns ``None`` when nothing is claimable, else the lease:
-        ``job_id`` / ``index`` / ``settings`` / ``spec`` / ``cache_key``
-        / ``fence``, with ``settled`` true when a cache hit already
-        completed the point (no simulation, lease settled now).
-        """
-        claimed = self.store.claim(owner, self._now(), self.lease_seconds,
-                                   eligible=self._eligible)
-        if claimed is None:
-            return None
-        job_id, point = claimed
-        lease = {"job_id": job_id, "index": point["index"],
-                 "settings": point["settings"],
-                 "spec": self.store.jobs[job_id]["spec"],
-                 "cache_key": self._cache_key(job_id, point["settings"]),
-                 "fence": (point["lease"] or {}).get("fence"),
-                 "last_renew": time.monotonic(), "settled": False}
-        self.monitor.claimed(job_id, lease["index"])
-        key = lease["cache_key"]
-        cached = self.cache.get(key) if key is not None else None
-        if cached is not None:
-            lease["settled"] = self._settle(
-                lease, completion_record(self.cache, key, cached,
-                                         cached=True), cached=True)
-        return lease
-
-    def _settle(self, lease: dict, record: dict, *,
-                cached: bool = False) -> bool:
-        """Journal one point's completion under its fence; False when
-        the write was stale.
-
-        A stale write means the lease was reaped while the result was
-        in flight and the point belongs to someone else now: any cache
-        write is harmless (same key, same bytes) but the journal stays
-        single-completion.
-        """
-        job_id, index = lease["job_id"], lease["index"]
-        try:
-            self.store.complete(job_id, index,
-                                cache_key=record.get("cache_key"),
-                                verified=record.get("verified"),
-                                failure=record.get("failure"),
-                                cached=cached, fence=lease["fence"])
-        except StaleWriteError:
-            self.monitor.stale_write(job_id, index)
-            return False
-        self.monitor.completed(job_id, index, cached=cached)
-        self._not_before.pop((job_id, index), None)
-        return True
-
-    def _release(self, lease: dict) -> None:
-        """Give a claimed point back without charging it an attempt."""
-        try:
-            self.store.release(lease["job_id"], lease["index"],
-                               fence=lease["fence"])
-        except StaleWriteError:
-            self.monitor.stale_write(lease["job_id"], lease["index"])
-            return
-        self.monitor.released(lease["job_id"], lease["index"])
-
-    def _fill_slots(self) -> bool:
-        progressed = False
-        while len(self.pool) < self.workers:
-            lease = self._claim_next(self.worker_id)
-            if lease is None:
-                break
-            progressed = True
-            if lease["settled"]:
-                continue
-            try:
-                self._spawn(lease)
-            except OSError:
-                # Fork pressure: give the point back and breathe.
-                self._release(lease)
-                time.sleep(_POLL_SECONDS)
-                break
-        return progressed
-
-    def _spawn(self, lease: dict) -> PointWorker:
-        return self.pool.spawn(lease["index"], lease["settings"],
-                               *spec_recipe(lease["spec"]), context=lease)
-
-    def _cache_key(self, job_id: str, settings: dict) -> str | None:
-        spec = self.store.jobs[job_id]["spec"]
-        if job_id not in self._kernel_digests:
-            try:
-                workload = instantiate(spec["kernel"], spec["cores"],
-                                       spec["size"])
-                self._kernel_digests[job_id] = kernel_digest(workload)
-            except Exception:
-                # The worker will record the deterministic failure.
-                self._kernel_digests[job_id] = None
-        kernel_hex = self._kernel_digests[job_id]
-        if kernel_hex is None:
-            return None
-        try:
-            config = SimulationConfig.for_cores(
-                spec["cores"], **{**spec["overrides"], **settings})
-        except Exception:
-            return None
-        return result_key(config_digest(config), kernel_hex,
-                          config.resilience.fault_seed)
-
-    def _pump(self) -> bool:
-        progressed = False
-        for kind, worker, *payload in self.pool.poll(_POLL_SECONDS):
-            lease = worker.context
-            if kind == "beat":
-                self._heartbeat(lease)
-                continue
-            if kind == "result":
-                self._settle(lease, completion_record(
-                    self.cache, lease["cache_key"], payload[0]))
-            else:
-                exit_code, tail = payload
-                self._record_failure(lease["job_id"], lease["index"],
-                                     lease["settings"], "crash",
-                                     exit_code, tail, fence=lease["fence"])
-            progressed = True
-        return progressed
-
-    def _heartbeat(self, lease: dict) -> None:
-        # Renew the lease at roughly a third of its term: enough slack
-        # that one late heartbeat never expires a healthy worker, and
-        # the journal is not flooded with renewals.
-        now = time.monotonic()
-        if now - lease["last_renew"] >= self.lease_seconds / 3:
-            lease["last_renew"] = now
-            try:
-                self.store.renew(lease["job_id"], lease["index"],
-                                 self._now(), self.lease_seconds,
-                                 fence=lease["fence"])
-            except StaleWriteError:
-                # The lease lapsed and was reaped out from under this
-                # worker; the expiry sweep will retire it.
-                self.monitor.stale_write(lease["job_id"], lease["index"])
-
-    def _record_failure(self, job_id: str, index: int, settings: dict,
-                        outcome: str, exit_code: int | None,
-                        tail: str, fence: int | None = None) -> None:
-        """Charge one failed attempt under the seeded retry rule."""
-        attempts = len(self.store.jobs[job_id]["points"][index]
-                       ["attempts"]) + 1
-        action, payload = self.retry.after_failure(
-            attempts, f"service point {settings}", outcome, exit_code,
-            seed=self.seed, index=index)
-        final = action == "quarantine"
-        failure = ({"kind": "QuarantinedPoint", "message": payload}
-                   if final else None)
-        try:
-            self.store.attempt(job_id, index, outcome=outcome,
-                               exit_code=exit_code, stderr_tail=tail,
-                               final=final, failure=failure, fence=fence)
-        except StaleWriteError:
-            self.monitor.stale_write(job_id, index)
-            return
-        if final:
-            self.monitor.quarantined(job_id, index, attempts)
-        else:
-            self._not_before[(job_id, index)] = self._now() + payload
-            self.monitor.retry(job_id, index, attempts, payload)
-
-    # -- lease recovery ----------------------------------------------------
-
-    def _reap_expired(self) -> None:
-        now = self._now()
-        for job_id, point in self.store.expired_leases(now):
-            index = point["index"]
-            self.monitor.lease_expired(job_id, index)
-            exit_code, tail = None, ""
-            for worker in self.pool.workers:
-                if worker.index == index \
-                        and worker.context["job_id"] == job_id:
-                    # Our own wedged worker: its heartbeats stopped
-                    # long enough for the lease to lapse.  Reap it.
-                    tail = self.pool.reap(worker)
-                    exit_code = worker.process.exitcode
-            # Otherwise a dead (or foreign, silent) executor's lease.
-            self._record_failure(job_id, index, point["settings"],
-                                 "lease-expired", exit_code, tail)
-
-    def _recover_dead_leases(self) -> None:
-        """Release leases whose owner is provably dead (same host,
-        PID gone) without charging the point an attempt — a killed
-        service is not the point's fault."""
-        hostname = socket.gethostname()
-        for job_id, point in self.store.leases():
-            owner = str(point["lease"].get("worker", ""))
-            parts = owner.split(":")
-            if len(parts) != 3 or parts[0] != hostname \
-                    or owner == self.worker_id or not parts[1].isdigit():
-                continue
-            if not _pid_alive(int(parts[1])):
-                self.store.release(job_id, point["index"])
-                self.monitor.released(job_id, point["index"])
-
-    def _drain(self) -> None:
-        """Stop in-flight work gracefully: terminate workers, release
-        their leases (no attempt charged), persist."""
-        for worker in self.pool.workers:
-            self.pool.reap(worker)
-            self._release(worker.context)
+        return super().step()
 
     # -- the long-running server loop --------------------------------------
 

@@ -1,10 +1,13 @@
 """The durable job store: campaign queue state as a fold over events.
 
-One :class:`JobStore` owns the service's whole queue: every submitted
-job (a sweep campaign), every point's lifecycle state, and every lease.
-All state is JSON-serialisable and reconstructed purely by replaying
-the journal, so the store survives a hard kill at any write boundary
-(see :mod:`repro.service.journal`).
+One :class:`JobStore` owns a campaign executor's whole queue: every
+submitted job (a sweep campaign), every point's lifecycle state, every
+lease, and every point's attempt book.  Over a journal file all state
+is JSON-serialisable and reconstructed purely by replaying the
+journal, so the store survives a hard kill at any write boundary (see
+:mod:`repro.service.journal`); over a journal with no file — an
+in-process sweep — the same code keeps its events in memory and a
+finished point may ride on its own record.
 
 Point lifecycle::
 
@@ -128,6 +131,12 @@ class JobStore:
         self.jobs: dict[str, dict] = {}
         self.fence_counter = 0
         self.stale_writes = 0
+        # Derived hints, never journaled: per job the lowest index that
+        # may still be pending (claims resume there instead of
+        # rescanning the finished prefix), and a lower bound on the
+        # earliest lease expiry (no lease can have lapsed before it).
+        self._cursor: dict[str, int] = {}
+        self._earliest_expiry = float("-inf")
 
     # -- recovery ----------------------------------------------------------
 
@@ -191,6 +200,8 @@ class JobStore:
         point["lease"] = {"worker": event["worker"],
                           "expires": event["expires"],
                           "fence": fence}
+        self._earliest_expiry = min(self._earliest_expiry,
+                                    event["expires"])
         if fence is not None:
             self.fence_counter = max(self.fence_counter, fence)
 
@@ -216,6 +227,12 @@ class JobStore:
         lease = point["lease"]
         return lease is None or lease.get("fence") != fence
 
+    def _requeue(self, job_id: str, point: dict) -> None:
+        point["state"] = "pending"
+        point["lease"] = None
+        self._cursor[job_id] = min(self._cursor.get(job_id, 0),
+                                   point["index"])
+
     def _apply_attempt(self, event: dict) -> None:
         point = self._point(event["job"], event["index"])
         if point["state"] in DONE_STATES:
@@ -225,13 +242,15 @@ class JobStore:
         point["attempts"].append({
             "outcome": event["outcome"],
             "exit_code": event.get("exit_code"),
-            "stderr_tail": event.get("stderr_tail", "")})
-        point["lease"] = None
+            "stderr_tail": event.get("stderr_tail", ""),
+            "heartbeats": event.get("heartbeats") or [],
+            "backoff_seconds": event.get("backoff_seconds", 0.0)})
         if event["final"]:
             point["state"] = "quarantined"
+            point["lease"] = None
             point["failure"] = event.get("failure")
         else:
-            point["state"] = "pending"
+            self._requeue(event["job"], point)
 
     def _apply_complete(self, event: dict) -> None:
         point = self._point(event["job"], event["index"])
@@ -245,21 +264,24 @@ class JobStore:
         point["verified"] = event.get("verified")
         point["failure"] = event.get("failure")
         point["cached"] = bool(event.get("cached"))
+        if "result" in event:
+            # Only a journal with no file carries the point itself.
+            point["result"] = event["result"]
 
     def _apply_release(self, event: dict) -> None:
         point = self._point(event["job"], event["index"])
         if point["state"] == "leased":
-            point["state"] = "pending"
-            point["lease"] = None
+            self._requeue(event["job"], point)
 
     def _apply_invalidate(self, event: dict) -> None:
         point = self._point(event["job"], event["index"])
         if point["state"] == "done":
-            point["state"] = "pending"
+            self._requeue(event["job"], point)
             point["cache_key"] = None
             point["verified"] = None
             point["failure"] = None
             point["cached"] = False
+            point.pop("result", None)
 
     def _apply_cancel(self, event: dict) -> None:
         job = self._job(event["job"])
@@ -303,16 +325,22 @@ class JobStore:
             job = self.jobs[job_id]
             if job["state"] != "active":
                 continue
-            for point in job["points"]:
+            points = job["points"]
+            first_pending = len(points)
+            for index in range(self._cursor.get(job_id, 0), len(points)):
+                point = points[index]
                 if point["state"] != "pending":
                     continue
+                first_pending = min(first_pending, index)
                 if eligible is not None and not eligible(job_id, point):
                     continue
+                self._cursor[job_id] = first_pending
                 self._record("claim", job=job_id,
-                             index=point["index"], worker=worker,
+                             index=index, worker=worker,
                              expires=now + lease_seconds,
                              fence=self.fence_counter + 1)
                 return job_id, point
+            self._cursor[job_id] = first_pending
         return None
 
     def check_fence(self, job_id: str, index: int,
@@ -349,21 +377,29 @@ class JobStore:
     def complete(self, job_id: str, index: int, *,
                  cache_key: str | None, verified: bool | None,
                  failure: dict | None, cached: bool = False,
-                 fence: int | None = None) -> None:
+                 fence: int | None = None, result=None) -> None:
+        """Settle a point.  ``result`` keeps the finished
+        :class:`~repro.coyote.sweep.SweepPoint` on the record itself —
+        for stores whose journal has no file and whose results have no
+        cache to live in."""
         self.check_fence(job_id, index, fence)
+        extra = {} if result is None else {"result": result}
         self._record("complete", job=job_id, index=index,
                      cache_key=cache_key, verified=verified,
-                     failure=failure, cached=cached, fence=fence)
+                     failure=failure, cached=cached, fence=fence, **extra)
 
     def attempt(self, job_id: str, index: int, *, outcome: str,
                 exit_code: int | None, stderr_tail: str, final: bool,
-                failure: dict | None = None,
-                fence: int | None = None) -> None:
+                failure: dict | None = None, fence: int | None = None,
+                heartbeats: list | None = None,
+                backoff_seconds: float = 0.0) -> None:
         self.check_fence(job_id, index, fence)
         self._record("attempt", job=job_id, index=index,
                      outcome=outcome, exit_code=exit_code,
                      stderr_tail=stderr_tail, final=final,
-                     failure=failure, fence=fence)
+                     failure=failure, fence=fence,
+                     heartbeats=heartbeats or [],
+                     backoff_seconds=backoff_seconds)
 
     def release(self, job_id: str, index: int, *,
                 fence: int | None = None) -> None:
@@ -410,7 +446,13 @@ class JobStore:
 
     def expired_leases(self, now: float) -> list[tuple[str, dict]]:
         """Every leased point whose wall-clock lease has lapsed."""
-        return [(job_id, point) for job_id, point in self.leases()
+        if now < self._earliest_expiry:
+            return []
+        leases = self.leases()
+        self._earliest_expiry = min(
+            (point["lease"]["expires"] for _, point in leases),
+            default=float("inf"))
+        return [(job_id, point) for job_id, point in leases
                 if point["lease"]["expires"] <= now]
 
     def active_leases(self) -> int:
@@ -445,6 +487,3 @@ class JobStore:
             elif state == "cancelled":
                 status.cancelled += 1
         return status
-
-    def job_ids(self) -> list[str]:
-        return self.jobs_in_order()

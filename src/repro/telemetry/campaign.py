@@ -1,4 +1,4 @@
-"""Campaign-level progress and supervision telemetry.
+"""Campaign-level progress and the campaign metrics registry.
 
 A sweep is a campaign of independent simulations; its progress signal
 (``k/n points, ETA``) belongs to the same telemetry surface as the
@@ -6,14 +6,16 @@ per-run heartbeat, so :class:`CampaignProgress` streams through the
 ``repro.telemetry`` logger namespace — anything already consuming the
 run heartbeat (``--progress``) sees campaign progress for free.
 
-:class:`CampaignMonitor` is the supervised runtime's observability:
-worker-heartbeat gauges (last reported cycles / RSS per point),
-retry / quarantine / degradation counters, and per-attempt spans
-exported as Chrome trace events (``coyote-sim sweep --chrome-trace``).
+:class:`CampaignMetrics` is what the one campaign executor (and the
+service and dispatcher built on it) reports into: named counters,
+last-value gauges (queue depth, per-point worker heartbeats, per-node
+liveness) and spans exported as Chrome trace events (``coyote-sim
+sweep --chrome-trace``).
 """
 
 from __future__ import annotations
 
+import collections
 import logging
 import time
 from typing import Any, Callable
@@ -77,247 +79,79 @@ class CampaignProgress:
         return line
 
 
-class CampaignMonitor:
-    """Observability of the supervised campaign runtime.
+class CampaignMetrics:
+    """The one registry every campaign tier reports into.
 
-    The parallel engine reports every lifecycle transition here:
-    attempts started / finished (kept as Chrome trace complete-events so
-    a whole campaign's attempt timeline opens in Perfetto), worker
-    heartbeats (kept as last-value gauges per point), scheduled retries,
-    quarantines, and pool-degradation steps.  All host-side: none of it
+    ``counters`` are monotonic event counts under fixed names (a
+    misspelt name is a ``KeyError``, not a silent new series);
+    ``gauges`` hold the last observed queue depth and lease count,
+    ``heartbeat_gauges`` the last ``cycles`` / ``rss_mb`` each point's
+    worker reported, ``node_gauges`` each cluster node's last-seen age
+    and held leases.  Spans (one per local attempt, one per node grant)
+    are kept as Chrome trace complete-events, newest 65 536, so a whole
+    campaign's schedule opens in Perfetto.  All host-side: none of it
     enters the canonical ``SweepTable.to_dict`` document.
     """
 
+    COUNTERS = (
+        # local attempts and their supervision
+        "attempts", "heartbeats", "reaped", "retries", "quarantined",
+        "degradations",
+        # queue, leases, cache
+        "submits", "points_submitted", "rejected", "claims",
+        "completions", "cache_hits", "cache_misses", "cache_corrupt",
+        "lease_expired", "released", "stale_writes",
+        # cluster nodes
+        "nodes_registered", "node_heartbeats", "nodes_dead",
+        "rebalanced", "grants")
+
     def __init__(self, clock: Callable[[], float] = time.perf_counter,
                  sink: Callable[[str], None] | None = None):
-        self.counters = {"attempts": 0, "heartbeats": 0, "retries": 0,
-                         "quarantined": 0, "reaped": 0, "degradations": 0}
-        self.heartbeat_gauges: dict[int, dict[str, float]] = {}
-        self._clock = clock
-        self._sink = sink or logger.info
-        self._origin = clock()
-        self._open: dict[tuple[int, int], float] = {}
-        self._events: list[dict] = []
-
-    def _now_us(self) -> float:
-        return (self._clock() - self._origin) * 1e6
-
-    def attempt_started(self, index: int, settings: dict,
-                        attempt: int) -> None:
-        self.counters["attempts"] += 1
-        self._open[(index, attempt)] = self._now_us()
-
-    def attempt_finished(self, index: int, settings: dict, attempt: int,
-                         outcome: str) -> None:
-        start = self._open.pop((index, attempt), None)
-        if start is None:
-            return
-        self._events.append({
-            "name": f"point[{index}] attempt {attempt}",
-            "cat": "sweep", "ph": "X", "pid": 1, "tid": index,
-            "ts": round(start, 3),
-            "dur": round(self._now_us() - start, 3),
-            "args": {"outcome": outcome, "settings": str(settings)},
-        })
-
-    def heartbeat(self, index: int, cycles: int, rss_mb: float) -> None:
-        self.counters["heartbeats"] += 1
-        self.heartbeat_gauges[index] = {"cycles": cycles, "rss_mb": rss_mb}
-
-    def reaped(self, index: int, settings: dict, outcome: str) -> None:
-        self.counters["reaped"] += 1
-        self._sink(f"sweep point {settings}: worker reaped ({outcome})")
-
-    def retry_scheduled(self, index: int, settings: dict, attempt: int,
-                        backoff_seconds: float) -> None:
-        self.counters["retries"] += 1
-        self._sink(f"sweep point {settings}: attempt {attempt} failed, "
-                   f"retrying in {backoff_seconds:.2f}s")
-
-    def quarantined(self, index: int, settings: dict,
-                    attempts: int) -> None:
-        self.counters["quarantined"] += 1
-        self._sink(f"sweep point {settings}: quarantined after "
-                   f"{attempts} attempt(s)")
-
-    def degraded(self, event) -> None:
-        self.counters["degradations"] += 1
-        target = event.to_workers or "serial"
-        self._sink(f"pool degraded after {event.pool_failures} pool "
-                   f"failure(s): {event.reason} "
-                   f"({event.from_workers} -> {target} workers)")
-
-    def chrome_trace(self) -> dict:
-        """The attempt timeline as a Chrome trace-event document."""
-        return {"traceEvents": list(self._events),
-                "displayTimeUnit": "ms"}
-
-
-class ServiceMonitor:
-    """Observability of the durable campaign service.
-
-    The service reports every queue/lease/cache transition here:
-    counters for submissions, claims, completions, cache hits/misses/
-    corruption, retries, quarantines, lease expirations and queue-full
-    rejections, plus last-value gauges for queue depth and active
-    leases.  Like :class:`CampaignMonitor`, everything is host-side —
-    none of it enters a result table.
-    """
-
-    def __init__(self, sink: Callable[[str], None] | None = None):
-        self.counters = {
-            "submits": 0, "points_submitted": 0, "claims": 0,
-            "completions": 0, "cache_hits": 0, "cache_misses": 0,
-            "cache_corrupt": 0, "retries": 0, "quarantined": 0,
-            "lease_expired": 0, "released": 0, "rejected": 0,
-            "stale_writes": 0,
-        }
+        self.counters = dict.fromkeys(self.COUNTERS, 0)
         self.gauges = {"queue_depth": 0, "active_leases": 0}
-        self._sink = sink or logger.info
-
-    def observe_queue(self, depth: int, leases: int) -> None:
-        self.gauges["queue_depth"] = depth
-        self.gauges["active_leases"] = leases
-
-    def submitted(self, job_id: str, points: int) -> None:
-        self.counters["submits"] += 1
-        self.counters["points_submitted"] += points
-        self._sink(f"service: job {job_id} submitted ({points} points)")
-
-    def rejected(self, reason: str) -> None:
-        self.counters["rejected"] += 1
-        self._sink(f"service: submission rejected ({reason})")
-
-    def claimed(self, job_id: str, index: int) -> None:
-        self.counters["claims"] += 1
-
-    def completed(self, job_id: str, index: int, *,
-                  cached: bool) -> None:
-        self.counters["completions"] += 1
-        if cached:
-            self.counters["cache_hits"] += 1
-        else:
-            self.counters["cache_misses"] += 1
-
-    def cache_corrupt(self, key: str) -> None:
-        self.counters["cache_corrupt"] += 1
-        self._sink(f"service: corrupt cache entry {key[:12]} "
-                   f"quarantined; point will be recomputed")
-
-    def retry(self, job_id: str, index: int, attempt: int,
-              backoff_seconds: float) -> None:
-        self.counters["retries"] += 1
-        self._sink(f"service: {job_id}[{index}] attempt {attempt} "
-                   f"failed, retrying in {backoff_seconds:.2f}s")
-
-    def quarantined(self, job_id: str, index: int,
-                    attempts: int) -> None:
-        self.counters["quarantined"] += 1
-        self._sink(f"service: {job_id}[{index}] quarantined after "
-                   f"{attempts} attempt(s)")
-
-    def lease_expired(self, job_id: str, index: int) -> None:
-        self.counters["lease_expired"] += 1
-        self._sink(f"service: {job_id}[{index}] lease expired; "
-                   f"point reclaimed")
-
-    def released(self, job_id: str, index: int) -> None:
-        self.counters["released"] += 1
-
-    def stale_write(self, job_id: str, index: int) -> None:
-        self.counters["stale_writes"] += 1
-        self._sink(f"service: {job_id}[{index}] stale fenced write "
-                   f"rejected")
-
-
-class ClusterMonitor(ServiceMonitor):
-    """Observability of the multi-node cluster dispatcher.
-
-    Extends :class:`ServiceMonitor` with the cluster-only signals:
-    node lifecycle counters (registrations, deaths, rebalanced
-    leases), per-node heartbeat gauges (last-seen wall-clock age and
-    leases held), transport-fault counters fed by a
-    :class:`~repro.service.transport.FaultyTransport`, and per-grant
-    Chrome trace spans (one track per node) so a whole chaos
-    campaign's schedule opens in Perfetto.
-    """
-
-    def __init__(self, sink: Callable[[str], None] | None = None,
-                 clock: Callable[[], float] = time.perf_counter):
-        super().__init__(sink)
-        self.counters.update({
-            "nodes_registered": 0, "node_heartbeats": 0,
-            "nodes_dead": 0, "rebalanced": 0, "grants": 0,
-            "degradations": 0,
-        })
+        self.heartbeat_gauges: dict[tuple, dict[str, float]] = {}
         self.node_gauges: dict[str, dict[str, float]] = {}
         self._clock = clock
+        self._sink = sink or logger.info
         self._origin = clock()
-        self._open_grants: dict[tuple[str, str, int], float] = {}
-        self._events: list[dict] = []
-        self._node_tids: dict[str, int] = {}
+        self._open: dict[tuple, float] = {}
+        self._events: collections.deque = collections.deque(maxlen=1 << 16)
+        self._tracks: dict[str, int] = {}
+
+    def count(self, name: str, message: str | None = None,
+              amount: int = 1) -> None:
+        """Bump one counter; ``message`` also goes to the log sink."""
+        self.counters[name] += amount
+        if message is not None:
+            self._sink(message)
 
     def _now_us(self) -> float:
         return (self._clock() - self._origin) * 1e6
 
-    def _tid(self, node: str) -> int:
-        return self._node_tids.setdefault(node, len(self._node_tids))
+    def span_open(self, key: tuple) -> None:
+        self._open[key] = self._now_us()
 
-    def node_registered(self, node: str, workers: int) -> None:
-        self.counters["nodes_registered"] += 1
-        self.node_gauges[node] = {"last_seen_age": 0.0,
-                                  "leases_held": 0}
-        self._sink(f"cluster: node {node} registered "
-                   f"({workers} worker slot(s))")
-
-    def node_heartbeat(self, node: str, age: float,
-                       leases_held: int) -> None:
-        self.counters["node_heartbeats"] += 1
-        self.node_gauges[node] = {"last_seen_age": round(age, 3),
-                                  "leases_held": leases_held}
-
-    def node_dead(self, node: str, age: float, leases: int) -> None:
-        self.counters["nodes_dead"] += 1
-        self.node_gauges.pop(node, None)
-        self._sink(f"cluster: node {node} declared dead (silent "
-                   f"{age:.1f}s, {leases} lease(s) to rebalance)")
-
-    def rebalanced(self, node: str, job_id: str, index: int) -> None:
-        self.counters["rebalanced"] += 1
-        self._sink(f"cluster: {job_id}[{index}] reaped from dead "
-                   f"node {node}; point re-queued")
-
-    def granted(self, node: str, job_id: str, index: int,
-                fence: int | None) -> None:
-        self.counters["grants"] += 1
-        self._open_grants[(node, job_id, index)] = self._now_us()
-
-    def grant_settled(self, node: str, job_id: str, index: int,
-                      outcome: str) -> None:
-        start = self._open_grants.pop((node, job_id, index), None)
+    def span_close(self, key: tuple, name: str, track: int | str,
+                   **args: Any) -> None:
+        """Close the span opened under ``key`` (a no-op when none is).
+        An integer ``track`` is a local point's index; a string names
+        a cluster node, which gets its own labelled track."""
+        start = self._open.pop(key, None)
         if start is None:
             return
+        named = isinstance(track, str)
+        tid = (self._tracks.setdefault(track, len(self._tracks))
+               if named else track)
         self._events.append({
-            "name": f"{job_id}[{index}]",
-            "cat": "cluster", "ph": "X", "pid": 1,
-            "tid": self._tid(node),
+            "name": name, "cat": "cluster" if named else "sweep",
+            "ph": "X", "pid": 2 if named else 1, "tid": tid,
             "ts": round(start, 3),
-            "dur": round(self._now_us() - start, 3),
-            "args": {"node": node, "outcome": outcome},
-        })
-
-    def degraded(self, event) -> None:
-        self.counters["degradations"] += 1
-        target = event.to_workers or "serial"
-        self._sink(f"cluster degraded: {event.reason} "
-                   f"({event.from_workers} -> {target})")
+            "dur": round(self._now_us() - start, 3), "args": args})
 
     def chrome_trace(self) -> dict:
-        """The per-node grant timeline as a Chrome trace document."""
-        events = [
-            {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-             "args": {"name": f"node {node}"}}
-            for node, tid in sorted(self._node_tids.items(),
-                                    key=lambda item: item[1])]
-        return {"traceEvents": events + list(self._events),
+        """Every span as a Chrome trace-event document."""
+        names = [{"name": "thread_name", "ph": "M", "pid": 2, "tid": tid,
+                  "args": {"name": f"node {node}"}}
+                 for node, tid in self._tracks.items()]
+        return {"traceEvents": names + list(self._events),
                 "displayTimeUnit": "ms"}

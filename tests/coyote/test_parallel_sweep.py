@@ -11,13 +11,7 @@ import os
 
 import pytest
 
-from repro.coyote.parallel import (
-    ParallelSweep,
-    RemoteError,
-    WorkerCrash,
-    axes_key,
-    settings_key,
-)
+from repro.coyote.parallel import ParallelSweep, RemoteError, WorkerCrash
 from repro.coyote.sweep import Sweep
 from repro.kernels import scalar_matmul, vector_axpy
 from repro.resilience import CheckpointError, FaultSpec, ResilienceConfig
@@ -116,66 +110,95 @@ class TestValidation:
             sweep.run(make_axpy, on_error="ignore", workers=2)
 
 
-def _counting_factory(settings):
-    """Raise if ever called — warm-started campaigns must not call it."""
-    raise AssertionError("factory called despite a complete campaign")
+def entries(campaign):
+    """The per-point result files a campaign directory holds."""
+    return sorted((campaign / "objects").rglob("*.res"))
 
 
 class TestCampaignWarmStart:
     AXES = {"l2_mode": ["shared", "private"], "noc.latency": [2, 6]}
 
-    def test_restart_skips_completed_points(self, tmp_path):
+    def engine(self, campaign, **kwargs):
+        return ParallelSweep(Sweep(base_cores=2, axes=dict(self.AXES)),
+                             on_error="skip", campaign_path=campaign,
+                             **kwargs)
+
+    def test_restart_serves_every_point_as_a_cache_hit(self, tmp_path):
         campaign = tmp_path / "axpy.campaign"
-        sweep = Sweep(base_cores=2, axes=dict(self.AXES))
-        first = sweep.run(make_axpy, workers=2, on_error="skip",
-                          campaign_path=campaign)
-        assert campaign.exists()
-        # Every point is on disk: the rerun must not simulate anything,
-        # so a factory that always raises proves the warm start.
-        second = sweep.run(_counting_factory, workers=2, on_error="skip",
-                           campaign_path=campaign)
-        assert first.to_dict(DIFFERENTIAL_METRICS) \
-            == second.to_dict(DIFFERENTIAL_METRICS)
+        first = self.engine(campaign, workers=2)
+        table = first.run(make_axpy)
+        assert first.monitor.counters["cache_hits"] == 0
+        assert len(entries(campaign)) == 4
+        # Every point is on disk: the rerun spawns no worker at all.
+        again = self.engine(campaign, workers=2)
+        rerun = again.run(make_axpy)
+        assert again.monitor.counters["cache_hits"] == 4
+        assert again.monitor.counters["attempts"] == 0
+        assert table.to_dict(DIFFERENTIAL_METRICS) \
+            == rerun.to_dict(DIFFERENTIAL_METRICS)
 
     def test_interrupted_campaign_resumes_bit_identical(self, tmp_path):
-        # Simulate ctrl-C landing mid-campaign: the factory interrupts
-        # after two points; the partial campaign must survive and a
-        # warm restart (with a different worker count, even) must
-        # produce the uninterrupted reference table bit for bit.
+        # Simulate ctrl-C landing mid-campaign: the factory (called
+        # once for a point's cache key and once to run it) interrupts
+        # on its fifth call, two points in; what settled must survive
+        # and a warm restart (with a different worker count, and a
+        # lambda for a factory, even) must produce the uninterrupted
+        # reference table bit for bit.
         campaign = tmp_path / "axpy.campaign"
         calls = {"count": 0}
 
         def interrupting_factory(settings):
-            if calls["count"] == 2:
+            if calls["count"] == 4:
                 raise KeyboardInterrupt
             calls["count"] += 1
             return make_axpy()
 
-        sweep = Sweep(base_cores=2, axes=dict(self.AXES))
         with pytest.raises(KeyboardInterrupt):
-            sweep.run(interrupting_factory, workers=1, on_error="skip",
-                      campaign_path=campaign)
-        from repro.resilience import load_campaign
-        assert len(load_campaign(campaign, axes_key(self.AXES))) == 2
-        resumed = sweep.run(make_axpy, workers=2, on_error="skip",
-                            campaign_path=campaign)
+            self.engine(campaign, workers=1).run(interrupting_factory)
+        assert len(entries(campaign)) == 2
+        resumed = self.engine(campaign, workers=2)
+        table = resumed.run(lambda: vector_axpy(length=32, num_cores=2))
+        assert resumed.monitor.counters["cache_hits"] == 2
+        assert resumed.monitor.counters["attempts"] == 2
         reference = Sweep(base_cores=2, axes=dict(self.AXES)).run(
             make_axpy, workers=1)
-        assert resumed.to_dict(DIFFERENTIAL_METRICS) \
+        assert table.to_dict(DIFFERENTIAL_METRICS) \
             == reference.to_dict(DIFFERENTIAL_METRICS)
 
-    def test_campaign_refuses_mismatched_axes(self, tmp_path):
-        campaign = tmp_path / "axpy.campaign"
-        Sweep(base_cores=2, axes=dict(self.AXES)).run(
-            make_axpy, workers=1, campaign_path=campaign)
-        other = Sweep(base_cores=2, axes={"noc.latency": [3, 9]})
-        with pytest.raises(CheckpointError, match="different sweep"):
-            other.run(make_axpy, workers=1, campaign_path=campaign)
+    def test_another_sweep_shares_the_directory_safely(self, tmp_path):
+        # Entries are keyed by everything that determines a result, so
+        # a different sweep (other axes, another kernel) pointed at the
+        # same directory is neither refused nor served stale points.
+        campaign = tmp_path / "shared.campaign"
+        self.engine(campaign).run(make_axpy)
+        other = ParallelSweep(
+            Sweep(base_cores=2, axes={"noc.latency": [2, 9]}),
+            campaign_path=campaign)
+        table = other.run(make_matmul)
+        assert other.monitor.counters["cache_hits"] == 0
+        reference = Sweep(base_cores=2, axes={"noc.latency": [2, 9]}).run(
+            make_matmul)
+        assert table.to_dict(DIFFERENTIAL_METRICS) \
+            == reference.to_dict(DIFFERENTIAL_METRICS)
 
-    def test_keys_are_canonical(self):
-        assert settings_key({"a": 1, "b": "x"}) == (("a", 1), ("b", "x"))
-        assert axes_key({"a": [HEALTHY]}) \
-            == axes_key({"a": [ResilienceConfig()]})
+    def test_failed_points_are_kept_too(self, tmp_path):
+        campaign = tmp_path / "wedged.campaign"
+        sweep = Sweep(base_cores=2, axes={"resilience": [HEALTHY, WEDGED]})
+        first = sweep.run(make_matmul, on_error="skip",
+                          campaign_path=campaign)
+        again = ParallelSweep(sweep, on_error="skip",
+                              campaign_path=campaign)
+        rerun = again.run(make_matmul)
+        assert again.monitor.counters["cache_hits"] == 2
+        assert rerun.points[1].error_kind == "DeadlockError"
+        assert first.to_dict(DIFFERENTIAL_METRICS) \
+            == rerun.to_dict(DIFFERENTIAL_METRICS)
+
+    def test_old_campaign_file_says_to_pass_a_directory(self, tmp_path):
+        campaign = tmp_path / "axpy.campaign"
+        campaign.write_bytes(b"coyote-campaign 2 " + b"0" * 64 + b"\n")
+        with pytest.raises(CheckpointError, match="pass a directory"):
+            self.engine(campaign)
 
 
 class TestSweepCli:
@@ -195,14 +218,21 @@ class TestSweepCli:
         assert len(document["points"]) == 2
         assert document["aggregate"]["failed"] == 0
 
-    @pytest.mark.parametrize("spec", ["bad==x", "noc.latency=2,,6",
-                                      "=2,6", "noc.latency"])
-    def test_malformed_axes_are_config_errors(self, spec, capsys):
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--axes", "bad==x"], "bad axis"),
+        (["--axes", "noc.latency=2,,6"], "bad axis"),
+        (["--axes", "=2,6"], "bad axis"),
+        (["--axes", "noc.latency"], "bad axis"),
+        (["--axes", "noc.latency=2", "--workers", "0"],
+         "workers must be >= 1"),
+    ])
+    def test_malformed_flags_are_config_errors(self, flags, complaint,
+                                               capsys):
         from repro.coyote import cli
-        code = cli.main(["sweep", "--kernel", "scalar-matmul",
-                         "--axes", spec])
+        code = cli.main(["sweep", "--kernel", "scalar-matmul", *flags])
         assert code == cli.EXIT_CONFIG
-        assert "bad axis" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert "configuration error" in stderr and complaint in stderr
 
     def test_axis_tokens_are_typed(self):
         from repro.coyote.cli import parse_axes

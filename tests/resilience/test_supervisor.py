@@ -10,12 +10,14 @@ The guarantees under test (docs/RESILIENCE.md):
   bit-identical to a serial run, and retry backoff replays exactly
   under a fixed seed.
 * **Durability** — quarantine records (full attempt history) survive
-  the campaign checkpoint round-trip, and a warm restart never
+  the campaign directory round-trip, and a warm restart never
   re-executes a quarantined point.
 * **Degradation** — repeated pool-level failures step the worker count
   down instead of aborting, all the way to a serial floor.
 """
 
+import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -28,16 +30,10 @@ import pytest
 
 from repro.api import QuarantinedPoint, RetryPolicy, SupervisorPolicy
 from repro.coyote import cli
-from repro.coyote.parallel import (
-    ParallelSweep,
-    PointPool,
-    WorkerCrash,
-    axes_key,
-)
+from repro.coyote.parallel import ParallelSweep, PointPool, WorkerCrash
 from repro.coyote.sweep import Sweep
 from repro.kernels import vector_axpy
 from repro.resilience import supervisor as supervision
-from repro.resilience.checkpoint import load_campaign
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 DIFFERENTIAL_METRICS = ("cycles", "instructions", "l1d_miss_rate")
@@ -56,8 +52,13 @@ def _healthy_workload():
 
 
 def chaos_factory(settings):
-    """Settings-aware factory with artificial failure modes."""
+    """Settings-aware factory with artificial failure modes — inside a
+    pool worker.  The campaign parent also calls the factory (a
+    campaign directory keys each point by the workload it builds), and
+    must live to tell."""
     mode = settings.get("noc.latency")
+    if multiprocessing.parent_process() is None:
+        mode = None
     if mode == WEDGE:
         while True:
             time.sleep(0.05)
@@ -93,7 +94,7 @@ def chaos_policy(**overrides) -> SupervisorPolicy:
 @pytest.fixture(scope="module")
 def chaos_run(tmp_path_factory):
     """One chaos campaign, run once and dissected by several tests."""
-    campaign = tmp_path_factory.mktemp("chaos") / "chaos.campaign"
+    campaign = tmp_path_factory.mktemp("chaos") / "chaos.campaign.d"
     axes = {"noc.latency": [HEALTHY[0], WEDGE, LEAK, CRASH, SILENT,
                             HEALTHY[1]]}
     sweep = Sweep(base_cores=2, axes=axes)
@@ -160,15 +161,20 @@ class TestChaosCampaign:
         sweep, policy, campaign, table = chaos_run
 
         def poisoned_factory(settings):
-            raise AssertionError(
-                "a quarantined or completed point was re-executed on "
-                "warm restart")
+            if multiprocessing.parent_process() is not None:
+                raise AssertionError(
+                    "a quarantined or completed point was re-executed "
+                    "on warm restart")
+            return _healthy_workload()   # the parent's cache-key call
 
-        resumed = sweep.run(poisoned_factory, workers=3, on_error="skip",
-                            campaign_path=campaign, policy=policy)
+        engine = ParallelSweep(sweep, workers=3, on_error="skip",
+                               campaign_path=campaign, policy=policy)
+        resumed = engine.run(poisoned_factory)
+        assert engine.monitor.counters["attempts"] == 0
+        assert engine.monitor.counters["cache_hits"] == 6
         assert resumed.to_dict(DIFFERENTIAL_METRICS) \
             == table.to_dict(DIFFERENTIAL_METRICS)
-        # The attempt history survives the checkpoint round-trip whole.
+        # The attempt history survives the directory round-trip whole.
         for before, after in zip(table.quarantined(),
                                  resumed.quarantined()):
             assert [(r.attempt, r.outcome, r.exit_code, r.signal)
@@ -356,28 +362,36 @@ class TestObservability:
 
 
 class TestSigintDrain:
-    def test_sigint_drains_pool_and_writes_partial_campaign(
-            self, tmp_path):
-        campaign = tmp_path / "sigint.campaign"
-        command = [
+    AXES = "noc.latency=2,3,4,5,6,7,8,9"
+
+    def command(self, campaign, out):
+        return [
             sys.executable, "-m", "repro.coyote.cli", "sweep",
             "--kernel", "scalar-matmul", "--cores", "2", "--size", "10",
-            "--axes", "noc.latency=2,3,4,5,6,7,8,9",
-            "--workers", "2", "--on-error", "skip",
-            "--campaign", str(campaign)]
+            "--axes", self.AXES, "--workers", "2", "--on-error", "skip",
+            "--campaign", str(campaign), "--out", str(out)]
+
+    def test_sigint_drains_pool_and_rerun_serves_what_settled(
+            self, tmp_path):
+        campaign = tmp_path / "sigint.campaign.d"
         env = dict(os.environ,
                    PYTHONPATH=str(REPO_ROOT / "src"))
+
+        def settled():
+            return list((campaign / "objects").rglob("*.res"))
+
         process = subprocess.Popen(
-            command, env=env, cwd=REPO_ROOT, stdout=subprocess.PIPE,
+            self.command(campaign, tmp_path / "cut.json"), env=env,
+            cwd=REPO_ROOT, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         try:
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                if campaign.exists() or process.poll() is not None:
+                if settled() or process.poll() is not None:
                     break
                 time.sleep(0.05)
             assert process.poll() is None, process.communicate()[1]
-            assert campaign.exists()
+            assert settled()
             process.send_signal(signal.SIGINT)
             _stdout, stderr = process.communicate(timeout=120)
         finally:
@@ -386,8 +400,22 @@ class TestSigintDrain:
                 process.communicate()
         assert process.returncode == cli.EXIT_INTERRUPT, stderr
         assert "interrupted" in stderr
-        # The partial campaign survived the interrupt and warm-starts.
-        axes = {"noc.latency": [2, 3, 4, 5, 6, 7, 8, 9]}
-        completed = load_campaign(campaign, axes_key(axes))
-        assert completed  # at least the first finished point
-        assert len(completed) < 8  # ... but the sweep was cut short
+        # What settled before the interrupt survived it ...
+        kept = len(settled())
+        assert 0 < kept < 8  # ... but the sweep was cut short
+        # ... and the same command warm-starts from it: those points
+        # are cache hits, the table is the uninterrupted one.
+        rerun = subprocess.run(
+            self.command(campaign, tmp_path / "resumed.json"), env=env,
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=300)
+        assert rerun.returncode == cli.EXIT_OK, rerun.stderr
+        assert f"{kept} of 8 points were cache hits" in rerun.stdout
+        fresh = subprocess.run(
+            self.command(tmp_path / "fresh.d", tmp_path / "fresh.json"),
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=300)
+        assert fresh.returncode == cli.EXIT_OK, fresh.stderr
+        resumed, reference = (
+            json.loads((tmp_path / name).read_text())
+            for name in ("resumed.json", "fresh.json"))
+        assert resumed["points"] == reference["points"]

@@ -402,10 +402,10 @@ class TestDegradation:
             job = dispatcher.submit(KERNEL, AXES, cores=CORES,
                                     size=SIZE)
             dispatcher.step()
-            assert dispatcher._tier == "cluster"  # still in grace
+            assert dispatcher.slots is None  # still in grace
             clock.advance(3.0)
             drive(dispatcher, [])
-            assert dispatcher._tier == "local"
+            assert dispatcher.slots == 1  # its own local_workers
             assert dispatcher.status(job).complete
             table = dispatcher.result(job)
         assert len(table.degradations) == 1
@@ -428,7 +428,7 @@ class TestDegradation:
             dispatcher.step()
             clock.advance(6.0)  # the fleet of one goes silent
             drive(dispatcher, [])
-            assert dispatcher._tier == "local"
+            assert dispatcher.slots == 1  # its own local_workers
             assert dispatcher.status(job).complete
             table = dispatcher.result(job)
         assert len(table.degradations) == 1

@@ -1,0 +1,140 @@
+"""One campaign, every tier, one table.
+
+The tiers are compositions of one executor, so the same named-kernel
+campaign — healthy points, points whose model fails without results,
+and a point whose worker is killed on every attempt — must come back
+byte-identical (``SweepTable.to_dict()``, failure records included)
+from ``api.sweep`` in-process, pooled and supervised, from
+``api.submit`` + ``api.result(wait=True)``, and from a
+``ClusterDispatcher`` granting to a ``ClusterNode``.
+
+The model failure is an exhausted cycle budget rather than a watchdog
+trip: a service submission takes plain JSON axis values, and a
+watchdog is configured by an object.  (``test_parallel_sweep.py``
+holds the ``DeadlockError`` differential for the sweep tiers.)
+"""
+
+import os
+import signal
+import time
+
+import pytest
+
+from repro import api
+from repro.coyote.parallel import PointPool
+from repro.service.cluster import ClusterDispatcher, ClusterNode
+from repro.service.transport import InProcessTransport
+
+KERNEL = "vector-axpy"
+CORES = 2
+SIZE = 64
+AXES = {"max_cycles": [200_000, 200], "noc.latency": [2, 6]}
+DOOMED = {"max_cycles": 200_000, "noc.latency": 6}
+METRICS = ("cycles", "instructions", "l1d_miss_rate")
+
+# The budget the service charges a death against by default; the
+# sweep tiers are handed the same one.
+RETRY = api.RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=5.0)
+POLICY = api.SupervisorPolicy(retry=RETRY)
+
+
+def sweep(**kwargs):
+    return api.sweep(KERNEL, CORES, size=SIZE, axes=AXES,
+                     on_error="skip", **kwargs)
+
+
+def through_the_service(root, workers):
+    job = api.submit(KERNEL, root=root, axes=AXES, cores=CORES,
+                     size=SIZE)
+    return api.result(job, root=root, wait=True, workers=workers)
+
+
+def through_a_cluster(root):
+    dispatcher = ClusterDispatcher(root, transport=InProcessTransport())
+    node = ClusterNode(root, "n0", transport=dispatcher.transport,
+                       heartbeat_seconds=0.0)
+    with dispatcher:
+        job = dispatcher.submit(KERNEL, AXES, cores=CORES, size=SIZE)
+        deadline = time.monotonic() + 120
+        while dispatcher.store.has_work() or dispatcher.pool:
+            assert time.monotonic() < deadline, "cluster did not drain"
+            if not (dispatcher.step() | node.step()):
+                time.sleep(0.01)
+        table = dispatcher.result(job)
+    node.pool.close()
+    return table
+
+
+@pytest.fixture
+def doomed_worker(monkeypatch):
+    """SIGKILL the doomed point's worker every time one is spawned,
+    whichever tier's pool spawns it."""
+    spawn = PointPool.spawn
+
+    def spawn_then_kill(self, index, settings, *args, **kwargs):
+        worker = spawn(self, index, settings, *args, **kwargs)
+        if settings == DOOMED:
+            os.kill(worker.process.pid, signal.SIGKILL)
+        return worker
+
+    monkeypatch.setattr(PointPool, "spawn", spawn_then_kill)
+
+
+def test_model_failures_read_the_same_on_every_tier(tmp_path):
+    tables = {
+        "in-process": sweep(workers=1),
+        "pool": sweep(workers=2),
+        "supervised": sweep(workers=2, policy=POLICY),
+        "service": through_the_service(tmp_path / "service", workers=1),
+        "cluster": through_a_cluster(tmp_path / "cluster"),
+    }
+    reference = tables["in-process"].to_dict(METRICS)
+    assert [point["error"] and point["error"]["kind"]
+            for point in reference["points"]] \
+        == [None, None, "SimulationError", "SimulationError"]
+    for tier, table in tables.items():
+        assert table.to_dict(METRICS) == reference, tier
+        assert table.degradations == [], tier
+
+
+def test_a_dying_worker_reads_the_same_on_every_tier(tmp_path,
+                                                     doomed_worker):
+    tables = {
+        "supervised-1": sweep(workers=1, policy=POLICY),
+        "supervised-2": sweep(workers=2, policy=POLICY),
+        "service": through_the_service(tmp_path / "service", workers=2),
+        "cluster": through_a_cluster(tmp_path / "cluster"),
+    }
+    reference = tables["supervised-1"].to_dict(METRICS)
+    doomed = reference["points"][1]
+    assert doomed["settings"] == DOOMED
+    assert doomed["error"] == {
+        "kind": "QuarantinedPoint",
+        "message": f"sweep point {DOOMED} quarantined after 3 "
+                   f"attempt(s); last outcome: crash (exit code -9)"}
+    for tier, table in tables.items():
+        assert table.to_dict(METRICS) == reference, tier
+        assert table.degradations == [], tier
+        # The public failure taxonomy, from the store's attempt book.
+        error = table.points[1].error
+        assert isinstance(error, api.QuarantinedPoint), tier
+        assert [(record.attempt, record.outcome, record.signal)
+                for record in error.attempts] \
+            == [(number, "crash", signal.SIGKILL)
+                for number in (1, 2, 3)], tier
+        assert [record.backoff_seconds for record in error.attempts] \
+            == [RETRY.backoff_seconds(1, index=1),
+                RETRY.backoff_seconds(2, index=1), 0.0], tier
+        assert all(isinstance(record.heartbeats, list)
+                   for record in error.attempts), tier
+
+    # Without supervision the same death is the plain WorkerCrash, and
+    # nothing else in the table moves.
+    unsupervised = sweep(workers=2)
+    crash = unsupervised.points[1].error
+    assert isinstance(crash, api.WorkerCrash)
+    assert crash.exit_code == -signal.SIGKILL and crash.stderr_tail == ""
+    document = unsupervised.to_dict(METRICS)
+    assert document["points"][1]["error"]["kind"] == "WorkerCrash"
+    document["points"][1] = doomed
+    assert document == reference

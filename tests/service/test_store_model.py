@@ -20,6 +20,10 @@ every step asserts:
 * ``outstanding_points()`` / ``has_work()`` / ``expired_leases()``
   agree with the model.
 
+The same machine runs twice: over the durable journal file, and over
+a journal with no file behind it (what an in-process sweep's store
+uses) — same ``JobStore``, same guarantees, replay included.
+
 The examples are derandomized.  Tier-1 runs 100 of them; CI's
 ``service-smoke`` job runs the ``ci`` profile (``tests/conftest.py``).
 """
@@ -109,9 +113,11 @@ class StoreMachine(RuleBasedStateMachine):
         self.now = 1000.0
         self.minted = []
         self.keys = 0
+        self.memory = Journal()
         self.store = self.open_store()
 
     def journal(self):
+        """The journal every (re)open and every replay folds."""
         return Journal(self.root / "journal.jsonl")
 
     def open_store(self, **kwargs):
@@ -340,7 +346,15 @@ class StoreMachine(RuleBasedStateMachine):
 _CI = settings.get_profile("ci")
 _EXAMPLES = _CI.max_examples if settings.default is _CI else 100
 
+
+
+class MemoryStoreMachine(StoreMachine):
+    def journal(self):
+        return self.memory
+
+
 TestStoreModel = StoreMachine.TestCase
-TestStoreModel.settings = settings(
+TestMemoryStoreModel = MemoryStoreMachine.TestCase
+TestStoreModel.settings = TestMemoryStoreModel.settings = settings(
     max_examples=_EXAMPLES, stateful_step_count=40, derandomize=True,
     deadline=None)
