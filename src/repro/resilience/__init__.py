@@ -16,14 +16,13 @@ deterministic tools (docs/RESILIENCE.md):
   :class:`~repro.resilience.watchdog.DeadlockError` carrying a full
   diagnostic snapshot.
 * :mod:`repro.resilience.checkpoint` — serialize complete simulation
-  state to disk and resume bit-identically; also the campaign-level
-  checkpoints the parallel sweep engine warm-starts from.
+  state to disk and resume bit-identically.
 * :mod:`repro.resilience.invariants` — periodic conservation and
   consistency checks over the live simulation state.
-* :mod:`repro.resilience.supervisor` — the supervised campaign
-  runtime behind parallel sweeps: heartbeats, per-point timeouts,
-  bounded retries with seeded backoff, poison-point quarantine, and
-  graceful pool degradation.
+* :mod:`repro.resilience.supervisor` — the policies of the supervised
+  campaign runtime (per-point timeouts, heartbeat deadlines, bounded
+  retries with seeded backoff, the degradation threshold) and the
+  quarantine record; the campaign executor applies them.
 
 The canonical import surface is :mod:`repro.api`; the blessed names
 below are re-exported from there (lazily, to stay cycle-free).
@@ -53,11 +52,8 @@ _LOCAL_NAMES = {
     "FaultInjector": "repro.resilience.faults",
     "InvariantChecker": "repro.resilience.invariants",
     "InvariantViolation": "repro.resilience.invariants",
-    "Supervisor": "repro.resilience.supervisor",
     "Watchdog": "repro.resilience.watchdog",
     "build_snapshot": "repro.resilience.watchdog",
-    "load_campaign": "repro.resilience.checkpoint",
-    "save_campaign": "repro.resilience.checkpoint",
 }
 
 __all__ = sorted(_API_NAMES | set(_LOCAL_NAMES))

@@ -1,20 +1,19 @@
-"""Advisory file locking for campaign and journal files.
+"""Advisory file locking for a campaign service's root.
 
-Two processes pointed at the same campaign checkpoint (or the same
-service journal) must not interleave their atomic replaces: each write
-is individually safe, but the two processes would silently overwrite
-each other's completed points, and the survivor's file would describe
-neither campaign.  :class:`PathLock` makes that mistake loud — the
-second process fails fast with a :class:`CampaignLockError` naming the
-path and, when readable, the PID holding it.
+Two service processes pointed at the same root must not both append to
+its journal: each write is individually safe, but the two would
+interleave events and fencing tokens, and the survivor's journal would
+describe neither campaign.  :class:`PathLock` makes that mistake loud —
+the second process fails fast with a :class:`CampaignLockError` naming
+the path and, when readable, the PID holding it.
 
 The lock is ``fcntl.flock`` on a sidecar ``<path>.lock`` file, so it
-works on paths that do not exist yet (a campaign about to be created)
-and never interferes with the atomic-replace discipline on the data
-file itself.  Locks are advisory and process-scoped: the kernel drops
-them automatically when the holder dies, so a SIGKILLed campaign never
-leaves a stale lock behind.  On platforms without ``fcntl`` (Windows)
-the lock degrades to a no-op rather than blocking campaigns entirely.
+works on paths that do not exist yet and never interferes with the
+atomic-replace discipline on the data file itself.  Locks are advisory
+and process-scoped: the kernel drops them automatically when the holder
+dies, so a SIGKILLed service never leaves a stale lock behind.  On
+platforms without ``fcntl`` (Windows) the lock degrades to a no-op
+rather than blocking campaigns entirely.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ class PathLock:
 
     Usage::
 
-        lock = PathLock(campaign_path)
+        lock = PathLock(journal_path)
         lock.acquire()     # raises CampaignLockError if already held
         try:
-            ...            # exclusive use of campaign_path
+            ...            # exclusive use of journal_path
         finally:
             lock.release()
 
@@ -88,8 +87,8 @@ class PathLock:
             os.close(fd)
             raise CampaignLockError(
                 f"{self.path} is in use by another process"
-                f"{holder}: two campaigns writing one file would "
-                f"silently interleave their checkpoints") from None
+                f"{holder}: two writers would silently interleave "
+                f"their events") from None
         # Record the holder PID for the diagnostic on the losing side.
         try:
             os.ftruncate(fd, 0)

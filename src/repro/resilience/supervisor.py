@@ -1,28 +1,28 @@
-"""The campaign supervisor: policies and bookkeeping for supervised sweeps.
+"""Supervision policy: what a campaign is allowed to cost, and what a
+death costs a point.
 
 A design-space campaign is only as robust as its weakest point: one
 wedged worker (infinite loop), one leaking worker (runaway RSS), or one
 transient host failure (fork exhaustion) can wedge a multi-hour sweep.
-This module holds the *decision* layer of the supervised runtime — the
-process mechanics (pipes, signals, ``connection.wait``) live in
-:class:`repro.coyote.parallel.PointPool`, and the tiers looping over its
-events consult these classes:
+This module holds the *policy* of the supervised runtime — the process
+mechanics live in :class:`repro.coyote.parallel.PointPool`, and the one
+campaign loop that applies these policies to its events (attempt book
+in the job store, deadline check on local workers, degradation ladder)
+is :class:`repro.service.service.CampaignExecutor`:
 
 * :class:`SupervisorPolicy` — the knobs: per-point wall-clock timeout,
   heartbeat cadence and miss budget, per-worker RSS ceiling, the
   :class:`RetryPolicy`, and the degradation threshold.
 * :class:`RetryPolicy` — bounded retries with seeded backoff, and the
   one retry-vs-quarantine rule (:meth:`RetryPolicy.after_failure`)
-  that the supervised sweep and the campaign service both apply.
-* :class:`Supervisor` — parent-side bookkeeping: per-point attempt
-  history, deadline checks, and the pool-degradation ladder
-  (``N → N/2 → … → 1 → serial``).
+  every campaign tier is charged under.
 * :class:`QuarantinedPoint` — the structured failure recorded on a
   point that exhausted its retries: full attempt history (outcome,
   exit code / signal, stderr tail, heartbeat trail), picklable so it
-  survives the campaign checkpoint and is never re-run on warm restart.
-* :class:`DegradationEvent` — one step down the pool ladder, recorded
-  on the resulting :class:`~repro.coyote.sweep.SweepTable`.
+  survives a campaign directory and is never re-run on warm restart.
+* :class:`DegradationEvent` — one step down the ladder
+  (``cluster → N → N/2 → … → 1 → in-process``), recorded on the
+  resulting :class:`~repro.coyote.sweep.SweepTable`.
 
 Determinism: backoff jitter is drawn from a PRNG seeded by
 ``(policy.seed, point index, attempt)``, never from wall time, so a
@@ -41,9 +41,6 @@ from dataclasses import dataclass, field
 
 from repro.coyote.errors import SimulationError
 
-# Outcomes a supervised attempt can end with (besides a clean result).
-ATTEMPT_OUTCOMES = ("crash", "timeout", "heartbeat-lost", "rss-exceeded")
-
 # How much of a dead worker's stderr is kept for diagnosis.
 STDERR_TAIL_BYTES = 2048
 
@@ -54,9 +51,9 @@ HEARTBEAT_TRAIL = 16
 class QuarantinedPoint(SimulationError):
     """A sweep point that exhausted its retries and was quarantined.
 
-    Recorded as the point's ``error`` in the :class:`SweepTable` and the
-    campaign checkpoint; a warm-restarted campaign loads it and never
-    re-runs the point.  ``attempts`` (via the structured ``details``)
+    Recorded as the point's ``error`` in the :class:`SweepTable` and in
+    the sweep's campaign directory; a warm-restarted sweep loads it and
+    never re-runs the point.  ``attempts`` (via the structured ``details``)
     is the full :class:`AttemptRecord` history.
     """
 
@@ -66,7 +63,9 @@ class AttemptRecord:
     """One failed attempt of one supervised sweep point."""
 
     attempt: int                 # 1-based
-    outcome: str                 # one of ATTEMPT_OUTCOMES
+    # "crash" | "timeout" | "heartbeat-lost" | "rss-exceeded" (a local
+    # worker's) | "lease-expired" | "node-lost" (a remote owner's)
+    outcome: str
     exit_code: int | None = None
     signal: int | None = None    # populated when exit_code is -signal
     stderr_tail: str = ""        # last ~2 KB of the worker's stderr
@@ -76,7 +75,7 @@ class AttemptRecord:
 
 @dataclass
 class DegradationEvent:
-    """One step down the pool ladder (``to_workers == 0`` = serial)."""
+    """One step down the ladder (``to_workers == 0`` = in-process)."""
 
     reason: str
     from_workers: int
@@ -133,7 +132,7 @@ class RetryPolicy:
         ``attempts`` counts the point's failed executions including
         the one just observed.  Returns ``("retry", delay_seconds)``
         while the budget lasts, else ``("quarantine", message)`` with
-        the message every tier records (``what`` names the point, e.g.
+        the message to record (``what`` names the point:
         ``"sweep point {...}"``).
         """
         if attempts < self.max_attempts:
@@ -197,96 +196,6 @@ class SupervisorPolicy:
             raise ValueError(f"degrade_after must be >= 0, "
                              f"got {self.degrade_after}")
         self.retry.validate()
-
-
-class Supervisor:
-    """Parent-side bookkeeping of one supervised campaign.
-
-    The pool loop in :mod:`repro.coyote.parallel` owns the processes;
-    this class owns the decisions: is an attempt overdue, does a dead
-    worker get a retry or a quarantine record, and when do repeated
-    pool-level failures step the worker count down.
-    """
-
-    def __init__(self, policy: SupervisorPolicy, monitor=None):
-        policy.validate()
-        self.policy = policy
-        self.monitor = monitor
-        self.attempts: dict[int, list[AttemptRecord]] = {}
-        self.degradations: list[DegradationEvent] = []
-        self.pool_failures = 0
-
-    def attempt_number(self, index: int) -> int:
-        """The 1-based number of the point's *next* attempt."""
-        return len(self.attempts.get(index, ())) + 1
-
-    def overdue(self, started: float, last_beat: float,
-                now: float) -> str | None:
-        """Deadline check for one running attempt.
-
-        Returns ``"timeout"`` (wall clock), ``"heartbeat-lost"``
-        (heartbeat deadline), or ``None`` while healthy.
-        """
-        policy = self.policy
-        if (policy.point_timeout_seconds is not None
-                and now - started > policy.point_timeout_seconds):
-            return "timeout"
-        interval = policy.heartbeat_interval_seconds
-        if interval > 0 and now - last_beat > interval * policy.heartbeat_misses:
-            return "heartbeat-lost"
-        return None
-
-    def record_failure(self, index: int, settings: dict, outcome: str,
-                       exit_code: int | None, stderr_tail: str,
-                       heartbeats: list) -> tuple[str, object]:
-        """Record one failed attempt; decide retry vs quarantine.
-
-        Returns ``("retry", delay_seconds)`` while attempts remain, or
-        ``("quarantine", QuarantinedPoint)`` once they are exhausted.
-        """
-        record = AttemptRecord(
-            attempt=self.attempt_number(index), outcome=outcome,
-            exit_code=exit_code,
-            signal=(-exit_code if exit_code is not None and exit_code < 0
-                    else None),
-            stderr_tail=stderr_tail,
-            heartbeats=list(heartbeats)[-HEARTBEAT_TRAIL:])
-        trail = self.attempts.setdefault(index, [])
-        trail.append(record)
-        action, payload = self.policy.retry.after_failure(
-            len(trail), f"sweep point {settings}", outcome, exit_code,
-            seed=self.policy.seed, index=index)
-        if action == "retry":
-            record.backoff_seconds = payload
-            if self.monitor is not None:
-                self.monitor.retry_scheduled(index, settings,
-                                             record.attempt, payload)
-            return action, payload
-        error = QuarantinedPoint(payload, attempts=list(trail))
-        if self.monitor is not None:
-            self.monitor.quarantined(index, settings, len(trail))
-        return "quarantine", error
-
-    def pool_failure(self, reason: str,
-                     current_workers: int) -> int | None:
-        """Register a pool-level failure (fork failure, RSS trip).
-
-        Every ``policy.degrade_after``-th failure steps the ladder:
-        returns the new worker count (``0`` = run the rest serially),
-        or ``None`` when the count is unchanged.
-        """
-        self.pool_failures += 1
-        after = self.policy.degrade_after
-        if not after or self.pool_failures % after:
-            return None
-        to_workers = current_workers // 2 if current_workers > 1 else 0
-        event = DegradationEvent(
-            reason=reason, from_workers=current_workers,
-            to_workers=to_workers, pool_failures=self.pool_failures)
-        self.degradations.append(event)
-        if self.monitor is not None:
-            self.monitor.degraded(event)
-        return to_workers
 
 
 # -- worker-side helpers -----------------------------------------------------
