@@ -783,13 +783,11 @@ def supervisor_policy_from_args(args: argparse.Namespace):
     if (args.point_timeout is None and args.heartbeat_interval is None
             and args.max_rss_mb is None and not args.max_retries):
         return None
-    policy = SupervisorPolicy(
+    return SupervisorPolicy(
         point_timeout_seconds=args.point_timeout,
         heartbeat_interval_seconds=args.heartbeat_interval or 0.0,
         max_rss_mb=args.max_rss_mb,
         retry=RetryPolicy(max_attempts=args.max_retries + 1))
-    policy.validate()
-    return policy
 
 
 def parse_axis_token(token: str):

@@ -15,7 +15,9 @@ executed"):
   its :class:`SweepTable` is assembled from the settled store exactly
   as a service job's is — so a ``workers=N`` table is bit-identical to
   a ``workers=1`` table, and both to the same campaign run through
-  ``repro.api.submit`` or a cluster.
+  ``repro.api.submit`` or a cluster.  Supervision (deadlines, retries,
+  quarantine, the degradation ladder) is the executor's, not this
+  module's.
 
 Design decisions, in the order they matter:
 
@@ -31,11 +33,6 @@ Design decisions, in the order they matter:
   pool reports the exit code and the captured stderr tail, recorded as
   a :class:`WorkerCrash` failure like any other ``on_error="skip"``
   failure.
-* **Supervision.**  With a
-  :class:`~repro.resilience.supervisor.SupervisorPolicy` the executor
-  holds every worker to its deadlines, retries or quarantines dead
-  attempts and steps the pool down on pool-level failures — none of
-  which is this module's code any more.
 * **Error transport.**  A worker-side exception crosses the process
   boundary only if it survives a local pickle round-trip; otherwise a
   picklable :class:`RemoteError` stand-in carries the original type

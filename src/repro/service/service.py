@@ -31,12 +31,6 @@ Execution model — at-least-once, made safe by idempotence:
   entries, so an orphaned worker left behind by a SIGKILLed service
   can corrupt nothing — it dies on its next pipe write, and at worst
   its work is recomputed.
-* **One claim → settle path.**  Every way a point gets executed — a
-  local worker, a cluster node's grant, the in-process floor of the
-  degradation ladder — goes through
-  :meth:`CampaignExecutor._claim_next` (lease, cache lookup, cache
-  hits settled on the spot) and :meth:`CampaignExecutor._settle` (the
-  fenced ``complete``).
 * **Completions are idempotent.**  Results live in the
   content-addressed cache keyed by (config digest, kernel digest,
   seed); a point executed twice writes the same bytes under the same
@@ -355,8 +349,6 @@ class CampaignExecutor:
         self.retry = retry
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.policy.validate()
-        if retry is not None:
-            retry.validate()
         self.lease_seconds = lease_seconds
         self.recipe_for = recipe_for
         self.monitor = monitor if monitor is not None else CampaignMetrics()
@@ -817,14 +809,15 @@ class CampaignService(CampaignExecutor):
         self.root = Path(root)
         self.workers = workers
         journal = Journal(self.root / "journal.jsonl", fsync=fsync)
+        policy = SupervisorPolicy(
+            retry=retry if retry is not None else RetryPolicy(
+                max_attempts=3, base_delay=0.1, max_delay=5.0),
+            seed=seed, term_grace_seconds=term_grace_seconds)
         super().__init__(
             JobStore(journal, max_queue=max_queue,
                      compact_every=compact_every),
             ResultCache(self.root / "cache"), slots=workers,
-            retry=retry if retry is not None else RetryPolicy(
-                max_attempts=3, base_delay=0.1, max_delay=5.0),
-            policy=SupervisorPolicy(
-                seed=seed, term_grace_seconds=term_grace_seconds),
+            retry=policy.retry, policy=policy,
             lease_seconds=lease_seconds,
             heartbeat_seconds=heartbeat_seconds, monitor=monitor,
             mp_context=mp_context)

@@ -44,7 +44,7 @@ applies recorded transitions, identically live and during replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.coyote.errors import SimulationError
@@ -102,14 +102,7 @@ class JobStatus:
         return self.pending == 0 and self.leased == 0
 
     def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id, "state": self.state,
-            "total": self.total, "pending": self.pending,
-            "leased": self.leased, "done": self.done,
-            "failed": self.failed, "quarantined": self.quarantined,
-            "cancelled": self.cancelled, "cache_hits": self.cache_hits,
-            "complete": self.complete,
-        }
+        return {**asdict(self), "complete": self.complete}
 
 
 class JobStore:
