@@ -460,9 +460,9 @@ class ClusterDispatcher(CampaignService):
     def _on_failure(self, message: dict) -> None:
         node = str(message.get("node", "?"))
         job_id, index = message["job"], int(message["index"])
-        if job_id not in self.store.jobs or not \
-                0 <= index < len(self.store.jobs[job_id]["points"]):
-            return  # a failure for a job this root never had
+        points = self.store.jobs.get(job_id, {}).get("points", ())
+        if not 0 <= index < len(points):
+            return  # a failure for a point this root never had
         self._grant_settled(node, job_id, index,
                             message.get("outcome", "failure"))
         self._record_failure(
