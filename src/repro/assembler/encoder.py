@@ -4,9 +4,13 @@
 word.  The :class:`EncodeContext` supplies the statement's address (for
 PC-relative operands) and an expression resolver bound to the symbol table.
 
-The tables in this module are the inverse of :mod:`repro.isa.decoder`; the
-round-trip property (assemble -> decode -> disassemble -> assemble) is
-enforced by the test suite.
+Which operands a mnemonic takes and where they go is read off its row in
+:mod:`repro.isa.encoding` — the table the decoder and the disassembler are
+derived from as well: each operand is parsed by its kind, range-checked
+and ORed into the row's ``match``.  Only what is not an ISA encoding lives
+here: splitting ``offset(base)``, making a branch target PC-relative, and
+the two halves of ``la``, whose operand is a symbol to be split into an
+``auipc``/``addi`` pair.
 """
 
 from __future__ import annotations
@@ -17,18 +21,8 @@ from typing import Callable
 
 from repro.isa import opcodes as op
 from repro.isa.csr import parse_csr
-from repro.isa.fields import (
-    EEW_TO_VMEM_WIDTH,
-    encode_b,
-    encode_i,
-    encode_j,
-    encode_r,
-    encode_r4,
-    encode_s,
-    encode_u,
-    encode_vector_arith,
-    encode_vector_mem,
-)
+from repro.isa.encoding import ENCODINGS, Mem, Row
+from repro.isa.fields import encode_i, encode_u
 from repro.isa.registers import parse_fp_reg, parse_int_reg, parse_vec_reg
 from repro.isa.vtype import parse_vtype_tokens
 
@@ -58,644 +52,102 @@ def parse_mem_operand(token: str, ctx: EncodeContext) -> tuple[int, int]:
     return offset, parse_int_reg(match.group("base").strip())
 
 
-def _branch_offset(token: str, ctx: EncodeContext) -> int:
-    """Offset for a branch/jump target: symbol -> PC-relative."""
-    target = ctx.resolve(token)
-    return target - ctx.pc
+def _literal_v0(token: str, ctx: EncodeContext) -> int:
+    if token.lower() != "v0":
+        raise ValueError(f"mask operand must be v0, got {token!r}")
+    return 0
 
 
-def _require(operands: list[str], count: int, mnemonic: str) -> None:
-    if len(operands) != count:
-        raise EncodeError(
-            f"{mnemonic} expects {count} operands, got {len(operands)}")
-
-
-# ---------------------------------------------------------------------------
-# Scalar integer tables
-# ---------------------------------------------------------------------------
-
-_R_TYPE = {
-    # mnemonic: (opcode, funct3, funct7)
-    "add": (op.OP, 0, 0x00), "sub": (op.OP, 0, 0x20),
-    "sll": (op.OP, 1, 0x00), "slt": (op.OP, 2, 0x00),
-    "sltu": (op.OP, 3, 0x00), "xor": (op.OP, 4, 0x00),
-    "srl": (op.OP, 5, 0x00), "sra": (op.OP, 5, 0x20),
-    "or": (op.OP, 6, 0x00), "and": (op.OP, 7, 0x00),
-    "mul": (op.OP, 0, 0x01), "mulh": (op.OP, 1, 0x01),
-    "mulhsu": (op.OP, 2, 0x01), "mulhu": (op.OP, 3, 0x01),
-    "div": (op.OP, 4, 0x01), "divu": (op.OP, 5, 0x01),
-    "rem": (op.OP, 6, 0x01), "remu": (op.OP, 7, 0x01),
-    "addw": (op.OP_32, 0, 0x00), "subw": (op.OP_32, 0, 0x20),
-    "sllw": (op.OP_32, 1, 0x00), "srlw": (op.OP_32, 5, 0x00),
-    "sraw": (op.OP_32, 5, 0x20),
-    "mulw": (op.OP_32, 0, 0x01), "divw": (op.OP_32, 4, 0x01),
-    "divuw": (op.OP_32, 5, 0x01), "remw": (op.OP_32, 6, 0x01),
-    "remuw": (op.OP_32, 7, 0x01),
+# Kind.syntax -> value of one operand token.
+_PARSE = {
+    "x": lambda token, ctx: parse_int_reg(token),
+    "f": lambda token, ctx: parse_fp_reg(token),
+    "v": lambda token, ctx: parse_vec_reg(token),
+    "int": lambda token, ctx: ctx.resolve(token),
+    "upper": lambda token, ctx: ctx.resolve(token),
+    # A branch or jump names its target; the word holds the distance.
+    "target": lambda token, ctx: ctx.resolve(token) - ctx.pc,
+    "csr": lambda token, ctx: parse_csr(token),
+    "v0": _literal_v0,
 }
 
-_I_ARITH = {
-    "addi": (op.OP_IMM, 0), "slti": (op.OP_IMM, 2), "sltiu": (op.OP_IMM, 3),
-    "xori": (op.OP_IMM, 4), "ori": (op.OP_IMM, 6), "andi": (op.OP_IMM, 7),
-    "addiw": (op.OP_IMM_32, 0),
-}
 
-_SHIFT_IMM = {
-    # mnemonic: (opcode, funct3, funct7-high, shamt-bits)
-    "slli": (op.OP_IMM, 1, 0x00, 6), "srli": (op.OP_IMM, 5, 0x00, 6),
-    "srai": (op.OP_IMM, 5, 0x20, 6),
-    "slliw": (op.OP_IMM_32, 1, 0x00, 5), "srliw": (op.OP_IMM_32, 5, 0x00, 5),
-    "sraiw": (op.OP_IMM_32, 5, 0x20, 5),
-}
-
-_LOADS = {"lb": 0, "lh": 1, "lw": 2, "ld": 3, "lbu": 4, "lhu": 5, "lwu": 6}
-_STORES = {"sb": 0, "sh": 1, "sw": 2, "sd": 3}
-_BRANCHES = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
-
-_CSR_REG = {"csrrw": 1, "csrrs": 2, "csrrc": 3}
-_CSR_IMM = {"csrrwi": 5, "csrrsi": 6, "csrrci": 7}
-
-_AMO_FUNCT5 = {
-    "lr": 0x02, "sc": 0x03, "amoswap": 0x01, "amoadd": 0x00,
-    "amoxor": 0x04, "amoand": 0x0C, "amoor": 0x08,
-    "amomin": 0x10, "amomax": 0x14, "amominu": 0x18, "amomaxu": 0x1C,
-}
-
-_SYSTEM_FIXED = {
-    "ecall": 0x0000_0073,
-    "ebreak": 0x0010_0073,
-    "mret": 0x3020_0073,
-    "wfi": 0x1050_0073,
-    "fence": 0x0FF0_000F,
-    "fence.i": 0x0000_100F,
-    "nop": 0x0000_0013,
-}
-
-# ---------------------------------------------------------------------------
-# FP tables
-# ---------------------------------------------------------------------------
-
-_FP_R = {  # mnemonic: funct7 (rm encoded as 0)
-    "fadd.s": 0x00, "fadd.d": 0x01, "fsub.s": 0x04, "fsub.d": 0x05,
-    "fmul.s": 0x08, "fmul.d": 0x09, "fdiv.s": 0x0C, "fdiv.d": 0x0D,
-}
-_FP_SGNJ = {  # mnemonic: (funct7, funct3)
-    "fsgnj.s": (0x10, 0), "fsgnjn.s": (0x10, 1), "fsgnjx.s": (0x10, 2),
-    "fsgnj.d": (0x11, 0), "fsgnjn.d": (0x11, 1), "fsgnjx.d": (0x11, 2),
-    "fmin.s": (0x14, 0), "fmax.s": (0x14, 1),
-    "fmin.d": (0x15, 0), "fmax.d": (0x15, 1),
-}
-_FP_CMP = {
-    "feq.s": (0x50, 2), "flt.s": (0x50, 1), "fle.s": (0x50, 0),
-    "feq.d": (0x51, 2), "flt.d": (0x51, 1), "fle.d": (0x51, 0),
-}
-_FP_CVT_TO_INT = {  # mnemonic: (funct7, rs2-code)
-    "fcvt.w.s": (0x60, 0), "fcvt.wu.s": (0x60, 1),
-    "fcvt.l.s": (0x60, 2), "fcvt.lu.s": (0x60, 3),
-    "fcvt.w.d": (0x61, 0), "fcvt.wu.d": (0x61, 1),
-    "fcvt.l.d": (0x61, 2), "fcvt.lu.d": (0x61, 3),
-}
-_FP_CVT_FROM_INT = {
-    "fcvt.s.w": (0x68, 0), "fcvt.s.wu": (0x68, 1),
-    "fcvt.s.l": (0x68, 2), "fcvt.s.lu": (0x68, 3),
-    "fcvt.d.w": (0x69, 0), "fcvt.d.wu": (0x69, 1),
-    "fcvt.d.l": (0x69, 2), "fcvt.d.lu": (0x69, 3),
-}
-_FMA = {"fmadd": op.MADD, "fmsub": op.MSUB,
-        "fnmsub": op.NMSUB, "fnmadd": op.NMADD}
-
-# ---------------------------------------------------------------------------
-# Vector tables (funct6 values; see decoder for the authoritative mapping)
-# ---------------------------------------------------------------------------
-
-_V_OPI_FUNCT6 = {
-    "vadd": 0x00, "vsub": 0x02, "vrsub": 0x03, "vminu": 0x04, "vmin": 0x05,
-    "vmaxu": 0x06, "vmax": 0x07, "vand": 0x09, "vor": 0x0A, "vxor": 0x0B,
-    "vrgather": 0x0C, "vslideup": 0x0E, "vslidedown": 0x0F,
-    "vmseq": 0x18, "vmsne": 0x19, "vmsltu": 0x1A, "vmslt": 0x1B,
-    "vmsleu": 0x1C, "vmsle": 0x1D, "vmsgtu": 0x1E, "vmsgt": 0x1F,
-    "vsll": 0x25, "vsrl": 0x28, "vsra": 0x29,
-}
-_V_OPM_FUNCT6 = {
-    "vredsum": 0x00, "vredand": 0x01, "vredor": 0x02, "vredxor": 0x03,
-    "vredminu": 0x04, "vredmin": 0x05, "vredmaxu": 0x06, "vredmax": 0x07,
-    "vdivu": 0x20, "vdiv": 0x21, "vremu": 0x22, "vrem": 0x23,
-    "vmulhu": 0x24, "vmul": 0x25, "vmulhsu": 0x26, "vmulh": 0x27,
-    "vmadd": 0x29, "vnmsub": 0x2B, "vmacc": 0x2D, "vnmsac": 0x2F,
-}
-_V_OPF_FUNCT6 = {
-    "vfadd": 0x00, "vfredusum": 0x01, "vfsub": 0x02, "vfredosum": 0x03,
-    "vfmin": 0x04, "vfredmin": 0x05, "vfmax": 0x06, "vfredmax": 0x07,
-    "vfsgnj": 0x08, "vfsgnjn": 0x09, "vfsgnjx": 0x0A,
-    "vmfeq": 0x18, "vmfle": 0x19, "vmflt": 0x1B, "vmfne": 0x1C,
-    "vfdiv": 0x20, "vfmul": 0x24,
-    "vfmadd": 0x28, "vfnmadd": 0x29, "vfmsub": 0x2A, "vfnmsub": 0x2B,
-    "vfmacc": 0x2C, "vfnmacc": 0x2D, "vfmsac": 0x2E, "vfnmsac": 0x2F,
-}
-
-_V_UNSIGNED_IMM = frozenset({"vsll", "vsrl", "vsra", "vslideup",
-                             "vslidedown", "vrgather"})
-
-# Multiply-accumulate family: assembly operand order is (vd, op1, vs2),
-# the reverse of the usual (vd, vs2, op1).
-_V_MACC_ORDER = frozenset({"vmacc", "vnmsac", "vmadd", "vnmsub",
-                           "vfmacc", "vfnmacc", "vfmsac", "vfnmsac",
-                           "vfmadd", "vfnmadd", "vfmsub", "vfnmsub"})
-
-_VMEM_RE = re.compile(
-    r"^v(?P<dir>l|s)(?P<mode>|s|ux|ox|uxe|oxe)"
-    r"(?P<idx>e?i?)(?P<eew>8|16|32|64)\.v$")
-
-
-def _parse_vmask(operands: list[str]) -> tuple[list[str], int]:
-    """Strip a trailing ``v0.t`` mask operand; returns (operands, vm-bit)."""
-    if operands and operands[-1].strip().lower() == "v0.t":
-        return operands[:-1], 0
-    return operands, 1
-
-
-# ---------------------------------------------------------------------------
-# Encoders per family
-# ---------------------------------------------------------------------------
-
-def _encode_r_type(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    opc, f3, f7 = _R_TYPE[mnemonic]
-    return encode_r(opc, parse_int_reg(operands[0]), f3,
-                    parse_int_reg(operands[1]), parse_int_reg(operands[2]),
-                    f7)
-
-
-def _encode_i_arith(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    opc, f3 = _I_ARITH[mnemonic]
-    return encode_i(opc, parse_int_reg(operands[0]), f3,
-                    parse_int_reg(operands[1]), ctx.resolve(operands[2]))
-
-
-def _encode_shift_imm(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    opc, f3, f7_high, shamt_bits = _SHIFT_IMM[mnemonic]
-    shamt = ctx.resolve(operands[2])
-    if not 0 <= shamt < (1 << shamt_bits):
-        raise EncodeError(f"{mnemonic} shift amount out of range: {shamt}")
-    imm = (f7_high << 5) | shamt
-    return encode_i(opc, parse_int_reg(operands[0]), f3,
-                    parse_int_reg(operands[1]), imm)
-
-
-def _encode_load(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    offset, base = parse_mem_operand(operands[1], ctx)
-    return encode_i(op.LOAD, parse_int_reg(operands[0]), _LOADS[mnemonic],
-                    base, offset)
-
-
-def _encode_store(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    offset, base = parse_mem_operand(operands[1], ctx)
-    return encode_s(op.STORE, _STORES[mnemonic], base,
-                    parse_int_reg(operands[0]), offset)
-
-
-def _encode_branch(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    return encode_b(op.BRANCH, _BRANCHES[mnemonic],
-                    parse_int_reg(operands[0]), parse_int_reg(operands[1]),
-                    _branch_offset(operands[2], ctx))
-
-
-def _encode_lui_auipc(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    opc = op.LUI if mnemonic == "lui" else op.AUIPC
-    return encode_u(opc, parse_int_reg(operands[0]),
-                    ctx.resolve(operands[1]))
-
-
-def _encode_jal(mnemonic, operands, ctx):
-    if len(operands) == 1:  # jal label  ==  jal ra, label
-        operands = ["ra"] + operands
-    _require(operands, 2, mnemonic)
-    return encode_j(op.JAL, parse_int_reg(operands[0]),
-                    _branch_offset(operands[1], ctx))
-
-
-def _encode_jalr(mnemonic, operands, ctx):
-    if len(operands) == 1:  # jalr rs  ==  jalr ra, 0(rs)
-        operands = ["ra", f"0({operands[0]})"]
-    _require(operands, 2, mnemonic)
-    if "(" in operands[1]:
-        offset, base = parse_mem_operand(operands[1], ctx)
-    else:
-        raise EncodeError("jalr expects 'rd, offset(rs1)'")
-    return encode_i(op.JALR, parse_int_reg(operands[0]), 0, base, offset)
-
-
-def _encode_csr(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    d = parse_int_reg(operands[0])
-    csr = parse_csr(operands[1])
-    if mnemonic in _CSR_IMM:
-        uimm = ctx.resolve(operands[2])
-        if not 0 <= uimm < 32:
-            raise EncodeError(f"CSR immediate out of range: {uimm}")
-        word = encode_i(op.SYSTEM, d, _CSR_IMM[mnemonic], uimm, 0)
-    else:
-        word = encode_i(op.SYSTEM, d, _CSR_REG[mnemonic],
-                        parse_int_reg(operands[2]), 0)
-    return word | (csr << 20)
-
-
-def _encode_amo(mnemonic, operands, ctx):
-    base_name, _, size = mnemonic.rpartition(".")
-    f3 = {"w": 2, "d": 3}[size]
-    funct5 = _AMO_FUNCT5[base_name]
-    if base_name == "lr":
-        _require(operands, 2, mnemonic)
-        _, addr_reg = parse_mem_operand(operands[1], ctx)
-        return encode_r(op.AMO, parse_int_reg(operands[0]), f3, addr_reg, 0,
-                        funct5 << 2)
-    _require(operands, 3, mnemonic)
-    _, addr_reg = parse_mem_operand(operands[2], ctx)
-    return encode_r(op.AMO, parse_int_reg(operands[0]), f3, addr_reg,
-                    parse_int_reg(operands[1]), funct5 << 2)
-
-
-def _encode_fp_load(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    offset, base = parse_mem_operand(operands[1], ctx)
-    width = 2 if mnemonic == "flw" else 3
-    return encode_i(op.LOAD_FP, parse_fp_reg(operands[0]), width, base,
-                    offset)
-
-
-def _encode_fp_store(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    offset, base = parse_mem_operand(operands[1], ctx)
-    width = 2 if mnemonic == "fsw" else 3
-    return encode_s(op.STORE_FP, width, base, parse_fp_reg(operands[0]),
-                    offset)
-
-
-def _encode_fp_r(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    return encode_r(op.OP_FP, parse_fp_reg(operands[0]), 0,
-                    parse_fp_reg(operands[1]), parse_fp_reg(operands[2]),
-                    _FP_R[mnemonic])
-
-
-def _encode_fp_sgnj(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    f7, f3 = _FP_SGNJ[mnemonic]
-    return encode_r(op.OP_FP, parse_fp_reg(operands[0]), f3,
-                    parse_fp_reg(operands[1]), parse_fp_reg(operands[2]), f7)
-
-
-def _encode_fp_cmp(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    f7, f3 = _FP_CMP[mnemonic]
-    return encode_r(op.OP_FP, parse_int_reg(operands[0]), f3,
-                    parse_fp_reg(operands[1]), parse_fp_reg(operands[2]), f7)
-
-
-def _encode_fsqrt(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    f7 = 0x2C if mnemonic.endswith(".s") else 0x2D
-    return encode_r(op.OP_FP, parse_fp_reg(operands[0]), 0,
-                    parse_fp_reg(operands[1]), 0, f7)
-
-
-def _encode_fcvt(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    if mnemonic in _FP_CVT_TO_INT:
-        f7, code = _FP_CVT_TO_INT[mnemonic]
-        return encode_r(op.OP_FP, parse_int_reg(operands[0]), 0,
-                        parse_fp_reg(operands[1]), code, f7)
-    if mnemonic in _FP_CVT_FROM_INT:
-        f7, code = _FP_CVT_FROM_INT[mnemonic]
-        return encode_r(op.OP_FP, parse_fp_reg(operands[0]), 0,
-                        parse_int_reg(operands[1]), code, f7)
-    if mnemonic == "fcvt.s.d":
-        return encode_r(op.OP_FP, parse_fp_reg(operands[0]), 0,
-                        parse_fp_reg(operands[1]), 1, 0x20)
-    if mnemonic == "fcvt.d.s":
-        return encode_r(op.OP_FP, parse_fp_reg(operands[0]), 0,
-                        parse_fp_reg(operands[1]), 0, 0x21)
-    raise EncodeError(f"unknown conversion {mnemonic!r}")
-
-
-def _encode_fmv(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    if mnemonic in ("fmv.x.w", "fmv.x.d"):
-        f7 = 0x70 if mnemonic.endswith(".w") else 0x71
-        return encode_r(op.OP_FP, parse_int_reg(operands[0]), 0,
-                        parse_fp_reg(operands[1]), 0, f7)
-    f7 = 0x78 if mnemonic == "fmv.w.x" else 0x79
-    return encode_r(op.OP_FP, parse_fp_reg(operands[0]), 0,
-                    parse_int_reg(operands[1]), 0, f7)
-
-
-def _encode_fclass(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    f7 = 0x70 if mnemonic.endswith(".s") else 0x71
-    return encode_r(op.OP_FP, parse_int_reg(operands[0]), 1,
-                    parse_fp_reg(operands[1]), 0, f7)
-
-
-def _encode_fma(mnemonic, operands, ctx):
-    _require(operands, 4, mnemonic)
-    base_name, _, size = mnemonic.rpartition(".")
-    fmt = {"s": 0, "d": 1}[size]
-    return encode_r4(_FMA[base_name], parse_fp_reg(operands[0]), 0,
-                     parse_fp_reg(operands[1]), parse_fp_reg(operands[2]),
-                     parse_fp_reg(operands[3]), fmt)
-
-
-def _encode_vsetvli(mnemonic, operands, ctx):
-    if len(operands) < 3:
-        raise EncodeError("vsetvli expects rd, rs1, vtype...")
-    vt = parse_vtype_tokens(operands[2:])
-    word = encode_i(op.OP_V, parse_int_reg(operands[0]), 0b111,
-                    parse_int_reg(operands[1]), 0)
-    return word | ((vt.encode() & 0x7FF) << 20)
-
-
-def _encode_vsetivli(mnemonic, operands, ctx):
-    if len(operands) < 3:
-        raise EncodeError("vsetivli expects rd, uimm, vtype...")
-    vt = parse_vtype_tokens(operands[2:])
-    uimm = ctx.resolve(operands[1])
-    if not 0 <= uimm < 32:
-        raise EncodeError(f"vsetivli uimm out of range: {uimm}")
-    word = encode_i(op.OP_V, parse_int_reg(operands[0]), 0b111, uimm, 0)
-    return word | (0b11 << 30) | ((vt.encode() & 0x3FF) << 20)
-
-
-def _encode_vsetvl(mnemonic, operands, ctx):
-    _require(operands, 3, mnemonic)
-    return encode_r(op.OP_V, parse_int_reg(operands[0]), 0b111,
-                    parse_int_reg(operands[1]), parse_int_reg(operands[2]),
-                    0b1000000)
-
-
-def _encode_vector_memop(mnemonic, operands, ctx):
-    match = _VMEM_RE.match(mnemonic)
-    if not match:
-        raise EncodeError(f"unrecognised vector memory op {mnemonic!r}")
-    is_load = match.group("dir") == "l"
-    eew = int(match.group("eew"))
-    mode = match.group("mode")
-    operands, vm_bit = _parse_vmask(operands)
-    vreg = parse_vec_reg(operands[0])
-    offset, base = parse_mem_operand(operands[1], ctx)
-    if offset:
-        raise EncodeError(
-            f"{mnemonic}: vector memory operands take no offset "
-            f"(got {offset})")
-    opc = op.LOAD_FP if is_load else op.STORE_FP
-    width = EEW_TO_VMEM_WIDTH[eew]
-    if mode == "":  # unit-stride
-        _require(operands, 2, mnemonic)
-        return encode_vector_mem(0, 0b00, vm_bit, 0, base, width, vreg, opc)
-    if mode == "s":  # strided: third operand is the stride register
-        _require(operands, 3, mnemonic)
-        stride = parse_int_reg(operands[2])
-        return encode_vector_mem(0, 0b10, vm_bit, stride, base, width, vreg,
-                                 opc)
-    # indexed: third operand is the index vector register
-    _require(operands, 3, mnemonic)
-    mop = 0b11 if mode.startswith("ox") else 0b01
-    index = parse_vec_reg(operands[2])
-    return encode_vector_mem(0, mop, vm_bit, index, base, width, vreg, opc)
-
-
-def _encode_vector_arith_op(mnemonic, operands, ctx):
-    base_name, _, shape = mnemonic.rpartition(".")
-    operands, vm_bit = _parse_vmask(operands)
-    if base_name in _V_OPI_FUNCT6:
-        f6 = _V_OPI_FUNCT6[base_name]
-        category = "i"
-    elif base_name in _V_OPM_FUNCT6:
-        f6 = _V_OPM_FUNCT6[base_name]
-        category = "m"
-    elif base_name in _V_OPF_FUNCT6:
-        f6 = _V_OPF_FUNCT6[base_name]
-        category = "f"
-    else:
-        raise EncodeError(f"unknown vector op {mnemonic!r}")
-    _require(operands, 3, mnemonic)
-    vd = parse_vec_reg(operands[0])
-    if base_name in _V_MACC_ORDER:
-        operands = [operands[0], operands[2], operands[1]]
-    vs2 = parse_vec_reg(operands[1])
-    if shape in ("vv", "vs"):
-        f3 = {"i": 0b000, "m": 0b010, "f": 0b001}[category]
-        vs1 = parse_vec_reg(operands[2])
-    elif shape == "vx":
-        f3 = {"i": 0b100, "m": 0b110}[category]
-        vs1 = parse_int_reg(operands[2])
-    elif shape == "vf":
-        f3 = 0b101
-        vs1 = parse_fp_reg(operands[2])
-    elif shape == "vi":
-        f3 = 0b011
-        imm = ctx.resolve(operands[2])
-        if base_name in _V_UNSIGNED_IMM:
-            if not 0 <= imm < 32:
-                raise EncodeError(f"{mnemonic} uimm out of range: {imm}")
-            vs1 = imm
+def _vtype(tokens: list[str], ctx: EncodeContext) -> int:
+    """``e32, m2, ta, ma`` — or the immediate itself, as one number."""
+    if len(tokens) == 1 and tokens[0][:1].isdigit():
+        return ctx.resolve(tokens[0])
+    return parse_vtype_tokens(tokens).encode()
+
+
+def _encode_row(mnemonic: str, row: Row, operands: list[str],
+                ctx: EncodeContext) -> int:
+    tokens = [token.strip() for token in operands]
+    word = row.match
+    for operand in row.operands:
+        syntax = getattr(operand, "syntax", None)
+        if syntax == "v0.t":  # optional: absent means unmasked
+            masked = bool(tokens) and tokens[0].lower() == "v0.t"
+            word |= operand.put(0 if masked else 1)
+            if masked:
+                tokens.pop(0)
+        elif syntax == "vtype":  # takes every remaining token
+            word |= operand.put(_vtype(tokens, ctx))
+            tokens = []
+        elif not tokens:
+            raise EncodeError(f"{mnemonic} expects {len(row.operands)} "
+                              f"operands, got {len(operands)}")
+        elif isinstance(operand, Mem):
+            offset, base = parse_mem_operand(tokens.pop(0), ctx)
+            word |= operand.base.put(base)
+            if operand.offset is not None:
+                word |= operand.offset.put(offset)
+            elif offset:
+                raise EncodeError(f"{mnemonic}: the address operand takes "
+                                  f"no offset (got {offset})")
         else:
-            if not -16 <= imm < 16:
-                raise EncodeError(f"{mnemonic} simm out of range: {imm}")
-            vs1 = imm & 0x1F
-    else:
-        raise EncodeError(f"unknown vector shape {mnemonic!r}")
-    return encode_vector_arith(f6, vm_bit, vs2, vs1, f3, vd, op.OP_V)
+            word |= operand.put(_PARSE[syntax](tokens.pop(0), ctx))
+    if tokens:
+        raise EncodeError(f"{mnemonic}: unexpected operand {tokens[0]!r}")
+    return word
 
 
-def _encode_vmv_family(mnemonic, operands, ctx):
-    _require(operands, 2, mnemonic)
-    if mnemonic == "vmv.v.v":
-        return encode_vector_arith(0x17, 1, 0, parse_vec_reg(operands[1]),
-                                   0b000, parse_vec_reg(operands[0]), op.OP_V)
-    if mnemonic == "vmv.v.x":
-        return encode_vector_arith(0x17, 1, 0, parse_int_reg(operands[1]),
-                                   0b100, parse_vec_reg(operands[0]), op.OP_V)
-    if mnemonic == "vmv.v.i":
-        imm = ctx.resolve(operands[1])
-        if not -16 <= imm < 16:
-            raise EncodeError(f"vmv.v.i immediate out of range: {imm}")
-        return encode_vector_arith(0x17, 1, 0, imm & 0x1F, 0b011,
-                                   parse_vec_reg(operands[0]), op.OP_V)
-    if mnemonic == "vmv.x.s":
-        return encode_vector_arith(0x10, 1, parse_vec_reg(operands[1]), 0,
-                                   0b010, parse_int_reg(operands[0]), op.OP_V)
-    if mnemonic == "vmv.s.x":
-        return encode_vector_arith(0x10, 1, 0, parse_int_reg(operands[1]),
-                                   0b110, parse_vec_reg(operands[0]), op.OP_V)
-    if mnemonic == "vfmv.f.s":
-        return encode_vector_arith(0x10, 1, parse_vec_reg(operands[1]), 0,
-                                   0b001, parse_fp_reg(operands[0]), op.OP_V)
-    if mnemonic == "vfmv.s.f":
-        return encode_vector_arith(0x10, 1, 0, parse_fp_reg(operands[1]),
-                                   0b101, parse_vec_reg(operands[0]), op.OP_V)
-    if mnemonic == "vfmv.v.f":
-        return encode_vector_arith(0x17, 1, 0, parse_fp_reg(operands[1]),
-                                   0b101, parse_vec_reg(operands[0]), op.OP_V)
-    raise EncodeError(f"unknown move {mnemonic!r}")
+def _la_hi(operands: list[str], ctx: EncodeContext) -> int:
+    """The AUIPC half of a ``la`` expansion."""
+    reg, symbol = operands
+    delta = ctx.resolve(symbol) - ctx.pc
+    return encode_u(op.AUIPC, parse_int_reg(reg), (delta + 0x800) >> 12)
 
 
-def _encode_vid(mnemonic, operands, ctx):
-    operands, vm_bit = _parse_vmask(operands)
-    _require(operands, 1, mnemonic)
-    return encode_vector_arith(0x14, vm_bit, 0, 0b10001, 0b010,
-                               parse_vec_reg(operands[0]), op.OP_V)
+def _la_lo(operands: list[str], ctx: EncodeContext) -> int:
+    """The ADDI half of a ``la`` expansion (its auipc is at pc - 4)."""
+    reg, symbol = operands
+    delta = ctx.resolve(symbol) - (ctx.pc - 4)
+    lo = delta - ((delta + 0x800) >> 12 << 12)
+    return encode_i(op.OP_IMM, parse_int_reg(reg), 0, parse_int_reg(reg), lo)
 
 
-def _encode_viota(mnemonic, operands, ctx):
-    operands, vm_bit = _parse_vmask(operands)
-    _require(operands, 2, mnemonic)
-    return encode_vector_arith(0x14, vm_bit, parse_vec_reg(operands[1]),
-                               0b10000, 0b010, parse_vec_reg(operands[0]),
-                               op.OP_V)
-
-
-def _encode_vmerge(mnemonic, operands, ctx):
-    # vmerge.vvm vd, vs2, vs1, v0  /  .vxm  /  .vim  /  vfmerge.vfm
-    _require(operands, 4, mnemonic)
-    if operands[3].strip().lower() != "v0":
-        raise EncodeError(f"{mnemonic} mask operand must be v0")
-    vd = parse_vec_reg(operands[0])
-    vs2 = parse_vec_reg(operands[1])
-    if mnemonic == "vmerge.vvm":
-        return encode_vector_arith(0x17, 0, vs2, parse_vec_reg(operands[2]),
-                                   0b000, vd, op.OP_V)
-    if mnemonic == "vmerge.vxm":
-        return encode_vector_arith(0x17, 0, vs2, parse_int_reg(operands[2]),
-                                   0b100, vd, op.OP_V)
-    if mnemonic == "vmerge.vim":
-        imm = ctx.resolve(operands[2])
-        return encode_vector_arith(0x17, 0, vs2, imm & 0x1F, 0b011, vd,
-                                   op.OP_V)
-    if mnemonic == "vfmerge.vfm":
-        return encode_vector_arith(0x17, 0, vs2, parse_fp_reg(operands[2]),
-                                   0b101, vd, op.OP_V)
-    raise EncodeError(f"unknown merge {mnemonic!r}")
-
-
-def _encode_la_hi(mnemonic, operands, ctx):
-    """Internal: the AUIPC half of a ``la`` expansion."""
-    _require(operands, 2, mnemonic)
-    delta = ctx.resolve(operands[1]) - ctx.pc
-    hi = (delta + 0x800) >> 12
-    return encode_u(op.AUIPC, parse_int_reg(operands[0]), hi)
-
-
-def _encode_la_lo(mnemonic, operands, ctx):
-    """Internal: the ADDI half of a ``la`` expansion (auipc at pc-4)."""
-    _require(operands, 2, mnemonic)
-    delta = ctx.resolve(operands[1]) - (ctx.pc - 4)
-    hi = (delta + 0x800) >> 12
-    lo = delta - (hi << 12)
-    reg = parse_int_reg(operands[0])
-    return encode_i(op.OP_IMM, reg, 0, reg, lo)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-_HANDLERS: dict[str, Callable] = {}
-for _m in _R_TYPE:
-    _HANDLERS[_m] = _encode_r_type
-for _m in _I_ARITH:
-    _HANDLERS[_m] = _encode_i_arith
-for _m in _SHIFT_IMM:
-    _HANDLERS[_m] = _encode_shift_imm
-for _m in _LOADS:
-    _HANDLERS[_m] = _encode_load
-for _m in _STORES:
-    _HANDLERS[_m] = _encode_store
-for _m in _BRANCHES:
-    _HANDLERS[_m] = _encode_branch
-for _m in ("lui", "auipc"):
-    _HANDLERS[_m] = _encode_lui_auipc
-_HANDLERS["jal"] = _encode_jal
-_HANDLERS["jalr"] = _encode_jalr
-for _m in list(_CSR_REG) + list(_CSR_IMM):
-    _HANDLERS[_m] = _encode_csr
-for _base in _AMO_FUNCT5:
-    for _sz in ("w", "d"):
-        _HANDLERS[f"{_base}.{_sz}"] = _encode_amo
-for _m in ("flw", "fld"):
-    _HANDLERS[_m] = _encode_fp_load
-for _m in ("fsw", "fsd"):
-    _HANDLERS[_m] = _encode_fp_store
-for _m in _FP_R:
-    _HANDLERS[_m] = _encode_fp_r
-for _m in _FP_SGNJ:
-    _HANDLERS[_m] = _encode_fp_sgnj
-for _m in _FP_CMP:
-    _HANDLERS[_m] = _encode_fp_cmp
-for _m in ("fsqrt.s", "fsqrt.d"):
-    _HANDLERS[_m] = _encode_fsqrt
-for _m in list(_FP_CVT_TO_INT) + list(_FP_CVT_FROM_INT) + \
-        ["fcvt.s.d", "fcvt.d.s"]:
-    _HANDLERS[_m] = _encode_fcvt
-for _m in ("fmv.x.w", "fmv.x.d", "fmv.w.x", "fmv.d.x"):
-    _HANDLERS[_m] = _encode_fmv
-for _m in ("fclass.s", "fclass.d"):
-    _HANDLERS[_m] = _encode_fclass
-for _base in _FMA:
-    for _sz in ("s", "d"):
-        _HANDLERS[f"{_base}.{_sz}"] = _encode_fma
-_HANDLERS["vsetvli"] = _encode_vsetvli
-_HANDLERS["vsetivli"] = _encode_vsetivli
-_HANDLERS["vsetvl"] = _encode_vsetvl
-for _eew in (8, 16, 32, 64):
-    for _prefix in ("vle", "vse", "vlse", "vsse"):
-        name = f"{_prefix}{_eew}.v"
-        _HANDLERS[name] = _encode_vector_memop
-    for _ix in ("vluxei", "vloxei", "vsuxei", "vsoxei"):
-        _HANDLERS[f"{_ix}{_eew}.v"] = _encode_vector_memop
-for _base in _V_OPI_FUNCT6:
-    for _shape in ("vv", "vx", "vi"):
-        _HANDLERS[f"{_base}.{_shape}"] = _encode_vector_arith_op
-for _base in _V_OPM_FUNCT6:
-    _shapes = ("vs",) if _base.startswith("vred") else ("vv", "vx")
-    for _shape in _shapes:
-        _HANDLERS[f"{_base}.{_shape}"] = _encode_vector_arith_op
-for _base in _V_OPF_FUNCT6:
-    if _base.startswith(("vfred",)) or _base in ("vfredusum", "vfredosum"):
-        _HANDLERS[f"{_base}.vs"] = _encode_vector_arith_op
-    else:
-        _HANDLERS[f"{_base}.vv"] = _encode_vector_arith_op
-        _HANDLERS[f"{_base}.vf"] = _encode_vector_arith_op
-for _m in ("vmv.v.v", "vmv.v.x", "vmv.v.i", "vmv.x.s", "vmv.s.x",
-           "vfmv.f.s", "vfmv.s.f", "vfmv.v.f"):
-    _HANDLERS[_m] = _encode_vmv_family
-_HANDLERS["vid.v"] = _encode_vid
-_HANDLERS["viota.m"] = _encode_viota
-for _m in ("vmerge.vvm", "vmerge.vxm", "vmerge.vim", "vfmerge.vfm"):
-    _HANDLERS[_m] = _encode_vmerge
-_HANDLERS["la.hi"] = _encode_la_hi
-_HANDLERS["la.lo"] = _encode_la_lo
+# Emitted by the ``la`` pseudo-instruction only; relocations, not ISA rows.
+_RELOCATIONS = {"la.hi": _la_hi, "la.lo": _la_lo}
 
 
 def supported_mnemonics() -> frozenset[str]:
     """All directly encodable (non-pseudo) mnemonics."""
-    return frozenset(_HANDLERS) | frozenset(_SYSTEM_FIXED)
+    return frozenset(ENCODINGS) | frozenset(_RELOCATIONS)
 
 
 def encode(mnemonic: str, operands: list[str], ctx: EncodeContext) -> int:
     """Encode one concrete (non-pseudo) instruction to a 32-bit word."""
-    if mnemonic in _SYSTEM_FIXED:
-        if operands:
-            raise EncodeError(f"{mnemonic} takes no operands")
-        return _SYSTEM_FIXED[mnemonic]
-    handler = _HANDLERS.get(mnemonic)
-    if handler is None:
-        raise EncodeError(f"unknown mnemonic {mnemonic!r}")
     try:
-        return handler(mnemonic, operands, ctx)
+        if mnemonic in _RELOCATIONS:
+            return _RELOCATIONS[mnemonic](operands, ctx)
+        row = ENCODINGS.get(mnemonic)
+        if row is None:
+            raise EncodeError(f"unknown mnemonic {mnemonic!r}")
+        # ``jal label`` and ``jalr rs`` link through ra.
+        if mnemonic == "jal" and len(operands) == 1:
+            operands = ["ra", *operands]
+        elif mnemonic == "jalr" and len(operands) == 1:
+            operands = ["ra", f"0({operands[0]})"]
+        return _encode_row(mnemonic, row, operands, ctx)
     except ValueError as exc:
         raise EncodeError(f"{mnemonic}: {exc}") from exc

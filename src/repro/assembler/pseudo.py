@@ -64,7 +64,7 @@ _FP_MOVES = {
 }
 
 PSEUDO_MNEMONICS = frozenset(
-    {"li", "la", "mv", "not", "neg", "negw", "sext.w", "seqz", "snez",
+    {"nop", "li", "la", "mv", "not", "neg", "negw", "sext.w", "seqz", "snez",
      "sltz", "sgtz", "j", "jr", "ret", "call", "tail", "csrr", "csrw",
      "csrs", "csrc", "csrwi", "csrsi", "csrci", "rdcycle", "rdinstret",
      "rdtime"}
@@ -85,6 +85,9 @@ def expand(mnemonic: str, operands: list[str],
             raise PseudoError(
                 f"{mnemonic} expects {count} operands, got {len(operands)}")
 
+    if mnemonic == "nop":
+        need(0)
+        return _one("addi", "zero", "zero", "0")
     if mnemonic == "li":
         need(2)
         try:

@@ -5,38 +5,20 @@ carrying the mnemonic, operand fields, and the source/destination register
 sets the simulator's RAW-dependency scoreboard needs.  Decoding is pure and
 deterministic, so callers (the ISS) memoise decoded words per address.
 
+Nothing here knows an encoding: the word is looked up among the rows of
+:mod:`repro.isa.encoding` and the instruction is filled from the row —
+each operand kind reads its field into its slot and, when it names a
+register, lists it as read or written; the row's class sets the ``is_*``
+flags.  A word no row matches is an :class:`IllegalInstruction`.
+
 Register operands in ``srcs``/``dests`` are ``(regclass, index)`` pairs with
 regclass one of ``"x"`` (integer), ``"f"`` (FP), ``"v"`` (vector).
 """
 
 from __future__ import annotations
 
-from repro.isa import opcodes as op
-from repro.isa.fields import (
-    VMEM_WIDTH_TO_EEW,
-    csr_address,
-    funct3,
-    funct6,
-    funct7,
-    imm_b,
-    imm_i,
-    imm_j,
-    imm_s,
-    imm_u,
-    opcode,
-    rd,
-    rs1,
-    rs2,
-    rs3,
-    shamt64,
-    vm,
-    vmem_mop,
-    vmem_nf,
-    vmem_width,
-)
-from repro.utils.bitops import bits, sign_extend
-
-X0 = ("x", 0)
+from repro.isa.encoding import ENCODINGS
+from repro.isa.fields import VMEM_WIDTH_TO_EEW, vmem_mop, vmem_width
 
 
 class IllegalInstruction(Exception):
@@ -64,613 +46,62 @@ class Instruction:
         "is_control",
     )
 
-    def __init__(self, word: int, mnemonic: str, *, rd: int = 0, rs1: int = 0,
-                 rs2: int = 0, rs3: int = 0, imm: int = 0, csr: int = 0,
-                 shamt: int = 0, vm: int = 1, eew: int = 0, mop: int = 0,
-                 nf: int = 0, srcs: tuple = (), dests: tuple = (),
-                 is_load: bool = False, is_store: bool = False,
-                 is_branch: bool = False, is_jump: bool = False,
-                 is_amo: bool = False, is_vector: bool = False,
-                 is_vector_mem: bool = False, is_fp: bool = False,
-                 is_system: bool = False):
+    def __init__(self, word: int, mnemonic: str):
         self.word = word
         self.mnemonic = mnemonic
-        self.rd = rd
-        self.rs1 = rs1
-        self.rs2 = rs2
-        self.rs3 = rs3
-        self.imm = imm
-        self.csr = csr
-        self.shamt = shamt
-        self.vm = vm
-        self.eew = eew
-        self.mop = mop
-        self.nf = nf
-        self.srcs = srcs
-        self.dests = dests
-        # Precomputed union used by the per-cycle RAW/WAW check.
-        self.all_regs = srcs + dests
-        self.is_load = is_load
-        self.is_store = is_store
-        self.is_branch = is_branch
-        self.is_jump = is_jump
-        self.is_amo = is_amo
-        self.is_vector = is_vector
-        self.is_vector_mem = is_vector_mem
-        self.is_fp = is_fp
-        self.is_system = is_system
-        # Derived: may this instruction redirect (or fence) control
-        # flow?  Basic-block formation in the translated fast path ends
-        # a block here; system instructions count because they can trap
-        # or change pc (mret) and must run in the interpreter.
-        self.is_control = is_branch or is_jump or is_system
+        self.rd = self.rs1 = self.rs2 = self.rs3 = 0
+        self.imm = self.csr = self.shamt = 0
+        self.vm = 1
+        self.eew = self.mop = self.nf = 0
+        self.srcs = self.dests = self.all_regs = ()
+        self.is_load = self.is_store = self.is_branch = self.is_jump = False
+        self.is_amo = self.is_vector = self.is_vector_mem = False
+        self.is_fp = self.is_system = self.is_control = False
 
     def __repr__(self) -> str:
         return f"<Instruction {self.mnemonic} word={self.word:#010x}>"
 
 
-def _xsrc(*indices: int) -> tuple:
-    return tuple(("x", i) for i in indices if i != 0)
+# major opcode -> mask -> masked match -> (mnemonic, row).  An opcode's
+# rows use a handful of masks, so a lookup is a few dictionary probes.
+_INDEX: dict[int, dict[int, dict[int, tuple]]] = {}
+for _mnemonic, _row in ENCODINGS.items():
+    _INDEX.setdefault(_row.match & 0x7F, {}).setdefault(_row.mask, {})[
+        _row.match & _row.mask] = (_mnemonic, _row)
 
-
-def _xdst(index: int) -> tuple:
-    return (("x", index),) if index != 0 else ()
-
-
-# ---------------------------------------------------------------------------
-# Scalar decode tables
-# ---------------------------------------------------------------------------
-
-_LOAD_MNEMONICS = {0: "lb", 1: "lh", 2: "lw", 3: "ld", 4: "lbu", 5: "lhu", 6: "lwu"}
-_STORE_MNEMONICS = {0: "sb", 1: "sh", 2: "sw", 3: "sd"}
-_BRANCH_MNEMONICS = {0: "beq", 1: "bne", 4: "blt", 5: "bge", 6: "bltu", 7: "bgeu"}
-_OP_IMM_MNEMONICS = {0: "addi", 2: "slti", 3: "sltiu", 4: "xori", 6: "ori", 7: "andi"}
-
-_OP_MNEMONICS = {
-    (0x00, 0): "add", (0x00, 1): "sll", (0x00, 2): "slt", (0x00, 3): "sltu",
-    (0x00, 4): "xor", (0x00, 5): "srl", (0x00, 6): "or", (0x00, 7): "and",
-    (0x20, 0): "sub", (0x20, 5): "sra",
-    (0x01, 0): "mul", (0x01, 1): "mulh", (0x01, 2): "mulhsu", (0x01, 3): "mulhu",
-    (0x01, 4): "div", (0x01, 5): "divu", (0x01, 6): "rem", (0x01, 7): "remu",
-}
-
-_OP32_MNEMONICS = {
-    (0x00, 0): "addw", (0x00, 1): "sllw", (0x00, 5): "srlw",
-    (0x20, 0): "subw", (0x20, 5): "sraw",
-    (0x01, 0): "mulw", (0x01, 4): "divw", (0x01, 5): "divuw",
-    (0x01, 6): "remw", (0x01, 7): "remuw",
-}
-
-_CSR_MNEMONICS = {1: "csrrw", 2: "csrrs", 3: "csrrc",
-                  5: "csrrwi", 6: "csrrsi", 7: "csrrci"}
-
-_AMO_MNEMONICS = {
-    0x02: "lr", 0x03: "sc", 0x01: "amoswap", 0x00: "amoadd", 0x04: "amoxor",
-    0x0C: "amoand", 0x08: "amoor", 0x10: "amomin", 0x14: "amomax",
-    0x18: "amominu", 0x1C: "amomaxu",
-}
-
-_FP_FMT_SUFFIX = {0: ".s", 1: ".d"}
-
-# ---------------------------------------------------------------------------
-# Vector decode tables: funct6 -> base mnemonic, keyed per OP-V category.
-# ---------------------------------------------------------------------------
-
-_OPI_MNEMONICS = {
-    0x00: "vadd", 0x02: "vsub", 0x03: "vrsub", 0x04: "vminu", 0x05: "vmin",
-    0x06: "vmaxu", 0x07: "vmax", 0x09: "vand", 0x0A: "vor", 0x0B: "vxor",
-    0x0C: "vrgather", 0x0E: "vslideup", 0x0F: "vslidedown",
-    0x18: "vmseq", 0x19: "vmsne", 0x1A: "vmsltu", 0x1B: "vmslt",
-    0x1C: "vmsleu", 0x1D: "vmsle", 0x1E: "vmsgtu", 0x1F: "vmsgt",
-    0x25: "vsll", 0x28: "vsrl", 0x29: "vsra",
-}
-
-_OPM_MNEMONICS = {
-    0x00: "vredsum", 0x01: "vredand", 0x02: "vredor", 0x03: "vredxor",
-    0x04: "vredminu", 0x05: "vredmin", 0x06: "vredmaxu", 0x07: "vredmax",
-    0x20: "vdivu", 0x21: "vdiv", 0x22: "vremu", 0x23: "vrem",
-    0x24: "vmulhu", 0x25: "vmul", 0x26: "vmulhsu", 0x27: "vmulh",
-    0x29: "vmadd", 0x2B: "vnmsub", 0x2D: "vmacc", 0x2F: "vnmsac",
-}
-
-_OPF_MNEMONICS = {
-    0x00: "vfadd", 0x01: "vfredusum", 0x02: "vfsub", 0x03: "vfredosum",
-    0x04: "vfmin", 0x05: "vfredmin", 0x06: "vfmax", 0x07: "vfredmax",
-    0x08: "vfsgnj", 0x09: "vfsgnjn", 0x0A: "vfsgnjx",
-    0x18: "vmfeq", 0x19: "vmfle", 0x1B: "vmflt", 0x1C: "vmfne",
-    0x20: "vfdiv", 0x24: "vfmul",
-    0x28: "vfmadd", 0x29: "vfnmadd", 0x2A: "vfmsub", 0x2B: "vfnmsub",
-    0x2C: "vfmacc", 0x2D: "vfnmacc", 0x2E: "vfmsac", 0x2F: "vfnmsac",
-}
-
-# funct6 values whose vd is also a source (multiply-accumulate family).
-_VD_IS_SOURCE = frozenset({"vmacc", "vnmsac", "vmadd", "vnmsub", "vfmacc",
-                           "vfnmacc", "vfmsac", "vfnmsac", "vfmadd",
-                           "vfnmadd", "vfmsub", "vfnmsub"})
-
-_REDUCTIONS = frozenset({"vredsum", "vredand", "vredor", "vredxor",
-                         "vredminu", "vredmin", "vredmaxu", "vredmax",
-                         "vfredusum", "vfredosum", "vfredmin", "vfredmax"})
-
-
-# ---------------------------------------------------------------------------
-# Per-opcode decoders
-# ---------------------------------------------------------------------------
-
-def _decode_load(word: int) -> Instruction:
-    f3 = funct3(word)
-    if f3 not in _LOAD_MNEMONICS:
-        raise IllegalInstruction(word, f"LOAD funct3={f3}")
-    d, s1 = rd(word), rs1(word)
-    return Instruction(word, _LOAD_MNEMONICS[f3], rd=d, rs1=s1, imm=imm_i(word),
-                       srcs=_xsrc(s1), dests=_xdst(d), is_load=True)
-
-
-def _decode_store(word: int) -> Instruction:
-    f3 = funct3(word)
-    if f3 not in _STORE_MNEMONICS:
-        raise IllegalInstruction(word, f"STORE funct3={f3}")
-    s1, s2 = rs1(word), rs2(word)
-    return Instruction(word, _STORE_MNEMONICS[f3], rs1=s1, rs2=s2,
-                       imm=imm_s(word), srcs=_xsrc(s1, s2), is_store=True)
-
-
-def _decode_branch(word: int) -> Instruction:
-    f3 = funct3(word)
-    if f3 not in _BRANCH_MNEMONICS:
-        raise IllegalInstruction(word, f"BRANCH funct3={f3}")
-    s1, s2 = rs1(word), rs2(word)
-    return Instruction(word, _BRANCH_MNEMONICS[f3], rs1=s1, rs2=s2,
-                       imm=imm_b(word), srcs=_xsrc(s1, s2), is_branch=True)
-
-
-def _decode_op_imm(word: int) -> Instruction:
-    f3 = funct3(word)
-    d, s1 = rd(word), rs1(word)
-    common = dict(rd=d, rs1=s1, srcs=_xsrc(s1), dests=_xdst(d))
-    if f3 == 1:
-        if funct7(word) & 0x7E:
-            raise IllegalInstruction(word, "slli funct6")
-        return Instruction(word, "slli", shamt=shamt64(word), **common)
-    if f3 == 5:
-        f6 = bits(word, 31, 26)
-        if f6 == 0x00:
-            return Instruction(word, "srli", shamt=shamt64(word), **common)
-        if f6 == 0x10:
-            return Instruction(word, "srai", shamt=shamt64(word), **common)
-        raise IllegalInstruction(word, "shift-imm funct6")
-    if f3 not in _OP_IMM_MNEMONICS:
-        raise IllegalInstruction(word, f"OP-IMM funct3={f3}")
-    return Instruction(word, _OP_IMM_MNEMONICS[f3], imm=imm_i(word), **common)
-
-
-def _decode_op_imm32(word: int) -> Instruction:
-    f3 = funct3(word)
-    d, s1 = rd(word), rs1(word)
-    common = dict(rd=d, rs1=s1, srcs=_xsrc(s1), dests=_xdst(d))
-    if f3 == 0:
-        return Instruction(word, "addiw", imm=imm_i(word), **common)
-    if f3 == 1 and funct7(word) == 0:
-        return Instruction(word, "slliw", shamt=bits(word, 24, 20), **common)
-    if f3 == 5 and funct7(word) == 0:
-        return Instruction(word, "srliw", shamt=bits(word, 24, 20), **common)
-    if f3 == 5 and funct7(word) == 0x20:
-        return Instruction(word, "sraiw", shamt=bits(word, 24, 20), **common)
-    raise IllegalInstruction(word, "OP-IMM-32")
-
-
-def _decode_op(word: int, table: dict, what: str) -> Instruction:
-    key = (funct7(word), funct3(word))
-    if key not in table:
-        raise IllegalInstruction(word, f"{what} funct7/funct3={key}")
-    d, s1, s2 = rd(word), rs1(word), rs2(word)
-    return Instruction(word, table[key], rd=d, rs1=s1, rs2=s2,
-                       srcs=_xsrc(s1, s2), dests=_xdst(d))
-
-
-def _decode_system(word: int) -> Instruction:
-    f3 = funct3(word)
-    d, s1 = rd(word), rs1(word)
-    if f3 == 0:
-        imm12 = bits(word, 31, 20)
-        if imm12 == 0:
-            return Instruction(word, "ecall", is_system=True)
-        if imm12 == 1:
-            return Instruction(word, "ebreak", is_system=True)
-        if imm12 == 0x302:
-            return Instruction(word, "mret", is_system=True, is_jump=True)
-        if imm12 == 0x105:
-            return Instruction(word, "wfi", is_system=True)
-        raise IllegalInstruction(word, "SYSTEM funct12")
-    if f3 not in _CSR_MNEMONICS:
-        raise IllegalInstruction(word, f"SYSTEM funct3={f3}")
-    mnem = _CSR_MNEMONICS[f3]
-    if f3 >= 5:  # immediate forms: rs1 field is a 5-bit zero-extended literal
-        return Instruction(word, mnem, rd=d, imm=s1, csr=csr_address(word),
-                           dests=_xdst(d), is_system=True)
-    return Instruction(word, mnem, rd=d, rs1=s1, csr=csr_address(word),
-                       srcs=_xsrc(s1), dests=_xdst(d), is_system=True)
-
-
-def _decode_amo(word: int) -> Instruction:
-    f3 = funct3(word)
-    if f3 not in (2, 3):
-        raise IllegalInstruction(word, f"AMO funct3={f3}")
-    funct5 = bits(word, 31, 27)
-    if funct5 not in _AMO_MNEMONICS:
-        raise IllegalInstruction(word, f"AMO funct5={funct5:#x}")
-    suffix = ".w" if f3 == 2 else ".d"
-    base = _AMO_MNEMONICS[funct5]
-    d, s1, s2 = rd(word), rs1(word), rs2(word)
-    if base == "lr":
-        if s2 != 0:
-            raise IllegalInstruction(word, "lr with rs2 != 0")
-        return Instruction(word, base + suffix, rd=d, rs1=s1, srcs=_xsrc(s1),
-                           dests=_xdst(d), is_load=True, is_amo=True)
-    srcs = _xsrc(s1, s2)
-    return Instruction(word, base + suffix, rd=d, rs1=s1, rs2=s2, srcs=srcs,
-                       dests=_xdst(d), is_load=(base != "sc"),
-                       is_store=True, is_amo=True)
-
-
-def _decode_fp_load_store(word: int, is_load: bool) -> Instruction:
-    width = vmem_width(word)
-    if width in (2, 3):  # scalar FP load/store
-        mnem = {2: "flw", 3: "fld"}[width] if is_load else {2: "fsw", 3: "fsd"}[width]
-        if is_load:
-            d, s1 = rd(word), rs1(word)
-            return Instruction(word, mnem, rd=d, rs1=s1, imm=imm_i(word),
-                               srcs=_xsrc(s1), dests=(("f", d),),
-                               is_load=True, is_fp=True)
-        s1, s2 = rs1(word), rs2(word)
-        return Instruction(word, mnem, rs1=s1, rs2=s2, imm=imm_s(word),
-                           srcs=_xsrc(s1) + (("f", s2),),
-                           is_store=True, is_fp=True)
-    if width in VMEM_WIDTH_TO_EEW:
-        return _decode_vector_mem(word, is_load)
-    raise IllegalInstruction(word, f"FP load/store width={width}")
-
-
-def _decode_vector_mem(word: int, is_load: bool) -> Instruction:
-    eew = VMEM_WIDTH_TO_EEW[vmem_width(word)]
-    mop = vmem_mop(word)
-    nf = vmem_nf(word)
-    if nf != 0:
-        raise IllegalInstruction(word, "segment vector load/store unsupported")
-    d, s1, s2 = rd(word), rs1(word), rs2(word)
-    mask_bit = vm(word)
-    srcs = _xsrc(s1)
-    if not mask_bit:
-        srcs += (("v", 0),)
-    if mop == 0b00:  # unit-stride; lumop (rs2 field) must be 0
-        if s2 != 0:
-            raise IllegalInstruction(word, f"unit-stride lumop={s2}")
-        mnem = f"vle{eew}.v" if is_load else f"vse{eew}.v"
-    elif mop == 0b10:  # strided: rs2 holds the byte stride
-        mnem = f"vlse{eew}.v" if is_load else f"vsse{eew}.v"
-        srcs += _xsrc(s2)
-    else:  # indexed (ordered/unordered): vs2 holds indices
-        order = "o" if mop == 0b11 else "u"
-        mnem = (f"vl{order}xei{eew}.v" if is_load else f"vs{order}xei{eew}.v")
-        srcs += (("v", s2),)
-    if is_load:
-        dests: tuple = (("v", d),)
-    else:
-        srcs += (("v", d),)  # the store-data register (vs3 lives in vd's slot)
-        dests = ()
-    return Instruction(word, mnem, rd=d, rs1=s1, rs2=s2, vm=mask_bit, eew=eew,
-                       mop=mop, nf=nf, srcs=srcs, dests=dests,
-                       is_load=is_load, is_store=not is_load,
-                       is_vector=True, is_vector_mem=True)
-
-
-_FP_R_FUNCT7 = {
-    0x00: ("fadd", 0), 0x01: ("fadd", 1), 0x04: ("fsub", 0), 0x05: ("fsub", 1),
-    0x08: ("fmul", 0), 0x09: ("fmul", 1), 0x0C: ("fdiv", 0), 0x0D: ("fdiv", 1),
-}
-_FP_SGNJ = {0: "fsgnj", 1: "fsgnjn", 2: "fsgnjx"}
-_FP_MINMAX = {0: "fmin", 1: "fmax"}
-_FP_CMP = {2: "feq", 1: "flt", 0: "fle"}
-_FP_CVT_INT = {0: "w", 1: "wu", 2: "l", 3: "lu"}
-
-
-def _decode_op_fp(word: int) -> Instruction:
-    f7 = funct7(word)
-    f3 = funct3(word)
-    d, s1, s2 = rd(word), rs1(word), rs2(word)
-    fdd = (("f", d),)
-    fss = (("f", s1), ("f", s2))
-
-    if f7 in _FP_R_FUNCT7:
-        base, fmt = _FP_R_FUNCT7[f7]
-        return Instruction(word, base + _FP_FMT_SUFFIX[fmt], rd=d, rs1=s1,
-                           rs2=s2, srcs=fss, dests=fdd, is_fp=True)
-    if f7 in (0x2C, 0x2D):  # fsqrt
-        return Instruction(word, "fsqrt" + _FP_FMT_SUFFIX[f7 & 1], rd=d,
-                           rs1=s1, srcs=(("f", s1),), dests=fdd, is_fp=True)
-    if f7 in (0x10, 0x11) and f3 in _FP_SGNJ:
-        return Instruction(word, _FP_SGNJ[f3] + _FP_FMT_SUFFIX[f7 & 1], rd=d,
-                           rs1=s1, rs2=s2, srcs=fss, dests=fdd, is_fp=True)
-    if f7 in (0x14, 0x15) and f3 in _FP_MINMAX:
-        return Instruction(word, _FP_MINMAX[f3] + _FP_FMT_SUFFIX[f7 & 1],
-                           rd=d, rs1=s1, rs2=s2, srcs=fss, dests=fdd,
-                           is_fp=True)
-    if f7 == 0x20 and s2 == 1:  # fcvt.s.d
-        return Instruction(word, "fcvt.s.d", rd=d, rs1=s1, srcs=(("f", s1),),
-                           dests=fdd, is_fp=True)
-    if f7 == 0x21 and s2 == 0:  # fcvt.d.s
-        return Instruction(word, "fcvt.d.s", rd=d, rs1=s1, srcs=(("f", s1),),
-                           dests=fdd, is_fp=True)
-    if f7 in (0x50, 0x51) and f3 in _FP_CMP:
-        return Instruction(word, _FP_CMP[f3] + _FP_FMT_SUFFIX[f7 & 1], rd=d,
-                           rs1=s1, rs2=s2, srcs=fss, dests=_xdst(d), is_fp=True)
-    if f7 in (0x60, 0x61) and s2 in _FP_CVT_INT:  # float -> int
-        mnem = f"fcvt.{_FP_CVT_INT[s2]}{_FP_FMT_SUFFIX[f7 & 1]}"
-        return Instruction(word, mnem, rd=d, rs1=s1, srcs=(("f", s1),),
-                           dests=_xdst(d), is_fp=True)
-    if f7 in (0x68, 0x69) and s2 in _FP_CVT_INT:  # int -> float
-        mnem = f"fcvt{_FP_FMT_SUFFIX[f7 & 1]}.{_FP_CVT_INT[s2]}"
-        return Instruction(word, mnem, rd=d, rs1=s1, srcs=_xsrc(s1),
-                           dests=fdd, is_fp=True)
-    if f7 in (0x70, 0x71) and s2 == 0 and f3 == 0:  # fmv.x.w / fmv.x.d
-        mnem = "fmv.x.w" if f7 == 0x70 else "fmv.x.d"
-        return Instruction(word, mnem, rd=d, rs1=s1, srcs=(("f", s1),),
-                           dests=_xdst(d), is_fp=True)
-    if f7 in (0x70, 0x71) and s2 == 0 and f3 == 1:  # fclass
-        return Instruction(word, "fclass" + _FP_FMT_SUFFIX[f7 & 1], rd=d,
-                           rs1=s1, srcs=(("f", s1),), dests=_xdst(d), is_fp=True)
-    if f7 in (0x78, 0x79) and s2 == 0 and f3 == 0:  # fmv.w.x / fmv.d.x
-        mnem = "fmv.w.x" if f7 == 0x78 else "fmv.d.x"
-        return Instruction(word, mnem, rd=d, rs1=s1, srcs=_xsrc(s1),
-                           dests=fdd, is_fp=True)
-    raise IllegalInstruction(word, f"OP-FP funct7={f7:#x} funct3={f3}")
-
-
-_FMA_MNEMONICS = {op.MADD: "fmadd", op.MSUB: "fmsub",
-                  op.NMSUB: "fnmsub", op.NMADD: "fnmadd"}
-
-
-def _decode_fma(word: int) -> Instruction:
-    fmt = bits(word, 26, 25)
-    if fmt not in _FP_FMT_SUFFIX:
-        raise IllegalInstruction(word, f"FMA fmt={fmt}")
-    mnem = _FMA_MNEMONICS[opcode(word)] + _FP_FMT_SUFFIX[fmt]
-    d, s1, s2, s3 = rd(word), rs1(word), rs2(word), rs3(word)
-    return Instruction(word, mnem, rd=d, rs1=s1, rs2=s2, rs3=s3,
-                       srcs=(("f", s1), ("f", s2), ("f", s3)),
-                       dests=(("f", d),), is_fp=True)
-
-
-def _decode_op_v(word: int) -> Instruction:
-    f3 = funct3(word)
-    if f3 == 0b111:
-        return _decode_vset(word)
-    f6 = funct6(word)
-    mask_bit = vm(word)
-    d, s1_field, s2_field = rd(word), rs1(word), rs2(word)
-
-    mask_src = () if mask_bit else (("v", 0),)
-
-    if f3 in (0b000, 0b011, 0b100):  # OPIVV / OPIVI / OPIVX
-        return _decode_opi(word, f3, f6, mask_bit, d, s1_field, s2_field,
-                           mask_src)
-    if f3 in (0b010, 0b110):  # OPMVV / OPMVX
-        return _decode_opm(word, f3, f6, mask_bit, d, s1_field, s2_field,
-                           mask_src)
-    if f3 in (0b001, 0b101):  # OPFVV / OPFVF
-        return _decode_opf(word, f3, f6, mask_bit, d, s1_field, s2_field,
-                           mask_src)
-    raise IllegalInstruction(word, f"OP-V funct3={f3}")
-
-
-def _decode_vset(word: int) -> Instruction:
-    d, s1 = rd(word), rs1(word)
-    top = bits(word, 31, 30)
-    if not (word >> 31) & 1:  # vsetvli: zimm[10:0] in bits 30:20
-        return Instruction(word, "vsetvli", rd=d, rs1=s1,
-                           imm=bits(word, 30, 20), srcs=_xsrc(s1),
-                           dests=_xdst(d), is_vector=True)
-    if top == 0b11:  # vsetivli: zimm[9:0] in 29:20, uimm[4:0] in rs1 slot
-        return Instruction(word, "vsetivli", rd=d, imm=bits(word, 29, 20),
-                           shamt=s1, dests=_xdst(d), is_vector=True)
-    if funct7(word) == 0b1000000:  # vsetvl
-        s2 = rs2(word)
-        return Instruction(word, "vsetvl", rd=d, rs1=s1, rs2=s2,
-                           srcs=_xsrc(s1, s2), dests=_xdst(d), is_vector=True)
-    raise IllegalInstruction(word, "OP-V config")
-
-
-def _decode_opi(word, f3, f6, mask_bit, d, s1_field, s2_field, mask_src):
-    if f6 == 0x17:  # vmerge / vmv.v.*
-        if mask_bit:
-            if s2_field != 0:
-                raise IllegalInstruction(word, "vmv.v.* with vs2 != 0")
-            if f3 == 0b000:
-                return Instruction(word, "vmv.v.v", rd=d, rs1=s1_field,
-                                   vm=1, srcs=(("v", s1_field),),
-                                   dests=(("v", d),), is_vector=True)
-            if f3 == 0b100:
-                return Instruction(word, "vmv.v.x", rd=d, rs1=s1_field, vm=1,
-                                   srcs=_xsrc(s1_field), dests=(("v", d),),
-                                   is_vector=True)
-            return Instruction(word, "vmv.v.i", rd=d, vm=1,
-                               imm=sign_extend(s1_field, 5),
-                               dests=(("v", d),), is_vector=True)
-        base = "vmerge"
-    else:
-        base = _OPI_MNEMONICS.get(f6)
-        if base is None:
-            raise IllegalInstruction(word, f"OPI funct6={f6:#x}")
-    unsigned_imm = base in ("vsll", "vsrl", "vsra", "vslideup",
-                            "vslidedown", "vrgather")
-    if f3 == 0b000:
-        suffix, srcs = ".vv", (("v", s2_field), ("v", s1_field))
-        kwargs = dict(rs1=s1_field)
-    elif f3 == 0b100:
-        suffix, srcs = ".vx", (("v", s2_field),) + _xsrc(s1_field)
-        kwargs = dict(rs1=s1_field)
-    else:
-        suffix, srcs = ".vi", (("v", s2_field),)
-        imm = s1_field if unsigned_imm else sign_extend(s1_field, 5)
-        kwargs = dict(imm=imm)
-    if base == "vmerge":
-        suffix = {".vv": ".vvm", ".vx": ".vxm", ".vi": ".vim"}[suffix]
-    return Instruction(word, base + suffix, rd=d, rs2=s2_field, vm=mask_bit,
-                       srcs=srcs + mask_src, dests=(("v", d),),
-                       is_vector=True, **kwargs)
-
-
-def _decode_opm(word, f3, f6, mask_bit, d, s1_field, s2_field, mask_src):
-    if f6 == 0x10:  # VWXUNARY0 / VRXUNARY0
-        if f3 == 0b010:  # vmv.x.s
-            if s1_field != 0:
-                raise IllegalInstruction(word, "vmv.x.s vs1 != 0")
-            return Instruction(word, "vmv.x.s", rd=d, rs2=s2_field,
-                               srcs=(("v", s2_field),), dests=_xdst(d),
-                               is_vector=True)
-        if s2_field != 0:
-            raise IllegalInstruction(word, "vmv.s.x vs2 != 0")
-        return Instruction(word, "vmv.s.x", rd=d, rs1=s1_field,
-                           srcs=_xsrc(s1_field), dests=(("v", d),),
-                           is_vector=True)
-    if f6 == 0x14 and f3 == 0b010:  # VMUNARY0: vid / viota
-        if s1_field == 0b10001:
-            return Instruction(word, "vid.v", rd=d, vm=mask_bit,
-                               srcs=mask_src, dests=(("v", d),),
-                               is_vector=True)
-        if s1_field == 0b10000:
-            return Instruction(word, "viota.m", rd=d, rs2=s2_field,
-                               vm=mask_bit, srcs=(("v", s2_field),) + mask_src,
-                               dests=(("v", d),), is_vector=True)
-        raise IllegalInstruction(word, "VMUNARY0")
-    base = _OPM_MNEMONICS.get(f6)
-    if base is None:
-        raise IllegalInstruction(word, f"OPM funct6={f6:#x}")
-    if base in _REDUCTIONS:
-        suffix = ".vs"
-    else:
-        suffix = ".vv" if f3 == 0b010 else ".vx"
-    if f3 == 0b010:
-        srcs = (("v", s2_field), ("v", s1_field))
-        kwargs = dict(rs1=s1_field)
-    else:
-        srcs = (("v", s2_field),) + _xsrc(s1_field)
-        kwargs = dict(rs1=s1_field)
-    dests = (("v", d),)
-    if base in _VD_IS_SOURCE:
-        srcs += (("v", d),)
-    return Instruction(word, base + suffix, rd=d, rs2=s2_field, vm=mask_bit,
-                       srcs=srcs + mask_src, dests=dests, is_vector=True,
-                       **kwargs)
-
-
-def _decode_opf(word, f3, f6, mask_bit, d, s1_field, s2_field, mask_src):
-    if f6 == 0x10:  # VWFUNARY0 / VRFUNARY0
-        if f3 == 0b001:  # vfmv.f.s
-            if s1_field != 0:
-                raise IllegalInstruction(word, "vfmv.f.s vs1 != 0")
-            return Instruction(word, "vfmv.f.s", rd=d, rs2=s2_field,
-                               srcs=(("v", s2_field),), dests=(("f", d),),
-                               is_vector=True, is_fp=True)
-        if s2_field != 0:
-            raise IllegalInstruction(word, "vfmv.s.f vs2 != 0")
-        return Instruction(word, "vfmv.s.f", rd=d, rs1=s1_field,
-                           srcs=(("f", s1_field),), dests=(("v", d),),
-                           is_vector=True, is_fp=True)
-    if f6 == 0x17:  # vfmerge / vfmv.v.f
-        if f3 != 0b101:
-            raise IllegalInstruction(word, "OPFVV funct6=0x17")
-        if mask_bit:
-            if s2_field != 0:
-                raise IllegalInstruction(word, "vfmv.v.f vs2 != 0")
-            return Instruction(word, "vfmv.v.f", rd=d, rs1=s1_field, vm=1,
-                               srcs=(("f", s1_field),), dests=(("v", d),),
-                               is_vector=True, is_fp=True)
-        return Instruction(word, "vfmerge.vfm", rd=d, rs1=s1_field,
-                           rs2=s2_field, vm=0,
-                           srcs=(("v", s2_field), ("f", s1_field), ("v", 0)),
-                           dests=(("v", d),), is_vector=True, is_fp=True)
-    base = _OPF_MNEMONICS.get(f6)
-    if base is None:
-        raise IllegalInstruction(word, f"OPF funct6={f6:#x}")
-    if base in _REDUCTIONS:
-        suffix = ".vs"
-    else:
-        suffix = ".vv" if f3 == 0b001 else ".vf"
-    if f3 == 0b001:
-        srcs = (("v", s2_field), ("v", s1_field))
-    else:
-        srcs = (("v", s2_field), ("f", s1_field))
-    if base in _VD_IS_SOURCE:
-        srcs += (("v", d),)
-    return Instruction(word, base + suffix, rd=d, rs1=s1_field, rs2=s2_field,
-                       vm=mask_bit, srcs=srcs + mask_src, dests=(("v", d),),
-                       is_vector=True, is_fp=True)
-
-
-def _decode_misc_mem(word: int) -> Instruction:
-    f3 = funct3(word)
-    if f3 == 0:
-        return Instruction(word, "fence", is_system=True)
-    if f3 == 1:
-        return Instruction(word, "fence.i", is_system=True)
-    raise IllegalInstruction(word, f"MISC-MEM funct3={f3}")
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
 
 def decode(word: int) -> Instruction:
     """Decode a 32-bit instruction word; raises :class:`IllegalInstruction`."""
     word &= 0xFFFF_FFFF
-    if word & 0b11 != 0b11:
-        raise IllegalInstruction(word, "compressed encodings unsupported")
-    major = opcode(word)
-    if major == op.LUI:
-        d = rd(word)
-        return Instruction(word, "lui", rd=d, imm=imm_u(word), dests=_xdst(d))
-    if major == op.AUIPC:
-        d = rd(word)
-        return Instruction(word, "auipc", rd=d, imm=imm_u(word), dests=_xdst(d))
-    if major == op.JAL:
-        d = rd(word)
-        return Instruction(word, "jal", rd=d, imm=imm_j(word),
-                           dests=_xdst(d), is_jump=True)
-    if major == op.JALR:
-        if funct3(word) != 0:
-            raise IllegalInstruction(word, "JALR funct3")
-        d, s1 = rd(word), rs1(word)
-        return Instruction(word, "jalr", rd=d, rs1=s1, imm=imm_i(word),
-                           srcs=_xsrc(s1), dests=_xdst(d), is_jump=True)
-    if major == op.BRANCH:
-        return _decode_branch(word)
-    if major == op.LOAD:
-        return _decode_load(word)
-    if major == op.STORE:
-        return _decode_store(word)
-    if major == op.OP_IMM:
-        return _decode_op_imm(word)
-    if major == op.OP_IMM_32:
-        return _decode_op_imm32(word)
-    if major == op.OP:
-        return _decode_op(word, _OP_MNEMONICS, "OP")
-    if major == op.OP_32:
-        return _decode_op(word, _OP32_MNEMONICS, "OP-32")
-    if major == op.SYSTEM:
-        return _decode_system(word)
-    if major == op.AMO:
-        return _decode_amo(word)
-    if major == op.LOAD_FP:
-        return _decode_fp_load_store(word, is_load=True)
-    if major == op.STORE_FP:
-        return _decode_fp_load_store(word, is_load=False)
-    if major == op.OP_FP:
-        return _decode_op_fp(word)
-    if major in _FMA_MNEMONICS:
-        return _decode_fma(word)
-    if major == op.OP_V:
-        return _decode_op_v(word)
-    if major == op.MISC_MEM:
-        return _decode_misc_mem(word)
-    raise IllegalInstruction(word, f"opcode {major:#04x}")
+    for mask, rows in _INDEX.get(word & 0x7F, {}).items():
+        if word & mask in rows:
+            mnemonic, row = rows[word & mask]
+            break
+    else:
+        raise IllegalInstruction(word)
+    instr = Instruction(word, mnemonic)
+    srcs, dests = [], []
+    for kind in row.fields:
+        value = kind.get(word)
+        setattr(instr, kind.slot, value)
+        if kind.access and (value or kind.syntax != "x"):
+            if "r" in kind.access:
+                srcs.append((kind.syntax, value))
+            if "w" in kind.access:
+                dests.append((kind.syntax, value))
+    if not instr.vm:  # masked, or a merge: v0 is read
+        srcs.append(("v", 0))
+    instr.srcs, instr.dests = tuple(srcs), tuple(dests)
+    # Precomputed union used by the per-cycle RAW/WAW check.
+    instr.all_regs = instr.srcs + instr.dests
+    for flag in row.flags:
+        setattr(instr, flag, True)
+    if instr.is_vector_mem:
+        instr.eew = VMEM_WIDTH_TO_EEW[vmem_width(word)]
+        instr.mop = vmem_mop(word)
+    # May this instruction redirect (or fence) control flow?  Basic-block
+    # formation in the translated fast path ends a block here; system
+    # instructions count because they can trap or change pc (mret) and
+    # must run in the interpreter.
+    instr.is_control = instr.is_branch or instr.is_jump or instr.is_system
+    return instr

@@ -1,165 +1,56 @@
 """A compact disassembler for decoded instructions.
 
-Output is assembler-compatible for the common cases and is primarily meant
-for debugging, trace annotation, and round-trip testing against the
-assembler.  CSR and vtype operands are printed symbolically where possible.
+``disassemble`` prints the operands of the instruction's row in
+:mod:`repro.isa.encoding`, in the row's (assembly) order, each by its
+kind.  The text is what the assembler parses: re-encoding it gives back
+the canonical word of the instruction, for every instruction.  CSR and
+vtype operands are printed symbolically where a spelling exists and as
+the number otherwise.  It is used for debugging, trace annotation and the
+round-trip tests against the assembler.
 """
 
 from __future__ import annotations
 
-from repro.isa.csr import csr_name
+from repro.isa.csr import CSR_BY_NAME, csr_name
 from repro.isa.decoder import Instruction, decode
+from repro.isa.encoding import ENCODINGS, Mem
 from repro.isa.registers import fp_reg_name, int_reg_name, vec_reg_name
 from repro.isa.vtype import VType
 
 
-def _x(i: int) -> str:
-    return int_reg_name(i)
+def _csr(address: int) -> str:
+    name = csr_name(address)
+    return name if name in CSR_BY_NAME else f"{address:#x}"
 
 
-def _f(i: int) -> str:
-    return fp_reg_name(i)
+def _vtype(zimm: int) -> str:
+    vtype = VType.decode(zimm)
+    return f"{zimm:#x}" if vtype.vill else vtype.describe()
 
 
-def _v(i: int) -> str:
-    return vec_reg_name(i)
+# Kind.syntax -> text of a slot value ("" for an operand left out).
+_SPELL = {
+    "x": int_reg_name, "f": fp_reg_name, "v": vec_reg_name,
+    "int": str, "target": str,
+    "upper": lambda imm: f"{imm >> 12 & 0xFFFFF:#x}",
+    "csr": _csr, "vtype": _vtype,
+    "v0.t": lambda vm: "" if vm else "v0.t",
+    "v0": lambda vm: "v0",
+}
 
 
 def disassemble(instr: Instruction) -> str:
     """Render a decoded instruction as assembly text."""
-    m = instr.mnemonic
-    if m in ("ecall", "ebreak", "mret", "wfi", "fence", "fence.i"):
-        return m
-    if m in ("lui", "auipc"):
-        return f"{m} {_x(instr.rd)}, {instr.imm >> 12 & 0xFFFFF:#x}"
-    if m == "jal":
-        return f"{m} {_x(instr.rd)}, {instr.imm}"
-    if m == "jalr":
-        return f"{m} {_x(instr.rd)}, {instr.imm}({_x(instr.rs1)})"
-    if instr.is_branch:
-        return f"{m} {_x(instr.rs1)}, {_x(instr.rs2)}, {instr.imm}"
-    if m in ("lb", "lh", "lw", "ld", "lbu", "lhu", "lwu"):
-        return f"{m} {_x(instr.rd)}, {instr.imm}({_x(instr.rs1)})"
-    if m in ("sb", "sh", "sw", "sd"):
-        return f"{m} {_x(instr.rs2)}, {instr.imm}({_x(instr.rs1)})"
-    if m in ("flw", "fld"):
-        return f"{m} {_f(instr.rd)}, {instr.imm}({_x(instr.rs1)})"
-    if m in ("fsw", "fsd"):
-        return f"{m} {_f(instr.rs2)}, {instr.imm}({_x(instr.rs1)})"
-    if m in ("slli", "srli", "srai", "slliw", "srliw", "sraiw"):
-        return f"{m} {_x(instr.rd)}, {_x(instr.rs1)}, {instr.shamt}"
-    if m in ("addi", "slti", "sltiu", "xori", "ori", "andi", "addiw"):
-        return f"{m} {_x(instr.rd)}, {_x(instr.rs1)}, {instr.imm}"
-    if m.startswith("csrr"):
-        csr = csr_name(instr.csr)
-        if m.endswith("i"):
-            return f"{m} {_x(instr.rd)}, {csr}, {instr.imm}"
-        return f"{m} {_x(instr.rd)}, {csr}, {_x(instr.rs1)}"
-    if m.startswith("lr."):
-        return f"{m} {_x(instr.rd)}, ({_x(instr.rs1)})"
-    if instr.is_amo:
-        return f"{m} {_x(instr.rd)}, {_x(instr.rs2)}, ({_x(instr.rs1)})"
-    if m == "vsetvli":
-        vt = VType.decode(instr.imm)
-        return f"{m} {_x(instr.rd)}, {_x(instr.rs1)}, {vt.describe()}"
-    if m == "vsetivli":
-        vt = VType.decode(instr.imm)
-        return f"{m} {_x(instr.rd)}, {instr.shamt}, {vt.describe()}"
-    if m == "vsetvl":
-        return f"{m} {_x(instr.rd)}, {_x(instr.rs1)}, {_x(instr.rs2)}"
-    if instr.is_vector_mem:
-        tail = "" if instr.vm else ", v0.t"
-        base = f"({_x(instr.rs1)})"
-        if instr.mop == 0b10:  # strided
-            return f"{m} {_v(instr.rd)}, {base}, {_x(instr.rs2)}{tail}"
-        if instr.mop in (0b01, 0b11):  # indexed
-            return f"{m} {_v(instr.rd)}, {base}, {_v(instr.rs2)}{tail}"
-        return f"{m} {_v(instr.rd)}, {base}{tail}"
-    if instr.is_vector:
-        return _disassemble_vector(instr)
-    if instr.is_fp:
-        return _disassemble_fp(instr)
-    # Remaining case: three-register scalar ALU ops.
-    return f"{m} {_x(instr.rd)}, {_x(instr.rs1)}, {_x(instr.rs2)}"
-
-
-_V_MACC_ORDER = frozenset({"vmacc", "vnmsac", "vmadd", "vnmsub",
-                           "vfmacc", "vfnmacc", "vfmsac", "vfnmsac",
-                           "vfmadd", "vfnmadd", "vfmsub", "vfnmsub"})
-
-
-def _disassemble_vector(instr: Instruction) -> str:
-    m = instr.mnemonic
-    tail = "" if instr.vm else ", v0.t"
-    base = m.rsplit(".", 1)[0]
-    if base in _V_MACC_ORDER:  # operand order (vd, op1, vs2)
-        if m.endswith(".vv"):
-            return (f"{m} {_v(instr.rd)}, {_v(instr.rs1)}, "
-                    f"{_v(instr.rs2)}{tail}")
-        if m.endswith(".vx"):
-            return (f"{m} {_v(instr.rd)}, {_x(instr.rs1)}, "
-                    f"{_v(instr.rs2)}{tail}")
-        if m.endswith(".vf"):
-            return (f"{m} {_v(instr.rd)}, {_f(instr.rs1)}, "
-                    f"{_v(instr.rs2)}{tail}")
-    if m == "vmv.v.v":
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs1)}"
-    if m == "vmv.v.x":
-        return f"{m} {_v(instr.rd)}, {_x(instr.rs1)}"
-    if m == "vmv.v.i":
-        return f"{m} {_v(instr.rd)}, {instr.imm}"
-    if m == "vmv.x.s":
-        return f"{m} {_x(instr.rd)}, {_v(instr.rs2)}"
-    if m == "vmv.s.x":
-        return f"{m} {_v(instr.rd)}, {_x(instr.rs1)}"
-    if m == "vfmv.f.s":
-        return f"{m} {_f(instr.rd)}, {_v(instr.rs2)}"
-    if m == "vfmv.s.f":
-        return f"{m} {_v(instr.rd)}, {_f(instr.rs1)}"
-    if m == "vfmv.v.f":
-        return f"{m} {_v(instr.rd)}, {_f(instr.rs1)}"
-    if m == "vid.v":
-        return f"{m} {_v(instr.rd)}{tail}"
-    if m == "viota.m":
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}{tail}"
-    if m.endswith(".vv") or m.endswith(".vs"):
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}, {_v(instr.rs1)}{tail}"
-    if m.endswith(".vx"):
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}, {_x(instr.rs1)}{tail}"
-    if m.endswith(".vf"):
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}, {_f(instr.rs1)}{tail}"
-    if m.endswith(".vi"):
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}, {instr.imm}{tail}"
-    if m.endswith(".vvm"):
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}, {_v(instr.rs1)}, v0"
-    if m.endswith(".vxm"):
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}, {_x(instr.rs1)}, v0"
-    if m.endswith(".vim"):
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}, {instr.imm}, v0"
-    if m.endswith(".vfm"):
-        return f"{m} {_v(instr.rd)}, {_v(instr.rs2)}, {_f(instr.rs1)}, v0"
-    return f"{m} <?>"
-
-
-def _disassemble_fp(instr: Instruction) -> str:
-    m = instr.mnemonic
-    if m.startswith(("fmadd", "fmsub", "fnmadd", "fnmsub")):
-        return (f"{m} {_f(instr.rd)}, {_f(instr.rs1)}, {_f(instr.rs2)}, "
-                f"{_f(instr.rs3)}")
-    if m.startswith(("fsqrt", "fcvt.s.d", "fcvt.d.s")):
-        return f"{m} {_f(instr.rd)}, {_f(instr.rs1)}"
-    if m.startswith(("feq", "flt", "fle", "fclass")):
-        if m.startswith("fclass"):
-            return f"{m} {_x(instr.rd)}, {_f(instr.rs1)}"
-        return f"{m} {_x(instr.rd)}, {_f(instr.rs1)}, {_f(instr.rs2)}"
-    if m.startswith("fmv.x") or m.startswith("fcvt.w") \
-            or m.startswith("fcvt.l"):
-        return f"{m} {_x(instr.rd)}, {_f(instr.rs1)}"
-    if m.startswith("fmv.") or (m.startswith("fcvt.") and m[5] in "sd"
-                                and not m.startswith(("fcvt.s.d",
-                                                      "fcvt.d.s"))):
-        return f"{m} {_f(instr.rd)}, {_x(instr.rs1)}"
-    return f"{m} {_f(instr.rd)}, {_f(instr.rs1)}, {_f(instr.rs2)}"
+    parts = []
+    for operand in ENCODINGS[instr.mnemonic].operands:
+        if isinstance(operand, Mem):
+            offset, base = operand
+            offset = "" if offset is None else getattr(instr, offset.slot)
+            parts.append(
+                f"{offset}({int_reg_name(getattr(instr, base.slot))})")
+        else:
+            parts.append(_SPELL[operand.syntax](getattr(instr, operand.slot)))
+    return f"{instr.mnemonic} {', '.join(filter(None, parts))}".rstrip()
 
 
 def disassemble_word(word: int) -> str:

@@ -37,7 +37,7 @@ import pytest
 
 from repro.assembler import AsmSyntaxError, assemble
 from repro.assembler.encoder import supported_mnemonics
-from repro.isa.decoder import IllegalInstruction, decode
+from repro.isa.encoding import ENCODINGS
 from repro.isa.vtype import VType
 from repro.spike import BareMetalMachine, CoreModel
 from repro.spike import translate
@@ -252,41 +252,19 @@ _ROWS = [COMPUTE, LOADS, STORES, BRANCHES]
 _ROW_MNEMONICS = frozenset().union(*_ROWS)
 
 
-def _decodable_scalar_mnemonics() -> set:
-    """Every non-vector mnemonic ``isa.decoder`` produces, found by
-    sweeping the fields that select one: opcode, funct3, funct7, and the
-    rs2 values OP-FP and SYSTEM use as sub-opcodes."""
-    found = set()
-    for opcode in range(0b11, 128, 4):
-        for funct3 in range(8):
-            for funct7 in range(128):
-                for rs2 in (0, 1, 2, 3, 5):
-                    for rd_rs1 in (0, 0x1 << 7 | 0x2 << 15):
-                        word = funct7 << 25 | rs2 << 20 | funct3 << 12 \
-                            | rd_rs1 | opcode
-                        try:
-                            instr = decode(word)
-                        except IllegalInstruction:
-                            continue
-                        if not instr.is_vector:
-                            found.add(instr.mnemonic)
-    return found
-
-
 def test_every_scalar_mnemonic_has_exactly_one_definition():
     assert sum(len(rows) for rows in _ROWS) == len(_ROW_MNEMONICS), \
         "a mnemonic appears in two row tables"
-    decodable = _decodable_scalar_mnemonics()
-    assert len(decodable) > 150
-    # Effectful executors are the hand-registered rest; ``executor()``
-    # itself refuses a second registration of a mnemonic.
-    undefined = decodable - set(EXEC)
-    assert not undefined, f"decodable but not executable: {undefined}"
-    assert not _ROW_MNEMONICS - decodable, \
-        f"rows the decoder never produces: {_ROW_MNEMONICS - decodable}"
-    effectful = decodable - _ROW_MNEMONICS
+    scalar = {mnemonic for mnemonic, row in ENCODINGS.items()
+              if "is_vector" not in row.flags}
+    assert len(scalar) > 150
+    # Decodable is executable and the other way round.  Every row has
+    # its executor derived; the hand-registered effectful ones are the
+    # rest (``executor()`` itself refuses a second registration).
+    assert scalar == {mnemonic for mnemonic in EXEC
+                      if not mnemonic.startswith("v")}
     assert {"jal", "jalr", "ecall", "csrrw", "lr.d", "amoadd.w",
-            "fence.i"} <= effectful
+            "fence.i"} <= scalar - _ROW_MNEMONICS
 
 
 def test_translatable_is_computed_from_the_table():
@@ -699,49 +677,22 @@ def test_a_vsetvli_inside_a_block_refreshes_the_plan():
 _VECTOR_EFFECTFUL = {"vsetvli", "vsetivli", "vsetvl", "viota.m"}
 
 
-def _decodable_vector_mnemonics() -> set:
-    """Every vector mnemonic ``isa.decoder`` produces: OP-V and the FP
-    load/store opcodes, over funct3 (the width field), the top seven
-    bits (funct6 + vm, or nf/mew/mop + vm) and the rs1/rs2 values that
-    select a unary operation."""
-    found = set()
-    for opcode in (0x57, 0x07, 0x27):
-        for funct3 in range(8):
-            for top in range(128):
-                for rs2 in (0, 1):
-                    for rs1 in (0, 1, 0b10000, 0b10001):
-                        word = top << 25 | rs2 << 20 | rs1 << 15 \
-                            | funct3 << 12 | 0x2 << 7 | opcode
-                        try:
-                            instr = decode(word)
-                        except IllegalInstruction:
-                            continue
-                        if instr.is_vector:
-                            found.add(instr.mnemonic)
-    return found
-
-
 def test_every_vector_mnemonic_has_exactly_one_definition():
     tables = [VECTOR, VLOADS, VSTORES]
     rows = frozenset().union(*tables)
     assert sum(len(table) for table in tables) == len(rows)
     assert not rows & _VECTOR_EFFECTFUL and not rows & _ROW_MNEMONICS
-    decodable = _decodable_vector_mnemonics()
-    assert len(decodable) > 190
+    vector = {mnemonic for mnemonic, row in ENCODINGS.items()
+              if "is_vector" in row.flags}
+    assert len(vector) > 190
     # A row or a hand-written executor, never both — ``executor()``
     # refuses a second registration, also the one that derives a vector
-    # row's executor when it is first decoded — and nothing the decoder
-    # cannot produce.
+    # row's executor when it is first decoded — and what decodes is
+    # exactly what one of them executes.
     for mnemonic in VECTOR:
-        assert mnemonic in EXEC or derive_executor(mnemonic) is not None
-    assert rows | _VECTOR_EFFECTFUL \
+        assert mnemonic in EXEC or derive_executor(mnemonic)
+    assert rows | _VECTOR_EFFECTFUL == vector \
         == {mnemonic for mnemonic in EXEC if mnemonic.startswith("v")}
-    assert not (rows | _VECTOR_EFFECTFUL) - decodable
-    # The decoder gives OPIVV funct6 0x0e/0x0f a slide's name; RVV 1.0
-    # has vrgatherei16 and a reserved encoding there.  They have no
-    # definition and trap as illegal instructions when fetched.
-    assert decodable - rows - _VECTOR_EFFECTFUL \
-        == {"vslideup.vv", "vslidedown.vv"}
 
 
 def test_every_vector_row_can_be_assembled():
