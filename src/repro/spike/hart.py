@@ -254,36 +254,6 @@ class Hart:
         self.vl = min(avl, vtype.vlmax(self.vlen_bits))
         return self.vl
 
-    def read_velem(self, base_reg: int, index: int, sew: int) -> int:
-        """Element ``index`` of the register group starting at ``base_reg``."""
-        elem_bytes = sew // 8
-        per_reg = self.vlen_bits // sew
-        reg = base_reg + index // per_reg
-        offset = (index % per_reg) * elem_bytes
-        return int.from_bytes(self.vregs[reg][offset:offset + elem_bytes],
-                              "little")
-
-    def write_velem(self, base_reg: int, index: int, sew: int,
-                    value: int) -> None:
-        elem_bytes = sew // 8
-        per_reg = self.vlen_bits // sew
-        reg = base_reg + index // per_reg
-        offset = (index % per_reg) * elem_bytes
-        self.vregs[reg][offset:offset + elem_bytes] = \
-            (value & ((1 << sew) - 1)).to_bytes(elem_bytes, "little")
-
-    def read_vmask_bit(self, index: int) -> int:
-        """Bit ``index`` of the mask register v0."""
-        return (self.vregs[0][index >> 3] >> (index & 7)) & 1
-
-    def write_vmask_bit(self, base_reg: int, index: int, value: int) -> None:
-        byte_index = index >> 3
-        bit = 1 << (index & 7)
-        if value:
-            self.vregs[base_reg][byte_index] |= bit
-        else:
-            self.vregs[base_reg][byte_index] &= ~bit & 0xFF
-
     # -- execution ----------------------------------------------------------
 
     def decode_at(self, pc: int) -> Instruction:
@@ -298,11 +268,10 @@ class Hart:
                 instr = decode(word)
             except IllegalInstruction as exc:
                 raise IllegalInstructionTrap(pc, word) from exc
-            # A vector row's executor is compiled on first decode.
+            # Everything decodable is executable: an executor registered
+            # on import, or a vector row's, compiled on first decode.
             fn = EXEC.get(instr.mnemonic) \
                 or _vector.derive_executor(instr.mnemonic)
-            if fn is None:
-                raise IllegalInstructionTrap(pc, word)
             entry = (instr, fn)
             self._decode_cache[pc] = entry
             pages = self._code_pages

@@ -319,16 +319,13 @@ _EXECUTOR_GLOBALS = {**HELPERS, "plan": _require_plan,
 
 def derive_executor(mnemonic: str):
     """Compile and register ``EXEC[mnemonic]`` for a vector row — its
-    statements over the decoded instruction's fields — and return it;
-    ``None`` when ``mnemonic`` is not a row.
+    statements over the decoded instruction's fields — and return it.
 
     Called by the hart the first time it decodes the mnemonic rather
     than for every row at import: compiling all of them costs ~17 ms a
     process, and a run that translates executes a handful at most.
     """
-    row = VECTOR.get(mnemonic)
-    if row is None:
-        return None
+    row = VECTOR[mnemonic]
     source = ["def handler(hart, instr):",
               "    P = hart._vplan or plan(hart)",
               "    V, x, f = hart.vregs, hart.regs, hart.fregs"]

@@ -36,6 +36,16 @@ def make_hart(source: str, vlen_bits: int = 256, hart_id: int = 0) -> Hart:
     return hart
 
 
+def read_velem(hart: Hart, base_reg: int, index: int, sew: int) -> int:
+    """Element ``index`` of the register group starting at ``base_reg``,
+    read the way the vector unit reads a group."""
+    from repro.spike.vector import lanes, read_group
+
+    group = read_group(hart.vregs, base_reg, (index + 1) * sew // 8,
+                       hart.vlenb)
+    return lanes("u", sew, index + 1).unpack(group)[index]
+
+
 def run_steps(hart: Hart, count: int) -> None:
     """Step a hart ``count`` times."""
     for _ in range(count):

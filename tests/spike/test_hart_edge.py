@@ -8,7 +8,12 @@ from repro.spike.hart import Hart, IllegalInstructionTrap
 from repro.spike.vector import VectorConfigError
 from repro.utils.bitops import MASK64, to_unsigned
 
-from tests.conftest import make_hart, run_steps, run_until_ebreak
+from tests.conftest import (
+    make_hart,
+    read_velem,
+    run_steps,
+    run_until_ebreak,
+)
 
 
 class TestPageCrossing:
@@ -144,7 +149,7 @@ _start:
     ebreak
 """, vlen_bits=256)
         run_until_ebreak(hart)
-        assert hart.read_velem(1, 0, 64) == 5
+        assert read_velem(hart, 1, 0, 64) == 5
 
     def test_sew_change_reinterprets_registers(self):
         hart = make_hart(""".text
@@ -157,7 +162,7 @@ _start:
     ebreak
 """, vlen_bits=256)
         run_until_ebreak(hart)
-        assert all(hart.read_velem(2, i, 8) == 0xFF for i in range(32))
+        assert all(read_velem(hart, 2, i, 8) == 0xFF for i in range(32))
 
     def test_gather_with_8bit_indices(self):
         hart = make_hart(""".text
@@ -175,7 +180,7 @@ _start:
 data: .dword 11, 22, 33, 44
 """, vlen_bits=256)
         run_until_ebreak(hart)
-        assert [hart.read_velem(1, i, 64) for i in range(4)] == \
+        assert [read_velem(hart, 1, i, 64) for i in range(4)] == \
             [11, 22, 33, 44]
 
     def test_negative_stride(self):
@@ -193,7 +198,7 @@ _start:
 data: .dword 1, 2, 3, 4
 """, vlen_bits=256)
         run_until_ebreak(hart)
-        assert [hart.read_velem(1, i, 64) for i in range(4)] == \
+        assert [read_velem(hart, 1, i, 64) for i in range(4)] == \
             [4, 3, 2, 1]
 
 
