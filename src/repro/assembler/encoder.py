@@ -82,30 +82,33 @@ def _vtype(tokens: list[str], ctx: EncodeContext) -> int:
 def _encode_row(mnemonic: str, row: Row, operands: list[str],
                 ctx: EncodeContext) -> int:
     tokens = [token.strip() for token in operands]
-    word = row.match
-    for operand in row.operands:
-        syntax = getattr(operand, "syntax", None)
-        if syntax == "v0.t":  # optional: absent means unmasked
-            masked = bool(tokens) and tokens[0].lower() == "v0.t"
-            word |= operand.put(0 if masked else 1)
-            if masked:
-                tokens.pop(0)
-        elif syntax == "vtype":  # takes every remaining token
-            word |= operand.put(_vtype(tokens, ctx))
-            tokens = []
-        elif not tokens:
+
+    def take() -> str:
+        if not tokens:
             raise EncodeError(f"{mnemonic} expects {len(row.operands)} "
                               f"operands, got {len(operands)}")
-        elif isinstance(operand, Mem):
-            offset, base = parse_mem_operand(tokens.pop(0), ctx)
+        return tokens.pop(0)
+
+    word = row.match
+    for operand in row.operands:
+        if isinstance(operand, Mem):
+            offset, base = parse_mem_operand(take(), ctx)
             word |= operand.base.put(base)
             if operand.offset is not None:
                 word |= operand.offset.put(offset)
             elif offset:
                 raise EncodeError(f"{mnemonic}: the address operand takes "
                                   f"no offset (got {offset})")
+        elif operand.syntax == "v0.t":  # optional: absent means unmasked
+            masked = bool(tokens) and tokens[0].lower() == "v0.t"
+            word |= operand.put(0 if masked else 1)
+            if masked:
+                tokens.pop(0)
+        elif operand.syntax == "vtype":  # takes every remaining token
+            word |= operand.put(_vtype(tokens, ctx))
+            tokens.clear()
         else:
-            word |= operand.put(_PARSE[syntax](tokens.pop(0), ctx))
+            word |= operand.put(_PARSE[operand.syntax](take(), ctx))
     if tokens:
         raise EncodeError(f"{mnemonic}: unexpected operand {tokens[0]!r}")
     return word

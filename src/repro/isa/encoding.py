@@ -171,6 +171,8 @@ def _r(opcode: int, funct3: int, funct7: int, rs2: int = 0) -> int:
 
 
 def _i(opcode: int, funct3: int, funct12: int = 0) -> int:
+    """Opcode and funct3 — the same bits in the I, S and B formats —
+    and, for the I-type rows that have one, funct12."""
     return funct12 << 20 | f.encode_i(opcode, 0, funct3, 0, 0)
 
 

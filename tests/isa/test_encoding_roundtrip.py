@@ -108,15 +108,13 @@ def _build_image() -> dict:
     # Random fields around the two smallest words of each mnemonic; only
     # fixpoints are kept, so what a non-canonical neighbour decodes to
     # (or whether it decodes at all) cannot change the image.
-    seeds: dict = {}
+    words: dict = {}
     for word in sorted(image):
-        seeds.setdefault(image[word].mnemonic, [])
-        if len(seeds[image[word].mnemonic]) < 2:
-            seeds[image[word].mnemonic].append(word)
-    for mnemonic in sorted(seeds):
+        words.setdefault(image[word].mnemonic, []).append(word)
+    for mnemonic in sorted(words):
         # Seeded per mnemonic: a new row does not shift the others' draws.
         rng = random.Random(mnemonic)
-        for seed in seeds[mnemonic]:
+        for seed in words[mnemonic][:2]:
             for _ in range(32):
                 word = seed
                 for low, width in ((7, 5), (15, 5), (20, 5), (25, 7)):
@@ -158,6 +156,8 @@ def test_numeric_csr_and_vtype_round_trip():
     or a vtype that has no token spelling are fixpoints too."""
     count = 0
     for word in _grid():
+        if word & 0x7F not in (0x57, 0x73):  # OP-V and SYSTEM have them
+            continue
         try:
             instr = decode(word)
         except IllegalInstruction:

@@ -66,10 +66,6 @@ def test_operand_fields_lie_outside_the_mask_and_apart():
             assert not kind.bits & taken, mnemonic
             assert not kind.bits & row.match, mnemonic
             taken |= kind.bits
-        assert row.fields == tuple(
-            kind for operand in row.operands
-            for kind in (operand if isinstance(operand, Mem) else [operand])
-            if kind is not None)
 
 
 @given(st.integers(0, (1 << 25) - 1),
