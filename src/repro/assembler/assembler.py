@@ -8,11 +8,17 @@ into simulated memory.
 Supported directives: ``.text .data .section .globl .global .align
 .balign .byte .half .short .word .long .dword .quad .float .double
 .zero .space .ascii .asciz .string .equ .set``.
+
+Directives are the input language of hand-written sources.  Generated
+data (a kernel's numpy arrays) does not go through text at all: it is
+handed over as :class:`DataBlock` bytes and laid out in ``.data`` after
+whatever the source put there.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.assembler.encoder import EncodeContext, EncodeError, encode
@@ -32,6 +38,15 @@ _DATA_SIZES = {
     ".dword": 8, ".quad": 8,
 }
 _FLOAT_SIZES = {".float": 4, ".double": 8}
+
+
+@dataclass(frozen=True)
+class DataBlock:
+    """Initialised ``.data`` bytes under a symbol, ``align``-aligned."""
+
+    symbol: str
+    payload: bytes
+    align: int = 8
 
 
 @dataclass
@@ -75,9 +90,18 @@ class Assembler:
 
     # -- public API ---------------------------------------------------------
 
-    def assemble(self, source: str) -> Program:
-        """Run both passes over ``source`` and return the program image."""
+    def assemble(self, source: str,
+                 data: Sequence[DataBlock] = ()) -> Program:
+        """Run both passes over ``source`` and return the program image;
+        the ``data`` blocks follow the source's own ``.data`` in order."""
         sections = self._pass_one(tokenize(source))
+        data_section = sections[1]
+        for block in data:
+            where = Statement(0, f"data block {block.symbol!r}")
+            self._align(data_section, block.align, where)
+            self._define_label(block.symbol, data_section,
+                               data_section.cursor, where)
+            self._add_bytes(data_section, block.payload, where)
         self._layout(sections)
         return self._pass_two(sections)
 
@@ -125,6 +149,21 @@ class Assembler:
         # Store section-relative for now; fixed up in _layout.
         self._symbols[name] = offset
         self._section_of[name] = section.name
+
+    @staticmethod
+    def _add_bytes(section: _Section, raw: bytes,
+                   statement: Statement) -> None:
+        section.data_items.append(_PendingData(
+            section.cursor, len(raw), [], statement, kind="bytes", raw=raw))
+        section.cursor += len(raw)
+
+    def _align(self, section: _Section, alignment: int,
+               statement: Statement) -> None:
+        if not is_power_of_two(alignment):
+            raise AsmSyntaxError(f"bad alignment {alignment}",
+                                 statement.line_number, statement.source)
+        self._add_bytes(section, bytes(-section.cursor % alignment),
+                        statement)
 
     def _add_instruction(self, statement: Statement,
                          section: _Section) -> None:
@@ -174,17 +213,8 @@ class Assembler:
 
         if name in (".align", ".balign", ".p2align"):
             amount = self._resolve_const(operands[0])
-            alignment = amount if name == ".balign" else (1 << amount)
-            if not is_power_of_two(alignment):
-                raise AsmSyntaxError(f"bad alignment {alignment}",
-                                     statement.line_number, statement.source)
-            new_cursor = align_up(current.cursor, alignment)
-            if new_cursor != current.cursor:
-                pad = new_cursor - current.cursor
-                current.data_items.append(_PendingData(
-                    current.cursor, pad, [], statement, kind="bytes",
-                    raw=bytes(pad)))
-                current.cursor = new_cursor
+            self._align(current, amount if name == ".balign"
+                        else (1 << amount), statement)
             return current
         if name in _DATA_SIZES:
             size = _DATA_SIZES[name]
@@ -201,11 +231,9 @@ class Assembler:
             current.cursor += size * len(operands)
             return current
         if name in (".zero", ".space"):
-            count = self._resolve_const(operands[0])
-            current.data_items.append(_PendingData(
-                current.cursor, count, [], statement, kind="bytes",
-                raw=bytes(count)))
-            current.cursor += count
+            self._add_bytes(current,
+                            bytes(self._resolve_const(operands[0])),
+                            statement)
             return current
         if name in (".ascii", ".asciz", ".string"):
             blob = b"".join(
@@ -213,10 +241,7 @@ class Assembler:
                 for operand in operands)
             if name in (".asciz", ".string"):
                 blob += b"\x00"
-            current.data_items.append(_PendingData(
-                current.cursor, len(blob), [], statement, kind="bytes",
-                raw=blob))
-            current.cursor += len(blob)
+            self._add_bytes(current, blob, statement)
             return current
         raise AsmSyntaxError(f"unknown directive {name!r}",
                              statement.line_number, statement.source)
@@ -304,7 +329,8 @@ class Assembler:
 
 
 def assemble(source: str, text_base: int = DEFAULT_TEXT_BASE,
-             data_base: int | None = None) -> Program:
+             data_base: int | None = None,
+             data: Sequence[DataBlock] = ()) -> Program:
     """Convenience wrapper: assemble ``source`` with default layout."""
     return Assembler(text_base=text_base, data_base=data_base) \
-        .assemble(source)
+        .assemble(source, data)

@@ -19,7 +19,10 @@ class AsmSyntaxError(Exception):
                  line: str | None = None):
         self.line_number = line_number
         self.line = line
-        location = f" (line {line_number}: {line!r})" if line_number else ""
+        if line_number:
+            location = f" (line {line_number}: {line!r})"
+        else:   # not from the source text: ``line`` says where instead
+            location = f" ({line})" if line else ""
         super().__init__(message + location)
 
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.assembler import DataBlock
 from repro.kernels.data import CsrMatrix, dense_vector, random_csr
 from repro.kernels.runtime import (
-    emit_doubles,
-    emit_dwords,
-    emit_zero_doubles,
+    doubles_block,
+    dwords_block,
+    zero_doubles_block,
     range_split,
     wrap_program,
 )
@@ -50,17 +51,6 @@ def quantise_matrix(matrix: CsrMatrix, levels: int = 16,
     return quantised, dictionary, codes
 
 
-def _emit_u16(label: str, values: np.ndarray) -> str:
-    array = [int(value) for value in values]
-    lines = [".align 3", f"{label}:"]
-    for start in range(0, len(array), 16):
-        chunk = array[start:start + 16]
-        lines.append("    .half " + ", ".join(str(v) for v in chunk))
-    if not array:
-        lines.append("    .zero 0")
-    return "\n".join(lines) + "\n"
-
-
 def spmv_csr_compressed(num_rows: int = 64, nnz_per_row: int = 8,
                         num_cores: int = 1, levels: int = 16,
                         seed: int = 42,
@@ -78,12 +68,12 @@ def spmv_csr_compressed(num_rows: int = 64, nnz_per_row: int = 8,
     assert x is not None
     quantised, dictionary, codes = quantise_matrix(matrix, levels,
                                                    seed=seed + 13)
-    data = (_emit_u16("cmp_codes", codes)
-            + emit_doubles("cmp_dict", dictionary)
-            + emit_dwords("csr_colidx", quantised.col_indices)
-            + emit_dwords("csr_rowptr", quantised.row_pointers)
-            + emit_doubles("vec_x", x)
-            + emit_zero_doubles("vec_y", quantised.num_rows))
+    data = (DataBlock("cmp_codes", codes.astype("<u2").tobytes()),
+            doubles_block("cmp_dict", dictionary),
+            dwords_block("csr_colidx", quantised.col_indices),
+            dwords_block("csr_rowptr", quantised.row_pointers),
+            doubles_block("vec_x", x),
+            zero_doubles_block("vec_y", quantised.num_rows))
     body = f"""\
 main:
 {range_split(quantised.num_rows, num_cores)}
@@ -139,7 +129,7 @@ vc_done:
     ret
 """
     return build_workload(
-        name="spmv-csr-compressed", source=wrap_program(body, data),
+        name="spmv-csr-compressed", source=wrap_program(body, ""), data=data,
         num_cores=num_cores, output_symbol="vec_y",
         expected=quantised.multiply(x),
         metadata={"rows": quantised.num_rows, "nnz": quantised.nnz,

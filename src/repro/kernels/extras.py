@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.assembler import assemble
 from repro.kernels.data import dense_vector
 from repro.kernels.runtime import (
-    emit_doubles,
-    emit_zero_doubles,
+    doubles_block,
+    zero_doubles_block,
     range_split,
     wrap_program,
 )
@@ -25,8 +26,8 @@ def vector_axpy(length: int = 512, alpha: float = 2.5, num_cores: int = 1,
     x = dense_vector(length, seed=seed)
     y = dense_vector(length, seed=seed + 1)
     expected = alpha * x + y
-    data = (emit_doubles("axpy_x", x) + emit_doubles("axpy_y", y)
-            + emit_doubles("axpy_alpha", [alpha]))
+    data = (doubles_block("axpy_x", x), doubles_block("axpy_y", y),
+            doubles_block("axpy_alpha", [alpha]))
     body = f"""\
 main:
 {range_split(length, num_cores)}
@@ -52,7 +53,7 @@ ax_done:
     ret
 """
     return build_workload(
-        name="vector-axpy", source=wrap_program(body, data),
+        name="vector-axpy", source=wrap_program(body, ""), data=data,
         num_cores=num_cores, output_symbol="axpy_y", expected=expected,
         metadata={"length": length, "alpha": alpha, "seed": seed})
 
@@ -64,9 +65,9 @@ def stream_triad(length: int = 512, alpha: float = 3.0, num_cores: int = 1,
     a = dense_vector(length, seed=seed)
     b = dense_vector(length, seed=seed + 1)
     expected = a + alpha * b
-    data = (emit_doubles("triad_a", a) + emit_doubles("triad_b", b)
-            + emit_zero_doubles("triad_c", length)
-            + emit_doubles("triad_alpha", [alpha]))
+    data = (doubles_block("triad_a", a), doubles_block("triad_b", b),
+            zero_doubles_block("triad_c", length),
+            doubles_block("triad_alpha", [alpha]))
     body = f"""\
 main:
 {range_split(length, num_cores)}
@@ -94,7 +95,7 @@ tr_done:
     ret
 """
     return build_workload(
-        name="stream-triad", source=wrap_program(body, data),
+        name="stream-triad", source=wrap_program(body, ""), data=data,
         num_cores=num_cores, output_symbol="triad_c", expected=expected,
         metadata={"length": length, "alpha": alpha, "seed": seed})
 
@@ -108,8 +109,8 @@ def vector_dot(length: int = 512, num_cores: int = 1,
     """
     x = dense_vector(length, seed=seed)
     y = dense_vector(length, seed=seed + 1)
-    data = (emit_doubles("dot_x", x) + emit_doubles("dot_y", y)
-            + emit_zero_doubles("dot_partials", num_cores))
+    data = (doubles_block("dot_x", x), doubles_block("dot_y", y),
+            zero_doubles_block("dot_partials", num_cores))
     body = f"""\
 main:
     mv   a7, a0
@@ -140,12 +141,9 @@ dt_store:
     li   a0, 0
     ret
 """
-    program_source = wrap_program(body, data)
-
     # The verifier checks the *sum* of the per-hart partials, since the
     # split points depend on num_cores.
-    from repro.assembler import assemble
-    program = assemble(program_source)
+    program = assemble(wrap_program(body, ""), data=data)
     address = program.symbols["dot_partials"]
     expected_total = float(np.dot(x, y))
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.kernels.runtime import (
     barrier,
-    barrier_data,
-    emit_doubles,
+    barrier_blocks,
+    doubles_block,
     range_split,
     wrap_program,
 )
@@ -55,11 +55,11 @@ def fft_radix2(length: int = 64, num_cores: int = 1,
     twiddles = np.exp(-2j * np.pi * np.arange(length // 2) / length)
     stages = length.bit_length() - 1
     butterflies = length // 2
-    data = (emit_doubles("fft_re", permuted.real.copy())
-            + emit_doubles("fft_im", permuted.imag.copy())
-            + emit_doubles("fft_twr", twiddles.real.copy())
-            + emit_doubles("fft_twi", twiddles.imag.copy())
-            + barrier_data())
+    data = (doubles_block("fft_re", permuted.real),
+            doubles_block("fft_im", permuted.imag),
+            doubles_block("fft_twr", twiddles.real),
+            doubles_block("fft_twi", twiddles.imag),
+            *barrier_blocks())
     body = f"""\
 main:
     mv   a6, a0              # hartid, preserved for barriers
@@ -130,7 +130,7 @@ ff_sync:
     li   a0, 0
     ret
 """
-    program = assemble(wrap_program(body, data))
+    program = assemble(wrap_program(body, ""), data=data)
     re_address = program.symbols["fft_re"]
     im_address = program.symbols["fft_im"]
 

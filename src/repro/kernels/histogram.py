@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.runtime import (
-    emit_dwords,
+    dwords_block,
     range_split,
     wrap_program,
 )
@@ -34,8 +34,8 @@ def histogram(length: int = 1024, num_bins: int = 32, num_cores: int = 1,
     samples = rng.integers(0, 1 << 32, size=length, dtype=np.uint64)
     expected = np.bincount((samples & (num_bins - 1)).astype(np.int64),
                            minlength=num_bins).astype(np.uint64)
-    data = (emit_dwords("hist_data", samples)
-            + emit_dwords("hist_bins", [0] * num_bins))
+    data = (dwords_block("hist_data", samples),
+            dwords_block("hist_bins", [0] * num_bins))
     body = f"""\
 main:
 {range_split(length, num_cores)}
@@ -60,7 +60,7 @@ hg_done:
     li   a0, 0
     ret
 """
-    program = assemble(wrap_program(body, data))
+    program = assemble(wrap_program(body, ""), data=data)
     bins_address = program.symbols["hist_bins"]
 
     def verify(memory) -> bool:

@@ -12,8 +12,8 @@ import numpy as np
 
 from repro.kernels.data import dense_matrix
 from repro.kernels.runtime import (
-    emit_doubles,
-    emit_zero_doubles,
+    doubles_block,
+    zero_doubles_block,
     range_split,
     wrap_program,
 )
@@ -21,12 +21,12 @@ from repro.kernels.workload import Workload, build_workload
 
 
 def _matmul_data(size: int, seed: int) -> tuple[np.ndarray, np.ndarray,
-                                                str]:
+                                                tuple]:
     a = dense_matrix(size, size, seed=seed)
     b = dense_matrix(size, size, seed=seed + 1)
-    data = (emit_doubles("mat_a", a)
-            + emit_doubles("mat_b", b)
-            + emit_zero_doubles("mat_c", size * size))
+    data = (doubles_block("mat_a", a),
+            doubles_block("mat_b", b),
+            zero_doubles_block("mat_c", size * size))
     return a, b, data
 
 
@@ -76,7 +76,7 @@ mm_done:
     ret
 """
     return build_workload(
-        name="scalar-matmul", source=wrap_program(body, data),
+        name="scalar-matmul", source=wrap_program(body, ""), data=data,
         num_cores=num_cores, output_symbol="mat_c", expected=a @ b,
         metadata={"size": size, "seed": seed})
 
@@ -129,6 +129,6 @@ vm_done:
     ret
 """
     return build_workload(
-        name="vector-matmul", source=wrap_program(body, data),
+        name="vector-matmul", source=wrap_program(body, ""), data=data,
         num_cores=num_cores, output_symbol="mat_c", expected=a @ b,
         metadata={"size": size, "seed": seed})

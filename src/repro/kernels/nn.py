@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.kernels.data import dense_matrix, dense_vector
 from repro.kernels.runtime import (
-    emit_doubles,
-    emit_zero_doubles,
+    doubles_block,
+    zero_doubles_block,
     range_split,
     wrap_program,
 )
@@ -31,10 +31,10 @@ def dense_relu_layer(in_dim: int = 32, out_dim: int = 32,
     bias = dense_vector(out_dim, seed=seed + 2)
     expected = np.maximum(weights @ x + bias, 0.0)
     out_row_bytes = 8 * out_dim
-    data = (emit_doubles("nn_wt", weights.T)   # transposed: (in, out)
-            + emit_doubles("nn_x", x)
-            + emit_doubles("nn_b", bias)
-            + emit_zero_doubles("nn_y", out_dim))
+    data = (doubles_block("nn_wt", weights.T),  # transposed: (in, out)
+            doubles_block("nn_x", x),
+            doubles_block("nn_b", bias),
+            zero_doubles_block("nn_y", out_dim))
     body = f"""\
 main:
 {range_split(out_dim, num_cores)}
@@ -75,7 +75,7 @@ nn_done:
     ret
 """
     return build_workload(
-        name="nn-dense-relu", source=wrap_program(body, data),
+        name="nn-dense-relu", source=wrap_program(body, ""), data=data,
         num_cores=num_cores, output_symbol="nn_y", expected=expected,
         metadata={"in_dim": in_dim, "out_dim": out_dim, "seed": seed})
 
@@ -90,12 +90,12 @@ def mlp_inference(dims: tuple[int, ...] = (32, 48, 32, 16),
     """
     if len(dims) < 2:
         raise ValueError("an MLP needs at least input and output dims")
-    from repro.kernels.runtime import barrier, barrier_data
+    from repro.kernels.runtime import barrier, barrier_blocks
 
     rng_offset = 0
     x = dense_vector(dims[0], seed=seed)
     activations = x
-    data_parts = [emit_doubles("mlp_x", x), barrier_data()]
+    data = [doubles_block("mlp_x", x), *barrier_blocks()]
     body_parts = [f"""\
 main:
     mv   a6, a0              # preserve hartid for barriers
@@ -108,9 +108,9 @@ main:
         activations = np.maximum(weights @ activations + bias, 0.0)
         in_label = "mlp_x" if layer == 0 else f"mlp_a{layer - 1}"
         out_label = f"mlp_a{layer}"
-        data_parts.append(emit_doubles(f"mlp_w{layer}", weights.T))
-        data_parts.append(emit_doubles(f"mlp_b{layer}", bias))
-        data_parts.append(emit_zero_doubles(out_label, out_dim))
+        data += [doubles_block(f"mlp_w{layer}", weights.T),
+                 doubles_block(f"mlp_b{layer}", bias),
+                 zero_doubles_block(out_label, out_dim)]
         body_parts.append(f"""\
     mv   a0, a6
 {range_split(out_dim, num_cores)}
@@ -153,7 +153,7 @@ l{layer}_done:
     final_label = f"mlp_a{len(dims) - 2}"
     return build_workload(
         name="mlp-inference",
-        source=wrap_program("".join(body_parts), "".join(data_parts)),
+        source=wrap_program("".join(body_parts), ""), data=data,
         num_cores=num_cores, output_symbol=final_label,
         expected=activations,
         metadata={"dims": dims, "seed": seed})

@@ -2,8 +2,9 @@
 
 Provides the boot/exit wrapper (each hart calls ``main`` with
 ``a0 = hartid`` and exits through the ``tohost`` protocol), assembly
-fragments like the per-hart work splitter, and emitters that turn numpy
-arrays into ``.data`` directives.
+fragments like the per-hart work splitter, and the functions that turn
+numpy arrays into :class:`~repro.assembler.DataBlock` bytes — kernel
+data reaches the program image as bytes, never as directive text.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from repro.assembler import DataBlock
 
 _PROLOG = """\
 .text
@@ -40,7 +43,9 @@ def wrap_program(main_body: str, data_section: str) -> str:
     """Assemble the full source: prolog + ``main`` + data + tohost.
 
     ``main_body`` must define the ``main`` label and return (``ret``) with
-    the exit code in ``a0``.
+    the exit code in ``a0``.  ``data_section`` is directive text for
+    hand-written programs; kernels pass ``""`` and give ``assemble``
+    their arrays as blocks, which land after ``tohost``.
     """
     return (f"{_PROLOG}\n{main_body}\n.data\n{_TOHOST}\n{data_section}\n")
 
@@ -76,7 +81,7 @@ def barrier(num_cores: int, hartid_reg: str = "a6") -> str:
     """Sense-reversing barrier fragment built on ``amoadd.w``.
 
     Requires the data section to contain ``bar_cnt``/``bar_gen`` words
-    (use :func:`barrier_data`).  Clobbers ``t0``-``t5``.  Safe for
+    (use :func:`barrier_blocks`).  Clobbers ``t0``-``t5``.  Safe for
     repeated use: the generation counter only ever increments.
     """
     uid = next(_label_counter)
@@ -100,45 +105,30 @@ bd_{uid}:
 """
 
 
-def barrier_data() -> str:
-    """The data words the :func:`barrier` fragment spins on."""
-    return ".align 3\nbar_cnt:\n    .word 0\nbar_gen:\n    .word 0\n"
+def barrier_blocks() -> tuple[DataBlock, DataBlock]:
+    """The two adjacent words the :func:`barrier` fragment spins on."""
+    return (DataBlock("bar_cnt", bytes(4)),
+            DataBlock("bar_gen", bytes(4), align=4))
 
 
-def emit_doubles(label: str, values: np.ndarray | list[float]) -> str:
-    """Emit a labelled ``.double`` array (8-byte aligned)."""
-    array = np.asarray(values, dtype=np.float64).ravel()
-    lines = [f".align 3", f"{label}:"]
-    for start in range(0, len(array), 8):
-        chunk = array[start:start + 8]
-        lines.append("    .double " + ", ".join(repr(float(value))
-                                                for value in chunk))
-    if len(array) == 0:
-        lines.append("    .zero 0")
-    return "\n".join(lines) + "\n"
+def doubles_block(symbol: str, values: np.ndarray | list[float]) -> DataBlock:
+    """A float64 array, row-major, bit for bit."""
+    return DataBlock(symbol, np.asarray(values, "<f8").tobytes())
 
 
-def emit_dwords(label: str, values: np.ndarray | list[int]) -> str:
-    """Emit a labelled ``.dword`` array (8-byte aligned)."""
-    if isinstance(values, np.ndarray):
-        array = [int(value) for value in values.ravel()]
-    else:
-        # Avoid np.asarray here: Python ints above 2**63-1 would be
-        # coerced to float64 and lose precision.
-        array = [int(value) for value in values]
-    lines = [f".align 3", f"{label}:"]
-    for start in range(0, len(array), 8):
-        chunk = array[start:start + 8]
-        lines.append("    .dword " + ", ".join(str(value)
-                                               for value in chunk))
-    if not array:
-        lines.append("    .zero 0")
-    return "\n".join(lines) + "\n"
+def dwords_block(symbol: str, values: np.ndarray | list[int]) -> DataBlock:
+    """An array of 64-bit integers; negatives wrap to two's complement."""
+    if not isinstance(values, np.ndarray):
+        # Mask Python ints one by one: np.asarray without a dtype would
+        # coerce values above 2**63-1 to float64 and lose precision.
+        values = np.array([int(value) & (2**64 - 1) for value in values],
+                          dtype="<u8")
+    return DataBlock(symbol, values.astype("<u8").tobytes())
 
 
-def emit_zero_doubles(label: str, count: int) -> str:
-    """Emit a labelled zero-initialised array of ``count`` doubles."""
-    return f".align 3\n{label}:\n    .zero {8 * count}\n"
+def zero_doubles_block(symbol: str, count: int) -> DataBlock:
+    """A zero-initialised array of ``count`` doubles."""
+    return DataBlock(symbol, bytes(8 * count))
 
 
 def read_doubles(memory, address: int, count: int) -> np.ndarray:

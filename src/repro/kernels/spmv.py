@@ -22,21 +22,21 @@ import numpy as np
 
 from repro.kernels.data import CsrMatrix, dense_vector, random_csr
 from repro.kernels.runtime import (
-    emit_doubles,
-    emit_dwords,
-    emit_zero_doubles,
+    doubles_block,
+    dwords_block,
+    zero_doubles_block,
     range_split,
     wrap_program,
 )
 from repro.kernels.workload import Workload, build_workload
 
 
-def _csr_data(matrix: CsrMatrix, x: np.ndarray) -> str:
-    return (emit_doubles("csr_values", matrix.values)
-            + emit_dwords("csr_colidx", matrix.col_indices)
-            + emit_dwords("csr_rowptr", matrix.row_pointers)
-            + emit_doubles("vec_x", x)
-            + emit_zero_doubles("vec_y", matrix.num_rows))
+def _csr_data(matrix: CsrMatrix, x: np.ndarray) -> tuple:
+    return (doubles_block("csr_values", matrix.values),
+            dwords_block("csr_colidx", matrix.col_indices),
+            dwords_block("csr_rowptr", matrix.row_pointers),
+            doubles_block("vec_x", x),
+            zero_doubles_block("vec_y", matrix.num_rows))
 
 
 def _default_matrix(num_rows: int, nnz_per_row: int,
@@ -96,7 +96,8 @@ sp_done:
     ret
 """
     return build_workload(
-        name="scalar-spmv", source=wrap_program(body, _csr_data(matrix, x)),
+        name="scalar-spmv", source=wrap_program(body, ""),
+        data=_csr_data(matrix, x),
         num_cores=num_cores, output_symbol="vec_y",
         expected=matrix.multiply(x),
         metadata={"rows": matrix.num_rows, "nnz": matrix.nnz, "seed": seed})
@@ -154,7 +155,7 @@ v1_done:
 """
     return build_workload(
         name="spmv-csr-gather-reduce",
-        source=wrap_program(body, _csr_data(matrix, x)),
+        source=wrap_program(body, ""), data=_csr_data(matrix, x),
         num_cores=num_cores, output_symbol="vec_y",
         expected=matrix.multiply(x),
         metadata={"rows": matrix.num_rows, "nnz": matrix.nnz, "seed": seed})
@@ -215,7 +216,7 @@ v2_done:
 """
     return build_workload(
         name="spmv-csr-gather-accum",
-        source=wrap_program(body, _csr_data(matrix, x)),
+        source=wrap_program(body, ""), data=_csr_data(matrix, x),
         num_cores=num_cores, output_symbol="vec_y",
         expected=matrix.multiply(x),
         metadata={"rows": matrix.num_rows, "nnz": matrix.nnz, "seed": seed})
@@ -231,10 +232,10 @@ def spmv_ell(num_rows: int = 64, nnz_per_row: int = 8,
     assert x is not None
     ell_values, ell_columns, width = matrix.to_ell()
     row_bytes = 8 * matrix.num_rows
-    data = (emit_doubles("ell_values", ell_values)
-            + emit_dwords("ell_colidx", ell_columns)
-            + emit_doubles("vec_x", x)
-            + emit_zero_doubles("vec_y", matrix.num_rows))
+    data = (doubles_block("ell_values", ell_values),
+            dwords_block("ell_colidx", ell_columns),
+            doubles_block("vec_x", x),
+            zero_doubles_block("vec_y", matrix.num_rows))
     body = f"""\
 main:
 {range_split(matrix.num_rows, num_cores)}
@@ -274,7 +275,7 @@ v3_done:
     ret
 """
     return build_workload(
-        name="spmv-ell", source=wrap_program(body, data),
+        name="spmv-ell", source=wrap_program(body, ""), data=data,
         num_cores=num_cores, output_symbol="vec_y",
         expected=matrix.multiply(x),
         metadata={"rows": matrix.num_rows, "nnz": matrix.nnz,

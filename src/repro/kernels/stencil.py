@@ -12,9 +12,9 @@ import numpy as np
 
 from repro.kernels.runtime import (
     barrier,
-    barrier_data,
-    emit_doubles,
-    emit_zero_doubles,
+    barrier_blocks,
+    doubles_block,
+    zero_doubles_block,
     range_split,
     wrap_program,
 )
@@ -48,10 +48,10 @@ def vector_stencil(length: int = 256, iterations: int = 1,
     expected = reference_stencil(initial, coefficients, iterations)
     final_symbol = "stn_buf_b" if iterations % 2 else "stn_buf_a"
     interior = length - 2
-    data = (emit_doubles("stn_buf_a", initial)
-            + emit_zero_doubles("stn_buf_b", length)
-            + emit_doubles("stn_coeffs", [c0, c1, c2])
-            + barrier_data())
+    data = (doubles_block("stn_buf_a", initial),
+            zero_doubles_block("stn_buf_b", length),
+            doubles_block("stn_coeffs", [c0, c1, c2]),
+            *barrier_blocks())
     body = f"""\
 main:
     mv   a6, a0              # preserve hartid across barrier fragments
@@ -107,6 +107,6 @@ st_sync:
     ret
 """
     return build_workload(
-        name="vector-stencil", source=wrap_program(body, data),
+        name="vector-stencil", source=wrap_program(body, ""), data=data,
         num_cores=num_cores, output_symbol=final_symbol, expected=expected,
         metadata={"length": length, "iterations": iterations, "seed": seed})

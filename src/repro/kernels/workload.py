@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.assembler import assemble
+from repro.assembler import DataBlock, assemble
 from repro.assembler.program import Program
 
 
@@ -36,9 +37,11 @@ class Workload:
 def build_workload(name: str, source: str, num_cores: int,
                    output_symbol: str, expected: np.ndarray,
                    metadata: dict | None = None,
-                   rtol: float = 1e-10) -> Workload:
-    """Assemble ``source`` and wire a float64 output verifier."""
-    program = assemble(source)
+                   rtol: float = 1e-10,
+                   data: Sequence[DataBlock] = ()) -> Workload:
+    """Assemble ``source`` plus its ``data`` blocks and wire a float64
+    output verifier."""
+    program = assemble(source, data=data)
     address = program.symbols[output_symbol]
     flat_expected = np.asarray(expected, dtype=np.float64).ravel()
 

@@ -1,68 +1,84 @@
-"""Tests for the kernel runtime scaffolding (emitters, range split)."""
+"""Tests for the kernel runtime scaffolding (data blocks, range split)."""
 
 import numpy as np
 import pytest
 
-from repro.assembler import assemble
+from repro.assembler import AsmSyntaxError, DataBlock, assemble
 from repro.kernels.runtime import (
-    emit_doubles,
-    emit_dwords,
-    emit_zero_doubles,
+    barrier_blocks,
+    doubles_block,
+    dwords_block,
     range_split,
     read_doubles,
     read_dwords,
     wrap_program,
+    zero_doubles_block,
 )
+from repro.soc.memory import SparseMemory
 from repro.spike import SpikeSimulator
 
 
 class TestEmitters:
-    def assemble_data(self, data_text: str):
-        program = assemble(f".data\n{data_text}", data_base=0x2000)
-        return program
-
-    def test_emit_doubles_round_trip(self):
-        values = np.array([1.5, -2.25, 3.14159, 0.0])
-        program = self.assemble_data(emit_doubles("arr", values))
-        from repro.soc.memory import SparseMemory
+    def load(self, *blocks, source: str = ""):
+        program = assemble(source, data_base=0x2000, data=blocks)
         memory = SparseMemory()
         program.load_into(memory)
+        return program, memory
+
+    def test_doubles_round_trip(self):
+        values = np.array([1.5, -2.25, 3.14159, 0.0])
+        program, memory = self.load(doubles_block("arr", values))
         out = read_doubles(memory, program.symbols["arr"], 4)
         assert np.array_equal(out, values)
 
-    def test_emit_doubles_exact_bits(self):
-        """repr-based emission must preserve float64 bit patterns."""
+    def test_doubles_exact_bits(self):
         values = np.array([0.1, 1 / 3, np.pi, 1e-300, 1e300])
-        program = self.assemble_data(emit_doubles("arr", values))
-        from repro.soc.memory import SparseMemory
-        memory = SparseMemory()
-        program.load_into(memory)
+        program, memory = self.load(doubles_block("arr", values))
         out = read_doubles(memory, program.symbols["arr"], len(values))
         assert out.tobytes() == values.tobytes()
 
-    def test_emit_dwords_round_trip(self):
+    def test_dwords_round_trip(self):
         values = [0, 1, 2**63, 2**64 - 1]
-        program = self.assemble_data(emit_dwords("arr", values))
-        from repro.soc.memory import SparseMemory
-        memory = SparseMemory()
-        program.load_into(memory)
+        program, memory = self.load(dwords_block("arr", values))
         out = read_dwords(memory, program.symbols["arr"], 4)
         assert list(out) == values
 
-    def test_emit_zero_doubles(self):
-        program = self.assemble_data(
-            emit_zero_doubles("buf", 5) + emit_dwords("after", [7]))
+    def test_dwords_negative_int64(self):
+        values = np.array([-1, -2**63, 5], dtype=np.int64)
+        program, memory = self.load(dwords_block("arr", values))
+        out = read_dwords(memory, program.symbols["arr"], 3)
+        assert list(out) == [2**64 - 1, 2**63, 5]
+
+    def test_zero_doubles(self):
+        program, memory = self.load(zero_doubles_block("buf", 5),
+                                    dwords_block("after", [7]))
         assert program.symbols["after"] - program.symbols["buf"] == 40
+        assert not any(read_dwords(memory, program.symbols["buf"], 5))
 
     def test_empty_arrays(self):
-        program = self.assemble_data(
-            emit_doubles("a", []) + emit_dwords("b", []))
+        program, _ = self.load(doubles_block("a", []),
+                               dwords_block("b", []))
         assert "a" in program.symbols and "b" in program.symbols
 
     def test_alignment(self):
-        program = self.assemble_data(
-            ".byte 1\n" + emit_doubles("arr", [1.0]))
-        assert program.symbols["arr"] % 8 == 0
+        program, _ = self.load(doubles_block("arr", [1.0]),
+                               source=".data\n.byte 1\n")
+        assert program.symbols["arr"] == 0x2008
+
+    def test_barrier_words_are_adjacent(self):
+        program, _ = self.load(*barrier_blocks(),
+                               source=".data\n.byte 1\n")
+        assert program.symbols["bar_cnt"] == 0x2008
+        assert program.symbols["bar_gen"] == 0x200C
+
+    def test_duplicate_symbol_between_text_and_block(self):
+        with pytest.raises(AsmSyntaxError, match="duplicate symbol 'arr'"):
+            self.load(doubles_block("arr", [1.0]),
+                      source=".data\narr: .dword 7\n")
+
+    def test_non_power_of_two_alignment(self):
+        with pytest.raises(AsmSyntaxError, match="bad alignment 12"):
+            self.load(DataBlock("arr", bytes(8), align=12))
 
 
 class TestRangeSplit:
