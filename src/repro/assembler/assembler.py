@@ -124,20 +124,16 @@ class Assembler:
                 current = self._directive_pass_one(
                     statement, current, sections, pending_labels)
                 continue
-            # A real statement: bind any pending labels to the current
-            # cursor of the *current* section.
-            self._bind_labels(pending_labels, current, statement)
+            self._bind_labels(pending_labels)
             self._add_instruction(statement, current)
 
-        # Labels at end-of-file bind to the section end.
-        for name, section, stmt in pending_labels:
-            self._define_label(name, section, section.cursor, stmt)
-        pending_labels.clear()
+        self._bind_labels(pending_labels)   # at end of file: section end
         return [text, data]
 
-    def _bind_labels(self, pending, section: _Section,
-                     statement: Statement) -> None:
-        for name, _original_section, stmt in pending:
+    def _bind_labels(self, pending) -> None:
+        """Bind labels to the cursor of the section they were written in
+        (a section switch binds first, so that is the current one)."""
+        for name, section, stmt in pending:
             self._define_label(name, section, section.cursor, stmt)
         pending.clear()
 
@@ -192,12 +188,10 @@ class Assembler:
         name = statement.mnemonic
         operands = statement.operands
 
-        if name == ".text" or (name == ".section" and operands
-                               and operands[0].lstrip(".") == "text"):
-            return sections["text"]
-        if name == ".data" or (name == ".section" and operands
-                               and operands[0].lstrip(".") == "data"):
-            return sections["data"]
+        target = operands[0] if name == ".section" and operands else name
+        if target.lstrip(".") in sections:
+            self._bind_labels(pending_labels)
+            return sections[target.lstrip(".")]
         if name in (".globl", ".global"):
             self._globals.update(operands)
             return current
@@ -209,10 +203,10 @@ class Assembler:
             return current
 
         # Everything below emits bytes: bind labels first.
-        self._bind_labels(pending_labels, current, statement)
+        self._bind_labels(pending_labels)
 
         if name in (".align", ".balign", ".p2align"):
-            amount = self._resolve_const(operands[0])
+            amount = self._count(statement)
             self._align(current, amount if name == ".balign"
                         else (1 << amount), statement)
             return current
@@ -231,8 +225,7 @@ class Assembler:
             current.cursor += size * len(operands)
             return current
         if name in (".zero", ".space"):
-            self._add_bytes(current,
-                            bytes(self._resolve_const(operands[0])),
+            self._add_bytes(current, bytes(self._count(statement)),
                             statement)
             return current
         if name in (".ascii", ".asciz", ".string"):
@@ -307,18 +300,18 @@ class Assembler:
         size = item.size // max(1, len(item.expressions))
         cursor = item.offset
         for expression in item.expressions:
-            if item.kind == "float":
-                value = float(expression)
-                packed = struct.pack("<f" if size == 4 else "<d", value)
-            else:
-                try:
+            try:
+                if item.kind == "float":
+                    packed = struct.pack("<f" if size == 4 else "<d",
+                                         float(expression))
+                else:       # [-2^(8n-1), 2^8n): signed or unsigned fits
                     value = resolve(expression)
-                except ExprError as exc:
-                    raise AsmSyntaxError(
-                        str(exc), item.statement.line_number,
-                        item.statement.source) from exc
-                packed = (value & ((1 << (8 * size)) - 1)).to_bytes(
-                    size, "little")
+                    packed = value.to_bytes(size, "little",
+                                            signed=value < 0)
+            except (ExprError, ValueError, OverflowError) as exc:
+                raise AsmSyntaxError(
+                    f"{expression}: {exc}", item.statement.line_number,
+                    item.statement.source) from exc
             blob[cursor:cursor + size] = packed
             cursor += size
 
@@ -326,6 +319,16 @@ class Assembler:
 
     def _resolve_const(self, expression: str) -> int:
         return evaluate(expression, self._constants)
+
+    def _count(self, statement: Statement) -> int:
+        """The constant operand of ``.align``/``.zero``: there, and >= 0."""
+        operands = statement.operands
+        value = self._resolve_const(operands[0]) if operands else -1
+        if value < 0:
+            raise AsmSyntaxError(
+                f"{statement.mnemonic} expects a non-negative constant",
+                statement.line_number, statement.source)
+        return value
 
 
 def assemble(source: str, text_base: int = DEFAULT_TEXT_BASE,

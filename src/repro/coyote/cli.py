@@ -27,6 +27,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 
 from repro.coyote.config import SimulationConfig
 from repro.coyote.errors import SimulationError
@@ -1014,12 +1015,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    started = time.perf_counter()
     workload = make_workload(kernel, cores, size)
+    built = time.perf_counter()
     if args.resume is None:
         simulation = Simulation(config, workload.program)
+    ready = time.perf_counter()
 
     try:
         results = simulation.run(pause_at=args.pause_at)
+        finished = time.perf_counter()
     except KeyboardInterrupt:
         _dump_partial(simulation)
         return EXIT_INTERRUPT
@@ -1066,8 +1071,14 @@ def main(argv: list[str] | None = None) -> int:
         # results document itself (what campaigns cache) keeps its shape.
         # A resumed run takes its telemetry from the checkpoint, so the
         # section may not exist yet.
-        document.setdefault("host_profile", {})["translator"] = (
-            translator_totals(simulation.orchestrator.translators))
+        host = document.setdefault("host_profile", {})
+        host["translator"] = translator_totals(
+            simulation.orchestrator.translators)
+        # Wall seconds of this process's three phases (a resumed run
+        # builds no Simulation: its middle phase is ~0).
+        host["phases"] = {"kernel_build_s": built - started,
+                          "simulation_build_s": ready - built,
+                          "run_s": finished - ready}
         with open(args.metrics_out, "w") as handle:
             json.dump(document, handle, indent=1)
             handle.write("\n")

@@ -89,7 +89,8 @@ class VType:
         """Maximum vector length for this vtype at a given VLEN."""
         if self.vill:
             return 0
-        return int(Fraction(vlen_bits, self.sew) * self.lmul)
+        lmul = self.lmul
+        return vlen_bits * lmul.numerator // (self.sew * lmul.denominator)
 
     def register_group_size(self) -> int:
         """Number of architectural registers occupied by one operand group."""

@@ -84,6 +84,9 @@ class TestCliMetricsOut:
         assert data["timeseries"]["ipc"]
         assert data["latency_histograms"]
         assert data["host_profile"]["spike_seconds"] > 0
+        phases = data["host_profile"]["phases"]
+        assert list(phases) == ["kernel_build_s", "simulation_build_s",
+                                "run_s"] and min(phases.values()) > 0
         assert "metrics written" in capsys.readouterr().out
 
     def test_translator_counters(self, tmp_path):
@@ -122,7 +125,7 @@ class TestCliMetricsOut:
         assert "output verified      : True" in capsys.readouterr().out
         data = json.loads(path.read_text())
         assert data["cycles"] > 2000
-        assert set(data["host_profile"]) == {"translator"}
+        assert set(data["host_profile"]) == {"translator", "phases"}
         assert data["host_profile"]["translator"]["blocks_compiled"] \
             + data["host_profile"]["translator"]["factory_hits"] > 0
 
