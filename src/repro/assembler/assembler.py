@@ -189,9 +189,9 @@ class Assembler:
         operands = statement.operands
 
         target = operands[0] if name == ".section" and operands else name
-        if target.lstrip(".") in sections:
+        if (target := target.lstrip(".")) in sections:
             self._bind_labels(pending_labels)
-            return sections[target.lstrip(".")]
+            return sections[target]
         if name in (".globl", ".global"):
             self._globals.update(operands)
             return current

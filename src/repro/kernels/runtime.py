@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 
 from repro.assembler import DataBlock
+from repro.utils.bitops import truncate
 
 _PROLOG = """\
 .text
@@ -121,7 +122,7 @@ def dwords_block(symbol: str, values: np.ndarray | list[int]) -> DataBlock:
     if not isinstance(values, np.ndarray):
         # Mask Python ints one by one: np.asarray without a dtype would
         # coerce values above 2**63-1 to float64 and lose precision.
-        values = np.array([int(value) & (2**64 - 1) for value in values],
+        values = np.array([truncate(int(value)) for value in values],
                           dtype="<u8")
     return DataBlock(symbol, values.astype("<u8").tobytes())
 
