@@ -25,31 +25,31 @@ class TestEmitters:
         program.load_into(memory)
         return program, memory
 
-    def test_doubles_round_trip(self):
+    def test_emit_doubles_round_trip(self):
         values = np.array([1.5, -2.25, 3.14159, 0.0])
         program, memory = self.load(doubles_block("arr", values))
         out = read_doubles(memory, program.symbols["arr"], 4)
         assert np.array_equal(out, values)
 
-    def test_doubles_exact_bits(self):
+    def test_emit_doubles_exact_bits(self):
         values = np.array([0.1, 1 / 3, np.pi, 1e-300, 1e300])
         program, memory = self.load(doubles_block("arr", values))
         out = read_doubles(memory, program.symbols["arr"], len(values))
         assert out.tobytes() == values.tobytes()
 
-    def test_dwords_round_trip(self):
+    def test_emit_dwords_round_trip(self):
         values = [0, 1, 2**63, 2**64 - 1]
         program, memory = self.load(dwords_block("arr", values))
         out = read_dwords(memory, program.symbols["arr"], 4)
         assert list(out) == values
 
-    def test_dwords_negative_int64(self):
+    def test_emit_dwords_negative_int64(self):
         values = np.array([-1, -2**63, 5], dtype=np.int64)
         program, memory = self.load(dwords_block("arr", values))
         out = read_dwords(memory, program.symbols["arr"], 3)
         assert list(out) == [2**64 - 1, 2**63, 5]
 
-    def test_zero_doubles(self):
+    def test_emit_zero_doubles(self):
         program, memory = self.load(zero_doubles_block("buf", 5),
                                     dwords_block("after", [7]))
         assert program.symbols["after"] - program.symbols["buf"] == 40
