@@ -8,8 +8,10 @@ tiled layout: VAS tiles of eight cores, two L2 banks per tile.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, \
+    replace
 from pathlib import Path
 
 from repro.memhier.hierarchy import MemHierConfig
@@ -22,20 +24,64 @@ from repro.utils.bitops import is_power_of_two
 DEFAULT_CORES_PER_TILE = 8   # one VAS tile holds eight cores (paper §I-A)
 DEFAULT_BANKS_PER_TILE = 2
 
-def _split_noc_overrides(overrides: dict) -> tuple[dict, dict]:
-    """Separate dotted ``noc.*`` keys from the remaining ``for_cores``
-    overrides."""
-    noc_overrides: dict = {}
-    rest: dict = {}
-    for key, value in overrides.items():
-        if key.startswith("noc."):
-            noc_overrides[key[len("noc."):]] = value
+@functools.cache
+def config_paths() -> dict[str, tuple[str, ...]]:
+    """Every override path -> its attribute trail below a SimulationConfig.
+
+    A path is a ``SimulationConfig`` field, else a ``MemHierConfig``
+    field (the hierarchy is flattened into the top level), or
+    ``section.field`` for any nested dataclass section; a section's own
+    name is the whole object.  The one place a name maps to a field:
+    ``for_cores``, :class:`ConfigBuilder`, sweep axes, service
+    submissions and the CLI's flag table all resolve here.
+    """
+    paths: dict[str, tuple[str, ...]] = {}
+    root = SimulationConfig()
+
+    def walk(node, trail: tuple[str, ...], prefix: str) -> None:
+        for item in fields(node):
+            value = getattr(node, item.name)
+            here = (*trail, item.name)
+            if value is root.memhier:
+                walk(value, here, prefix)
+                continue
+            paths[prefix + item.name] = here
+            if is_dataclass(value):
+                walk(value, here, f"{prefix}{item.name}.")
+
+    walk(root, (), "")
+    return paths
+
+
+def config_trail(path: str) -> tuple[str, ...]:
+    """The attribute trail of one override path; an unknown path is a
+    ``ValueError`` naming it."""
+    try:
+        return config_paths()[path]
+    except KeyError:
+        raise ValueError(f"unknown configuration field {path!r}") from None
+
+
+def _replaced(node, changes: dict[tuple[str, ...], object]):
+    """``node`` with the value at every trail in ``changes`` replaced:
+    one ``dataclasses.replace`` per touched object (only final states
+    are validated), a trail into a section layering on top of a
+    whole-object override of that section."""
+    own: dict[str, object] = {}
+    nested: dict[str, dict] = {}
+    for (name, *rest), value in changes.items():
+        if rest:
+            nested.setdefault(name, {})[tuple(rest)] = value
         else:
-            rest[key] = value
-    unknown = set(noc_overrides) - set(NocConfig.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown noc.* override(s): {sorted(unknown)}")
-    return noc_overrides, rest
+            own[name] = value
+    for name, inner in nested.items():
+        current = getattr(node, name)
+        whole = own.get(name, current)
+        if not isinstance(whole, type(current)):
+            # The config-file spelling of a section: a dict, or None.
+            whole = type(current)(**(whole or {}))
+        own[name] = _replaced(whole, inner)
+    return replace(node, **own)
 
 
 @dataclass
@@ -93,11 +139,12 @@ class SimulationConfig:
 
         Core counts of eight and above use full tiles of
         ``DEFAULT_CORES_PER_TILE`` cores; smaller (power-of-two) counts use
-        a single partial tile.  Keyword overrides are applied to the
-        :class:`MemHierConfig` (for its field names) or to the
-        ``SimulationConfig`` itself.  Interconnect fields are addressed
-        with dotted keys (``**{"noc.kind": "torus", "noc.routing":
-        "adaptive"}``) or by passing a whole ``noc=NocConfig(...)``.
+        a single partial tile.  Keyword overrides are
+        :func:`config_paths` names: a ``SimulationConfig`` or
+        ``MemHierConfig`` field, a dotted ``section.field`` of any
+        nested section (``**{"noc.kind": "torus", "l1.dcache_bytes":
+        65536}``) or a whole section (``noc=NocConfig(...)``), with
+        dotted keys layering on top of it.
         """
         if num_cores < 1:
             raise ValueError(f"need at least one core, got {num_cores}")
@@ -116,20 +163,16 @@ class SimulationConfig:
         else:
             memhier = MemHierConfig(num_tiles=1, cores_per_tile=num_cores,
                                     banks_per_tile=DEFAULT_BANKS_PER_TILE)
-        noc_overrides, overrides = _split_noc_overrides(overrides)
-        memhier_fields = set(MemHierConfig.__dataclass_fields__)
-        memhier_overrides = {key: value for key, value in overrides.items()
-                             if key in memhier_fields}
-        config_overrides = {key: value for key, value in overrides.items()
-                            if key not in memhier_fields}
-        memhier = replace(memhier, **memhier_overrides)
-        if noc_overrides:
-            # Dotted keys layer on top of a whole-object noc= override.
-            memhier = replace(
-                memhier,
-                noc=replace(NocConfig.from_value(memhier.noc),
-                            **noc_overrides))
-        return cls(memhier=memhier, **config_overrides)
+        return cls(memhier=memhier).with_overrides(**overrides)
+
+    def with_overrides(self, **overrides) -> "SimulationConfig":
+        """A copy with each :func:`config_paths` name in ``overrides`` set."""
+        return _replaced(self, {config_trail(path): value
+                                for path, value in overrides.items()})
+
+    def get(self, path: str):
+        """The value at one :func:`config_paths` name."""
+        return functools.reduce(getattr, config_trail(path), self)
 
     # -- serialisation --------------------------------------------------------
 
@@ -144,29 +187,22 @@ class SimulationConfig:
         Unknown keys raise, so stale config files fail loudly.
         """
         data = dict(data)
-        memhier_data = dict(data.pop("memhier", {}))
-        noc = NocConfig.from_value(memhier_data.pop("noc", None))
-
-        def section(kind, name: str, values: dict, **extra):
+        for name, default in vars(cls()).items():
+            if not is_dataclass(default) or name not in data:
+                continue
+            kind, values = type(default), data[name]
+            if hasattr(kind, "from_dict"):      # rebuilds itself
+                data[name] = kind.from_dict(values)
+                continue
             unknown = set(values) - set(kind.__dataclass_fields__)
             if unknown:
                 raise ValueError(
                     f"unknown config keys: {name}.{sorted(unknown)}")
-            return kind(**values, **extra)
-
-        memhier = section(MemHierConfig, "memhier", memhier_data, noc=noc)
-        l1 = section(L1Config, "l1", data.pop("l1", {}))
-        telemetry = section(TelemetryConfig, "telemetry",
-                            data.pop("telemetry", {}))
-        resilience = ResilienceConfig.from_dict(
-            data.pop("resilience", {}))
-        known = set(cls.__dataclass_fields__) - {"memhier", "l1",
-                                                "telemetry", "resilience"}
-        unknown = set(data) - known
+            data[name] = kind(**values)
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(memhier=memhier, l1=l1, telemetry=telemetry,
-                   resilience=resilience, **data)
+        return cls(**data)
 
     def save(self, path: str | Path) -> Path:
         """Write the configuration as JSON."""
@@ -185,9 +221,8 @@ class ConfigBuilder:
 
     Every setter returns the builder, and :meth:`build` routes through
     :meth:`SimulationConfig.for_cores`, so the builder accepts exactly
-    the same knobs (``MemHierConfig`` fields or ``SimulationConfig``
-    fields) with the same validation.  Unknown names fail at
-    :meth:`build` with the dataclass's own error.
+    the same names (:func:`config_paths`) with the same validation.
+    Unknown names fail at :meth:`build` with ``for_cores``' error.
 
     >>> config = (SimulationConfig.builder(8)
     ...           .l2_mode("private").noc("mesh")
@@ -229,10 +264,8 @@ class ConfigBuilder:
             self.set(noc=kind)
         elif kind is not None:
             self.set(**{"noc.kind": kind})
-        if options:
-            self.set(**{f"noc.{name}": value
-                        for name, value in options.items()})
-        return self
+        return self.set(**{f"noc.{name}": value
+                           for name, value in options.items()})
 
     def mem_latency(self, cycles: int) -> "ConfigBuilder":
         return self.set(mem_latency=cycles)

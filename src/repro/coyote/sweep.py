@@ -2,8 +2,8 @@
 
 Coyote exists for "the fast comparison of different designs"; this module
 makes that a one-call API: declare the axes (any
-:class:`~repro.coyote.config.SimulationConfig` / ``MemHierConfig``
-fields), a workload factory, and get back a tidy result table.
+:func:`~repro.coyote.config.config_paths` name), a workload factory,
+and get back a tidy result table.
 
 >>> from repro.coyote.sweep import Sweep
 >>> from repro.kernels import scalar_spmv
@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.coyote.config import SimulationConfig
+from repro.coyote.config import SimulationConfig, config_trail
 from repro.coyote.errors import SimulationError
 from repro.coyote.simulation import Simulation
 from repro.coyote.stats import SimulationResults
@@ -306,6 +306,13 @@ class Sweep:
                  **base_overrides):
         if not axes:
             raise SweepError("a sweep needs at least one axis")
+        try:
+            # Every setting reaches for_cores, so a name that is not a
+            # configuration path fails here instead of at each point.
+            for name in (*axes, *base_overrides):
+                config_trail(name)
+        except ValueError as exc:
+            raise SweepError(str(exc)) from None
         self.base_cores = base_cores
         self.axes = dict(axes)
         self.base_overrides = base_overrides

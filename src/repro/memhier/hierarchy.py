@@ -31,6 +31,7 @@ from repro.sparta.unit import Unit
 from repro.utils.bitops import clog2, is_power_of_two
 
 _TILESIDE = "tileside"
+L2_MODES = ("shared", "private")
 
 
 @dataclass
@@ -40,7 +41,7 @@ class MemHierConfig:
     num_tiles: int = 1
     cores_per_tile: int = 8
     banks_per_tile: int = 2
-    l2_mode: str = "shared"              # "shared" | "private"
+    l2_mode: str = "shared"              # one of L2_MODES
     l2_bank_bytes: int = 256 * 1024
     l2_associativity: int = 16
     line_bytes: int = 64
@@ -85,7 +86,7 @@ class MemHierConfig:
         if self.num_tiles < 1 or self.cores_per_tile < 1 \
                 or self.banks_per_tile < 1:
             raise ValueError("tiles, cores/tile and banks/tile must be >= 1")
-        if self.l2_mode not in ("shared", "private"):
+        if self.l2_mode not in L2_MODES:
             raise ValueError(f"l2_mode must be shared|private, "
                              f"got {self.l2_mode!r}")
         if self.mapping_policy not in policy_names():

@@ -66,6 +66,7 @@ from repro.coyote.errors import SimulationError
 from repro.coyote.parallel import PointPool, RemoteError, WorkerCrash
 from repro.coyote.sweep import (
     Sweep,
+    SweepError,
     SweepPoint,
     SweepTable,
     call_workload_factory,
@@ -119,6 +120,10 @@ __all__ = [
 # Parent-side wait granularity for worker pipes.
 _POLL_SECONDS = 0.05
 
+# The retry policy of a service nobody handed one (``coyote-sim serve
+# --max-retries N`` changes only its ``max_attempts``).
+SERVICE_RETRY = RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=5.0)
+
 
 def new_job_id() -> str:
     """A fresh, collision-resistant job id (client-generated, so
@@ -136,6 +141,10 @@ def build_spec(kernel: str, axes: dict[str, list], *, cores: int = 8,
             f"kernels only; expected one of {sorted(KERNELS)})")
     if not axes:
         raise ServiceError("a submission needs at least one axis")
+    try:
+        Sweep(base_cores=cores, axes=axes, **overrides)
+    except SweepError as exc:   # a name that is not a configuration path
+        raise ServiceError(str(exc)) from None
     spec = {"kernel": kernel, "cores": cores, "size": size,
             "axes": {name: list(values)
                      for name, values in axes.items()},
@@ -810,8 +819,7 @@ class CampaignService(CampaignExecutor):
         self.workers = workers
         journal = Journal(self.root / "journal.jsonl", fsync=fsync)
         policy = SupervisorPolicy(
-            retry=retry if retry is not None else RetryPolicy(
-                max_attempts=3, base_delay=0.1, max_delay=5.0),
+            retry=retry if retry is not None else SERVICE_RETRY,
             seed=seed, term_grace_seconds=term_grace_seconds)
         super().__init__(
             JobStore(journal, max_queue=max_queue,

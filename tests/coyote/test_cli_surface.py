@@ -100,10 +100,6 @@ CONFIG_FLAGS = {
     "--check-invariants": (["400"], "resilience.invariant_interval", 400),
 }
 
-# The subset ``coyote-sim profile`` takes.
-PROFILE_FLAGS = ("--l2-mode", "--mapping", "--noc-crossbar-latency",
-                 "--mem-latency", "--vlen")
-
 WORKLOAD = ["--kernel", "scalar-matmul", "--size", "4"]
 
 
@@ -165,7 +161,7 @@ class TestProfileConfigFlags:
                        effective_config(self.ARGV)) \
             == {"telemetry.guest_profile": True}
 
-    @pytest.mark.parametrize("flag", PROFILE_FLAGS)
+    @pytest.mark.parametrize("flag", CONFIG_FLAGS)
     def test_flag_alone_sets_exactly_its_path(self, flag,
                                               effective_config):
         values, leaf, value = CONFIG_FLAGS[flag]

@@ -225,6 +225,10 @@ class TestSweepCli:
         (["--axes", "noc.latency"], "bad axis"),
         (["--axes", "noc.latency=2", "--workers", "0"],
          "workers must be >= 1"),
+        # A name that is not a configuration path is refused before any
+        # point runs (it used to run every point into a TypeError: exit 1).
+        (["--axes", "l2mode=shared,private"], "'l2mode'"),
+        (["--axes", "noc.latncy=2,6"], "'noc.latncy'"),
     ])
     def test_malformed_flags_are_config_errors(self, flags, complaint,
                                                capsys):

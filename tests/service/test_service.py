@@ -113,6 +113,34 @@ class TestBackpressure:
             with pytest.raises(ServiceError, match="unknown kernel"):
                 service.submit("no-such-kernel", AXES)
 
+    @pytest.mark.parametrize("axes, overrides", [
+        ({"l2mode": ["shared"]}, {}),
+        ({"noc.latency": [2]}, {"mem_latncy": 100}),
+    ])
+    def test_typoed_name_is_rejected_before_journaling(self, root, axes,
+                                                       overrides):
+        """An axis or override that is not a configuration path: nothing
+        is journaled or spooled (it used to be accepted, and every point
+        of the job then failed)."""
+        with pytest.raises(ServiceError, match="unknown configuration"):
+            api.submit(KERNEL, root=root, axes=axes, cores=CORES,
+                       **overrides)
+        assert not root.exists()
+        with make_service(root) as service:
+            with pytest.raises(ServiceError, match="unknown configuration"):
+                service.submit(KERNEL, axes, cores=CORES, **overrides)
+            assert not service.store.jobs
+        assert not list((root / "inbox").iterdir())
+
+    def test_jobs_submit_with_a_typoed_axis_is_a_config_error(self, root,
+                                                              capsys):
+        from repro.coyote import cli
+        assert cli.main(["jobs", "submit", "--root", str(root), "--kernel",
+                         KERNEL, "--axes", "l2mode=shared"]) \
+            == cli.EXIT_CONFIG
+        assert "'l2mode'" in capsys.readouterr().err
+        assert not root.exists()
+
     def test_unserialisable_submission_rejected(self, root):
         with make_service(root) as service:
             with pytest.raises(ServiceError, match="JSON"):
