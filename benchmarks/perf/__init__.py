@@ -1,8 +1,4 @@
-"""Host-performance benchmarks for the simulation hot loop.
-
-Unlike the ``benchmarks/test_*`` suite (which reproduces the paper's
-*simulated* figures), this package measures the *host* cost of
-simulation: cycles/second and wall time of the orchestrator's hot loop,
-with an optional differential run against the straight-line reference
-loop.  See ``benchmarks/perf/hotloop.py``.
+"""Host-side probes that ``benchmarks/e2e`` does not cover yet: the NoC
+saturation curve and crossbar overhead bar (``noc_contention.py``,
+``BENCH_noc.json``).
 """

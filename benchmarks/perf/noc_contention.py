@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
+from repro.kernels import instantiate
 from repro.memhier.noc import CrossbarNoC, MeshNoC, NocConfig, make_noc
 from repro.sparta.scheduler import Scheduler
 from repro.sparta.unit import Unit
@@ -139,7 +139,7 @@ def _legacy_route(self, source, destination, payload):
 
 
 def _time_crossbar_run(kernel: str, cores: int, size: int) -> float:
-    workload = make_workload(kernel, cores=cores, size=size)
+    workload = instantiate(kernel, cores, size)
     config = SimulationConfig.for_cores(workload.num_cores)
     simulation = Simulation(config, workload.program)
     started = time.perf_counter()

@@ -2,7 +2,7 @@
 
 The per-instruction interpreter (``CoreModel.step`` -> ``Hart.step`` ->
 executor dispatch) costs ~10 Python calls per retired instruction, which
-BENCH_hotloop.json shows dominating every run.  Following the
+dominated every run before this module existed.  Following the
 binary-translation approach of Guo & Mullins (PAPERS.md), this module
 caches *basic blocks* — straight-line decode runs ending at a branch,
 jump, or any instruction the interpreter must handle — and specialises
