@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, \
     replace
 from pathlib import Path
+from types import MappingProxyType
 
 from repro.memhier.hierarchy import MemHierConfig
 from repro.memhier.noc import NocConfig
@@ -25,7 +26,7 @@ DEFAULT_CORES_PER_TILE = 8   # one VAS tile holds eight cores (paper §I-A)
 DEFAULT_BANKS_PER_TILE = 2
 
 @functools.cache
-def config_paths() -> dict[str, tuple[str, ...]]:
+def config_paths() -> MappingProxyType[str, tuple[str, ...]]:
     """Every override path -> its attribute trail below a SimulationConfig.
 
     A path is a ``SimulationConfig`` field, else a ``MemHierConfig``
@@ -50,7 +51,7 @@ def config_paths() -> dict[str, tuple[str, ...]]:
                 walk(value, here, f"{prefix}{item.name}.")
 
     walk(root, (), "")
-    return paths
+    return MappingProxyType(paths)      # one shared table: read-only
 
 
 def config_trail(path: str) -> tuple[str, ...]:

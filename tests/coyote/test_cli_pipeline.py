@@ -79,7 +79,7 @@ class TestServiceRetryPolicy:
         """The services ``serve``/``cluster`` built, caught at ``serve()``."""
         built = []
 
-        @functools.wraps(CampaignService.serve)   # the flags read its defaults
+        @functools.wraps(CampaignService.serve)     # flags read its defaults
         def serve(self, **_kwargs):
             built.append(self)
             return cli.EXIT_OK
