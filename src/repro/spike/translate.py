@@ -82,7 +82,10 @@ else.
 
 from __future__ import annotations
 
+import marshal
 import struct
+import time
+import types
 from dataclasses import dataclass, field
 
 from repro.soc.memory import PAGE_SIZE
@@ -725,10 +728,41 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
 
 # Compiled factories are pure functions of (code words, geometry,
 # profiled, tohost), so they are shared machine-wide: eight cores
-# translating the same loop compile it once, and repeated benchmark
-# reps in one process pay zero recompilation.
+# translating the same loop compile it once, repeated benchmark reps in
+# one process pay zero recompilation, and a campaign's point workers
+# hand theirs back to the process that forks them (the block exchange
+# below), so the next worker inherits them.
 _FACTORY_CACHE: dict = {}
 _FACTORY_CACHE_MAX = 4096
+
+
+def _cache_factory(key, factory) -> None:
+    if len(_FACTORY_CACHE) >= _FACTORY_CACHE_MAX:
+        _FACTORY_CACHE.clear()
+    _FACTORY_CACHE[key] = factory
+
+
+def export_factories(known) -> bytes | None:
+    """The factories this process holds under keys not in ``known`` (a
+    snapshot of the cache's keys), marshalled as ``{key: code}``;
+    ``None`` when there are none.  A factory is a closure-free,
+    default-free function over ``_G``, so its code object is all of it,
+    and a key is a tuple of ints and bools."""
+    new = {key: factory.__code__
+           for key, factory in _FACTORY_CACHE.items() if key not in known}
+    return marshal.dumps(new) if new else None
+
+
+def import_factories(payload: bytes) -> int:
+    """Install what :func:`export_factories` marshalled, except under
+    keys already held; returns how many factories the payload carried.
+    ``marshal`` data is code: feed this only what a process forked from
+    this one sent back over its own pipe (``PointPool.poll``)."""
+    blocks = marshal.loads(payload)
+    for key, code in blocks.items():
+        if key not in _FACTORY_CACHE:
+            _cache_factory(key, types.FunctionType(code, _G))
+    return len(blocks)
 
 
 def _zero_progress_stub(exit_obj):
@@ -749,6 +783,7 @@ class TranslatorStats:
 
     blocks_compiled: int = 0   # block sources generated and compile()d
     factory_hits: int = 0      # blocks served by the machine-wide cache
+    compile_seconds: float = 0.0   # wall time generating + compiling them
     # mnemonic -> how often it ended a block or made a pc untranslatable
     # ("<illegal>": an undecodable word).
     enders: dict = field(default_factory=dict)
@@ -769,6 +804,8 @@ def translator_totals(translators) -> dict | None:
                                for translator in translators),
         "factory_hits": sum(translator.stats.factory_hits
                             for translator in translators),
+        "compile_seconds": sum(translator.stats.compile_seconds
+                               for translator in translators),
         "enders": dict(sorted(enders.items(),
                               key=lambda item: (-item[1], item[0]))),
     }
@@ -782,16 +819,16 @@ def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
     if factory is not None:
         stats.factory_hits += 1
     else:
-        stats.blocks_compiled += 1
+        started = time.perf_counter()
         source = _build_source(pc0, instrs, profiled, tohost,
                                i_off, i_mask, d_off, d_mask, checked)
         code = compile(source, f"<block@{pc0:#x}>", "exec")
         namespace: dict = {}
         exec(code, _G, namespace)
         factory = namespace["_factory"]
-        if len(_FACTORY_CACHE) >= _FACTORY_CACHE_MAX:
-            _FACTORY_CACHE.clear()
-        _FACTORY_CACHE[key] = factory
+        _cache_factory(key, factory)
+        stats.blocks_compiled += 1
+        stats.compile_seconds += time.perf_counter() - started
     return factory
 
 

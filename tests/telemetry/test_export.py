@@ -103,6 +103,31 @@ class TestCliMetricsOut:
         assert not [mnemonic for mnemonic in translator["enders"]
                     if mnemonic.startswith("v")]
 
+    def test_compile_seconds_is_paid_once_per_process(self, tmp_path):
+        """Time spent generating and compiling blocks: positive on a
+        cold run, exactly zero when every block was a factory hit."""
+        from repro.spike.translate import _FACTORY_CACHE
+        saved = dict(_FACTORY_CACHE)
+        _FACTORY_CACHE.clear()
+        try:
+            runs = []
+            for name in ("cold.json", "warm.json"):
+                path = tmp_path / name
+                assert cli_main(["--kernel", "scalar-matmul", "--cores",
+                                 "2", "--size", "8", "--metrics-out",
+                                 str(path)]) == 0
+                data = json.loads(path.read_text())
+                assert "compile_seconds" not in data   # host-side only
+                runs.append(data["host_profile"]["translator"])
+        finally:
+            _FACTORY_CACHE.update(saved)
+        cold, warm = runs
+        assert cold["blocks_compiled"] > 0 and cold["compile_seconds"] > 0
+        assert warm["factory_hits"] \
+            == cold["blocks_compiled"] + cold["factory_hits"]
+        assert (warm["blocks_compiled"], warm["compile_seconds"]) \
+            == (0, 0.0)
+
     def test_no_translate_has_no_translator_section(self, tmp_path):
         path = tmp_path / "metrics.json"
         assert cli_main(["--kernel", "scalar-matmul", "--cores", "2",
