@@ -76,6 +76,7 @@ from repro.resilience.supervisor import SupervisorPolicy
 from repro.service.cache import ResultCache
 from repro.service.journal import Journal
 from repro.service.store import JobStore
+from repro.spike import translate
 from repro.telemetry.campaign import CampaignProgress
 
 # How long the parent sleeps in connection.wait when nothing is ready.
@@ -119,7 +120,7 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
                  make_workload: Callable, require_verified: bool,
                  heartbeat_seconds: float = 0.0,
                  stderr_path: str | None = None,
-                 close_fds: tuple = ()) -> None:
+                 close_fds: tuple = (), forked: bool = False) -> None:
     """Run one point in a child process and ship the outcome back.
 
     The child's stderr (fd 2) is redirected to ``stderr_path`` first,
@@ -134,7 +135,13 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
     orphan left behind by a SIGKILLed service would otherwise keep the
     service root locked — and a restarted service locked out — until
     the orphan happened to die.
+
+    A ``forked`` child also ships the translated blocks it had to
+    compile — those its parent's factory cache did not already hold —
+    on the result message, so the parent can hand them to the next
+    child it forks.
     """
+    known = set(translate._FACTORY_CACHE)
     if hasattr(signal, "pthread_sigmask"):
         # Undo the mask PointPool.spawn held across our creation.
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
@@ -201,9 +208,10 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
     if thread is not None:
         stop.set()
         thread.join(timeout=1.0)
+    blocks = translate.export_factories(known) if forked else None
     try:
         with send_lock:
-            conn.send(("result", index, point))
+            conn.send(("result", index, point, blocks))
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         # Results themselves must be picklable (the checkpoint subsystem
         # guarantees it); if something slipped through, degrade to a
@@ -213,7 +221,7 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
                 settings, None, False,
                 RemoteError(type(exc).__name__,
                             f"sweep point result was not picklable: "
-                            f"{exc}"))))
+                            f"{exc}")), blocks))
     finally:
         conn.close()
 
@@ -253,6 +261,7 @@ class PointWorker:
     started: float
     last_beat: float
     beats: list = field(default_factory=list)   # [(cycles, rss_mb)]
+    blocks: int = 0   # translated blocks its result carried back
 
 
 class PointPool:
@@ -310,16 +319,18 @@ class PointPool:
                                            suffix=".stderr")
         os.close(fd)
         # Only fork children inherit our descriptors (spawn starts from
-        # a fresh process whose fd numbers mean other files).
-        close_fds = (self.close_fds
-                     if self._context.get_start_method() == "fork" else ())
+        # a fresh process whose fd numbers mean other files) and our
+        # translated blocks.
+        forked = self._context.get_start_method() == "fork"
+        close_fds = self.close_fds if forked else ()
         with _sigint_held():
             try:
                 process = self._context.Process(
                     target=_worker_main,
                     args=(child_conn, index, settings, base_cores,
                           base_overrides, make_workload, require_verified,
-                          self.heartbeat_seconds, stderr_path, close_fds),
+                          self.heartbeat_seconds, stderr_path, close_fds,
+                          forked),
                     daemon=True)
                 process.start()
             except BaseException:
@@ -365,8 +376,13 @@ class PointPool:
                 del worker.beats[:-supervision.HEARTBEAT_TRAIL]
                 events.append(("beat", worker, cycles, rss_mb))
             else:
+                _tag, _index, point, blocks = message
                 self.reap(worker)
-                events.append(("result", worker, message[2]))
+                if blocks is not None:
+                    # Before the event: the next child forked for this
+                    # result's free slot inherits them.
+                    worker.blocks = translate.import_factories(blocks)
+                events.append(("result", worker, point))
         return events
 
     def reap(self, worker: PointWorker) -> str:

@@ -572,7 +572,7 @@ class CampaignExecutor:
             progressed = True
             if kind == "result":
                 point, = payload
-                self._attempt_ended(lease, "failed" if point.failed
+                self._attempt_ended(worker, "failed" if point.failed
                                     else "ok")
                 self._finish(lease, point)
             else:
@@ -598,12 +598,14 @@ class CampaignExecutor:
                 # worker; the expiry sweep will retire it.
                 self._stale_write(lease)
 
-    def _attempt_ended(self, lease: dict, outcome: str) -> None:
-        index = lease["index"]
+    def _attempt_ended(self, worker, outcome: str) -> None:
+        lease, index = worker.context, worker.index
+        self.monitor.count("blocks_shared", amount=worker.blocks)
         self.monitor.span_close(
             (lease["job_id"], index, lease["attempt"]),
             f"point[{index}] attempt {lease['attempt']}", index,
-            outcome=outcome, settings=str(lease["settings"]))
+            outcome=outcome, settings=str(lease["settings"]),
+            blocks=worker.blocks)
 
     # -- deaths: deadlines, expiry, the one failure path ---------------------
 
@@ -642,7 +644,7 @@ class CampaignExecutor:
 
     def _worker_died(self, worker, outcome: str, exit_code: int | None,
                      tail: str) -> None:
-        self._attempt_ended(worker.context, outcome)
+        self._attempt_ended(worker, outcome)
         self._record_failure(worker.context, outcome, exit_code, tail,
                              worker.beats)
 

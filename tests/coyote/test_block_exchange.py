@@ -157,3 +157,148 @@ class TestRoundTrip:
         assert translate.import_factories(payload) == carried
         # The compile path's rule: full means start over.
         assert len(_FACTORY_CACHE) == (carried % bound or bound)
+
+
+@needs_fork
+class TestPool:
+    def test_first_worker_feeds_the_parent_second_sends_nothing(
+            self, pool):
+        first = one_point(pool)
+        assert first.blocks == len(_FACTORY_CACHE) > 0  # never simulated
+        second = one_point(pool)
+        assert second.blocks == 0
+        assert len(_FACTORY_CACHE) == first.blocks
+
+    def test_what_the_first_worker_sent_is_all_the_second_needs(
+            self, pool, monkeypatch):
+        assert one_point(pool).blocks > 0
+        forbid_compile(monkeypatch)     # inherited by the next fork
+        assert one_point(pool).blocks == 0
+
+    def test_a_child_that_compiled_nothing_sends_no_blocks(
+            self, pool, monkeypatch):
+        assert not run_point({}, *RECIPE, matmul, True).failed
+        before = dict(_FACTORY_CACHE)
+        assert before
+        imports = []
+        monkeypatch.setattr(translate, "import_factories", imports.append)
+        assert one_point(pool).blocks == 0
+        assert imports == [] and _FACTORY_CACHE == before
+
+    def test_a_killed_worker_leaves_the_cache_as_it_was(self, pool):
+        one_point(pool)
+        before = dict(_FACTORY_CACHE)
+        assert before
+        pool.on_spawn = lambda worker: os.kill(worker.process.pid,
+                                               signal.SIGKILL)
+        worker = pool.spawn(1, {}, *RECIPE,
+                            workload_factory("vector-axpy", CORES, 16))
+        (kind, seen, exit_code, _tail), = drain(pool)
+        assert (kind, seen, exit_code) \
+            == ("died", worker, -signal.SIGKILL)
+        assert worker.blocks == 0 and _FACTORY_CACHE == before
+
+
+def test_nothing_is_sent_under_spawn():
+    """A spawned child inherits nothing, so it is told to send nothing:
+    results arrive, the parent's cache stays empty."""
+    pool = PointPool("spawn")
+    try:
+        worker = one_point(pool,
+                           workload_factory("scalar-matmul", CORES, 6))
+    finally:
+        pool.close()
+    assert worker.blocks == 0 and _FACTORY_CACHE == {}
+
+
+AXES = {"noc.latency": [2, 4, 6, 8], "mem_latency": [80, 100],
+        "l2_mode": ["shared", "private"]}
+
+
+def documents(table):
+    """Every point's full result document, host fields aside."""
+    rows = []
+    for point in table.points:
+        assert not point.failed and point.verified, point.settings
+        document = point.results.to_dict()
+        for name in HOST_FIELDS:
+            del document[name]
+        rows.append(document)
+    return rows
+
+
+@needs_fork
+class TestCampaign:
+    def test_the_service_compiles_each_block_once(self, tmp_path,
+                                                  monkeypatch):
+        """16 points, one slot: what the attempts carried back is each
+        distinct block of the grid exactly once — the blocks a serial
+        in-process run of the grid compiles."""
+        serial = api.sweep("scalar-matmul", 4, size=8, axes=AXES)
+        assert len(serial.points) == 16
+        distinct = len(_FACTORY_CACHE)
+        assert distinct > 0
+        _FACTORY_CACHE.clear()
+
+        services = []
+
+        class Recorded(api.CampaignService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(api, "CampaignService", Recorded)
+        root = tmp_path / "root"
+        job = api.submit("scalar-matmul", root=root, axes=AXES, cores=4,
+                         size=8)
+        table = api.result(job, root=root, wait=True, workers=1)
+        assert documents(table) == documents(serial)
+
+        monitor = services[-1].monitor
+        assert monitor.counters["attempts"] == 16
+        assert monitor.counters["blocks_shared"] == distinct \
+            == len(_FACTORY_CACHE)
+        carried = [event["args"]["blocks"] for event
+                   in monitor.chrome_trace()["traceEvents"]]
+        assert len(carried) == 16 and sum(carried) == distinct
+        assert carried[0] == max(carried) > 0   # attempt 1 compiles
+
+        # From a warm process nothing is shared at all.
+        job = api.submit("scalar-matmul", root=tmp_path / "again",
+                         axes=AXES, cores=4, size=8)
+        api.result(job, root=tmp_path / "again", wait=True, workers=1)
+        assert services[-1].monitor.counters["attempts"] == 16
+        assert services[-1].monitor.counters["blocks_shared"] == 0
+
+    def test_a_guest_profiled_sweep_returns_the_serial_table(self):
+        """``profiled`` is part of a block's key and its code calls the
+        worker's own profiler: sharing must not cross the two."""
+        def sweep(workers, **overrides):
+            return api.sweep("scalar-spmv", CORES, size=8,
+                             axes={"noc.latency": [2, 4, 6, 8]},
+                             workers=workers, **overrides)
+
+        profiled = {"telemetry": TelemetryConfig(guest_profile=True)}
+        pooled = sweep(2, **profiled)
+        plain = sweep(2)    # inherits the profiled blocks, uses none
+        keys = set(_FACTORY_CACHE)
+        assert {key[2] for key in keys} == {True, False}
+        _FACTORY_CACHE.clear()
+        serial = sweep(1, **profiled)
+        assert documents(pooled) == documents(serial)
+        assert all(document["guest_profile"]
+                   for document in documents(pooled))
+        assert [document["cycles"] for document in documents(plain)] \
+            == [document["cycles"] for document in documents(serial)]
+
+    def test_a_supervised_heartbeating_sweep_returns_the_serial_table(
+            self):
+        def sweep(**kwargs):
+            return api.sweep("scalar-matmul", CORES, size=6,
+                             axes={"noc.latency": [2, 4, 6, 8]}, **kwargs)
+
+        policy = api.SupervisorPolicy(heartbeat_interval_seconds=0.01)
+        supervised = sweep(workers=2, policy=policy)
+        assert len(_FACTORY_CACHE) > 0
+        _FACTORY_CACHE.clear()
+        assert documents(supervised) == documents(sweep(workers=1))
