@@ -26,17 +26,12 @@ DEFAULT_CORES_PER_TILE = 8   # one VAS tile holds eight cores (paper §I-A)
 DEFAULT_BANKS_PER_TILE = 2
 
 @functools.cache
-def config_paths() -> MappingProxyType[str, tuple[str, ...]]:
-    """Every override path -> its attribute trail below a SimulationConfig.
-
-    A path is a ``SimulationConfig`` field, else a ``MemHierConfig``
-    field (the hierarchy is flattened into the top level), or
-    ``section.field`` for any nested dataclass section; a section's own
-    name is the whole object.  The one place a name maps to a field:
-    ``for_cores``, :class:`ConfigBuilder`, sweep axes, service
-    submissions and the CLI's flag table all resolve here.
-    """
+def _config_table() -> tuple[MappingProxyType, MappingProxyType]:
+    """The one walk over the configuration dataclasses: ``(paths,
+    numbers)`` — every override path -> its attribute trail, and the
+    trail -> path of every leaf whose default is a number."""
     paths: dict[str, tuple[str, ...]] = {}
+    numbers: dict[tuple[str, ...], str] = {}
     root = SimulationConfig()
 
     def walk(node, trail: tuple[str, ...], prefix: str) -> None:
@@ -49,18 +44,52 @@ def config_paths() -> MappingProxyType[str, tuple[str, ...]]:
             paths[prefix + item.name] = here
             if is_dataclass(value):
                 walk(value, here, f"{prefix}{item.name}.")
+            elif isinstance(value, (int, float)) \
+                    and not isinstance(value, bool):
+                numbers[here] = prefix + item.name
 
     walk(root, (), "")
-    return MappingProxyType(paths)      # one shared table: read-only
+    # One shared table: read-only.
+    return MappingProxyType(paths), MappingProxyType(numbers)
 
 
-def config_trail(path: str) -> tuple[str, ...]:
-    """The attribute trail of one override path; an unknown path is a
+def config_paths() -> MappingProxyType[str, tuple[str, ...]]:
+    """Every override path -> its attribute trail below a SimulationConfig.
+
+    A path is a ``SimulationConfig`` field, else a ``MemHierConfig``
+    field (the hierarchy is flattened into the top level), or
+    ``section.field`` for any nested dataclass section; a section's own
+    name is the whole object.  The one place a name maps to a field:
+    ``for_cores``, :class:`ConfigBuilder`, sweep axes, service
+    submissions and the CLI's flag table all resolve here.
+    """
+    return _config_table()[0]
+
+
+def _check_numbers(trail: tuple[str, ...], value) -> None:
+    """Refuse a ``str`` or ``bool`` where the default is a number —
+    at ``trail`` itself or, for a section given as a dict, below it.
+    (Out-of-range numbers are the dataclasses' own ``validate``.)"""
+    numbers = _config_table()[1]
+    if isinstance(value, dict):
+        for name, inner in value.items():
+            _check_numbers((*trail, name), inner)
+    elif isinstance(value, (str, bool)) and trail in numbers:
+        raise ValueError(
+            f"{numbers[trail]} must be a number, got {value!r}")
+
+
+def config_trail(path: str, *values) -> tuple[str, ...]:
+    """The attribute trail of one override path; an unknown path, or a
+    wrongly-typed one among the ``values`` meant for it, is a
     ``ValueError`` naming it."""
     try:
-        return config_paths()[path]
+        trail = config_paths()[path]
     except KeyError:
         raise ValueError(f"unknown configuration field {path!r}") from None
+    for value in values:
+        _check_numbers(trail, value)
+    return trail
 
 
 def _replaced(node, changes: dict[tuple[str, ...], object]):
@@ -168,7 +197,7 @@ class SimulationConfig:
 
     def with_overrides(self, **overrides) -> "SimulationConfig":
         """A copy with each :func:`config_paths` name in ``overrides`` set."""
-        return _replaced(self, {config_trail(path): value
+        return _replaced(self, {config_trail(path, value): value
                                 for path, value in overrides.items()})
 
     def get(self, path: str):
@@ -188,6 +217,7 @@ class SimulationConfig:
         Unknown keys raise, so stale config files fail loudly.
         """
         data = dict(data)
+        _check_numbers((), data)
         for name, default in vars(cls()).items():
             if not is_dataclass(default) or name not in data:
                 continue

@@ -308,9 +308,12 @@ class Sweep:
             raise SweepError("a sweep needs at least one axis")
         try:
             # Every setting reaches for_cores, so a name that is not a
-            # configuration path fails here instead of at each point.
-            for name in (*axes, *base_overrides):
-                config_trail(name)
+            # configuration path, or a value of the wrong type for it,
+            # fails here instead of at each point.
+            for name, values in axes.items():
+                config_trail(name, *values)
+            for name, value in base_overrides.items():
+                config_trail(name, value)
         except ValueError as exc:
             raise SweepError(str(exc)) from None
         self.base_cores = base_cores
