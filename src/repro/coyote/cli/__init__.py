@@ -461,8 +461,7 @@ def profile_main(argv: list[str]) -> int:
         if totals is not None:
             print()
             print(f"translator           : {totals['blocks_compiled']} "
-                  f"blocks compiled in "
-                  f"{totals['compile_seconds'] * 1e3:.1f} ms, "
+                  f"blocks compiled in {totals['compile_seconds']:.3f} s, "
                   f"{totals['factory_hits']} served by the factory cache")
             print("block enders         : " + (", ".join(
                 f"{mnemonic} {count}"

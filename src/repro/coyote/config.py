@@ -49,8 +49,7 @@ def _config_table() -> tuple[MappingProxyType, MappingProxyType]:
                 numbers[here] = prefix + item.name
 
     walk(root, (), "")
-    # One shared table: read-only.
-    return MappingProxyType(paths), MappingProxyType(numbers)
+    return MappingProxyType(paths), MappingProxyType(numbers)  # shared
 
 
 def config_paths() -> MappingProxyType[str, tuple[str, ...]]:
@@ -67,22 +66,19 @@ def config_paths() -> MappingProxyType[str, tuple[str, ...]]:
 
 
 def _check_numbers(trail: tuple[str, ...], value) -> None:
-    """Refuse a ``str`` or ``bool`` where the default is a number —
-    at ``trail`` itself or, for a section given as a dict, below it.
-    (Out-of-range numbers are the dataclasses' own ``validate``.)"""
+    """Refuse a ``str`` or ``bool`` where the default is a number: at
+    ``trail`` itself or, for a section given as a dict, below it."""
     numbers = _config_table()[1]
     if isinstance(value, dict):
         for name, inner in value.items():
             _check_numbers((*trail, name), inner)
     elif isinstance(value, (str, bool)) and trail in numbers:
-        raise ValueError(
-            f"{numbers[trail]} must be a number, got {value!r}")
+        raise ValueError(f"{numbers[trail]} must be a number, got {value!r}")
 
 
 def config_trail(path: str, *values) -> tuple[str, ...]:
     """The attribute trail of one override path; an unknown path, or a
-    wrongly-typed one among the ``values`` meant for it, is a
-    ``ValueError`` naming it."""
+    wrongly-typed one of the ``values`` meant for it, is a ``ValueError``."""
     try:
         trail = config_paths()[path]
     except KeyError:

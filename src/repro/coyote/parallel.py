@@ -33,6 +33,11 @@ Design decisions, in the order they matter:
   pool reports the exit code and the captured stderr tail, recorded as
   a :class:`WorkerCrash` failure like any other ``on_error="skip"``
   failure.
+* **Compile once.**  A forked worker sends the translated blocks it
+  had to compile back beside its result, and :meth:`PointPool.poll`
+  installs them before reporting it — so the next worker forked
+  inherits them, and a campaign compiles each block once, not once per
+  point.  Only over the pool's own pipe; never under ``spawn``.
 * **Error transport.**  A worker-side exception crosses the process
   boundary only if it survives a local pickle round-trip; otherwise a
   picklable :class:`RemoteError` stand-in carries the original type
@@ -136,10 +141,9 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
     service root locked — and a restarted service locked out — until
     the orphan happened to die.
 
-    A ``forked`` child also ships the translated blocks it had to
-    compile — those its parent's factory cache did not already hold —
-    on the result message, so the parent can hand them to the next
-    child it forks.
+    A ``forked`` child also ships the translated blocks its parent's
+    factory cache did not hold on the result message, so the parent
+    can hand them to the next child it forks.
     """
     known = set(translate._FACTORY_CACHE)
     if hasattr(signal, "pthread_sigmask"):
@@ -318,9 +322,8 @@ class PointPool:
         fd, stderr_path = tempfile.mkstemp(prefix="coyote-point-",
                                            suffix=".stderr")
         os.close(fd)
-        # Only fork children inherit our descriptors (spawn starts from
-        # a fresh process whose fd numbers mean other files) and our
-        # translated blocks.
+        # Only fork children inherit our descriptors and translated blocks
+        # (spawn starts fresh: its fd numbers mean other files).
         forked = self._context.get_start_method() == "fork"
         close_fds = self.close_fds if forked else ()
         with _sigint_held():
@@ -379,8 +382,7 @@ class PointPool:
                 _tag, _index, point, blocks = message
                 self.reap(worker)
                 if blocks is not None:
-                    # Before the event: the next child forked for this
-                    # result's free slot inherits them.
+                    # Before the event: the next child forked inherits.
                     worker.blocks = translate.import_factories(blocks)
                 events.append(("result", worker, point))
         return events

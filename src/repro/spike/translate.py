@@ -64,6 +64,11 @@ Fidelity contract (bit-identical to the interpreter, proven by
   own block stops right after the store).  ``fence.i`` and checkpoint
   serialisation drop everything via ``Hart.drop_code_caches``.
 
+Compiled factories are cached per process and shared by every core and
+run in it; :func:`export_factories` / :func:`import_factories` carry
+them between processes as marshalled code, which is how a campaign's
+forked point workers feed the process that forks the next one.
+
 The protocol of a generated ``run(limit)`` function:
 
 * ``None`` — executed exactly ``limit`` instructions cleanly.
@@ -730,8 +735,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
 # profiled, tohost), so they are shared machine-wide: eight cores
 # translating the same loop compile it once, repeated benchmark reps in
 # one process pay zero recompilation, and a campaign's point workers
-# hand theirs back to the process that forks them (the block exchange
-# below), so the next worker inherits them.
+# hand theirs back to the process that forks the next one.
 _FACTORY_CACHE: dict = {}
 _FACTORY_CACHE_MAX = 4096
 
@@ -743,11 +747,10 @@ def _cache_factory(key, factory) -> None:
 
 
 def export_factories(known) -> bytes | None:
-    """The factories this process holds under keys not in ``known`` (a
-    snapshot of the cache's keys), marshalled as ``{key: code}``;
-    ``None`` when there are none.  A factory is a closure-free,
-    default-free function over ``_G``, so its code object is all of it,
-    and a key is a tuple of ints and bools."""
+    """The factories held under keys not in ``known`` (a snapshot of
+    the cache's keys) as ``marshal`` of ``{key: code}``, or ``None``.
+    A factory is a closure-free, default-free function over ``_G``, so
+    its code object is all of it; a key is a tuple of ints and bools."""
     new = {key: factory.__code__
            for key, factory in _FACTORY_CACHE.items() if key not in known}
     return marshal.dumps(new) if new else None
@@ -819,6 +822,7 @@ def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
     if factory is not None:
         stats.factory_hits += 1
     else:
+        stats.blocks_compiled += 1
         started = time.perf_counter()
         source = _build_source(pc0, instrs, profiled, tohost,
                                i_off, i_mask, d_off, d_mask, checked)
@@ -827,7 +831,6 @@ def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
         exec(code, _G, namespace)
         factory = namespace["_factory"]
         _cache_factory(key, factory)
-        stats.blocks_compiled += 1
         stats.compile_seconds += time.perf_counter() - started
     return factory
 
