@@ -13,7 +13,6 @@ and supervised sweeps, ``spawn``, a killed worker — behaves as designed.
 import multiprocessing
 import os
 import signal
-import time
 
 import pytest
 
@@ -27,6 +26,7 @@ from repro.spike import translate
 from repro.spike.translate import _FACTORY_CACHE
 from repro.telemetry import TelemetryConfig
 from tests.coyote.test_differential import _SIZE
+from tests.coyote.test_pointpool import drain
 
 HOST_FIELDS = ("wall_seconds", "host_mips")
 CORES = 2
@@ -69,15 +69,6 @@ def simulate(kernel):
 
 def matmul():
     return scalar_matmul(size=6, num_cores=CORES)
-
-
-def drain(pool, timeout=60.0):
-    events = []
-    deadline = time.monotonic() + timeout
-    while pool and time.monotonic() < deadline:
-        events.extend(pool.poll(0.05))
-    assert not pool, "pool did not drain within the timeout"
-    return events
 
 
 def one_point(pool, factory=matmul, settings=None):
