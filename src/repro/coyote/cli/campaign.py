@@ -18,6 +18,7 @@ from dataclasses import replace
 from repro import api, kernels
 from repro.coyote import cli
 from repro.coyote.cli import derived_flag, shared_flag
+from repro.coyote.sweep import check_metric
 from repro.service.service import SERVICE_RETRY, readonly_store
 
 
@@ -74,6 +75,17 @@ def table_flags(parser) -> None:
                         help="write the table (SweepTable.to_dict) as JSON")
 
 
+def metrics_from_args(args: argparse.Namespace) -> tuple[str, ...]:
+    """The ``--metrics`` columns; one of them, or ``--best``, naming
+    nothing a table can serve is a ``SweepError`` (a ``ValueError``)."""
+    metrics = tuple(name.strip() for name in args.metrics.split(",")
+                    if name.strip())
+    best = getattr(args, "best", None)
+    for name in metrics if best is None else (*metrics, best):
+        check_metric(name)
+    return metrics
+
+
 def sweep_exit_code(table) -> int:
     """The taxonomy code of a finished campaign.  Quarantined points are
     the supervisor doing its job (the campaign terminated with the poison
@@ -87,8 +99,7 @@ def sweep_exit_code(table) -> int:
 def emit_table(table, args: argparse.Namespace, summarise=None) -> int:
     """Print a table under ``--metrics``, then what ``summarise(metrics)``
     prints, write ``--out`` (plus what that returned); the exit code."""
-    metrics = tuple(name.strip() for name in args.metrics.split(",")
-                    if name.strip())
+    metrics = metrics_from_args(args)
     print(table.to_text(metrics=metrics))
     extra = summarise(metrics) if summarise is not None else {}
     if args.out is not None:
@@ -152,6 +163,7 @@ def sweep_main(argv: list[str]) -> int:
         cli.setup_logging("info")
     try:
         sweep = sweep_from_args(args)
+        metrics_from_args(args)
         policy = supervisor_policy_from_args(args)
         cli.check_output_dirs(args.out, args.chrome_trace)
         engine = api.ParallelSweep(
@@ -210,7 +222,10 @@ def sweep_main(argv: list[str]) -> int:
             print(f"chrome trace written : {args.chrome_trace}")
         return {"aggregate": aggregate}
 
-    return emit_table(table, args, summarise)
+    try:
+        return emit_table(table, args, summarise)
+    except api.SweepError as exc:   # a counter this hierarchy lacks
+        return cli.config_error(exc)
 
 
 def build_jobs_parser() -> argparse.ArgumentParser:

@@ -23,9 +23,10 @@ busy while the resulting table stays bit-identical to a serial run.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from repro.coyote.config import SimulationConfig, config_trail
@@ -40,6 +41,34 @@ class SweepError(ValueError):
     Subclasses ``ValueError`` so long-standing ``except ValueError``
     call sites keep working.
     """
+
+
+@functools.cache
+def scalar_metrics() -> frozenset[str]:
+    """The scalar metrics of :class:`SimulationResults`: every field,
+    property and argument-free method annotated as one number."""
+    scalar = ("int", "float", "bool")
+    names = {item.name for item in fields(SimulationResults)
+             if item.type in scalar}
+    for name, member in vars(SimulationResults).items():
+        function = member.fget if isinstance(member, property) else member
+        if (inspect.isfunction(function) and not name.startswith("_")
+                and function.__annotations__.get("return") in scalar
+                and len(inspect.signature(function).parameters) == 1):
+            names.add(name)
+    return frozenset(names)
+
+
+def check_metric(name: str) -> None:
+    """A :class:`SweepError` unless :meth:`SweepPoint.metric` can serve
+    ``name`` — a scalar metric of ``SimulationResults`` or a dotted
+    ``memhier.`` hierarchy counter; callable before anything is simulated."""
+    if name in scalar_metrics() or name.startswith("memhier."):
+        return
+    raise SweepError(
+        f"unknown metric {name!r} (expected one of "
+        f"{', '.join(sorted(scalar_metrics()))}, or the dotted name of a "
+        f"hierarchy counter such as memhier.noc.messages)")
 
 
 def _canonical_value(value: Any):
@@ -89,19 +118,28 @@ class SweepPoint:
         return {"kind": self.error_kind, "message": str(self.error)}
 
     def metric(self, name: str) -> float:
-        """Fetch a named metric (attribute or zero-arg method).
+        """Fetch a named metric: a scalar metric of the results
+        (:func:`scalar_metrics`) or one hierarchy counter by its dotted
+        ``memhier.`` name.
 
         Metrics are served whenever ``results`` exist — including
         verified-but-flagged points, so a verification failure still
         shows its cycle count in tables and ``best()`` comparisons.
-        Only a truly resultless point (the simulation never completed)
-        raises, and it raises a structured :class:`SweepError` naming
-        the point.
+        A name that is neither, a counter this point's hierarchy does
+        not have and a truly resultless point (the simulation never
+        completed) each raise a structured :class:`SweepError`.
         """
+        check_metric(name)
         if self.results is None:
             raise SweepError(
                 f"sweep point {self.settings} failed before producing "
                 f"results: {self.error}")
+        if name.startswith("memhier."):
+            try:
+                return self.results.hierarchy_value(name)
+            except KeyError:
+                raise SweepError(f"sweep point {self.settings} has no "
+                                 f"hierarchy counter {name!r}") from None
         value = getattr(self.results, name)
         return value() if callable(value) else value
 

@@ -557,19 +557,8 @@ class MeshNoC(CrossbarNoC):
         return violations
 
 
-def make_noc(config: NocConfig | str, name: str, parent: Unit,
-             **kwargs) -> CrossbarNoC:
-    """NoC factory from a :class:`NocConfig` (or, legacy spelling, a
-    kind string plus keyword arguments)."""
-    if isinstance(config, str):
-        if config not in NOC_KINDS:
-            raise ValueError(f"unknown NoC kind {config!r}")
-        if config == "crossbar":
-            return CrossbarNoC(name, parent, **kwargs)
-        config = NocConfig(kind=config, **kwargs)
-    elif kwargs:
-        raise TypeError("make_noc takes keyword options only with the "
-                        "legacy kind-string form")
+def make_noc(config: NocConfig, name: str, parent: Unit) -> CrossbarNoC:
+    """NoC factory from a :class:`NocConfig`."""
     if config.kind == "crossbar":
         return CrossbarNoC(name, parent, latency=config.latency)
     return MeshNoC(name, parent, config=config)

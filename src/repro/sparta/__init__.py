@@ -2,12 +2,10 @@
 
 Provides the substrate the memory-hierarchy model is built from: a
 deterministic cycle-quantised :class:`Scheduler`, hierarchical
-:class:`Unit` components, latency-annotated ports, counters/statistics,
-and validated parameter sets.
+:class:`Unit` components and counters/statistics.  Units call each
+other's handlers (and ``noc.route``) directly through the scheduler.
 """
 
-from repro.sparta.params import Parameter, ParameterError, ParameterSet
-from repro.sparta.ports import DataInPort, DataOutPort, PortError
 from repro.sparta.scheduler import Scheduler, SchedulerError
 from repro.sparta.statistics import (
     Counter,
@@ -20,13 +18,7 @@ from repro.sparta.unit import Unit
 
 __all__ = [
     "Counter",
-    "DataInPort",
-    "DataOutPort",
     "Gauge",
-    "Parameter",
-    "ParameterError",
-    "ParameterSet",
-    "PortError",
     "Scheduler",
     "SchedulerError",
     "StatSample",

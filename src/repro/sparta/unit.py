@@ -1,7 +1,7 @@
 """Hierarchical modelling units (Sparta's TreeNode/Unit pattern).
 
 A :class:`Unit` is a named component in a device tree.  Each unit owns a
-:class:`~repro.sparta.statistics.StatisticSet` and can declare ports; the
+:class:`~repro.sparta.statistics.StatisticSet`; the
 tree can be walked to collect statistics or locate components by path.
 Encapsulating each modelled element (an L2 bank, the NoC, a memory
 controller) as its own unit is what gives the memory model the paper's

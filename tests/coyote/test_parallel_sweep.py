@@ -238,6 +238,31 @@ class TestSweepCli:
         stderr = capsys.readouterr().err
         assert "configuration error" in stderr and complaint in stderr
 
+    @pytest.mark.parametrize("flags", [
+        ["--metrics", "nonsense"], ["--metrics", "cycles,hierarchy_value"],
+        ["--metrics", "bank_utilisation"], ["--best", "nonsense"]])
+    def test_a_typoed_metric_is_refused_before_any_point_runs(
+            self, flags, capsys, monkeypatch):
+        from repro.coyote import cli
+        from repro.coyote.simulation import Simulation
+        simulated = []
+        monkeypatch.setattr(Simulation, "run", simulated.append)
+        code = cli.main(["sweep", "--kernel", "scalar-matmul", "--cores", "2",
+                         "--size", "6", "--axes", "noc.latency=2,6", *flags])
+        assert code == cli.EXIT_CONFIG and not simulated
+        stderr = capsys.readouterr().err.strip()
+        assert "unknown metric" in stderr and len(stderr.splitlines()) == 1
+
+    def test_hierarchy_counters_are_columns(self, capsys):
+        from repro.coyote import cli
+        flags = ["sweep", "--kernel", "scalar-matmul", "--cores", "2",
+                 "--size", "6", "--axes", "noc.latency=2,6", "--metrics"]
+        assert cli.main([*flags, "cycles,memhier.noc.messages"]) \
+            == cli.EXIT_OK
+        assert "memhier.noc.messages" in capsys.readouterr().out
+        assert cli.main([*flags, "memhier.noc.mesages"]) == cli.EXIT_CONFIG
+        assert "no hierarchy counter" in capsys.readouterr().err
+
     def test_axis_tokens_are_typed(self):
         from repro.coyote.cli import parse_axes
         axes = parse_axes(["mix=2,2.5,true,shared"])

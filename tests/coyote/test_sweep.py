@@ -90,6 +90,34 @@ class TestMetricSemantics:
         with pytest.raises(SweepError, match="failed before producing"):
             point.metric("cycles")
 
+    @pytest.mark.parametrize("name", [
+        "nonsense",            # used to be an AttributeError
+        "hierarchy_value",     # ... a TypeError (missing argument)
+        "bank_utilisation",    # ... a dict that aggregate() cannot order
+        "summary", "cores", "_index"])
+    def test_unknown_or_non_scalar_name_is_a_sweep_error(self, name):
+        from repro.coyote.sweep import SweepError, check_metric
+        table = Sweep(base_cores=2, axes={"noc.latency": [6]}) \
+            .run(make_workload)
+        for call in (check_metric, table.points[0].metric, table.best,
+                     lambda name: table.aggregate((name,)),
+                     lambda name: table.to_text((name,))):
+            with pytest.raises(SweepError, match=f"unknown metric '{name}'"):
+                call(name)
+
+    def test_every_scalar_metric_and_counter_path_resolves(self):
+        from repro.coyote.sweep import SweepError, scalar_metrics
+        point = Sweep(base_cores=2, axes={"noc.latency": [6]}) \
+            .run(make_workload).points[0]
+        assert {"cycles", "ipc", "l1d_miss_rate", "host_mips",
+                "succeeded"} <= scalar_metrics()
+        for name in scalar_metrics():
+            assert isinstance(point.metric(name), (int, float))
+        assert point.metric("memhier.noc.messages") \
+            == point.results.hierarchy_value("memhier.noc.messages") > 0
+        with pytest.raises(SweepError, match="no hierarchy counter"):
+            point.metric("memhier.noc.mesages")
+
     def test_sweep_error_is_a_value_error(self):
         from repro.coyote.sweep import SweepError
         assert issubclass(SweepError, ValueError)

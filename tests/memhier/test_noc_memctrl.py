@@ -89,12 +89,14 @@ class TestMesh:
         assert mesh.rows() == 3
 
     def test_factory(self, root):
-        assert isinstance(make_noc("crossbar", "a", root), CrossbarNoC)
-        assert isinstance(make_noc("mesh", "b", root), MeshNoC)
-        torus = make_noc("torus", "c", root)
+        assert isinstance(make_noc(NocConfig(kind="crossbar"), "a", root),
+                          CrossbarNoC)
+        assert isinstance(make_noc(NocConfig(kind="mesh"), "b", root),
+                          MeshNoC)
+        torus = make_noc(NocConfig(kind="torus"), "c", root)
         assert isinstance(torus, MeshNoC) and torus.wrap
         with pytest.raises(ValueError):
-            make_noc("hypercube", "d", root)
+            make_noc(NocConfig(kind="hypercube"), "d", root)
 
     def test_factory_from_config(self, root):
         xbar = make_noc(NocConfig(latency=9), "e", root)

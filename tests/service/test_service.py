@@ -141,6 +141,20 @@ class TestBackpressure:
         assert "'l2mode'" in capsys.readouterr().err
         assert not root.exists()
 
+    def test_jobs_result_with_a_typoed_metric_is_one_line(self, root,
+                                                          capsys):
+        from repro.coyote import cli
+        job = api.submit(KERNEL, root=root, axes=AXES, cores=CORES,
+                         size=SIZE)
+        api.result(job, root=root, wait=True)
+        for metric in ("nonsense", "hierarchy_value", "bank_utilisation"):
+            assert cli.main(["jobs", "result", "--root", str(root), job,
+                             "--metrics", metric]) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert f"unknown metric '{metric}'" in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
+            assert not captured.out
+
     def test_unserialisable_submission_rejected(self, root):
         with make_service(root) as service:
             with pytest.raises(ServiceError, match="JSON"):

@@ -1,8 +1,5 @@
-"""Tests for counters/statistics and parameter sets."""
+"""Tests for counters/statistics."""
 
-import pytest
-
-from repro.sparta.params import Parameter, ParameterError, ParameterSet
 from repro.sparta.statistics import (
     Counter,
     Gauge,
@@ -68,48 +65,3 @@ class TestStatisticSet:
 
     def test_format_empty(self):
         assert "no statistics" in format_report([])
-
-
-class TestParameterSet:
-    def make(self):
-        return ParameterSet([
-            Parameter("size", 1024, validator=lambda v: v > 0),
-            Parameter("name", "default"),
-        ])
-
-    def test_defaults(self):
-        params = self.make()
-        assert params["size"] == 1024 and params["name"] == "default"
-
-    def test_set_and_get(self):
-        params = self.make()
-        params.set("size", 2048)
-        assert params.get("size") == 2048
-
-    def test_validator_enforced(self):
-        params = self.make()
-        with pytest.raises(ParameterError):
-            params.set("size", -1)
-
-    def test_unknown_parameter(self):
-        params = self.make()
-        with pytest.raises(ParameterError):
-            params.set("bogus", 1)
-        with pytest.raises(ParameterError):
-            params.get("bogus")
-
-    def test_freeze(self):
-        params = self.make()
-        params.freeze()
-        with pytest.raises(ParameterError):
-            params.set("size", 1)
-        assert params["size"] == 1024  # reads still allowed
-
-    def test_update_bulk(self):
-        params = self.make()
-        params.update({"size": 64, "name": "l2"})
-        assert params.as_dict() == {"size": 64, "name": "l2"}
-
-    def test_duplicate_declaration_rejected(self):
-        with pytest.raises(ParameterError):
-            ParameterSet([Parameter("x", 1), Parameter("x", 2)])

@@ -1,8 +1,7 @@
-"""Tests for units, the component tree, and latency-annotated ports."""
+"""Tests for units and the component tree."""
 
 import pytest
 
-from repro.sparta.ports import DataInPort, DataOutPort, PortError
 from repro.sparta.scheduler import Scheduler
 from repro.sparta.unit import Unit
 
@@ -59,63 +58,3 @@ class TestUnitTree:
         (sample,) = [s for s in samples if s.name == "hits"]
         assert sample.value == 3
         assert sample.full_name == "top.child.hits"
-
-
-class TestPorts:
-    def test_send_delivers_after_latency(self, root):
-        received = []
-        in_port = DataInPort(root, "in", received.append)
-        out_port = DataOutPort(root, "out", default_latency=4)
-        out_port.bind(in_port)
-        out_port.send("hello")
-        root.scheduler.advance_to(3)
-        assert received == []
-        root.scheduler.advance_to(5)
-        assert received == ["hello"]
-
-    def test_explicit_latency_overrides_default(self, root):
-        received = []
-        in_port = DataInPort(root, "in", received.append)
-        out_port = DataOutPort(root, "out", default_latency=10)
-        out_port.bind(in_port)
-        out_port.send("fast", latency=1)
-        root.scheduler.advance_to(2)
-        assert received == ["fast"]
-
-    def test_unbound_send_rejected(self, root):
-        out_port = DataOutPort(root, "out")
-        with pytest.raises(PortError):
-            out_port.send("x")
-
-    def test_double_bind_rejected(self, root):
-        in_port = DataInPort(root, "in", lambda _: None)
-        out_port = DataOutPort(root, "out")
-        out_port.bind(in_port)
-        with pytest.raises(PortError):
-            out_port.bind(in_port)
-
-    def test_negative_latency_rejected(self, root):
-        in_port = DataInPort(root, "in", lambda _: None)
-        out_port = DataOutPort(root, "out")
-        out_port.bind(in_port)
-        with pytest.raises(PortError):
-            out_port.send("x", latency=-1)
-
-    def test_counters(self, root):
-        in_port = DataInPort(root, "in", lambda _: None)
-        out_port = DataOutPort(root, "out", default_latency=1)
-        out_port.bind(in_port)
-        out_port.send("a")
-        out_port.send("b")
-        root.scheduler.advance_to(3)
-        assert out_port.sent == 2 and in_port.received == 2
-
-    def test_ordering_preserved(self, root):
-        received = []
-        in_port = DataInPort(root, "in", received.append)
-        out_port = DataOutPort(root, "out", default_latency=2)
-        out_port.bind(in_port)
-        for index in range(5):
-            out_port.send(index)
-        root.scheduler.advance_to(3)
-        assert received == [0, 1, 2, 3, 4]

@@ -156,3 +156,21 @@ class TestSeriesApi:
         assert results.timeseries is None
         assert results.latency is None
         assert results.host_profile is None
+
+    def test_collectors_do_not_change_the_simulation(self):
+        """Cycles and every counter are bit-identical with the sampler,
+        histograms and host profiler on (moved here from the deleted
+        ``benchmarks/test_telemetry_overhead.py``)."""
+        def simulate(telemetry):
+            config = SimulationConfig.for_cores(4, telemetry=telemetry)
+            return Simulation(
+                config, scalar_matmul(size=12, num_cores=4).program).run()
+
+        plain = simulate(TelemetryConfig())
+        instrumented = simulate(TelemetryConfig(
+            sample_interval=256, histograms=True, host_profile=True))
+        assert instrumented.timeseries is not None
+        assert (instrumented.cycles, instrumented.instructions) \
+            == (plain.cycles, plain.instructions)
+        assert {s.full_name: s.value for s in instrumented.hierarchy_samples} \
+            == {s.full_name: s.value for s in plain.hierarchy_samples}
