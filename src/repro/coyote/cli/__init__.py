@@ -462,7 +462,9 @@ def profile_main(argv: list[str]) -> int:
             print()
             print(f"translator           : {totals['blocks_compiled']} "
                   f"blocks compiled in {totals['compile_seconds']:.3f} s, "
-                  f"{totals['factory_hits']} served by the factory cache")
+                  f"{totals['factory_hits']} served by the factory cache ("
+                  + ", ".join(f"{shape} {count}" for shape, count
+                              in totals["by_shape"].items()) + ")")
             print("block enders         : " + (", ".join(
                 f"{mnemonic} {count}"
                 for mnemonic, count in totals["enders"].items()) or "none"))

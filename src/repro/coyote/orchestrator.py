@@ -420,20 +420,18 @@ class Orchestrator:
 
         Visit.  RAW gate (only for a core with pending fills, which then
         gets a budget of one instruction), then a translated dispatch,
-        then — when that made no progress — one interpreter step.  Which
-        compiled variant a dispatch uses follows from what the loop
-        observes (``translate.py`` has the protocol):
+        then — when that made no progress — one interpreter step.  A
+        compiled block takes no argument and runs to its end
+        (``translate.py``), so the visit picks a shape that fits:
 
-        * budget 1 (pending fills, or the interval sampler live): the
-          checked micro-block, ``ucache``;
-        * exactly one live core and no event before ``bound``: the
-          checked whole block, ``cache``, with budget
-          ``min(bound - now, MAX_BLOCK)`` — nothing can interleave with
-          it, so it need not stop at memory accesses, and the visit
+        * exactly one live core and at least ``MAX_BLOCK`` silent cycles
+          before ``bound``: the ``whole`` block — nothing can interleave
+          with it, so it need not stop at memory accesses, and the visit
           dispatches block after block in place;
-        * otherwise the unchecked micro-block, ``ufast``, at full budget:
-          its one memory access is instruction 0, executed on this cycle,
-          and the register-private tail runs ahead.
+        * otherwise one block: ``single`` at budget 1 (pending fills, or
+          the interval sampler live), else ``micro`` — its one memory
+          access is instruction 0, executed on this cycle, and the
+          register-private tail runs ahead, which is safe across events.
         """
         config = self.config
         scheduler = self.scheduler
@@ -461,14 +459,14 @@ class Orchestrator:
         # them wherever they become observable.
         credit = self._credit
         resume = self._resume_at
-        # The translators' cache dicts are mutated in place by
+        # The translators' block tables are mutated in place by
         # invalidation, so their bound ``get``s stay valid.  Without
         # translators every budget is -1: no dispatch, always the step.
         translators = self.translators
         if translators is not None:
-            ufgets = [translator.ufast.get for translator in translators]
-            ugets = [translator.ucache.get for translator in translators]
-            wgets = [translator.cache.get for translator in translators]
+            wgets, ugets, sgets = (
+                [translator.blocks[shape].get for translator in translators]
+                for shape in ("whole", "micro", "single"))
             gated_budget = 1
         else:
             gated_budget = -1
@@ -586,7 +584,7 @@ class Orchestrator:
                     gated = outstanding() != 0
                     if unit or translators is None:
                         budget = gated_budget
-                    elif live == 1 and bound > now:
+                    elif live == 1:
                         budget = MAX_BLOCK
                     else:
                         budget = 0
@@ -641,17 +639,45 @@ class Orchestrator:
                                     # cycle, so the gate sees every one.
                                     budget = gated_budget
 
-                            if not budget:
-                                # The clean-dispatch fast case: the
-                                # core comes due again when the tail it
-                                # ran ahead has retired.  (An
-                                # untranslatable pc has a zero-progress
-                                # stub here, never ``False``.)
-                                fn = ufgets[core_id](harts[core_id].pc)
+                            if budget > 1 and bound - now >= MAX_BLOCK:
+                                # Whatever the block's length, it fits:
+                                # with nothing to interleave, the visit
+                                # consumes its cycles on the spot, and
+                                # while the stretch stays silent the
+                                # lone core dispatches its next block in
+                                # place — coming back through the ring
+                                # within 128 cycles, so its slot never
+                                # wraps onto the one being visited.
+                                horizon = now if sync else now + MAX_BLOCK
+                                while True:
+                                    fn = wgets[core_id](harts[core_id].pc)
+                                    if fn is None:
+                                        fn = translators[core_id].translate(
+                                            harts[core_id].pc)
+                                    result = fn()
+                                    if result.__class__ is not tint:
+                                        break
+                                    credit[core_id] += result
+                                    now += result
+                                    if now >= horizon \
+                                            or bound - now < MAX_BLOCK:
+                                        break
+                                if result.__class__ is tint:
+                                    # Retired cleanly: due again the
+                                    # cycle after its last instruction.
+                                    ring[now & 127].append(core_id)
+                                    now -= 1
+                                    continue
+                                span = result.executed
+                            elif budget >= 0:
+                                # One block: the core comes due again
+                                # when the tail it ran ahead has retired.
+                                gets = sgets if budget == 1 else ugets
+                                fn = gets[core_id](harts[core_id].pc)
                                 if fn is None:
-                                    pc = harts[core_id].pc
-                                    translators[core_id].translate_uop(pc)
-                                    fn = ufgets[core_id](pc)
+                                    fn = translators[core_id].translate(
+                                        harts[core_id].pc,
+                                        "single" if budget == 1 else "micro")
                                 result = fn()
                                 if result.__class__ is tint:
                                     credit[core_id] += result
@@ -659,57 +685,6 @@ class Orchestrator:
                                         core_id)
                                     continue
                                 span = result.executed
-                            elif budget > 0:
-                                # Only a whole block retires more than
-                                # one: with nothing to interleave, the
-                                # visit consumes its cycles on the spot,
-                                # and while the stretch stays silent the
-                                # lone core dispatches its next block in
-                                # place — coming back through the ring
-                                # within 128 cycles, so its slot never
-                                # wraps onto the one being visited.
-                                horizon = now + MAX_BLOCK \
-                                    if budget > 1 and not sync else now
-                                while True:
-                                    if budget == 1:
-                                        limit = 1
-                                        fn = ugets[core_id](
-                                            harts[core_id].pc)
-                                        if fn is None:
-                                            fn = translators[core_id] \
-                                                .translate_uop(
-                                                    harts[core_id].pc)
-                                    else:
-                                        # A block holds at most MAX_BLOCK
-                                        # instructions, so this is
-                                        # min(bound - now, MAX_BLOCK).
-                                        limit = bound - now
-                                        fn = wgets[core_id](
-                                            harts[core_id].pc)
-                                        if fn is None:
-                                            fn = translators[core_id] \
-                                                .translate(
-                                                    harts[core_id].pc)
-                                    span = 0
-                                    if fn is False:
-                                        break
-                                    result = fn(limit)
-                                    if result is None:
-                                        result = limit
-                                    if result.__class__ is not tint:
-                                        span = result.executed
-                                        break
-                                    credit[core_id] += result
-                                    now += result
-                                    if now >= horizon or now >= bound:
-                                        span = -1
-                                        break
-                                if span < 0:
-                                    # Retired cleanly: due again the
-                                    # cycle after its last instruction.
-                                    ring[now & 127].append(core_id)
-                                    now -= 1
-                                    continue
                             else:
                                 span = 0
 

@@ -25,7 +25,8 @@ from repro.coyote.errors import SimulationError
 # Bump when the checkpoint payload layout changes; loads refuse a
 # mismatched format instead of failing somewhere inside unpickling.
 # 2: the cycle loop persists ``_resume_at`` + ``_credit`` (no
-# ``_wake_epoch``) and translators always carry ``ufast``.
+# ``_wake_epoch``); a translator's block tables are never part of the
+# payload, whatever they were called when it was written.
 CHECKPOINT_FORMAT = 2
 
 

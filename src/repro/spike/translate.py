@@ -16,15 +16,17 @@ derived from too; this module adds the timing model around them.
 Fidelity contract (bit-identical to the interpreter, proven by
 ``tests/coyote/test_translate.py`` and the differential suite):
 
-* **Cycle exactness.**  A block function takes a ``limit`` (cycles it may
-  consume) and never executes more than ``limit`` instructions.  The
-  orchestrator's cycle loop dispatches a whole bounded block only when
-  one core is live and no event is scheduled inside the bound; otherwise
-  it dispatches *micro-blocks* (``translate_uop``: at most one memory
-  access, which must be instruction 0) so every cross-core-visible
-  access stays on its exact lockstep cycle while the register-private
-  tail runs ahead, the core not coming due again until the tail's last
-  logical cycle has passed.
+* **Cycle exactness.**  A block function takes no argument and runs to
+  its end, one instruction a cycle; the dispatcher picks a block no
+  longer than the window it has (:data:`SHAPES`).  The orchestrator's
+  cycle loop dispatches a *whole* block only when one core is live and
+  no event is scheduled within ``MAX_BLOCK`` cycles; otherwise it
+  dispatches *micro-blocks* (at most one memory access, which must be
+  instruction 0) so every cross-core-visible access stays on its exact
+  lockstep cycle while the register-private tail runs ahead, the core
+  not coming due again until the tail's last logical cycle has passed;
+  a core that may retire only one instruction this cycle gets the
+  *single*-instruction block.
 * **L1 exactness.**  Data-side lookups replicate ``L1Cache.access_fast``
   (stats, true-LRU touch, allocate-on-miss, dirty-victim writeback)
   inline, with the access counters constant-folded into each exit.
@@ -69,17 +71,16 @@ run in it; :func:`export_factories` / :func:`import_factories` carry
 them between processes as marshalled code, which is how a campaign's
 forked point workers feed the process that forks the next one.
 
-The protocol of a generated ``run(limit)`` function:
+A generated ``run()`` function has two outcomes:
 
-* ``None`` — executed exactly ``limit`` instructions cleanly.
-* ``int n`` (0 < n < limit) — executed ``n`` instructions cleanly and
-  stopped (block boundary / resident-probe failure); ``hart.pc`` is set.
-* :class:`BlockExit` with ``executed > 0`` — the last instruction
-  missed in the L1D (``misses``) and/or halted the hart (``halted``).
-* :class:`BlockExit` with ``executed == 0`` — no progress; the caller
-  must fall back to one interpreter ``CoreModel.step``.
+* ``int n`` (n > 0) — executed ``n`` instructions cleanly and stopped
+  (block end, or a stall before instruction ``n``); ``hart.pc`` is set.
+* :class:`BlockExit` — the last of its ``executed`` instructions missed
+  in the L1D (``misses``) and/or halted the hart (``halted``); with
+  ``executed == 0`` there was no progress and the caller must fall back
+  to one interpreter ``CoreModel.step``.
 
-In every case the caller owes the executed count to ``hart.instret``,
+In both cases the caller owes the executed count to ``hart.instret``,
 ``core.instructions`` and the L1I ``stats.reads`` counter (batched
 crediting, above); the block itself has already committed everything
 else.
@@ -121,6 +122,11 @@ from repro.spike.vector import (
 from repro.utils.bitops import MASK64
 
 MAX_BLOCK = 64
+
+# The three shapes of a block: the same compiled form, told apart only
+# by how discovery is bounded — (length cap, micro-block rule).
+SHAPES = {"whole": (MAX_BLOCK, False), "micro": (MAX_BLOCK, True),
+          "single": (1, False)}
 
 
 class BlockExit:
@@ -275,16 +281,18 @@ def _substitute(emit, expr: str, operands: tuple, ins, pc: int):
     return source, constants if len(constants) == len(operands) else None
 
 
-def _discover(hart, pc: int, uop: bool = False, enders=None) -> list:
+def _discover(hart, pc: int, cap: int = MAX_BLOCK, uop: bool = False,
+              enders=None) -> list:
     """Collect the translatable straight-line run starting at ``pc``.
 
     Branches and jumps are included as block enders; anything the
     interpreter must execute (AMO, CSR, system, ``vsetvl``, a masked
     vector memory access, unknown) stops the block *before* itself.
     Decoding goes through ``decode_at`` so every instruction's page is
-    registered for store invalidation.  ``enders`` (mnemonic -> count)
-    is told which instruction ended the run, unless that was only the
-    length cap or the micro-block rule.
+    registered for store invalidation.  ``enders`` (pc -> mnemonic) is
+    told which instruction ended the run, unless that was only the
+    length cap ``cap`` or the micro-block rule; keyed by pc, an ender
+    every shape runs into is still recorded once.
 
     With ``uop=True`` the run additionally stops *before* any memory
     instruction, scalar or vector, past position 0: the resulting
@@ -298,7 +306,7 @@ def _discover(hart, pc: int, uop: bool = False, enders=None) -> list:
     instrs = []
     cursor = pc
     ender = None
-    while len(instrs) < MAX_BLOCK:
+    while len(instrs) < cap:
         try:
             instr = hart.decode_at(cursor)
         except Trap:
@@ -318,13 +326,12 @@ def _discover(hart, pc: int, uop: bool = False, enders=None) -> list:
         instrs.append(instr)
         cursor += 4
     if enders is not None and ender is not None:
-        enders[ender] = enders.get(ender, 0) + 1
+        enders[cursor] = ender
     return instrs
 
 
 def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
-                  i_off: int, i_mask: int, d_off: int, d_mask: int,
-                  checked: bool = True) -> str:
+                  i_off: int, i_mask: int, d_off: int, d_mask: int) -> str:
     """Generate the factory source for one basic block.
 
     Every exit point inlines its own constant-folded commit (L1D access
@@ -333,11 +340,9 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
     state variables, because at micro-block sizes the scaffolding would
     otherwise rival the body.
 
-    ``checked=False`` drops the per-instruction cycle-budget guards and
-    the ``None``-for-exactly-``limit`` return convention: the variant is
-    only ever dispatched with ``limit`` at least the block length, so a
-    clean exit after ``n`` instructions is a plain ``return n`` (which
-    may equal ``limit``; dispatchers treat any int uniformly).
+    The function takes no cycle budget and has no guard between
+    instructions: fitting the block into the window is the dispatcher's
+    business, settled by the shape it asks for.
 
     Two commitments are deliberately NOT made by the generated code:
 
@@ -395,10 +400,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         expression string already holding the next pc."""
         commit(indent, n)
         emit(indent, f"hart.pc = {npc}")
-        if checked:
-            emit(indent, f"return None if limit == {n} else {n}")
-        else:
-            emit(indent, f"return {n}")
+        emit(indent, f"return {n}")
 
     def emit_zero(indent: int) -> None:
         # No progress: hart.pc still equals the dispatch pc, and E is
@@ -410,8 +412,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
 
     def emit_stall(indent: int, k: int, pc: int) -> None:
         """Clean stop *before* instruction k (probe failure or a
-        line-crossing access); the budget guard for k already passed,
-        so ``limit > k`` and the int return is unambiguous."""
+        line-crossing access)."""
         if k == 0:
             emit_zero(indent)
         else:
@@ -434,12 +435,6 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         m = ins.mnemonic
         rd, rs1, rs2, imm = ins.rd, ins.rs1, ins.rs2, ins.imm
 
-        # Cycle-budget boundary: stop cleanly *before* instruction k.
-        if checked and k:
-            emit(2, f"if limit == {k}:")
-            commit(3, k)
-            emit(3, f"hart.pc = {pc}")
-            emit(3, "return None")
         # New I-line: prove residency with a fused probe-and-LRU-touch
         # (``pop`` raises on a cold line).  Touching here rather than
         # at exit is order-equivalent — see the function docstring.
@@ -723,9 +718,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         "    dst = l1d.stats",
     ]
     lines += ["    " + text for text in pre]
-    # The unchecked twin never reads its budget; dropping the parameter
-    # shaves the argument pass off every dispatch.
-    lines.append("    def run(limit):" if checked else "    def run():")
+    lines.append("    def run():")
     lines += body
     lines.append("    return run")
     return "\n".join(lines) + "\n"
@@ -787,37 +780,39 @@ class TranslatorStats:
     blocks_compiled: int = 0   # block sources generated and compile()d
     factory_hits: int = 0      # blocks served by the machine-wide cache
     compile_seconds: float = 0.0   # wall time generating + compiling them
-    # mnemonic -> how often it ended a block or made a pc untranslatable
-    # ("<illegal>": an undecodable word).
+    # shape -> blocks installed (compiled or served by the cache)
+    by_shape: dict = field(default_factory=lambda: dict.fromkeys(SHAPES, 0))
+    # pc -> mnemonic of the instruction there that ended a block or made
+    # the pc untranslatable ("<illegal>": an undecodable word).
     enders: dict = field(default_factory=dict)
 
 
 def translator_totals(translators) -> dict | None:
     """One run's translator counters summed over its cores, JSON-ready
-    (``None`` when the run did not translate); enders most frequent
-    first."""
+    (``None`` when the run did not translate); enders by mnemonic, most
+    frequent first."""
     if translators is None:
         return None
+    stats = [translator.stats for translator in translators]
     enders: dict = {}
-    for translator in translators:
-        for mnemonic, count in translator.stats.enders.items():
-            enders[mnemonic] = enders.get(mnemonic, 0) + count
+    for each in stats:
+        for mnemonic in each.enders.values():
+            enders[mnemonic] = enders.get(mnemonic, 0) + 1
     return {
-        "blocks_compiled": sum(translator.stats.blocks_compiled
-                               for translator in translators),
-        "factory_hits": sum(translator.stats.factory_hits
-                            for translator in translators),
-        "compile_seconds": sum(translator.stats.compile_seconds
-                               for translator in translators),
+        "blocks_compiled": sum(each.blocks_compiled for each in stats),
+        "factory_hits": sum(each.factory_hits for each in stats),
+        "compile_seconds": sum(each.compile_seconds for each in stats),
+        "by_shape": {shape: sum(each.by_shape[shape] for each in stats)
+                     for shape in SHAPES},
         "enders": dict(sorted(enders.items(),
                               key=lambda item: (-item[1], item[0]))),
     }
 
 
 def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
-                 d_off, d_mask, checked, stats):
+                 d_off, d_mask, stats):
     key = (pc0, tuple(ins.word for ins in instrs), profiled, tohost,
-           i_off, i_mask, d_off, d_mask, checked)
+           i_off, i_mask, d_off, d_mask)
     factory = _FACTORY_CACHE.get(key)
     if factory is not None:
         stats.factory_hits += 1
@@ -825,7 +820,7 @@ def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
         stats.blocks_compiled += 1
         started = time.perf_counter()
         source = _build_source(pc0, instrs, profiled, tohost,
-                               i_off, i_mask, d_off, d_mask, checked)
+                               i_off, i_mask, d_off, d_mask)
         code = compile(source, f"<block@{pc0:#x}>", "exec")
         namespace: dict = {}
         exec(code, _G, namespace)
@@ -836,30 +831,25 @@ def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
 
 
 class BlockTranslator:
-    """Per-core translated-block cache with store invalidation.
+    """Per-core translated-block tables with store invalidation.
 
-    ``cache`` maps a block-start pc to its compiled ``run(limit)``
-    closure, or ``False`` for pcs proven untranslatable (the dispatch
-    loops hoist this dict and only call :meth:`translate` on a true
-    miss).  ``ucache`` holds the memory-leading micro-block variants
-    (:meth:`translate_uop`) the cycle loop dispatches whenever another
-    core or an event could interleave; ``ufast`` holds the unchecked
-    twins of the same micro-blocks — no budget guards, valid only for
-    full-budget (``limit >= block length``) dispatches.  All dict
-    objects are mutated in place, never replaced, so hoisted references
-    stay valid across invalidations.
+    ``blocks[shape]`` maps a block-start pc to its compiled ``run()``
+    closure — the zero-progress stub for a pc proven untranslatable, so
+    a dispatcher needs no translatability test — and ``_bounds[shape]``
+    maps it to the block's last byte.  A table fills lazily: the
+    dispatch loops hoist its ``get`` and call :meth:`translate` only on
+    a true miss, for the shape (:data:`SHAPES`) they were about to
+    dispatch.  The tables are mutated in place, never replaced, so
+    hoisted references stay valid across invalidations.
     """
+
+    _PICKLED = ("core", "machine", "_exit", "_enabled")
 
     def __init__(self, core, machine):
         self.core = core
         self.machine = machine
-        self.cache: dict = {}
-        self.ucache: dict = {}
-        self.ufast: dict = {}
-        self._bounds: dict = {}
-        self._ubounds: dict = {}
         self._exit = BlockExit()
-        self.stats = TranslatorStats()
+        self._fresh()
         hart = core.hart
         hart._code_caches.append(self)
         hart.code_registry.register_cache(self)
@@ -867,101 +857,66 @@ class BlockTranslator:
         # geometric assumption; refuse to translate if it cannot hold.
         self._enabled = core.l1d.line_bytes <= PAGE_SIZE
 
-    def translate(self, pc: int):
-        """Translate the block at ``pc``; returns a run-fn or ``False``."""
-        instrs = _discover(self.core.hart, pc, enders=self.stats.enders) \
-            if self._enabled else []
-        return self._install(pc, instrs, self.cache, self._bounds)
+    def _fresh(self) -> None:
+        self.blocks = {shape: {} for shape in SHAPES}
+        self._bounds = {shape: {} for shape in SHAPES}
+        self.stats = TranslatorStats()
 
-    def translate_uop(self, pc: int):
-        """Translate the micro-block at ``pc`` (memory access only at
-        position 0); installs the checked variant in ``ucache`` and its
-        unchecked twin in ``ufast`` (sharing ``_ubounds``), returning
-        the checked run-fn or ``False``."""
-        instrs = _discover(self.core.hart, pc, uop=True,
-                           enders=self.stats.enders) \
-            if self._enabled else []
-        fn = self._install(pc, instrs, self.ucache, self._ubounds)
-        if fn is False:
-            # Untranslatable pcs get a zero-progress stub instead of a
-            # ``False`` sentinel: the dispatch loop then needs no
-            # translatability test at all — the stub routes it to the
-            # interpreter through the ordinary zero-progress exit.
-            self.ufast[pc] = _zero_progress_stub(self._exit)
-        else:
-            self._install(pc, instrs, self.ufast, self._ubounds,
-                          checked=False)
-        return fn
-
-    def _install(self, pc: int, instrs: list, cache: dict, bounds: dict,
-                 checked: bool = True):
-        if not instrs:
-            cache[pc] = False
-            bounds[pc] = pc + 3
-            return False
+    def translate(self, pc: int, shape: str = "whole"):
+        """Install the ``shape`` block at ``pc``; returns its run-fn."""
         core = self.core
         hart = core.hart
-        l1i, l1d = core.l1i, core.l1d
-        machine = self.machine
-        tohost = machine.tohost_address
-        if tohost is None:
-            tohost = -1
-        profiled = core.profile is not None
-        factory = _factory_for(pc, instrs, profiled, tohost,
-                               l1i._offset_bits, l1i._index_mask,
-                               l1d._offset_bits, l1d._index_mask,
-                               checked, self.stats)
-        memory = machine.memory
-        context = (hart, hart.regs, hart.fregs, core, self._exit,
-                   core.profile, instrs, l1i, l1d, memory._pages,
-                   memory._page, hart._code_pages,
-                   hart.code_registry.note_store, machine.htif_store,
-                   core.core_id)
-        fn = factory(context)
-        cache[pc] = fn
-        bounds[pc] = pc + 4 * len(instrs) - 1
+        instrs = _discover(hart, pc, *SHAPES[shape],
+                           enders=self.stats.enders) if self._enabled else []
+        if instrs:
+            l1i, l1d = core.l1i, core.l1d
+            machine = self.machine
+            tohost = machine.tohost_address
+            if tohost is None:
+                tohost = -1
+            factory = _factory_for(pc, instrs, core.profile is not None,
+                                   tohost, l1i._offset_bits, l1i._index_mask,
+                                   l1d._offset_bits, l1d._index_mask,
+                                   self.stats)
+            self.stats.by_shape[shape] += 1
+            memory = machine.memory
+            fn = factory((hart, hart.regs, hart.fregs, core, self._exit,
+                          core.profile, instrs, l1i, l1d, memory._pages,
+                          memory._page, hart._code_pages,
+                          hart.code_registry.note_store, machine.htif_store,
+                          core.core_id))
+        else:
+            fn = _zero_progress_stub(self._exit)
+        self.blocks[shape][pc] = fn
+        # A stub covers the one word that made its pc untranslatable.
+        self._bounds[shape][pc] = pc + 4 * max(len(instrs), 1) - 1
         return fn
 
     # -- invalidation (CodeCacheRegistry protocol) --------------------------
 
     def invalidate_range(self, lo: int, hi: int) -> None:
         """Drop every cached block overlapping byte range [lo, hi]."""
-        ufast = self.ufast
-        for cache, bounds in ((self.cache, self._bounds),
-                              (self.ucache, self._ubounds)):
-            if not bounds:
-                continue
-            dead = [pc for pc, end in bounds.items()
-                    if pc <= hi and end >= lo]
-            for pc in dead:
-                del bounds[pc]
-                cache.pop(pc, None)
-                if cache is not self.cache:
-                    ufast.pop(pc, None)
+        for shape, bounds in self._bounds.items():
+            blocks = self.blocks[shape]
+            for pc in [pc for pc, end in bounds.items()
+                       if pc <= hi and end >= lo]:
+                del bounds[pc], blocks[pc]
 
     def drop_all(self) -> None:
-        self.cache.clear()
-        self.ucache.clear()
-        self.ufast.clear()
-        self._bounds.clear()
-        self._ubounds.clear()
+        for tables in (self.blocks, self._bounds):
+            for table in tables.values():
+                table.clear()
 
     # -- pickling: compiled closures must never leak into checkpoints -------
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["cache"] = {}
-        state["ucache"] = {}
-        state["ufast"] = {}
-        state["_bounds"] = {}
-        state["_ubounds"] = {}
-        # Counters of what was translated go with what was translated.
-        del state["stats"]
-        return state
+        # No table and no counter of what was translated goes along.
+        return {name: self.__dict__[name] for name in self._PICKLED}
 
     def __setstate__(self, state):
-        # Fresh counters on load rather than pickled zeros: a checkpoint
-        # of this CHECKPOINT_FORMAT written before the counters existed
-        # carries none, and must still resume.
-        self.__dict__.update(state)
-        self.stats = TranslatorStats()
+        # Only the fields above are read, so a checkpoint of this
+        # CHECKPOINT_FORMAT written when the tables had other names (or
+        # before the counters existed) still resumes.
+        for name in self._PICKLED:
+            setattr(self, name, state[name])
+        self._fresh()

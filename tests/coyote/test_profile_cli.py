@@ -1,6 +1,7 @@
 """The ``coyote-sim profile`` subcommand (flat, annotated, JSON)."""
 
 import json
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ def test_profile_lists_translator_counters(capsys):
     captured = capsys.readouterr()
     assert exit_code == 0, captured.out
     assert "blocks compiled" in captured.out
+    assert re.search(r"\(whole \d+, micro \d+, single \d+\)", captured.out)
     enders = next(line for line in captured.out.splitlines()
                   if line.startswith("block enders"))
     assert " v" not in enders.split(":", 1)[1]

@@ -27,6 +27,7 @@ from repro.resilience import (
     restore_simulation,
     save_checkpoint,
 )
+from repro.spike import translate as translate_module
 from repro.telemetry import TelemetryConfig
 
 # Tiny-but-representative sizes (mirrors test_differential.py).
@@ -213,3 +214,149 @@ class TestSelfModifyingCode:
         orchestrator = Orchestrator(config, assemble(_SMC_SOURCE))
         results = orchestrator.run()
         assert results.exit_codes == {0: 99, 1: 99}
+
+
+# Like ``_SMC_SOURCE``, but the patched instruction is dispatched while
+# a load miss is pending on the same core — at a budget of one, from the
+# ``single`` table.  Pass 0 warms the fetch lines, pass 1 runs ``site``
+# gated (so ``single`` holds the original), pass 2 patches it with the
+# store that falls through into it.
+_SMC_GATED_SOURCE = """.text
+_start:
+    la   t0, site
+    la   t3, cold
+    li   t1, 0x06300513  # addi a0, zero, 99
+    li   t2, 3
+    li   t4, 2
+back:
+    ld   t5, 0(t3)       # a cold line every pass: t5 stays busy
+    addi t3, t3, 1024
+    bne  a2, t4, site    # only the last pass patches
+    sw   t1, 0(t0)
+site:
+    addi a0, zero, 1
+    addi a2, a2, 1
+    bltu a2, t2, back
+    slli a0, a0, 1       # tohost exit value: (code << 1) | 1
+    ori  a0, a0, 1
+    la   t6, tohost
+    sd   a0, 0(t6)
+halt:
+    j    halt
+.data
+.align 3
+tohost: .dword 0
+.align 6
+cold:   .zero 4096
+"""
+
+
+class TestSelfModifyingCodeUnderGating:
+    @pytest.mark.parametrize("translate", [True, False],
+                             ids=["translated", "interpreter"])
+    def test_store_into_the_next_gated_instruction_takes_effect(
+            self, translate):
+        program = assemble(_SMC_GATED_SOURCE)
+        config = SimulationConfig.for_cores(1, translate=translate)
+        orchestrator = Orchestrator(config, program)
+        results = orchestrator.run()
+        assert results.exit_codes == {0: 99}
+        if translate:
+            # The table that served the patched pc is the one this test
+            # is about: ``invalidate_range`` must have swept it.
+            blocks = orchestrator.translators[0].blocks
+            assert program.symbols["site"] in blocks["single"]
+
+    def test_outcome_identical_across_modes(self):
+        outcomes = []
+        for translate in (True, False):
+            config = SimulationConfig.for_cores(1, translate=translate)
+            orchestrator = Orchestrator(config, assemble(_SMC_GATED_SOURCE))
+            outcomes.append(_stats(orchestrator.run()))
+        assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _run("scalar-matmul", 1, translate=True),
+    lambda: _run("scalar-matmul", 8, translate=True),
+    lambda: _run("scalar-matmul", 8, translate=True,
+                 telemetry=TelemetryConfig(sample_interval=64))],
+    ids=["1-core", "8-core", "sampled"])
+def test_every_block_in_every_table_takes_no_argument(run):
+    """One compiled form: whatever the shape, ``run()`` — and an
+    untranslatable pc is a stub of the same form, never a sentinel."""
+    simulation, _results = run()
+    translators = simulation.orchestrator.translators
+    dispatched = set()
+    for translator in translators:
+        assert set(translator.blocks) == set(translate_module.SHAPES)
+        for shape, table in translator.blocks.items():
+            assert table.keys() == translator._bounds[shape].keys()
+            for block in table.values():
+                assert block is not False
+                assert block.__code__.co_argcount == 0
+            if table:
+                dispatched.add(shape)
+    # The run must have had something to say about its regime.
+    assert dispatched
+    totals = translate_module.translator_totals(translators)
+    assert sum(totals["by_shape"].values()) \
+        == totals["blocks_compiled"] + totals["factory_hits"]
+    assert {shape for shape, count in totals["by_shape"].items() if count} \
+        <= dispatched
+
+
+_ENDERS_SOURCE = """.text
+_start:
+    la   t3, cold
+    li   t2, 2
+again:
+    csrr t4, mhartid     # untranslatable, reached twice
+    addi a2, a2, 1
+    bgeu a2, t2, done
+    ld   t5, 0(t3)       # cold: the second pass arrives gated
+    j    again
+done:
+    li   a0, 0
+    ecall
+.data
+.align 6
+cold:   .zero 64
+"""
+
+
+def test_an_ender_is_counted_once_per_pc_whatever_shapes_met_it():
+    program = assemble(_ENDERS_SOURCE)
+    orchestrator = Orchestrator(SimulationConfig.for_cores(1), program)
+    assert orchestrator.run().exit_codes == {0: 0}
+    translator, = orchestrator.translators
+    again = program.symbols["again"]
+    assert again in translator.blocks["whole"]      # first pass
+    assert again in translator.blocks["single"]     # second, gated
+    enders = translate_module.translator_totals([translator])["enders"]
+    assert enders["csrrs"] == 1 and enders["ecall"] == 1
+    assert sum(enders.values()) == len(translator.stats.enders)
+
+
+@pytest.mark.parametrize("reference", [False, True],
+                         ids=["fast", "reference"])
+def test_pause_at_every_cycle_around_whole_blocks(reference):
+    """Seventy consecutive pause cycles of a 1-core run: inside a whole
+    block, at its end, and within ``MAX_BLOCK`` cycles after one (where
+    the window is too short for the next and micro-blocks take over)."""
+    def run(pause_at=None):
+        workload = make_workload("scalar-matmul", cores=1, size=6)
+        simulation = Simulation(SimulationConfig.for_cores(1),
+                                workload.program)
+        simulation.orchestrator.use_reference_loop = reference
+        if pause_at is not None:
+            assert simulation.run(pause_at=pause_at) is None
+            assert simulation.paused
+        results = simulation.run()
+        assert workload.verify(simulation.memory)
+        return _digest(_stats(results)), results.cycles
+
+    straight, cycles = run()
+    first = cycles // 2
+    assert [run(pause_at)[0] for pause_at in range(first, first + 70)] \
+        == [straight] * 70

@@ -3,10 +3,15 @@
 Covers the structured :class:`NocConfig`, link arbitration (capacity,
 queueing), routing policies, stations, conservation checks, and the
 observability hooks — all at the unit level with hand-placed endpoints,
-so each behaviour is pinned to exact cycle numbers.
+so each behaviour is pinned to exact cycle numbers.  The last section
+drives whole 16-router networks with seeded random traffic and pins each
+topology's saturation curve (simulated cycles: deterministic, so a test
+and not a benchmark).
 """
 
+import functools
 import pickle
+import random
 
 import pytest
 
@@ -275,3 +280,69 @@ class TestMidFlightPickle:
         clone_root.scheduler.run_until_idle()
         root.scheduler.run_until_idle()
         assert clone.congestion_report() == noc.congestion_report()
+
+
+# -- saturation curves --------------------------------------------------------
+
+_RATES = (1, 2, 4, 8, 16)      # messages injected per cycle
+# Mean end-to-end latency at each rate, 16 routers, 2000 cycles of
+# injection (the last recorded entry of the retired BENCH_noc.json).
+_SATURATION = {
+    "crossbar": (NocConfig(), (6.0, 6.0, 6.0, 6.0, 6.0)),
+    "mesh-xy": (NocConfig(kind="mesh", routing="xy"),
+                (6.293, 6.434, 6.604, 7.199, 68.764)),
+    "mesh-adaptive": (NocConfig(kind="mesh", routing="adaptive"),
+                      (6.296, 6.421, 6.541, 6.912, 83.662)),
+    "torus-xy": (NocConfig(kind="torus", routing="xy"),
+                 (5.317, 5.351, 5.449, 5.721, 7.955)),
+    "torus-adaptive": (NocConfig(kind="torus", routing="adaptive"),
+                       (5.316, 5.343, 5.403, 5.583, 6.802)),
+}
+
+
+@functools.cache
+def _curve(label: str) -> tuple:
+    """Mean latency at each of ``_RATES``: sources and destinations are
+    uniform-random under a dedicated seeded PRNG, so every topology sees
+    the same offered traffic and repeat runs are bit-identical."""
+    means = []
+    for rate in _RATES:
+        scheduler = Scheduler()
+        noc = make_noc(_SATURATION[label][0], "noc",
+                       Unit("top", scheduler=scheduler))
+        endpoints = [f"e{i}" for i in range(16)]
+        for name in endpoints:
+            noc.attach(name, _drop)
+        rng = random.Random(1234)
+        latencies = []
+        noc.latency_observer = latencies.append
+        for cycle in range(2000):
+            scheduler.advance_to(cycle + 1)
+            for _ in range(rate):
+                source, destination = rng.sample(endpoints, 2)
+                noc.route(source, destination, None)
+        scheduler.run_until_idle()
+        assert len(latencies) == rate * 2000, "traffic lost in the network"
+        means.append(round(sum(latencies) / len(latencies), 3))
+    return tuple(means)
+
+
+@pytest.mark.parametrize("label", sorted(_SATURATION))
+def test_saturation_curve(label):
+    """The crossbar is contention-free by construction; mesh and torus
+    bend upward as links saturate, the torus (wrap links halve the mean
+    path) and — up to the knee — the adaptive policy later."""
+    curve = _curve(label)
+    assert curve == _SATURATION[label][1]
+    if label == "crossbar":
+        assert set(curve) == {6.0}
+        return
+    assert list(curve) == sorted(curve) and curve[-1] > curve[0]
+    kind, routing = label.split("-")
+    assert all(torus <= mesh for torus, mesh in
+               zip(_curve(f"torus-{routing}"), _curve(f"mesh-{routing}")))
+    # At the knee (8 a cycle) adaptive routing queues less than XY.  Past
+    # it the torus still gains; the saturated mesh does not (83.7 against
+    # 68.8 at 16 a cycle), which the pinned values record.
+    assert _curve(f"{kind}-adaptive")[3] <= _curve(f"{kind}-xy")[3]
+    assert _curve("torus-adaptive")[4] <= _curve("torus-xy")[4]

@@ -21,6 +21,7 @@ from repro.resilience import (
     restore_simulation,
     save_checkpoint,
 )
+from repro.spike.translate import SHAPES, BlockTranslator
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
 
@@ -115,6 +116,35 @@ class TestResumeDifferential:
         path = save_checkpoint(simulation, tmp_path / "zero.ckpt")
         results = restore_simulation(path).run()
         assert _stats(results) == _stats(reference)
+
+    def test_a_checkpoint_with_the_translators_old_tables_resumes(
+            self, tmp_path, monkeypatch):
+        """Format 2 as it was written while ``BlockTranslator`` kept a
+        checked and an unchecked table per micro-block: five emptied
+        dicts under names that are gone (``_bounds`` then mapped a pc,
+        not a shape)."""
+        straight, _ = _fresh()
+        reference = straight.run()
+        paused, workload = _fresh()
+        assert paused.run(pause_at=reference.cycles // 2) is None
+
+        def old_state(translator):
+            kept = {name: vars(translator)[name]
+                    for name in ("core", "machine", "_exit", "_enabled")}
+            return dict(kept, cache={}, ucache={}, ufast={}, _bounds={},
+                        _ubounds={})
+        monkeypatch.setattr(BlockTranslator, "__getstate__", old_state)
+        path = save_checkpoint(paused, tmp_path / "old.ckpt")
+        monkeypatch.undo()
+
+        resumed = restore_simulation(path)
+        for translator in resumed.orchestrator.translators:
+            assert set(translator.blocks) == set(translator._bounds) \
+                == set(SHAPES)
+            assert not hasattr(translator, "ucache")
+        results = resumed.run()
+        assert _stats(results) == _stats(reference)
+        assert workload.verify(resumed.memory)
 
 
 class TestCheckpointErrors:

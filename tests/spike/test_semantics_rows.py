@@ -10,17 +10,15 @@ routing, ``x0`` folding, constant folding, masking, temp reuse, the
 load/store plumbing.  This file checks exactly that, for every row, and
 is generated from the table: a new row is covered without an edit here.
 
-Each row's instruction is executed alone — through ``Hart.step``, through
-a one-instruction translated block with a cycle budget (``run(limit)``)
-and through its unchecked twin (``run()``) — over boundary operands and
-aliased / ``x0`` register assignments, and all three must leave the same
-registers, pc and memory.  The closure tests pin the table to the
+Each row's instruction is executed alone — through ``Hart.step`` and
+through a one-instruction translated block (``run()``) — over boundary
+operands and aliased / ``x0`` register assignments, and both must leave
+the same registers, pc and memory.  The closure tests pin the table to the
 decoder, the encoder and the translator's notion of translatable.
 
 The vector rows (second half) are more inputs to the same check: each
 row's instruction through ``CoreModel.step`` and through a
-one-instruction block, checked and unchecked, over ``vl`` 0 / 1 /
-VLMAX, every SEW the row allows, LMUL 1 and 2, masked and unmasked,
+one-instruction block over ``vl`` 0 / 1 / VLMAX, every SEW the row allows, LMUL 1 and 2, masked and unmasked,
 ``vd == vs2``, and register contents made of all-ones, ``INT_MIN``,
 NaN, signed zeros and infinities at every width.
 """
@@ -81,7 +79,7 @@ _PATTERN = bytes(range(0x78, 0x88)) * 8
 
 
 class _Bench:
-    """One instruction, assembled alone, runnable three ways."""
+    """One instruction, assembled alone, runnable both ways."""
 
     def __init__(self, line: str):
         program = assemble(f""".text
@@ -104,9 +102,8 @@ buffer:
         translator = translate.BlockTranslator(core, self.machine)
         # The trailing ebreak is untranslatable, so this block is the
         # one instruction; its fetch line is made resident up front.
-        self.checked = translator.translate_uop(self.entry)
-        assert self.checked is not False, f"not translated: {line}"
-        self.unchecked = translator.ufast[self.entry]
+        self.translated = translator.translate(self.entry, "micro")
+        assert translator.stats.by_shape["micro"], f"not translated: {line}"
         core.l1i.access_fast(self.entry, False)
 
     def run(self, path: str, xregs: dict, fregs: dict):
@@ -123,10 +120,8 @@ buffer:
         if path == "interpreter":
             hart.step()
         else:
-            result = self.checked(1) if path == "checked" \
-                else self.unchecked()
-            executed = 1 if result is None or result == 1 \
-                else result.executed
+            result = self.translated()
+            executed = 1 if result == 1 else result.executed
             if executed == 0:
                 # Zero progress (an access crossing a cache line): the
                 # dispatcher's contract is one interpreter step.
@@ -145,10 +140,8 @@ buffer:
 
     def check(self, xregs: dict, fregs: dict, what: str) -> None:
         expected = self.run("interpreter", xregs, fregs)
-        for path in ("checked", "unchecked"):
-            assert self.run(path, xregs, fregs) == expected, \
-                f"{path} block differs from Hart.step: {what} " \
-                f"x={xregs} f={fregs}"
+        assert self.run("translated", xregs, fregs) == expected, \
+            f"block differs from Hart.step: {what} x={xregs} f={fregs}"
 
 
 def _assignments(dest: str, files: list):
@@ -338,8 +331,8 @@ def test_helper_rows_share_a_block_with_every_load_width():
     hart.regs[11] = 1 << 40
     core.l1i.access_fast(program.entry, False)
     block = translate.BlockTranslator(core, machine).translate(program.entry)
-    result = block(count)
-    executed = count if result is None else result.executed
+    result = block()
+    executed = result if result.__class__ is int else result.executed
     for _ in range(count - executed):   # a cold L1D line ends the block
         hart.step()                     # early; finish in the interpreter
     assert hart.pc == stepped.pc
@@ -355,9 +348,9 @@ def test_helper_names_are_not_names_the_emitted_code_uses():
     for line in ("lw x5, 0(x6)", "sw x5, 0(x6)", "jalr x5, 0(x6)",
                  "blt x5, x6, taken", "div x5, x6, x7", "fsw f5, 0(x6)"):
         bench = _Bench(line)
-        for code in (bench.checked.__code__, bench.unchecked.__code__):
-            used = set(code.co_varnames) | set(code.co_freevars)
-            assert not used & set(HELPERS), line
+        code = bench.translated.__code__
+        used = set(code.co_varnames) | set(code.co_freevars)
+        assert not used & set(HELPERS), line
     assert not [name for name in HELPERS
                 if re.fullmatch(r"(r|i|iw|w)\d+", name)]
 
@@ -393,7 +386,7 @@ def _planted(register: int) -> bytes:
 
 
 class _VectorBench:
-    """One vector instruction, assembled alone, runnable three ways over
+    """One vector instruction, assembled alone, runnable both ways over
     a planted vector state.  Its data sits across a page boundary:
     ``buffer + 128`` is the first byte of the next page."""
 
@@ -416,9 +409,8 @@ buffer:
         self.entry = program.entry
         self.buffer = program.symbols["buffer"]
         translator = translate.BlockTranslator(self.core, self.machine)
-        self.checked = translator.translate_uop(self.entry)
-        assert self.checked is not False, f"not translated: {line}"
-        self.unchecked = translator.ufast[self.entry]
+        self.translated = translator.translate(self.entry, "micro")
+        assert translator.stats.by_shape["micro"], f"not translated: {line}"
         self.line = line
 
     def run(self, path: str, vtype: VType, avl: int, xregs: dict,
@@ -449,9 +441,8 @@ buffer:
         if path == "interpreter":
             misses = core.step().misses
         else:
-            result = self.checked(1) if path == "checked" \
-                else self.unchecked()
-            if result is None or result == 1:
+            result = self.translated()
+            if result == 1:
                 misses = []
             elif result.executed:
                 misses = result.misses
@@ -503,12 +494,12 @@ def _check_vector_line(line, sews, xregs=None, fregs=None, numeric=()):
     for vtype, avl in _vector_cases(sews):
         expected = bench.run("interpreter", vtype, avl, xregs or {},
                              fregs or {})
-        for path in ("checked", "unchecked"):
-            observed = bench.run(path, vtype, avl, xregs or {}, fregs or {})
-            assert _same_vector_outcome(expected, observed, numeric,
-                                        vtype.sew), \
-                f"{path} block differs from CoreModel.step: {line} " \
-                f"{vtype.describe()} avl={avl} x={xregs} f={fregs}"
+        observed = bench.run("translated", vtype, avl, xregs or {},
+                             fregs or {})
+        assert _same_vector_outcome(expected, observed, numeric,
+                                    vtype.sew), \
+            f"block differs from CoreModel.step: {line} " \
+            f"{vtype.describe()} avl={avl} x={xregs} f={fregs}"
 
 
 def _row_lines(mnemonic, row):
@@ -574,7 +565,7 @@ def test_fp_vector_rows_trap_alike_below_sew_32():
                         ("vadd.vv v8, v4, v6", VType(vill=True)),
                         ("vle32.v v8, (x11)", VType(vill=True))):
         bench = _VectorBench(line)
-        for path in ("interpreter", "checked", "unchecked"):
+        for path in ("interpreter", "translated"):
             with pytest.raises(translate.Trap, match="vector configuration"):
                 bench.run(path, vtype, 4, {11: bench.buffer}, {})
 
@@ -618,11 +609,11 @@ def test_vector_memory_row_interpreter_equals_translated(mnemonic):
                 vregs = {6: indices, 7: indices} \
                     if addressing == "indexed" else None
                 for vtype, avl in _vector_cases((8, 16, 32, 64)):
-                    expected, *translated_runs = (
+                    expected, observed = (
                         bench.run(path, vtype, avl, {11: base, 12: stride},
                                   {}, vregs)
-                        for path in ("interpreter", "checked", "unchecked"))
-                    assert translated_runs == [expected, expected], \
+                        for path in ("interpreter", "translated"))
+                    assert observed == expected, \
                         f"{line} {vtype.describe()} avl={avl} " \
                         f"base=buffer{base - bench.buffer:+d} stride={stride}"
 
@@ -638,9 +629,8 @@ def test_vset_interpreter_equals_translated(line):
         for requested in (0, 1, 5, 1 << 40, _M64):
             expected = bench.run("interpreter", vtype, avl,
                                  {11: requested}, {})
-            for path in ("checked", "unchecked"):
-                assert bench.run(path, vtype, avl, {11: requested}, {}) \
-                    == expected, f"{path}: {line} avl={requested}"
+            assert bench.run("translated", vtype, avl, {11: requested},
+                             {}) == expected, f"{line} avl={requested}"
 
 
 def test_a_vsetvli_inside_a_block_refreshes_the_plan():
@@ -665,7 +655,7 @@ def test_a_vsetvli_inside_a_block_refreshes_the_plan():
     hart.regs[11], hart.regs[12] = 3, 100
     core.l1i.access_fast(program.entry, False)
     block = translate.BlockTranslator(core, machine).translate(program.entry)
-    assert block(count) is None
+    assert block() == count
     assert hart.pc == stepped.pc and hart.regs == stepped.regs
     assert (hart.vl, hart.vtype) == (stepped.vl, stepped.vtype)
     assert hart.vregs == stepped.vregs

@@ -97,8 +97,8 @@ class TestCliMetricsOut:
                          "--size", "16", "--metrics-out", str(path)]) == 0
         translator = json.loads(path.read_text())["host_profile"][
             "translator"]
-        assert translator["blocks_compiled"] \
-            + translator["factory_hits"] > 0
+        assert translator["blocks_compiled"] + translator["factory_hits"] \
+            == sum(translator["by_shape"].values()) > 0
         assert translator["enders"]
         assert not [mnemonic for mnemonic in translator["enders"]
                     if mnemonic.startswith("v")]
