@@ -468,6 +468,19 @@ def profile_main(argv: list[str]) -> int:
             print("block enders         : " + (", ".join(
                 f"{mnemonic} {count}"
                 for mnemonic, count in totals["enders"].items()) or "none"))
+            dispatch = {shape: tally for shape, tally
+                        in totals.get("dispatch", {}).items()
+                        if tally["dispatches"]}
+            if dispatch:
+                count, retired = (
+                    sum(tally[name] for tally in dispatch.values())
+                    for name in ("dispatches", "instructions"))
+                print(f"dispatches           : {count} (" + ", ".join(
+                    f"{shape} {tally['dispatches'] / count:.1%} at "
+                    f"{tally['instructions'] / tally['dispatches']:.2f}"
+                    for shape, tally in dispatch.items())
+                    + " instructions a dispatch); interpreter steps "
+                    f"{results.instructions - retired}")
         if args.annotate:
             print()
             print(profile_report.render_annotated(profile, top=args.top))
@@ -475,9 +488,12 @@ def profile_main(argv: list[str]) -> int:
             path = simulation.write_chrome_trace(args.chrome_trace)
             print(f"chrome trace written : {path}")
         if args.json is not None:
-            write_json(args.json, profile_report.profile_document(
+            document = profile_report.profile_document(
                 profile, kernel=workload.name, cores=cores,
-                verified=verified))
+                verified=verified)
+            if totals is not None:
+                document["translator"] = totals
+            write_json(args.json, document)
             print(f"profile written      : {args.json}")
 
     return simulate(prepare, report)

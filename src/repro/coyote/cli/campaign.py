@@ -418,10 +418,6 @@ def build_cluster_parser() -> argparse.ArgumentParser:
         "--nodes", type=int, default=2, metavar="N", help="node subprocesses "
         "the dispatcher launches itself (0 = only externally joined --node)")
     parser.add_argument(
-        "--fence", default=dispatcher["fence"],
-        action=argparse.BooleanOptionalAction, help="enforce fencing tokens "
-        "on every node write (--no-fence: unsafe at-least-once legacy mode)")
-    parser.add_argument(
         "--fault-plan", metavar="PLAN.json",
         help="seeded service-fault plan injected into the transport (drop/"
              "delay/duplicate/partition: examples/service_fault_plan.json)")
@@ -459,7 +455,7 @@ def cluster_main(argv: list[str]) -> int:
         plan = (None if args.fault_plan is None
                 else api.ServiceFaultPlan.load(args.fault_plan))
         return api.ClusterDispatcher(
-            args.root, fault_plan=plan, fence=args.fence,
+            args.root, fault_plan=plan,
             node_deadline_seconds=args.node_deadline_seconds,
             grace_seconds=args.grace_seconds, local_workers=args.workers,
             **_service_arguments(args))

@@ -33,7 +33,6 @@ results, statistics and traces.
 from __future__ import annotations
 
 import time
-from bisect import insort
 from dataclasses import dataclass
 
 from repro.assembler.program import Program
@@ -140,10 +139,7 @@ class Orchestrator:
         # Cores ready to attempt execution; stalled cores leave and are
         # re-inserted by the completion that might unblock them
         # (event-driven wakeup: a stalled core costs nothing per cycle).
-        # The list is kept sorted (bisect on wake, delete on stall or
-        # halt); the set mirrors it for O(1) membership tests.
-        self._active_list: list[int] = list(range(config.num_cores))
-        self._active_set: set[int] = set(self._active_list)
+        self._active_set: set[int] = set(range(config.num_cores))
         self._raw_waiting: set[int] = set()
         # cycles spent with exactly N active cores (N = 0 during
         # fast-forwarded stall periods).
@@ -252,7 +248,6 @@ class Orchestrator:
         if not self.cores[core_id].halted \
                 and core_id not in self._active_set:
             self._active_set.add(core_id)
-            insort(self._active_list, core_id)
             cycle = self.scheduler.current_cycle
             if self._ring is not None:
                 # Wakes are events of ``cycle``; the core runs next cycle.
@@ -438,7 +433,6 @@ class Orchestrator:
         cores = self.cores
         states = self._states
         machine = self.machine
-        active_list = self._active_list
         active_set = self._active_set
         raw_waiting = self._raw_waiting
         fetch_waits = self._fetch_waits
@@ -521,7 +515,7 @@ class Orchestrator:
 
         now = scheduler.current_cycle
         ring = self._ring = [[] for _ in range(128)]
-        for core_id in active_list:
+        for core_id in sorted(active_set):
             cycle = resume[core_id]
             ring[(cycle if cycle > now else now) & 127].append(core_id)
 
@@ -536,7 +530,7 @@ class Orchestrator:
                         f"cycle budget exhausted ({max_cycles})",
                         current_cycle=now, max_cycles=max_cycles,
                         pending_events=scheduler.pending_events)
-                live = len(active_list)
+                live = len(active_set)
                 next_event = next_event_cycle()
 
                 if not live:
@@ -626,7 +620,6 @@ class Orchestrator:
                                             f"core {core_id}: {exc}"
                                         ) from exc
                                     if blocks(core_id, registers):
-                                        active_list.remove(core_id)
                                         active_set.remove(core_id)
                                         raw_waiting.add(core_id)
                                         states[core_id].stall_start = now
@@ -749,7 +742,6 @@ class Orchestrator:
                                     state.waiting_fetch_id = fetch_id
                                     state.stall_start = now
                                     fetch_waits[fetch_id] = core_id
-                                    active_list.remove(core_id)
                                     active_set.remove(core_id)
                                     if chrome is not None:
                                         chrome.set_state(core_id,
@@ -757,7 +749,6 @@ class Orchestrator:
                                     continue
                             if cores[core_id].halted:
                                 states[core_id].halt_cycle = now
-                                active_list.remove(core_id)
                                 active_set.remove(core_id)
                                 remaining_cores -= 1
                                 if chrome is not None:
@@ -819,8 +810,7 @@ class Orchestrator:
         reference for the differential tests.
 
         It operates on ``_active_set`` with a fresh ``sorted()`` every
-        cycle; ``_active_list`` is kept in sync so :meth:`_wake` keeps
-        working (the optimised loop and the reference loop never run in
+        cycle (the optimised loop and the reference loop never run in
         the same simulation).
         """
         config = self.config
@@ -834,13 +824,6 @@ class Orchestrator:
         watchdog = self.watchdog
         invariants = self.invariants
         clock = time.perf_counter
-
-        def deactivate(core_id: int) -> None:
-            active.discard(core_id)
-            try:
-                self._active_list.remove(core_id)
-            except ValueError:
-                pass
 
         while remaining_cores:
             if pause_at is not None \
@@ -909,7 +892,7 @@ class Orchestrator:
                     raise SimulationError(
                         f"core {core_id}: {exc}") from exc
                 if scoreboard.blocks(core_id, registers):
-                    deactivate(core_id)
+                    active.discard(core_id)
                     self._raw_waiting.add(core_id)
                     state.stall_start = scheduler.current_cycle
                     if chrome is not None:
@@ -937,14 +920,14 @@ class Orchestrator:
                         state.waiting_fetch_id = fetch_id
                         state.stall_start = scheduler.current_cycle
                         self._fetch_waits[fetch_id] = core_id
-                        deactivate(core_id)
+                        active.discard(core_id)
                         if chrome is not None:
                             chrome.set_state(core_id, FETCH_STALL,
                                              scheduler.current_cycle)
 
                 if core.halted:
                     state.halt_cycle = scheduler.current_cycle
-                    deactivate(core_id)
+                    active.discard(core_id)
                     remaining_cores -= 1
                     if chrome is not None:
                         chrome.halt(core_id, scheduler.current_cycle)

@@ -21,7 +21,7 @@ from repro.memhier.noc import (
     make_noc,
 )
 from repro.memhier.request import MemRequest, RequestKind
-from repro.memhier.tagarray import TagArray
+from repro.utils.tagarray import TagArray
 
 __all__ = [
     "CacheBank",

@@ -25,8 +25,8 @@ from collections import deque
 from typing import Callable
 
 from repro.memhier.request import MemRequest, RequestKind
-from repro.memhier.tagarray import TagArray
 from repro.sparta.unit import Unit
+from repro.utils.tagarray import TagArray
 
 
 class CacheBank(Unit):

@@ -147,6 +147,9 @@ class InvariantChecker:
         violations.extend(self._check_retire_credits(orchestrator,
                                                      instructions))
 
+        # The L1I's MRU shadow, which translated fetch probes trust.
+        violations.extend(self._check_mru_shadow(orchestrator))
+
         # Per-bank structural checks.
         for bank in orchestrator.hierarchy.all_cache_banks():
             violations.extend(self._check_bank(bank))
@@ -224,6 +227,26 @@ class InvariantChecker:
                           f"instructions but the cores retired "
                           f"{retired}",
             })
+        return violations
+
+    @staticmethod
+    def _check_mru_shadow(orchestrator) -> list[dict]:
+        """On every core's L1I, a shadow entry that names a tag must
+        name the newest way of its set (``L1Cache._mru``): a block
+        skips the LRU touch of a fetch on the strength of it."""
+        violations = []
+        for core in orchestrator.cores:
+            l1i = core.l1i
+            for index, (tag, ways) in enumerate(zip(l1i._mru, l1i._sets)):
+                newest = next(reversed(ways), -1)
+                if tag not in (-1, newest):
+                    violations.append({
+                        "invariant": "l1_mru_shadow",
+                        "component": l1i.name,
+                        "detail": f"{l1i.name} set {index}: the MRU "
+                                  f"shadow names line {tag:#x} but the "
+                                  f"newest way is {newest:#x}",
+                    })
         return violations
 
     @staticmethod

@@ -351,8 +351,7 @@ class ClusterDispatcher(CampaignService):
                  transport: Transport | None = None, *,
                  fault_plan: ServiceFaultPlan | None = None,
                  node_deadline_seconds: float | None = None,
-                 grace_seconds: float = 5.0, fence: bool = True,
-                 local_workers: int = 1,
+                 grace_seconds: float = 5.0, local_workers: int = 1,
                  clock: Callable[[], float] = time.time,
                  monitor: CampaignMetrics | None = None,
                  **service_kwargs: Any):
@@ -364,7 +363,6 @@ class ClusterDispatcher(CampaignService):
         if fault_plan is not None:
             base = FaultyTransport(base, fault_plan)
         self.transport = base
-        self.fence_enabled = fence
         self.grace_seconds = grace_seconds
         self._clock = clock
         if node_deadline_seconds is None:
@@ -448,9 +446,9 @@ class ClusterDispatcher(CampaignService):
         except (KeyError, IndexError):
             return  # a completion for a job this root never had
         if fence is None and point["state"] in DONE_STATES:
-            # Unfenced duplicate delivery: drop it without journaling
-            # (with fencing on, the fence check in _settle handles this
-            # and records the rejection durably).
+            # A duplicate that came back without the token its grant
+            # carried: drop it without journaling (a fenced one goes on
+            # to _settle, whose check records the rejection durably).
             return
         settled = self._settle(
             {"job_id": job_id, "index": index, "fence": fence}, message)
@@ -480,12 +478,11 @@ class ClusterDispatcher(CampaignService):
             # Cache hits are served dispatcher-side; the node never
             # sees the point.
             return True
-        fence = lease["fence"]
         self.transport.send(node, {
             "type": "grant", "src": DISPATCHER_ENDPOINT,
             "job": lease["job_id"], "index": lease["index"],
             "settings": lease["settings"], "spec": lease["spec"],
-            "fence": fence if self.fence_enabled else None,
+            "fence": lease["fence"],
             "cache_key": lease["cache_key"],
             "lease_seconds": self.lease_seconds})
         self.monitor.count("grants")

@@ -600,6 +600,8 @@ class CampaignExecutor:
 
     def _attempt_ended(self, worker, outcome: str) -> None:
         lease, index = worker.context, worker.index
+        # The gauge is of a live attempt: a service outlives its points.
+        self.monitor.heartbeat_gauges.pop((lease["job_id"], index), None)
         self.monitor.count("blocks_shared", amount=worker.blocks)
         self.monitor.span_close(
             (lease["job_id"], index, lease["attempt"]),

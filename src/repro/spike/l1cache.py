@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.bitops import clog2, is_power_of_two
+from repro.utils.tagarray import TagArray
 
 
 @dataclass(frozen=True)
@@ -47,54 +47,32 @@ class L1Stats:
         return self.misses / total if total else 0.0
 
 
-class L1Cache:
-    """A set-associative, write-back, write-allocate tag cache."""
+class L1Cache(TagArray):
+    """A set-associative, write-back, write-allocate tag cache: the
+    shared tag array plus statistics, allocate-on-miss and the MRU
+    shadow."""
 
     def __init__(self, size_bytes: int = 32 * 1024, associativity: int = 8,
                  line_bytes: int = 64, name: str = "l1"):
-        if not is_power_of_two(line_bytes):
-            raise ValueError(f"line size must be a power of two: {line_bytes}")
-        num_lines, remainder = divmod(size_bytes, line_bytes)
-        if remainder:
-            raise ValueError("cache size must be a multiple of the line size")
-        self.num_sets, remainder = divmod(num_lines, associativity)
-        if remainder or self.num_sets == 0:
-            raise ValueError(
-                f"size/assoc/line geometry invalid: {size_bytes}/"
-                f"{associativity}/{line_bytes}")
-        if not is_power_of_two(self.num_sets):
-            raise ValueError(f"number of sets must be a power of two, "
-                             f"got {self.num_sets}")
+        super().__init__(size_bytes, associativity, line_bytes)
         self.name = name
-        self.size_bytes = size_bytes
-        self.associativity = associativity
-        self.line_bytes = line_bytes
-        self._offset_bits = clog2(line_bytes)
-        self._index_mask = self.num_sets - 1
-        # Per set: {tag: dirty}; dict preserves insertion order, and we
-        # re-insert on touch, so the first key is always the LRU way.
-        self._sets: list[dict[int, bool]] = [dict()
-                                             for _ in range(self.num_sets)]
         # Per set: the most-recently-used tag (-1 = unknown).  Touching
-        # the MRU way again is a no-op on LRU order, so hot paths (the
-        # translated blocks especially, which re-fetch the same I-line
-        # on every trip around a loop) compare against this shadow and
-        # skip the pop/re-insert.  Invariant: _mru[s] == t implies t is
-        # the newest key of _sets[s]; every mutation of a set either
-        # maintains that or resets the entry.  The list is only ever
+        # the MRU way again is a no-op on LRU order, so translated
+        # blocks, which re-fetch the same I-line on every trip around a
+        # loop, compare against this shadow and skip the pop/re-insert.
+        # Invariant, **on an L1I**: _mru[s] == t implies t is the newest
+        # key of _sets[s] — the methods below and the blocks' fetch probe
+        # maintain it or reset the entry (InvariantChecker's
+        # ``l1_mru_shadow``).  Not on an L1D, where nothing reads it:
+        # blocks re-insert data hits inline without touching it, and not
+        # writing it there would cost a test per access.  Only ever
         # mutated in place — generated code holds a direct reference.
         self._mru: list[int] = [-1] * self.num_sets
         self.stats = L1Stats()
 
-    # -- geometry helpers ---------------------------------------------------
-
     def line_address(self, address: int) -> int:
         """Address of the cache line containing ``address``."""
         return address >> self._offset_bits << self._offset_bits
-
-    def _locate(self, address: int) -> tuple[int, int]:
-        line_number = address >> self._offset_bits
-        return line_number & self._index_mask, line_number
 
     # -- main access path ---------------------------------------------------
 
@@ -102,10 +80,8 @@ class L1Cache:
         """Look up ``address``; allocates on miss and returns the outcome."""
         miss = self.access_fast(address, is_write)
         if miss is None:
-            return L1Access(hit=True,
-                            line_address=self.line_address(address))
-        return L1Access(hit=False, line_address=miss[0],
-                        writeback_address=miss[1])
+            return L1Access(True, self.line_address(address))
+        return L1Access(False, *miss)
 
     def access_fast(self, address: int,
                     is_write: bool) -> tuple[int, int | None] | None:
@@ -116,42 +92,37 @@ class L1Cache:
         — the overwhelmingly common case pays no object construction —
         and ``(line_address, writeback_address_or_None)`` on a miss.
         """
-        offset_bits = self._offset_bits
-        tag = address >> offset_bits
+        tag = address >> self._offset_bits
         index = tag & self._index_mask
         ways = self._sets[index]
-        stats = self.stats
         if is_write:
-            stats.writes += 1
+            self.stats.writes += 1
         else:
-            stats.reads += 1
-
+            self.stats.reads += 1
         if tag in ways:
             ways[tag] = ways.pop(tag) or is_write  # re-insert as MRU
             self._mru[index] = tag
             return None
+        return self.miss(tag, is_write)
 
+    def miss(self, tag: int, is_write: bool) -> tuple[int, int | None]:
+        """The miss half of a lookup, for a caller that has counted the
+        access and found line ``tag`` absent (:meth:`access_fast`, and
+        translated blocks, which probe inline): miss statistics, LRU
+        victim, install.  Returns ``(line_address, dirty victim's line
+        address or None)``."""
+        stats = self.stats
         if is_write:
             stats.write_misses += 1
         else:
             stats.read_misses += 1
-
-        writeback = None
-        if len(ways) >= self.associativity:
-            victim_tag, victim_dirty = next(iter(ways.items()))
-            del ways[victim_tag]
-            if victim_dirty:
-                stats.writebacks += 1
-                writeback = victim_tag << offset_bits
-        ways[tag] = is_write
-        self._mru[index] = tag
-        return tag << offset_bits, writeback
-
-    def probe(self, address: int) -> bool:
-        """True when the line holding ``address`` is resident (no side
-        effects)."""
-        set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        address = tag << self._offset_bits
+        victim = self.install(address, is_write)
+        self._mru[tag & self._index_mask] = tag
+        if victim is None or not victim[1]:
+            return address, None
+        stats.writebacks += 1
+        return address, victim[0]
 
     # -- maintenance --------------------------------------------------------
 
@@ -163,16 +134,8 @@ class L1Cache:
 
     def flush(self) -> list[int]:
         """Drop every line, returning dirty line addresses for write-back."""
-        dirty_lines = []
-        for set_index, ways in enumerate(self._sets):
-            for tag, dirty in ways.items():
-                if dirty:
-                    dirty_lines.append(tag << self._offset_bits)
-            ways.clear()
-        self._mru[:] = (-1,) * self.num_sets
+        dirty_lines = [tag << self._offset_bits for ways in self._sets
+                       for tag, dirty in ways.items() if dirty]
+        self.invalidate_all()
         self.stats.writebacks += len(dirty_lines)
         return dirty_lines
-
-    def resident_lines(self) -> int:
-        """Number of currently valid lines."""
-        return sum(len(ways) for ways in self._sets)

@@ -46,6 +46,18 @@ class MissRequest:
     pc: int = 0            # faulting pc (guest-profile attribution)
 
 
+def miss_requests(core_id: int, kind: AccessKind, miss: tuple,
+                  registers: tuple, pc: int) -> list[MissRequest]:
+    """What one L1 miss (``L1Cache.miss``'s result) sends into the
+    hierarchy: the fill and, behind it, a dirty victim's write-back."""
+    line, writeback = miss
+    requests = [MissRequest(core_id, line, kind, registers, pc=pc)]
+    if writeback is not None:
+        requests.append(MissRequest(core_id, writeback,
+                                    AccessKind.WRITEBACK, pc=pc))
+    return requests
+
+
 class StepStatus(enum.Enum):
     """Outcome of attempting to execute one instruction on a core."""
 
@@ -139,13 +151,8 @@ class CoreModel:
         fetch_miss = self.l1i.access_fast(pc, False)
         if fetch_miss is not None:
             self.fetch_stalls += 1
-            fetch_line, fetch_writeback = fetch_miss
-            misses = [MissRequest(self.core_id, fetch_line,
-                                  AccessKind.IFETCH, pc=pc)]
-            if fetch_writeback is not None:
-                misses.append(MissRequest(self.core_id, fetch_writeback,
-                                          AccessKind.WRITEBACK, pc=pc))
-            return CoreStep(StepStatus.FETCH_MISS, misses=misses)
+            return CoreStep(StepStatus.FETCH_MISS, misses=miss_requests(
+                self.core_id, AccessKind.IFETCH, fetch_miss, (), pc))
 
         instr = hart.step()
         self.instructions += 1
@@ -170,31 +177,21 @@ class CoreModel:
         for access in accesses:
             is_write = access.is_write
             address = access.address
-            first_line = l1d.line_address(address)
-            last_line = l1d.line_address(address + access.size - 1)
-            line = first_line
-            while line <= last_line:
+            for line in range(l1d.line_address(address),
+                              address + access.size, line_bytes):
                 if seen is not None:
                     key = (line, is_write)
                     if key in seen:
-                        line += line_bytes
                         continue
                     seen.add(key)
                 result = access_fast(line, is_write)
                 if result is not None:
-                    kind = (AccessKind.STORE if is_write
-                            else AccessKind.LOAD)
-                    registers = (instr.dests
-                                 if kind is AccessKind.LOAD else ())
-                    if misses is None:
-                        misses = []
-                    misses.append(MissRequest(core_id, line,
-                                              kind, registers, pc=pc))
-                    if result[1] is not None:
-                        misses.append(MissRequest(
-                            core_id, result[1],
-                            AccessKind.WRITEBACK, pc=pc))
-                line += line_bytes
+                    requests = miss_requests(
+                        core_id,
+                        AccessKind.STORE if is_write else AccessKind.LOAD,
+                        result, () if is_write else instr.dests, pc)
+                    misses = requests if misses is None \
+                        else misses + requests
 
         event = self.machine.check_htif(accesses, hart)
         if event.exited:

@@ -27,9 +27,11 @@ Fidelity contract (bit-identical to the interpreter, proven by
   not coming due again until the tail's last logical cycle has passed;
   a core that may retire only one instruction this cycle gets the
   *single*-instruction block.
-* **L1 exactness.**  Data-side lookups replicate ``L1Cache.access_fast``
-  (stats, true-LRU touch, allocate-on-miss, dirty-victim writeback)
-  inline, with the access counters constant-folded into each exit.
+* **L1 exactness.**  Data-side lookups inline the hit half of
+  ``L1Cache.access_fast`` (true-LRU touch, dirty bit; the access
+  counters constant-folded into each exit) and fall into the cache's
+  own ``miss`` (miss statistics, victim, install), whose result
+  ``simulator.miss_requests`` turns into the requests to submit.
   Instruction-side fetches are proven resident with a fused
   probe-and-LRU-touch per 64-byte segment as execution first reaches
   it, which leaves identical final cache state.  The pure counters —
@@ -69,7 +71,9 @@ Fidelity contract (bit-identical to the interpreter, proven by
 Compiled factories are cached per process and shared by every core and
 run in it; :func:`export_factories` / :func:`import_factories` carry
 them between processes as marshalled code, which is how a campaign's
-forked point workers feed the process that forks the next one.
+forked point workers feed the process that forks the next one.  An
+observed run (guest profiling on) compiles nothing of its own: it wraps
+each function it installs (``BlockTranslator._observed``).
 
 A generated ``run()`` function has two outcomes:
 
@@ -93,6 +97,7 @@ import struct
 import time
 import types
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.soc.memory import PAGE_SIZE
 from repro.spike.hart import Trap
@@ -109,7 +114,7 @@ from repro.spike.semantics import (
     VSTORES,
     X_XX,
 )
-from repro.spike.simulator import AccessKind, MissRequest
+from repro.spike.simulator import AccessKind, miss_requests
 from repro.spike.vector import (
     decode_vtype,
     element_addresses,
@@ -144,38 +149,6 @@ class BlockExit:
                 f"misses={self.misses} halted={self.halted}>")
 
 
-def _data_miss(l1, tag, is_write, core_id, registers, pc):
-    """Replicate ``L1Cache.access_fast``'s miss half; returns requests.
-
-    The call site has already bumped ``stats.reads``/``writes`` and
-    established ``tag not in ways``; this records the miss, evicts the
-    LRU victim (emitting a WRITEBACK request when dirty) and installs
-    the new line, exactly as the interpreter path does.
-    """
-    stats = l1.stats
-    if is_write:
-        stats.write_misses += 1
-        kind = AccessKind.STORE
-    else:
-        stats.read_misses += 1
-        kind = AccessKind.LOAD
-    offset_bits = l1._offset_bits
-    index = tag & l1._index_mask
-    ways = l1._sets[index]
-    misses = [MissRequest(core_id, tag << offset_bits, kind, registers,
-                          pc=pc)]
-    if len(ways) >= l1.associativity:
-        victim_tag, victim_dirty = next(iter(ways.items()))
-        del ways[victim_tag]
-        if victim_dirty:
-            stats.writebacks += 1
-            misses.append(MissRequest(core_id, victim_tag << offset_bits,
-                                      AccessKind.WRITEBACK, pc=pc))
-    ways[tag] = is_write
-    l1._mru[index] = tag
-    return misses
-
-
 def _probe_lines(l1, addresses, size, is_write, core_id, registers, pc):
     """The L1D lookups of one vector memory instruction: every line its
     accesses touch, once, in first-touch order — what ``CoreModel.step``
@@ -193,13 +166,9 @@ def _probe_lines(l1, addresses, size, is_write, core_id, registers, pc):
             seen.add(tag)
             result = l1.access_fast(tag << offset_bits, is_write)
             if result is not None:
-                if misses is None:
-                    misses = []
-                misses.append(MissRequest(core_id, result[0], kind,
-                                          registers, pc=pc))
-                if result[1] is not None:
-                    misses.append(MissRequest(core_id, result[1],
-                                              AccessKind.WRITEBACK, pc=pc))
+                requests = miss_requests(core_id, kind, result, registers,
+                                         pc)
+                misses = requests if misses is None else misses + requests
     return misses
 
 
@@ -229,7 +198,10 @@ _G = {
     "zip": zip,
     "range": range,
     "bytes": bytes,
-    "DMISS": _data_miss,
+    # An L1D miss: ``MISS(cid, LOAD, dmiss(t, False), regs, pc)``.
+    "MISS": miss_requests,
+    "LOAD": AccessKind.LOAD,
+    "STORE": AccessKind.STORE,
     # Vector: the plan fetch, group bytes, element-wise loads, probes.
     "PLAN": group_plan,
     "VTYPE": decode_vtype,
@@ -330,7 +302,7 @@ def _discover(hart, pc: int, cap: int = MAX_BLOCK, uop: bool = False,
     return instrs
 
 
-def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
+def _build_source(pc0: int, instrs: list, tohost: int,
                   i_off: int, i_mask: int, d_off: int, d_mask: int) -> str:
     """Generate the factory source for one basic block.
 
@@ -501,10 +473,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
                 # Element addresses and the element size.
                 emit(2, f"A, z = VADDR(hart, i{k}, P, {eew}, "
                         f"{addressing!r})")
-        if profiled:
-            emit(2, f"prof.retire({pc}, i{k})")
-        if profiled or (vaccess and vaccess[1] != "unit") \
-                or m in _CONFIG_OK:
+        if (vaccess and vaccess[1] != "unit") or m in _CONFIG_OK:
             pre.append(f"i{k} = instrs[{k}]")
 
         if m in _LOAD_OPS:
@@ -539,7 +508,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
             emit(2, "try:")
             emit(3, "dw[t] = dw.pop(t)")
             emit(2, "except KeyError:")
-            emit(3, f"E.misses = DMISS(l1d, t, False, cid, r{k}, {pc})")
+            emit(3, f"E.misses = MISS(cid, LOAD, dmiss(t, False), r{k}, {pc})")
             emit(3, "E.halted = False")
             emit_value(3)
             emit_event(3, k + 1, npc)
@@ -555,7 +524,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
             emit(3, "dw[t] = True")
             emit(3, "ms = None")
             emit(2, "except KeyError:")
-            emit(3, f"ms = DMISS(l1d, t, True, cid, (), {pc})")
+            emit(3, f"ms = MISS(cid, STORE, dmiss(t, True), (), {pc})")
             emit(2, "g = a >> 12")
             emit(2, "try:")
             emit(3, "p = pages[g]")
@@ -656,8 +625,8 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
                 else:
                     emit(4, "dw[t] = dw.pop(t)")
                 emit(3, "except KeyError:")
-                emit(4, f"q = DMISS(l1d, t, {is_store}, cid, {registers}, "
-                        f"{pc})")
+                emit(4, f"q = MISS(cid, {'STORE' if is_store else 'LOAD'}, "
+                        f"dmiss(t, {is_store}), {registers}, {pc})")
                 emit(4, "ms = q if ms is None else ms + q")
             emit(2, "if ms is not None:")
             emit(3, "E.misses = ms")
@@ -710,12 +679,13 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
 
     lines = [
         "def _factory(C):",
-        "    (hart, x, f, core, E, prof, instrs, l1i, l1d, pages, alloc,",
+        "    (hart, x, f, core, E, instrs, l1i, l1d, pages, alloc,",
         "     CP, inv, htif, cid) = C",
         "    isets = l1i._sets",
         "    IM = l1i._mru",
         "    dsets = l1d._sets",
         "    dst = l1d.stats",
+        "    dmiss = l1d.miss",
     ]
     lines += ["    " + text for text in pre]
     lines.append("    def run():")
@@ -725,10 +695,10 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
 
 
 # Compiled factories are pure functions of (code words, geometry,
-# profiled, tohost), so they are shared machine-wide: eight cores
-# translating the same loop compile it once, repeated benchmark reps in
-# one process pay zero recompilation, and a campaign's point workers
-# hand theirs back to the process that forks the next one.
+# tohost), so they are shared machine-wide: eight cores translating the
+# same loop compile it once, repeated benchmark reps in one process,
+# observed or plain, pay zero recompilation, and a campaign's point
+# workers hand theirs back to the process that forks the next one.
 _FACTORY_CACHE: dict = {}
 _FACTORY_CACHE_MAX = 4096
 
@@ -743,7 +713,7 @@ def export_factories(known) -> bytes | None:
     """The factories held under keys not in ``known`` (a snapshot of
     the cache's keys) as ``marshal`` of ``{key: code}``, or ``None``.
     A factory is a closure-free, default-free function over ``_G``, so
-    its code object is all of it; a key is a tuple of ints and bools."""
+    its code object is all of it; a key is ints and a tuple of ints."""
     new = {key: factory.__code__
            for key, factory in _FACTORY_CACHE.items() if key not in known}
     return marshal.dumps(new) if new else None
@@ -785,6 +755,10 @@ class TranslatorStats:
     # pc -> mnemonic of the instruction there that ended a block or made
     # the pc untranslatable ("<illegal>": an undecodable word).
     enders: dict = field(default_factory=dict)
+    # shape -> [dispatches that retired something, instructions they
+    # retired]; counted by ``BlockTranslator._observed`` only.
+    dispatch: dict = field(
+        default_factory=lambda: {shape: [0, 0] for shape in SHAPES})
 
 
 def translator_totals(translators) -> dict | None:
@@ -798,7 +772,7 @@ def translator_totals(translators) -> dict | None:
     for each in stats:
         for mnemonic in each.enders.values():
             enders[mnemonic] = enders.get(mnemonic, 0) + 1
-    return {
+    totals = {
         "blocks_compiled": sum(each.blocks_compiled for each in stats),
         "factory_hits": sum(each.factory_hits for each in stats),
         "compile_seconds": sum(each.compile_seconds for each in stats),
@@ -807,11 +781,17 @@ def translator_totals(translators) -> dict | None:
         "enders": dict(sorted(enders.items(),
                               key=lambda item: (-item[1], item[0]))),
     }
+    dispatch = {shape: {
+        "dispatches": sum(each.dispatch[shape][0] for each in stats),
+        "instructions": sum(each.dispatch[shape][1] for each in stats)}
+        for shape in SHAPES}
+    if any(tally["dispatches"] for tally in dispatch.values()):
+        totals["dispatch"] = dispatch   # absent, not zero, when unobserved
+    return totals
 
 
-def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
-                 d_off, d_mask, stats):
-    key = (pc0, tuple(ins.word for ins in instrs), profiled, tohost,
+def _factory_for(pc0, instrs, tohost, i_off, i_mask, d_off, d_mask, stats):
+    key = (pc0, tuple(ins.word for ins in instrs), tohost,
            i_off, i_mask, d_off, d_mask)
     factory = _FACTORY_CACHE.get(key)
     if factory is not None:
@@ -819,7 +799,7 @@ def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
     else:
         stats.blocks_compiled += 1
         started = time.perf_counter()
-        source = _build_source(pc0, instrs, profiled, tohost,
+        source = _build_source(pc0, instrs, tohost,
                                i_off, i_mask, d_off, d_mask)
         code = compile(source, f"<block@{pc0:#x}>", "exec")
         namespace: dict = {}
@@ -874,23 +854,48 @@ class BlockTranslator:
             tohost = machine.tohost_address
             if tohost is None:
                 tohost = -1
-            factory = _factory_for(pc, instrs, core.profile is not None,
-                                   tohost, l1i._offset_bits, l1i._index_mask,
+            factory = _factory_for(pc, instrs, tohost,
+                                   l1i._offset_bits, l1i._index_mask,
                                    l1d._offset_bits, l1d._index_mask,
                                    self.stats)
             self.stats.by_shape[shape] += 1
             memory = machine.memory
             fn = factory((hart, hart.regs, hart.fregs, core, self._exit,
-                          core.profile, instrs, l1i, l1d, memory._pages,
-                          memory._page, hart._code_pages,
-                          hart.code_registry.note_store, machine.htif_store,
-                          core.core_id))
+                          instrs, l1i, l1d, memory._pages, memory._page,
+                          hart._code_pages, hart.code_registry.note_store,
+                          machine.htif_store, core.core_id))
+            if core.profile is not None:
+                fn = self._observed(fn, pc, instrs, shape)
         else:
             fn = _zero_progress_stub(self._exit)
         self.blocks[shape][pc] = fn
         # A stub covers the one word that made its pc untranslatable.
         self._bounds[shape][pc] = pc + 4 * max(len(instrs), 1) - 1
         return fn
+
+    def _observed(self, run, pc0: int, instrs: list, shape: str):
+        """``run`` wrapped for an observed run: what the block retired
+        goes to the core's profile in one accrual and to its shape's
+        dispatch tally, after it returns.  Blocks carry no profiling
+        code, so a plain run gets the bare function and pays nothing."""
+        count = len(instrs)
+        # Vector instructions among the first n; only a block's last
+        # instruction can be control flow.
+        vectors = list(accumulate((ins.is_vector for ins in instrs),
+                                  initial=0))
+        ends_control = instrs[-1].is_branch or instrs[-1].is_jump
+        retire_run = self.core.profile.retire_run
+        tally = self.stats.dispatch[shape]
+
+        def observed():
+            result = run()
+            n = result if result.__class__ is int else result.executed
+            if n:
+                tally[0] += 1
+                tally[1] += n
+                retire_run(pc0, n, vectors[n], ends_control and n == count)
+            return result
+        return observed
 
     # -- invalidation (CodeCacheRegistry protocol) --------------------------
 

@@ -85,9 +85,9 @@ class CampaignMetrics:
     ``counters`` are monotonic event counts under fixed names (a
     misspelt name is a ``KeyError``, not a silent new series);
     ``gauges`` hold the last observed queue depth and lease count,
-    ``heartbeat_gauges`` the last ``cycles`` / ``rss_mb`` each point's
-    worker reported, ``node_gauges`` each cluster node's last-seen age
-    and held leases.  Spans (one per local attempt, one per node grant)
+    ``heartbeat_gauges`` the last ``cycles`` / ``rss_mb`` reported by
+    each point's worker while its attempt is live, ``node_gauges`` each
+    cluster node's last-seen age and held leases.  Spans (one per local attempt, one per node grant)
     are kept as Chrome trace complete-events, newest 65 536, so a whole
     campaign's schedule opens in Perfetto.  All host-side: none of it
     enters the canonical ``SweepTable.to_dict`` document.

@@ -76,7 +76,7 @@ class ProfileError(RuntimeError):
 
 
 class CoreProfile:
-    """Live per-core collector; its :meth:`retire` is the hot hook.
+    """Live per-core collector; :meth:`retire_run` is the hot hook.
 
     Attached to ``CoreModel.profile`` by the orchestrator when guest
     profiling is enabled; stays ``None`` otherwise so the core's step
@@ -102,26 +102,31 @@ class CoreProfile:
         self._expect_pc = -1
 
     def retire(self, pc: int, instr) -> None:
-        """Account one retired instruction (called from the core's
-        step; one dict upsert per instruction when profiling is on)."""
+        """Account one retired instruction (the interpreter's hook,
+        called from the core's step)."""
+        self.retire_run(pc, 1, instr.is_vector,
+                        instr.is_branch or instr.is_jump)
+
+    def retire_run(self, pc: int, count: int, vector_count: int,
+                   ends_control: bool) -> None:
+        """Account ``count`` (>= 1) instructions retired back to back
+        from ``pc``, ``vector_count`` of them vector, the last one a
+        branch or jump when ``ends_control`` — the hook of a translated
+        block, where only the last instruction can be control flow."""
         if pc != self._expect_pc:
             self._block_start = pc
+        last = pc + 4 * (count - 1)
         entry = self.blocks.get(self._block_start)
         if entry is None:
-            entry = self.blocks[self._block_start] = [0, pc]
-        entry[0] += 1
-        if pc > entry[1]:
-            entry[1] = pc
-        if instr.is_branch or instr.is_jump:
-            # Control flow ends the block; the successor starts a new
-            # one whatever pc it lands on.
-            self._expect_pc = -1
-        else:
-            self._expect_pc = pc + 4
-        if instr.is_vector:
-            self.retired_vector += 1
-        else:
-            self.retired_scalar += 1
+            entry = self.blocks[self._block_start] = [0, last]
+        entry[0] += count
+        if last > entry[1]:
+            entry[1] = last
+        # Control flow ends the block; the successor starts a new one
+        # whatever pc it lands on.
+        self._expect_pc = -1 if ends_control else last + 4
+        self.retired_vector += vector_count
+        self.retired_scalar += count - vector_count
 
     def note_event(self, pc: int, slot: int, cycles: int = 1) -> None:
         """Bump one per-PC event slot (miss count or stall cycles)."""

@@ -56,9 +56,9 @@ def forbid_compile(monkeypatch):
     monkeypatch.setattr(translate, "compile", forbidden, raising=False)
 
 
-def simulate(kernel):
+def simulate(kernel, **overrides):
     workload = make_workload(kernel, cores=CORES, size=_SIZE[kernel])
-    simulation = Simulation(SimulationConfig.for_cores(CORES),
+    simulation = Simulation(SimulationConfig.for_cores(CORES, **overrides),
                             workload.program)
     document = simulation.run().to_dict()
     for name in HOST_FIELDS:
@@ -262,8 +262,9 @@ class TestCampaign:
         assert services[-1].monitor.counters["blocks_shared"] == 0
 
     def test_a_guest_profiled_sweep_returns_the_serial_table(self):
-        """``profiled`` is part of a block's key and its code calls the
-        worker's own profiler: sharing must not cross the two."""
+        """A block carries no profiling code — an observed run wraps
+        the function it installs — so profiled and plain runs share
+        every factory, and the profile is the worker's own."""
         def sweep(workers, **overrides):
             return api.sweep("scalar-spmv", CORES, size=8,
                              axes={"noc.latency": [2, 4, 6, 8]},
@@ -271,16 +272,34 @@ class TestCampaign:
 
         profiled = {"telemetry": TelemetryConfig(guest_profile=True)}
         pooled = sweep(2, **profiled)
-        plain = sweep(2)    # inherits the profiled blocks, uses none
         keys = set(_FACTORY_CACHE)
-        assert {key[2] for key in keys} == {True, False}
+        plain = sweep(2)    # runs on the blocks the profiled sweep made
+        assert set(_FACTORY_CACHE) == keys
+        # (pc, words, tohost, four geometry ints): nothing tells a
+        # profiled block from a plain one.
+        assert all(len(key) == 7 and isinstance(key[1], tuple)
+                   and not any(isinstance(member, bool) for member in key)
+                   for key in keys)
         _FACTORY_CACHE.clear()
         serial = sweep(1, **profiled)
+        assert set(_FACTORY_CACHE) == keys
         assert documents(pooled) == documents(serial)
         assert all(document["guest_profile"]
                    for document in documents(pooled))
         assert [document["cycles"] for document in documents(plain)] \
             == [document["cycles"] for document in documents(serial)]
+
+    def test_a_profiled_run_after_a_plain_one_compiles_nothing(self):
+        plain, cold = simulate("scalar-spmv")
+        profiled, warm = simulate(
+            "scalar-spmv", telemetry=TelemetryConfig(guest_profile=True))
+        assert cold["blocks_compiled"] > 0 == warm["blocks_compiled"]
+        assert warm["factory_hits"] == cold["factory_hits"] \
+            + cold["blocks_compiled"]
+        assert "dispatch" in warm and "dispatch" not in cold
+        assert profiled.pop("guest_profile")["instructions"] \
+            == plain["instructions"]
+        assert profiled == plain
 
     def test_a_supervised_heartbeating_sweep_returns_the_serial_table(
             self):

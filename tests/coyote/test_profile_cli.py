@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.coyote.cli import EXIT_CONFIG, main as cli_main
+from repro.spike.simulator import CoreModel, StepStatus
 from repro.telemetry.profile_report import PROFILE_SCHEMA
 
 
@@ -30,6 +31,55 @@ def test_profile_lists_translator_counters(capsys):
     enders = next(line for line in captured.out.splitlines()
                   if line.startswith("block enders"))
     assert " v" not in enders.split(":", 1)[1]
+
+
+@pytest.mark.parametrize("kernel,cores", [
+    ("scalar-matmul", 1), ("vector-matmul", 4), ("scalar-spmv", 8)])
+def test_dispatch_counts_conserve(kernel, cores, tmp_path, capsys,
+                                  monkeypatch):
+    """Every retired instruction is counted once: by the block
+    dispatch (of one shape) that retired it, or as an interpreter step
+    — counted here at ``CoreModel.step``, not derived."""
+    stepped = []
+    step = CoreModel.step
+
+    def counted(core):
+        outcome = step(core)
+        stepped.append(outcome.status is StepStatus.EXECUTED)
+        return outcome
+    monkeypatch.setattr(CoreModel, "step", counted)
+    out = tmp_path / "profile.json"
+    assert cli_main(["profile", "--kernel", kernel, "--cores", str(cores),
+                     "--size", "8", "--json", str(out)]) == 0
+    document = json.loads(out.read_text())
+    dispatch = document["translator"]["dispatch"]
+    assert set(dispatch) == {"whole", "micro", "single"}
+    assert all(0 <= tally["dispatches"] <= tally["instructions"]
+               for tally in dispatch.values())
+    retired = sum(tally["instructions"] for tally in dispatch.values())
+    assert retired + sum(stepped) == document["instructions"]
+    # One live core runs whole blocks; two or more never do.
+    assert (dispatch["whole"]["dispatches"] > 0) == (cores == 1)
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("dispatches"))
+    assert line.endswith(f"interpreter steps {sum(stepped)}")
+    assert re.search(r"micro \d+\.\d% at \d\.\d\d", line)
+
+
+def test_unobserved_and_untranslated_runs_count_no_dispatches(
+        tmp_path, capsys):
+    out = tmp_path / "metrics.json"
+    assert cli_main(["--kernel", "scalar-matmul", "--cores", "2",
+                     "--size", "6", "--metrics-out", str(out)]) == 0
+    translator = json.loads(out.read_text())["host_profile"]["translator"]
+    assert translator["by_shape"]["single"] > 0
+    assert "dispatch" not in translator     # absent, not zero
+    profile = tmp_path / "profile.json"
+    assert cli_main(["profile", "--kernel", "scalar-matmul", "--cores", "2",
+                     "--size", "6", "--no-translate",
+                     "--json", str(profile)]) == 0
+    assert "translator" not in json.loads(profile.read_text())
+    assert "dispatches" not in capsys.readouterr().out
 
 
 def test_profile_annotated_and_per_core(capsys):

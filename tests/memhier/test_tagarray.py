@@ -1,10 +1,13 @@
-"""Tests for the L2 tag array (lookup/install split)."""
+"""Tests for the tag array (lookup/install split), and the table both
+caches built on it — an L2 bank's ``TagArray`` and the L1s' ``L1Cache``
+— must pass: one geometry rule, one true-LRU order."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memhier.tagarray import TagArray
+from repro.memhier import TagArray
+from repro.spike.l1cache import L1Cache
 
 
 def small_array():
@@ -89,3 +92,88 @@ def test_install_capacity_invariant(lines):
         if not tags.lookup(line * 64, False):
             tags.install(line * 64)
         assert tags.resident_lines() <= 32
+
+
+# -- one array under both cache models ----------------------------------------
+
+BOTH = pytest.mark.parametrize("cache_class", [TagArray, L1Cache])
+
+# (size, associativity, line bytes) -> sets, or None for a refusal.
+GEOMETRY = [
+    ((32 * 1024, 8, 64), 64),
+    ((512, 2, 64), 4),
+    ((64, 1, 64), 1),
+    ((1024, 2, 48), None),      # line size not a power of two
+    ((1000, 2, 64), None),      # size not a multiple of the line
+    ((64 * 3, 1, 64), None),    # sets not a power of two
+    ((512, 3, 64), None),       # lines do not divide into the ways
+    ((0, 2, 64), None),         # no sets at all
+]
+
+# Accesses to a 2-way, 4-set array, (address, is_write) -> what each one
+# must report: hit, and the dirty line it evicts.  Set 0 is every 256 B.
+A, B, C, D = 0x000, 0x100, 0x200, 0x300
+LRU = [
+    ("first in is first out",
+     [(A, False), (B, False), (C, False), (A, False)],
+     [(False, None), (False, None), (False, None), (False, None)]),
+    ("a read hit refreshes",
+     [(A, False), (B, False), (A, False), (C, False), (A, False),
+      (B, False)],
+     [(False, None), (False, None), (True, None), (False, None),
+      (True, None), (False, None)]),
+    ("a write hit refreshes and dirties",
+     [(A, False), (B, False), (A, True), (C, False), (D, False)],
+     [(False, None), (False, None), (True, None), (False, None),
+      (False, A)]),
+    ("a dirty victim is written back once",
+     [(A, True), (B, False), (C, False), (A, False), (D, False)],
+     [(False, None), (False, None), (False, A), (False, None),
+      (False, None)]),
+    ("other sets do not interfere",
+     [(A, True), (A + 64, False), (B + 64, False), (C + 64, False),
+      (A, False)],
+     [(False, None), (False, None), (False, None), (False, None),
+      (True, None)]),
+]
+
+
+def touch(cache, address, is_write):
+    """One allocate-on-miss access -> (hit, dirty line evicted)."""
+    if isinstance(cache, L1Cache):
+        miss = cache.access_fast(address, is_write)
+        return (True, None) if miss is None else (False, miss[1])
+    if cache.lookup(address, is_write):
+        return True, None
+    victim = cache.install(address, is_write)
+    return False, victim[0] if victim and victim[1] else None
+
+
+@BOTH
+@pytest.mark.parametrize("geometry,sets", GEOMETRY)
+def test_geometry_table(cache_class, geometry, sets):
+    if sets is None:
+        with pytest.raises(ValueError):
+            cache_class(*geometry)
+    else:
+        cache = cache_class(*geometry)
+        assert cache.num_sets == sets
+        assert cache.resident_lines() == 0
+
+
+@BOTH
+@pytest.mark.parametrize("_name,accesses,expected", LRU,
+                         ids=[row[0] for row in LRU])
+def test_lru_table(cache_class, _name, accesses, expected):
+    cache = cache_class(512, 2, 64)
+    assert [touch(cache, *access) for access in accesses] == expected
+
+
+def test_the_old_module_path_still_names_the_class():
+    """Checkpoints written before the array moved pickle it as
+    ``repro.memhier.tagarray.TagArray``."""
+    import pickle
+
+    from repro.memhier import tagarray
+    assert tagarray.TagArray is TagArray
+    assert b"repro.utils.tagarray" in pickle.dumps(TagArray(512, 2, 64))

@@ -147,6 +147,26 @@ class TestResumeDifferential:
         assert workload.verify(resumed.memory)
 
 
+    def test_a_checkpoint_with_the_sorted_active_list_resumes(
+            self, tmp_path):
+        """Format 2 as it was written while the orchestrator mirrored
+        ``_active_set`` in a sorted ``_active_list``: the attribute is
+        carried along and nothing reads it."""
+        straight, _ = _fresh()
+        reference = straight.run()
+        paused, workload = _fresh()
+        assert paused.run(pause_at=reference.cycles // 2) is None
+        orchestrator = paused.orchestrator
+        assert not hasattr(orchestrator, "_active_list")
+        orchestrator._active_list = sorted(orchestrator._active_set)
+        path = save_checkpoint(paused, tmp_path / "listed.ckpt")
+
+        resumed = restore_simulation(path)
+        results = resumed.run()
+        assert _stats(results) == _stats(reference)
+        assert workload.verify(resumed.memory)
+
+
 class TestCheckpointErrors:
     def test_completed_simulation_refuses_checkpoint(self, tmp_path):
         simulation, _ = _fresh()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
+from repro.coyote.cli import main as cli_main, make_workload
 from repro.coyote.errors import SimulationError
 from repro.resilience import InvariantChecker, InvariantViolation, \
     ResilienceConfig
@@ -51,6 +51,14 @@ class TestCleanRuns:
         checker = InvariantChecker(simulation.orchestrator, 1)
         assert checker.check(raise_on_violation=False) == []
 
+    @pytest.mark.parametrize("kernel", ["vector-matmul", "scalar-spmv"])
+    def test_check_invariants_over_a_translated_run(self, kernel, capsys):
+        """Translated blocks maintain the L1I's MRU shadow themselves;
+        a check every 50 cycles sees it valid throughout."""
+        assert cli_main(["--kernel", kernel, "--cores", "4", "--size", "8",
+                         "--check-invariants", "50"]) == 0
+        assert "output verified      : True" in capsys.readouterr().out
+
 
 class TestCorruptionDetection:
     def test_tampered_mshr_gauge(self):
@@ -68,6 +76,24 @@ class TestCorruptionDetection:
         checker = InvariantChecker(simulation.orchestrator, 1)
         assert "pending_gauge" in _names(
             checker.check(raise_on_violation=False))
+
+    def test_stale_mru_shadow(self):
+        """The shadow names a way that is resident but no longer the
+        newest: a block would skip an LRU touch it owes."""
+        simulation = _paused_simulation()
+        l1i = simulation.orchestrator.cores[2].l1i
+        index, ways = next((index, ways) for index, ways
+                           in enumerate(l1i._sets) if ways)
+        older = next(iter(ways))
+        assert l1i._mru[index] == older
+        ways[older + l1i.num_sets] = False    # a newer way, behind its back
+        checker = InvariantChecker(simulation.orchestrator, 1)
+        violation, = checker.check(raise_on_violation=False)
+        assert violation["invariant"] == "l1_mru_shadow"
+        assert violation["component"] == "core2.l1i"
+        # An entry reset to "unknown" claims nothing.
+        l1i._mru[index] = -1
+        assert checker.check(raise_on_violation=False) == []
 
     def test_tampered_request_accounting(self):
         simulation = _paused_simulation()

@@ -328,6 +328,14 @@ class TestObservability:
         engine = ParallelSweep(
             sweep, workers=2, on_error="skip",
             policy=chaos_policy(heartbeat_interval_seconds=0.02))
+        gauges = []
+
+        class Recorded(dict):
+            def __setitem__(self, key, gauge):
+                gauges.append(gauge)
+                super().__setitem__(key, gauge)
+
+        engine.monitor.heartbeat_gauges = Recorded()
         table = engine.run(_healthy_factory)
         assert not any(point.failed for point in table.points)
         counters = engine.monitor.counters
@@ -335,8 +343,11 @@ class TestObservability:
         assert counters["attempts"] == 2
         assert counters["heartbeats"] >= 2
         assert counters["retries"] == 0 and counters["quarantined"] == 0
-        for gauge in engine.monitor.heartbeat_gauges.values():
-            assert gauge["rss_mb"] > 0
+        assert len(gauges) == counters["heartbeats"]
+        assert all(gauge["rss_mb"] > 0 for gauge in gauges)
+        # A gauge is dropped when its attempt ends: a long-lived
+        # service's registry does not grow by an entry per point.
+        assert engine.monitor.heartbeat_gauges == {}
         events = engine.monitor.chrome_trace()["traceEvents"]
         assert len(events) == 2
         assert all(event["ph"] == "X" and event["args"]["outcome"] == "ok"

@@ -368,7 +368,7 @@ class TestFencing:
     def test_unfenced_duplicate_complete_dropped_silently(
             self, tmp_path):
         root = tmp_path / "root"
-        dispatcher, _ = make_cluster(root, n_nodes=0, fence=False)
+        dispatcher, _ = make_cluster(root, n_nodes=0)
         transport = dispatcher.transport
         with dispatcher:
             job = dispatcher.submit(KERNEL, self.ONE_POINT,
@@ -379,7 +379,8 @@ class TestFencing:
                                           "node": "n", "slots": 1})
             dispatcher.step()
             grant = self.grant_for(transport, "n")
-            assert grant["fence"] is None  # fencing disabled
+            assert grant["fence"] is not None  # grants always carry it
+            # A node that reports without the token it was given.
             complete = {"type": "complete", "node": "n", "job": job,
                         "index": 0, "fence": None, "cache_key": None,
                         "verified": True, "failure": None}

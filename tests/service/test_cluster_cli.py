@@ -29,7 +29,7 @@ EXAMPLE_PLAN = Path(__file__).resolve().parents[2] \
 class TestClusterParser:
     def test_defaults_are_safe(self):
         args = build_cluster_parser().parse_args(["--root", "r"])
-        assert args.fence is True          # fencing is opt-out
+        assert not hasattr(args, "fence")  # fencing has no switch
         assert args.node is False
         assert args.nodes == 2
         assert args.workers == 1
@@ -37,10 +37,9 @@ class TestClusterParser:
         assert args.fault_plan is None
         assert args.drain is False
 
-    def test_no_fence_and_node_mode(self):
-        args = build_cluster_parser().parse_args(
-            ["--root", "r", "--no-fence"])
-        assert args.fence is False
+    def test_no_fence_is_refused_and_node_mode(self):
+        with pytest.raises(SystemExit):
+            build_cluster_parser().parse_args(["--root", "r", "--no-fence"])
         node = build_cluster_parser().parse_args(
             ["--root", "r", "--node", "--node-id", "n7"])
         assert node.node and node.node_id == "n7"

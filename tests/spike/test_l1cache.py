@@ -118,7 +118,7 @@ class TestWriteback:
         cache = small_cache()
         cache.access(0x0000, True)
         cache.invalidate_all()
-        assert not cache.probe(0x0000)
+        assert not cache.contains(0x0000)
 
 
 class TestProbe:
@@ -127,9 +127,9 @@ class TestProbe:
         cache.access(0x0000, False)
         cache.access(0x0100, False)
         # Probing a does NOT refresh LRU.
-        assert cache.probe(0x0000)
+        assert cache.contains(0x0000)
         cache.access(0x0200, False)  # evicts a (still LRU)
-        assert not cache.probe(0x0000)
+        assert not cache.contains(0x0000)
 
 
 @settings(max_examples=30)
