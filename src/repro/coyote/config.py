@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, \
-    replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -21,37 +20,33 @@ from repro.resilience.config import ResilienceConfig
 from repro.spike.simulator import L1Config
 from repro.telemetry.config import TelemetryConfig
 from repro.utils.bitops import is_power_of_two
+from repro.utils.schema import Slot, build, shape
 
 DEFAULT_CORES_PER_TILE = 8   # one VAS tile holds eight cores (paper §I-A)
 DEFAULT_BANKS_PER_TILE = 2
 
 @functools.cache
-def _config_table() -> tuple[MappingProxyType, MappingProxyType]:
-    """The one walk over the configuration dataclasses: ``(paths,
-    numbers)`` — every override path -> its attribute trail, and the
-    trail -> path of every leaf whose default is a number."""
-    paths: dict[str, tuple[str, ...]] = {}
-    numbers: dict[tuple[str, ...], str] = {}
-    root = SimulationConfig()
+def _config_table() -> MappingProxyType[str, tuple[tuple[str, ...], Slot]]:
+    """Every override path -> its attribute trail and its field's
+    :class:`~repro.utils.schema.Slot`: the walk over :func:`shape` that
+    :func:`~repro.utils.schema.build` spells its messages by."""
+    table = {}
 
-    def walk(node, trail: tuple[str, ...], prefix: str) -> None:
-        for item in fields(node):
-            value = getattr(node, item.name)
-            here = (*trail, item.name)
-            if value is root.memhier:
-                walk(value, here, prefix)
+    def walk(kind: type, trail: tuple[str, ...], prefix: str) -> None:
+        for name, slot in shape(kind).items():
+            here = (*trail, name)
+            if slot.flat:
+                walk(slot.kind, here, prefix)
                 continue
-            paths[prefix + item.name] = here
-            if is_dataclass(value):
-                walk(value, here, f"{prefix}{item.name}.")
-            elif isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                numbers[here] = prefix + item.name
+            table[prefix + name] = (here, slot)
+            if slot.kind is not None and not slot.many:
+                walk(slot.kind, here, f"{prefix}{name}.")
 
-    walk(root, (), "")
-    return MappingProxyType(paths), MappingProxyType(numbers)  # shared
+    walk(SimulationConfig, (), "")
+    return MappingProxyType(table)
 
 
+@functools.cache
 def config_paths() -> MappingProxyType[str, tuple[str, ...]]:
     """Every override path -> its attribute trail below a SimulationConfig.
 
@@ -62,30 +57,29 @@ def config_paths() -> MappingProxyType[str, tuple[str, ...]]:
     ``for_cores``, :class:`ConfigBuilder`, sweep axes, service
     submissions and the CLI's flag table all resolve here.
     """
-    return _config_table()[0]
-
-
-def _check_numbers(trail: tuple[str, ...], value) -> None:
-    """Refuse a ``str`` or ``bool`` where the default is a number: at
-    ``trail`` itself or, for a section given as a dict, below it."""
-    numbers = _config_table()[1]
-    if isinstance(value, dict):
-        for name, inner in value.items():
-            _check_numbers((*trail, name), inner)
-    elif isinstance(value, (str, bool)) and trail in numbers:
-        raise ValueError(f"{numbers[trail]} must be a number, got {value!r}")
+    return MappingProxyType({path: trail for path, (trail, _slot)
+                             in _config_table().items()})
 
 
 def config_trail(path: str, *values) -> tuple[str, ...]:
     """The attribute trail of one override path; an unknown path, or a
-    wrongly-typed one of the ``values`` meant for it, is a ``ValueError``."""
+    malformed one of the ``values`` meant for it, is a ``ValueError``."""
     try:
         trail = config_paths()[path]
     except KeyError:
         raise ValueError(f"unknown configuration field {path!r}") from None
     for value in values:
-        _check_numbers(trail, value)
+        _built(path, value)
     return trail
+
+
+def _built(path: str, value):
+    """``value`` for the known override ``path``: a section given as a
+    dict (or a list of dicts) built into its dataclass, a ``str`` or
+    ``bool`` for a number refused."""
+    section, _dot, name = path.rpartition(".")
+    return _config_table()[path][1].coerce(value, section and section + ".",
+                                           name)
 
 
 def _replaced(node, changes: dict[tuple[str, ...], object]):
@@ -101,12 +95,7 @@ def _replaced(node, changes: dict[tuple[str, ...], object]):
         else:
             own[name] = value
     for name, inner in nested.items():
-        current = getattr(node, name)
-        whole = own.get(name, current)
-        if not isinstance(whole, type(current)):
-            # The config-file spelling of a section: a dict, or None.
-            whole = type(current)(**(whole or {}))
-        own[name] = _replaced(whole, inner)
+        own[name] = _replaced(own.get(name, getattr(node, name)), inner)
     return replace(node, **own)
 
 
@@ -114,7 +103,8 @@ def _replaced(node, changes: dict[tuple[str, ...], object]):
 class SimulationConfig:
     """Everything needed to build a Coyote simulation."""
 
-    memhier: MemHierConfig = field(default_factory=MemHierConfig)
+    memhier: MemHierConfig = field(default_factory=MemHierConfig,
+                                   metadata={"flat": True})
     l1: L1Config = field(default_factory=L1Config)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
@@ -193,7 +183,7 @@ class SimulationConfig:
 
     def with_overrides(self, **overrides) -> "SimulationConfig":
         """A copy with each :func:`config_paths` name in ``overrides`` set."""
-        return _replaced(self, {config_trail(path, value): value
+        return _replaced(self, {config_trail(path): _built(path, value)
                                 for path, value in overrides.items()})
 
     def get(self, path: str):
@@ -212,24 +202,7 @@ class SimulationConfig:
 
         Unknown keys raise, so stale config files fail loudly.
         """
-        data = dict(data)
-        _check_numbers((), data)
-        for name, default in vars(cls()).items():
-            if not is_dataclass(default) or name not in data:
-                continue
-            kind, values = type(default), data[name]
-            if hasattr(kind, "from_dict"):      # rebuilds itself
-                data[name] = kind.from_dict(values)
-                continue
-            unknown = set(values) - set(kind.__dataclass_fields__)
-            if unknown:
-                raise ValueError(
-                    f"unknown config keys: {name}.{sorted(unknown)}")
-            data[name] = kind(**values)
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return build(cls, data)
 
     def save(self, path: str | Path) -> Path:
         """Write the configuration as JSON."""

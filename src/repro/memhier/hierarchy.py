@@ -75,11 +75,6 @@ class MemHierConfig:
     # handled at the memory controller, instead of per-line L2 requests.
     mcpu_aggregation: bool = False
 
-    def __post_init__(self) -> None:
-        # Config files hand the noc section over as a plain dict.
-        if not isinstance(self.noc, NocConfig):
-            self.noc = NocConfig.from_value(self.noc)
-
     def validate(self) -> None:
         """Raise ``ValueError`` for inconsistent parameters."""
         self.noc.validate()
@@ -168,8 +163,7 @@ class MemoryHierarchy:
                     miss_latency=config.l3_miss_latency,
                     max_in_flight=config.l3_max_in_flight,
                     send=self.noc.route,
-                    next_level_of=self._mc_endpoint_of,
-                    records_bank_id=False)
+                    next_level_of=self._mc_endpoint_of, bank_id=None)
                 # Request and fill ports share the bank's router.
                 self.noc.attach(l3_bank.endpoint, l3_bank.handle_request)
                 self.noc.attach(l3_bank.fill_endpoint,
@@ -198,7 +192,7 @@ class MemoryHierarchy:
                     miss_latency=config.l2_miss_latency,
                     max_in_flight=config.l2_max_in_flight,
                     send=self.noc.route,
-                    next_level_of=l2_next_level,
+                    next_level_of=l2_next_level, bank_id=global_index,
                     cycles_per_request=config.l2_cycles_per_request)
                 self.noc.attach(bank.endpoint, bank.handle_request)
                 self.noc.attach(bank.fill_endpoint, bank.handle_fill,

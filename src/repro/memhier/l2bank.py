@@ -37,7 +37,7 @@ class CacheBank(Unit):
                  miss_latency: int, max_in_flight: int,
                  send: Callable[[str, str, object], None],
                  next_level_of: Callable[[int], str],
-                 records_bank_id: bool = True,
+                 bank_id: int | None = -1,
                  cycles_per_request: int = 0):
         super().__init__(name, parent)
         if max_in_flight < 1:
@@ -57,7 +57,10 @@ class CacheBank(Unit):
         self._next_free_cycle = 0
         self._send = send
         self._next_level_of = next_level_of
-        self._records_bank_id = records_bank_id
+        # Stamped on each request with its hit/miss outcome: the bank's
+        # index among the L2 banks (-1 outside a hierarchy); None for a
+        # bank below the L2 level, which stamps neither.
+        self.bank_id = bank_id
         self.endpoint = self.path              # NoC endpoint for requests
         self.fill_endpoint = self.path + ".fill"  # NoC endpoint for fills
         # Normally a fill without an MSHR is a hard modelling bug and
@@ -104,8 +107,8 @@ class CacheBank(Unit):
 
     def handle_request(self, request: MemRequest) -> None:
         """A request arrived from the level above."""
-        if self._records_bank_id:
-            request.bank_id = _bank_index_of(self.name)
+        if self.bank_id is not None:
+            request.bank_id = self.bank_id
         self._stat_requests.increment()
         port_wait = self._claim_port()
         if request.kind is RequestKind.WRITEBACK:
@@ -118,14 +121,14 @@ class CacheBank(Unit):
         if self.tags.lookup(request.line_address,
                             request.kind is RequestKind.STORE):
             self._stat_hits.increment()
-            if self._records_bank_id:
+            if self.bank_id is not None:
                 request.l2_hit = True
             self.scheduler.schedule(self._respond,
                                     port_wait + self.hit_latency,
                                     (request,))
             return
         self._stat_misses.increment()
-        if self._records_bank_id:
+        if self.bank_id is not None:
             request.l2_hit = False
         self.scheduler.schedule(self._start_miss,
                                 port_wait + self.miss_latency,
@@ -232,7 +235,7 @@ class CacheBank(Unit):
                                 request.kind is RequestKind.STORE):
             return False
         self._stat_late_hits.increment()
-        if self._records_bank_id:
+        if self.bank_id is not None:
             request.l2_hit = True
         self._respond(request)
         return True
@@ -285,9 +288,3 @@ class CacheBank(Unit):
 # The hierarchy's L2 level is built from CacheBank instances; the old name
 # remains for callers that speak in the paper's terms.
 L2Bank = CacheBank
-
-
-def _bank_index_of(name: str) -> int:
-    """Extract the numeric suffix of a bank unit name like ``bank12``."""
-    digits = "".join(ch for ch in name if ch.isdigit())
-    return int(digits) if digits else -1

@@ -32,7 +32,7 @@ serial-vs-parallel sweep execution.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -109,22 +109,6 @@ class NocConfig:
                 or self.adaptive_seed < 0:
             raise ValueError(f"adaptive seed must be a non-negative "
                              f"integer, got {self.adaptive_seed!r}")
-
-    @classmethod
-    def from_value(cls, value: "NocConfig | dict | None") -> "NocConfig":
-        """Coerce a config-file value (dict / None / NocConfig)."""
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            known = {field.name for field in fields(cls)}
-            unknown = set(value) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown noc config keys: {sorted(unknown)}")
-            return cls(**value)
-        raise ValueError(f"cannot build a NocConfig from {value!r}")
 
 
 class CrossbarNoC(Unit):
@@ -505,10 +489,6 @@ class MeshNoC(CrossbarNoC):
         """Messages per directed router-to-router link, keyed
         ``((x, y), (nx, ny))``."""
         return dict(self._link_counts)
-
-    def router_utilisation(self) -> dict[tuple[int, int], int]:
-        """Message traversals through each router, keyed ``(x, y)``."""
-        return dict(self._router_counts)
 
     def congestion_report(self) -> dict:
         """JSON-safe congestion summary (per-link and per-router counts

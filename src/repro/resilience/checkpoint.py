@@ -21,6 +21,7 @@ import pickle
 from pathlib import Path
 
 from repro.coyote.errors import SimulationError
+from repro.utils.atomic import write_atomically
 
 # Bump when the checkpoint payload layout changes; loads refuse a
 # mismatched format instead of failing somewhere inside unpickling.
@@ -75,17 +76,14 @@ def save_checkpoint(simulation, path: str | Path,
         "cycle": orchestrator.scheduler.current_cycle,
         "simulation": simulation,
     }
-    path = Path(path)
     try:
-        with path.open("wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        # A stray unpicklable member (e.g. a profiler handle) — remove
-        # the partial file so a truncated checkpoint can't be resumed.
-        path.unlink(missing_ok=True)
+        # A stray unpicklable member (e.g. a profiler handle).
         raise CheckpointError(
             f"simulation state is not serialisable: {exc}") from exc
-    return path
+    # A failed or killed save leaves any previous checkpoint intact.
+    return write_atomically(Path(path), body)
 
 
 def load_checkpoint(path: str | Path):

@@ -1,4 +1,5 @@
-"""Configuration of the resilience subsystem.
+"""Configuration of the resilience subsystem, and the fault-plan file
+lifecycle the simulator's and the service tier's plans share.
 
 Kept free of simulator imports so :mod:`repro.coyote.config` can embed a
 :class:`ResilienceConfig` without an import cycle.
@@ -6,7 +7,11 @@ Kept free of simulator imports so :mod:`repro.coyote.config` can embed a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+
+from repro.utils.schema import build
 
 FAULT_TARGETS = ("l2bank", "memctrl", "noc")
 FAULT_KINDS = ("delay", "duplicate", "blackout", "drop")
@@ -103,16 +108,49 @@ class ResilienceConfig:
         for spec in self.faults:
             spec.validate()
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResilienceConfig":
-        """Rebuild from ``dataclasses.asdict`` output (unknown keys
-        raise, so stale config files fail loudly)."""
-        data = dict(data)
-        faults = [spec if isinstance(spec, FaultSpec) else FaultSpec(**spec)
-                  for spec in data.pop("faults", [])]
-        known = set(cls.__dataclass_fields__) - {"faults"}
-        unknown = set(data) - known
-        if unknown:
+
+@dataclass
+class PlanDocument:
+    """A named, replayable fault plan: specs plus seed, and its JSON
+    document (``{"seed": <int, optional>, "faults": [<spec fields>,
+    ...]}``).  A subclass names its spec type by annotating ``faults``;
+    the spec type has a ``validate()``."""
+
+    faults: list = field(default_factory=list)
+    seed: int | None = None
+
+    def validate(self) -> None:
+        for spec in self.faults:
+            spec.validate()
+        if self.seed is not None and (not isinstance(self.seed, int)
+                                      or self.seed < 0):
             raise ValueError(
-                f"unknown resilience config keys: {sorted(unknown)}")
-        return cls(faults=faults, **data)
+                f"fault plan seed must be a non-negative integer, "
+                f"got {self.seed!r}")
+
+    @classmethod
+    def load(cls, path: str | Path):
+        """Read a plan file; a malformed one is a ``ValueError`` naming
+        the file."""
+        document = json.loads(Path(path).read_text())
+        if not isinstance(document, dict) or "faults" not in document:
+            raise ValueError(f"{path}: fault plan must be an object with "
+                             f"a 'faults' list")
+        try:
+            plan = build(cls, document)
+            plan.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        return plan
+
+    def to_dict(self) -> dict:
+        """The JSON-document form (round-trips through :meth:`load`)."""
+        document = asdict(self)
+        if self.seed is None:
+            del document["seed"]
+        return document
+
+    def save(self, path: str | Path) -> Path:
+        path = Path(path)
+        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        return path

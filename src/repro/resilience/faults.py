@@ -24,13 +24,12 @@ and invariant checker catch lost messages.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 from repro.memhier.request import MemRequest, RequestKind
-from repro.resilience.config import FaultSpec, ResilienceConfig
+from repro.resilience.config import FaultSpec, PlanDocument, \
+    ResilienceConfig
 from repro.sparta.unit import Unit
 
 # Extra delay of the duplicate copy when a duplicate spec leaves
@@ -40,55 +39,17 @@ DEFAULT_DUPLICATE_DELAY = 1
 
 
 @dataclass
-class FaultPlan:
+class FaultPlan(PlanDocument):
     """A named, replayable fault-injection campaign: specs plus seed.
 
-    The blessed object form of the JSON plan files (``{"seed": <int,
-    optional>, "faults": [<FaultSpec fields>, ...]}``) the CLI's
-    ``--inject`` consumes.  ``apply`` folds the plan into a
+    The blessed object form of the JSON plan files the CLI's
+    ``--inject`` consumes (:class:`~repro.resilience.config.PlanDocument`
+    is their lifecycle).  ``apply`` folds the plan into a
     :class:`~repro.resilience.config.ResilienceConfig`, preserving the
     config's own seed when the plan does not pin one.
     """
 
     faults: list[FaultSpec] = field(default_factory=list)
-    seed: int | None = None
-
-    def validate(self) -> None:
-        for spec in self.faults:
-            spec.validate()
-        if self.seed is not None and (not isinstance(self.seed, int)
-                                      or self.seed < 0):
-            raise ValueError(
-                f"fault plan seed must be a non-negative integer, "
-                f"got {self.seed!r}")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FaultPlan":
-        """Read a fault plan JSON file."""
-        document = json.loads(Path(path).read_text())
-        if not isinstance(document, dict) or "faults" not in document:
-            raise ValueError(f"{path}: fault plan must be an object with "
-                             f"a 'faults' list")
-        plan = cls(faults=[FaultSpec(**entry)
-                           for entry in document["faults"]],
-                   seed=document.get("seed"))
-        try:
-            plan.validate()
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        return plan
-
-    def to_dict(self) -> dict:
-        """The JSON-document form (round-trips through :meth:`load`)."""
-        document: dict = {"faults": [asdict(spec) for spec in self.faults]}
-        if self.seed is not None:
-            document["seed"] = self.seed
-        return document
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
 
     def apply(self, resilience: ResilienceConfig) -> ResilienceConfig:
         """Install the plan's faults (and seed, when set) in-place."""

@@ -32,12 +32,12 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any
 
 from repro.coyote.config import SimulationConfig
 from repro.coyote.sweep import SweepPoint
+from repro.utils.atomic import write_atomically
 
 CACHE_FORMAT = 1
 _ENTRY_MAGIC = b"coyote-result"
@@ -172,21 +172,9 @@ class ResultCache:
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         digest = hashlib.sha256(body).hexdigest()
-        fd, scratch = tempfile.mkstemp(dir=path.parent,
-                                       prefix=".put-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(b"%s %d %s %d\n" % (
-                    _ENTRY_MAGIC, CACHE_FORMAT,
-                    digest.encode("ascii"), len(body)))
-                handle.write(body)
-            os.replace(scratch, path)
-        except BaseException:
-            try:
-                os.unlink(scratch)
-            except OSError:
-                pass
-            raise
+        write_atomically(path, b"%s %d %s %d\n" % (
+            _ENTRY_MAGIC, CACHE_FORMAT, digest.encode("ascii"), len(body)),
+            body)
         self.writes += 1
         return True
 

@@ -56,7 +56,6 @@ import os
 import secrets
 import signal
 import socket
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -99,6 +98,7 @@ from repro.service.store import (
     StaleWriteError,
 )
 from repro.telemetry.campaign import CampaignMetrics
+from repro.utils.atomic import write_atomically
 
 __all__ = [
     "CampaignExecutor",
@@ -206,11 +206,7 @@ def spool_submission(root: str | Path, spec: dict,
     job_id = job_id or new_job_id()
     body = json.dumps({"job_id": job_id, "spec": spec},
                       sort_keys=True, indent=1)
-    fd, scratch = tempfile.mkstemp(dir=inbox, prefix=".spool-",
-                                   suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        handle.write(body)
-    os.replace(scratch, inbox / f"{job_id}.json")
+    write_atomically(inbox / f"{job_id}.json", body.encode())
     return job_id
 
 

@@ -8,7 +8,7 @@ cover the deployment shapes:
   The test transport: no filesystem, no timing, fully deterministic.
 * :class:`FilesystemTransport` — one spool directory per destination
   under a shared root.  Messages are written with the same atomic
-  mkstemp + ``os.replace`` idiom as the result cache, so a reader can
+  write as the result cache (``repro.utils.atomic``), so a reader can
   never observe a torn message; names embed a per-sender sequence
   number so each sender's messages arrive in order.
 
@@ -36,18 +36,15 @@ the journal), and heartbeats are idempotent.
 from __future__ import annotations
 
 import json
-import os
 import random
-import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.resilience.config import FOREVER, PlanDocument
 from repro.service.store import ServiceError
+from repro.utils.atomic import write_atomically
 
 SERVICE_FAULT_KINDS = ("drop", "delay", "duplicate", "partition")
-
-# An effectively-unbounded op window end (mirrors FaultSpec's default).
-_FOREVER = 1 << 62
 
 
 class TransportError(ServiceError):
@@ -66,7 +63,7 @@ class ServiceFaultSpec:
     kind: str
     probability: float = 1.0
     start: int = 0
-    end: int = _FOREVER
+    end: int = FOREVER
     src: str = "*"
     dst: str = "*"
     extra: int = 3
@@ -103,52 +100,16 @@ class ServiceFaultSpec:
 
 
 @dataclass
-class ServiceFaultPlan:
+class ServiceFaultPlan(PlanDocument):
     """A named, replayable transport-fault campaign: specs plus seed.
 
     The service-tier sibling of
     :class:`~repro.resilience.faults.FaultPlan`, sharing its JSON
-    document shape and lifecycle (``load``/``to_dict``/``save``/
-    ``validate``).
+    document shape and lifecycle
+    (:class:`~repro.resilience.config.PlanDocument`).
     """
 
     faults: list[ServiceFaultSpec] = field(default_factory=list)
-    seed: int | None = None
-
-    def validate(self) -> None:
-        for spec in self.faults:
-            spec.validate()
-        if self.seed is not None and (not isinstance(self.seed, int)
-                                      or self.seed < 0):
-            raise ValueError(
-                f"fault plan seed must be a non-negative integer, "
-                f"got {self.seed!r}")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ServiceFaultPlan":
-        document = json.loads(Path(path).read_text())
-        if not isinstance(document, dict) or "faults" not in document:
-            raise ValueError(f"{path}: service fault plan must be an "
-                             f"object with a 'faults' list")
-        plan = cls(faults=[ServiceFaultSpec(**entry)
-                           for entry in document["faults"]],
-                   seed=document.get("seed"))
-        try:
-            plan.validate()
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        return plan
-
-    def to_dict(self) -> dict:
-        document: dict = {"faults": [asdict(spec) for spec in self.faults]}
-        if self.seed is not None:
-            document["seed"] = self.seed
-        return document
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
 
 
 class Transport:
@@ -201,9 +162,10 @@ class FilesystemTransport(Transport):
     Each sender stamps its messages with a private monotonic sequence
     number embedded in the file name, so a receiver's sorted directory
     scan yields every sender's messages in send order.  Files appear
-    atomically (mkstemp + ``os.replace``) and are unlinked once read;
-    a crash between read and unlink re-delivers — which the fenced
-    protocol above absorbs by design.
+    atomically (temp file + ``os.replace``) and are unlinked once read
+    (renamed ``*.corrupt`` if unreadable); a crash between read and
+    unlink re-delivers — which the fenced protocol above absorbs by
+    design.
     """
 
     def __init__(self, root: str | Path, sender: str):
@@ -227,11 +189,7 @@ class FilesystemTransport(Transport):
         box = self._box(dst)
         self._seq += 1
         name = f"{self.sender}-{self._seq:010d}.msg"
-        fd, scratch = tempfile.mkstemp(dir=box, prefix=".send-",
-                                       suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(body)
-        os.replace(scratch, box / name)
+        write_atomically(box / name, body.encode())
 
     def receive(self, endpoint: str) -> list[dict]:
         box = self._box(endpoint)
@@ -239,9 +197,12 @@ class FilesystemTransport(Transport):
         for path in sorted(box.glob("*.msg")):
             try:
                 messages.append(json.loads(path.read_text()))
+            except FileNotFoundError:
+                continue            # unlinked by a concurrent receive
             except (OSError, ValueError):
-                # A concurrently-unlinked or unreadable message: skip.
-                # (Torn messages cannot exist — os.replace is atomic.)
+                # Unreadable (torn messages cannot exist — os.replace is
+                # atomic): set it aside so no later receive re-reads it.
+                path.rename(path.with_suffix(".corrupt"))
                 continue
             path.unlink(missing_ok=True)
         return messages

@@ -147,24 +147,13 @@ class Scheduler:
             self.current_cycle += 1
         return self.current_cycle
 
-    # -- introspection / state transfer (resilience layer) -------------------
+    # -- introspection (resilience layer) ------------------------------------
 
     def iter_events(self) -> list[tuple[int, int, int, Callable, tuple]]:
         """Snapshot of every pending ``(cycle, priority, seq, callback,
         args)`` entry, in heap (not firing) order.  Read-only: mutating
         the returned list does not affect the queue."""
         return list(self._queue)
-
-    def restore(self, events: list[tuple[int, int, int, Callable, tuple]],
-                *, current_cycle: int, sequence: int,
-                events_fired: int) -> None:
-        """Replace the full scheduler state (checkpoint restore)."""
-        queue = [tuple(event) for event in events]
-        heapq.heapify(queue)
-        self._queue = queue
-        self.current_cycle = current_cycle
-        self._sequence = sequence
-        self._events_fired = events_fired
 
     def _drain_current(self) -> int:
         """Fire every event at (or before) the current cycle."""

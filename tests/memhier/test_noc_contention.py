@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.coyote.config import SimulationConfig
 from repro.memhier.noc import (
     MeshNoC,
     NocConfig,
@@ -74,16 +75,23 @@ class TestNocConfig:
             with pytest.raises(ValueError):
                 NocConfig(**bad)
 
-    def test_from_value(self):
-        assert NocConfig.from_value(None) == NocConfig()
+    def test_a_section_value_builds_through_for_cores(self):
+        # None is the default, an instance passes through, a dict (the
+        # config-file spelling) is built into one.
+        assert SimulationConfig.for_cores(2, noc=None).noc == NocConfig()
         config = NocConfig(kind="mesh")
-        assert NocConfig.from_value(config) is config
-        assert NocConfig.from_value({"kind": "mesh", "columns": 2}) \
+        assert SimulationConfig.for_cores(2, noc=config).noc is config
+        assert SimulationConfig.for_cores(
+            2, noc={"kind": "mesh", "columns": 2}).noc \
             == NocConfig(kind="mesh", columns=2)
 
-    def test_from_value_unknown_key(self):
-        with pytest.raises(ValueError):
-            NocConfig.from_value({"bogus": 1})
+    def test_a_section_value_refuses_an_unknown_key(self):
+        with pytest.raises(ValueError, match=r"noc\.bogus"):
+            SimulationConfig.for_cores(2, noc={"bogus": 1})
+        document = SimulationConfig.for_cores(2).to_dict()
+        document["memhier"]["noc"]["bogus"] = 1
+        with pytest.raises(ValueError, match=r"noc\.bogus"):
+            SimulationConfig.from_dict(document)
 
 
 class TestLinkContention:

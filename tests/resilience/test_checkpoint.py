@@ -174,6 +174,20 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="paused"):
             save_checkpoint(simulation, tmp_path / "late.ckpt")
 
+    def test_a_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
+        straight, _ = _fresh()
+        reference = straight.run()
+        simulation, workload = _fresh()
+        assert simulation.run(pause_at=reference.cycles // 2) is None
+        path = save_checkpoint(simulation, tmp_path / "sim.ckpt")
+        simulation.unpicklable = lambda: None
+        with pytest.raises(CheckpointError, match="not serialisable"):
+            save_checkpoint(simulation, path)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["sim.ckpt"]
+        resumed = restore_simulation(path)
+        assert _stats(resumed.run()) == _stats(reference)
+        assert workload.verify(resumed.memory)
+
     def test_unstarted_simulation_checkpoints(self, tmp_path):
         simulation, workload = _fresh()
         path = save_checkpoint(simulation, tmp_path / "cold.ckpt")

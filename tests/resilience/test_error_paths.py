@@ -50,8 +50,11 @@ class TestConfigRejection:
             SimulationConfig.for_cores(4, max_cycles=0)
 
     def test_resilience_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown resilience"):
-            ResilienceConfig.from_dict({"watchdog_cylces": 100})
+        document = SimulationConfig.for_cores(4).to_dict()
+        document["resilience"]["watchdog_cylces"] = 100
+        with pytest.raises(ValueError,
+                           match=r"resilience\.watchdog_cylces"):
+            SimulationConfig.from_dict(document)
 
     def test_resilience_rejects_negative_knobs(self):
         with pytest.raises(ValueError):

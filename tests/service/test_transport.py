@@ -71,9 +71,12 @@ class TestFilesystemTransport:
     def test_unreadable_spool_entry_is_skipped(self, tmp_path):
         transport = FilesystemTransport(tmp_path, "w")
         transport.send("dst", {"n": 1})
-        (tmp_path / "mail" / "dst" / "rot-0000000000.msg") \
-            .write_text("{torn")
+        box = tmp_path / "mail" / "dst"
+        (box / "rot-0000000000.msg").write_text("{torn")
         assert transport.receive("dst") == [{"n": 1}]
+        # Set aside, so no later receive re-reads it.
+        assert [path.name for path in box.iterdir()] \
+            == ["rot-0000000000.corrupt"]
 
 
 class TestFaultPlan:
