@@ -24,6 +24,9 @@ class Figure:
     column makes it a host-throughput figure (that column is the timed
     group; the block is stamped, not pinned); ``interleave`` batch sizes
     make it one of the raw ISS, which has no other column to offer.
+    ``instr_per_dispatch`` is the one column ``run.py`` computes itself:
+    instructions a translated dispatch retired in the untimed warm-up,
+    which then runs observed so its dispatches are counted.
     """
 
     id: str
@@ -62,7 +65,8 @@ FIGURES = {figure.id: figure for figure in (
         (("scalar-matmul", {"size": 60}), ("scalar-spmv", {"num_rows": 2560})),
         cores=(1, 2, 4, 8, 16, 32, 64, 128),
         axes=({"translate": [True, False]},),
-        columns=("host_mips", "memhier.requests_submitted", "events_fired")),
+        columns=("host_mips", "instr_per_dispatch",
+                 "memhier.requests_submitted", "events_fired")),
     Figure(
         "abl-interleave", "Spike's interleaving, measured in the raw ISS",
         "\"Interleaving speeds up simulation in the original Spike "

@@ -51,10 +51,13 @@ def cell(value) -> str:
     return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
-def simulate(figure: Figure, make_workload, cores: int, design: dict):
+def simulate(figure: Figure, make_workload, cores: int, design: dict,
+             observed: bool = False):
     """One point through the front door, as ``(point, translators)``; a
-    failed one stops the run."""
-    outcome = api.run(make_workload, cores, **figure.base, **design)
+    failed one stops the run.  ``observed`` runs it guest-profiled, so
+    the translators count their dispatches."""
+    outcome = api.run(make_workload, cores, profile=observed,
+                      **figure.base, **design)
     if not outcome.succeeded:
         raise SystemExit(f"{figure.id}: {design} failed verification")
     return (api.SweepPoint(design, outcome.results, outcome.verified),
@@ -75,6 +78,19 @@ def interpret(make_workload, cores: int, interleave: int) -> int:
 
 HOST_COLUMNS = ("host MIPS", "IQR", "op ref-s", "compile s (blocks)",
                 "instructions")
+# The column computed here rather than by ``SweepPoint.metric``.
+PER_DISPATCH = "instr_per_dispatch"
+
+
+def per_dispatch(translators) -> str:
+    """Instructions a translated dispatch retired in an observed run
+    ("—" when it did not translate)."""
+    totals = translate.translator_totals(translators)
+    if totals is None:
+        return "—"
+    tallies = totals["dispatch"].values()
+    retired = sum(tally["instructions"] for tally in tallies)
+    return f"{retired / sum(tally['dispatches'] for tally in tallies):.2f}"
 
 
 def host_cells(operation, instructions: int, translators) -> list[str]:
@@ -118,8 +134,11 @@ def rows(figure: Figure):
                 else:
                     run = functools.partial(simulate, figure, make, cores,
                                             design)
-                    point, translators = run()
-                    cells = [cell(point.metric(column))
+                    point, translators = run(
+                        observed=PER_DISPATCH in figure.columns)
+                    cells = [per_dispatch(translators)
+                             if column == PER_DISPATCH
+                             else cell(point.metric(column))
                              for column in figure.columns
                              if column != "host_mips"]
                     if figure.host:

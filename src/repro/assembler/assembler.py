@@ -42,11 +42,16 @@ _FLOAT_SIZES = {".float": 4, ".double": 8}
 
 @dataclass(frozen=True)
 class DataBlock:
-    """Initialised ``.data`` bytes under a symbol, ``align``-aligned."""
+    """Initialised ``.data`` bytes under a symbol, ``align``-aligned.
+
+    ``readonly`` promises that the program never stores into the block;
+    its byte range goes to ``Program.readonly`` and the simulated
+    machine holds the program to it (a store access fault)."""
 
     symbol: str
     payload: bytes
     align: int = 8
+    readonly: bool = False
 
 
 @dataclass
@@ -103,7 +108,12 @@ class Assembler:
                                data_section.cursor, where)
             self._add_bytes(data_section, block.payload, where)
         self._layout(sections)
-        return self._pass_two(sections)
+        program = self._pass_two(sections)
+        for block in data:
+            if block.readonly and block.payload:
+                start = program.symbols[block.symbol]
+                program.readonly.append((start, start + len(block.payload)))
+        return program
 
     # -- pass 1: layout -----------------------------------------------------
 

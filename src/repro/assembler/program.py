@@ -32,6 +32,9 @@ class Program:
     segments: list[Segment] = field(default_factory=list)
     symbols: dict[str, int] = field(default_factory=dict)
     entry: int = DEFAULT_TEXT_BASE
+    # [start, end) byte ranges the program promises never to store into
+    # (``DataBlock(readonly=True)``), in layout order.
+    readonly: list[tuple[int, int]] = field(default_factory=list)
 
     def symbol(self, name: str) -> int:
         """Address of a symbol; raises ``KeyError`` if undefined."""

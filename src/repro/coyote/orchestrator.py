@@ -617,8 +617,8 @@ class Orchestrator:
                                             cores[core_id].peek_registers()
                                     except Trap as exc:
                                         raise SimulationError(
-                                            f"core {core_id}: {exc}"
-                                        ) from exc
+                                            f"core {core_id}: {exc}",
+                                            current_cycle=now) from exc
                                     if blocks(core_id, registers):
                                         active_set.remove(core_id)
                                         raw_waiting.add(core_id)
@@ -713,7 +713,8 @@ class Orchestrator:
                                     outcome = None
                                 except Trap as exc:
                                     raise SimulationError(
-                                        f"core {core_id}: {exc}") from exc
+                                        f"core {core_id}: {exc}",
+                                        current_cycle=now) from exc
                                 if outcome is clean_step:
                                     # Executed, no misses, still running.
                                     total_instructions += 1
@@ -890,7 +891,8 @@ class Orchestrator:
                     registers = core.peek_registers()
                 except Trap as exc:
                     raise SimulationError(
-                        f"core {core_id}: {exc}") from exc
+                        f"core {core_id}: {exc}",
+                        current_cycle=scheduler.current_cycle) from exc
                 if scoreboard.blocks(core_id, registers):
                     active.discard(core_id)
                     self._raw_waiting.add(core_id)
@@ -908,7 +910,8 @@ class Orchestrator:
                     outcome = None
                 except Trap as exc:
                     raise SimulationError(
-                        f"core {core_id}: {exc}") from exc
+                        f"core {core_id}: {exc}",
+                        current_cycle=scheduler.current_cycle) from exc
 
                 if outcome is not None:
                     if outcome.status is StepStatus.EXECUTED:

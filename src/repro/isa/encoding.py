@@ -333,10 +333,20 @@ def _v(funct6: int, funct3: int, vm: int = 0, vs1: int = 0) -> int:
     return f.encode_vector_arith(funct6, vm, 0, vs1, funct3, 0, op.OP_V)
 
 
+# Shapes the family loops below would make but RVV 1.0 does not define:
+# no row, so their words decode as illegal (and ``semantics`` has no row
+# for them either).
+UNDEFINED_SHAPES = frozenset({
+    "vsub.vi", "vrsub.vv", "vmin.vi", "vminu.vi", "vmax.vi", "vmaxu.vi",
+    "vmslt.vi", "vmsltu.vi", "vmsgt.vv", "vmsgtu.vv"})
+
+
 def _vrows(category: str, shapes: tuple, funct6s: dict, *,
            accumulate: bool = False, imm: Kind = SIMM5) -> None:
     for base, funct6 in funct6s.items():
         for shape in shapes:
+            if f"{base}.{shape}" in UNDEFINED_SHAPES:
+                continue
             funct3, op1 = _SHAPES[category][shape]
             if shape == "vi":
                 op1 = imm

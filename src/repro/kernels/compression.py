@@ -68,11 +68,13 @@ def spmv_csr_compressed(num_rows: int = 64, nnz_per_row: int = 8,
     assert x is not None
     quantised, dictionary, codes = quantise_matrix(matrix, levels,
                                                    seed=seed + 13)
-    data = (DataBlock("cmp_codes", codes.astype("<u2").tobytes()),
-            doubles_block("cmp_dict", dictionary),
-            dwords_block("csr_colidx", quantised.col_indices),
-            dwords_block("csr_rowptr", quantised.row_pointers),
-            doubles_block("vec_x", x),
+    data = (DataBlock("cmp_codes", codes.astype("<u2").tobytes(),
+                      readonly=True),
+            doubles_block("cmp_dict", dictionary, readonly=True),
+            dwords_block("csr_colidx", quantised.col_indices, readonly=True),
+            dwords_block("csr_rowptr", quantised.row_pointers,
+                         readonly=True),
+            doubles_block("vec_x", x, readonly=True),
             zero_doubles_block("vec_y", quantised.num_rows))
     body = f"""\
 main:

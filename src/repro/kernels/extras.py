@@ -26,8 +26,9 @@ def vector_axpy(length: int = 512, alpha: float = 2.5, num_cores: int = 1,
     x = dense_vector(length, seed=seed)
     y = dense_vector(length, seed=seed + 1)
     expected = alpha * x + y
-    data = (doubles_block("axpy_x", x), doubles_block("axpy_y", y),
-            doubles_block("axpy_alpha", [alpha]))
+    data = (doubles_block("axpy_x", x, readonly=True),
+            doubles_block("axpy_y", y),
+            doubles_block("axpy_alpha", [alpha], readonly=True))
     body = f"""\
 main:
 {range_split(length, num_cores)}
@@ -65,9 +66,10 @@ def stream_triad(length: int = 512, alpha: float = 3.0, num_cores: int = 1,
     a = dense_vector(length, seed=seed)
     b = dense_vector(length, seed=seed + 1)
     expected = a + alpha * b
-    data = (doubles_block("triad_a", a), doubles_block("triad_b", b),
+    data = (doubles_block("triad_a", a, readonly=True),
+            doubles_block("triad_b", b, readonly=True),
             zero_doubles_block("triad_c", length),
-            doubles_block("triad_alpha", [alpha]))
+            doubles_block("triad_alpha", [alpha], readonly=True))
     body = f"""\
 main:
 {range_split(length, num_cores)}
@@ -109,7 +111,8 @@ def vector_dot(length: int = 512, num_cores: int = 1,
     """
     x = dense_vector(length, seed=seed)
     y = dense_vector(length, seed=seed + 1)
-    data = (doubles_block("dot_x", x), doubles_block("dot_y", y),
+    data = (doubles_block("dot_x", x, readonly=True),
+            doubles_block("dot_y", y, readonly=True),
             zero_doubles_block("dot_partials", num_cores))
     body = f"""\
 main:

@@ -57,8 +57,8 @@ def fft_radix2(length: int = 64, num_cores: int = 1,
     butterflies = length // 2
     data = (doubles_block("fft_re", permuted.real),
             doubles_block("fft_im", permuted.imag),
-            doubles_block("fft_twr", twiddles.real),
-            doubles_block("fft_twi", twiddles.imag),
+            doubles_block("fft_twr", twiddles.real, readonly=True),
+            doubles_block("fft_twi", twiddles.imag, readonly=True),
             *barrier_blocks())
     body = f"""\
 main:

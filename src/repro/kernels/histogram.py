@@ -34,7 +34,7 @@ def histogram(length: int = 1024, num_bins: int = 32, num_cores: int = 1,
     samples = rng.integers(0, 1 << 32, size=length, dtype=np.uint64)
     expected = np.bincount((samples & (num_bins - 1)).astype(np.int64),
                            minlength=num_bins).astype(np.uint64)
-    data = (dwords_block("hist_data", samples),
+    data = (dwords_block("hist_data", samples, readonly=True),
             dwords_block("hist_bins", [0] * num_bins))
     body = f"""\
 main:

@@ -24,8 +24,8 @@ def _matmul_data(size: int, seed: int) -> tuple[np.ndarray, np.ndarray,
                                                 tuple]:
     a = dense_matrix(size, size, seed=seed)
     b = dense_matrix(size, size, seed=seed + 1)
-    data = (doubles_block("mat_a", a),
-            doubles_block("mat_b", b),
+    data = (doubles_block("mat_a", a, readonly=True),
+            doubles_block("mat_b", b, readonly=True),
             zero_doubles_block("mat_c", size * size))
     return a, b, data
 

@@ -31,9 +31,10 @@ def dense_relu_layer(in_dim: int = 32, out_dim: int = 32,
     bias = dense_vector(out_dim, seed=seed + 2)
     expected = np.maximum(weights @ x + bias, 0.0)
     out_row_bytes = 8 * out_dim
-    data = (doubles_block("nn_wt", weights.T),  # transposed: (in, out)
-            doubles_block("nn_x", x),
-            doubles_block("nn_b", bias),
+    data = (doubles_block("nn_wt", weights.T,  # transposed: (in, out)
+                          readonly=True),
+            doubles_block("nn_x", x, readonly=True),
+            doubles_block("nn_b", bias, readonly=True),
             zero_doubles_block("nn_y", out_dim))
     body = f"""\
 main:
@@ -95,7 +96,7 @@ def mlp_inference(dims: tuple[int, ...] = (32, 48, 32, 16),
     rng_offset = 0
     x = dense_vector(dims[0], seed=seed)
     activations = x
-    data = [doubles_block("mlp_x", x), *barrier_blocks()]
+    data = [doubles_block("mlp_x", x, readonly=True), *barrier_blocks()]
     body_parts = [f"""\
 main:
     mv   a6, a0              # preserve hartid for barriers
@@ -108,8 +109,8 @@ main:
         activations = np.maximum(weights @ activations + bias, 0.0)
         in_label = "mlp_x" if layer == 0 else f"mlp_a{layer - 1}"
         out_label = f"mlp_a{layer}"
-        data += [doubles_block(f"mlp_w{layer}", weights.T),
-                 doubles_block(f"mlp_b{layer}", bias),
+        data += [doubles_block(f"mlp_w{layer}", weights.T, readonly=True),
+                 doubles_block(f"mlp_b{layer}", bias, readonly=True),
                  zero_doubles_block(out_label, out_dim)]
         body_parts.append(f"""\
     mv   a0, a6

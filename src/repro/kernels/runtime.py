@@ -112,19 +112,24 @@ def barrier_blocks() -> tuple[DataBlock, DataBlock]:
             DataBlock("bar_gen", bytes(4), align=4))
 
 
-def doubles_block(symbol: str, values: np.ndarray | list[float]) -> DataBlock:
-    """A float64 array, row-major, bit for bit."""
-    return DataBlock(symbol, np.asarray(values, "<f8").tobytes())
+def doubles_block(symbol: str, values: np.ndarray | list[float],
+                  readonly: bool = False) -> DataBlock:
+    """A float64 array, row-major, bit for bit; ``readonly`` for an
+    input the kernel only reads."""
+    return DataBlock(symbol, np.asarray(values, "<f8").tobytes(),
+                     readonly=readonly)
 
 
-def dwords_block(symbol: str, values: np.ndarray | list[int]) -> DataBlock:
+def dwords_block(symbol: str, values: np.ndarray | list[int],
+                 readonly: bool = False) -> DataBlock:
     """An array of 64-bit integers; negatives wrap to two's complement."""
     if not isinstance(values, np.ndarray):
         # Mask Python ints one by one: np.asarray without a dtype would
         # coerce values above 2**63-1 to float64 and lose precision.
         values = np.array([truncate(int(value)) for value in values],
                           dtype="<u8")
-    return DataBlock(symbol, values.astype("<u8").tobytes())
+    return DataBlock(symbol, values.astype("<u8").tobytes(),
+                     readonly=readonly)
 
 
 def zero_doubles_block(symbol: str, count: int) -> DataBlock:

@@ -32,10 +32,10 @@ from repro.kernels.workload import Workload, build_workload
 
 
 def _csr_data(matrix: CsrMatrix, x: np.ndarray) -> tuple:
-    return (doubles_block("csr_values", matrix.values),
-            dwords_block("csr_colidx", matrix.col_indices),
-            dwords_block("csr_rowptr", matrix.row_pointers),
-            doubles_block("vec_x", x),
+    return (doubles_block("csr_values", matrix.values, readonly=True),
+            dwords_block("csr_colidx", matrix.col_indices, readonly=True),
+            dwords_block("csr_rowptr", matrix.row_pointers, readonly=True),
+            doubles_block("vec_x", x, readonly=True),
             zero_doubles_block("vec_y", matrix.num_rows))
 
 
@@ -232,9 +232,9 @@ def spmv_ell(num_rows: int = 64, nnz_per_row: int = 8,
     assert x is not None
     ell_values, ell_columns, width = matrix.to_ell()
     row_bytes = 8 * matrix.num_rows
-    data = (doubles_block("ell_values", ell_values),
-            dwords_block("ell_colidx", ell_columns),
-            doubles_block("vec_x", x),
+    data = (doubles_block("ell_values", ell_values, readonly=True),
+            dwords_block("ell_colidx", ell_columns, readonly=True),
+            doubles_block("vec_x", x, readonly=True),
             zero_doubles_block("vec_y", matrix.num_rows))
     body = f"""\
 main:

@@ -48,9 +48,11 @@ def vector_stencil(length: int = 256, iterations: int = 1,
     expected = reference_stencil(initial, coefficients, iterations)
     final_symbol = "stn_buf_b" if iterations % 2 else "stn_buf_a"
     interior = length - 2
-    data = (doubles_block("stn_buf_a", initial),
+    # The buffers swap roles every sweep: the input is written from the
+    # second sweep on.
+    data = (doubles_block("stn_buf_a", initial, readonly=iterations == 1),
             zero_doubles_block("stn_buf_b", length),
-            doubles_block("stn_coeffs", [c0, c1, c2]),
+            doubles_block("stn_coeffs", [c0, c1, c2], readonly=True),
             *barrier_blocks())
     body = f"""\
 main:

@@ -60,6 +60,11 @@ def kernel_digest(workload) -> str:
     for segment in sorted(program.segments, key=lambda s: s.base):
         digest.update(str(segment.base).encode())
         digest.update(bytes(segment.data))
+    if program.readonly:
+        # Stores into these ranges trap: the same bytes unmarked are a
+        # different kernel.  Absent when empty, so unmarked images keep
+        # their keys.
+        digest.update(f"readonly {sorted(program.readonly)}".encode())
     return digest.hexdigest()
 
 

@@ -70,6 +70,17 @@ class IllegalInstructionTrap(Trap):
         super().__init__(f"illegal instruction {word:#010x}", pc)
 
 
+class StoreAccessFault(Trap):
+    """Raised by a store into a read-only page, before it writes a byte
+    (RISC-V store/AMO access fault, ``mcause`` 7)."""
+
+    mcause = 7
+
+    def __init__(self, pc: int, address: int):
+        self.address = address
+        super().__init__(f"store access fault at {address:#x}", pc)
+
+
 @dataclass(frozen=True)
 class MemAccess:
     """One data memory access performed by an instruction."""
@@ -145,6 +156,9 @@ class Hart:
     # vl (repro.spike.vector.group_plan): derived state, dropped by
     # set_vl and never pickled.
     _vplan = None
+    # The machine's read-only page set (``BareMetalMachine``), aliased
+    # like ``_code_pages``; a hart pickled before it existed has none.
+    _readonly_pages: set[int] | frozenset = frozenset()
 
     def __init__(self, hart_id: int, memory: SparseMemory,
                  vlen_bits: int = DEFAULT_VLEN_BITS, reset_pc: int = 0,
@@ -203,7 +217,16 @@ class Hart:
             return sign_extend(value, 8 * size) & MASK64
         return value
 
+    def check_store(self, address: int, size: int) -> None:
+        """Raise :class:`StoreAccessFault` when ``[address, address +
+        size)`` touches a read-only page."""
+        pages = self._readonly_pages
+        if pages and not pages.isdisjoint(
+                range(address >> 12, ((address + size - 1) >> 12) + 1)):
+            raise StoreAccessFault(self.pc, address)
+
     def store_int(self, address: int, value: int, size: int) -> None:
+        self.check_store(address, size)
         self.accesses.append(MemAccess(address, size, True))
         self.memory.store_int(address, value, size)
         if (address >> 12) in self._code_pages \

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.assembler.program import Program
-from repro.soc.memory import SparseMemory
+from repro.soc.memory import PAGE_SIZE, SparseMemory
 from repro.spike.hart import CodeCacheRegistry, Hart, MemAccess
 
 DEFAULT_STACK_TOP = 0x9000_0000
@@ -29,6 +29,21 @@ DEFAULT_STACK_BYTES = 64 * 1024
 
 TOHOST_SYMBOL = "tohost"
 _HTIF_CONSOLE_TAG = 0x0101
+
+
+def whole_pages(ranges) -> set[int]:
+    """Numbers of the pages that lie wholly inside the ``[start, end)``
+    byte ``ranges``; ranges that touch count as one."""
+    pages: set[int] = set()
+    merged: list[list[int]] = []
+    for start, end in sorted(ranges):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    for start, end in merged:
+        pages.update(range(-(-start // PAGE_SIZE), end // PAGE_SIZE))
+    return pages
 
 
 @dataclass
@@ -40,7 +55,17 @@ class HtifEvent:
 
 
 class BareMetalMachine:
-    """Shared memory, harts, and the HTIF host interface."""
+    """Shared memory, harts, and the HTIF host interface.
+
+    ``readonly_pages`` holds the pages that lie wholly inside the
+    program's read-only ranges (``Program.readonly``): every hart aliases
+    the one set, a store into it is a ``StoreAccessFault``, and
+    translated blocks may load from it ahead of their cycle
+    (``repro.spike.translate``).  A machine pickled before the set
+    existed has none.
+    """
+
+    readonly_pages: set[int] | frozenset = frozenset()
 
     def __init__(self, program: Program, num_cores: int,
                  vlen_bits: int = 512,
@@ -56,10 +81,12 @@ class BareMetalMachine:
         # One registry for the whole machine: a store by any hart into a
         # decoded code page invalidates every hart's derived caches.
         self.code_registry = CodeCacheRegistry()
+        self.readonly_pages = whole_pages(program.readonly)
         for core_id in range(num_cores):
             hart = Hart(core_id, self.memory, vlen_bits=vlen_bits,
                         reset_pc=program.entry,
                         code_registry=self.code_registry)
+            hart._readonly_pages = self.readonly_pages
             hart.regs[2] = stack_top - core_id * stack_bytes  # sp
             hart.regs[10] = core_id                           # a0
             self.harts.append(hart)

@@ -42,6 +42,7 @@ import re
 import struct
 from typing import NamedTuple
 
+from repro.isa.encoding import UNDEFINED_SHAPES
 from repro.utils.bitops import MASK32, MASK64, sign_extend
 
 # ---------------------------------------------------------------------------
@@ -442,8 +443,9 @@ _OPI, _OPM, _OPF = ("vv", "vx", "vi"), ("vv", "vx"), ("vv", "vf")
 def _vrows(kind: str, view: str, shapes: tuple, rows: dict[str, str]) -> None:
     for base, expr in rows.items():
         for shape in shapes:
-            VECTOR[f"{base}.{shape}"] = VRow(kind, _B_OF_SHAPE[shape], view,
-                                             expr)
+            if f"{base}.{shape}" not in UNDEFINED_SHAPES:
+                VECTOR[f"{base}.{shape}"] = VRow(kind, _B_OF_SHAPE[shape],
+                                                 view, expr)
 
 
 _SHIFT = "(b & (sew - 1))"

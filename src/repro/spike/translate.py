@@ -21,12 +21,15 @@ Fidelity contract (bit-identical to the interpreter, proven by
   longer than the window it has (:data:`SHAPES`).  The orchestrator's
   cycle loop dispatches a *whole* block only when one core is live and
   no event is scheduled within ``MAX_BLOCK`` cycles; otherwise it
-  dispatches *micro-blocks* (at most one memory access, which must be
-  instruction 0) so every cross-core-visible access stays on its exact
-  lockstep cycle while the register-private tail runs ahead, the core
-  not coming due again until the tail's last logical cycle has passed;
-  a core that may retire only one instruction this cycle gets the
-  *single*-instruction block.
+  dispatches *micro-blocks*, whose one visible memory access is
+  instruction 0, so every cross-core-visible access stays on its exact
+  lockstep cycle while the tail runs ahead, the core not coming due
+  again until the tail's last logical cycle has passed; a core that may
+  retire only one instruction this cycle gets the *single*-instruction
+  block.  A micro-block's tail may load, *guarded*: only an L1D hit on
+  a read-only page (the machine's ``readonly_pages``) runs ahead of its
+  cycle, else the block stops before the load.  A block branching back
+  to its first pc runs further trips in place (:func:`_trips`).
 * **L1 exactness.**  Data-side lookups inline the hit half of
   ``L1Cache.access_fast`` (true-LRU touch, dirty bit; the access
   counters constant-folded into each exit) and fall into the cache's
@@ -43,24 +46,26 @@ Fidelity contract (bit-identical to the interpreter, proven by
   flush.
 * **Fallback edges.**  The block exits back to the interpreter loop at
   L1 misses, HTIF halts, line-crossing scalar accesses, stores into
-  decoded code pages, and every untranslatable instruction (AMO, CSR,
-  system, ``vsetvl``, ``viota.m``, masked or scattering vector memory
-  instructions).  A zero-progress exit tells the caller to take one
-  interpreter step instead.
+  decoded code pages, guarded loads that may not run ahead, stores into
+  read-only pages (the interpreter raises the store access fault), and
+  every untranslatable instruction (AMO, CSR, system, ``vsetvl``,
+  ``viota.m``, masked or scattering vector memory instructions).  A
+  zero-progress exit tells the caller to take one interpreter step
+  instead.
 * **Vector instructions.**  A row-backed vector instruction is the
   statements :func:`repro.spike.vector.row_source` makes of its row —
   the same ones its interpreter executor is compiled from — with the
   instruction's fields as literals.  They work through the hart's
   ``GroupPlan``, fetched once per block (again after a ``vsetvli``
   inside it), so blocks are not keyed by ``vtype``.  A vector memory
-  instruction counts as a memory instruction for the micro-block rule;
+  instruction counts as a visible access for the micro-block rule;
   it probes the L1D once per distinct line in first-touch order (what
   ``CoreModel.step`` makes of the per-element access records: for a
   unit-stride access the lines of its byte range, ascending, probed
   inline; :func:`_probe_lines` for a strided or indexed load), reports
   every miss through ``E.misses``, and stalls to the interpreter under
   ``vill``, when a unit-stride group crosses a page, and when a store
-  range touches a decoded code page or ``tohost``.
+  range touches a decoded code page, a read-only page or ``tohost``.
 * **Invalidation.**  Every translated instruction was decoded through
   ``Hart.decode_at``, which registers its page(s) in the shared
   :class:`~repro.spike.hart.CodeCacheRegistry`; stores into those pages
@@ -97,7 +102,7 @@ import struct
 import time
 import types
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 
 from repro.soc.memory import PAGE_SIZE
 from repro.spike.hart import Trap
@@ -266,12 +271,13 @@ def _discover(hart, pc: int, cap: int = MAX_BLOCK, uop: bool = False,
     length cap ``cap`` or the micro-block rule; keyed by pc, an ender
     every shape runs into is still recorded once.
 
-    With ``uop=True`` the run additionally stops *before* any memory
-    instruction, scalar or vector, past position 0: the resulting
-    micro-block performs its one (optional) memory instruction on the
-    cycle it is dispatched and the rest of the block touches only this
-    core's registers.  The multicore lockstep loop exploits that shape
-    to dispatch whole micro-blocks while keeping every
+    With ``uop=True`` the run additionally stops *before* any store or
+    vector memory instruction past position 0: the resulting
+    micro-block performs its one visible memory instruction on the
+    cycle it is dispatched, and the rest of the block touches only this
+    core's registers (and, through guarded loads, nothing another core
+    can change or see).  The multicore lockstep loop exploits that
+    shape to dispatch whole micro-blocks while keeping every
     cross-core-visible access on its exact cycle (docs/INTERNALS.md,
     "Translated fast path").
     """
@@ -292,8 +298,7 @@ def _discover(hart, pc: int, cap: int = MAX_BLOCK, uop: bool = False,
                 or (instr.is_vector_mem and not instr.vm):
             break
         ender = None
-        if uop and instrs and (mnemonic in _LOAD_OPS or mnemonic in STORES
-                               or instr.is_vector_mem):
+        if uop and instrs and (mnemonic in STORES or instr.is_vector_mem):
             break
         instrs.append(instr)
         cursor += 4
@@ -302,8 +307,23 @@ def _discover(hart, pc: int, cap: int = MAX_BLOCK, uop: bool = False,
     return instrs
 
 
+def _trips(pc0: int, instrs: list) -> int:
+    """How many trips through ``instrs`` one call may run: as many as fit
+    in ``MAX_BLOCK`` for scalar loads and compute ending in a conditional
+    branch back to ``pc0``, else one."""
+    count = len(instrs)
+    last = instrs[-1]
+    if count > 1 and last.mnemonic in BRANCHES \
+            and last.imm == -4 * (count - 1) \
+            and all(ins.mnemonic in _LOAD_OPS or ins.mnemonic in COMPUTE
+                    for ins in instrs[:-1]):
+        return MAX_BLOCK // count
+    return 1
+
+
 def _build_source(pc0: int, instrs: list, tohost: int,
-                  i_off: int, i_mask: int, d_off: int, d_mask: int) -> str:
+                  i_off: int, i_mask: int, d_off: int, d_mask: int,
+                  guard: bool = False) -> str:
     """Generate the factory source for one basic block.
 
     Every exit point inlines its own constant-folded commit (L1D access
@@ -314,7 +334,9 @@ def _build_source(pc0: int, instrs: list, tohost: int,
 
     The function takes no cycle budget and has no guard between
     instructions: fitting the block into the window is the dispatcher's
-    business, settled by the shape it asks for.
+    business, settled by the shape it asks for.  ``guard`` makes a
+    scalar load past the dispatch cycle run only as an L1D hit on a
+    read-only page (``RO``), else the block stops before it.
 
     Two commitments are deliberately NOT made by the generated code:
 
@@ -330,6 +352,7 @@ def _build_source(pc0: int, instrs: list, tohost: int,
       identical touch.
     """
     count = len(instrs)
+    trips = _trips(pc0, instrs)
     line_bytes = 1 << d_off
     line_mask = line_bytes - 1
 
@@ -352,18 +375,23 @@ def _build_source(pc0: int, instrs: list, tohost: int,
             (1 if ins.mnemonic in _LOAD_OPS else 0)
         stores_before[k + 1] = stores_before[k] + \
             (1 if ins.mnemonic in STORES else 0)
+    trip_loads = loads_before[count]
 
-    pre: list[str] = []
+    pre: dict[str, None] = {}   # factory-time lines, in order, once each
     body: list[str] = []
 
     def emit(indent: int, text: str) -> None:
-        body.append("    " * indent + text)
+        body.append("    " * (indent + looping) + text)
+
+    def retired(n: int) -> str:
+        return f"it + {n}" if looping else str(n)
 
     def commit(indent: int, n: int) -> None:
         """Commit the L1D access counters for n retired instructions
         (instret/instructions/L1I reads are credited by the caller)."""
-        if loads_before[n]:
-            emit(indent, f"dst.reads += {loads_before[n]}")
+        reads = f"lt + {loads_before[n]}" if looping else loads_before[n]
+        if reads:
+            emit(indent, f"dst.reads += {reads}")
         if stores_before[n]:
             emit(indent, f"dst.writes += {stores_before[n]}")
 
@@ -372,7 +400,7 @@ def _build_source(pc0: int, instrs: list, tohost: int,
         expression string already holding the next pc."""
         commit(indent, n)
         emit(indent, f"hart.pc = {npc}")
-        emit(indent, f"return {n}")
+        emit(indent, f"return {retired(n)}")
 
     def emit_zero(indent: int) -> None:
         # No progress: hart.pc still equals the dispatch pc, and E is
@@ -383,25 +411,32 @@ def _build_source(pc0: int, instrs: list, tohost: int,
         emit(indent, "return E")
 
     def emit_stall(indent: int, k: int, pc: int) -> None:
-        """Clean stop *before* instruction k (probe failure or a
-        line-crossing access)."""
-        if k == 0:
+        """Clean stop *before* instruction k (probe failure, a
+        line-crossing access, a guarded load that may not run ahead)."""
+        if k == 0 and not looping:
             emit_zero(indent)
         else:
-            commit(indent, k)
-            emit(indent, f"hart.pc = {pc}")
-            emit(indent, f"return {k}")
+            emit_clean(indent, k, pc)
 
     def emit_event(indent: int, n: int, npc: int) -> None:
         """Miss and/or halt exit: E.misses/E.halted are already set."""
         commit(indent, n)
         emit(indent, f"hart.pc = {npc}")
-        emit(indent, f"E.executed = {n}")
+        emit(indent, f"E.executed = {retired(n)}")
         emit(indent, "return E")
 
+    # The first trip, then (``looping``) a looping block's later ones as
+    # the body of a for over ``it``/``lt``, the instructions and loads
+    # of the trips before; no I-line probe there: the first trip's stay
+    # resident, as only this core fetches into its L1I.
     seg_index = 0
     have_plan = fp_checked = False
-    for k, ins in enumerate(instrs):
+    passes = (False, True) if trips > 1 else (False,)
+    for looping, (k, ins) in product(passes, enumerate(instrs)):
+        if looping and not k:
+            pairs = tuple((n * count, n * trip_loads)
+                          for n in range(1, trips))
+            emit(1, f"for it, lt in {pairs}:")
         pc = pc0 + 4 * k
         npc = pc + 4
         m = ins.mnemonic
@@ -460,13 +495,14 @@ def _build_source(pc0: int, instrs: list, tohost: int,
             if addressing == "unit":
                 # One byte range [a, a + n) inside one backing page;
                 # the interpreter takes the group that crosses a page,
-                # and the store that reaches decoded code or tohost.
+                # and the store that reaches decoded code, RO or tohost.
                 emit(2, f"a = {_x(rs1)}")
                 emit(2, f"n = P.vl * {eew // 8}")
                 emit(2, "o = a & 4095")
                 stall = "o + n > 4096"
                 if m in VSTORES:
-                    stall += f" or a >> 12 in CP or a <= {tohost} < a + n"
+                    stall += (f" or a >> 12 in CP or a >> 12 in RO"
+                              f" or a <= {tohost} < a + n")
                 emit(2, f"if {stall}:")
                 emit_stall(3, k, pc)
             else:
@@ -474,23 +510,25 @@ def _build_source(pc0: int, instrs: list, tohost: int,
                 emit(2, f"A, z = VADDR(hart, i{k}, P, {eew}, "
                         f"{addressing!r})")
         if (vaccess and vaccess[1] != "unit") or m in _CONFIG_OK:
-            pre.append(f"i{k} = instrs[{k}]")
+            pre[f"i{k} = instrs[{k}]"] = None
 
         if m in _LOAD_OPS:
             # Loads read the backing page inside try/except: the page
             # is present for every address a program has ever written,
             # so the KeyError arm (read of untouched memory -> zero)
             # costs nothing on the path that matters.
+            guarded = guard and (k or looping)
+            page = "pages[g]" if guarded else "pages[a >> 12]"
             _size, signed, file = access
             if file == "f":
                 target, missing = f"f[{rd}]", "0.0"
                 raw = f"U{'D' if size == 8 else 'F'}" \
-                    "(pages[a >> 12], a & 4095)[0]"
+                    f"({page}, a & 4095)[0]"
             else:
                 # A sign-extending load goes through ``v``.
                 target, missing = ("v" if signed else f"x[{rd}]"), "0"
-                raw = "pages[a >> 12][a & 4095]" if size == 1 \
-                    else f"U{size}(pages[a >> 12], a & 4095)[0]"
+                raw = f"{page}[a & 4095]" if size == 1 \
+                    else f"U{size}({page}, a & 4095)[0]"
 
             def emit_value(base: int) -> None:
                 if file == "x" and not rd:
@@ -503,20 +541,34 @@ def _build_source(pc0: int, instrs: list, tohost: int,
                     sign = 1 << (8 * size - 1)
                     emit(base, f"x[{rd}] = v if v < 0x{sign:X} "
                          f"else v | 0x{MASK64 ^ (2 * sign - 1):X}")
+            if guarded:
+                # Ahead of its cycle: only what no other core can
+                # change or see, else it runs at instruction 0 next.
+                emit(2, "g = a >> 12")
+                emit(2, "if g not in RO:")
+                emit_stall(3, k, pc)
             emit(2, f"t = a >> {d_off}")
             emit(2, f"dw = dsets[t & {d_mask}]")
             emit(2, "try:")
             emit(3, "dw[t] = dw.pop(t)")
             emit(2, "except KeyError:")
-            emit(3, f"E.misses = MISS(cid, LOAD, dmiss(t, False), r{k}, {pc})")
-            emit(3, "E.halted = False")
-            emit_value(3)
-            emit_event(3, k + 1, npc)
+            if guarded:
+                emit_stall(3, k, pc)
+            else:
+                emit(3, f"E.misses = MISS(cid, LOAD, dmiss(t, False), "
+                        f"r{k}, {pc})")
+                emit(3, "E.halted = False")
+                emit_value(3)
+                emit_event(3, k + 1, npc)
+                pre[f"r{k} = instrs[{k}].dests"] = None
             emit_value(2)
-            pre.append(f"r{k} = instrs[{k}].dests")
 
         elif m in STORES:
             file = access[1]
+            # A store into a read-only page faults in the interpreter.
+            emit(2, "g = a >> 12")
+            emit(2, "if g in RO:")
+            emit_stall(3, k, pc)
             emit(2, f"t = a >> {d_off}")
             emit(2, f"dw = dsets[t & {d_mask}]")
             emit(2, "try:")
@@ -525,7 +577,6 @@ def _build_source(pc0: int, instrs: list, tohost: int,
             emit(3, "ms = None")
             emit(2, "except KeyError:")
             emit(3, f"ms = MISS(cid, STORE, dmiss(t, True), (), {pc})")
-            emit(2, "g = a >> 12")
             emit(2, "try:")
             emit(3, "p = pages[g]")
             emit(2, "except KeyError:")
@@ -568,9 +619,14 @@ def _build_source(pc0: int, instrs: list, tohost: int,
         elif m in BRANCHES:
             cond, _constants = _substitute(emit, BRANCHES[m], X_XX.operands,
                                            ins, pc)
-            emit(2, f"if {cond}:")
-            emit_clean(3, k + 1, (pc + imm) & MASK64)
-            emit_clean(2, k + 1, npc)
+            if trips > 1:
+                # Taken is the next trip, which the for runs.
+                emit(2, f"if not ({cond}):")
+                emit_clean(3, k + 1, npc)
+            else:
+                emit(2, f"if {cond}:")
+                emit_clean(3, k + 1, (pc + imm) & MASK64)
+                emit_clean(2, k + 1, npc)
 
         elif m == "jal":
             if rd:
@@ -591,7 +647,7 @@ def _build_source(pc0: int, instrs: list, tohost: int,
             is_store = m in VSTORES
             registers = "()" if is_store else f"r{k}"
             if not is_store:
-                pre.append(f"r{k} = instrs[{k}].dests")
+                pre[f"r{k} = instrs[{k}].dests"] = None
             if addressing != "unit":
                 emit(2, f"VMOVE(hart, i{k}, A, z, True)")
                 emit(2, f"ms = VLINES(l1d, A, z, False, cid, r{k}, {pc})")
@@ -650,7 +706,7 @@ def _build_source(pc0: int, instrs: list, tohost: int,
             emit(2, f"n = hart.set_vl({avl}, vt{k})")
             if rd:
                 emit(2, f"x[{rd}] = n")
-            pre.append(f"vt{k} = VTYPE(i{k}.imm)")
+            pre[f"vt{k} = VTYPE(i{k}.imm)"] = None
             have_plan = False
 
         elif m in COMPUTE:
@@ -668,19 +724,25 @@ def _build_source(pc0: int, instrs: list, tohost: int,
         else:  # pragma: no cover - _discover only admits known mnemonics
             raise AssertionError(f"untranslatable mnemonic {m}")
 
-    last = instrs[-1]
-    if last.mnemonic not in _CONTROL_OK:
+    looping = False
+    if trips > 1:
+        # Every trip took the branch back: still looping, at pc0.
+        if trip_loads:
+            emit(2, f"dst.reads += {trips * trip_loads}")
+        emit(2, f"hart.pc = {pc0}")
+        emit(2, f"return {trips * count}")
+    elif instrs[-1].mnemonic not in _CONTROL_OK:
         emit_clean(2, count, pc0 + 4 * count)
 
     for s in range(len(seg_tags)):
-        pre.append(f"iw{s} = isets[{seg_tags[s] & i_mask}]")
+        pre[f"iw{s} = isets[{seg_tags[s] & i_mask}]"] = None
     if any(ins.is_vector for ins in instrs):
-        pre.append("V = hart.vregs")
+        pre["V = hart.vregs"] = None
 
     lines = [
         "def _factory(C):",
         "    (hart, x, f, core, E, instrs, l1i, l1d, pages, alloc,",
-        "     CP, inv, htif, cid) = C",
+        "     CP, RO, inv, htif, cid) = C",
         "    isets = l1i._sets",
         "    IM = l1i._mru",
         "    dsets = l1d._sets",
@@ -694,11 +756,11 @@ def _build_source(pc0: int, instrs: list, tohost: int,
     return "\n".join(lines) + "\n"
 
 
-# Compiled factories are pure functions of (code words, geometry,
-# tohost), so they are shared machine-wide: eight cores translating the
-# same loop compile it once, repeated benchmark reps in one process,
-# observed or plain, pay zero recompilation, and a campaign's point
-# workers hand theirs back to the process that forks the next one.
+# Compiled factories are pure functions of their key (code words,
+# geometry, tohost, guard), so they are shared machine-wide: eight
+# cores running one loop compile it once, repeated benchmark reps in
+# one process, observed or plain, pay zero recompilation, and a
+# campaign's point workers hand theirs back to the forking process.
 _FACTORY_CACHE: dict = {}
 _FACTORY_CACHE_MAX = 4096
 
@@ -790,9 +852,10 @@ def translator_totals(translators) -> dict | None:
     return totals
 
 
-def _factory_for(pc0, instrs, tohost, i_off, i_mask, d_off, d_mask, stats):
+def _factory_for(pc0, instrs, tohost, i_off, i_mask, d_off, d_mask, guard,
+                 stats):
     key = (pc0, tuple(ins.word for ins in instrs), tohost,
-           i_off, i_mask, d_off, d_mask)
+           i_off, i_mask, d_off, d_mask, int(guard))
     factory = _FACTORY_CACHE.get(key)
     if factory is not None:
         stats.factory_hits += 1
@@ -800,7 +863,7 @@ def _factory_for(pc0, instrs, tohost, i_off, i_mask, d_off, d_mask, stats):
         stats.blocks_compiled += 1
         started = time.perf_counter()
         source = _build_source(pc0, instrs, tohost,
-                               i_off, i_mask, d_off, d_mask)
+                               i_off, i_mask, d_off, d_mask, guard)
         code = compile(source, f"<block@{pc0:#x}>", "exec")
         namespace: dict = {}
         exec(code, _G, namespace)
@@ -846,7 +909,8 @@ class BlockTranslator:
         """Install the ``shape`` block at ``pc``; returns its run-fn."""
         core = self.core
         hart = core.hart
-        instrs = _discover(hart, pc, *SHAPES[shape],
+        cap, uop = SHAPES[shape]
+        instrs = _discover(hart, pc, cap, uop,
                            enders=self.stats.enders) if self._enabled else []
         if instrs:
             l1i, l1d = core.l1i, core.l1d
@@ -854,15 +918,20 @@ class BlockTranslator:
             tohost = machine.tohost_address
             if tohost is None:
                 tohost = -1
+            # Guarding changes the code only of a micro-block with a
+            # load past its dispatch cycle; every other shares the key.
+            ahead = instrs if _trips(pc, instrs) > 1 else instrs[1:]
+            guard = uop and any(ins.mnemonic in _LOAD_OPS for ins in ahead)
             factory = _factory_for(pc, instrs, tohost,
                                    l1i._offset_bits, l1i._index_mask,
                                    l1d._offset_bits, l1d._index_mask,
-                                   self.stats)
+                                   guard, self.stats)
             self.stats.by_shape[shape] += 1
             memory = machine.memory
             fn = factory((hart, hart.regs, hart.fregs, core, self._exit,
                           instrs, l1i, l1d, memory._pages, memory._page,
-                          hart._code_pages, hart.code_registry.note_store,
+                          hart._code_pages, machine.readonly_pages,
+                          hart.code_registry.note_store,
                           machine.htif_store, core.core_id))
             if core.profile is not None:
                 fn = self._observed(fn, pc, instrs, shape)
@@ -875,9 +944,10 @@ class BlockTranslator:
 
     def _observed(self, run, pc0: int, instrs: list, shape: str):
         """``run`` wrapped for an observed run: what the block retired
-        goes to the core's profile in one accrual and to its shape's
-        dispatch tally, after it returns.  Blocks carry no profiling
-        code, so a plain run gets the bare function and pays nothing."""
+        goes to the core's profile, one accrual a trip, and to its
+        shape's dispatch tally, after it returns.  Blocks carry no
+        profiling code, so a plain run gets the bare function and pays
+        nothing."""
         count = len(instrs)
         # Vector instructions among the first n; only a block's last
         # instruction can be control flow.
@@ -893,7 +963,13 @@ class BlockTranslator:
             if n:
                 tally[0] += 1
                 tally[1] += n
-                retire_run(pc0, n, vectors[n], ends_control and n == count)
+                # Whole trips (more than one only from a looping block),
+                # then the part of one an exit stopped in.
+                trips, rest = divmod(n, count)
+                for _ in range(trips):
+                    retire_run(pc0, count, vectors[count], ends_control)
+                if rest:
+                    retire_run(pc0, rest, vectors[rest], False)
             return result
         return observed
 

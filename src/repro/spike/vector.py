@@ -428,6 +428,11 @@ def transfer(hart: Hart, instr: Instruction, addresses: list, size: int,
         write_group(vregs, instr.rd, data.pack(*values), vlenb)
     else:
         values = data.unpack(read_group(vregs, instr.rd, data.size, vlenb))
+        if hart._readonly_pages:
+            # Precise: a fault leaves every element unwritten.
+            for index, address in enumerate(addresses):
+                if instr.vm or active[index]:
+                    hart.check_store(address, size)
         pages = hart._code_pages
         for index, (address, value) in enumerate(zip(addresses, values)):
             if instr.vm or active[index]:
@@ -448,6 +453,7 @@ def transfer_unit(hart: Hart, reg: int, base: int, nbytes: int,
         write_group(hart.vregs, reg, hart.memory.load_bytes(base, nbytes),
                     hart.vlenb)
         return
+    hart.check_store(base, nbytes)
     hart.memory.store_bytes(base, read_group(hart.vregs, reg, nbytes,
                                              hart.vlenb))
     pages = hart._code_pages

@@ -275,9 +275,10 @@ class TestCampaign:
         keys = set(_FACTORY_CACHE)
         plain = sweep(2)    # runs on the blocks the profiled sweep made
         assert set(_FACTORY_CACHE) == keys
-        # (pc, words, tohost, four geometry ints): nothing tells a
-        # profiled block from a plain one.
-        assert all(len(key) == 7 and isinstance(key[1], tuple)
+        # (pc, words, tohost, four geometry ints, the micro-block guard
+        # as 0/1): nothing tells a profiled block from a plain one.
+        assert all(len(key) == 8 and isinstance(key[1], tuple)
+                   and key[7] in (0, 1)
                    and not any(isinstance(member, bool) for member in key)
                    for key in keys)
         _FACTORY_CACHE.clear()

@@ -5,8 +5,11 @@ the fifteen hand-written kernels; this file lets Hypothesis write the
 programs.  Each generated program mixes straight-line RV64IM ALU work,
 scalar FP (``.s``/``.d`` arithmetic, FMA, compares, conversions, moves,
 sign injection), integer and FP loads and stores into per-hart and
-shared cache lines, counted loops, forward branches, one
-``rdcycle``/``rdinstret`` read, RVV (``vsetvli``/``vsetivli`` at
+shared cache lines and loads from a read-only page
+(``DataBlock(readonly=True)``; loads there may run ahead of their cycle
+in translated micro-blocks, counted loops included), counted loops,
+forward branches, one ``rdcycle``/``rdinstret`` read, RVV
+(``vsetvli``/``vsetivli`` at
 e8-e64 and m1/m2 with drawn AVLs, unit-stride / strided / indexed
 loads and stores, element-wise integer and FP operations in every
 shape, multiply-accumulates, compares into a mask, ``v0.t``-masked
@@ -26,7 +29,9 @@ agree: the results document minus host fields, every hart's integer,
 FP and vector register files (FP by bit pattern, any NaN equal to any
 other; vector registers byte for byte outside the numeric domain
 described below), ``vl`` and ``vtype``, and the data and patched-code
-bytes the program touched.
+bytes the program touched.  A second test stores into the read-only page
+at a drawn point of a generated program: every loop must stop there with
+the same store access fault, at the same cycle, the page unwritten.
 
 The examples are derandomized (same programs on every run).  Tier-1
 runs the default profile below; CI's ``translate-smoke`` job runs the
@@ -39,9 +44,10 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.assembler import assemble
+from repro.assembler import DataBlock, assemble
 from repro.assembler.encoder import supported_mnemonics
 from repro.coyote import Simulation, SimulationConfig
+from repro.coyote.errors import SimulationError
 from repro.resilience import ResilienceConfig
 from repro.telemetry import TelemetryConfig
 
@@ -50,11 +56,13 @@ _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
 
 # Work registers the generator may read and write freely.  a0 keeps the
 # hart id for the whole body (read-only: it is what makes the harts
-# diverge); s8 (shared base), s9 (per-hart base), s2 (loop counter),
+# diverge); s8 (shared base), s9 (per-hart base), s10 (read-only base,
+# loaded from but never stored to), s2 (loop counter),
 # t3/t4 (patch scratch), t4/t5 (vector stride and address scratch, set
 # right before each use) and t6 (exit) belong to the scaffolding.
 _WORK = ("t0", "t1", "t2", "a1", "a2", "a3", "a4", "a5")
 _BASES = ("s8", "s9")
+_LOAD_BASES = _BASES + ("s10",)
 
 _ALU_RR = ("add", "sub", "xor", "or", "and", "sll", "srl", "sra", "slt",
            "sltu", "mul", "mulh", "mulhu", "mulhsu", "div", "divu", "rem",
@@ -92,6 +100,12 @@ _FP_INT = ("w", "wu", "l", "lu")
 _SHARED_BYTES = 256      # four 64-byte lines every hart reads and writes
 _PRIVATE_BYTES = 256     # per hart
 _MAX_CORES = 8
+# The read-only region: the first 256 bytes of a page of its own, so the
+# page is wholly read-only (what the machine's page set requires).
+_READONLY_BYTES = 256
+_READONLY = DataBlock(
+    "rodata", bytes((index * 37 + 11) & 0xFF for index in range(4096)),
+    align=4096, readonly=True)
 
 _reg = st.sampled_from(_WORK)
 _src = st.sampled_from(_WORK + ("a0",))
@@ -106,28 +120,35 @@ def _offset(size):
         lambda slot: slot * size)
 
 
+_KINDS = ("rr", "imm", "shift", "load", "store", "fp", "fp-memory")
+# Scalar loads and compute only: a counted loop of these is a block that
+# iterates in place, its loads guarded in a micro-block.
+_READING = ("rr", "imm", "shift", "load", "fp", "fp-load")
+
+
 @st.composite
-def _simple_op(draw, vtype=None):
-    """One straight-line instruction (no control flow); under a static
-    ``vtype = (sew, lmul)`` also vector instructions, which may come
-    with set-up lines of their own."""
+def _simple_op(draw, vtype=None, kinds=_KINDS):
+    """One straight-line instruction (no control flow) of one of
+    ``kinds``; under a static ``vtype = (sew, lmul)`` also vector
+    instructions, which may come with set-up lines of their own."""
     kind = draw(st.sampled_from(
-        ("rr", "imm", "shift", "load", "store", "fp", "fp-memory")
-        + (("vector", "vector", "vector") if vtype else ())))
+        kinds + (("vector", "vector", "vector") if vtype else ())))
     if kind == "vector":
         return "\n    ".join(draw(_vector_op(*vtype)))
     if kind == "fp":
         return draw(_fp_op())
-    if kind == "fp-memory":
-        if draw(st.booleans()):
+    if kind in ("fp-memory", "fp-load"):
+        if kind == "fp-load" or draw(st.booleans()):
             mnemonic, register = draw(st.sampled_from(sorted(_FP_LOADS))), \
                 draw(_fany)
+            bases = _LOAD_BASES
         else:
             mnemonic, register = draw(st.sampled_from(sorted(_FP_STORES))), \
                 draw(_fexact)
+            bases = _BASES
         size = (_FP_LOADS | _FP_STORES)[mnemonic]
         return (f"{mnemonic} {register}, {draw(_offset(size))}"
-                f"({draw(st.sampled_from(_BASES))})")
+                f"({draw(st.sampled_from(bases))})")
     if kind == "rr":
         return (f"{draw(st.sampled_from(_ALU_RR))} "
                 f"{draw(_reg)}, {draw(_src)}, {draw(_src)}")
@@ -141,7 +162,7 @@ def _simple_op(draw, vtype=None):
         mnemonic = draw(st.sampled_from(sorted(_LOADS)))
         return (f"{mnemonic} {draw(_reg)}, "
                 f"{draw(_offset(_LOADS[mnemonic]))}"
-                f"({draw(st.sampled_from(_BASES))})")
+                f"({draw(st.sampled_from(_LOAD_BASES))})")
     mnemonic = draw(st.sampled_from(sorted(_STORES)))
     return (f"{mnemonic} {draw(_reg)}, "
             f"{draw(_offset(_STORES[mnemonic]))}"
@@ -285,9 +306,9 @@ def _vector_memory(draw, sew, lmul):
     offset, so accesses straddle lines."""
     size = sew // 8
     vlmax = _VLEN_BITS // sew * lmul
-    base = draw(st.sampled_from(_BASES))
-    data = draw(_vexact)
     store = draw(st.booleans())
+    base = draw(st.sampled_from(_BASES if store else _LOAD_BASES))
+    data = draw(_vexact)
     mask = draw(_vmask)
     mode = draw(st.sampled_from(("unit", "strided", "indexed")))
     if mode == "unit":
@@ -418,13 +439,18 @@ _straight = st.lists(_simple_op(), min_size=1, max_size=6)
 
 @st.composite
 def _segment(draw, index, vtype=None):
-    """A straight run, a counted loop or a forward branch over a run."""
-    kind = draw(st.sampled_from(("straight", "loop", "branch")))
-    body = draw(st.lists(_simple_op(vtype), min_size=1, max_size=6)
-                if vtype else _straight)
+    """A straight run, a counted loop (of anything, or of loads and
+    compute only) or a forward branch over a run."""
+    kind = draw(st.sampled_from(("straight", "loop", "read-loop", "branch")))
+    if kind == "read-loop":
+        body = draw(st.lists(_simple_op(kinds=_READING), min_size=1,
+                             max_size=6))
+    else:
+        body = draw(st.lists(_simple_op(vtype), min_size=1, max_size=6)
+                    if vtype else _straight)
     if kind == "straight":
         return body
-    if kind == "loop":
+    if kind in ("loop", "read-loop"):
         # Trip count 1..4 plus hart-id bits, so the harts drift apart.
         return ([f"andi s2, a0, {draw(st.sampled_from((0, 1, 3, 7)))}",
                  f"addi s2, s2, {draw(st.integers(1, 4))}",
@@ -437,8 +463,27 @@ def _segment(draw, index, vtype=None):
 
 
 @st.composite
-def programs(draw):
-    """Assembly source of one generated multi-hart program."""
+def _readonly_store(draw):
+    """A store into the read-only region (with its address set-up):
+    integer, FP or atomic, at any offset its size allows."""
+    mnemonic = draw(st.sampled_from(
+        sorted(_STORES) + sorted(_FP_STORES) + ["amoadd.w", "amoswap.d"]))
+    if mnemonic.startswith("amo"):
+        size = 4 if mnemonic.endswith(".w") else 8
+        offset = draw(st.integers(0, _READONLY_BYTES // size - 1)) * size
+        return [f"addi t5, s10, {offset}",
+                f"{mnemonic} {draw(_reg)}, {draw(_src)}, (t5)"]
+    size = (_STORES | _FP_STORES)[mnemonic]
+    source = draw(_fexact) if mnemonic in _FP_STORES else draw(_src)
+    offset = draw(st.integers(0, _READONLY_BYTES - size))
+    return [f"{mnemonic} {source}, {offset}(s10)"]
+
+
+@st.composite
+def programs(draw, readonly_store=False):
+    """Assembly source of one generated multi-hart program; with
+    ``readonly_store``, one that stores into the read-only region
+    between two of its segments (so every hart reaches the store)."""
     count = draw(st.integers(2, 8))
     # ``vtype`` is legal from the first instruction on and changes only
     # between segments (the RVV section above says why).
@@ -455,6 +500,9 @@ def programs(draw):
     counter = draw(st.sampled_from(("rdcycle", "rdinstret")))
     segments.insert(draw(st.integers(0, count)),
                     [f"{counter} {draw(_reg)}"])
+    if readonly_store:
+        segments.insert(draw(st.integers(0, len(segments))),
+                        draw(_readonly_store()))
     if draw(st.booleans()):
         # Self-modifying variant: overwrite the upcoming ``addi`` with
         # ``addi a1, a1, 7`` and make it visible with ``fence.i``.
@@ -481,6 +529,7 @@ def _scaffold(lines):
 _start:
     la   s8, shared
     la   s9, private
+    la   s10, rodata
     slli t0, a0, 8
     add  s9, s9, t0
 {body}
@@ -499,6 +548,10 @@ shared:
 private:
     .zero {_PRIVATE_BYTES * _MAX_CORES}
 """
+
+
+def _assemble(source):
+    return assemble(source, data=[_READONLY])
 
 
 def _observe(simulation, results, program):
@@ -568,6 +621,7 @@ _LOOPS = (("reference", True, False),
 # the profile's 500.
 _CI = settings.get_profile("ci")
 _EXAMPLES = _CI.max_examples if settings.default is _CI else 40
+_TRAP_EXAMPLES = _CI.max_examples if settings.default is _CI else 20
 
 
 @settings(max_examples=_EXAMPLES, derandomize=True, deadline=None,
@@ -577,7 +631,7 @@ _EXAMPLES = _CI.max_examples if settings.default is _CI else 40
        invariant_interval=st.integers(1, 40))
 def test_generated_programs_identical_across_loops(
         source, sample_interval, pause_fraction, invariant_interval):
-    program = assemble(source)
+    program = _assemble(source)
     for cores in (1, 2, 8):
         plain = {}
         for name, reference, translate in _LOOPS:
@@ -615,6 +669,32 @@ def test_generated_programs_identical_across_loops(
                 f"{invariant_interval}"
 
 
+def _trap(program, cores, reference, translate):
+    """Run ``program`` into its store access fault; the message (core,
+    address, pc) and the cycle, with the read-only page unwritten."""
+    config = SimulationConfig.for_cores(cores, translate=translate)
+    simulation = Simulation(config, program)
+    simulation.orchestrator.use_reference_loop = reference
+    with pytest.raises(SimulationError, match="store access fault") \
+            as caught:
+        simulation.run()
+    assert simulation.memory.load_bytes(
+        program.symbols["rodata"], len(_READONLY.payload)) \
+        == _READONLY.payload
+    return str(caught.value), caught.value.current_cycle
+
+
+@settings(max_examples=_TRAP_EXAMPLES, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(source=programs(readonly_store=True))
+def test_generated_stores_into_the_readonly_page_trap_alike(source):
+    program = _assemble(source)
+    for cores in (1, 2, 8):
+        faults = [_trap(program, cores, reference, translate)
+                  for _name, reference, translate in _LOOPS]
+        assert faults == [faults[0]] * len(_LOOPS), f"@ {cores} cores"
+
+
 def _lone_loop(iterations, body_length):
     """A counted loop whose body is one ``body_length``-instruction
     block with no memory access."""
@@ -630,7 +710,7 @@ def test_lone_core_paused_at_every_cycle(iterations, body_length):
     one visit; every pause point bounds that run at a different distance,
     including the multiples of the ring size, and full-length blocks
     stretch it to the furthest slot it may land in."""
-    program = assemble(_lone_loop(iterations, body_length))
+    program = _assemble(_lone_loop(iterations, body_length))
     oracle = _run(program, 1, True, False)
     for pause_at in range(oracle[0]["cycles"] + 2):
         assert _run(program, 1, False, True, pause_at=pause_at) == oracle, \

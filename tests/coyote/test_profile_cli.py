@@ -66,6 +66,22 @@ def test_dispatch_counts_conserve(kernel, cores, tmp_path, capsys,
     assert re.search(r"micro \d+\.\d% at \d\.\d\d", line)
 
 
+def test_multicore_dispatches_run_past_their_first_load(tmp_path):
+    """Read-only inputs let a micro-block load past instruction 0 and
+    loop in place: the 8-core matmul point retires at least ten
+    instructions a dispatch (2.96 when a block stopped at its second
+    memory access), and simulates exactly what it did then."""
+    out = tmp_path / "profile.json"
+    assert cli_main(["profile", "--kernel", "scalar-matmul", "--size", "48",
+                     "--cores", "8", "--json", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert (document["cycles"], document["instructions"]) \
+        == (127_460, 689_504)
+    dispatch = document["translator"]["dispatch"].values()
+    retired = sum(tally["instructions"] for tally in dispatch)
+    assert retired / sum(tally["dispatches"] for tally in dispatch) >= 10
+
+
 def test_unobserved_and_untranslated_runs_count_no_dispatches(
         tmp_path, capsys):
     out = tmp_path / "metrics.json"

@@ -9,14 +9,17 @@ racing on one shared cache) leave exactly one checksummed entry with
 no torn read ever observable.
 """
 
+import hashlib
 import multiprocessing
 import os
 
 import pytest
 
+from repro.assembler import DataBlock, assemble
 from repro.coyote.config import SimulationConfig
 from repro.coyote.sweep import SweepPoint
 from repro.kernels import vector_axpy
+from repro.kernels.workload import Workload
 from repro.service.cache import (
     ResultCache,
     config_digest,
@@ -66,6 +69,34 @@ class TestKeys:
         bigger = kernel_digest(vector_axpy(length=64, num_cores=2))
         assert small == again
         assert small != bigger
+
+    @staticmethod
+    def _one_block(readonly):
+        """The same image bytes, its one data block marked or not."""
+        block = DataBlock("table", bytes(range(64)) * 128, align=4096,
+                          readonly=readonly)
+        return Workload("one-block", assemble(".text\nret\n", data=[block]),
+                        2, verify=lambda memory: True)
+
+    def test_readonly_marks_are_part_of_the_kernel(self):
+        marked, unmarked = self._one_block(True), self._one_block(False)
+        assert marked.program.segments == unmarked.program.segments
+        assert marked.program.readonly and not unmarked.program.readonly
+        # A store into the marked block traps; the unmarked one runs.
+        assert kernel_digest(marked) != kernel_digest(unmarked)
+
+    def test_an_image_without_readonly_blocks_keeps_its_digest(self):
+        workload = self._one_block(False)
+        program = workload.program
+        # The digest as it was computed before read-only ranges existed.
+        digest = hashlib.sha256()
+        digest.update(workload.name.encode())
+        digest.update(str(workload.num_cores).encode())
+        digest.update(str(program.entry).encode())
+        for segment in sorted(program.segments, key=lambda s: s.base):
+            digest.update(str(segment.base).encode())
+            digest.update(bytes(segment.data))
+        assert kernel_digest(workload) == digest.hexdigest()
 
     def test_seed_is_part_of_the_key(self):
         assert result_key("c" * 64, "k" * 64, 0) \

@@ -674,7 +674,7 @@ def test_every_vector_mnemonic_has_exactly_one_definition():
     assert not rows & _VECTOR_EFFECTFUL and not rows & _ROW_MNEMONICS
     vector = {mnemonic for mnemonic, row in ENCODINGS.items()
               if "is_vector" in row.flags}
-    assert len(vector) > 190
+    assert len(vector) > 180
     # A row or a hand-written executor, never both — ``executor()``
     # refuses a second registration, also the one that derives a vector
     # row's executor when it is first decoded — and what decodes is

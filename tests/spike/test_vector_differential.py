@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa.encoding import UNDEFINED_SHAPES
 from tests.conftest import make_hart, run_until_ebreak
 
 VLEN = 256
@@ -330,8 +331,9 @@ def _expected_mask(old_mask, active, outcome):
 
 
 @pytest.mark.parametrize("sew", [8, 16, 32, 64])
-@pytest.mark.parametrize("shape", ["vv", "vx", "vi"])
-@pytest.mark.parametrize("op", sorted(_INT_COMPARES))
+@pytest.mark.parametrize("op,shape", [
+    (op, shape) for op in sorted(_INT_COMPARES) for shape in ("vv", "vx", "vi")
+    if f"{op}.{shape}" not in UNDEFINED_SHAPES])
 @settings(max_examples=_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_integer_compare_matches_numpy(op, shape, sew, data):
