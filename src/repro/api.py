@@ -66,6 +66,7 @@ from repro.service.service import (
     CampaignService,
     assemble_result,
     build_spec,
+    new_job_id,
     readonly_store,
     spec_points,
     spool_cancel,
@@ -318,9 +319,9 @@ def submit(kernel: str, *, root: str | Path, axes: dict[str, list],
                       require_verified=require_verified, **overrides)
     try:
         with CampaignService(root) as service:
-            return service.submit(kernel, axes, cores=cores, size=size,
-                                  require_verified=require_verified,
-                                  job_id=job_id, **overrides)
+            job_id = job_id or new_job_id()
+            service._submit(job_id, spec, spec_points(spec))
+            return job_id
     except CampaignLockError:
         return spool_submission(root, spec, job_id)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -20,7 +20,7 @@ from repro.resilience.config import ResilienceConfig
 from repro.spike.simulator import L1Config
 from repro.telemetry.config import TelemetryConfig
 from repro.utils.bitops import is_power_of_two
-from repro.utils.schema import Slot, build, shape
+from repro.utils.schema import Slot, build, plain, shape
 
 DEFAULT_CORES_PER_TILE = 8   # one VAS tile holds eight cores (paper §I-A)
 DEFAULT_BANKS_PER_TILE = 2
@@ -194,7 +194,7 @@ class SimulationConfig:
 
     def to_dict(self) -> dict:
         """A JSON-serialisable view of the full configuration."""
-        return asdict(self)
+        return plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":

@@ -8,10 +8,10 @@ Kept free of simulator imports so :mod:`repro.coyote.config` can embed a
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.utils.schema import build
+from repro.utils.schema import build, plain
 
 FAULT_TARGETS = ("l2bank", "memctrl", "noc")
 FAULT_KINDS = ("delay", "duplicate", "blackout", "drop")
@@ -145,7 +145,7 @@ class PlanDocument:
 
     def to_dict(self) -> dict:
         """The JSON-document form (round-trips through :meth:`load`)."""
-        document = asdict(self)
+        document = plain(self)
         if self.seed is None:
             del document["seed"]
         return document

@@ -124,6 +124,11 @@ _POLL_SECONDS = 0.05
 # --max-retries N`` changes only its ``max_attempts``).
 SERVICE_RETRY = RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=5.0)
 
+# Named-kernel digests by what workload_factory closes over, (kernel,
+# cores, size): assembled once a process, not once a job; bounded.
+_NAMED_DIGESTS: dict[tuple, str] = {}
+_DIGESTS_MAX = 1024
+
 
 def new_job_id() -> str:
     """A fresh, collision-resistant job id (client-generated, so
@@ -256,10 +261,12 @@ def settled_point(record: dict,
 
 
 def assemble_result(store: JobStore, cache: ResultCache | None,
-                    job_id: str) -> tuple[SweepTable | None,
-                                          list[tuple[int, str]]]:
+                    job_id: str, settled: dict[int, SweepPoint] | None = None,
+                    ) -> tuple[SweepTable | None, list[tuple[int, str]]]:
     """Build a job's :class:`SweepTable` from the settled store.
 
+    ``settled`` maps an index to the point its cache entry holds, in
+    hand already; only other cached points are read (and verified).
     Returns ``(table, corrupt)`` where ``corrupt`` lists the
     ``(index, cache_key)`` of completed points whose cache entry could
     not be served; when any exist the table is ``None`` and those
@@ -267,6 +274,7 @@ def assemble_result(store: JobStore, cache: ResultCache | None,
     path shares it.
     """
     job = store._job(job_id)
+    settled = settled or {}
     points: list[SweepPoint] = []
     corrupt: list[tuple[int, str]] = []
     for record in job["points"]:
@@ -274,7 +282,7 @@ def assemble_result(store: JobStore, cache: ResultCache | None,
             raise ServiceError(
                 f"{job_id}[{record['index']}] is still "
                 f"{record['state']}; wait for the job to complete")
-        point = settled_point(record, cache)
+        point = settled.get(record["index"]) or settled_point(record, cache)
         if point is None:
             corrupt.append((record["index"], record["cache_key"]))
         else:
@@ -371,6 +379,9 @@ class CampaignExecutor:
         self._pool_failures = 0
         self._not_before: dict[tuple[str, int], float] = {}
         self._kernel_digests: dict[str, str] = {}
+        # While result(job, wait=True) runs: (job, index -> the point
+        # settled here under a cache key); assembly reads the rest.
+        self._held: tuple[str, dict[int, SweepPoint]] | None = None
 
     def _now(self) -> float:
         """Lease-clock wall time; subclasses may inject a test clock."""
@@ -484,6 +495,9 @@ class CampaignExecutor:
         self.monitor.count("completions")
         self.monitor.count("cache_hits" if cached else "cache_misses")
         self._not_before.pop((job_id, index), None)
+        if self._held is not None and self._held[0] == job_id \
+                and point is not None and record.get("cache_key"):
+            self._held[1][index] = point
         if self.on_settle is not None and point is not None:
             self.on_settle(point)
         return True
@@ -539,18 +553,24 @@ class CampaignExecutor:
                    settings: dict) -> str | None:
         """The point's :func:`~repro.service.cache.point_key` (``None``
         without a cache, or when the recipe cannot even be built — the
-        worker will record that deterministic failure).  A factory that
-        ignores the settings is digested once per job."""
+        worker will record that deterministic failure).  A named kernel
+        is digested once a process, another settings-free factory once a
+        job."""
         if self.cache is None:
             return None
         try:
             cores, overrides, make_workload, _verify = self.recipe_for(spec)
-            kernel_hex = self._kernel_digests.get(job_id)
+            memo, slot = self._kernel_digests, job_id
+            if self.recipe_for is spec_recipe:
+                memo, slot = _NAMED_DIGESTS, make_workload.args
+            kernel_hex = memo.get(slot)
             if kernel_hex is None:
                 kernel_hex = kernel_digest(
                     call_workload_factory(make_workload, settings))
                 if not factory_takes_settings(make_workload):
-                    self._kernel_digests[job_id] = kernel_hex
+                    if len(memo) >= _DIGESTS_MAX:
+                        memo.clear()
+                    memo[slot] = kernel_hex
             config = SimulationConfig.for_cores(
                 cores, **{**overrides, **settings})
         except Exception:
@@ -762,38 +782,46 @@ class CampaignExecutor:
         reports what was re-queued.  Tables are bit-identical across
         tiers: ``repro.api.sweep()`` and the service run this very
         method.
+
+        ``wait=True`` holds the job's points this call settles until it
+        returns: a cache hit is read once, earlier ones at assembly.
         """
-        for _attempt in range(4):
-            if wait:
-                self.run()
-            status = self.store.status(job_id)
-            if not status.complete:
+        settled: dict[int, SweepPoint] = {}
+        self._held = (job_id, settled) if wait else None
+        try:
+            for _attempt in range(4):
                 if wait:
-                    continue
-                raise ServiceError(
-                    f"{job_id} is not complete ({status.pending} "
-                    f"pending, {status.leased} leased of "
-                    f"{status.total}); run `coyote-sim serve`")
-            table, corrupt = assemble_result(self.store, self.cache,
-                                             job_id)
-            if table is not None:
-                table.degradations = list(self.degradations)
-                return table
-            for index, key in corrupt:
-                # Corrupt or missing entry: never served, never fatal —
-                # the cache set it aside; re-queue the point.
-                self.monitor.count(
-                    "cache_corrupt", f"corrupt cache entry {key[:12]} "
-                                     f"set aside; point will be recomputed")
-                self.store.invalidate(job_id, index)
-            if not wait:
-                raise ServiceError(
-                    f"{len(corrupt)} cached result(s) for {job_id} were "
-                    f"corrupt; the points were quarantined aside and "
-                    f"re-queued — run `coyote-sim serve` to recompute")
-        raise ServiceError(
-            f"results for {job_id} remained incomplete after repeated "
-            f"recovery attempts")
+                    self.run()
+                status = self.store.status(job_id)
+                if not status.complete:
+                    if wait:
+                        continue
+                    raise ServiceError(
+                        f"{job_id} is not complete ({status.pending} "
+                        f"pending, {status.leased} leased of "
+                        f"{status.total}); run `coyote-sim serve`")
+                table, corrupt = assemble_result(self.store, self.cache,
+                                                 job_id, settled)
+                if table is not None:
+                    table.degradations = list(self.degradations)
+                    return table
+                for index, key in corrupt:
+                    # Corrupt or missing entry: never served, never
+                    # fatal — the cache set it aside; re-queue the point.
+                    self.monitor.count(
+                        "cache_corrupt", f"corrupt cache entry {key[:12]} "
+                        f"set aside; point will be recomputed")
+                    self.store.invalidate(job_id, index)
+                if not wait:
+                    raise ServiceError(
+                        f"{len(corrupt)} cached result(s) for {job_id} were "
+                        f"corrupt; the points were quarantined aside and "
+                        f"re-queued — run `coyote-sim serve` to recompute")
+            raise ServiceError(
+                f"results for {job_id} remained incomplete after repeated "
+                f"recovery attempts")
+        finally:
+            self._held = None
 
 
 class CampaignService(CampaignExecutor):

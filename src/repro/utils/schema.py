@@ -4,8 +4,9 @@ A configuration value reaches the program as an object or as what JSON
 made of one: a dict for a dataclass, a list of dicts for a list of them.
 :func:`shape` reads what each field of a dataclass holds off its type
 annotation, once; :func:`build` turns a plain value into the dataclass
-by that description, and ``repro.coyote.config.config_paths()`` names
-the fields by walking the same description.
+by that description, :func:`plain` turns one back (``dataclasses.asdict``
+without its deep copies), and ``repro.coyote.config.config_paths()``
+names the fields by walking the same description.
 
 :func:`build` refuses an unknown key, a missing required one, or a
 ``str`` / ``bool`` where the field is a number, with a ``ValueError``
@@ -15,6 +16,7 @@ Ranges and choices are each class's own ``validate()``.
 
 from __future__ import annotations
 
+import copy
 import functools
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -89,3 +91,20 @@ def build(kind: type, value, prefix: str = ""):
         raise ValueError(f"missing config keys: {missing}")
     return kind(**{name: table[name].coerce(inner, prefix, name)
                    for name, inner in value.items()})
+
+
+def plain(value) -> dict:
+    """The dataclass ``value`` as the dict :func:`build` takes back, equal
+    to ``dataclasses.asdict(value)``: a section a dict, a ``many`` slot a
+    list of them, a leaf as it is (copied unless an immutable scalar)."""
+    document = {}
+    for name, slot in shape(type(value)).items():
+        inner = getattr(value, name)
+        if slot.many:
+            inner = [plain(item) for item in inner]
+        elif slot.kind is not None:
+            inner = plain(inner)
+        elif type(inner) not in (int, float, str, bool, NoneType):
+            inner = copy.deepcopy(inner)
+        document[name] = inner
+    return document

@@ -11,7 +11,10 @@ random ``config_paths()`` leaves, random fault lists):
   path as ``config_paths()`` spells it (``memhier`` flattened, list
   items as ``[i]``);
 * a numeric leaf replaced by a ``str`` or a ``bool`` is refused as
-  ``<path> must be a number, got <value>``.
+  ``<path> must be a number, got <value>``;
+* ``to_dict`` (``schema.plain``) of a built document is what
+  ``dataclasses.asdict`` gives and shares no list with the object, so
+  ``config_digest`` — and every result-cache key — is pinned.
 
 ``--hypothesis-profile=ci`` runs the profile's examples.
 """
@@ -26,6 +29,7 @@ from repro.coyote.cli import CHOICES
 from repro.coyote.config import SimulationConfig, config_paths
 from repro.resilience.config import FAULT_KINDS, FAULT_TARGETS, FaultSpec
 from repro.resilience.faults import FaultPlan
+from repro.service.cache import config_digest
 from repro.service.transport import (
     SERVICE_FAULT_KINDS,
     ServiceFaultPlan,
@@ -133,6 +137,11 @@ def plan_file(tmp_path_factory):
     return tmp_path_factory.mktemp("plans") / "plan.json"
 
 
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs") / "config.json"
+
+
 def plan_loader(kind, path):
     def load(document):
         path.write_text(json.dumps(document))
@@ -167,12 +176,58 @@ class TestConfigDocuments:
         assert refusal(SimulationConfig.from_dict, document) \
             == f"{path} must be a number, got {value!r}"
 
+    @settings(deadline=None)
+    @given(config=configs)
+    def test_to_dict_is_asdict(self, config_file, config):
+        built = SimulationConfig.from_dict(json.loads(json.dumps(
+            dataclasses.asdict(config))))
+        document = built.to_dict()
+        assert document == dataclasses.asdict(built)
+        assert SimulationConfig.load(built.save(config_file)) == built
+        document["resilience"]["faults"].append({})
+        assert built == config   # a copy, not a view
+
+
+class TestPinnedDigests:
+    """Recorded before ``to_dict`` stopped being ``dataclasses.asdict``:
+    a cache root written then must still be served as hits."""
+
+    def test_default_config(self):
+        assert config_digest(SimulationConfig.for_cores(8)) == (
+            "3008f22b72c06563d19e41be630d451c3521ef83b6425bfe9f34f89e15f41b96")
+
+    def test_mesh_private_l2_with_faults(self):
+        config = SimulationConfig.for_cores(16, **{
+            "noc.kind": "mesh", "l2_mode": "private",
+            "resilience.fault_seed": 7, "resilience.faults": [
+                {"target": "noc", "kind": "delay", "extra": 3},
+                {"target": "l2bank", "index": 1, "kind": "duplicate",
+                 "probability": 0.5}]})
+        assert config_digest(config) == (
+            "ffe14da7d9728ef65882780343ab8a9146bd1a13195c8aa9c879457ffa57d8ec")
+
 
 class TestPlanDocuments:
     @settings(deadline=None)
     @given(plan=plans)
     def test_round_trip(self, plan_file, plan):
         assert type(plan).load(plan.save(plan_file)) == plan
+
+    @settings(deadline=None)
+    @given(plan=plans)
+    def test_to_dict_is_asdict(self, plan_file, plan):
+        built = type(plan).load(plan.save(plan_file))
+        document = built.to_dict()
+        expected = dataclasses.asdict(built)
+        if built.seed is None:
+            del expected["seed"]
+        assert document == expected
+        for item in document["faults"]:
+            for value in item.values():
+                if isinstance(value, list):
+                    value.append("node-9")
+        document["faults"].append({})
+        assert built == plan   # a copy, not a view
 
     @settings(deadline=None)
     @given(plan=plans, data=st.data())

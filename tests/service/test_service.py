@@ -15,6 +15,7 @@ import signal
 import pytest
 
 from repro import api
+from repro.coyote.sweep import SweepPoint
 from repro.resilience.locking import CampaignLockError, PathLock
 from repro.resilience.supervisor import RetryPolicy
 from repro.service.service import CampaignService, spool_submission
@@ -315,6 +316,77 @@ class TestCorruptCacheRecovery:
         table = api.result(job, root=root, wait=True, workers=2)
         assert table.to_dict(METRICS) \
             == serial_reference().to_dict(METRICS)
+
+
+class TestReadOnce:
+    """A warm point costs one cache read: ``result(wait=True)`` assembles
+    from the points it settled itself, and reads — and verifies — only
+    what settled before it was called."""
+
+    def drained(self, root):
+        with make_service(root) as service:
+            service.result(service.submit(KERNEL, AXES, cores=CORES,
+                                          size=SIZE), wait=True)
+
+    def test_a_warm_resubmit_reads_each_point_once(self, root):
+        self.drained(root)
+        with make_service(root) as service:
+            job = service.submit(KERNEL, AXES, cores=CORES, size=SIZE)
+            table = service.result(job, wait=True)
+            assert service.status(job).cache_hits == len(table.points)
+            assert service.cache.hits == len(table.points)
+            assert service._held is None   # nothing outlives the call
+        assert table.to_dict(METRICS) \
+            == serial_reference().to_dict(METRICS)
+
+    def test_points_settled_by_an_earlier_run_are_read_and_verified(
+            self, root):
+        self.drained(root)
+        with make_service(root) as service:
+            job = service.submit(KERNEL, AXES, cores=CORES, size=SIZE)
+            service.run()   # serves both hits; holds nothing
+            assert service.cache.hits == 2
+            key = service.store.jobs[job]["points"][0]["cache_key"]
+            service.cache._entry_path(key).write_bytes(b"garbage")
+            table = service.result(job, wait=True)
+            assert service.monitor.counters["cache_corrupt"] == 1
+            # The rotten entry is set aside and its point recomputed and
+            # held; the healthy one is read again by both assemblies.
+            assert service.cache.writes == 1
+            assert service.cache.hits == 4
+        assert table.to_dict(METRICS) \
+            == serial_reference().to_dict(METRICS)
+
+    def test_a_stale_settle_is_not_held(self, root):
+        with make_service(root) as service:
+            job = service.submit(KERNEL, AXES, cores=CORES, size=SIZE)
+            lease = service._claim_next(service.worker_id)
+            service._held = (job, {})
+            stale = {**lease, "fence": lease["fence"] + 1}
+            point = SweepPoint(lease["settings"], None, True)
+            assert not service._settle(
+                stale, {"cache_key": lease["cache_key"]}, point)
+            assert service._held == (job, {})
+            assert service._settle(
+                lease, {"cache_key": lease["cache_key"]}, point)
+            assert service._held == (job, {lease["index"]: point})
+
+    def test_a_named_kernel_is_digested_once_per_process(self, root,
+                                                         monkeypatch):
+        from repro.service import service as module
+        digested = []
+        monkeypatch.setattr(module, "_NAMED_DIGESTS", {})
+        monkeypatch.setattr(module, "kernel_digest", lambda workload: (
+            digested.append(workload) or "k" * 64))
+        with make_service(root) as service:
+            for _ in range(2):
+                job_id = service.submit(KERNEL, AXES, cores=CORES,
+                                        size=SIZE)
+                job = service.store.jobs[job_id]
+                for point in job["points"]:
+                    assert service._cache_key(job_id, job["spec"],
+                                              point["settings"])
+        assert len(digested) == 1
 
 
 class TestApiFacade:
