@@ -348,14 +348,12 @@ class Orchestrator:
                 sampler.start(scheduler.current_cycle)
         self._started = True
         clock = time.perf_counter
+        observers = (sampler, heartbeat, self.watchdog, self.invariants)
 
         self.paused = False
-        if self.use_reference_loop:
-            total_instructions = self._cycle_loop_reference(
-                sampler, chrome, profiler, heartbeat, pause_at)
-        else:
-            total_instructions = self._cycle_loop(
-                sampler, chrome, profiler, heartbeat, pause_at)
+        loop = self._cycle_loop_reference if self.use_reference_loop \
+            else self._cycle_loop
+        total_instructions = loop(observers, chrome, profiler, pause_at)
         self._instructions_total = total_instructions
         if self.paused:
             self._wall_accum += time.perf_counter() - start_wall
@@ -386,7 +384,24 @@ class Orchestrator:
             results.host_profile = profiler.to_dict()
         return results
 
-    def _cycle_loop(self, sampler, chrome, profiler, heartbeat,
+    def _observe(self, observers, cycle: int, instructions: int) -> int:
+        """Let those of ``run``'s observers (sampler, heartbeat, watchdog,
+        invariant checker; None when off) whose ``due`` cycle has come
+        look at ``cycle``, credits settled; returns the next ``due``."""
+        sampler, heartbeat, watchdog, invariants = observers
+        events = self.scheduler.events_fired
+        if sampler is not None:
+            sampler.maybe_sample(cycle)
+        if heartbeat is not None:
+            heartbeat.maybe_heartbeat(cycle, instructions, events)
+        if watchdog is not None and watchdog.due <= cycle:
+            watchdog.observe(cycle, instructions, events)
+        if invariants is not None:
+            invariants.maybe_check(cycle, instructions)
+        return min((observer.due for observer in observers
+                    if observer is not None), default=1 << 62)
+
+    def _cycle_loop(self, observers, chrome, profiler,
                     pause_at: int | None = None) -> int:
         """The optimised cycle loop; returns instructions executed.
 
@@ -402,16 +417,19 @@ class Orchestrator:
         instructions and a visit re-enters the ring within 128 cycles,
         so live entries never wrap onto the slot being visited.  The
         kernel visits the cores due at ``now`` in ascending id.  A cycle
-        in which a visit submitted a
-        request or changed the active set, an event is due, or a
-        per-cycle observer is live ends through ``advance_cycle()`` and
-        the tail hooks; any other cycle is a bare clock bump, and a run
-        of cycles in which nobody is due is one jump — bounded by the
-        next event, ``pause_at`` and the cycle budget, between which the
-        reference loop would do nothing but increment the clock.  The
-        ring is rebuilt from ``_resume_at`` on entry, fed by
-        :meth:`_wake`, and settled back on every exit, so ``_resume_at``
-        is what a checkpoint carries.
+        in which a visit submitted a request or changed the active set,
+        or an event or observation is next, ends through
+        ``advance_cycle()``; any other cycle is a bare clock bump, and a
+        run of cycles in which nobody is due is one jump — bounded by
+        the next event, ``pause_at``, the cycle budget and the next
+        observation (``due``), between which the reference loop would do
+        nothing but increment the clock.  A stretch stops ``MAX_BLOCK``
+        cycles short of ``due``; inside that window every visit takes
+        ``single`` and the stretch syncs at ``due - 1``, so no block has
+        run past the cycle :meth:`_observe` shows.  The ring is rebuilt
+        from ``_resume_at`` on entry, fed by :meth:`_wake`, and settled
+        back on every exit, so ``_resume_at`` is what a checkpoint
+        carries.
 
         Visit.  RAW gate (only for a core with pending fills, which then
         gets a budget of one instruction), then a translated dispatch,
@@ -423,10 +441,11 @@ class Orchestrator:
           before ``bound``: the ``whole`` block — nothing can interleave
           with it, so it need not stop at memory accesses, and the visit
           dispatches block after block in place;
-        * otherwise one block: ``single`` at budget 1 (pending fills, or
-          the interval sampler live), else ``micro`` — its one memory
-          access is instruction 0, executed on this cycle, and the
-          register-private tail runs ahead, which is safe across events.
+        * otherwise one block: ``single`` at budget 1 (pending fills on
+          this core, or within ``MAX_BLOCK`` of the next observation),
+          else ``micro`` — its one memory access is instruction 0,
+          executed on this cycle, and the register-private tail runs
+          ahead, which is safe across events.
         """
         config = self.config
         scheduler = self.scheduler
@@ -480,18 +499,6 @@ class Orchestrator:
                     settled += n
             return settled
 
-        # The per-cycle activity tally accumulates in a flat list and is
-        # folded into the shared histogram where somebody reads it: the
-        # interval sampler (tail hooks) and the loop exit.
-        tally = [0] * (config.num_cores + 1)
-
-        def fold_activity() -> None:
-            for cores_active, cycles in enumerate(tally):
-                if cycles:
-                    tally[cores_active] = 0
-                    activity[cores_active] = \
-                        activity.get(cores_active, 0) + cycles
-
         advance_cycle = scheduler.advance_cycle
         next_event_cycle = scheduler.next_event_cycle
         max_cycles = config.max_cycles
@@ -500,14 +507,7 @@ class Orchestrator:
         # instruction count continues from the previous segment.
         remaining_cores = sum(1 for core in cores if not core.halted)
         total_instructions = self._instructions_total
-        watchdog = self.watchdog
-        invariants = self.invariants
-        # The sampler needs its boundary check on every cycle, so its
-        # presence holds every dispatch to one instruction; the other
-        # observers are content with the cycles that get visited.
-        unit = sampler is not None
-        tail_hooks = (unit or heartbeat is not None
-                      or watchdog is not None or invariants is not None)
+        due = 0     # the first cycle asks the observers when they are due
         executed = StepStatus.EXECUTED
         fetch_miss = StepStatus.FETCH_MISS
         clean_step = CLEAN_STEP
@@ -550,11 +550,11 @@ class Orchestrator:
                         # counts the remaining ``next_event - pause_at +
                         # 1`` stalled cycles, so the split accounting
                         # matches an uninterrupted run exactly.
-                        tally[0] += pause_at - now
+                        activity[0] = activity.get(0, 0) + pause_at - now
                         scheduler.advance_to(pause_at)
                         self.paused = True
                         break
-                    tally[0] += next_event - now + 1
+                    activity[0] = activity.get(0, 0) + next_event - now + 1
                     if profiler is not None:
                         wall = clock()
                     scheduler.advance_to(next_event)
@@ -562,21 +562,26 @@ class Orchestrator:
                 else:
                     if profiler is not None:
                         section_start = clock()
-                    # No event, pause point or budget edge before
-                    # ``bound``: up to there the scheduler is silent and
-                    # ending a cycle is ``now += 1``.
+                    # No event, pause point, budget edge or observation
+                    # before ``bound``: up to there the scheduler is
+                    # silent and ending a cycle is ``now += 1``.
                     bound = max_cycles
                     if next_event is not None and next_event < bound:
                         bound = next_event
                     if pause_at is not None and pause_at < bound:
                         bound = pause_at
-                    lockstep = tail_hooks or bound <= now
+                    # No block reaches ``due`` from before its last MAX_BLOCK
+                    # cycles; inside them a visit retires one instruction.
+                    watched = now >= due - MAX_BLOCK
+                    edge = due - 1 if watched else due - MAX_BLOCK
+                    if edge < bound:
+                        bound = edge
                     # Busy maps fill only by a submission and drain only
                     # by an event, and either ends the stretch below, so
                     # one look covers it: with nothing outstanding no
                     # visit needs the RAW gate.
                     gated = outstanding() != 0
-                    if unit or translators is None:
+                    if watched or translators is None:
                         budget = gated_budget
                     elif live == 1:
                         budget = MAX_BLOCK
@@ -585,9 +590,9 @@ class Orchestrator:
                     free_budget = budget
                     # ``live`` cores count as active on every cycle of
                     # this stretch (a core leaving ends it), so the
-                    # activity tally is one addition at its end.
+                    # activity histogram gets one addition at its end.
                     start = now
-                    sync = lockstep
+                    sync = bound <= now
                     while True:
                         todo = ring[now & 127]
                         if not todo and now < bound:
@@ -641,7 +646,7 @@ class Orchestrator:
                                 # place — coming back through the ring
                                 # within 128 cycles, so its slot never
                                 # wraps onto the one being visited.
-                                horizon = now if sync else now + MAX_BLOCK
+                                horizon = now + MAX_BLOCK
                                 while True:
                                     fn = wgets[core_id](harts[core_id].pc)
                                     if fn is None:
@@ -764,7 +769,8 @@ class Orchestrator:
                         if now >= bound:
                             break
                     scheduler.current_cycle = now
-                    tally[live] += now - start + sync
+                    activity[live] = activity.get(live, 0) \
+                        + now - start + sync
                     if profiler is not None:
                         wall = clock()
                         profiler.spike_seconds += wall - section_start
@@ -777,24 +783,14 @@ class Orchestrator:
                 if profiler is not None:
                     profiler.sparta_seconds += clock() - wall
                 now = scheduler.current_cycle
-                if tail_hooks:
+                if now >= due:
                     # Every observer needs the credits settled first.
                     total_instructions += flush_credits(all_cores)
-                    if sampler is not None:
-                        fold_activity()
-                        sampler.maybe_sample(now)
-                    if heartbeat is not None:
-                        heartbeat.maybe_heartbeat(now, total_instructions,
-                                                  scheduler.events_fired)
-                    if watchdog is not None:
-                        watchdog.observe(now, total_instructions,
-                                         scheduler.events_fired)
-                    if invariants is not None:
-                        invariants.maybe_check(now, total_instructions)
+                    due = self._observe(observers, now, total_instructions)
         finally:
             # Settle what the loop deferred: the ring's due cycles into
-            # ``_resume_at`` (every entry sits in ``[now, now + 64]``),
-            # the credits, the activity tally.
+            # ``_resume_at`` (every entry sits in ``[now, now + 64]``)
+            # and the credits.
             self._ring = None
             for slot, bucket in enumerate(ring):
                 if bucket:
@@ -802,10 +798,9 @@ class Orchestrator:
                     for core_id in bucket:
                         resume[core_id] = cycle
             total_instructions += flush_credits(all_cores)
-            fold_activity()
         return total_instructions
 
-    def _cycle_loop_reference(self, sampler, chrome, profiler, heartbeat,
+    def _cycle_loop_reference(self, observers, chrome, profiler,
                               pause_at: int | None = None) -> int:
         """The original per-cycle loop, kept verbatim as the behavioural
         reference for the differential tests.
@@ -822,8 +817,7 @@ class Orchestrator:
         active = self._active_set
         remaining_cores = sum(1 for core in cores if not core.halted)
         total_instructions = self._instructions_total
-        watchdog = self.watchdog
-        invariants = self.invariants
+        due = 0
         clock = time.perf_counter
 
         while remaining_cores:
@@ -863,18 +857,9 @@ class Orchestrator:
                 scheduler.advance_cycle()
                 if profiler is not None:
                     profiler.sparta_seconds += clock() - section_start
-                if sampler is not None:
-                    sampler.maybe_sample(scheduler.current_cycle)
-                if heartbeat is not None:
-                    heartbeat.maybe_heartbeat(scheduler.current_cycle,
-                                              total_instructions,
-                                              scheduler.events_fired)
-                if watchdog is not None:
-                    watchdog.observe(scheduler.current_cycle,
-                                     total_instructions,
-                                     scheduler.events_fired)
-                if invariants is not None:
-                    invariants.maybe_check(scheduler.current_cycle)
+                if scheduler.current_cycle >= due:
+                    due = self._observe(observers, scheduler.current_cycle,
+                                        total_instructions)
                 continue
 
             active_now = len(active)
@@ -942,18 +927,9 @@ class Orchestrator:
             scheduler.advance_cycle()
             if profiler is not None:
                 profiler.sparta_seconds += clock() - section_start
-            if sampler is not None:
-                sampler.maybe_sample(scheduler.current_cycle)
-            if heartbeat is not None:
-                heartbeat.maybe_heartbeat(scheduler.current_cycle,
-                                          total_instructions,
-                                          scheduler.events_fired)
-            if watchdog is not None:
-                watchdog.observe(scheduler.current_cycle,
-                                 total_instructions,
-                                 scheduler.events_fired)
-            if invariants is not None:
-                invariants.maybe_check(scheduler.current_cycle)
+            if scheduler.current_cycle >= due:
+                due = self._observe(observers, scheduler.current_cycle,
+                                    total_instructions)
         return total_instructions
 
     # -- telemetry --------------------------------------------------------------

@@ -39,8 +39,8 @@ class InvariantViolation(SimulationError):
 class InvariantChecker:
     """Runs the conservation checks every ``interval`` cycles.
 
-    The orchestrator calls :meth:`maybe_check` at its loop-boundary
-    heartbeat sites; :meth:`check` can also be called directly (tests,
+    The orchestrator calls :meth:`maybe_check` once its clock reaches
+    :attr:`due`; :meth:`check` can also be called directly (tests,
     post-mortem inspection) and returns the violation list instead of
     raising when ``raise_on_violation`` is False.
     """
@@ -55,6 +55,11 @@ class InvariantChecker:
         self._next_check = interval
         self._last_cycle = -1
         self._last_events_fired = -1
+
+    @property
+    def due(self) -> int:
+        """The first cycle at which :meth:`maybe_check` checks."""
+        return self._next_check
 
     def maybe_check(self, cycle: int,
                     instructions: int | None = None) -> None:
@@ -71,8 +76,8 @@ class InvariantChecker:
         """Run every conservation check against the live state.
 
         ``instructions`` is the cycle loop's running total when the
-        caller has one (the optimised loop passes it from its tail
-        hooks); it is checked against the per-core counters.
+        caller has one (both cycle loops pass it); it is checked against
+        the per-core counters.
         """
         orchestrator = self.orchestrator
         scheduler = orchestrator.scheduler

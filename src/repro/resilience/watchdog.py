@@ -10,7 +10,7 @@ traversal counts plus live queue backlogs under the mesh/torus
 contention model), and — the usual smoking gun — the scoreboard
 entries whose request has physically vanished.
 
-Two trigger conditions:
+Two trigger conditions, checked when a window closes (``due``):
 
 * *hard wedge* — neither an instruction retired nor a scheduler event
   fired for ``interval`` cycles: nothing can ever change again short of
@@ -105,6 +105,16 @@ class Watchdog:
         self._last_events = 0
         # Cycle of the last observed instruction retirement.
         self._last_retire_cycle: int | None = None
+
+    @property
+    def due(self) -> int:
+        """The cycle at which a window next closes (0 before the first
+        look); observed only then, a wedge shows within two windows."""
+        if self._last_cycle is None:
+            return 0
+        return min(self._last_cycle + self.interval,
+                   self._last_retire_cycle
+                   + SOFT_WEDGE_FACTOR * self.interval)
 
     def observe(self, cycle: int, instructions: int,
                 events_fired: int) -> None:

@@ -341,10 +341,6 @@ class ClusterDispatcher(CampaignService):
     degradation target: it starts with no local slots (``slots is
     None``: every point is granted out), and when every node is dead
     or none ever arrives the ladder gives it ``local_workers`` of them.
-
-    ``fence=False`` disables fencing *enforcement* (tokens are still
-    minted) to demonstrate the legacy at-least-once behaviour; leave
-    it on.
     """
 
     def __init__(self, root: str | Path,

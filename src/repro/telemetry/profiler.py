@@ -68,6 +68,11 @@ class HostProfiler:
 
     # -- progress heartbeat -------------------------------------------------
 
+    @property
+    def due(self) -> int:
+        """The first cycle at which :meth:`maybe_heartbeat` beats."""
+        return self._next_beat_cycle
+
     def maybe_heartbeat(self, cycle: int, instructions: int,
                         events: int) -> bool:
         """Log a progress line when the next beat cycle has been reached."""

@@ -96,6 +96,11 @@ class IntervalSampler:
         self._sample(cycle)
         self._next_cycle = cycle + self.interval
 
+    @property
+    def due(self) -> int:
+        """The first cycle at which :meth:`maybe_sample` samples."""
+        return self._next_cycle
+
     def maybe_sample(self, cycle: int) -> bool:
         """Sample when ``cycle`` has reached the next interval boundary."""
         if cycle < self._next_cycle:

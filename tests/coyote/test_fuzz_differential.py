@@ -23,8 +23,9 @@ variant) a store into the hart's own upcoming code followed by
 
 each in four modes — plain, interval sampler on, paused at a drawn
 cycle then resumed, and the invariant checker live at a drawn interval
-(lockstep cycles under full-budget run-ahead, and the retire-credit
-invariant on every generated program) — and everything observable must
+(1–300 cycles, so observations land both inside and beyond a block's
+run-ahead, and the retire-credit invariant on every generated program)
+— and everything observable must
 agree: the results document minus host fields, every hart's integer,
 FP and vector register files (FP by bit pattern, any NaN equal to any
 other; vector registers byte for byte outside the numeric domain
@@ -626,9 +627,9 @@ _TRAP_EXAMPLES = _CI.max_examples if settings.default is _CI else 20
 
 @settings(max_examples=_EXAMPLES, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(source=programs(), sample_interval=st.integers(1, 40),
+@given(source=programs(), sample_interval=st.integers(1, 300),
        pause_fraction=st.floats(0.0, 1.2),
-       invariant_interval=st.integers(1, 40))
+       invariant_interval=st.integers(1, 300))
 def test_generated_programs_identical_across_loops(
         source, sample_interval, pause_fraction, invariant_interval):
     program = _assemble(source)
@@ -659,8 +660,9 @@ def test_generated_programs_identical_across_loops(
             assert resumed == oracle, \
                 f"{name} @ {cores} cores, paused at {pause_at}"
 
-        # Invariant checker live: every cycle ends in lockstep through
-        # the tail hooks, and no check may fire on any loop.
+        # Invariant checker live: the optimised loop runs free up to the
+        # last MAX_BLOCK cycles before each check, and no check may fire
+        # on any loop.
         for name, reference, translate in _LOOPS:
             checked = _run(program, cores, reference, translate,
                            invariant_interval=invariant_interval)
