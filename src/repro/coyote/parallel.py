@@ -5,8 +5,8 @@ cartesian campaign run serially leaves every host core but one idle.
 Two layers live here (docs/RESILIENCE.md, "How a sweep point is
 executed"):
 
-* :class:`PointPool` — the process-per-point *mechanics* under every
-  campaign tier: spawn a worker, turn pipe traffic into beat / result /
+* :class:`PointPool` — the worker-process *mechanics* under every
+  campaign tier: start attempts, turn pipe traffic into beat / result /
   died events, and the one SIGTERM → grace → SIGKILL teardown.
 * :class:`ParallelSweep` — ``Sweep.run`` as a tier of the one campaign
   loop (:class:`repro.service.service.CampaignExecutor`): the sweep is
@@ -28,16 +28,16 @@ Design decisions, in the order they matter:
   in point-index order, never completion order.  Retry backoff jitter
   is seeded (policy seed × point index × attempt), never drawn from
   wall time.
-* **Crash isolation.**  One process per point means a worker that dies
-  hard (segfault, ``os._exit``, OOM-kill) loses that point only: the
-  pool reports the exit code and the captured stderr tail, recorded as
-  a :class:`WorkerCrash` failure like any other ``on_error="skip"``
-  failure.
-* **Compile once.**  A forked worker sends the translated blocks it
-  had to compile back beside its result, and :meth:`PointPool.poll`
-  installs them before reporting it — so the next worker forked
-  inherits them, and a campaign compiles each block once, not once per
-  point.  Only over the pool's own pipe; never under ``spawn``.
+* **Crash isolation.**  A worker runs its job's points one at a time;
+  one that dies hard (segfault, ``os._exit``, OOM-kill) loses the point
+  in flight only: the pool reports the exit code and the captured
+  stderr tail, recorded as a :class:`WorkerCrash` failure like any
+  other ``on_error="skip"`` failure.
+* **Compile once.**  A forked worker sends the blocks it compiled
+  back beside each result, and :meth:`PointPool.poll` installs them
+  before reporting it — so the next worker forked inherits them, and a
+  campaign compiles each block once per worker, not once per point.
+  Only over the pool's own pipe; never under ``spawn``.
 * **Error transport.**  A worker-side exception crosses the process
   boundary only if it survives a local pickle round-trip; otherwise a
   picklable :class:`RemoteError` stand-in carries the original type
@@ -58,6 +58,7 @@ Design decisions, in the order they matter:
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import multiprocessing
 import operator
@@ -126,14 +127,19 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
                  heartbeat_seconds: float = 0.0,
                  stderr_path: str | None = None,
                  close_fds: tuple = (), forked: bool = False) -> None:
-    """Run one point in a child process and ship the outcome back.
+    """Run points of one recipe in a child process and ship each
+    outcome back: the first point comes with the arguments, each next
+    ``(index, settings, stderr_path)`` over the pipe, and EOF ends the
+    worker.
 
-    The child's stderr (fd 2) is redirected to ``stderr_path`` first,
-    so whatever a dying worker manages to print — a traceback, an
-    allocator complaint — is recoverable by the parent.  With
+    The child's stderr (fd 2) is redirected to each point's
+    ``stderr_path`` first, so whatever a dying worker manages to print —
+    a traceback, an allocator complaint — is recoverable by the parent,
+    and is that attempt's alone.  With
     ``heartbeat_seconds > 0`` a daemon thread streams ``("hb", index,
-    cycles, rss_mb)`` tuples over the same pipe the result travels on;
-    a lock keeps the two senders from interleaving a message.
+    cycles, rss_mb)`` tuples over the same pipe the result travels on
+    while a point runs, the first as it starts; a lock keeps the two
+    senders from interleaving a message.
 
     ``close_fds`` are descriptors a forked child inherited and must
     not keep: flock follows the open file, not the process, so an
@@ -141,11 +147,12 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
     service root locked — and a restarted service locked out — until
     the orphan happened to die.
 
-    A ``forked`` child also ships the translated blocks its parent's
-    factory cache did not hold on the result message, so the parent
-    can hand them to the next child it forks.
+    A ``forked`` child also ships the translated blocks it compiled
+    since its last result on each result message, so the parent can
+    hand them to the next child it forks.
     """
     known = set(translate._FACTORY_CACHE)
+    gc.freeze()   # a full collection here walks this worker's heap only
     if hasattr(signal, "pthread_sigmask"):
         # Undo the mask PointPool.spawn held across our creation.
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
@@ -154,80 +161,84 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
             os.close(fd)
         except OSError:
             pass
-    if stderr_path is not None:
-        try:
-            fd = os.open(stderr_path,
-                         os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+
+    def redirect(path: str) -> None:
+        with contextlib.suppress(OSError):
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
             os.dup2(fd, 2)
             os.close(fd)
-            # Rebind sys.stderr onto the redirected fd 2: a forked child
-            # inherits the parent's stderr *object*, which may not write
-            # through fd 2 at all (a test harness capture, a logging
-            # shim) — and writing into a parent-owned buffer from the
-            # child is wrong either way.
-            sys.stderr = io.TextIOWrapper(
-                io.FileIO(2, "w", closefd=False), line_buffering=True)
-        except OSError:
-            pass
+
+    if stderr_path is not None:
+        redirect(stderr_path)
+        # Rebind sys.stderr onto the redirected fd 2: a forked child
+        # inherits the parent's stderr *object*, which may not write
+        # through fd 2 at all (a test harness capture, a logging shim)
+        # — and writing into a parent-owned buffer from the child is
+        # wrong either way.
+        sys.stderr = io.TextIOWrapper(
+            io.FileIO(2, "w", closefd=False), line_buffering=True)
     send_lock = threading.Lock()
-    stop = threading.Event()
+    busy, ended = threading.Event(), threading.Event()
     probe: dict[str, Any] = {"simulation": None}
 
-    def beat() -> None:
-        while True:
-            if not supervision.heartbeats_suppressed():
-                simulation = probe["simulation"]
-                cycles = 0
-                if simulation is not None:
-                    try:
-                        cycles = (simulation.orchestrator.scheduler
-                                  .current_cycle)
-                    except Exception:
-                        pass
-                try:
-                    with send_lock:
-                        conn.send(("hb", index, cycles,
-                                   supervision.worker_rss_mb()))
-                except Exception:
-                    return
-            if stop.wait(heartbeat_seconds):
-                return
+    def send_beat() -> None:
+        simulation = probe["simulation"]
+        cycles = (simulation.orchestrator.scheduler.current_cycle
+                  if simulation is not None else 0)
+        if not supervision.heartbeats_suppressed():
+            conn.send(("hb", index, cycles, supervision.worker_rss_mb()))
 
-    thread = None
+    def beat() -> None:
+        # Waits on ``busy`` between points: an idle worker beats nothing.
+        while busy.wait():
+            if not ended.wait(heartbeat_seconds):
+                with send_lock:
+                    if busy.is_set():
+                        send_beat()
+
     if heartbeat_seconds > 0:
-        thread = threading.Thread(target=beat, daemon=True,
-                                  name="coyote-heartbeat")
-        thread.start()
+        threading.Thread(target=beat, daemon=True,
+                         name="coyote-heartbeat").start()
 
     def observe(simulation) -> None:
         probe["simulation"] = simulation
 
-    try:
-        point = run_point(settings, base_cores, base_overrides,
-                          make_workload, require_verified,
-                          on_simulation=observe)
-        point.error = _portable_error(point.error)
-    except BaseException as exc:  # run_point never raises; belt & braces
-        point = SweepPoint(settings, None, False, _portable_error(exc))
-    if thread is not None:
-        stop.set()
-        thread.join(timeout=1.0)
-    blocks = translate.export_factories(known) if forked else None
-    try:
-        with send_lock:
-            conn.send(("result", index, point, blocks))
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        # Results themselves must be picklable (the checkpoint subsystem
-        # guarantees it); if something slipped through, degrade to a
-        # failure record rather than losing the campaign slot.
-        with send_lock:
-            conn.send(("result", index, SweepPoint(
-                settings, None, False,
-                RemoteError(type(exc).__name__,
-                            f"sweep point result was not picklable: "
-                            f"{exc}")), blocks))
-    finally:
-        conn.close()
+    while True:
+        probe["simulation"] = None
+        if heartbeat_seconds > 0:
+            ended.clear()
+            busy.set()
+            with send_lock:
+                send_beat()
+        try:
+            point = run_point(settings, base_cores, base_overrides,
+                              make_workload, require_verified,
+                              on_simulation=observe)
+            point.error = _portable_error(point.error)
+        except BaseException as exc:  # run_point never raises
+            point = SweepPoint(settings, None, False, _portable_error(exc))
+        busy.clear()
+        ended.set()
+        blocks = translate.export_factories(known) if forked else None
+        known = set(translate._FACTORY_CACHE)
+        try:
+            with send_lock:
+                conn.send(("result", index, point, blocks))
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            # Results themselves must be picklable (the checkpoint
+            # subsystem guarantees it); if something slipped through,
+            # degrade to a failure record rather than losing the slot.
+            with send_lock:
+                conn.send(("result", index, SweepPoint(
+                    settings, None, False,
+                    RemoteError(type(exc).__name__,
+                                f"sweep point result was not picklable: "
+                                f"{exc}")), blocks))
+        try:
+            index, settings, stderr_path = conn.recv()
+        except (EOFError, OSError):
+            return
+        redirect(stderr_path)
 
 
 @contextlib.contextmanager
@@ -248,9 +259,9 @@ def _sigint_held():
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-@dataclass
+@dataclass(eq=False)
 class PointWorker:
-    """Parent-side handle of one in-flight attempt of one point.
+    """Parent-side handle of one attempt of one point.
 
     ``context`` is the owner's per-attempt record (the executor's
     lease, a cluster node's grant); the pool never looks inside it.
@@ -266,20 +277,23 @@ class PointWorker:
     last_beat: float
     beats: list = field(default_factory=list)   # [(cycles, rss_mb)]
     blocks: int = 0   # translated blocks its result carried back
+    recipe: tuple = ()
+    fresh: bool = True   # this attempt started its process
 
 
 class PointPool:
-    """The process-per-point mechanics under every campaign tier.
+    """The worker-process mechanics under every campaign tier.
 
-    One worker process per point: :meth:`spawn` starts it (result pipe,
-    captured stderr, optional heartbeat thread), :meth:`poll` turns
-    whatever the workers sent or suffered into events, :meth:`reap` is
-    the single teardown (SIGTERM → ``term_grace_seconds`` → SIGKILL,
-    pipe closed, stderr tail harvested, temp file removed), and
-    :meth:`close` reaps whatever is left.  Which point runs next, what
-    a death costs it and where its result goes is the caller's policy:
-    the campaign executor (under every sweep, service and dispatcher)
-    and ``ClusterNode`` are the loops over these events.
+    :meth:`spawn` starts an attempt on the idle worker forked for the
+    same recipe objects (the same job), else on a new process, retiring
+    an idle one first.  :meth:`poll` turns what the workers sent or
+    suffered into events, :meth:`reap` is the single teardown (SIGTERM →
+    ``term_grace_seconds`` → SIGKILL, pipe closed, stderr tail
+    harvested, temp file removed), :meth:`retire` reaps the idle workers
+    and :meth:`close` all.  Which point runs next, what a death costs it
+    and where its result goes is the caller's policy: the campaign
+    executor (under every sweep, service and dispatcher) and
+    ``ClusterNode`` are the loops over these events.
 
     Uses the ``fork`` start method where the platform offers it, else
     ``spawn`` — which needs a picklable workload factory
@@ -302,36 +316,76 @@ class PointPool:
         # starts (chaos tests SIGKILL/SIGSTOP workers here).
         self.on_spawn: Callable[[PointWorker], None] | None = None
         self._workers: dict[Any, PointWorker] = {}
+        # Each idle process's last attempt, oldest first.
+        self._idle: list[PointWorker] = []
 
     def __len__(self) -> int:
         return len(self._workers)
 
     @property
     def workers(self) -> list[PointWorker]:
-        """The in-flight workers, oldest first."""
+        """The in-flight attempts, oldest first."""
         return list(self._workers.values())
 
     def spawn(self, index: int, settings: dict[str, Any],
               base_cores: int, base_overrides: dict[str, Any],
               make_workload: Callable, require_verified: bool = True,
               context: Any = None) -> PointWorker:
-        """Start one worker running ``run_point`` on this recipe;
+        """Start one attempt running ``run_point`` on this recipe;
         raises ``OSError`` (nothing left behind) when the host cannot
         start another process."""
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
+        recipe = (base_cores, base_overrides, make_workload,
+                  require_verified)
+        worker = (self._reuse(index, settings, recipe, context)
+                  or self._fork(index, settings, recipe, context))
+        if self.on_spawn is not None:
+            self.on_spawn(worker)
+        return worker
+
+    def _reuse(self, index: int, settings: dict[str, Any], recipe: tuple,
+               context: Any) -> PointWorker | None:
+        """Hand the point to an idle worker of ``recipe``, if any."""
+        for idle in self._idle:
+            if all(map(operator.is_, idle.recipe, recipe)):
+                fd, stderr_path = tempfile.mkstemp(prefix="coyote-point-",
+                                                   suffix=".stderr")
+                os.close(fd)
+                try:
+                    idle.conn.send((index, settings, stderr_path))
+                except OSError:     # it died while idle
+                    os.unlink(stderr_path)
+                    self.reap(idle)
+                    return None
+                self._idle.remove(idle)
+                now = time.monotonic()
+                worker = PointWorker(idle.process, idle.conn, index,
+                                     settings, stderr_path, context,
+                                     now, now, recipe=recipe, fresh=False)
+                self._workers[worker.conn] = worker
+                return worker
+        if self._idle:   # another recipe needs the slot
+            self.reap(self._idle[0])
+        return None
+
+    def _fork(self, index: int, settings: dict[str, Any], recipe: tuple,
+              context: Any) -> PointWorker:
+        parent_conn, child_conn = self._context.Pipe()
         fd, stderr_path = tempfile.mkstemp(prefix="coyote-point-",
                                            suffix=".stderr")
         os.close(fd)
         # Only fork children inherit our descriptors and translated blocks
-        # (spawn starts fresh: its fd numbers mean other files).
+        # (spawn starts fresh: its fd numbers mean other files).  Our
+        # pipe ends go too: a worker must see EOF once this process is
+        # gone, not wait on its own or a sibling's copy.
         forked = self._context.get_start_method() == "fork"
-        close_fds = self.close_fds if forked else ()
+        ends = (*self._workers, *(w.conn for w in self._idle), parent_conn)
+        close_fds = (self.close_fds + tuple(end.fileno() for end in ends)
+                     if forked else ())
         with _sigint_held():
             try:
                 process = self._context.Process(
                     target=_worker_main,
-                    args=(child_conn, index, settings, base_cores,
-                          base_overrides, make_workload, require_verified,
+                    args=(child_conn, index, settings, *recipe,
                           self.heartbeat_seconds, stderr_path, close_fds,
                           forked),
                     daemon=True)
@@ -344,10 +398,9 @@ class PointPool:
                 child_conn.close()
             now = time.monotonic()
             worker = PointWorker(process, parent_conn, index, settings,
-                                 stderr_path, context, now, now)
+                                 stderr_path, context, now, now,
+                                 recipe=recipe)
             self._workers[parent_conn] = worker
-        if self.on_spawn is not None:
-            self.on_spawn(worker)
         return worker
 
     def poll(self, timeout: float = _WAIT_SECONDS) -> list[tuple]:
@@ -356,9 +409,9 @@ class PointPool:
         * ``("beat", worker, cycles, rss_mb)`` — a heartbeat (also
           folded into ``worker.last_beat`` / ``worker.beats``);
         * ``("result", worker, point)`` — the point's
-          :class:`SweepPoint`; the worker is already reaped;
+          :class:`SweepPoint`; the attempt is over, its process idle;
         * ``("died", worker, exit_code, stderr_tail)`` — the pipe hit
-          EOF with no result; the worker is already reaped.
+          EOF (or a reset) with no result; the worker is already reaped.
         """
         if not self._workers:
             return []
@@ -367,7 +420,7 @@ class PointPool:
             worker = self._workers[conn]
             try:
                 message = conn.recv()
-            except EOFError:
+            except (EOFError, OSError):
                 tail = self.reap(worker)
                 events.append(("died", worker, worker.process.exitcode,
                                tail))
@@ -380,7 +433,10 @@ class PointPool:
                 events.append(("beat", worker, cycles, rss_mb))
             else:
                 _tag, _index, point, blocks = message
-                self.reap(worker)
+                del self._workers[conn]
+                self._idle.append(worker)
+                with contextlib.suppress(OSError):   # an idle worker
+                    os.unlink(worker.stderr_path)    # holds no file
                 if blocks is not None:
                     # Before the event: the next child forked inherits.
                     worker.blocks = translate.import_factories(blocks)
@@ -388,9 +444,16 @@ class PointPool:
         return events
 
     def reap(self, worker: PointWorker) -> str:
-        """Ensure the worker is dead, its pipe closed and its stderr
-        file harvested and removed; returns the stderr tail.  Safe to
-        call twice (the second call returns ``""``)."""
+        """Ensure the worker's process is dead, its pipe closed and its
+        stderr file harvested and removed; returns the stderr tail.  A
+        no-op returning ``""`` for an attempt whose process is already
+        reaped or has moved on to a later attempt."""
+        if worker in self._idle:
+            self._idle.remove(worker)
+        elif self._workers.get(worker.conn) is worker:
+            del self._workers[worker.conn]
+        else:
+            return ""
         process = worker.process
         if process.is_alive():
             process.terminate()
@@ -402,20 +465,21 @@ class PointPool:
             worker.conn.close()
         except OSError:
             pass
-        self._workers.pop(worker.conn, None)
         tail = supervision.read_stderr_tail(worker.stderr_path)
-        if worker.stderr_path is not None:
-            try:
-                os.unlink(worker.stderr_path)
-            except OSError:
-                pass
-            worker.stderr_path = None
+        with contextlib.suppress(OSError):
+            os.unlink(worker.stderr_path)
         return tail
 
+    def retire(self) -> None:
+        """Reap every idle worker."""
+        for worker in list(self._idle):
+            self.reap(worker)
+
     def close(self) -> None:
-        """Reap every in-flight worker (idempotent)."""
+        """Reap every worker, in flight or idle (idempotent)."""
         for worker in self.workers:
             self.reap(worker)
+        self.retire()
 
 
 class CampaignDirectory(ResultCache):
@@ -439,8 +503,8 @@ class ParallelSweep:
     """``Sweep.run`` as a tier of the campaign executor.
 
     ``workers=1`` executes in-process (no fork overhead, but also no
-    crash isolation); ``workers=N`` runs at most N single-point worker
-    processes at a time.  ``on_error="skip"`` records failures and
+    crash isolation); ``workers=N`` runs at most N worker processes at
+    a time, each taking the sweep's points one after another.  ``on_error="skip"`` records failures and
     carries on; ``"raise"`` terminates every outstanding worker at the
     first observed failure and re-raises — prompt, but which failing
     point surfaces first is completion-order dependent, so deterministic

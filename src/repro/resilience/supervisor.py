@@ -216,12 +216,15 @@ def heartbeats_suppressed() -> bool:
 
 
 def worker_rss_mb() -> float:
-    """This process's peak RSS in MB (0.0 where unavailable).
-
-    Uses ``resource.getrusage`` — peak, not instantaneous, which is the
-    right guard semantics for a leak ceiling (a worker that ever
-    crossed the ceiling stays over it).  ``ru_maxrss`` is KB on Linux.
-    """
+    """This process's current resident size in MB (0.0 where
+    unavailable), so the RSS ceiling judges the point in flight:
+    ``/proc/self/statm`` on Linux, else the peak ``ru_maxrss``."""
+    try:
+        with open("/proc/self/statm", "rb") as handle:
+            pages = int(handle.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20)
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         import resource
     except ImportError:

@@ -188,6 +188,7 @@ class ClusterNode:
         # In-flight workers (context: the grant).  No worker heartbeats:
         # the node heartbeats for itself.
         self.pool = PointPool(mp_context)
+        self._recipes: tuple = (None, None)   # (job id, its one recipe)
         self._queued: list[dict] = []
         self._registered = False
         self._shutdown = False
@@ -255,7 +256,9 @@ class ClusterNode:
         progressed = False
         while self._queued and len(self.pool) < self.workers:
             grant = self._queued.pop(0)
-            recipe = spec_recipe(grant["spec"])
+            if self._recipes[0] != grant["job"]:
+                self._recipes = (grant["job"], spec_recipe(grant["spec"]))
+            recipe = self._recipes[1]
             try:
                 self.pool.spawn(grant["index"], grant["settings"],
                                 *recipe, context=grant)

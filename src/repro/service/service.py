@@ -379,6 +379,7 @@ class CampaignExecutor:
         self._pool_failures = 0
         self._not_before: dict[tuple[str, int], float] = {}
         self._kernel_digests: dict[str, str] = {}
+        self._recipes: tuple = (None, None)   # (job id, its recipe)
         # While result(job, wait=True) runs: (job, index -> the point
         # settled here under a cache key); assembly reads the rest.
         self._held: tuple[str, dict[int, SweepPoint]] | None = None
@@ -412,6 +413,7 @@ class CampaignExecutor:
                 queue_depth=self.store.outstanding_points(),
                 active_leases=self.store.active_leases())
             if not self.store.has_work():
+                self.pool.retire()
                 break
             # Only backoff windows or foreign leases remain.
             time.sleep(_POLL_SECONDS)
@@ -530,13 +532,16 @@ class CampaignExecutor:
             progressed = True
             if lease["settled"]:
                 continue
-            recipe = self.recipe_for(lease["spec"])
+            if self._recipes[0] != lease["job_id"]:   # one object a job
+                self._recipes = (lease["job_id"],
+                                 self.recipe_for(lease["spec"]))
+            recipe = self._recipes[1]
             if not self.slots:
                 self._finish(lease, run_point(lease["settings"], *recipe))
                 break   # one point a turn: stop() and deadlines stay live
             try:
-                self.pool.spawn(lease["index"], lease["settings"],
-                                *recipe, context=lease)
+                worker = self.pool.spawn(lease["index"], lease["settings"],
+                                         *recipe, context=lease)
             except OSError as exc:
                 # Fork pressure: give the point back, step the ladder.
                 self._release(lease)
@@ -545,6 +550,7 @@ class CampaignExecutor:
                 self._pool_failure(f"worker spawn failed: {exc}")
                 break
             self.monitor.count("attempts")
+            self.monitor.count("forks", amount=int(worker.fresh))
             self.monitor.span_open((lease["job_id"], lease["index"],
                                     lease["attempt"]))
         return progressed
@@ -590,6 +596,8 @@ class CampaignExecutor:
                 point, = payload
                 self._attempt_ended(worker, "failed" if point.failed
                                     else "ok")
+                if self._overdue(worker, time.monotonic()):
+                    self.pool.reap(worker)   # not trusted with another
                 self._finish(lease, point)
             else:
                 self._worker_died(worker, "crash", *payload)
@@ -623,7 +631,7 @@ class CampaignExecutor:
             (lease["job_id"], index, lease["attempt"]),
             f"point[{index}] attempt {lease['attempt']}", index,
             outcome=outcome, settings=str(lease["settings"]),
-            blocks=worker.blocks)
+            blocks=worker.blocks, pid=worker.process.pid)
 
     # -- deaths: deadlines, expiry, the one failure path ---------------------
 
@@ -762,13 +770,15 @@ class CampaignExecutor:
             f"degraded: {reason} ({event.from_workers} -> "
             f"{to_workers or 'in-process'} workers)")
         self.slots = to_workers
+        self.pool.retire()
 
     def _drain(self) -> None:
         """Stop in-flight work gracefully: terminate workers, release
-        their leases (no attempt charged)."""
+        their leases (no attempt charged), retire the idle ones."""
         for worker in self.pool.workers:
             self.pool.reap(worker)
             self._release(worker.context)
+        self.pool.retire()
 
     # -- results -------------------------------------------------------------
 

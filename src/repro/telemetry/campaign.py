@@ -95,8 +95,8 @@ class CampaignMetrics:
 
     COUNTERS = (
         # local attempts and their supervision
-        "attempts", "heartbeats", "reaped", "retries", "quarantined",
-        "degradations", "blocks_shared",
+        "attempts", "forks", "heartbeats", "reaped", "retries",
+        "quarantined", "degradations", "blocks_shared",
         # queue, leases, cache
         "submits", "points_submitted", "rejected", "claims",
         "completions", "cache_hits", "cache_misses", "cache_corrupt",

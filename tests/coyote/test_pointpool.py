@@ -1,17 +1,20 @@
-"""PointPool: the one process-per-point mechanism under every tier.
+"""PointPool: the one worker-process mechanism under every tier.
 
 Driven directly, without a sweep or a service on top: the three event
 kinds, the single SIGTERM → grace → SIGKILL teardown, inherited-fd
-closing, ``close()`` idempotence, a held SIGINT across the fork — and
-the two regressions the unified pool fixes: the campaign tiers work
-under the ``spawn`` start method (their workload factory pickles), and
-a sweep torn down by ``on_error="raise"`` escalates past a SIGSTOPped
-worker instead of joining it forever.
+closing, ``close()`` idempotence, a held SIGINT across the fork, a
+worker taking its recipe's next point (and only its recipe's), an idle
+worker that beats nothing and dies with its parent — and the two
+regressions the unified pool fixes: the campaign tiers work under the
+``spawn`` start method (their workload factory pickles), and a sweep
+torn down by ``on_error="raise"`` escalates past a SIGSTOPped worker
+instead of joining it forever.
 """
 
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -24,6 +27,7 @@ from repro.coyote.sweep import Sweep, call_workload_factory
 from repro.kernels import vector_axpy, workload_factory
 from repro.resilience.supervisor import SupervisorPolicy
 from repro.service.service import CampaignService
+from repro.spike import translate
 
 CORES = 2
 RECIPE = (CORES, {})   # base_cores, base_overrides
@@ -51,6 +55,19 @@ def term_ignorer():
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     open(PROBE["ready"], "w").close()
     time.sleep(60)
+    return healthy()
+
+
+def also_healthy():
+    return vector_axpy(length=32, num_cores=CORES)
+
+
+def chatty(settings):
+    """Says which point it is on stderr; the point at latency 9 dies."""
+    print(f"point {settings['noc.latency']} ran", file=sys.stderr,
+          flush=True)
+    if settings["noc.latency"] == 9:
+        os._exit(9)
     return healthy()
 
 
@@ -92,8 +109,7 @@ def drain(pool, timeout=60.0):
 
 
 class TestEvents:
-    def test_result_event_and_worker_already_reaped(self, pool,
-                                                    stderr_dir):
+    def test_result_event_and_the_attempt_is_over(self, pool, stderr_dir):
         worker = pool.spawn(3, {"noc.latency": 2}, *RECIPE, healthy,
                             context="mine")
         assert len(pool) == 1 and pool.workers == [worker]
@@ -102,9 +118,14 @@ class TestEvents:
         assert kind == "result" and seen is worker
         assert (worker.index, worker.context) == (3, "mine")
         assert not point.failed and point.settings == {"noc.latency": 2}
-        assert not worker.process.is_alive()
-        assert worker.stderr_path is None
+        # The attempt is over, its stderr file gone; its process waits,
+        # idle, for the recipe's next point — until it is reaped.
+        assert not pool and pool.workers == []
         assert leftovers(stderr_dir) == []
+        assert worker.process.is_alive()
+        pool.reap(worker)
+        assert worker.process.exitcode is not None
+        assert pool.reap(worker) == ""
 
     def test_beats_are_reported_and_folded_into_the_worker(self):
         pool = PointPool(heartbeat_seconds=0.02)
@@ -135,6 +156,149 @@ class TestEvents:
         pool.on_spawn = seen.append
         worker = pool.spawn(0, {}, *RECIPE, healthy)
         assert seen == [worker]
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="translated blocks come back from forked workers only")
+
+
+class TestReuse:
+    """A worker takes its recipe's points one after another."""
+
+    @needs_fork
+    def test_two_points_of_one_recipe_share_a_process(self, pool,
+                                                      monkeypatch):
+        monkeypatch.setattr(translate, "_FACTORY_CACHE", {})    # cold
+        first = pool.spawn(0, {}, *RECIPE, healthy)
+        drain(pool)
+        second = pool.spawn(1, {}, *RECIPE, healthy)
+        assert len(pool) == 1 and pool.workers == [second]
+        (kind, seen, point), = drain(pool)
+        assert (kind, seen) == ("result", second) and not point.failed
+        assert second.process.pid == first.process.pid
+        assert (first.fresh, second.fresh) == (True, False)
+        assert multiprocessing.active_children() == [first.process]
+        # The first point's blocks came back with it; the second needed
+        # no new ones.
+        assert first.blocks > 0 and second.blocks == 0
+
+    def test_another_recipe_retires_the_idle_worker(self, pool,
+                                                    stderr_dir):
+        first = pool.spawn(0, {}, *RECIPE, healthy)
+        drain(pool)
+        second = pool.spawn(1, {}, *RECIPE, also_healthy)
+        assert second.fresh and second.process.pid != first.process.pid
+        assert first.process.exitcode is not None
+        assert multiprocessing.active_children() == [second.process]
+        assert len(leftovers(stderr_dir)) == 1
+        (kind, _seen, point), = drain(pool)
+        assert kind == "result" and not point.failed
+
+    def test_a_killed_second_attempt_dies_alone(self, pool):
+        first = pool.spawn(0, {}, *RECIPE, healthy)
+        drain(pool)
+        # Stopped, it cannot read its next point: killed with the point
+        # unread, its socket resets (ConnectionResetError) instead of
+        # closing.
+        os.kill(first.process.pid, signal.SIGSTOP)
+        pool.on_spawn = lambda worker: worker.fresh or os.kill(
+            worker.process.pid, signal.SIGKILL)
+        second = pool.spawn(1, {}, *RECIPE, healthy)
+        assert second.process is first.process
+        (kind, seen, exit_code, _tail), = drain(pool)
+        assert (kind, seen, exit_code) \
+            == ("died", second, -signal.SIGKILL)
+        third = pool.spawn(2, {}, *RECIPE, healthy)
+        assert third.fresh and third.process.pid != first.process.pid
+        (kind, seen, point), = drain(pool)
+        assert (kind, seen) == ("result", third) and not point.failed
+
+    def test_each_attempt_has_its_own_stderr_tail(self, pool):
+        pool.spawn(0, {"noc.latency": 2}, *RECIPE, chatty)
+        (kind, _seen, _point), = drain(pool)
+        assert kind == "result"
+        crashing = pool.spawn(1, {"noc.latency": 9}, *RECIPE, chatty)
+        assert not crashing.fresh
+        (kind, _seen, exit_code, tail), = drain(pool)
+        assert (kind, exit_code) == ("died", 9)
+        assert "point 9 ran" in tail and "point 2 ran" not in tail
+
+    def test_an_idle_worker_sends_no_beats(self):
+        pool = PointPool(heartbeat_seconds=0.02)
+        try:
+            worker = pool.spawn(0, {}, *RECIPE, healthy)
+            assert drain(pool)[-1][0] == "result"
+            assert not worker.conn.poll(0.3)    # ~15 intervals, silent
+            again = pool.spawn(1, {}, *RECIPE, healthy)
+            events = drain(pool)
+        finally:
+            pool.close()
+        assert not again.fresh
+        # The next point's first beat comes as it starts.
+        assert events[0][:2] == ("beat", again)
+        assert events[-1][0] == "result"
+
+    def test_close_leaves_no_process_and_no_file(self, pool, stderr_dir):
+        for index in range(2):
+            pool.spawn(index, {}, *RECIPE, healthy)
+        drain(pool)
+        busy = pool.spawn(2, {}, *RECIPE, sleeper)
+        assert len(multiprocessing.active_children()) == 2
+        pool.close()
+        assert not busy.process.is_alive()
+        assert multiprocessing.active_children() == []
+        assert leftovers(stderr_dir) == []
+
+
+# Holds an idle worker of a service root until it is killed.
+IDLE_HOLDER = """
+import sys
+from repro.service.service import CampaignService
+service = CampaignService(sys.argv[1], workers=1).open()
+service.submit("vector-axpy", {"noc.latency": [2, 6]}, cores=2, size=64)
+while not service.monitor.counters["completions"]:
+    service.step()
+idle, = service.pool._idle
+print(idle.process.pid, flush=True)
+sys.stdin.read()
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie nobody has reaped does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not os.path.exists("/proc/self/stat"),
+    reason="needs fork and /proc")
+def test_an_idle_worker_dies_with_its_parent(tmp_path):
+    root = tmp_path / "root"
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    parent = subprocess.Popen([sys.executable, "-c", IDLE_HOLDER,
+                               str(root)], env=env, text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        pid = int(parent.stdout.readline())
+        assert _alive(pid)
+    finally:
+        parent.kill()
+        parent.wait()
+    deadline = time.monotonic() + 5.0
+    while _alive(pid):
+        assert time.monotonic() < deadline, "the idle worker outlived it"
+        time.sleep(0.02)
+    assert leftovers(tmp_path) == []    # an idle worker holds no file
+    with CampaignService(root):
+        pass    # the lock is free
 
 
 class TestTeardown:

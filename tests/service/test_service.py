@@ -9,6 +9,7 @@ as :class:`QuarantinedPoint`, and a corrupt cache entry is recomputed,
 never served.
 """
 
+import multiprocessing
 import os
 import signal
 
@@ -387,6 +388,46 @@ class TestReadOnce:
                     assert service._cache_key(job_id, job["spec"],
                                               point["settings"])
         assert len(digested) == 1
+
+
+class TestWorkerReuse:
+    """A slot costs one worker process a job, not one a point."""
+
+    GRID = {"l2_mode": ["shared", "private"], "noc.latency": [4, 6, 8, 10],
+            "mem_latency": [80, 120],
+            "mapping_policy": ["set-interleaving", "page-to-bank"]}
+
+    def test_a_32_point_job_forks_once(self, root, monkeypatch):
+        services = []
+
+        class Recorded(api.CampaignService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(api, "CampaignService", Recorded)
+        job = api.submit("scalar-matmul", root=root, axes=self.GRID,
+                         cores=4, size=8)
+        table = api.result(job, root=root, wait=True, workers=1)
+        monitor = services[-1].monitor
+        assert (monitor.counters["attempts"], monitor.counters["forks"]) \
+            == (32, 1)
+        pids = {event["args"]["pid"]
+                for event in monitor.chrome_trace()["traceEvents"]}
+        assert len(pids) == 1
+        # Retired once the queue ran dry.
+        assert multiprocessing.active_children() == []
+        serial = api.sweep("scalar-matmul", cores=4, size=8, axes=self.GRID,
+                           workers=1)
+        assert table.to_dict() == serial.to_dict()
+
+    def test_each_job_gets_a_worker_of_its_own(self, root):
+        with make_service(root, workers=1) as service:
+            for axes in (AXES, {"noc.latency": [4, 8]}):
+                service.submit(KERNEL, axes, cores=CORES, size=SIZE)
+            assert service.run() == 4
+            assert (service.monitor.counters["attempts"],
+                    service.monitor.counters["forks"]) == (4, 2)
 
 
 class TestApiFacade:
