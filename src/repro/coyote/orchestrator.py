@@ -127,10 +127,6 @@ class Orchestrator:
         # checkpoint can land mid-block).
         self._resume_at = [0] * config.num_cores
         self._ring: list[list[int]] | None = None
-        # Instructions retired by translated blocks but not yet settled
-        # into instret / core.instructions / L1I reads (all zero
-        # whenever the loop is not running).
-        self._credit = [0] * config.num_cores
         self.hierarchy = MemoryHierarchy(config.memhier, self.scheduler)
         self.hierarchy.on_complete = self._on_request_complete
         self.scoreboard = Scoreboard(config.num_cores)
@@ -147,10 +143,9 @@ class Orchestrator:
         # Differential-testing escape hatch: run the original
         # straight-line per-cycle loop instead of the optimised one.
         self.use_reference_loop = False
-        # Pause/resume bookkeeping (checkpoint support): instructions
-        # executed so far, wall time of earlier segments, and whether
-        # the last ``run`` call stopped at a pause point.
-        self._instructions_total = 0
+        # Pause/resume bookkeeping (checkpoint support): wall time of
+        # earlier segments, and whether the last ``run`` call stopped at
+        # a pause point.
         self._wall_accum = 0.0
         self._started = False
         self.paused = False
@@ -353,8 +348,7 @@ class Orchestrator:
         self.paused = False
         loop = self._cycle_loop_reference if self.use_reference_loop \
             else self._cycle_loop
-        total_instructions = loop(observers, chrome, profiler, pause_at)
-        self._instructions_total = total_instructions
+        loop(observers, chrome, profiler, pause_at)
         if self.paused:
             self._wall_accum += time.perf_counter() - start_wall
             return None
@@ -378,18 +372,19 @@ class Orchestrator:
             sampler.finalize(scheduler.current_cycle)
         if chrome is not None:
             chrome.finalize(scheduler.current_cycle)
-        results = self._build_results(total_instructions, wall_seconds)
+        results = self._build_results(wall_seconds)
         if profiler is not None:
             profiler.stats_seconds += clock() - section_start
             results.host_profile = profiler.to_dict()
         return results
 
-    def _observe(self, observers, cycle: int, instructions: int) -> int:
+    def _observe(self, observers, cycle: int) -> int:
         """Let those of ``run``'s observers (sampler, heartbeat, watchdog,
         invariant checker; None when off) whose ``due`` cycle has come
-        look at ``cycle``, credits settled; returns the next ``due``."""
+        look at ``cycle``; returns the next ``due``."""
         sampler, heartbeat, watchdog, invariants = observers
         events = self.scheduler.events_fired
+        instructions = self._instructions()
         if sampler is not None:
             sampler.maybe_sample(cycle)
         if heartbeat is not None:
@@ -402,8 +397,8 @@ class Orchestrator:
                     if observer is not None), default=1 << 62)
 
     def _cycle_loop(self, observers, chrome, profiler,
-                    pause_at: int | None = None) -> int:
-        """The optimised cycle loop; returns instructions executed.
+                    pause_at: int | None = None) -> None:
+        """The optimised cycle loop.
 
         Identical observable behaviour to :meth:`_cycle_loop_reference`
         (the differential tests assert it).  One scheduling *kernel*
@@ -458,19 +453,12 @@ class Orchestrator:
         activity = self._activity
         blocks = self.scoreboard.blocks
         outstanding = self.scoreboard.outstanding
-        all_cores = range(config.num_cores)
         # Live per-core busy-register maps, hoisted once: when a core's
         # map is empty no RAW dependency can block it, so the visit skips
         # the pre-step decode entirely (the common case on hit streaks).
         busy_maps = [self.scoreboard.busy_map(core_id)
-                     for core_id in all_cores]
+                     for core_id in range(config.num_cores)]
         harts = [core.hart for core in cores]
-        istats = [core.l1i.stats for core in cores]
-        # Block functions return how many instructions they retired but
-        # do not touch the pure counters (translate.py module docstring);
-        # the visit accrues the counts here and flush_credits settles
-        # them wherever they become observable.
-        credit = self._credit
         resume = self._resume_at
         # The translators' block tables are mutated in place by
         # invalidation, so their bound ``get``s stay valid.  Without
@@ -484,31 +472,13 @@ class Orchestrator:
         else:
             gated_budget = -1
 
-        def flush_credits(core_ids) -> int:
-            """Settle accrued instruction counts into ``hart.instret``,
-            ``core.instructions`` and the L1I read statistics; returns
-            their sum, which the caller owes to the running total."""
-            settled = 0
-            for cid in core_ids:
-                n = credit[cid]
-                if n:
-                    credit[cid] = 0
-                    harts[cid].instret += n
-                    cores[cid].instructions += n
-                    istats[cid].reads += n
-                    settled += n
-            return settled
-
         advance_cycle = scheduler.advance_cycle
         next_event_cycle = scheduler.next_event_cycle
         max_cycles = config.max_cycles
         clock = time.perf_counter
-        # Resume-aware: cores halted before a pause stay halted and the
-        # instruction count continues from the previous segment.
+        # Resume-aware: cores halted before a pause stay halted.
         remaining_cores = sum(1 for core in cores if not core.halted)
-        total_instructions = self._instructions_total
         due = 0     # the first cycle asks the observers when they are due
-        executed = StepStatus.EXECUTED
         fetch_miss = StepStatus.FETCH_MISS
         clean_step = CLEAN_STEP
         tint = int
@@ -537,7 +507,6 @@ class Orchestrator:
                     # Every live core is stalled and only a completion
                     # can wake one: jump to the next event.
                     if next_event is None:
-                        total_instructions += flush_credits(all_cores)
                         stalled = [core.core_id for core in cores
                                    if not core.halted]
                         raise deadlock_error(
@@ -655,7 +624,6 @@ class Orchestrator:
                                     result = fn()
                                     if result.__class__ is not tint:
                                         break
-                                    credit[core_id] += result
                                     now += result
                                     if now >= horizon \
                                             or bound - now < MAX_BLOCK:
@@ -678,7 +646,6 @@ class Orchestrator:
                                         "single" if budget == 1 else "micro")
                                 result = fn()
                                 if result.__class__ is tint:
-                                    credit[core_id] += result
                                     ring[(now + result) & 127].append(
                                         core_id)
                                     continue
@@ -693,19 +660,15 @@ class Orchestrator:
                                 # whole block (one live core) retires
                                 # more than that one before it exits;
                                 # the last ran at ``now + span - 1``.
-                                credit[core_id] += span
                                 now += span - 1
                                 misses = result.misses
                             else:
                                 # No translated progress (fetch miss,
                                 # untranslatable instruction, translation
                                 # off): one interpreter step.  It may
-                                # read the clock (rdcycle) and instret
-                                # (rdinstret): settle both first.
+                                # read the clock (rdcycle): settle it
+                                # first.
                                 scheduler.current_cycle = now
-                                if credit[core_id]:
-                                    total_instructions += \
-                                        flush_credits((core_id,))
                                 core = cores[core_id]
                                 try:
                                     outcome = core.step()
@@ -722,17 +685,13 @@ class Orchestrator:
                                         current_cycle=now) from exc
                                 if outcome is clean_step:
                                     # Executed, no misses, still running.
-                                    total_instructions += 1
                                     ring[(now + 1) & 127].append(core_id)
                                     continue
                                 misses = None
                                 if outcome is not None:
                                     misses = outcome.misses
-                                    status = outcome.status
-                                    if status is executed:
-                                        total_instructions += 1
-                                    elif status is fetch_miss:
-                                        fetch_stall = True
+                                    fetch_stall = \
+                                        outcome.status is fetch_miss
 
                             if misses:
                                 # Events enter the scheduler (with zero
@@ -784,24 +743,19 @@ class Orchestrator:
                     profiler.sparta_seconds += clock() - wall
                 now = scheduler.current_cycle
                 if now >= due:
-                    # Every observer needs the credits settled first.
-                    total_instructions += flush_credits(all_cores)
-                    due = self._observe(observers, now, total_instructions)
+                    due = self._observe(observers, now)
         finally:
-            # Settle what the loop deferred: the ring's due cycles into
-            # ``_resume_at`` (every entry sits in ``[now, now + 64]``)
-            # and the credits.
+            # Settle the ring's due cycles into ``_resume_at`` (every
+            # entry sits in ``[now, now + 64]``).
             self._ring = None
             for slot, bucket in enumerate(ring):
                 if bucket:
                     cycle = now + ((slot - now) & 127)
                     for core_id in bucket:
                         resume[core_id] = cycle
-            total_instructions += flush_credits(all_cores)
-        return total_instructions
 
     def _cycle_loop_reference(self, observers, chrome, profiler,
-                              pause_at: int | None = None) -> int:
+                              pause_at: int | None = None) -> None:
         """The original per-cycle loop, kept verbatim as the behavioural
         reference for the differential tests.
 
@@ -816,7 +770,6 @@ class Orchestrator:
         scoreboard = self.scoreboard
         active = self._active_set
         remaining_cores = sum(1 for core in cores if not core.halted)
-        total_instructions = self._instructions_total
         due = 0
         clock = time.perf_counter
 
@@ -858,8 +811,7 @@ class Orchestrator:
                 if profiler is not None:
                     profiler.sparta_seconds += clock() - section_start
                 if scheduler.current_cycle >= due:
-                    due = self._observe(observers, scheduler.current_cycle,
-                                        total_instructions)
+                    due = self._observe(observers, scheduler.current_cycle)
                 continue
 
             active_now = len(active)
@@ -900,7 +852,6 @@ class Orchestrator:
 
                 if outcome is not None:
                     if outcome.status is StepStatus.EXECUTED:
-                        total_instructions += 1
                         self._submit_misses(core_id, outcome.misses)
                     elif outcome.status is StepStatus.FETCH_MISS:
                         fetch_id = self._submit_misses(core_id,
@@ -928,9 +879,7 @@ class Orchestrator:
             if profiler is not None:
                 profiler.sparta_seconds += clock() - section_start
             if scheduler.current_cycle >= due:
-                due = self._observe(observers, scheduler.current_cycle,
-                                    total_instructions)
-        return total_instructions
+                due = self._observe(observers, scheduler.current_cycle)
 
     # -- telemetry --------------------------------------------------------------
 
@@ -942,17 +891,15 @@ class Orchestrator:
         histogram under ``activity.<N>``.
         """
         values = self.hierarchy.collect_values()
-        instructions = 0
         l1d_accesses = l1d_misses = l1i_accesses = l1i_misses = 0
         for core in self.cores:
-            instructions += core.instructions
             l1d = core.l1d.stats
             l1i = core.l1i.stats
             l1d_accesses += l1d.accesses
             l1d_misses += l1d.misses
             l1i_accesses += l1i.accesses
             l1i_misses += l1i.misses
-        values["cores.instructions"] = instructions
+        values["cores.instructions"] = self._instructions()
         values["cores.l1d_accesses"] = l1d_accesses
         values["cores.l1d_misses"] = l1d_misses
         values["cores.l1i_accesses"] = l1i_accesses
@@ -961,10 +908,13 @@ class Orchestrator:
             values[f"activity.{count}"] = cycles
         return values
 
+    def _instructions(self) -> int:
+        """Instructions retired so far: the cores' ``instret`` summed."""
+        return sum(core.instructions for core in self.cores)
+
     # -- results ---------------------------------------------------------------
 
-    def _build_results(self, total_instructions: int,
-                       wall_seconds: float) -> SimulationResults:
+    def _build_results(self, wall_seconds: float) -> SimulationResults:
         core_stats = []
         for core, state in zip(self.cores, self._states):
             core_stats.append(CoreStats(
@@ -984,7 +934,7 @@ class Orchestrator:
                 memory=self.machine.memory)
         return SimulationResults(
             cycles=self.scheduler.current_cycle,
-            instructions=total_instructions,
+            instructions=self._instructions(),
             wall_seconds=wall_seconds,
             cores=core_stats,
             hierarchy_samples=self.hierarchy.collect_stats(),

@@ -25,9 +25,12 @@ from repro.utils.atomic import write_atomically
 
 # Bump when the checkpoint payload layout changes; loads refuse a
 # mismatched format instead of failing somewhere inside unpickling.
-# 2: the cycle loop persists ``_resume_at`` + ``_credit`` (no
-# ``_wake_epoch``); a translator's block tables are never part of the
-# payload, whatever they were called when it was written.
+# 2: the cycle loop persists ``_resume_at`` (no ``_wake_epoch``); a
+# translator's block tables are never part of the payload, whatever they
+# were called when it was written.  A payload written while the loop
+# deferred block retire counts still carries them, its running
+# instruction total and each core's own counter, and nothing reads
+# them: the retire count is ``hart.instret``.
 CHECKPOINT_FORMAT = 2
 
 

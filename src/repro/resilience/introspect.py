@@ -41,7 +41,7 @@ def in_flight_requests(orchestrator) -> list[dict]:
                 and request.kind.needs_response
                 and not request.duplicate)
 
-    for _cycle, _priority, _seq, _callback, args \
+    for _cycle, _seq, _callback, args \
             in orchestrator.scheduler.iter_events():
         for arg in args:
             if isinstance(arg, NocMessage):
@@ -70,7 +70,7 @@ def in_network_messages(orchestrator) -> int:
     boundary every in-network message owns exactly one pending event
     (its next hop or its delivery)."""
     count = 0
-    for _cycle, _priority, _seq, _callback, args \
+    for _cycle, _seq, _callback, args \
             in orchestrator.scheduler.iter_events():
         for arg in args:
             if isinstance(arg, NocMessage):

@@ -148,6 +148,10 @@ class JobStore:
             self.stale_writes = state.get("stale_writes", 0)
         for event in events:
             self._apply(event)
+        # The snapshot loads back in job-id order (it is dumped with
+        # sorted keys); submissions after this append in order.
+        self.jobs = dict(sorted(self.jobs.items(),
+                                key=lambda item: item[1]["order"]))
         return self
 
     def state_dict(self) -> dict:
@@ -426,9 +430,8 @@ class JobStore:
                    if point["state"] in ("pending", "leased"))
 
     def jobs_in_order(self) -> list[str]:
-        """Job ids in submission order."""
-        return sorted(self.jobs, key=lambda job_id:
-                      self.jobs[job_id]["order"])
+        """Job ids in submission order, the order ``jobs`` is kept in."""
+        return list(self.jobs)
 
     def leases(self) -> list[tuple[str, dict]]:
         """Every leased ``(job_id, point)``, jobs in submission order."""

@@ -1,9 +1,9 @@
 """Cycle-quantised discrete-event scheduler (the heart of our Sparta).
 
 Events are callbacks scheduled at integer cycle numbers.  Within one cycle,
-events fire in (priority, insertion-order), making simulations fully
-deterministic.  The Coyote orchestrator advances the scheduler in lockstep
-with functional execution: one ``advance_cycle`` per simulated clock.
+events fire in insertion order, making simulations fully deterministic.
+The Coyote orchestrator advances the scheduler in lockstep with
+functional execution: one ``advance_cycle`` per simulated clock.
 
 Hot-path notes: ``current_cycle`` is a plain attribute (no property
 dispatch on the read the orchestrator, the NoC and every bank perform
@@ -40,13 +40,21 @@ class Scheduler:
     """A deterministic discrete-event scheduler."""
 
     def __init__(self):
-        self._queue: list[tuple[int, int, int, Callable, tuple]] = []
+        self._queue: list[tuple[int, int, Callable, tuple]] = []
         self._sequence = 0
         # Public on purpose: the orchestrator's cycle loop reads the
         # clock and, across event-free cycles, writes it directly;
         # attribute access keeps that cheap.
         self.current_cycle = 0
         self._events_fired = 0
+
+    def __setstate__(self, state):
+        # A format-2 checkpoint written while entries carried a priority
+        # (always 0) holds ``(cycle, 0, seq, callback, args)``; dropping
+        # the constant keeps the heap in order.
+        state["_queue"] = [entry[:1] + entry[2:] if len(entry) == 5
+                           else entry for entry in state["_queue"]]
+        self.__dict__.update(state)
 
     @property
     def events_fired(self) -> int:
@@ -57,7 +65,7 @@ class Scheduler:
         return len(self._queue)
 
     def schedule(self, callback: Callable, delay: int = 0,
-                 args: tuple = (), priority: int = 0) -> None:
+                 args: tuple = ()) -> None:
         """Schedule ``callback(*args)`` ``delay`` cycles from now.
 
         A zero delay from outside the event loop is fine: the event
@@ -70,19 +78,14 @@ class Scheduler:
                 pending_events=len(self._queue),
                 next_event_cycle=self.next_event_cycle())
         heapq.heappush(self._queue,
-                       (self.current_cycle + delay, priority,
-                        self._sequence, callback, args))
+                       (self.current_cycle + delay, self._sequence,
+                        callback, args))
         self._sequence += 1
 
     def next_event_cycle(self) -> int | None:
         """Cycle of the earliest pending event, or None when idle."""
         queue = self._queue
         return queue[0][0] if queue else None
-
-    def has_events_now(self) -> bool:
-        """True when events are pending at (or before) the current cycle."""
-        queue = self._queue
-        return bool(queue) and queue[0][0] <= self.current_cycle
 
     def advance_cycle(self) -> int:
         """Fire every event scheduled for the current cycle, then step the
@@ -149,9 +152,9 @@ class Scheduler:
 
     # -- introspection (resilience layer) ------------------------------------
 
-    def iter_events(self) -> list[tuple[int, int, int, Callable, tuple]]:
-        """Snapshot of every pending ``(cycle, priority, seq, callback,
-        args)`` entry, in heap (not firing) order.  Read-only: mutating
+    def iter_events(self) -> list[tuple[int, int, Callable, tuple]]:
+        """Snapshot of every pending ``(cycle, seq, callback, args)``
+        entry, in heap (not firing) order.  Read-only: mutating
         the returned list does not affect the queue."""
         return list(self._queue)
 
@@ -162,7 +165,7 @@ class Scheduler:
         now = self.current_cycle
         heappop = heapq.heappop
         while queue and queue[0][0] <= now:
-            cycle, _priority, _seq, callback, args = heappop(queue)
+            cycle, _seq, callback, args = heappop(queue)
             if cycle < now:
                 raise SchedulerError(
                     f"missed event scheduled for cycle {cycle} "

@@ -117,10 +117,15 @@ class CoreModel:
         # ``CoreStats.raw_stall_cycles``); ``fetch_stalls`` here counts
         # fetch-miss *events* observed by :meth:`step`.
         self.fetch_stalls = 0
-        self.instructions = 0
         # Guest-profile hook: a CoreProfile when profiling is enabled,
         # None otherwise (the step pays one is-None test per retire).
         self.profile = None
+
+    @property
+    def instructions(self) -> int:
+        """Instructions this core retired: its hart's ``instret``, the
+        one retire count (translated blocks commit to it as well)."""
+        return self.hart.instret
 
     def peek_registers(self) -> tuple:
         """Source+destination registers of the next instruction.
@@ -155,7 +160,6 @@ class CoreModel:
                 self.core_id, AccessKind.IFETCH, fetch_miss, (), pc))
 
         instr = hart.step()
-        self.instructions += 1
         profile = self.profile
         if profile is not None:
             profile.retire(pc, instr)

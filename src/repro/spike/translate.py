@@ -37,13 +37,10 @@ Fidelity contract (bit-identical to the interpreter, proven by
   ``simulator.miss_requests`` turns into the requests to submit.
   Instruction-side fetches are proven resident with a fused
   probe-and-LRU-touch per 64-byte segment as execution first reaches
-  it, which leaves identical final cache state.  The pure counters —
-  ``instret``, ``core.instructions``, L1I ``stats.reads`` — are *not*
-  updated by block code: the dispatch loop accrues the returned
-  instruction counts per core and flushes them before anything can
-  observe the difference (interpreter steps, telemetry samples, loop
-  exits), trading three read-modify-writes per dispatch for one per
-  flush.
+  it, which leaves identical final cache state.  Every exit commits what
+  the block retired — ``hart.instret``, the L1I ``stats.reads`` of its
+  fetches and the L1D access counters — so after a dispatch returns,
+  nothing is owed.
 * **Fallback edges.**  The block exits back to the interpreter loop at
   L1 misses, HTIF halts, line-crossing scalar accesses, stores into
   decoded code pages, guarded loads that may not run ahead, stores into
@@ -89,10 +86,8 @@ A generated ``run()`` function has two outcomes:
   ``executed == 0`` there was no progress and the caller must fall back
   to one interpreter ``CoreModel.step``.
 
-In both cases the caller owes the executed count to ``hart.instret``,
-``core.instructions`` and the L1I ``stats.reads`` counter (batched
-crediting, above); the block itself has already committed everything
-else.
+In both cases the block has already committed everything its executed
+instructions did, their retire count included.
 """
 
 from __future__ import annotations
@@ -326,7 +321,8 @@ def _build_source(pc0: int, instrs: list, tohost: int,
                   guard: bool = False) -> str:
     """Generate the factory source for one basic block.
 
-    Every exit point inlines its own constant-folded commit (L1D access
+    Every exit point inlines its own constant-folded commit (``instret``
+    and the L1I reads for the instructions retired, the L1D access
     counters for the accesses actually made, the next pc) followed by a
     direct ``return`` — straight-line code with no shared epilogue or
     state variables, because at micro-block sizes the scaffolding would
@@ -338,18 +334,11 @@ def _build_source(pc0: int, instrs: list, tohost: int,
     scalar load past the dispatch cycle run only as an L1D hit on a
     read-only page (``RO``), else the block stops before it.
 
-    Two commitments are deliberately NOT made by the generated code:
-
-    * ``hart.instret`` / ``core.instructions`` / L1I ``stats.reads``
-      are pure order-insensitive sums, so the dispatch loop credits
-      them in batch from the returned instruction count (see the
-      orchestrator's credit/flush bookkeeping).  One flush per stretch
-      replaces three attribute read-modify-writes per dispatch.
-    * The I-line LRU touch happens at the residency *probe* (a fused
-      ``pop``/reinsert), not at exit.  Equivalent ordering: within one
-      call nothing else touches that L1I set, and on the zero-progress
-      paths the interpreter's own fetch of the same pc performs the
-      identical touch.
+    The I-line LRU touch happens at the residency *probe* (a fused
+    ``pop``/reinsert), not at exit.  Equivalent ordering: within one
+    call nothing else touches that L1I set, and on the zero-progress
+    paths the interpreter's own fetch of the same pc performs the
+    identical touch.
     """
     count = len(instrs)
     trips = _trips(pc0, instrs)
@@ -387,8 +376,10 @@ def _build_source(pc0: int, instrs: list, tohost: int,
         return f"it + {n}" if looping else str(n)
 
     def commit(indent: int, n: int) -> None:
-        """Commit the L1D access counters for n retired instructions
-        (instret/instructions/L1I reads are credited by the caller)."""
+        """Commit n retired instructions: instret, the L1I reads of
+        their fetches and the L1D access counters."""
+        emit(indent, f"hart.instret += {retired(n)}")
+        emit(indent, f"ist.reads += {retired(n)}")
         reads = f"lt + {loads_before[n]}" if looping else loads_before[n]
         if reads:
             emit(indent, f"dst.reads += {reads}")
@@ -727,6 +718,8 @@ def _build_source(pc0: int, instrs: list, tohost: int,
     looping = False
     if trips > 1:
         # Every trip took the branch back: still looping, at pc0.
+        emit(2, f"hart.instret += {trips * count}")
+        emit(2, f"ist.reads += {trips * count}")
         if trip_loads:
             emit(2, f"dst.reads += {trips * trip_loads}")
         emit(2, f"hart.pc = {pc0}")
@@ -745,6 +738,7 @@ def _build_source(pc0: int, instrs: list, tohost: int,
         "     CP, RO, inv, htif, cid) = C",
         "    isets = l1i._sets",
         "    IM = l1i._mru",
+        "    ist = l1i.stats",
         "    dsets = l1d._sets",
         "    dst = l1d.stats",
         "    dmiss = l1d.miss",

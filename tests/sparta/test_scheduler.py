@@ -53,16 +53,6 @@ class TestOrdering:
         scheduler.advance_to(4)
         assert order == [0, 1, 2, 3, 4]
 
-    def test_priority_beats_insertion(self):
-        scheduler = Scheduler()
-        order = []
-        scheduler.schedule(order.append, delay=1, args=("late",),
-                           priority=1)
-        scheduler.schedule(order.append, delay=1, args=("early",),
-                           priority=0)
-        scheduler.advance_to(2)
-        assert order == ["early", "late"]
-
     def test_cascading_events(self):
         """An event scheduling another event in the same cycle fires it
         in the same drain."""
@@ -92,13 +82,6 @@ class TestQueries:
         assert scheduler.next_event_cycle() is None
         scheduler.schedule(lambda: None, delay=7)
         assert scheduler.next_event_cycle() == 7
-
-    def test_has_events_now(self):
-        scheduler = Scheduler()
-        scheduler.schedule(lambda: None, delay=1)
-        assert not scheduler.has_events_now()
-        scheduler.advance_cycle()
-        assert scheduler.has_events_now()
 
     def test_counters(self):
         scheduler = Scheduler()
