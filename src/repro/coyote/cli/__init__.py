@@ -464,7 +464,9 @@ def profile_main(argv: list[str]) -> int:
                   f"blocks compiled in {totals['compile_seconds']:.3f} s, "
                   f"{totals['factory_hits']} served by the factory cache ("
                   + ", ".join(f"{shape} {count}" for shape, count
-                              in totals["by_shape"].items()) + ")")
+                              in totals["by_shape"].items())
+                  + f"); {totals['invalidations']} invalidation sweeps "
+                  f"dropped {totals['blocks_invalidated']} blocks")
             print("block enders         : " + (", ".join(
                 f"{mnemonic} {count}"
                 for mnemonic, count in totals["enders"].items()) or "none"))

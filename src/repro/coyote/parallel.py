@@ -149,9 +149,10 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
 
     A ``forked`` child also ships the translated blocks it compiled
     since its last result on each result message, so the parent can
-    hand them to the next child it forks.
+    hand them to the next child it forks; what the parent compiled
+    before the fork is the parent's already.
     """
-    known = set(translate._FACTORY_CACHE)
+    translate._COMPILED.clear()
     gc.freeze()   # a full collection here walks this worker's heap only
     if hasattr(signal, "pthread_sigmask"):
         # Undo the mask PointPool.spawn held across our creation.
@@ -219,8 +220,7 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
             point = SweepPoint(settings, None, False, _portable_error(exc))
         busy.clear()
         ended.set()
-        blocks = translate.export_factories(known) if forked else None
-        known = set(translate._FACTORY_CACHE)
+        blocks = translate.export_factories() if forked else None
         try:
             with send_lock:
                 conn.send(("result", index, point, blocks))

@@ -3,7 +3,9 @@
 ``decode(word)`` turns a 32-bit instruction word into an :class:`Instruction`
 carrying the mnemonic, operand fields, and the source/destination register
 sets the simulator's RAW-dependency scoreboard needs.  Decoding is pure and
-deterministic, so callers (the ISS) memoise decoded words per address.
+deterministic, so the ISS memoises it per process, keyed by the word, and
+shares the resulting :class:`Instruction` objects: nothing may write to one
+after ``decode``.
 
 Nothing here knows an encoding: the word is looked up among the rows of
 :mod:`repro.isa.encoding` and the instruction is filled from the row —

@@ -71,15 +71,23 @@ def instantiate(kernel: str, num_cores: int, size: int | None = None):
     return factory(length=size, num_cores=num_cores)
 
 
+@functools.lru_cache(maxsize=8)
+def _build_named(kernel: str, num_cores: int, size: int | None):
+    return instantiate(kernel, num_cores, size)
+
+
 def workload_factory(kernel: str, num_cores: int,
                      size: int | None = None):
     """A zero-argument, *picklable* factory for a named kernel.
 
     What every campaign tier hands its point workers: a closure cannot
-    cross a ``spawn`` process boundary, a partial over the module-level
-    :func:`instantiate` can.
+    cross a ``spawn`` process boundary, a partial over a module-level
+    function can.  It memoises :func:`instantiate`, bounded, so a named
+    kernel is built once a process (a worker forked after its parent
+    built it builds nothing) and every call returns one shared,
+    read-only :class:`Workload`.
     """
-    return functools.partial(instantiate, kernel, num_cores, size)
+    return functools.partial(_build_named, kernel, num_cores, size)
 
 
 __all__ = [

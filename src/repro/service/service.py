@@ -124,9 +124,7 @@ _POLL_SECONDS = 0.05
 # --max-retries N`` changes only its ``max_attempts``).
 SERVICE_RETRY = RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=5.0)
 
-# Named-kernel digests by what workload_factory closes over, (kernel,
-# cores, size): assembled once a process, not once a job; bounded.
-_NAMED_DIGESTS: dict[tuple, str] = {}
+# Bound on the per-job kernel digests a long-lived executor keeps.
 _DIGESTS_MAX = 1024
 
 
@@ -559,24 +557,23 @@ class CampaignExecutor:
                    settings: dict) -> str | None:
         """The point's :func:`~repro.service.cache.point_key` (``None``
         without a cache, or when the recipe cannot even be built — the
-        worker will record that deterministic failure).  A named kernel
-        is digested once a process, another settings-free factory once a
-        job."""
+        worker will record that deterministic failure).  A settings-free
+        factory is digested once a job; a named kernel is built once a
+        process (:func:`~repro.kernels.workload_factory`), here, before
+        the worker that runs it is forked."""
         if self.cache is None:
             return None
         try:
             cores, overrides, make_workload, _verify = self.recipe_for(spec)
-            memo, slot = self._kernel_digests, job_id
-            if self.recipe_for is spec_recipe:
-                memo, slot = _NAMED_DIGESTS, make_workload.args
-            kernel_hex = memo.get(slot)
+            memo = self._kernel_digests
+            kernel_hex = memo.get(job_id)
             if kernel_hex is None:
                 kernel_hex = kernel_digest(
                     call_workload_factory(make_workload, settings))
                 if not factory_takes_settings(make_workload):
                     if len(memo) >= _DIGESTS_MAX:
                         memo.clear()
-                    memo[slot] = kernel_hex
+                    memo[job_id] = kernel_hex
             config = SimulationConfig.for_cores(
                 cores, **{**overrides, **settings})
         except Exception:

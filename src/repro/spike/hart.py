@@ -91,51 +91,72 @@ class MemAccess:
 
 
 class CodeCacheRegistry:
-    """Machine-wide invalidation fan-out for derived-from-code caches.
+    """What one machine derives from its code bytes, and its invalidation.
 
-    Decoded instructions (``Hart._decode_cache``) and translated block
-    functions (:mod:`repro.spike.translate`) are both derived from code
-    bytes in shared memory, so a store into a page *any* hart has
-    decoded from must drop the derived state everywhere — not only on
-    ``fence.i``.  ``pages`` holds every page number known to contain
-    decoded code; the hart store helpers consult it with a single set
-    membership test, so programs that never write near their code pay
-    one ``in`` check per store and nothing else.
+    ``decoded`` (pc -> ``(Instruction, executor)``) and ``plans``
+    (``(pc, shape)`` -> a translated block's plan) are read by every
+    hart and translator of the machine, and never pickled; a translator
+    keeps only the closures bound to its core, and registers in
+    ``caches``.  A store into a page *any* hart decoded from must drop
+    the derived state everywhere — not only on ``fence.i``.  ``pages``
+    holds every page number known to contain decoded code; the hart
+    store helpers consult it with a single set membership test, so
+    programs that never write near their code pay one ``in`` check per
+    store and nothing else.
     """
 
     def __init__(self):
         self.pages: set[int] = set()
-        self.harts: list[Hart] = []
         # Translation caches; each exposes invalidate_range()/drop_all().
         self.caches: list = []
-
-    def register_hart(self, hart: "Hart") -> None:
-        self.harts.append(hart)
+        self.drop()
 
     def register_cache(self, cache) -> None:
         self.caches.append(cache)
+
+    def drop(self) -> None:
+        """Forget every decoded instruction and block plan."""
+        self.decoded: dict[int, tuple[Instruction, object]] = {}
+        # (pc, shape) -> (instrs, factory, ender, last byte read)
+        self.plans: dict[tuple, tuple] = {}
 
     def note_store(self, address: int, size: int) -> None:
         """A store touched a known code page: drop overlapping entries.
 
         Any 4-byte instruction slot overlapping ``[address, address +
         size)`` starts at a pc in ``[address - 3, address + size - 1]``,
-        so that range bounds both the decode-cache sweep and the
-        translated-block overlap test.
+        so that range bounds the decode-cache sweep and the plan and
+        translated-block overlap tests.
         """
         lo = address - 3
         hi = address + size - 1
-        for hart in self.harts:
-            cache = hart._decode_cache
-            if cache:
-                for pc in range(lo, hi + 1):
-                    cache.pop(pc, None)
+        decoded = self.decoded
+        for pc in range(lo, hi + 1):
+            decoded.pop(pc, None)
+        plans = self.plans
+        for key in [key for key, plan in plans.items()
+                    if key[0] <= hi and plan[3] >= lo]:
+            del plans[key]
         for cache in self.caches:
             cache.invalidate_range(lo, hi)
+
+    def __getstate__(self):
+        return {"pages": self.pages, "caches": self.caches}
+
+    def __setstate__(self, state):   # a format-2 one also lists harts
+        self.pages, self.caches = state["pages"], state["caches"]
+        self.drop()
 
 
 # The executor dispatch table: mnemonic -> callable(hart, instr).
 EXEC: dict = {}
+
+# Instruction word -> (Instruction, executor), shared by every hart and
+# machine of the process: decoding is pure, so a word is decoded once,
+# and nothing writes to an Instruction after ``decode``.  Full means
+# start over; an illegal word is never held.
+_DECODED: dict[int, tuple[Instruction, object]] = {}
+_DECODED_MAX = 4096
 
 
 def executor(*mnemonics: str):
@@ -185,20 +206,18 @@ class Hart:
         self.accesses: list[MemAccess] = []
         # Cycle source injected by the orchestrator so rdcycle works;
         # None falls back to the retired-instruction count.  Kept a
-        # plain (picklable) attribute so a whole hart — decode cache
-        # aside — can be checkpointed with the rest of the simulation.
+        # plain (picklable) attribute so a whole hart can be
+        # checkpointed with the rest of the simulation.
         self.cycle_source = None
 
-        self._decode_cache: dict[int, tuple[Instruction, object]] = {}
         self._pc_next = 0
-        # Code-cache invalidation plumbing: the registry is shared by
-        # every hart of one machine (stores by any hart must invalidate
-        # everyone's decoded state); ``_code_pages`` aliases its page
-        # set for the one-test store guard, and ``_code_caches`` lists
-        # this hart's translation caches for drop_code_caches().
+        # Code-derived state: the registry (decode cache included) is
+        # shared by every hart of one machine; ``_code_pages`` aliases
+        # its page set for the one-test store guard, and
+        # ``_code_caches`` lists this hart's translation caches for
+        # drop_code_caches().
         self.code_registry = (code_registry if code_registry is not None
                               else CodeCacheRegistry())
-        self.code_registry.register_hart(self)
         self._code_pages = self.code_registry.pages
         self._code_caches: list = []
 
@@ -284,19 +303,25 @@ class Hart:
         return self._decode_entry(pc)[0]
 
     def _decode_entry(self, pc: int) -> tuple[Instruction, object]:
-        entry = self._decode_cache.get(pc)
+        decoded = self.code_registry.decoded
+        entry = decoded.get(pc)
         if entry is None:
             word = self.memory.load_int(pc, 4)
-            try:
-                instr = decode(word)
-            except IllegalInstruction as exc:
-                raise IllegalInstructionTrap(pc, word) from exc
-            # Everything decodable is executable: an executor registered
-            # on import, or a vector row's, compiled on first decode.
-            fn = EXEC.get(instr.mnemonic) \
-                or _vector.derive_executor(instr.mnemonic)
-            entry = (instr, fn)
-            self._decode_cache[pc] = entry
+            entry = _DECODED.get(word)
+            if entry is None:
+                try:
+                    instr = decode(word)
+                except IllegalInstruction as exc:
+                    raise IllegalInstructionTrap(pc, word) from exc
+                # Everything decodable is executable: an executor
+                # registered on import, or a vector row's, compiled on
+                # first decode.
+                entry = (instr, EXEC.get(instr.mnemonic)
+                         or _vector.derive_executor(instr.mnemonic))
+                if len(_DECODED) >= _DECODED_MAX:
+                    _DECODED.clear()
+                _DECODED[word] = entry
+            decoded[pc] = entry
             pages = self._code_pages
             pages.add(pc >> 12)
             if (pc + 3) >> 12 != pc >> 12:
@@ -307,20 +332,17 @@ class Hart:
         """Drop every cache derived from code bytes for this hart.
 
         The single invalidation entry point: ``fence.i`` and checkpoint
-        serialisation both route through here, clearing the decode cache
-        and any registered translation caches so no stale executor — and
-        no unpicklable compiled closure — can survive.
+        serialisation both route through here, clearing the machine's
+        decode cache and block plans and this hart's translation caches
+        so no stale executor — and no unpicklable compiled closure —
+        can survive.
         """
-        self._decode_cache.clear()
+        self.code_registry.drop()
         for cache in self._code_caches:
             cache.drop_all()
 
     def __getstate__(self):
-        # The decode cache pairs instructions with executors, most of
-        # them closures derived from the semantics table at import; it
-        # is rebuilt on demand, so a pickled hart travels without it.
         state = self.__dict__.copy()
-        state["_decode_cache"] = {}
         state.pop("_vplan", None)
         return state
 

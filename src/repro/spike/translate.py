@@ -66,10 +66,12 @@ Fidelity contract (bit-identical to the interpreter, proven by
 * **Invalidation.**  Every translated instruction was decoded through
   ``Hart.decode_at``, which registers its page(s) in the shared
   :class:`~repro.spike.hart.CodeCacheRegistry`; stores into those pages
-  invalidate overlapping translated blocks (and the translating store's
-  own block stops right after the store).  ``fence.i`` and checkpoint
-  serialisation drop everything via ``Hart.drop_code_caches``.
+  drop the overlapping decoded words and block plans of the machine and
+  the overlapping translated blocks of every core (and the translating
+  store's own block stops right after the store).  ``fence.i`` and
+  checkpoint serialisation drop everything via ``Hart.drop_code_caches``.
 
+A block is planned once a machine (``CodeCacheRegistry.plans``).
 Compiled factories are cached per process and shared by every core and
 run in it; :func:`export_factories` / :func:`import_factories` carry
 them between processes as marshalled code, which is how a campaign's
@@ -253,18 +255,17 @@ def _substitute(emit, expr: str, operands: tuple, ins, pc: int):
     return source, constants if len(constants) == len(operands) else None
 
 
-def _discover(hart, pc: int, cap: int = MAX_BLOCK, uop: bool = False,
-              enders=None) -> list:
+def _discover(hart, pc: int, cap: int = MAX_BLOCK,
+              uop: bool = False) -> tuple[list, tuple | None]:
     """Collect the translatable straight-line run starting at ``pc``.
 
     Branches and jumps are included as block enders; anything the
     interpreter must execute (AMO, CSR, system, ``vsetvl``, a masked
     vector memory access, unknown) stops the block *before* itself.
     Decoding goes through ``decode_at`` so every instruction's page is
-    registered for store invalidation.  ``enders`` (pc -> mnemonic) is
-    told which instruction ended the run, unless that was only the
-    length cap ``cap`` or the micro-block rule; keyed by pc, an ender
-    every shape runs into is still recorded once.
+    registered for store invalidation.  Returns the run and its ender:
+    ``(pc, mnemonic)`` of the instruction that ended it, or ``None``
+    when that was only the length cap ``cap`` or the micro-block rule.
 
     With ``uop=True`` the run additionally stops *before* any store or
     vector memory instruction past position 0: the resulting
@@ -297,9 +298,7 @@ def _discover(hart, pc: int, cap: int = MAX_BLOCK, uop: bool = False,
             break
         instrs.append(instr)
         cursor += 4
-    if enders is not None and ender is not None:
-        enders[cursor] = ender
-    return instrs
+    return instrs, (None if ender is None else (cursor, ender))
 
 
 def _trips(pc0: int, instrs: list) -> int:
@@ -757,21 +756,27 @@ def _build_source(pc0: int, instrs: list, tohost: int,
 # campaign's point workers hand theirs back to the forking process.
 _FACTORY_CACHE: dict = {}
 _FACTORY_CACHE_MAX = 4096
+# Keys compiled here since the last export, oldest first: what the
+# next export sends, so it costs the new blocks, not the cache.
+_COMPILED: list = []
 
 
 def _cache_factory(key, factory) -> None:
     if len(_FACTORY_CACHE) >= _FACTORY_CACHE_MAX:
         _FACTORY_CACHE.clear()
+        _COMPILED.clear()
     _FACTORY_CACHE[key] = factory
 
 
-def export_factories(known) -> bytes | None:
-    """The factories held under keys not in ``known`` (a snapshot of
-    the cache's keys) as ``marshal`` of ``{key: code}``, or ``None``.
-    A factory is a closure-free, default-free function over ``_G``, so
-    its code object is all of it; a key is ints and a tuple of ints."""
-    new = {key: factory.__code__
-           for key, factory in _FACTORY_CACHE.items() if key not in known}
+def export_factories(known=()) -> bytes | None:
+    """The factories compiled since the last export that the cache
+    still holds, under keys not in ``known``, as ``marshal`` of
+    ``{key: code}``, or ``None``.  A factory is a closure-free,
+    default-free function over ``_G``, so its code object is all of it;
+    a key is ints and a tuple of ints."""
+    new = {key: _FACTORY_CACHE[key].__code__ for key in _COMPILED
+           if key in _FACTORY_CACHE and key not in known}
+    _COMPILED.clear()
     return marshal.dumps(new) if new else None
 
 
@@ -804,8 +809,10 @@ class TranslatorStats:
     never by a running block, so the counters cost a run nothing."""
 
     blocks_compiled: int = 0   # block sources generated and compile()d
-    factory_hits: int = 0      # blocks served by the machine-wide cache
+    factory_hits: int = 0      # blocks served by an already compiled one
     compile_seconds: float = 0.0   # wall time generating + compiling them
+    invalidations: int = 0     # store sweeps of this core's tables
+    blocks_invalidated: int = 0    # blocks they dropped
     # shape -> blocks installed (compiled or served by the cache)
     by_shape: dict = field(default_factory=lambda: dict.fromkeys(SHAPES, 0))
     # pc -> mnemonic of the instruction there that ended a block or made
@@ -832,6 +839,9 @@ def translator_totals(translators) -> dict | None:
         "blocks_compiled": sum(each.blocks_compiled for each in stats),
         "factory_hits": sum(each.factory_hits for each in stats),
         "compile_seconds": sum(each.compile_seconds for each in stats),
+        "invalidations": sum(each.invalidations for each in stats),
+        "blocks_invalidated": sum(each.blocks_invalidated
+                                  for each in stats),
         "by_shape": {shape: sum(each.by_shape[shape] for each in stats)
                      for shape in SHAPES},
         "enders": dict(sorted(enders.items(),
@@ -863,6 +873,7 @@ def _factory_for(pc0, instrs, tohost, i_off, i_mask, d_off, d_mask, guard,
         exec(code, _G, namespace)
         factory = namespace["_factory"]
         _cache_factory(key, factory)
+        _COMPILED.append(key)
         stats.compile_seconds += time.perf_counter() - started
     return factory
 
@@ -870,14 +881,15 @@ def _factory_for(pc0, instrs, tohost, i_off, i_mask, d_off, d_mask, guard,
 class BlockTranslator:
     """Per-core translated-block tables with store invalidation.
 
-    ``blocks[shape]`` maps a block-start pc to its compiled ``run()``
-    closure — the zero-progress stub for a pc proven untranslatable, so
-    a dispatcher needs no translatability test — and ``_bounds[shape]``
-    maps it to the block's last byte.  A table fills lazily: the
-    dispatch loops hoist its ``get`` and call :meth:`translate` only on
-    a true miss, for the shape (:data:`SHAPES`) they were about to
-    dispatch.  The tables are mutated in place, never replaced, so
-    hoisted references stay valid across invalidations.
+    ``blocks[shape]`` maps a block-start pc to its ``run()`` closure
+    bound to this core — the zero-progress stub for a pc proven
+    untranslatable, so a dispatcher needs no translatability test — and
+    ``_bounds[shape]`` maps it to the block's last byte.  A table fills
+    lazily: the dispatch loops hoist its ``get`` and call
+    :meth:`translate` only on a true miss, for the shape
+    (:data:`SHAPES`) they were about to dispatch.  The tables are
+    mutated in place, never replaced, so hoisted references stay valid
+    across invalidations.
     """
 
     _PICKLED = ("core", "machine", "_exit", "_enabled")
@@ -900,31 +912,53 @@ class BlockTranslator:
         self.stats = TranslatorStats()
 
     def translate(self, pc: int, shape: str = "whole"):
-        """Install the ``shape`` block at ``pc``; returns its run-fn."""
+        """Install the ``shape`` block at ``pc``; returns its run-fn.
+        The block's plan — ``(instrs, factory or None, ender, last byte
+        discovery read)`` — is the machine's, made by the first core to
+        need it: every core shares the one geometry and ``tohost``."""
         core = self.core
         hart = core.hart
-        cap, uop = SHAPES[shape]
-        instrs = _discover(hart, pc, cap, uop,
-                           enders=self.stats.enders) if self._enabled else []
-        if instrs:
-            l1i, l1d = core.l1i, core.l1d
-            machine = self.machine
-            tohost = machine.tohost_address
-            if tohost is None:
-                tohost = -1
-            # Guarding changes the code only of a micro-block with a
-            # load past its dispatch cycle; every other shares the key.
-            ahead = instrs if _trips(pc, instrs) > 1 else instrs[1:]
-            guard = uop and any(ins.mnemonic in _LOAD_OPS for ins in ahead)
-            factory = _factory_for(pc, instrs, tohost,
-                                   l1i._offset_bits, l1i._index_mask,
-                                   l1d._offset_bits, l1d._index_mask,
-                                   guard, self.stats)
-            self.stats.by_shape[shape] += 1
+        machine = self.machine
+        stats = self.stats
+        plans = hart.code_registry.plans
+        plan = plans.get((pc, shape))
+        if plan is None:
+            cap, uop = SHAPES[shape]
+            instrs, ender = (_discover(hart, pc, cap, uop) if self._enabled
+                             else ([], None))
+            factory = None
+            if instrs:
+                l1i, l1d = core.l1i, core.l1d
+                tohost = machine.tohost_address
+                # Guarding changes the code only of a micro-block with a
+                # load past its dispatch cycle; every other shares the key.
+                ahead = instrs if _trips(pc, instrs) > 1 else instrs[1:]
+                guard = uop and any(ins.mnemonic in _LOAD_OPS
+                                    for ins in ahead)
+                factory = _factory_for(pc, instrs,
+                                       -1 if tohost is None else tohost,
+                                       l1i._offset_bits, l1i._index_mask,
+                                       l1d._offset_bits, l1d._index_mask,
+                                       guard, stats)
+            # A store into the word after the block, which discovery
+            # may have read, drops the plan too.  A run ended by an
+            # illegal word is not kept: that word's page may hold no
+            # decoded code for a store to hit.
+            plan = instrs, factory, ender, pc + 4 * len(instrs) + 3
+            if ender is None or ender[1] != "<illegal>":
+                plans[(pc, shape)] = plan
+        elif plan[1] is not None:
+            stats.factory_hits += 1
+        instrs, factory, ender, _end = plan
+        if ender is not None:
+            stats.enders[ender[0]] = ender[1]
+        if factory is not None:
+            stats.by_shape[shape] += 1
             memory = machine.memory
             fn = factory((hart, hart.regs, hart.fregs, core, self._exit,
-                          instrs, l1i, l1d, memory._pages, memory._page,
-                          hart._code_pages, machine.readonly_pages,
+                          instrs, core.l1i, core.l1d, memory._pages,
+                          memory._page, hart._code_pages,
+                          machine.readonly_pages,
                           hart.code_registry.note_store,
                           machine.htif_store, core.core_id))
             if core.profile is not None:
@@ -971,11 +1005,13 @@ class BlockTranslator:
 
     def invalidate_range(self, lo: int, hi: int) -> None:
         """Drop every cached block overlapping byte range [lo, hi]."""
+        self.stats.invalidations += 1
         for shape, bounds in self._bounds.items():
             blocks = self.blocks[shape]
             for pc in [pc for pc, end in bounds.items()
                        if pc <= hi and end >= lo]:
                 del bounds[pc], blocks[pc]
+                self.stats.blocks_invalidated += 1
 
     def drop_all(self) -> None:
         for tables in (self.blocks, self._bounds):

@@ -10,6 +10,7 @@ points — the pool driven bare, the journaled service, plain, profiled
 and supervised sweeps, ``spawn``, a killed worker — behaves as designed.
 """
 
+import marshal
 import multiprocessing
 import os
 import signal
@@ -175,6 +176,32 @@ class TestPool:
         monkeypatch.setattr(translate, "import_factories", imports.append)
         assert one_point(pool).blocks == 0
         assert imports == [] and _FACTORY_CACHE == before
+
+    def test_an_export_costs_the_new_blocks_not_the_cache(
+            self, pool, monkeypatch):
+        """A long-lived parent's cache is never walked — not as a worker
+        starts, not as it exports: a worker sends what it compiled, and
+        a cache that filled up since the last export sends what it
+        still holds."""
+        class Unwalkable(dict):
+            def __iter__(self):
+                raise AssertionError("the factory cache was walked")
+            keys = values = items = __iter__
+
+        held = 2048
+        cache = Unwalkable((("held", n), None) for n in range(held))
+        monkeypatch.setattr(translate, "_FACTORY_CACHE", cache)
+        worker = one_point(pool)
+        assert worker.blocks == len(cache) - held > 0
+
+        monkeypatch.setattr(translate, "_FACTORY_CACHE_MAX",
+                            len(cache) + 4)
+        simulate("vector-axpy")
+        assert len(cache) < held     # full meant start over
+        sent = marshal.loads(translate.export_factories())
+        assert len(sent) == len(cache) and all(key in cache
+                                               for key in sent)
+        assert translate.export_factories() is None
 
     def test_a_killed_worker_leaves_the_cache_as_it_was(self, pool):
         one_point(pool)

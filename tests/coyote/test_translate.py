@@ -185,6 +185,59 @@ tohost: .dword 0
 """
 
 
+# Hart 0 patches 'site', which only hart 1 runs, on a page only hart 1
+# decodes from: after its first pass hart 1 waits for the patch, then
+# must run the patched instruction, which it can only have if the one
+# store invalidated the machine's shared decode cache and plans as well
+# as hart 1's own blocks.  Hart 1 exits 99; hart 0 exits 0.
+_SMC_CROSS_HART_SOURCE = """.text
+_start:
+    csrr t0, mhartid
+    bnez t0, visit
+    la   t1, seen        # hart 0: wait until hart 1 has run 'site'
+wait:
+    ld   t2, 0(t1)
+    beqz t2, wait
+    la   t0, site
+    li   t3, 0x06300513  # addi a0, zero, 99
+    sw   t3, 0(t0)
+    la   t1, patched
+    sd   t2, 0(t1)
+    li   a0, 1           # tohost value of exit code 0
+    j    exit
+visit:
+    j    site
+.align 12
+site:
+    addi a0, zero, 1
+    beq  a0, a0, cont    # always taken
+cont:
+    addi a2, a2, 1
+    li   t2, 2
+    bgeu a2, t2, done
+    la   t1, seen
+    sd   a2, 0(t1)
+    la   t1, patched
+again:
+    ld   t2, 0(t1)
+    beqz t2, again
+    j    site
+done:
+    slli a0, a0, 1       # tohost exit value: (code << 1) | 1
+    ori  a0, a0, 1
+exit:
+    la   t6, tohost
+    sd   a0, 0(t6)
+halt:
+    j    halt
+.data
+.align 3
+tohost:  .dword 0
+seen:    .dword 0
+patched: .dword 0
+"""
+
+
 class TestSelfModifyingCode:
     """Orchestrator-level SMC regression: the stale-code-cache bug
     (decode cache only dropped on ``fence.i``) would make this program
@@ -215,6 +268,50 @@ class TestSelfModifyingCode:
         results = orchestrator.run()
         assert results.exit_codes == {0: 99, 1: 99}
 
+    def test_a_store_by_one_hart_reaches_what_another_translated(self):
+        """The reference, interpreter and translated loops agree, and
+        hart 1 re-discovered 'site' after hart 0's store."""
+        program = assemble(_SMC_CROSS_HART_SOURCE)
+        site = program.symbols["site"]
+        outcomes = []
+        for translate, reference in ((True, False), (False, False),
+                                     (True, True)):
+            config = SimulationConfig.for_cores(2, translate=translate)
+            orchestrator = Orchestrator(config, program)
+            orchestrator.use_reference_loop = reference
+            results = orchestrator.run()
+            assert results.exit_codes == {0: 0, 1: 99}
+            outcomes.append(_stats(results))
+            if translate and not reference:
+                hart0, hart1 = orchestrator.translators
+                assert not any(site in table
+                               for table in hart0.blocks.values())
+                assert hart1.blocks["micro"][site]
+                totals = translate_module.translator_totals(
+                    orchestrator.translators)
+                assert totals["invalidations"] > 0
+                assert totals["blocks_invalidated"] \
+                    == hart1.stats.blocks_invalidated > 0
+                plan = orchestrator.machine.code_registry.plans[
+                    (site, "micro")]
+                assert plan[0][0].word == 0x06300513
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_a_store_after_a_planned_block_is_seen_by_the_next_core(self):
+        """Discovery read the word that ended the block: a store into its
+        last byte drops the plan, so the next core plans what memory
+        holds now — here the masked load unmasked, which joins it."""
+        program = assemble(".text\n_start:\n    addi a0, zero, 1\n"
+                           "    vle64.v v1, (a0), v0.t\n    ecall\n")
+        orchestrator = Orchestrator(SimulationConfig.for_cores(2), program)
+        first, second = orchestrator.translators
+        pc = program.entry
+        first.translate(pc)
+        assert first.stats.enders == {pc + 4: "vle64.v"}
+        hart = orchestrator.machine.harts[0]
+        hart.store_int(pc + 7, hart.memory.load_int(pc + 7, 1) | 0x02, 1)
+        second.translate(pc)
+        assert second.stats.enders == {pc + 8: "ecall"}
 
 # Like ``_SMC_SOURCE``, but the patched instruction is dispatched while
 # a load miss is pending on the same core — at a budget of one, from the
@@ -360,3 +457,40 @@ def test_pause_at_every_cycle_around_whole_blocks(reference):
     first = cycles // 2
     assert [run(pause_at)[0] for pause_at in range(first, first + 70)] \
         == [straight] * 70
+
+
+# translator_totals (compile time aside) from a cold factory cache.
+_PINNED_TOTALS = {
+    "scalar-matmul": (8, dict(size=16), {
+        "blocks_compiled": 21, "factory_hits": 147,
+        "by_shape": {"whole": 0, "micro": 160, "single": 8},
+        "enders": {"jal": 40, "bgeu": 16, "bltu": 16, "csrrs": 8,
+                   "jalr": 8}}),
+    "vector-matmul": (4, dict(size=16), {
+        "blocks_compiled": 22, "factory_hits": 66,
+        "by_shape": {"whole": 0, "micro": 84, "single": 4},
+        "enders": {"jal": 20, "bgeu": 8, "bltu": 8, "csrrs": 4,
+                   "jalr": 4}}),
+    "spmv-csr-gather-reduce": (16, dict(num_rows=64, nnz_per_row=8), {
+        "blocks_compiled": 27, "factory_hits": 404,
+        "by_shape": {"whole": 0, "micro": 367, "single": 64},
+        "enders": {"jal": 80, "bgeu": 32, "bltu": 16, "csrrs": 16,
+                   "jalr": 16}}),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_PINNED_TOTALS))
+def test_translator_counters_are_pinned(kernel, monkeypatch):
+    """Harts share one machine's decoded code and block plans, and each
+    core's counters still read as if it had translated alone."""
+    cores, sizes, expected = _PINNED_TOTALS[kernel]
+    monkeypatch.setattr(translate_module, "_FACTORY_CACHE", {})
+    workload = KERNELS[kernel](num_cores=cores, **sizes)
+    simulation = Simulation(SimulationConfig.for_cores(cores),
+                            workload.program)
+    simulation.run()
+    totals = translate_module.translator_totals(
+        simulation.orchestrator.translators)
+    del totals["compile_seconds"]
+    assert totals == {**expected, "invalidations": 0,
+                      "blocks_invalidated": 0}

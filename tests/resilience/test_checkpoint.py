@@ -205,6 +205,25 @@ class TestResumeDifferential:
                                         watchdog_cycles=50000))
         assert resumed.simulation.orchestrator.invariants.checks_run == 9
 
+    def test_code_derived_state_is_not_pickled(self):
+        """A pickled registry carries its code pages but neither the
+        decoded words nor the block plans; a format-2 hart's emptied
+        per-hart decode cache rides along unread."""
+        paused, _ = _fresh()
+        assert paused.run(pause_at=1001) is None
+        registry = paused.orchestrator.machine.code_registry
+        assert registry.decoded and registry.plans
+        copy = pickle.loads(pickle.dumps(registry))
+        assert (copy.decoded, copy.plans) == ({}, {})
+        assert copy.pages == registry.pages
+        simulation, _ = load_checkpoint(_FORMAT_2_FIXTURE)
+        machine = simulation.orchestrator.machine
+        assert all(hart.code_registry is machine.code_registry
+                   and vars(hart)["_decode_cache"] == {}
+                   for hart in machine.harts)
+        assert (machine.code_registry.decoded,
+                machine.code_registry.plans) == ({}, {})
+
 
 def _assert_resumes_like_a_straight_run(path, **overrides):
     reference = api.run("scalar-matmul", 4, size=8, **overrides).results

@@ -372,11 +372,16 @@ class TestReadOnce:
                 lease, {"cache_key": lease["cache_key"]}, point)
             assert service._held == (job, {lease["index"]: point})
 
-    def test_a_named_kernel_is_digested_once_per_process(self, root,
-                                                         monkeypatch):
+    def test_a_named_kernel_is_built_once_per_process(self, root,
+                                                      monkeypatch):
+        """Built once a process, digested once a job."""
+        import repro.kernels
         from repro.service import service as module
-        digested = []
-        monkeypatch.setattr(module, "_NAMED_DIGESTS", {})
+        built, digested = [], []
+        instantiate = repro.kernels.instantiate
+        monkeypatch.setattr(repro.kernels, "instantiate", lambda *args: (
+            built.append(args) or instantiate(*args)))
+        repro.kernels._build_named.cache_clear()
         monkeypatch.setattr(module, "kernel_digest", lambda workload: (
             digested.append(workload) or "k" * 64))
         with make_service(root) as service:
@@ -387,7 +392,8 @@ class TestReadOnce:
                 for point in job["points"]:
                     assert service._cache_key(job_id, job["spec"],
                                               point["settings"])
-        assert len(digested) == 1
+        assert built == [(KERNEL, CORES, SIZE)]
+        assert len(digested) == 2 and digested[0] is digested[1]
 
 
 class TestWorkerReuse:
@@ -417,6 +423,35 @@ class TestWorkerReuse:
         assert len(pids) == 1
         # Retired once the queue ran dry.
         assert multiprocessing.active_children() == []
+        serial = api.sweep("scalar-matmul", cores=4, size=8, axes=self.GRID,
+                           workers=1)
+        assert table.to_dict() == serial.to_dict()
+
+    def test_a_32_point_job_builds_its_kernel_at_most_once(
+            self, root, monkeypatch):
+        """The parent builds the kernel for its cache key before it
+        forks, so the worker inherits the build: a second build
+        anywhere fails the point that asked for it."""
+        import repro.kernels
+        instantiate = repro.kernels.instantiate
+        built = []
+
+        def once(*args):
+            built.append(args)
+            if len(built) > 1:
+                raise AssertionError("the kernel was built again")
+            return instantiate(*args)
+
+        monkeypatch.setattr(repro.kernels, "instantiate", once)
+        repro.kernels._build_named.cache_clear()
+        with CampaignService(root, workers=1) as service:
+            job = service.submit("scalar-matmul", self.GRID, cores=4,
+                                 size=8)
+            table = service.result(job, wait=True)
+        assert len(table.points) == 32
+        assert all(point.verified and not point.failed
+                   for point in table.points)
+        monkeypatch.undo()
         serial = api.sweep("scalar-matmul", cores=4, size=8, axes=self.GRID,
                            workers=1)
         assert table.to_dict() == serial.to_dict()

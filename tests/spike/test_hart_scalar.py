@@ -416,4 +416,4 @@ class TestTraps:
         hart = run_body("nop\nfence.i")
         # The nop and fence.i entries were flushed; only the final ebreak
         # (decoded after the flush) remains cached.
-        assert list(hart._decode_cache) == [hart.pc]
+        assert list(hart.code_registry.decoded) == [hart.pc]
