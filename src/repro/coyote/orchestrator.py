@@ -60,14 +60,6 @@ from repro.telemetry.chrome_trace import EXECUTING, FETCH_STALL, RAW_STALL
 from repro.telemetry.hub import Telemetry
 
 
-_KIND_MAP = {
-    AccessKind.IFETCH: RequestKind.IFETCH,
-    AccessKind.LOAD: RequestKind.LOAD,
-    AccessKind.STORE: RequestKind.STORE,
-    AccessKind.WRITEBACK: RequestKind.WRITEBACK,
-}
-
-
 class _SchedulerCycleSource:
     """Picklable ``rdcycle`` source: the Sparta scheduler's clock.
 
@@ -260,24 +252,23 @@ class Orchestrator:
         aggregate: list = []
         aggregating = self.config.memhier.mcpu_aggregation
         guestprof = self._guestprof
+        submit = self.hierarchy.submit
         for miss in misses:
-            if miss.kind is AccessKind.WRITEBACK:
+            kind = miss.kind
+            if kind is AccessKind.WRITEBACK:
                 # Fire-and-forget: no completion will arrive.
-                self.hierarchy.submit(-1, core_id, miss.line_address,
-                                      RequestKind.WRITEBACK)
+                submit(-1, core_id, miss.line_address, kind)
                 continue
-            if aggregating and miss.kind is AccessKind.LOAD:
+            if aggregating and kind is AccessKind.LOAD:
                 aggregate.append(miss)
                 continue
-            registers = miss.registers if miss.kind is AccessKind.LOAD \
-                else ()
+            registers = miss.registers if kind is AccessKind.LOAD else ()
             miss_id = self.scoreboard.register_miss(core_id, registers)
             if guestprof is not None:
                 guestprof.note_miss(miss_id, core_id, miss.pc,
-                                    miss.kind.value, miss.line_address)
-            self.hierarchy.submit(miss_id, core_id, miss.line_address,
-                                  _KIND_MAP[miss.kind])
-            if miss.kind is AccessKind.IFETCH:
+                                    kind.value, miss.line_address)
+            submit(miss_id, core_id, miss.line_address, kind)
+            if kind is AccessKind.IFETCH:
                 fetch_id = miss_id
         if aggregate:
             self._submit_aggregate(core_id, aggregate)
@@ -287,28 +278,20 @@ class Orchestrator:
         """Send one instruction's load misses as an MCPU group
         (or singly when there is no group to form)."""
         guestprof = self._guestprof
-        if len(misses) == 1:
-            miss = misses[0]
-            miss_id = self.scoreboard.register_miss(core_id,
-                                                    miss.registers)
-            if guestprof is not None:
-                guestprof.note_miss(miss_id, core_id, miss.pc,
-                                    miss.kind.value, miss.line_address)
-            self.hierarchy.submit(miss_id, core_id, miss.line_address,
-                                  RequestKind.LOAD)
-            return
         member_ids = []
-        lines = []
         for miss in misses:
-            member_id = self.scoreboard.register_miss(core_id,
-                                                      miss.registers)
+            member_ids.append(self.scoreboard.register_miss(
+                core_id, miss.registers))
             if guestprof is not None:
-                guestprof.note_miss(member_id, core_id, miss.pc,
+                guestprof.note_miss(member_ids[-1], core_id, miss.pc,
                                     miss.kind.value, miss.line_address)
-            member_ids.append(member_id)
-            lines.append(miss.line_address)
-        self.hierarchy.submit_aggregate(tuple(member_ids), core_id,
-                                        lines, RequestKind.LOAD)
+        if len(misses) == 1:
+            self.hierarchy.submit(member_ids[0], core_id,
+                                  misses[0].line_address, RequestKind.LOAD)
+        else:
+            self.hierarchy.submit_aggregate(
+                tuple(member_ids), core_id,
+                [miss.line_address for miss in misses], RequestKind.LOAD)
 
     # -- the cycle loop -----------------------------------------------------------
 

@@ -13,12 +13,6 @@ from repro.memhier.request import MemRequest, RequestKind
 from repro.paraver.records import MissKind, MissRecord
 from repro.paraver.writer import write_trace
 
-_KIND_MAP = {
-    RequestKind.LOAD: MissKind.LOAD,
-    RequestKind.STORE: MissKind.STORE,
-    RequestKind.IFETCH: MissKind.IFETCH,
-}
-
 
 class MissTraceRecorder:
     """Collects every serviced L1 miss of a simulation."""
@@ -28,17 +22,19 @@ class MissTraceRecorder:
 
     def __call__(self, request: MemRequest) -> None:
         """The hierarchy's ``trace_sink`` entry point."""
-        kind = _KIND_MAP.get(request.kind)
-        if kind is None:
+        kind = request.kind
+        if kind is RequestKind.LOAD:
+            kind = MissKind.LOAD
+        elif kind is RequestKind.STORE:
+            kind = MissKind.STORE
+        elif kind is RequestKind.IFETCH:
+            kind = MissKind.IFETCH
+        else:
             return
         self.records.append(MissRecord(
-            core_id=request.core_id,
-            issue_cycle=request.issue_cycle,
-            complete_cycle=request.complete_cycle,
-            line_address=request.line_address,
-            kind=kind,
-            bank_id=request.bank_id,
-            l2_hit=bool(request.l2_hit)))
+            request.core_id, request.issue_cycle, request.complete_cycle,
+            request.line_address, kind, request.bank_id,
+            bool(request.l2_hit)))
 
     def __len__(self) -> int:
         return len(self.records)

@@ -235,17 +235,19 @@ class MemoryHierarchy:
     def submit(self, request_id: int, core_id: int, line_address: int,
                kind: RequestKind) -> MemRequest:
         """Inject one L1 miss; returns the in-flight request object."""
-        tile_id = core_id // self.config.cores_per_tile
-        request = MemRequest(
-            request_id=request_id, core_id=core_id, tile_id=tile_id,
-            line_address=line_address, kind=kind,
-            issue_cycle=self.scheduler.current_cycle)
-        request.fill_target = _TILESIDE
+        config = self.config
+        request = MemRequest(request_id, core_id,
+                             core_id // config.cores_per_tile, line_address,
+                             kind, self.scheduler.current_cycle,
+                             fill_target=_TILESIDE)
         if kind is RequestKind.WRITEBACK:
-            self._stat_wb_submitted.increment()
+            self._stat_wb_submitted.value += 1
         else:
-            self._stat_submitted.increment()
-        bank = self.bank_for(core_id, line_address)
+            self._stat_submitted.value += 1
+        if config.l2_mode == "shared":
+            bank = self.banks[self.policy.bank_of(line_address)]
+        else:
+            bank = self.bank_for(core_id, line_address)
         self.noc.route(_TILESIDE, bank.endpoint, request)
         return request
 
@@ -279,9 +281,9 @@ class MemoryHierarchy:
         return request
 
     def _handle_response(self, request: MemRequest) -> None:
-        request.complete_cycle = self.scheduler.current_cycle
-        self._stat_completed.increment()
-        self._stat_total_latency.increment(request.latency)
+        request.complete_cycle = now = self.scheduler.current_cycle
+        self._stat_completed.value += 1
+        self._stat_total_latency.value += now - request.issue_cycle
         if self.trace_sink is not None:
             self.trace_sink(request)
         if self.telemetry_sink is not None:

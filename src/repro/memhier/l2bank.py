@@ -28,6 +28,9 @@ from repro.memhier.request import MemRequest, RequestKind
 from repro.sparta.unit import Unit
 from repro.utils.tagarray import TagArray
 
+_STORE = RequestKind.STORE
+_WRITEBACK = RequestKind.WRITEBACK
+
 
 class CacheBank(Unit):
     """A single bank of a shared / tile-private cache level."""
@@ -107,38 +110,36 @@ class CacheBank(Unit):
 
     def handle_request(self, request: MemRequest) -> None:
         """A request arrived from the level above."""
-        if self.bank_id is not None:
-            request.bank_id = self.bank_id
-        self._stat_requests.increment()
-        port_wait = self._claim_port()
-        if request.kind is RequestKind.WRITEBACK:
+        bank_id = self.bank_id
+        if bank_id is not None:
+            request.bank_id = bank_id
+        self._stat_requests.value += 1
+        port_wait = self._claim_port() if self.cycles_per_request else 0
+        kind = request.kind
+        if kind is _WRITEBACK:
             if port_wait:
                 self.scheduler.schedule(self._handle_writeback,
                                         port_wait, (request,))
             else:
                 self._handle_writeback(request)
             return
-        if self.tags.lookup(request.line_address,
-                            request.kind is RequestKind.STORE):
-            self._stat_hits.increment()
-            if self.bank_id is not None:
+        if self.tags.lookup(request.line_address, kind is _STORE):
+            self._stat_hits.value += 1
+            if bank_id is not None:
                 request.l2_hit = True
             self.scheduler.schedule(self._respond,
                                     port_wait + self.hit_latency,
                                     (request,))
             return
-        self._stat_misses.increment()
-        if self.bank_id is not None:
+        self._stat_misses.value += 1
+        if bank_id is not None:
             request.l2_hit = False
         self.scheduler.schedule(self._start_miss,
                                 port_wait + self.miss_latency,
                                 (request,))
 
     def _claim_port(self) -> int:
-        """Cycles this request must wait for the bank port (0 when the
-        port is idealised)."""
-        if not self.cycles_per_request:
-            return 0
+        """Cycles this request must wait for the modelled bank port."""
         now = self.scheduler.current_cycle
         start = max(now, self._next_free_cycle)
         self._next_free_cycle = start + self.cycles_per_request
@@ -160,18 +161,19 @@ class CacheBank(Unit):
         # A coalesced WRITEBACK waiter means the level above evicted its
         # dirty copy while the fill was in flight: the line must be
         # installed dirty, and the writeback itself gets no response.
-        dirty = any(waiter.kind is RequestKind.STORE
-                    or waiter.kind is RequestKind.WRITEBACK
-                    for waiter in waiters)
+        dirty = False
+        for waiter in waiters:
+            if waiter.kind is _STORE or waiter.kind is _WRITEBACK:
+                dirty = True
+                break
         victim = self.tags.install(line, dirty=dirty)
         if victim is not None:
             victim_line, victim_dirty = victim
             if victim_dirty:
                 self._write_toward_memory(victim_line)
         for waiter in waiters:
-            if waiter.kind is RequestKind.WRITEBACK:
-                continue
-            self._respond(waiter)
+            if waiter.kind is not _WRITEBACK:
+                self._respond(waiter)
         self._stat_occupancy.add(-1)
         self._drain_pending()
 
@@ -195,29 +197,32 @@ class CacheBank(Unit):
         self._write_toward_memory(request.line_address)
 
     def _write_toward_memory(self, line_address: int) -> None:
-        self._stat_writebacks_out.increment()
-        writeback = MemRequest(
-            request_id=-1, core_id=-1, tile_id=-1,
-            line_address=line_address, kind=RequestKind.WRITEBACK,
-            issue_cycle=self.scheduler.current_cycle)
+        self._stat_writebacks_out.value += 1
+        writeback = MemRequest(-1, -1, -1, line_address, _WRITEBACK,
+                               self.scheduler.current_cycle)
         self._send(self.endpoint,
                    self._next_level_of(line_address), writeback)
 
     def _start_miss(self, request: MemRequest) -> None:
-        line = request.line_address
-        waiters = self._mshrs.get(line)
-        if waiters is not None:
-            waiters.append(request)
-            self._stat_coalesced.increment()
-            return
-        if self._late_hit(request):
-            return
-        if len(self._mshrs) >= self.max_in_flight:
-            self._stat_stalled.increment()
+        if not self._admit(request):
+            self._stat_stalled.value += 1
             self._pending.append(request)
             self._stat_queue.set(len(self._pending))
-            return
+
+    def _admit(self, request: MemRequest) -> bool:
+        """Join the line's MSHR, serve a late hit, or allocate an MSHR;
+        False when that needs an MSHR and the file is full."""
+        waiters = self._mshrs.get(request.line_address)
+        if waiters is not None:
+            waiters.append(request)
+            self._stat_coalesced.value += 1
+            return True
+        if self._late_hit(request):
+            return True
+        if len(self._mshrs) >= self.max_in_flight:
+            return False
         self._allocate_mshr(request)
+        return True
 
     def _late_hit(self, request: MemRequest) -> bool:
         """Re-check the tags before allocating an MSHR.
@@ -246,12 +251,10 @@ class CacheBank(Unit):
         # Forward a distinct fill request: the waiter keeps its own
         # fill_target (where *its* response must go), while the fill's
         # response comes back to this bank.
-        fill = MemRequest(
-            request_id=-2, core_id=request.core_id,
-            tile_id=request.tile_id, line_address=request.line_address,
-            kind=RequestKind.LOAD,
-            issue_cycle=self.scheduler.current_cycle)
-        fill.fill_target = self.fill_endpoint
+        fill = MemRequest(-2, request.core_id, request.tile_id,
+                          request.line_address, RequestKind.LOAD,
+                          self.scheduler.current_cycle,
+                          fill_target=self.fill_endpoint)
         self._send(self.endpoint,
                    self._next_level_of(request.line_address), fill)
 
@@ -259,15 +262,7 @@ class CacheBank(Unit):
         drained = False
         while self._pending and len(self._mshrs) < self.max_in_flight:
             drained = True
-            request = self._pending.popleft()
-            waiters = self._mshrs.get(request.line_address)
-            if waiters is not None:
-                waiters.append(request)
-                self._stat_coalesced.increment()
-                continue
-            if self._late_hit(request):
-                continue
-            self._allocate_mshr(request)
+            self._admit(self._pending.popleft())
         if drained:
             self._stat_queue.set(len(self._pending))
 

@@ -14,11 +14,14 @@ a certain memory block: page-to-bank and set-interleaving".
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.utils.bitops import clog2, is_power_of_two
 
 
 class MappingPolicy:
-    """Base class: maps a line address to a bank index in [0, num_banks)."""
+    """Base class: maps a line address to a bank index in [0, num_banks)
+    from the bits just above the offset within its ``granule``."""
 
     name = "abstract"
 
@@ -37,26 +40,27 @@ class MappingPolicy:
         self.page_bytes = page_bytes
         self._bank_mask = num_banks - 1
 
+    @cached_property
+    def _shift(self) -> int:
+        """Address bits below the bank index (computed once)."""
+        return clog2(getattr(self, self.granule))
+
     def bank_of(self, line_address: int) -> int:
-        raise NotImplementedError
+        return (line_address >> self._shift) & self._bank_mask
 
 
 class SetInterleaving(MappingPolicy):
     """Consecutive lines map to consecutive banks."""
 
     name = "set-interleaving"
-
-    def bank_of(self, line_address: int) -> int:
-        return (line_address >> clog2(self.line_bytes)) & self._bank_mask
+    granule = "line_bytes"
 
 
 class PageToBank(MappingPolicy):
     """Each page maps wholly to one bank."""
 
     name = "page-to-bank"
-
-    def bank_of(self, line_address: int) -> int:
-        return (line_address >> clog2(self.page_bytes)) & self._bank_mask
+    granule = "page_bytes"
 
 
 _POLICIES = {policy.name: policy for policy in (SetInterleaving, PageToBank)}

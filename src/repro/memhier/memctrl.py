@@ -16,6 +16,7 @@ next sequential line into the requesting bank's MSHR stream.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 from repro.memhier.request import MemRequest, RequestKind
@@ -64,20 +65,20 @@ class MemoryController(Unit):
         """A fill request or writeback arrived from an L2 bank."""
         now = self.scheduler.current_cycle
         start = max(now, self._next_free_cycle)
-        self._stat_queue_cycles.increment(start - now)
+        self._stat_queue_cycles.value += start - now
         # Backlog seen by this request, in whole requests-ahead-of-us.
         self._stat_queue.set((start - now) // self.cycles_per_request)
         # An MCPU-aggregated request transfers all its member lines
         # back-to-back on the channel.
         transfer_cycles = self.cycles_per_request * request.num_lines
         self._next_free_cycle = start + transfer_cycles
-        self._stat_busy_cycles.increment(transfer_cycles)
+        self._stat_busy_cycles.value += transfer_cycles
 
         if request.kind is RequestKind.WRITEBACK:
-            self._stat_writes.increment()
+            self._stat_writes.value += 1
             return  # absorbed; no response needed
-        self._stat_reads.increment()
-        request.mc_id = _mc_index_of(self.name)
+        self._stat_reads.value += 1
+        request.mc_id = self.index
 
         # Stream-prefetch extension: a read of a previously prefetched line
         # is served at channel speed (its DRAM access already happened);
@@ -106,6 +107,12 @@ class MemoryController(Unit):
             raise RuntimeError(f"{self.path}: no send function wired")
         self._send(self.endpoint, request.fill_target, request)
 
+    @cached_property
+    def index(self) -> int:
+        """The ``N`` of its ``mc<N>`` name, parsed once."""
+        digits = "".join(ch for ch in self.name if ch.isdigit())
+        return int(digits) if digits else -1
+
     @property
     def busy_until(self) -> int:
         """First cycle the channel is free again (diagnostics: a value
@@ -117,8 +124,3 @@ class MemoryController(Unit):
         if total_cycles <= 0:
             return 0.0
         return min(1.0, self._stat_busy_cycles.value / total_cycles)
-
-
-def _mc_index_of(name: str) -> int:
-    digits = "".join(ch for ch in name if ch.isdigit())
-    return int(digits) if digits else -1

@@ -7,16 +7,13 @@ from dataclasses import dataclass
 
 
 class RequestKind(enum.Enum):
-    """What a hierarchy request represents."""
+    """What a hierarchy request — and the L1 miss it leaves a core as
+    (``repro.spike.AccessKind``) — represents."""
 
     IFETCH = "ifetch"
     LOAD = "load"
     STORE = "store"
     WRITEBACK = "writeback"
-
-    @property
-    def is_write(self) -> bool:
-        return self in (RequestKind.STORE, RequestKind.WRITEBACK)
 
     @property
     def needs_response(self) -> bool:

@@ -36,7 +36,7 @@ class L2Outcome(enum.IntEnum):
     HIT = 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class MissRecord:
     """One serviced L1 miss, as recorded in a trace."""
 

@@ -181,16 +181,7 @@ def noc_state(orchestrator) -> dict:
     if hasattr(noc, "congestion_report"):
         state = noc.congestion_report()
         state["topology"] = noc.noc_config.kind
-        busy = {}
-        for ((fx, fy), (tx, ty)), (depart, used) \
-                in sorted(noc._link_next.items()):
-            backlog = depart - now
-            if backlog > 0:
-                busy[f"({fx},{fy})->({tx},{ty})"] = {
-                    "backlog_cycles": backlog,
-                    "slots_used": used,
-                }
-        state["busy_links"] = busy
+        state["busy_links"] = noc.busy_links(now)
         return state
     return {
         "topology": "crossbar",

@@ -15,7 +15,7 @@ the gap), not O(gap).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable
 
 
@@ -77,10 +77,10 @@ class Scheduler:
                 current_cycle=self.current_cycle,
                 pending_events=len(self._queue),
                 next_event_cycle=self.next_event_cycle())
-        heapq.heappush(self._queue,
-                       (self.current_cycle + delay, self._sequence,
-                        callback, args))
-        self._sequence += 1
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heappush(self._queue,
+                 (self.current_cycle + delay, sequence, callback, args))
 
     def next_event_cycle(self) -> int | None:
         """Cycle of the earliest pending event, or None when idle."""
@@ -163,7 +163,6 @@ class Scheduler:
         fired = 0
         queue = self._queue
         now = self.current_cycle
-        heappop = heapq.heappop
         while queue and queue[0][0] <= now:
             cycle, _seq, callback, args = heappop(queue)
             if cycle < now:

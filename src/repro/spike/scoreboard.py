@@ -68,9 +68,7 @@ class Scoreboard:
     def blocks(self, core_id: int, registers: tuple[RegRef, ...]) -> bool:
         """True when any of ``registers`` is produced by a pending miss."""
         busy = self._busy[core_id]
-        if not busy:
-            return False
-        return any(reg in busy for reg in registers)
+        return bool(busy) and not busy.keys().isdisjoint(registers)
 
     def busy_map(self, core_id: int) -> dict[RegRef, int]:
         """The live busy-register map of one core.

@@ -21,21 +21,17 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.assembler.program import Program
+from repro.memhier.request import RequestKind
 from repro.spike.hart import Hart, Trap
 from repro.spike.l1cache import L1Cache
 from repro.spike.machine import BareMetalMachine
 
-
-class AccessKind(enum.Enum):
-    """Classification of a request leaving a core for the hierarchy."""
-
-    IFETCH = "ifetch"
-    LOAD = "load"
-    STORE = "store"
-    WRITEBACK = "writeback"
+# A request leaving a core is classified with the hierarchy's own
+# request kinds, so the orchestrator submits it without a translation.
+AccessKind = RequestKind
 
 
-@dataclass(frozen=True)
+@dataclass
 class MissRequest:
     """An L1 miss that must be serviced by the modelled hierarchy."""
 
