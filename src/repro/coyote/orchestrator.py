@@ -129,8 +129,7 @@ class Orchestrator:
         # (event-driven wakeup: a stalled core costs nothing per cycle).
         self._active_set: set[int] = set(range(config.num_cores))
         self._raw_waiting: set[int] = set()
-        # cycles spent with exactly N active cores (N = 0 during
-        # fast-forwarded stall periods).
+        # cycles spent with exactly N active cores.
         self._activity: dict[int, int] = {}
         # Differential-testing escape hatch: run the original
         # straight-line per-cycle loop instead of the optimised one.
@@ -307,9 +306,8 @@ class Orchestrator:
         bit-identical to an uninterrupted one
         (tests/resilience/test_checkpoint.py).
         """
-        config = self.config
         scheduler = self.scheduler
-        start_wall = time.perf_counter()
+        self._segment_start = time.perf_counter()
 
         # Telemetry hooks, hoisted into locals: when telemetry is
         # disabled each stays None and the loop pays only a handful of
@@ -320,8 +318,10 @@ class Orchestrator:
             sampler = telemetry.sampler
             chrome = telemetry.chrome
             profiler = telemetry.profiler
-            if profiler is not None and config.telemetry.progress:
+            if profiler is not None and self.config.telemetry.progress:
                 heartbeat = profiler
+                heartbeat.restart(self._wall_accum, scheduler.current_cycle,
+                                  self._instructions(), scheduler.events_fired)
             if sampler is not None and not self._started:
                 sampler.start(scheduler.current_cycle)
         self._started = True
@@ -333,7 +333,7 @@ class Orchestrator:
             else self._cycle_loop
         loop(observers, chrome, profiler, pause_at)
         if self.paused:
-            self._wall_accum += time.perf_counter() - start_wall
+            self._wall_accum = self._wall()
             return None
 
         # Drain requests still in flight when the last core halted, so
@@ -348,7 +348,7 @@ class Orchestrator:
         if drained:
             self._activity[0] = self._activity.get(0, 0) + drained
 
-        wall_seconds = self._wall_accum + time.perf_counter() - start_wall
+        wall_seconds = self._wall()
         if profiler is not None:
             section_start = clock()
         if sampler is not None:
@@ -358,8 +358,13 @@ class Orchestrator:
         results = self._build_results(wall_seconds)
         if profiler is not None:
             profiler.stats_seconds += clock() - section_start
+            profiler.wall_seconds = self._wall()
             results.host_profile = profiler.to_dict()
         return results
+
+    def _wall(self) -> float:
+        """The run's wall seconds: its ``run`` segments, summed."""
+        return self._wall_accum + time.perf_counter() - self._segment_start
 
     def _observe(self, observers, cycle: int) -> int:
         """Let those of ``run``'s observers (sampler, heartbeat, watchdog,
@@ -371,7 +376,8 @@ class Orchestrator:
         if sampler is not None:
             sampler.maybe_sample(cycle)
         if heartbeat is not None:
-            heartbeat.maybe_heartbeat(cycle, instructions, events)
+            heartbeat.maybe_heartbeat(cycle, instructions, events,
+                                      self._wall())
         if watchdog is not None and watchdog.due <= cycle:
             watchdog.observe(cycle, instructions, events)
         if invariants is not None:
@@ -404,10 +410,12 @@ class Orchestrator:
         nothing but increment the clock.  A stretch stops ``MAX_BLOCK``
         cycles short of ``due``; inside that window every visit takes
         ``single`` and the stretch syncs at ``due - 1``, so no block has
-        run past the cycle :meth:`_observe` shows.  The ring is rebuilt
-        from ``_resume_at`` on entry, fed by :meth:`_wake`, and settled
-        back on every exit, so ``_resume_at`` is what a checkpoint
-        carries.
+        run past the cycle :meth:`_observe` shows.  With no core active
+        a stretch jumps to the next event (or ``pause_at``) at once and
+        fires it in the same pass, unseen by the budget and observers as
+        in the reference loop.  The ring is rebuilt from ``_resume_at``
+        on entry, fed by :meth:`_wake`, and settled back on every exit,
+        so ``_resume_at`` is what a checkpoint carries.
 
         Visit.  RAW gate (only for a core with pending fills, which then
         gets a budget of one instruction), then a translated dispatch,
@@ -474,7 +482,6 @@ class Orchestrator:
 
         try:
             while remaining_cores:
-                now = scheduler.current_cycle
                 if pause_at is not None and now >= pause_at:
                     self.paused = True
                     break
@@ -485,35 +492,10 @@ class Orchestrator:
                         pending_events=scheduler.pending_events)
                 live = len(active_set)
                 next_event = next_event_cycle()
-
-                if not live:
-                    # Every live core is stalled and only a completion
-                    # can wake one: jump to the next event.
-                    if next_event is None:
-                        stalled = [core.core_id for core in cores
-                                   if not core.halted]
-                        raise deadlock_error(
-                            self,
-                            f"cores {stalled} stalled with no pending "
-                            f"events")
-                    if pause_at is not None and next_event >= pause_at:
-                        # Stop inside the gap, before the event fires;
-                        # the resumed run re-enters this branch and
-                        # counts the remaining ``next_event - pause_at +
-                        # 1`` stalled cycles, so the split accounting
-                        # matches an uninterrupted run exactly.
-                        activity[0] = activity.get(0, 0) + pause_at - now
-                        scheduler.advance_to(pause_at)
-                        self.paused = True
-                        break
-                    activity[0] = activity.get(0, 0) + next_event - now + 1
-                    if profiler is not None:
-                        wall = clock()
-                    scheduler.advance_to(next_event)
-                    now = next_event
-                else:
-                    if profiler is not None:
-                        section_start = clock()
+                if profiler is not None:
+                    section_start = clock()
+                start = now
+                if live:
                     # No event, pause point, budget edge or observation
                     # before ``bound``: up to there the scheduler is
                     # silent and ending a cycle is ``now += 1``.
@@ -540,10 +522,6 @@ class Orchestrator:
                     else:
                         budget = 0
                     free_budget = budget
-                    # ``live`` cores count as active on every cycle of
-                    # this stretch (a core leaving ends it), so the
-                    # activity histogram gets one addition at its end.
-                    start = now
                     sync = bound <= now
                     while True:
                         todo = ring[now & 127]
@@ -710,14 +688,26 @@ class Orchestrator:
                         now += 1
                         if now >= bound:
                             break
-                    scheduler.current_cycle = now
-                    activity[live] = activity.get(live, 0) \
-                        + now - start + sync
-                    if profiler is not None:
-                        wall = clock()
-                        profiler.spike_seconds += wall - section_start
-                    if not sync:
-                        continue
+                elif next_event is not None:
+                    # Nobody to visit: jump to the waking event and fire
+                    # it in this pass, unseen by the budget check as in
+                    # the reference loop (a pause at or before it wins).
+                    sync = pause_at is None or next_event < pause_at
+                    now = next_event if sync else pause_at
+                else:
+                    stalled = [core.core_id for core in cores
+                               if not core.halted]
+                    raise deadlock_error(self, f"cores {stalled} stalled "
+                                         "with no pending events")
+                # The active count is constant over a stretch (a core
+                # leaving ends it), so the histogram gets one addition.
+                scheduler.current_cycle = now
+                activity[live] = activity.get(live, 0) + now - start + sync
+                if profiler is not None:
+                    wall = clock()
+                    profiler.spike_seconds += wall - section_start
+                if not sync:
+                    continue
 
                 # Advance Sparta in sync with functional execution;
                 # completions fired here re-activate stalled cores.

@@ -7,12 +7,16 @@ per section (the orchestrator adds directly to the public attributes to
 avoid call overhead on the hot path) and can emit a progress heartbeat
 through the ``repro.telemetry`` logger: simulated cycles/sec, scheduler
 events/sec and host MIPS since the previous beat.
+
+It keeps no clock of its own.  The one wall clock is the run's: its
+``run`` segments summed (``Orchestrator._wall``), so a checkpoint's time
+on disk counts for nothing.  The orchestrator hands that reading in —
+``wall_seconds`` when the run ends, and with every heartbeat.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 
 logger = logging.getLogger("repro.telemetry")
 
@@ -24,29 +28,23 @@ class HostProfiler:
         self.spike_seconds = 0.0
         self.sparta_seconds = 0.0
         self.stats_seconds = 0.0
+        self.wall_seconds = 0.0
         self.progress_cycles = progress_cycles
-        self._clock = time.perf_counter
-        self._start_wall = self._clock()
         self._next_beat_cycle = progress_cycles
-        self._last_beat = (self._start_wall, 0, 0, 0)  # wall, cyc, inst, ev
+        self._last_beat = (0.0, 0, 0, 0)  # wall, cyc, inst, ev
 
     # -- wall-time breakdown ------------------------------------------------
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self._clock() - self._start_wall
 
     @property
     def other_seconds(self) -> float:
         """Wall time not attributed to a measured section."""
         measured = (self.spike_seconds + self.sparta_seconds
                     + self.stats_seconds)
-        return max(0.0, self.elapsed_seconds - measured)
+        return max(0.0, self.wall_seconds - measured)
 
     def to_dict(self) -> dict:
-        elapsed = self.elapsed_seconds
         return {
-            "wall_seconds": elapsed,
+            "wall_seconds": self.wall_seconds,
             "spike_seconds": self.spike_seconds,
             "sparta_seconds": self.sparta_seconds,
             "stats_seconds": self.stats_seconds,
@@ -73,24 +71,30 @@ class HostProfiler:
         """The first cycle at which :meth:`maybe_heartbeat` beats."""
         return self._next_beat_cycle
 
-    def maybe_heartbeat(self, cycle: int, instructions: int,
-                        events: int) -> bool:
-        """Log a progress line when the next beat cycle has been reached."""
+    def restart(self, wall: float, cycle: int, instructions: int,
+                events: int) -> None:
+        """Rate the next beat from here: a run starting or resuming, so
+        its first beat reports this process's rate."""
+        self._last_beat = (wall, cycle, instructions, events)
+
+    def maybe_heartbeat(self, cycle: int, instructions: int, events: int,
+                        wall: float) -> bool:
+        """Log a progress line when the next beat cycle has been reached;
+        ``wall`` is the run's wall clock now."""
         if cycle < self._next_beat_cycle:
             return False
         self._next_beat_cycle = (cycle - cycle % self.progress_cycles
                                  + self.progress_cycles)
-        now = self._clock()
         last_wall, last_cycle, last_inst, last_events = self._last_beat
-        self._last_beat = (now, cycle, instructions, events)
-        wall = now - last_wall
-        if wall <= 0:
+        self._last_beat = (wall, cycle, instructions, events)
+        elapsed = wall - last_wall
+        if elapsed <= 0:
             return False
         logger.info(
             "progress: cycle=%d inst=%d | %.0f cycles/s %.0f events/s "
             "%.3f MIPS",
             cycle, instructions,
-            (cycle - last_cycle) / wall,
-            (events - last_events) / wall,
-            (instructions - last_inst) / wall / 1e6)
+            (cycle - last_cycle) / elapsed,
+            (events - last_events) / elapsed,
+            (instructions - last_inst) / elapsed / 1e6)
         return True
