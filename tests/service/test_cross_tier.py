@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro import api
-from repro.coyote.parallel import PointPool
+from repro.coyote import parallel
 from repro.service.cluster import ClusterDispatcher, ClusterNode
 from repro.service.transport import InProcessTransport
 
@@ -67,17 +67,19 @@ def through_a_cluster(root):
 
 @pytest.fixture
 def doomed_worker(monkeypatch):
-    """SIGKILL the doomed point's worker every time one is spawned,
-    whichever tier's pool spawns it."""
-    spawn = PointPool.spawn
+    """The doomed point's worker SIGKILLs itself as it starts the point,
+    whichever tier's pool forked it: forked workers inherit the patched
+    ``run_point``.  (Killing it from the parent races the point: an idle
+    worker that is handed the point starts it at once, and may have sent
+    its result before the signal lands.)"""
+    run_point, test_process = parallel.run_point, os.getpid()
 
-    def spawn_then_kill(self, index, settings, *args, **kwargs):
-        worker = spawn(self, index, settings, *args, **kwargs)
-        if settings == DOOMED:
-            os.kill(worker.process.pid, signal.SIGKILL)
-        return worker
+    def run_or_die(settings, *args, **kwargs):
+        if settings == DOOMED and os.getpid() != test_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_point(settings, *args, **kwargs)
 
-    monkeypatch.setattr(PointPool, "spawn", spawn_then_kill)
+    monkeypatch.setattr(parallel, "run_point", run_or_die)
 
 
 def test_model_failures_read_the_same_on_every_tier(tmp_path):
