@@ -28,7 +28,7 @@ The canonical import surface is :mod:`repro.api`; the blessed names
 below are re-exported from there (lazily, to stay cycle-free).
 """
 
-import importlib
+from repro.utils.reexport import lazy_exports
 
 # Names served from the repro.api facade (the canonical path).
 _API_NAMES = frozenset({
@@ -57,20 +57,4 @@ _LOCAL_NAMES = {
 }
 
 __all__ = sorted(_API_NAMES | set(_LOCAL_NAMES))
-
-
-def __getattr__(name: str):
-    if name in _API_NAMES:
-        api = importlib.import_module("repro.api")
-        value = getattr(api, name)
-    elif name in _LOCAL_NAMES:
-        value = getattr(importlib.import_module(_LOCAL_NAMES[name]), name)
-    else:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value  # cache: subsequent lookups skip this hook
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(globals(), _API_NAMES, _LOCAL_NAMES)
