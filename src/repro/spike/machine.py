@@ -100,27 +100,20 @@ class BareMetalMachine:
         if self.tohost_address is None:
             return HtifEvent()
         for access in accesses:
-            if not access.is_write or access.address != self.tohost_address:
-                continue
-            value = self.memory.load_int(self.tohost_address, 8)
-            device_command = value >> 48
-            if device_command == _HTIF_CONSOLE_TAG:
-                self.console.append(value & 0xFF)
-                self.memory.store_int(self.tohost_address, 0, 8)
-            elif device_command == 0 and value & 1:
-                code = value >> 1
-                self.exit_codes[hart.hart_id] = code
-                return HtifEvent(exited=True, exit_code=code)
+            if access.is_write and access.address == self.tohost_address \
+                    and self.htif_store(hart):
+                return HtifEvent(exited=True,
+                                 exit_code=self.exit_codes[hart.hart_id])
         return HtifEvent()
 
     def htif_store(self, hart: Hart) -> bool:
         """HTIF protocol for one just-executed store to ``tohost``.
 
-        The translated fast path calls this directly — it already knows
-        the store's address hit ``tohost`` — while :meth:`check_htif`
-        remains the access-list-scanning interpreter entry point.  Both
-        apply the identical protocol; returns ``True`` when the storing
-        hart exits.
+        The one decode of a ``tohost`` value: the translated fast path
+        calls this directly — it already knows the store's address hit
+        ``tohost`` — and :meth:`check_htif`, the interpreter's
+        access-list scan, calls it for each store there.  Returns
+        ``True`` when the storing hart exits.
         """
         value = self.memory.load_int(self.tohost_address, 8)
         device_command = value >> 48

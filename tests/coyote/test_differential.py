@@ -71,7 +71,7 @@ def test_loops_identical_across_l2_modes(kernel, l2_mode):
 
 
 def test_loops_identical_with_high_latency_fast_forward():
-    # Long all-stalled gaps exercise advance_to and the run-ahead batch.
+    # Long all-stalled gaps exercise the zero-core stretch.
     kwargs = {"cores": 1, "mem_latency": 2500}
     _sim_ref, ref = _run("scalar-spmv", dict(kwargs), reference=True)
     _sim_fast, fast = _run("scalar-spmv", dict(kwargs), reference=False)
