@@ -13,16 +13,18 @@ Robust by construction:
 
 * **Grants are fenced leases.**  The dispatcher claims each point on a
   node's behalf; the claim mints a monotonic fencing token which rides
-  the grant and must be echoed on every ``complete``/``failure``.  A
+  the grant and is echoed on every ``complete``/``failure``.  A
   SIGSTOP'd zombie node that wakes after its lease was reaped and
-  re-granted sends a stale token; the store rejects the write *before*
+  re-granted sends a stale token, as does a node that sends none or
+  one it was never granted; the store rejects the write *before*
   journaling (:class:`~repro.service.store.StaleWriteError`), records
   a durable ``stale_write`` event, and the journal keeps exactly one
   ``complete`` per point.
 * **Nodes are leased too.**  A node registry tracks per-node
-  heartbeats against a wall-clock deadline; a silent node is declared
-  dead, its leases reaped, and its points rebalanced to live nodes
-  under the existing seeded
+  heartbeats against a wall-clock deadline and renews the leases a
+  heartbeat acknowledges by the executor's one renewal rule; a silent
+  node is declared dead, its leases reaped under the fences they hold,
+  and its points rebalanced to live nodes under the existing seeded
   :class:`~repro.resilience.supervisor.RetryPolicy` backoff.
 * **The transport is allowed to misbehave.**  Every message may be
   dropped, delayed, duplicated, or partitioned away (see
@@ -60,13 +62,10 @@ from repro.service.cache import ResultCache
 from repro.service.service import (
     CampaignService,
     completion_record,
+    held_lease,
     spec_recipe,
 )
-from repro.service.store import (
-    DONE_STATES,
-    ServiceError,
-    StaleWriteError,
-)
+from repro.service.store import ServiceError
 from repro.service.transport import (
     FaultyTransport,
     FilesystemTransport,
@@ -157,9 +156,9 @@ class ClusterNode:
     """One node-local executor: leases work, runs it, reports fenced.
 
     The node half of the cluster protocol.  It registers with the
-    dispatcher, heartbeats on a wall-clock cadence (which renews every
-    lease it holds, dispatcher-side), requests work when it has idle
-    worker slots, runs each granted point in a
+    dispatcher, heartbeats on a wall-clock cadence (which keeps every
+    lease it holds renewed, dispatcher-side), requests work when it has
+    idle worker slots, runs each granted point in a
     :class:`~repro.coyote.parallel.PointPool` worker (the same one as
     the single-node service), writes results into the shared
     content-addressed cache, and reports completion with the grant's
@@ -271,7 +270,7 @@ class ClusterNode:
 
     def _report(self, grant: dict, point: SweepPoint) -> None:
         self._send({"type": "complete", "job": grant["job"],
-                    "index": grant["index"], "fence": grant.get("fence"),
+                    "index": grant["index"], "fence": grant["fence"],
                     **completion_record(self.cache,
                                         grant.get("cache_key"), point)})
 
@@ -285,7 +284,7 @@ class ClusterNode:
                 exit_code, tail = payload
                 self._send({"type": "failure", "job": grant["job"],
                             "index": grant["index"],
-                            "fence": grant.get("fence"),
+                            "fence": grant["fence"],
                             "outcome": "crash", "exit_code": exit_code,
                             "stderr_tail": tail})
             progressed = True
@@ -400,11 +399,10 @@ class ClusterDispatcher(CampaignService):
     def _on_heartbeat(self, message: dict) -> None:
         node = str(message["node"])
         if not self.registry.heartbeat(node):
-            # A node we never met, or one already declared dead (a
-            # woken zombie): admit it fresh.  Its old leases are gone;
-            # its old fences protect the journal.
+            # A node we never met (or met before a restart), or one
+            # declared dead (a woken zombie, its leases reaped): admit
+            # it fresh and renew what it still holds.
             self._on_register(message)
-            return
         held_keys = set()
         for entry in message.get("held") or []:
             if isinstance(entry, (list, tuple)) and len(entry) >= 2:
@@ -417,15 +415,8 @@ class ClusterDispatcher(CampaignService):
         # A lease the node does not know about (its grant was dropped
         # in transit) is deliberately left to expire and rebalance.
         for job_id, point in self._node_leases(node):
-            if (job_id, point["index"]) not in held_keys:
-                continue
-            fence = (point["lease"] or {}).get("fence")
-            try:
-                self.store.renew(job_id, point["index"], self._now(),
-                                 self.lease_seconds, fence=fence)
-            except StaleWriteError:
-                self._stale_write({"job_id": job_id,
-                                   "index": point["index"]})
+            if (job_id, point["index"]) in held_keys:
+                self._renew(held_lease(job_id, point))
 
     def _on_request(self, message: dict) -> None:
         node = str(message["node"])
@@ -436,38 +427,32 @@ class ClusterDispatcher(CampaignService):
             if not self._grant(node):
                 break
 
-    def _on_complete(self, message: dict) -> None:
-        node = str(message.get("node", "?"))
-        job_id, index = message["job"], int(message["index"])
-        fence = message.get("fence")
-        try:
-            point = self.store.jobs[job_id]["points"][index]
-        except (KeyError, IndexError):
-            return  # a completion for a job this root never had
-        if fence is None and point["state"] in DONE_STATES:
-            # A duplicate that came back without the token its grant
-            # carried: drop it without journaling (a fenced one goes on
-            # to _settle, whose check records the rejection durably).
-            return
-        settled = self._settle(
-            {"job_id": job_id, "index": index, "fence": fence}, message)
-        self._grant_settled(node, job_id, index,
-                            "complete" if settled else "stale")
-
-    def _on_failure(self, message: dict) -> None:
-        node = str(message.get("node", "?"))
+    def _written_lease(self, message: dict) -> dict | None:
+        """The lease a node's write names, under whatever fence it sent
+        (the store's check judges it); ``None`` for an unknown point."""
         job_id, index = message["job"], int(message["index"])
         points = self.store.jobs.get(job_id, {}).get("points", ())
         if not 0 <= index < len(points):
-            return  # a failure for a point this root never had
-        self._grant_settled(node, job_id, index,
-                            message.get("outcome", "failure"))
-        self._record_failure(
-            {"job_id": job_id, "index": index,
-             "fence": message.get("fence")},
-            str(message.get("outcome", "crash")),
-            message.get("exit_code"),
-            str(message.get("stderr_tail", "")))
+            return None
+        return {"job_id": job_id, "index": index,
+                "fence": message.get("fence")}
+
+    def _on_complete(self, message: dict) -> None:
+        lease = self._written_lease(message)
+        if lease is None:
+            return
+        settled = self._settle(lease, message)
+        self._grant_settled(str(message.get("node", "?")), lease,
+                            "complete" if settled else "stale")
+
+    def _on_failure(self, message: dict) -> None:
+        lease = self._written_lease(message)
+        if lease is None:
+            return
+        outcome = str(message.get("outcome", "crash"))
+        self._grant_settled(str(message.get("node", "?")), lease, outcome)
+        self._record_failure(lease, outcome, message.get("exit_code"),
+                             str(message.get("stderr_tail", "")))
 
     def _grant(self, node: str) -> bool:
         lease = self._claim_next(node)
@@ -488,8 +473,8 @@ class ClusterDispatcher(CampaignService):
         self.monitor.span_open((node, lease["job_id"], lease["index"]))
         return True
 
-    def _grant_settled(self, node: str, job_id: str, index: int,
-                       outcome: str) -> None:
+    def _grant_settled(self, node: str, lease: dict, outcome: str) -> None:
+        job_id, index = lease["job_id"], lease["index"]
         self.monitor.span_close((node, job_id, index),
                                 f"{job_id}[{index}]", node,
                                 node=node, outcome=outcome)
@@ -511,18 +496,17 @@ class ClusterDispatcher(CampaignService):
                 f"{self.registry.age(node):.1f}s, {len(leases)} "
                 f"lease(s) to rebalance)")
             for job_id, point in leases:
-                index = point["index"]
-                self._grant_settled(node, job_id, index, "node-lost")
+                lease = held_lease(job_id, point)
+                self._grant_settled(node, lease, "node-lost")
                 self.monitor.count(
-                    "rebalanced", f"cluster: {job_id}[{index}] reaped "
-                                  f"from dead node {node}; point re-queued")
+                    "rebalanced", f"cluster: {job_id}[{point['index']}] "
+                                  f"reaped from dead node {node}; point "
+                                  f"re-queued")
                 # Charged as an attempt: a lost node's in-flight work
                 # is indistinguishable from a wedged point, so the
                 # seeded RetryPolicy governs the re-dispatch (and a
                 # point that keeps killing nodes quarantines).
-                self._record_failure(
-                    {"job_id": job_id, "index": index, "fence": None},
-                    "node-lost", None, "")
+                self._record_failure(lease, "node-lost", None, "")
             progressed = True
         return progressed
 

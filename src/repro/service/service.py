@@ -19,12 +19,16 @@ call into a crash-consistent job system rooted in one directory::
 Execution model — at-least-once, made safe by idempotence:
 
 * **Claims are leases.**  The executor claims a pending point under a
-  wall-clock lease and renews it from the worker's heartbeats.  A
-  service or executor that dies simply stops renewing; whoever opens
-  the store next observes the expiry and reclaims the point.  A lease
-  whose owner is *provably* dead (same host, PID gone) is released
-  immediately without spending an attempt — a crashed service must
-  not eat a point's retry budget; only a silent/wedged owner does.
+  wall-clock lease and renews it from the worker's heartbeats once a
+  third of its term has passed.  A service or executor that dies
+  simply stops renewing; whoever opens the store next observes the
+  expiry and reclaims the point.  A lease whose owner is *provably*
+  dead (same host, PID gone) is released immediately without spending
+  an attempt — a crashed service must not eat a point's retry budget;
+  only a silent/wedged owner does.
+* **Every write names its lease.**  A completion, attempt, renewal or
+  release carries the lease's fence, checked before it is journaled; a
+  reclaim the store is the authority for writes under the held fence.
 * **Workers never touch the journal or the cache.**  A point runs in a
   :class:`~repro.coyote.parallel.PointPool` worker (heartbeats
   included); only the parent journals transitions and writes cache
@@ -291,6 +295,13 @@ def assemble_result(store: JobStore, cache: ResultCache | None,
                       points=points), []
 
 
+def held_lease(job_id: str, point: dict) -> dict:
+    """The lease a store record holds, as a reclaim the store is the
+    authority for names it."""
+    return {"job_id": job_id, "index": point["index"],
+            "fence": point["lease"]["fence"]}
+
+
 def _final_error(settings: dict, record: dict) -> SimulationError:
     """The error of a point whose every attempt died: a
     :class:`QuarantinedPoint` carrying the store's attempt book — or,
@@ -451,9 +462,8 @@ class CampaignExecutor:
                  "settings": point["settings"], "spec": spec,
                  "cache_key": self._cache_key(job_id, spec,
                                               point["settings"]),
-                 "fence": (point["lease"] or {}).get("fence"),
-                 "attempt": len(point["attempts"]) + 1,
-                 "last_renew": time.monotonic(), "settled": False}
+                 "fence": point["lease"]["fence"],
+                 "attempt": len(point["attempts"]) + 1, "settled": False}
         self.monitor.count("claims")
         key = lease["cache_key"]
         cached = self.cache.get(key) if key is not None else None
@@ -481,17 +491,13 @@ class CampaignExecutor:
         write is harmless (same key, same bytes) but the journal stays
         single-completion.
         """
-        job_id, index = lease["job_id"], lease["index"]
-        try:
-            self.store.complete(job_id, index,
-                                cache_key=record.get("cache_key"),
-                                verified=record.get("verified"),
-                                failure=record.get("failure"),
-                                cached=cached, fence=lease["fence"],
-                                result=record.get("result"))
-        except StaleWriteError:
-            self._stale_write(lease)
+        if not self._fenced(lease, self.store.complete,
+                            cache_key=record.get("cache_key"),
+                            verified=record.get("verified"),
+                            failure=record.get("failure"), cached=cached,
+                            result=record.get("result")):
             return False
+        job_id, index = lease["job_id"], lease["index"]
         self.monitor.count("completions")
         self.monitor.count("cache_hits" if cached else "cache_misses")
         self._not_before.pop((job_id, index), None)
@@ -502,20 +508,38 @@ class CampaignExecutor:
             self.on_settle(point)
         return True
 
-    def _stale_write(self, lease: dict) -> None:
-        self.monitor.count(
-            "stale_writes", f"{lease['job_id']}[{lease['index']}]: stale "
-                            f"fenced write rejected")
+    def _fenced(self, lease: dict, write: Callable, *args: Any,
+                **fields: Any) -> bool:
+        """The one way the executor writes to a leased point: ``write``
+        under ``lease``'s fence; False (the rejection journaled by the
+        store, counted here) when that fence is not current."""
+        try:
+            write(lease["job_id"], lease["index"], *args,
+                  fence=lease["fence"], **fields)
+        except StaleWriteError:
+            self.monitor.count(
+                "stale_writes", f"{lease['job_id']}[{lease['index']}]: "
+                                f"stale fenced write rejected")
+            return False
+        return True
 
     def _release(self, lease: dict) -> None:
         """Give a claimed point back without charging it an attempt."""
-        try:
-            self.store.release(lease["job_id"], lease["index"],
-                               fence=lease["fence"])
-        except StaleWriteError:
-            self._stale_write(lease)
-            return
-        self.monitor.count("released")
+        if self._fenced(lease, self.store.release):
+            self.monitor.count("released")
+
+    def _renew(self, lease: dict) -> None:
+        """The one renewal rule, for a worker's beat and a node's
+        heartbeat alike: renew once a third of the term has passed, read
+        off the store record's ``expires`` on the lease clock — one late
+        beat never expires a healthy holder, and the journal is not
+        flooded.  An infinite term (an in-process sweep) never renews."""
+        held = self.store.jobs[lease["job_id"]]["points"][lease["index"]]
+        now, term = self._now(), self.lease_seconds
+        if term == float("inf") or held["lease"] is not None \
+                and held["lease"]["expires"] - now > term * 2 / 3:
+            return   # less than a third of the term has passed
+        self._fenced(lease, self.store.renew, now, term)
 
     def _fill_slots(self) -> bool:
         """Claim points into the free local slots: a cache hit settles
@@ -604,20 +628,7 @@ class CampaignExecutor:
         self.monitor.count("heartbeats")
         self.monitor.heartbeat_gauges[lease["job_id"], lease["index"]] = {
             "cycles": cycles, "rss_mb": rss_mb}
-        # Renew the lease at roughly a third of its term: enough slack
-        # that one late heartbeat never expires a healthy worker, and
-        # the journal is not flooded with renewals.
-        now = time.monotonic()
-        if now - lease["last_renew"] >= self.lease_seconds / 3:
-            lease["last_renew"] = now
-            try:
-                self.store.renew(lease["job_id"], lease["index"],
-                                 self._now(), self.lease_seconds,
-                                 fence=lease["fence"])
-            except StaleWriteError:
-                # The lease lapsed and was reaped out from under this
-                # worker; the expiry sweep will retire it.
-                self._stale_write(lease)
+        self._renew(lease)
 
     def _attempt_ended(self, worker, outcome: str) -> None:
         lease, index = worker.context, worker.index
@@ -688,10 +699,9 @@ class CampaignExecutor:
                     break
             else:
                 # A dead (or foreign, silent) executor's lease; the
-                # store is the authority, so the charge is unfenced.
-                self._record_failure(
-                    {"job_id": job_id, "index": index, "fence": None},
-                    "lease-expired", None, "")
+                # store is the authority, so it charges the held fence.
+                self._record_failure(held_lease(job_id, point),
+                                     "lease-expired", None, "")
 
     def _record_failure(self, lease: dict, outcome: str,
                         exit_code: int | None, tail: str,
@@ -712,16 +722,12 @@ class CampaignExecutor:
                 seed=self.policy.seed, index=index)
         final = action != "retry"
         kind = "WorkerCrash" if action == "crash" else "QuarantinedPoint"
-        try:
-            self.store.attempt(
-                job_id, index, outcome=outcome, exit_code=exit_code,
-                stderr_tail=tail, final=final,
+        if not self._fenced(
+                lease, self.store.attempt, outcome=outcome,
+                exit_code=exit_code, stderr_tail=tail, final=final,
                 failure={"kind": kind, "message": payload} if final
-                else None, fence=lease["fence"],
-                heartbeats=[list(beat) for beat in beats],
-                backoff_seconds=0.0 if final else payload)
-        except StaleWriteError:
-            self._stale_write(lease)
+                else None, heartbeats=[list(beat) for beat in beats],
+                backoff_seconds=0.0 if final else payload):
             return
         label = f"{job_id}[{index}] {settings}"
         if not final:
@@ -921,8 +927,7 @@ class CampaignService(CampaignExecutor):
                     or owner == self.worker_id or not parts[1].isdigit():
                 continue
             if not _pid_alive(int(parts[1])):
-                self.store.release(job_id, point["index"])
-                self.monitor.count("released")
+                self._release(held_lease(job_id, point))
 
     # -- submission --------------------------------------------------------
 

@@ -365,8 +365,11 @@ class TestFencing:
             dispatcher.step()
             assert counters["nodes_registered"] == before + 1
 
-    def test_unfenced_duplicate_complete_dropped_silently(
-            self, tmp_path):
+    def test_unfenced_or_forged_write_is_a_stale_write(self, tmp_path):
+        """A write that names no lease, or one its sender was never
+        granted, is rejected like any stale write: one durable
+        ``stale_write`` each, and the point stays leased to its holder,
+        whose fenced complete then settles it — computed once."""
         root = tmp_path / "root"
         dispatcher, _ = make_cluster(root, n_nodes=0)
         transport = dispatcher.transport
@@ -379,18 +382,40 @@ class TestFencing:
                                           "node": "n", "slots": 1})
             dispatcher.step()
             grant = self.grant_for(transport, "n")
-            assert grant["fence"] is not None  # grants always carry it
-            # A node that reports without the token it was given.
-            complete = {"type": "complete", "node": "n", "job": job,
-                        "index": 0, "fence": None, "cache_key": None,
-                        "verified": True, "failure": None}
-            transport.send("dispatcher", dict(complete))
-            transport.send("dispatcher", dict(complete))  # duplicate
+            forged = grant["fence"] + 100
+            failure = {"type": "failure", "job": job, "index": 0,
+                       "outcome": "crash", "exit_code": -9,
+                       "stderr_tail": ""}
+            complete = {"type": "complete", "job": job, "index": 0,
+                        "cache_key": None, "verified": True,
+                        "failure": None}
+            for write, node, fence in ((failure, "intruder", None),
+                                       (complete, "intruder", None),
+                                       (failure, "intruder", forged),
+                                       (complete, "intruder", forged),
+                                       (complete, "n", None)):
+                transport.send("dispatcher",
+                               {**write, "node": node, "fence": fence})
+            dispatcher.step()
+            point = dispatcher.store.jobs[job]["points"][0]
+            assert point["state"] == "leased"
+            assert (point["lease"]["worker"], point["lease"]["fence"]) \
+                == ("n", grant["fence"])
+            assert point["attempts"] == []   # nothing charged
+            assert [event["fence"] for event
+                    in journal_events(root, "stale_write")] \
+                == [None, None, forged, forged, None]
+            # The holder reports under its token; a replay of that
+            # report is one more stale write.
+            for _copy in range(2):
+                transport.send("dispatcher", {**complete, "node": "n",
+                                              "fence": grant["fence"]})
             dispatcher.step()
             assert dispatcher.status(job).complete
-            # Even unfenced, the duplicate never reaches the journal.
             assert completes_per_point(root) == {(job, 0): 1}
-            assert dispatcher.store.stale_writes == 0
+            assert len(journal_events(root, "claim")) == 1   # never re-run
+            assert dispatcher.store.stale_writes == 6
+            assert dispatcher.monitor.counters["stale_writes"] == 6
 
 
 class TestDegradation:

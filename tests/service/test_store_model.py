@@ -3,8 +3,8 @@
 ``test_store.py`` walks the lifecycle scenarios somebody thought of;
 this file lets Hypothesis interleave them.  A ``RuleBasedStateMachine``
 drives a real :class:`JobStore` — submit, idempotent re-submit, claim,
-renew, lease expiry under an injected clock, complete (first, duplicate
-and under a stale fence), attempt (retry and final), release,
+renew, lease expiry under an injected clock, complete (first, duplicate,
+under a stale fence and under none), attempt (retry and final), release,
 invalidate, cancel, compaction, close-and-reopen — next to a
 few-dozen-line executable model of what the store promises, and after
 every step asserts:
@@ -14,8 +14,8 @@ every step asserts:
   completion (at most one ``complete`` ever takes effect per point
   incarnation);
 * fencing tokens are strictly monotone store-wide;
-* a write under a stale fence raises, changes nothing, and is counted
-  in ``stale_writes``;
+* a write under a stale fence, or under none, raises, changes nothing,
+  and is counted in ``stale_writes``;
 * a store folded from the journal alone equals the live one;
 * ``outstanding_points()`` / ``has_work()`` / ``expired_leases()``
   agree with the model.
@@ -93,7 +93,7 @@ class StoreModel:
         """The token a writer presents, and whether it is accepted."""
         point = self.points[key]
         if which == "none":
-            return None, True
+            return None, False
         if which == "current" and point["state"] == "leased":
             return point["fence"], True
         # The zombie's token: the one this point was last held under,
@@ -206,12 +206,14 @@ class StoreMachine(RuleBasedStateMachine):
     @precondition(has_points)
     @rule(final=st.booleans())
     def reap_expired(self, final):
-        """What the executor does with a lapsed lease: charge it,
-        unfenced (the store is the authority on its own clock)."""
+        """What the executor does with a lapsed lease: charge it under
+        the fence the lease holds (the store is the authority on its
+        own clock)."""
         for job, record in self.store.expired_leases(self.now):
             self.store.attempt(job, record["index"],
                                outcome="lease-expired", exit_code=None,
-                               stderr_tail="", final=final)
+                               stderr_tail="", final=final,
+                               fence=record["lease"]["fence"])
             point = self.model.points[job, record["index"]]
             point["attempts"] += 1
             self.model.unlease(point,
