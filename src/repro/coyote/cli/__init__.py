@@ -93,10 +93,13 @@ def make_workload(kernel: str, cores: int, size: int | None):
     return kernels.instantiate(kernel, cores, size)
 
 
+DEFAULT_CORES = 8
+
+
 def workload_flags(parser, verb: str) -> None:
     parser.add_argument("--kernel", choices=sorted(kernels.KERNELS),
                         default="scalar-spmv", help=f"workload to {verb}")
-    parser.add_argument("--cores", type=int, default=8,
+    parser.add_argument("--cores", type=int, default=DEFAULT_CORES,
                         help="number of simulated cores")
     parser.add_argument("--size", type=int,
                         help="problem size (kernel-specific default)")
@@ -291,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="subcommands (coyote-sim COMMAND --help):\n" + "\n".join(
             f"  {name:<8}{what}" for name, (_main, what) in COMMANDS.items()))
     workload_flags(parser, "simulate")
+    # None: not given, so --config may set the core count.
+    parser.set_defaults(cores=None)
     groups = config_flags(parser)
     parser.add_argument("--trace", metavar="BASEPATH",
                         help="write a Paraver .prv/.pcf/.row miss trace")
@@ -299,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config", metavar="JSON",
         help="load a full SimulationConfig from a JSON file; config flags "
-             "given beside it layer on top (its core count is the one used)")
+             "given beside it layer on top (it sets the core count: "
+             "--cores is refused)")
     parser.add_argument(
         "--save-config", metavar="JSON",
         help="write the effective configuration to a JSON file and continue")
@@ -342,9 +348,11 @@ def run_main(argv: list[str]) -> int:
     if args.resume is not None and args.config is not None:
         parser.error("--resume restores the checkpointed configuration; "
                      "--config cannot apply")
+    if args.config is not None and args.cores is not None:
+        parser.error("--config sets the core count; --cores cannot apply")
     try:
         check_output_dirs(args.metrics_out, args.chrome_trace,
-                          args.checkpoint_out)
+                          args.checkpoint_out, args.trace)
     except ValueError as exc:
         parser.error(str(exc))
     if args.log_level is not None or args.progress:
@@ -358,7 +366,8 @@ def run_main(argv: list[str]) -> int:
             return (simulation, metadata["kernel"], metadata["cores"],
                     metadata["size"])
         config = (SimulationConfig.load(args.config) if args.config
-                  else SimulationConfig.for_cores(args.cores))
+                  else SimulationConfig.for_cores(
+                      DEFAULT_CORES if args.cores is None else args.cores))
         if args.inject is not None:
             FaultPlan.load(args.inject).apply(config.resilience)
         # Flags layer over the file and over the fault plan's seed.

@@ -7,6 +7,7 @@ completion time carrying kind, bank, latency, line and L2 outcome.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 
 from repro.paraver.records import (
@@ -22,6 +23,9 @@ from repro.paraver.records import (
 
 _HEADER_DATE = "01/01/2021 at 00:00"
 
+# Event lines formatted per write; bounds write_prv()'s transient memory.
+_WRITE_BATCH = 4096
+
 
 def write_prv(path: str | Path, records: list[MissRecord],
               num_cores: int, duration: int) -> Path:
@@ -29,13 +33,13 @@ def write_prv(path: str | Path, records: list[MissRecord],
     path = Path(path)
     if path.suffix != ".prv":
         path = path.with_suffix(".prv")
-    lines = [_prv_header(num_cores, duration)]
-    ordered = sorted(records,
-                     key=lambda record: (record.complete_cycle,
-                                         record.core_id))
-    for record in ordered:
-        lines.append(_prv_event_line(record))
-    path.write_text("\n".join(lines) + "\n")
+    ordered = iter(sorted(records,
+                          key=lambda record: (record.complete_cycle,
+                                              record.core_id)))
+    with open(path, "w") as handle:
+        handle.write(_prv_header(num_cores, duration) + "\n")
+        while batch := list(islice(ordered, _WRITE_BATCH)):
+            handle.write("\n".join(map(_prv_event_line, batch)) + "\n")
     return path
 
 

@@ -51,6 +51,17 @@ def test_a_config_file_alone_is_used_as_written(tmp_path, capsys):
     assert SimulationConfig.load(effective) == config
 
 
+def test_a_trace_path_in_a_missing_directory_is_refused_up_front(
+        tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(MATMUL + ["--cores", "2",
+                           "--trace", str(tmp_path / "missing" / "t")])
+    assert excinfo.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "output directory does not exist" in captured.err
+    assert "cores                :" not in captured.out
+
+
 @pytest.mark.parametrize("command", [[], ["profile"]])
 def test_a_refused_size_is_a_configuration_error(command, capsys):
     assert cli.main(command + ["--kernel", "fft-radix2", "--cores", "2",

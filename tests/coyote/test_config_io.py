@@ -60,10 +60,15 @@ class TestCliConfigFlags:
         out = capsys.readouterr().out
         assert "cores                : 2" in out
 
-    def test_config_file_wins_over_flags(self, tmp_path, capsys):
+    def test_cores_beside_config_is_refused(self, tmp_path, capsys):
+        """The file sets the core count: --cores beside it is exit 2
+        before anything runs, not silently ignored."""
         path = str(tmp_path / "c.json")
         SimulationConfig.for_cores(4).save(path)
-        assert cli_main(["--kernel", "vector-axpy", "--size", "16",
-                         "--cores", "8", "--config", path]) == 0
-        out = capsys.readouterr().out
-        assert "cores                : 4" in out
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--kernel", "vector-axpy", "--size", "16",
+                      "--cores", "8", "--config", path])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--cores cannot apply" in captured.err
+        assert "cores                :" not in captured.out

@@ -109,7 +109,8 @@ class TestCli:
     def test_config_file(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(bad_document()))
-        assert cli.main([*KERNEL, "--config", str(path)]) \
+        assert cli.main(["--kernel", "scalar-matmul", "--size", "6",
+                         "--config", str(path)]) \
             == cli.EXIT_CONFIG
         assert "configuration error: mem_latency must be a number, " \
                "got 'abc'" in capsys.readouterr().err

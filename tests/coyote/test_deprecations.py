@@ -94,8 +94,7 @@ class TestFlatNocOverrides:
         data["memhier"]["noc_latency"] = 4
         path = tmp_path / "stale.json"
         path.write_text(json.dumps(data))
-        code = main(["--kernel", "vector-axpy", "--cores", "2",
-                     "--config", str(path)])
+        code = main(["--kernel", "vector-axpy", "--config", str(path)])
         assert code == 2
         assert "noc_latency" in capsys.readouterr().err
 

@@ -13,6 +13,7 @@ import pytest
 from repro.coyote import Simulation, SimulationConfig, TelemetryConfig
 from repro.coyote.simulation import SimulationError
 from repro.kernels import scalar_matmul
+from repro.memhier.request import MemRequest, RequestKind
 from repro.telemetry.chrome_trace import ChromeTraceBuilder, EXECUTING, \
     FETCH_STALL, RAW_STALL
 
@@ -92,6 +93,57 @@ class TestBuilderUnit:
             == {(EXECUTING, 5), (FETCH_STALL, 15)}
         assert {(s["name"], s["dur"]) for s in spans if s["tid"] == 1} \
             == {(EXECUTING, 20)}
+
+
+def _every_kind_of_event() -> ChromeTraceBuilder:
+    builder = ChromeTraceBuilder(2)
+    builder.set_state(0, RAW_STALL, 300)
+    builder.counter("core0 stall cycles", 300, {"raw_l2": 0, "raw_mem": 7},
+                    tid=0)
+    builder.observe_noc_occupancy(301, 12)
+    builder.observe_request(MemRequest(
+        request_id=9, core_id=1, tile_id=0, line_address=0x8000_1040,
+        kind=RequestKind.LOAD, issue_cycle=280, bank_id=3, mc_id=0,
+        complete_cycle=390, l2_hit=False))
+    builder.instant("fault:delay", 350, {"target": "l2bank", "extra": 5})
+    builder.halt(1, 400)
+    builder.finalize(420)
+    return builder
+
+
+class TestRecords:
+    def test_events_render_every_kind(self):
+        events = _every_kind_of_event().events
+        assert [event["ph"] for event in events[6:]] \
+            == ["X", "C", "C", "b", "e", "i", "X", "i", "X"]
+        counter, noc, begin, end = events[7:11]
+        assert counter["args"] == {"raw_l2": 0, "raw_mem": 7}
+        assert noc == {"ph": "C", "name": "noc-in-flight", "pid": 1,
+                       "tid": 0, "ts": 301, "args": {"messages": 12}}
+        assert begin["args"] == {"line_address": "0x80001040", "bank": 3,
+                                 "mc": 0, "l2_hit": False, "latency": 110}
+        assert (begin["ts"], end["ts"], end["id"]) == (280, 390, 9)
+
+    def test_write_is_the_json_of_the_events(self, tmp_path):
+        builder = _every_kind_of_event()
+        path = builder.write(tmp_path / "trace.json")
+        assert path.read_text() == json.dumps({
+            "traceEvents": list(builder.events), "displayTimeUnit": "ms",
+            "otherData": {"tool": "coyote-repro",
+                          "time_unit": "1 ts = 1 simulated cycle"}}) + "\n"
+
+    def test_a_builder_pickled_with_event_dicts_folds_them(self, tmp_path):
+        """A checkpoint written while every event was kept as its dict
+        resumes into records that write the same bytes."""
+        builder = _every_kind_of_event()
+        legacy = ChromeTraceBuilder.__new__(ChromeTraceBuilder)
+        legacy.__setstate__({"num_cores": 2, "events": list(builder.events),
+                             "_open": [None, None]})
+        assert "events" not in vars(legacy)
+        assert sum(isinstance(record, dict)
+                   for record in legacy._records) == 6 + 2
+        expected = builder.write(tmp_path / "new.json").read_bytes()
+        assert legacy.write(tmp_path / "old.json").read_bytes() == expected
 
 
 class TestEndToEnd:
