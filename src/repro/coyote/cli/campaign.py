@@ -1,9 +1,9 @@
 """The campaign commands: ``sweep``, ``jobs``, ``serve``, ``cluster``.
 
-``sweep`` and ``jobs submit`` take one campaign group (workload, axes);
-``sweep`` and ``jobs result`` print through one table emitter; ``serve``
-and ``cluster`` take one service group, its defaults the service
-constructors' own, and run under one guard.
+``sweep`` and ``jobs submit`` take one campaign group (workload, axes),
+``sweep``, ``serve`` and ``cluster`` one supervision group; ``sweep`` and
+``jobs result`` print through one table emitter; ``serve`` and ``cluster``
+take one service group, its defaults the service constructors' own.
 """
 
 from __future__ import annotations
@@ -124,37 +124,46 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--best", metavar="METRIC",
         help="also print the best point under this metric (minimised)")
-    supervisor = parser.add_argument_group(
-        "supervision", "any of these flags runs every point under the "
-        "supervised lifecycle (heartbeats, reaping, retries, quarantine — "
-        "see docs/RESILIENCE.md)")
-    supervisor.add_argument(
-        "--point-timeout", type=float, metavar="SECONDS", help="wall-clock "
-        "budget per point attempt; an overrunning worker is reaped")
-    supervisor.add_argument(
-        "--heartbeat-interval", type=float, metavar="SECONDS", help="worker "
-        "heartbeat cadence; a worker silent for 5 intervals is reaped")
-    shared_flag(supervisor, "--max-retries", default=0,
-                help="re-dispatch a crashed/reaped point up to N times "
-                     "(seeded exponential backoff) before quarantining it")
-    supervisor.add_argument(
-        "--max-rss-mb", type=float, metavar="MB",
-        help="per-worker RSS ceiling; a worker reporting more is reaped")
-    shared_flag(supervisor, "--chrome-trace", help="write the supervisor's "
-                "per-attempt spans as a Chrome trace-event file")
+    shared_flag(supervision_flags(parser), "--chrome-trace", help="write "
+                "the supervisor's per-attempt spans as a Chrome trace file")
     return parser
 
 
-def supervisor_policy_from_args(args: argparse.Namespace):
-    """The SupervisorPolicy the sweep flags describe (None = legacy)."""
-    if (args.point_timeout is None and args.heartbeat_interval is None
-            and args.max_rss_mb is None and not args.max_retries):
-        return None
-    return api.SupervisorPolicy(
-        point_timeout_seconds=args.point_timeout,
-        heartbeat_interval_seconds=args.heartbeat_interval or 0.0,
-        max_rss_mb=args.max_rss_mb,
-        retry=api.RetryPolicy(max_attempts=args.max_retries + 1))
+def supervision_flags(parser):
+    """The supervision group ``sweep``, ``serve`` and ``cluster`` share."""
+    group = parser.add_argument_group(
+        "supervision", "heartbeats, reaping, retries, quarantine (see "
+        "docs/RESILIENCE.md): a sweep given none of these is unsupervised; "
+        "each replaces one field of serve's and cluster's policy (a death "
+        "retried twice, no deadline), and cluster grants carry it to nodes")
+    group.add_argument(
+        "--point-timeout", type=float, metavar="SECONDS", help="wall-clock "
+        "budget per point attempt; an overrunning worker is reaped")
+    group.add_argument(
+        "--heartbeat-interval", type=float, metavar="SECONDS", help="worker "
+        "heartbeat cadence; a worker silent for 5 intervals is reaped")
+    group.add_argument(
+        "--max-retries", type=int, metavar="N", help="re-run a crashed, "
+        "reaped, expired or lost point up to N times (seeded exponential "
+        "backoff), then quarantine it")
+    group.add_argument(
+        "--max-rss-mb", type=float, metavar="MB",
+        help="per-worker RSS ceiling; a worker reporting more is reaped")
+    return group
+
+
+def policy_from_args(args: argparse.Namespace, base=None):
+    """``base`` (``None``: unsupervised) with each supervision flag given
+    replacing its field; ``--max-retries N`` sets ``N + 1`` attempts."""
+    policy = base or api.SupervisorPolicy()
+    given = {field: value for field, value in (
+        ("point_timeout_seconds", args.point_timeout),
+        ("heartbeat_interval_seconds", args.heartbeat_interval),
+        ("max_rss_mb", args.max_rss_mb)) if value is not None}
+    if args.max_retries is not None:
+        given["retry"] = replace(policy.retry,
+                                 max_attempts=args.max_retries + 1)
+    return replace(policy, **given) if given else base
 
 
 def sweep_main(argv: list[str]) -> int:
@@ -164,7 +173,7 @@ def sweep_main(argv: list[str]) -> int:
     try:
         sweep = sweep_from_args(args)
         metrics_from_args(args)
-        policy = supervisor_policy_from_args(args)
+        policy = policy_from_args(args)
         cli.check_output_dirs(args.out, args.chrome_trace)
         engine = api.ParallelSweep(
             sweep, workers=args.workers, on_error=args.on_error,
@@ -199,7 +208,7 @@ def sweep_main(argv: list[str]) -> int:
             print(f"campaign directory   : {counters['cache_hits']} of "
                   f"{aggregate['points']} points were cache hits "
                   f"({args.campaign})")
-        if policy is not None:
+        if engine.policy.supervised:
             print(f"supervisor           : {counters['attempts']} "
                   f"attempts, {counters['retries']} retries, "
                   f"{counters['quarantined']} quarantined")
@@ -329,11 +338,8 @@ def service_flags(parser, what: str) -> None:
     derived_flag(parser, "--max-queue", service["max_queue"],
                  "bound on outstanding points; beyond it submissions are "
                  "rejected, not queued", metavar="N")
-    shared_flag(parser, "--max-retries",
-                help="re-run a crashed/expired/lost point up to N times, then "
-                     "quarantine it (changes only the attempt count of the "
-                     "service's own retry policy)")
-    derived_flag(parser, "--seed", service["seed"],
+    supervision_flags(parser)
+    derived_flag(parser, "--seed", api.SupervisorPolicy.seed,
                  "retry-backoff jitter seed", metavar="N")
     derived_flag(parser, "--drain", serve["drain"], "exit once the queue "
                  "and inbox are empty instead of serving forever")
@@ -350,10 +356,10 @@ def service_flags(parser, what: str) -> None:
 def _service_arguments(args: argparse.Namespace) -> dict:
     """The constructor arguments the service flags set (workers aside:
     the two tiers name it differently)."""
-    retry = None if args.max_retries is None else replace(
-        SERVICE_RETRY, max_attempts=args.max_retries + 1)
     return dict(max_queue=args.max_queue, lease_seconds=args.lease_seconds,
-                retry=retry, seed=args.seed, fsync=args.fsync)
+                policy=policy_from_args(args, api.SupervisorPolicy(
+                    retry=SERVICE_RETRY, seed=args.seed)),
+                fsync=args.fsync)
 
 
 def _serve(build, args: argparse.Namespace, node_commands=()) -> int:
@@ -428,7 +434,8 @@ def build_cluster_parser() -> argparse.ArgumentParser:
              "rebalance its leases (default: --lease-seconds)")
     derived_flag(parser, "--heartbeat-seconds",
                  _defaults(api.ClusterNode.__init__)["heartbeat_seconds"],
-                 "node heartbeat / work-request cadence", metavar="S")
+                 "node-to-dispatcher heartbeat and work-request cadence "
+                 "(--heartbeat-interval is a worker's)", metavar="S")
     derived_flag(parser, "--grace-seconds", dispatcher["grace_seconds"],
                  "how long the dispatcher waits for a first node before "
                  "degrading to local execution", metavar="S")

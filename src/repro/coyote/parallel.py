@@ -157,6 +157,8 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
     if hasattr(signal, "pthread_sigmask"):
         # Undo the mask PointPool.spawn held across our creation.
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    # A reap is a SIGTERM: a serving parent's handler must not outlive a fork.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for fd in close_fds:
         try:
             os.close(fd)
@@ -292,8 +294,8 @@ class PointPool:
     harvested, temp file removed), :meth:`retire` reaps the idle workers
     and :meth:`close` all.  Which point runs next, what a death costs it
     and where its result goes is the caller's policy: the campaign
-    executor (under every sweep, service and dispatcher) and
-    ``ClusterNode`` are the loops over these events.
+    executor, under every sweep, service, dispatcher and cluster node,
+    is the one loop over these events.
 
     Uses the ``fork`` start method where the platform offers it, else
     ``spawn`` — which needs a picklable workload factory

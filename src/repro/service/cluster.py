@@ -1,31 +1,33 @@
 """The multi-node cluster tier: one dispatcher, N node executors.
 
-:class:`ClusterDispatcher` scales the durable campaign service past
-one host.  It owns the authoritative journal/store/cache at the
-cluster root (exactly the single-node layout, so every existing tool —
-``coyote-sim jobs``, ``repro.api.status/result`` — reads a cluster
-root unchanged) and coordinates :class:`ClusterNode` executors over a
-pluggable :class:`~repro.service.transport.Transport`: shared
-filesystem between processes/hosts, in-process deques for
-deterministic tests.
+:class:`ClusterDispatcher` scales the durable campaign service past one
+host.  It owns the authoritative journal/store/cache at the cluster root
+(the single-node layout, so ``coyote-sim jobs`` and
+``repro.api.status/result`` read a cluster root unchanged) and grants
+points to :class:`ClusterNode` executors over a pluggable
+:class:`~repro.service.transport.Transport`: a shared filesystem between
+processes and hosts, in-process deques for deterministic tests.  A node
+runs the campaign executor itself, over a :class:`GrantStore`, so the
+deadlines its workers are held to, the reaping, the pool and the
+spawn-failure ladder are the service's own code.
 
 Robust by construction:
 
 * **Grants are fenced leases.**  The dispatcher claims each point on a
   node's behalf; the claim mints a monotonic fencing token which rides
-  the grant and is echoed on every ``complete``/``failure``.  A
-  SIGSTOP'd zombie node that wakes after its lease was reaped and
-  re-granted sends a stale token, as does a node that sends none or
-  one it was never granted; the store rejects the write *before*
-  journaling (:class:`~repro.service.store.StaleWriteError`), records
-  a durable ``stale_write`` event, and the journal keeps exactly one
-  ``complete`` per point.
-* **Nodes are leased too.**  A node registry tracks per-node
-  heartbeats against a wall-clock deadline and renews the leases a
-  heartbeat acknowledges by the executor's one renewal rule; a silent
-  node is declared dead, its leases reaped under the fences they hold,
-  and its points rebalanced to live nodes under the existing seeded
-  :class:`~repro.resilience.supervisor.RetryPolicy` backoff.
+  the grant — with the dispatcher's deadlines — and is echoed on every
+  ``complete``/``failure``/``release``.  A SIGSTOP'd zombie node that
+  wakes after its lease was reaped and re-granted sends a stale token,
+  as does a node that sends none or one it was never granted; the store
+  rejects the write *before* journaling
+  (:class:`~repro.service.store.StaleWriteError`), records a durable
+  ``stale_write`` event, and the journal keeps one ``complete`` a point.
+* **Every death is charged once, by the dispatcher.**  A node reports a
+  worker it reaped or lost as a fenced ``failure``; a node silent past
+  its deadline is declared dead and its leases reaped under the fences
+  they hold.  Both go through the executor's one ``_record_failure``
+  and the dispatcher's seeded
+  :class:`~repro.resilience.supervisor.RetryPolicy`.
 * **The transport is allowed to misbehave.**  Every message may be
   dropped, delayed, duplicated, or partitioned away (see
   :class:`~repro.service.transport.FaultyTransport`); lost grants
@@ -35,35 +37,29 @@ Robust by construction:
 * **Degradation is graceful, not silent.**  A cluster whose nodes all
   die (or never arrive) takes the first step of the executor's one
   ladder, ``cluster → N → N/2 → … → 1 → in-process``: the dispatcher
-  runs the remaining points itself in the inherited worker pool, and
-  repeated fork failures step that pool down to in-process execution.
-  Each step logs a
+  runs the remaining points itself.  Each step logs a
   :class:`~repro.resilience.supervisor.DegradationEvent`, surfaced on
   the final table's host-side ``degradations`` field.
 
-The node tier deliberately owns nothing durable: a node never touches
-the journal and writes only content-addressed cache entries (same key
-=> same bytes, atomic replace), so a zombie's cache write is harmless
-and all authority stays with the dispatcher's fenced journal.
+A node owns nothing durable: it never touches the journal and writes
+only content-addressed cache entries (same key => same bytes, atomic
+replace), so a zombie's cache write is harmless.
 """
 
 from __future__ import annotations
 
-import os
-import secrets
-import socket
+import contextlib
 import time
+from dataclasses import replace
+from functools import partialmethod
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.coyote.parallel import PointPool
-from repro.coyote.sweep import SweepPoint, run_point
 from repro.service.cache import ResultCache
 from repro.service.service import (
+    CampaignExecutor,
     CampaignService,
-    completion_record,
     held_lease,
-    spec_recipe,
 )
 from repro.service.store import ServiceError
 from repro.service.transport import (
@@ -77,6 +73,7 @@ from repro.telemetry.campaign import CampaignMetrics
 __all__ = [
     "ClusterDispatcher",
     "ClusterNode",
+    "GrantStore",
     "NodeRegistry",
     "DISPATCHER_ENDPOINT",
 ]
@@ -84,13 +81,10 @@ __all__ = [
 # The dispatcher's transport mailbox name.
 DISPATCHER_ENDPOINT = "dispatcher"
 
-_POLL_SECONDS = 0.05
-
-
-def new_node_id() -> str:
-    """A fresh node id: host-qualified, collision-resistant."""
-    return (f"{socket.gethostname()}-{os.getpid()}-"
-            f"{secrets.token_hex(3)}")
+# The SupervisorPolicy fields a grant carries: what a node holds the
+# point's workers to.
+DEADLINES = ("point_timeout_seconds", "heartbeat_interval_seconds",
+             "heartbeat_misses", "max_rss_mb")
 
 
 class NodeRegistry:
@@ -152,21 +146,63 @@ class NodeRegistry:
         return dead
 
 
-class ClusterNode:
-    """One node-local executor: leases work, runs it, reports fenced.
+class GrantStore:
+    """The store a node's executor claims its dispatcher's grants from.
 
-    The node half of the cluster protocol.  It registers with the
-    dispatcher, heartbeats on a wall-clock cadence (which keeps every
-    lease it holds renewed, dispatcher-side), requests work when it has
-    idle worker slots, runs each granted point in a
-    :class:`~repro.coyote.parallel.PointPool` worker (the same one as
-    the single-node service), writes results into the shared
-    content-addressed cache, and reports completion with the grant's
-    fencing token echoed back.
+    ``claim`` pops the oldest grant; ``complete``, ``attempt`` and
+    ``release`` go to the dispatcher as ``complete``, ``failure`` and
+    ``release`` under the grant's fence, for its store to judge.  No
+    lease expires here: the dispatcher's does, unless a node heartbeat
+    lists the grant.
+    """
 
-    The node holds no durable state and takes no locks: killing it at
-    any instant loses nothing but its in-flight leases, which expire
-    and rebalance.
+    def __init__(self, send: Callable[[dict], None]):
+        self.send = send
+        self.grants: list[dict] = []
+        self.jobs: dict[str, dict] = {}   # the claimed grant, by its job
+        self.shutdown = False
+
+    def claim(self, *_lease_terms: Any, **_eligible: Any):
+        if not self.grants:
+            return None
+        grant = self.grants.pop(0)
+        self.jobs = {grant["job"]: grant}
+        # The grant is the point's record: index, settings, cache key,
+        # and the lease's fence.
+        return grant["job"], {**grant, "lease": grant, "attempts": ()}
+
+    def _write(self, kind: str, job_id: str, index: int, *, fence: int,
+               **fields: Any) -> None:
+        self.send({"type": kind, "job": job_id, "index": index,
+                   "fence": fence, **fields})
+
+    complete = partialmethod(_write, "complete")
+    attempt = partialmethod(_write, "failure")
+    release = partialmethod(_write, "release")
+
+    def expired_leases(self, now: float) -> list:
+        return []
+
+    def outstanding_points(self) -> int:
+        return len(self.grants)
+
+    active_leases = outstanding_points   # a queued grant is a held lease
+
+    def has_work(self) -> bool:
+        return not self.shutdown or bool(self.grants)
+
+
+class ClusterNode(CampaignExecutor):
+    """One node: the campaign executor over a :class:`GrantStore`.
+
+    It registers, heartbeats the grants it holds and requests work for
+    idle slots; the rest is the executor's loop.  A grant runs in a pool
+    worker held to the deadlines the grant carries, its dispatcher's; a
+    result is cached and reported, a reaped or dead worker reported as a
+    ``failure`` for the dispatcher to charge, and a spawn the host
+    refuses released, uncharged, while the node steps down the ladder.
+    It holds no durable state and takes no locks: killing it loses only
+    its in-flight leases, which expire and rebalance.
     """
 
     def __init__(self, root: str | Path, node_id: str | None = None,
@@ -177,20 +213,16 @@ class ClusterNode:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.root = Path(root)
-        self.node_id = node_id or new_node_id()
+        super().__init__(GrantStore(self._send),
+                         ResultCache(self.root / "cache"), slots=workers,
+                         mp_context=mp_context)
+        # Host- and pid-qualified, collision-resistant: the executor's id.
+        self.node_id = node_id or self.worker_id.replace(":", "-")
         self.transport = transport if transport is not None \
             else FilesystemTransport(self.root, self.node_id)
-        self.workers = workers
         self.heartbeat_seconds = heartbeat_seconds
-        self.cache = ResultCache(self.root / "cache")
         self._clock = clock
-        # In-flight workers (context: the grant).  No worker heartbeats:
-        # the node heartbeats for itself.
-        self.pool = PointPool(mp_context)
-        self._recipes: tuple = (None, None)   # (job id, its one recipe)
-        self._queued: list[dict] = []
         self._registered = False
-        self._shutdown = False
         self._last_beat = float("-inf")
         self._last_request = float("-inf")
 
@@ -200,37 +232,31 @@ class ClusterNode:
         message.setdefault("node", self.node_id)
         self.transport.send(DISPATCHER_ENDPOINT, message)
 
-    def _register(self) -> None:
-        self._send({"type": "register", "workers": self.workers})
-        self._registered = True
-
-    def _held_leases(self) -> list[list]:
-        """The (job, index) pairs this node knows it holds — queued or
-        running.  Heartbeats carry this list so the dispatcher renews
-        exactly these leases: a grant the transport dropped is *not*
-        in it, so its lease expires on schedule and rebalances instead
-        of being renewed forever by an oblivious node."""
-        held = [[grant["job"], grant["index"]]
-                for grant in self._queued]
-        held += [[worker.context["job"], worker.index]
-                 for worker in self.pool.workers]
-        return held
-
-    def _beat(self) -> None:
+    def _speak(self) -> None:
+        """Heartbeat the grants held, queued or running, and ask for work
+        for idle slots, each at most once a ``heartbeat_seconds``.  Only
+        the leases listed are renewed: a grant lost in transit expires
+        and rebalances, not renewed forever by an oblivious node."""
         now = self._clock()
+        held = [[grant["job"], grant["index"]] for grant in self.store.grants]
+        held += [[worker.context["job_id"], worker.index]
+                 for worker in self.pool.workers]
         if now - self._last_beat >= self.heartbeat_seconds:
             self._last_beat = now
-            self._send({"type": "heartbeat",
-                        "held": self._held_leases()})
-
-    def _request_work(self) -> None:
-        slots = self.workers - len(self.pool) - len(self._queued)
-        if slots <= 0 or self._shutdown:
-            return
-        now = self._clock()
-        if now - self._last_request >= self.heartbeat_seconds:
+            self._send({"type": "heartbeat", "held": held})
+        slots = max(self.slots, 1) - len(held)
+        if slots > 0 and not self.store.shutdown \
+                and now - self._last_request >= self.heartbeat_seconds:
             self._last_request = now
             self._send({"type": "request", "slots": slots})
+
+    def _record_failure(self, lease: dict, outcome: str,
+                        exit_code: int | None, tail: str,
+                        beats: list = ()) -> None:
+        """A death here is the dispatcher's to charge, by its policy."""
+        self._fenced(lease, self.store.attempt, outcome=outcome,
+                     exit_code=exit_code, stderr_tail=tail,
+                     heartbeats=[list(beat) for beat in beats])
 
     # -- inbound -----------------------------------------------------------
 
@@ -239,96 +265,50 @@ class ClusterNode:
         for message in self.transport.receive(self.node_id):
             kind = message.get("type")
             if kind == "grant":
-                if not self._shutdown:
-                    self._queued.append(message)
+                if not self.store.shutdown:
+                    self._hold_to(message["deadlines"])
+                    self.store.grants.append(message)
                     progressed = True
                 # A grant after shutdown is ignored; its lease expires
                 # and the point rebalances.
             elif kind == "shutdown":
-                self._shutdown = True
+                self.store.shutdown = True
                 progressed = True
         return progressed
 
-    # -- execution ---------------------------------------------------------
-
-    def _fill_slots(self) -> bool:
-        progressed = False
-        while self._queued and len(self.pool) < self.workers:
-            grant = self._queued.pop(0)
-            if self._recipes[0] != grant["job"]:
-                self._recipes = (grant["job"], spec_recipe(grant["spec"]))
-            recipe = self._recipes[1]
-            try:
-                self.pool.spawn(grant["index"], grant["settings"],
-                                *recipe, context=grant)
-            except OSError:
-                # Fork pressure: run the point in-process instead of
-                # silently dropping the grant on the floor.
-                self._report(grant, run_point(grant["settings"], *recipe))
-            progressed = True
-        return progressed
-
-    def _report(self, grant: dict, point: SweepPoint) -> None:
-        self._send({"type": "complete", "job": grant["job"],
-                    "index": grant["index"], "fence": grant["fence"],
-                    **completion_record(self.cache,
-                                        grant.get("cache_key"), point)})
-
-    def _pump(self) -> bool:
-        progressed = False
-        for kind, worker, *payload in self.pool.poll(_POLL_SECONDS):
-            grant = worker.context
-            if kind == "result":
-                self._report(grant, payload[0])
-            else:   # "died" — this pool's worker heartbeats are off
-                exit_code, tail = payload
-                self._send({"type": "failure", "job": grant["job"],
-                            "index": grant["index"],
-                            "fence": grant["fence"],
-                            "outcome": "crash", "exit_code": exit_code,
-                            "stderr_tail": tail})
-            progressed = True
-        return progressed
+    def _hold_to(self, deadlines: dict) -> None:
+        """Take on the deadlines a grant carries, its dispatcher's."""
+        policy = replace(self.policy, **deadlines)
+        if policy != self.policy:
+            self.policy = policy
+            self.pool.retire()   # idle workers beat at the old cadence
+            self.pool.heartbeat_seconds = policy.heartbeat_interval_seconds
 
     # -- the node loop -----------------------------------------------------
 
     def step(self) -> bool:
-        """One protocol turn; returns True when anything progressed.
+        """One protocol turn around the executor's; returns True when
+        anything progressed.
 
         Exposed so deterministic tests can interleave dispatcher and
         node turns explicitly instead of racing threads.
         """
         if not self._registered:
-            self._register()
-        self._beat()
+            self._send({"type": "register", "workers": self.slots})
+            self._registered = True
         progressed = self._drain_mailbox()
-        progressed |= self._fill_slots()
-        progressed |= self._pump()
-        self._request_work()
+        progressed |= super().step()
+        self._speak()
         return progressed
 
-    @property
-    def idle(self) -> bool:
-        return not self.pool and not self._queued
-
     def run(self, *, max_seconds: float | None = None,
-            stop: Callable[[], bool] | None = None) -> None:
-        """Serve until the dispatcher says shutdown (or ``stop``)."""
-        deadline = (time.monotonic() + max_seconds
-                    if max_seconds is not None else None)
+            stop: Callable[[], bool] | None = None) -> int:
+        """Serve until the dispatcher says shutdown (or ``stop``); a
+        worker still running then is stopped and its grant released."""
         try:
-            while True:
-                if stop is not None and stop():
-                    break
-                if deadline is not None and time.monotonic() > deadline:
-                    break
-                progressed = self.step()
-                if self._shutdown and self.idle:
-                    break
-                if not progressed and not self.pool:
-                    time.sleep(_POLL_SECONDS)
+            return super().run(max_seconds=max_seconds, stop=stop)
         finally:
-            self.pool.close()
+            self._drain()
             self.transport.close()
 
 
@@ -427,32 +407,30 @@ class ClusterDispatcher(CampaignService):
             if not self._grant(node):
                 break
 
-    def _written_lease(self, message: dict) -> dict | None:
-        """The lease a node's write names, under whatever fence it sent
-        (the store's check judges it); ``None`` for an unknown point."""
+    def _node_write(self, message: dict) -> None:
+        """A node's ``complete``, ``failure`` or ``release``, applied by
+        the executor's own path under whatever fence it sent (the store's
+        check judges it).  A write naming no known point is dropped."""
         job_id, index = message["job"], int(message["index"])
-        points = self.store.jobs.get(job_id, {}).get("points", ())
-        if not 0 <= index < len(points):
-            return None
-        return {"job_id": job_id, "index": index,
-                "fence": message.get("fence")}
-
-    def _on_complete(self, message: dict) -> None:
-        lease = self._written_lease(message)
-        if lease is None:
+        if not 0 <= index < len(
+                self.store.jobs.get(job_id, {}).get("points", ())):
             return
-        settled = self._settle(lease, message)
-        self._grant_settled(str(message.get("node", "?")), lease,
-                            "complete" if settled else "stale")
-
-    def _on_failure(self, message: dict) -> None:
-        lease = self._written_lease(message)
-        if lease is None:
-            return
-        outcome = str(message.get("outcome", "crash"))
+        lease = {"job_id": job_id, "index": index,
+                 "fence": message.get("fence")}
+        kind = message["type"]
+        if kind == "complete":
+            outcome = "complete" if self._settle(lease, message) else "stale"
+        elif kind == "release":   # the node could not start it: uncharged
+            outcome = "released"
+            self._release(lease)
+        else:
+            outcome = str(message.get("outcome", "crash"))
+            self._record_failure(lease, outcome, message.get("exit_code"),
+                                 str(message.get("stderr_tail", "")),
+                                 message.get("heartbeats") or ())
         self._grant_settled(str(message.get("node", "?")), lease, outcome)
-        self._record_failure(lease, outcome, message.get("exit_code"),
-                             str(message.get("stderr_tail", "")))
+
+    _on_complete = _on_failure = _on_release = _node_write
 
     def _grant(self, node: str) -> bool:
         lease = self._claim_next(node)
@@ -468,7 +446,8 @@ class ClusterDispatcher(CampaignService):
             "settings": lease["settings"], "spec": lease["spec"],
             "fence": lease["fence"],
             "cache_key": lease["cache_key"],
-            "lease_seconds": self.lease_seconds})
+            "deadlines": {name: getattr(self.policy, name)
+                          for name in DEADLINES}})
         self.monitor.count("grants")
         self.monitor.span_open((node, lease["job_id"], lease["index"]))
         return True
@@ -537,18 +516,13 @@ class ClusterDispatcher(CampaignService):
                 self.workers, from_workers=len(self.registry.nodes))
         return super().step() | progressed
 
-    def shutdown_nodes(self) -> None:
-        """Tell every node (alive or not) to finish and exit."""
-        for node in list(self.registry.nodes):
-            try:
-                self.transport.send(node, {"type": "shutdown",
-                                           "src": DISPATCHER_ENDPOINT})
-            except ServiceError:
-                continue
-
     def close(self) -> None:
+        """Tell every node, alive or not, to finish and exit; close."""
         if self._opened:
-            self.shutdown_nodes()
+            for node in list(self.registry.nodes):
+                with contextlib.suppress(ServiceError):
+                    self.transport.send(node, {"type": "shutdown",
+                                               "src": DISPATCHER_ENDPOINT})
             self.transport.close()
         super().close()
 

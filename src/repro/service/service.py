@@ -5,7 +5,8 @@ claim, cache hit or pool worker or in-process, settle, retry or
 quarantine — and a tier is what it hands that loop (its docstring, and
 docs/RESILIENCE.md "How a sweep point is executed"): ``Sweep.run`` a
 store whose journal has no file, :class:`CampaignService` a root
-directory, the cluster dispatcher that plus transport grants.
+directory, the cluster dispatcher that plus transport grants, and a
+cluster node a store of the grants it was sent.
 
 :class:`CampaignService` turns ``repro.api.sweep()`` from a library
 call into a crash-consistent job system rooted in one directory::
@@ -124,8 +125,8 @@ __all__ = [
 # Parent-side wait granularity for worker pipes.
 _POLL_SECONDS = 0.05
 
-# The retry policy of a service nobody handed one (``coyote-sim serve
-# --max-retries N`` changes only its ``max_attempts``).
+# The retry policy of a service or dispatcher nobody handed a policy
+# (``coyote-sim serve --max-retries N`` changes only its ``max_attempts``).
 SERVICE_RETRY = RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=5.0)
 
 # Bound on the per-job kernel digests a long-lived executor keeps.
@@ -346,9 +347,8 @@ class CampaignExecutor:
     * ``retry`` — what a death costs: a :class:`RetryPolicy`, or
       ``None`` for no supervision, where a dead worker is final and
       recorded as a :class:`WorkerCrash`;
-    * ``policy`` — the deadlines local workers are held to, the
-      backoff seed, the teardown grace and the ladder's
-      ``degrade_after``;
+    * ``policy`` — the deadlines its workers are held to, the backoff
+      seed, the teardown grace and the ladder's ``degrade_after``;
     * ``lease_seconds`` / ``heartbeat_seconds`` — the lease term and
       the worker beat cadence that renews it.
     """
@@ -460,8 +460,9 @@ class CampaignExecutor:
         spec = self.store.jobs[job_id]["spec"]
         lease = {"job_id": job_id, "index": point["index"],
                  "settings": point["settings"], "spec": spec,
-                 "cache_key": self._cache_key(job_id, spec,
-                                              point["settings"]),
+                 # Only a node's grant comes with its key.
+                 "cache_key": point["cache_key"] or self._cache_key(
+                     job_id, spec, point["settings"]),
                  "fence": point["lease"]["fence"],
                  "attempt": len(point["attempts"]) + 1, "settled": False}
         self.monitor.count("claims")
@@ -533,10 +534,12 @@ class CampaignExecutor:
         heartbeat alike: renew once a third of the term has passed, read
         off the store record's ``expires`` on the lease clock — one late
         beat never expires a healthy holder, and the journal is not
-        flooded.  An infinite term (an in-process sweep) never renews."""
-        held = self.store.jobs[lease["job_id"]]["points"][lease["index"]]
+        flooded.  An infinite term (a sweep, a cluster node) never renews."""
         now, term = self._now(), self.lease_seconds
-        if term == float("inf") or held["lease"] is not None \
+        if term == float("inf"):
+            return
+        held = self.store.jobs[lease["job_id"]]["points"][lease["index"]]
+        if held["lease"] is not None \
                 and held["lease"]["expires"] - now > term * 2 / 3:
             return   # less than a third of the term has passed
         self._fenced(lease, self.store.renew, now, term)
@@ -644,7 +647,7 @@ class CampaignExecutor:
     # -- deaths: deadlines, expiry, the one failure path ---------------------
 
     def _overdue(self, worker, now: float) -> str | None:
-        """The one deadline check a local worker is held to: its
+        """The one deadline check every tier's workers are held to: its
         wall-clock budget, its heartbeat silence, its RSS ceiling."""
         policy = self.policy
         if (policy.point_timeout_seconds is not None
@@ -844,13 +847,14 @@ class CampaignService(CampaignExecutor):
     Use as a context manager (or call :meth:`open`/:meth:`close`):
     opening acquires the journal lock, replays the journal, recovers
     provably-dead leases, and ingests any spooled submissions.
+    ``policy`` (default: :data:`SERVICE_RETRY`, no deadline) charges
+    every death and holds the workers — a dispatcher's nodes' too.
     """
 
     def __init__(self, root: str | Path, *, workers: int = 1,
                  max_queue: int = 4096, lease_seconds: float = 30.0,
-                 retry: RetryPolicy | None = None, seed: int = 0,
+                 policy: SupervisorPolicy | None = None,
                  heartbeat_seconds: float = 0.2,
-                 term_grace_seconds: float = 2.0,
                  compact_every: int = 512, fsync: bool = False,
                  monitor: CampaignMetrics | None = None,
                  mp_context: str | None = None):
@@ -859,17 +863,17 @@ class CampaignService(CampaignExecutor):
         self.root = Path(root)
         self.workers = workers
         journal = Journal(self.root / "journal.jsonl", fsync=fsync)
-        policy = SupervisorPolicy(
-            retry=retry if retry is not None else SERVICE_RETRY,
-            seed=seed, term_grace_seconds=term_grace_seconds)
+        policy = policy if policy is not None \
+            else SupervisorPolicy(retry=SERVICE_RETRY)
         super().__init__(
             JobStore(journal, max_queue=max_queue,
                      compact_every=compact_every),
             ResultCache(self.root / "cache"), slots=workers,
             retry=policy.retry, policy=policy,
             lease_seconds=lease_seconds,
-            heartbeat_seconds=heartbeat_seconds, monitor=monitor,
-            mp_context=mp_context)
+            heartbeat_seconds=(policy.heartbeat_interval_seconds
+                               or heartbeat_seconds),
+            monitor=monitor, mp_context=mp_context)
         self._lock = PathLock(self.root / "journal.jsonl")
         self._opened = False
 

@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro import api
-from repro.resilience.supervisor import RetryPolicy
+from repro.resilience.supervisor import RetryPolicy, SupervisorPolicy
 from repro.service.cluster import (
     ClusterDispatcher,
     ClusterNode,
@@ -47,8 +47,9 @@ AXES = {"noc.latency": [2, 6]}
 METRICS = ("cycles", "instructions", "l1d_miss_rate")
 
 
-def fast_retry():
-    return RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
+def fast_policy():
+    return SupervisorPolicy(
+        retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0))
 
 
 def serial_reference(axes=None):
@@ -70,7 +71,7 @@ class FakeClock:
 def make_cluster(root, n_nodes=2, clock=None, node_kwargs=None,
                  **kwargs):
     kwargs.setdefault("transport", InProcessTransport())
-    kwargs.setdefault("retry", fast_retry())
+    kwargs.setdefault("policy", fast_policy())
     if clock is not None:
         kwargs["clock"] = clock
     dispatcher = ClusterDispatcher(root, **kwargs)
@@ -488,8 +489,8 @@ class TestCrossProcessChaos:
                           env.get("PYTHONPATH", "")]))
         dispatcher = ClusterDispatcher(
             root, lease_seconds=1.0, node_deadline_seconds=1.0,
-            retry=RetryPolicy(max_attempts=5, base_delay=0.0,
-                              max_delay=0.0))
+            policy=SupervisorPolicy(retry=RetryPolicy(
+                max_attempts=5, base_delay=0.0, max_delay=0.0)))
         children = {}
         try:
             with dispatcher:

@@ -1,8 +1,9 @@
 """CLI surface of the cluster tier and the jobs listing filters.
 
 These pin the operator-facing contract: `coyote-sim cluster` flag
-defaults (fencing on unless explicitly disabled), configuration errors
-exiting with the config code before any journal is touched, and the
+defaults (fencing on unless explicitly disabled), the supervision flags
+`sweep`, `serve` and `cluster` share, configuration errors exiting with
+the config code before any journal is touched, and the
 `jobs list --json/--status` machine-readable listing.
 """
 
@@ -16,11 +17,13 @@ from repro.coyote.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     build_cluster_parser,
+    campaign,
     cluster_main,
     jobs_main,
     main,
 )
-from repro.service.transport import ServiceFaultPlan
+from repro.service.cluster import ClusterDispatcher, ClusterNode
+from repro.service.transport import InProcessTransport, ServiceFaultPlan
 
 EXAMPLE_PLAN = Path(__file__).resolve().parents[2] \
     / "examples" / "service_fault_plan.json"
@@ -67,6 +70,73 @@ class TestClusterParser:
                              "--log-level", "warning"])
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestSupervisionFlags:
+    """One supervision group, three commands: each command's defaults
+    stand, and each flag given reaches the executor that runs points."""
+
+    COMMANDS = {"sweep": ["--axes", "noc.latency=2,6"],
+                "serve": ["--root", "unused"],
+                "cluster": ["--root", "unused"]}
+
+    def executor(self, command, root, *flags):
+        """The executor the command would run its points under."""
+        parser = getattr(campaign, f"build_{command}_parser")()
+        args = parser.parse_args([*self.COMMANDS[command], *flags])
+        if command == "sweep":
+            return api.ParallelSweep(
+                campaign.sweep_from_args(args), workers=2,
+                policy=campaign.policy_from_args(args)).executor
+        tier = api.CampaignService if command == "serve" \
+            else ClusterDispatcher
+        extra = {} if command == "serve" \
+            else {"transport": InProcessTransport()}
+        return tier(root, **campaign._service_arguments(args), **extra)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_defaults_stand(self, command, tmp_path):
+        executor = self.executor(command, tmp_path)
+        assert executor.policy.point_timeout_seconds is None
+        if command == "sweep":
+            # Unsupervised: a death is final, a WorkerCrash.
+            assert executor.retry is None
+            assert not executor.policy.supervised
+        else:
+            assert executor.retry == api.RetryPolicy(
+                max_attempts=3, base_delay=0.1, max_delay=5.0)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_max_retries_counts_attempts(self, command, tmp_path):
+        executor = self.executor(command, tmp_path, "--max-retries", "4")
+        assert executor.retry.max_attempts == 5
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_point_timeout_reaches_the_policy(self, command, tmp_path):
+        executor = self.executor(command, tmp_path, "--point-timeout",
+                                 "0.3", "--max-rss-mb", "512")
+        assert executor.policy.point_timeout_seconds == 0.3
+        assert executor.policy.max_rss_mb == 512.0
+
+    def test_point_timeout_reaches_the_grant_a_node_takes(self, tmp_path):
+        dispatcher = self.executor("cluster", tmp_path, "--point-timeout",
+                                   "0.3", "--heartbeat-interval", "0.1")
+        node = ClusterNode(tmp_path, "n0", transport=dispatcher.transport)
+        with dispatcher:
+            dispatcher.submit("vector-axpy", {"noc.latency": [2]}, cores=2,
+                              size=64)
+            for kind, fields in (("register", {"workers": 1}),
+                                 ("request", {"slots": 1})):
+                dispatcher.transport.send(
+                    "dispatcher", {"type": kind, "node": "n0", **fields})
+            dispatcher.step()
+            node._drain_mailbox()
+            grant, = node.store.grants
+            assert grant["deadlines"]["point_timeout_seconds"] == 0.3
+            assert node.policy.point_timeout_seconds == 0.3
+            assert node.policy.heartbeat_interval_seconds == 0.1
+            assert node.pool.heartbeat_seconds == 0.1
+            assert node.retry is None   # the dispatcher charges deaths
 
 
 class TestJobsList:

@@ -167,8 +167,8 @@ class ClusterMachine(RuleBasedStateMachine):
         return ModelDispatcher(
             self.root, self.transport, clock=self.clock,
             lease_seconds=LEASE, compact_every=0,
-            retry=RetryPolicy(max_attempts=10 ** 6, base_delay=0.0,
-                              max_delay=0.0)).open()
+            policy=api.SupervisorPolicy(retry=RetryPolicy(
+                max_attempts=10 ** 6, base_delay=0.0, max_delay=0.0))).open()
 
     def teardown(self):
         try:

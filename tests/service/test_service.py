@@ -18,7 +18,7 @@ import pytest
 from repro import api
 from repro.coyote.sweep import SweepPoint
 from repro.resilience.locking import CampaignLockError, PathLock
-from repro.resilience.supervisor import RetryPolicy
+from repro.resilience.supervisor import RetryPolicy, SupervisorPolicy
 from repro.service.service import CampaignService, spool_submission
 from repro.service.store import QueueFullError, ServiceError
 
@@ -225,9 +225,9 @@ class TestFailureHandling:
     def test_crashed_worker_is_retried_then_completes(self, root):
         killed = []
         with make_service(
-                root, workers=1, seed=7,
-                retry=RetryPolicy(max_attempts=3, base_delay=0.01,
-                                  max_delay=0.05)) as service:
+                root, workers=1, policy=SupervisorPolicy(
+                    seed=7, retry=RetryPolicy(max_attempts=3, base_delay=0.01,
+                                              max_delay=0.05))) as service:
             def chaos(running):
                 if not killed:
                     killed.append(running.index)
@@ -243,9 +243,9 @@ class TestFailureHandling:
 
     def test_poison_point_is_quarantined(self, root):
         with make_service(
-                root, workers=1, seed=7,
-                retry=RetryPolicy(max_attempts=2, base_delay=0.01,
-                                  max_delay=0.05)) as service:
+                root, workers=1, policy=SupervisorPolicy(
+                    seed=7, retry=RetryPolicy(max_attempts=2, base_delay=0.01,
+                                              max_delay=0.05))) as service:
             def chaos(running):
                 if running.settings["noc.latency"] == 6:
                     os.kill(running.process.pid, signal.SIGKILL)
@@ -269,9 +269,10 @@ class TestFailureHandling:
         wedged = []
         with make_service(
                 root, workers=1, lease_seconds=0.5,
-                term_grace_seconds=0.1, seed=7,
-                retry=RetryPolicy(max_attempts=3, base_delay=0.01,
-                                  max_delay=0.05)) as service:
+                policy=SupervisorPolicy(
+                    term_grace_seconds=0.1, seed=7,
+                    retry=RetryPolicy(max_attempts=3, base_delay=0.01,
+                                      max_delay=0.05))) as service:
             def chaos(running):
                 if not wedged:
                     wedged.append(running.index)
