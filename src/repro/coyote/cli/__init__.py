@@ -112,7 +112,6 @@ SHARED_FLAGS = {
                         help="logging verbosity"),
     "--progress": dict(action="store_true"),
     "--workers": dict(type=int, metavar="N", default=1),
-    "--max-retries": dict(type=int, metavar="N"),
     "--root": dict(metavar="DIR", required=True),
 }
 
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--resume", metavar="PATH",
         help="resume a checkpoint written by --pause-at (kernel and config "
-             "flags are taken from the checkpoint)")
+             "come from the checkpoint; flags setting them are refused)")
     return parser
 
 
@@ -345,9 +344,15 @@ def run_main(argv: list[str]) -> int:
                      f"got {args.sample_interval}")
     if (args.pause_at is None) != (args.checkpoint_out is None):
         parser.error("--pause-at and --checkpoint-out go together")
-    if args.resume is not None and args.config is not None:
-        parser.error("--resume restores the checkpointed configuration; "
-                     "--config cannot apply")
+    if args.resume is not None:
+        ignored = [flag for flag, value in (
+            ("--config", args.config), ("--cores", args.cores),
+            ("--inject", args.inject)) if value is not None]
+        ignored += [flag for flag, (path, _help) in CONFIG_FLAGS.items()
+                    if path in overrides]
+        if ignored:
+            parser.error("--resume restores the checkpointed configuration; "
+                         f"{', '.join(ignored)} cannot apply")
     if args.config is not None and args.cores is not None:
         parser.error("--config sets the core count; --cores cannot apply")
     try:

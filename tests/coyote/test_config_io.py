@@ -1,6 +1,7 @@
 """Tests for configuration serialisation and the CLI config flags."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +73,49 @@ class TestCliConfigFlags:
         captured = capsys.readouterr()
         assert "--cores cannot apply" in captured.err
         assert "cores                :" not in captured.out
+
+
+FAULT_PLAN = str(Path(__file__).resolve().parents[2] / "examples"
+                 / "fault_plan.json")
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A paused run with every output on, so a resume may write each."""
+    directory = tmp_path_factory.mktemp("resume")
+    path = directory / "matmul.ckpt"
+    assert cli_main(["--kernel", "scalar-matmul", "--cores", "2", "--size",
+                     "6", "--metrics-out", str(directory / "m.json"),
+                     "--chrome-trace", str(directory / "t.json"),
+                     "--trace", str(directory / "t"), "--pause-at", "300",
+                     "--checkpoint-out", str(path)]) == 0
+    return path
+
+
+class TestResumeRefusesWhatItWouldIgnore:
+    """A checkpoint carries its configuration: a flag that would set it
+    beside ``--resume`` is exit 2 before anything runs, not silently
+    ignored.  The output flags stay allowed."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--cores", "4"], ["--mem-latency", "400"], ["--no-translate"],
+        ["--noc-topology", "mesh"], ["--inject", FAULT_PLAN]],
+        ids=lambda flags: flags[0])
+    def test_a_config_flag_beside_resume_is_refused(self, checkpoint,
+                                                    flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--resume", str(checkpoint), *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{flags[0]} cannot apply" in captured.err
+        assert captured.out == ""
+
+    def test_output_flags_beside_resume_run(self, checkpoint, tmp_path,
+                                            capsys):
+        metrics = tmp_path / "m.json"
+        assert cli_main(["--resume", str(checkpoint),
+                         "--metrics-out", str(metrics),
+                         "--chrome-trace", str(tmp_path / "t.json"),
+                         "--trace", str(tmp_path / "t")]) == 0
+        assert "output verified      : True" in capsys.readouterr().out
+        assert json.loads(metrics.read_text())["cycles"] > 300
