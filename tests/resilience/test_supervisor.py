@@ -376,9 +376,12 @@ class TestSigintDrain:
     AXES = "noc.latency=2,3,4,5,6,7,8,9"
 
     def command(self, campaign, out):
+        # Points of ~0.5 s each: after the first settles, the other seven
+        # keep two workers busy for ~2 s, so the interrupt, sent within a
+        # 50 ms poll of that settle, lands mid-sweep.
         return [
             sys.executable, "-m", "repro.coyote.cli", "sweep",
-            "--kernel", "scalar-matmul", "--cores", "2", "--size", "10",
+            "--kernel", "scalar-matmul", "--cores", "2", "--size", "56",
             "--axes", self.AXES, "--workers", "2", "--on-error", "skip",
             "--campaign", str(campaign), "--out", str(out)]
 
