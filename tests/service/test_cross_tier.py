@@ -194,3 +194,52 @@ def test_a_hung_worker_reads_the_same_on_every_tier(tmp_path, hung_worker):
         assert [(record.attempt, record.outcome)
                 for record in error.attempts] \
             == [(1, "timeout"), (2, "timeout")], tier
+
+
+# No supervision asked for: a death is final, whoever runs the point.
+UNSUPERVISED = api.SupervisorPolicy()
+# A ceiling every worker is over, and no heartbeat interval: the workers
+# beat only because the ceiling is read off their beats.
+RSS_POLICY = api.SupervisorPolicy(
+    max_rss_mb=1.0, degrade_after=0,
+    retry=api.RetryPolicy(max_attempts=2, base_delay=0.1, max_delay=5.0))
+
+
+def every_pooled_tier(tmp_path, policy):
+    return {
+        "pool": sweep(workers=2, policy=policy),
+        "service": through_a_policed_service(tmp_path / "service", policy),
+        "cluster": through_a_cluster(tmp_path / "cluster", policy=policy),
+    }
+
+
+def test_an_unsupervised_death_is_a_crash_on_every_tier(tmp_path,
+                                                        doomed_worker):
+    """A policy that supervises nothing makes a death final and a
+    :class:`WorkerCrash` on a service and a dispatcher too, not a
+    one-attempt quarantine."""
+    tables = every_pooled_tier(tmp_path, UNSUPERVISED)
+    reference = tables["pool"].to_dict(METRICS)
+    assert reference["points"][1]["settings"] == DOOMED
+    for tier, table in tables.items():
+        assert table.to_dict(METRICS) == reference, tier
+        assert table.degradations == [], tier
+        crash = table.points[1].error
+        assert isinstance(crash, api.WorkerCrash), tier
+        assert not isinstance(crash, api.QuarantinedPoint), tier
+        assert crash.exit_code == -signal.SIGKILL, tier
+
+
+def test_an_rss_ceiling_is_read_on_every_tier(tmp_path):
+    """With no heartbeat interval the workers still beat where a ceiling
+    is set, so every tier reaps every point at its first beat."""
+    tables = every_pooled_tier(tmp_path, RSS_POLICY)
+    reference = tables["pool"].to_dict(METRICS)
+    for tier, table in tables.items():
+        assert table.to_dict(METRICS) == reference, tier
+        assert table.degradations == [], tier
+        for point in table.points:
+            assert isinstance(point.error, api.QuarantinedPoint), tier
+            assert [(record.attempt, record.outcome)
+                    for record in point.error.attempts] \
+                == [(1, "rss-exceeded"), (2, "rss-exceeded")], tier
