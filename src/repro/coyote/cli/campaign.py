@@ -19,7 +19,7 @@ from repro import api, kernels
 from repro.coyote import cli
 from repro.coyote.cli import derived_flag, shared_flag
 from repro.coyote.sweep import check_metric
-from repro.service.service import SERVICE_RETRY, readonly_store
+from repro.service.service import SERVICE_POLICY, readonly_store
 
 
 def campaign_flags(parser, verb: str) -> None:
@@ -145,7 +145,8 @@ def supervision_flags(parser):
     group.add_argument(
         "--max-retries", type=int, metavar="N", help="re-run a crashed, "
         "reaped, expired or lost point up to N times (seeded exponential "
-        "backoff), then quarantine it")
+        "backoff), then quarantine it; 0 with no deadline supervises "
+        "nothing: a death is then a WorkerCrash on every command")
     group.add_argument(
         "--max-rss-mb", type=float, metavar="MB",
         help="per-worker RSS ceiling; a worker reporting more is reaped")
@@ -357,8 +358,8 @@ def _service_arguments(args: argparse.Namespace) -> dict:
     """The constructor arguments the service flags set (workers aside:
     the two tiers name it differently)."""
     return dict(max_queue=args.max_queue, lease_seconds=args.lease_seconds,
-                policy=policy_from_args(args, api.SupervisorPolicy(
-                    retry=SERVICE_RETRY, seed=args.seed)),
+                policy=policy_from_args(args, replace(SERVICE_POLICY,
+                                                      seed=args.seed)),
                 fsync=args.fsync)
 
 

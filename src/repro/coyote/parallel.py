@@ -540,18 +540,14 @@ class ParallelSweep:
         self.progress = progress
         self.campaign_path = campaign_path
         self.policy = policy if policy is not None else SupervisorPolicy()
-        supervised = self.policy.supervised
         self.executor = CampaignExecutor(
             JobStore(Journal(), max_queue=sys.maxsize, compact_every=0),
             (CampaignDirectory(campaign_path)
              if campaign_path is not None else None),
             # workers=1 without supervision needs no isolation: it
             # starts where the degradation ladder ends.
-            slots=workers if workers > 1 or supervised else 0,
-            retry=self.policy.retry if supervised else None,
-            policy=self.policy,
-            heartbeat_seconds=self.policy.heartbeat_interval_seconds,
-            recipe_for=operator.itemgetter("recipe"),
+            slots=workers if workers > 1 or self.policy.supervised else 0,
+            policy=self.policy, recipe_for=operator.itemgetter("recipe"),
             mp_context=mp_context)
         self.pool = self.executor.pool
         self.monitor = self.executor.monitor

@@ -82,9 +82,9 @@ __all__ = [
 DISPATCHER_ENDPOINT = "dispatcher"
 
 # The SupervisorPolicy fields a grant carries: what a node holds the
-# point's workers to.
+# point's workers to, and how many pool failures step it down the ladder.
 DEADLINES = ("point_timeout_seconds", "heartbeat_interval_seconds",
-             "heartbeat_misses", "max_rss_mb")
+             "heartbeat_misses", "max_rss_mb", "degrade_after")
 
 
 class NodeRegistry:
@@ -282,7 +282,7 @@ class ClusterNode(CampaignExecutor):
         if policy != self.policy:
             self.policy = policy
             self.pool.retire()   # idle workers beat at the old cadence
-            self.pool.heartbeat_seconds = policy.heartbeat_interval_seconds
+            self.pool.heartbeat_seconds = self._beat_seconds()
 
     # -- the node loop -----------------------------------------------------
 

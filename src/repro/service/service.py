@@ -42,10 +42,10 @@ Execution model — at-least-once, made safe by idempotence:
   key, and the job store ignores duplicate ``complete`` events.
 * **One failure path.**  A crashed, overdue, expired or node-lost
   attempt is charged in :meth:`CampaignExecutor._record_failure`
-  under the seeded :meth:`RetryPolicy.after_failure
+  under the policy's seeded :meth:`RetryPolicy.after_failure
   <repro.resilience.supervisor.RetryPolicy.after_failure>` rule:
-  retried with backoff, then quarantined as a
-  :class:`~repro.resilience.supervisor.QuarantinedPoint`.
+  retried with backoff, then quarantined as a :class:`QuarantinedPoint`
+  — or, under an unsupervised policy, a final :class:`WorkerCrash`.
 
 Cross-process shape: the serving process holds the journal lock; other
 processes submit by spooling JSON files into ``inbox/`` (atomic,
@@ -125,9 +125,10 @@ __all__ = [
 # Parent-side wait granularity for worker pipes.
 _POLL_SECONDS = 0.05
 
-# The retry policy of a service or dispatcher nobody handed a policy
-# (``coyote-sim serve --max-retries N`` changes only its ``max_attempts``).
-SERVICE_RETRY = RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=5.0)
+# The policy of a service or dispatcher nobody handed one (each
+# ``coyote-sim serve`` supervision flag replaces one of its fields).
+SERVICE_POLICY = SupervisorPolicy(
+    retry=RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=5.0))
 
 # Bound on the per-job kernel digests a long-lived executor keeps.
 _DIGESTS_MAX = 1024
@@ -344,21 +345,18 @@ class CampaignExecutor:
       executors;
     * ``recipe_for`` — how a job's spec becomes the ``run_point``
       arguments (a named-kernel JSON spec by default);
-    * ``retry`` — what a death costs: a :class:`RetryPolicy`, or
-      ``None`` for no supervision, where a dead worker is final and
-      recorded as a :class:`WorkerCrash`;
-    * ``policy`` — the deadlines its workers are held to, the backoff
-      seed, the teardown grace and the ladder's ``degrade_after``;
-    * ``lease_seconds`` / ``heartbeat_seconds`` — the lease term and
-      the worker beat cadence that renews it.
+    * ``policy`` — all of supervision: what a death costs (its
+      ``retry`` if :attr:`~SupervisorPolicy.supervised`, else a final
+      :class:`WorkerCrash`), the deadlines its workers are held to, the
+      backoff seed, the teardown grace and the ladder's ``degrade_after``;
+    * ``lease_seconds`` — the lease term (with the policy, it sets the
+      worker beat cadence: :meth:`_beat_seconds`).
     """
 
     def __init__(self, store: JobStore, cache: ResultCache | None = None,
                  *, slots: int | None = 1,
-                 retry: RetryPolicy | None = None,
                  policy: SupervisorPolicy | None = None,
                  lease_seconds: float = float("inf"),
-                 heartbeat_seconds: float = 0.0,
                  recipe_for: Callable[[dict], tuple] = spec_recipe,
                  monitor: CampaignMetrics | None = None,
                  mp_context: str | None = None):
@@ -368,7 +366,6 @@ class CampaignExecutor:
         self.store = store
         self.cache = cache
         self.slots = slots
-        self.retry = retry
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.policy.validate()
         self.lease_seconds = lease_seconds
@@ -379,7 +376,7 @@ class CampaignExecutor:
         # In-flight workers; each worker's ``context`` is its lease (the
         # dict _claim_next returned).
         self.pool = PointPool(
-            mp_context, heartbeat_seconds=heartbeat_seconds,
+            mp_context, heartbeat_seconds=self._beat_seconds(),
             term_grace_seconds=self.policy.term_grace_seconds)
         # Test/tier seam: called with each point's SweepPoint as it
         # settles for good (progress lines, ``on_error="raise"``).
@@ -396,6 +393,17 @@ class CampaignExecutor:
     def _now(self) -> float:
         """Lease-clock wall time; subclasses may inject a test clock."""
         return time.time()
+
+    def _beat_seconds(self) -> float:
+        """The one worker beat cadence rule: the policy's heartbeat
+        interval if set; else, where a finite lease or an RSS ceiling reads
+        beats, every 0.2 s (at most a sixth of the term); else none."""
+        policy, term = self.policy, self.lease_seconds
+        if policy.heartbeat_interval_seconds:
+            return policy.heartbeat_interval_seconds
+        if term == float("inf") and policy.max_rss_mb is None:
+            return 0.0
+        return min(0.2, term / 6)
 
     # -- the loop ------------------------------------------------------------
 
@@ -433,7 +441,7 @@ class CampaignExecutor:
         self._reap_expired()
         progressed = self._fill_slots()
         progressed |= self._pump()
-        self._reap_overdue()
+        self._reap_overdue(*self.pool.workers)
         return progressed
 
     def _eligible(self, job_id: str, point: dict) -> bool:
@@ -617,11 +625,11 @@ class CampaignExecutor:
                 continue
             progressed = True
             if kind == "result":
+                if self._reap_overdue(worker):   # a late result is a death
+                    continue
                 point, = payload
                 self._attempt_ended(worker, "failed" if point.failed
                                     else "ok")
-                if self._overdue(worker, time.monotonic()):
-                    self.pool.reap(worker)   # not trusted with another
                 self._finish(lease, point)
             else:
                 self._worker_died(worker, "crash", *payload)
@@ -662,12 +670,12 @@ class CampaignExecutor:
             return "rss-exceeded"
         return None
 
-    def _reap_overdue(self) -> None:
+    def _reap_overdue(self, *workers) -> bool:
+        """Reap and charge each worker past a deadline; True if one was."""
         now = time.monotonic()
-        for worker in self.pool.workers:
-            verdict = self._overdue(worker, now)
-            if verdict is None:
-                continue
+        overdue = [(worker, verdict) for worker in workers
+                   if (verdict := self._overdue(worker, now))]
+        for worker, verdict in overdue:
             self.monitor.count(
                 "reaped", f"point {worker.settings}: worker reaped "
                           f"({verdict})")
@@ -678,6 +686,7 @@ class CampaignExecutor:
                 self._pool_failure(
                     f"worker RSS {worker.beats[-1][1]:.0f} MB over the "
                     f"{self.policy.max_rss_mb:.0f} MB ceiling")
+        return bool(overdue)
 
     def _worker_died(self, worker, outcome: str, exit_code: int | None,
                      tail: str) -> None:
@@ -715,12 +724,12 @@ class CampaignExecutor:
         record = self.store.jobs[job_id]["points"][index]
         settings = record["settings"]
         attempts = len(record["attempts"]) + 1
-        if self.retry is None:
+        if not self.policy.supervised:
             action, payload = "crash", (
                 f"sweep worker for point {settings} died without "
                 f"reporting a result (exit code {exit_code})")
         else:
-            action, payload = self.retry.after_failure(
+            action, payload = self.policy.retry.after_failure(
                 attempts, f"sweep point {settings}", outcome, exit_code,
                 seed=self.policy.seed, index=index)
         final = action != "retry"
@@ -847,14 +856,13 @@ class CampaignService(CampaignExecutor):
     Use as a context manager (or call :meth:`open`/:meth:`close`):
     opening acquires the journal lock, replays the journal, recovers
     provably-dead leases, and ingests any spooled submissions.
-    ``policy`` (default: :data:`SERVICE_RETRY`, no deadline) charges
-    every death and holds the workers — a dispatcher's nodes' too.
+    ``policy`` (default :data:`SERVICE_POLICY`) charges every death and
+    holds the workers — a dispatcher's nodes' too.
     """
 
     def __init__(self, root: str | Path, *, workers: int = 1,
                  max_queue: int = 4096, lease_seconds: float = 30.0,
-                 policy: SupervisorPolicy | None = None,
-                 heartbeat_seconds: float = 0.2,
+                 policy: SupervisorPolicy = SERVICE_POLICY,
                  compact_every: int = 512, fsync: bool = False,
                  monitor: CampaignMetrics | None = None,
                  mp_context: str | None = None):
@@ -862,18 +870,12 @@ class CampaignService(CampaignExecutor):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.root = Path(root)
         self.workers = workers
-        journal = Journal(self.root / "journal.jsonl", fsync=fsync)
-        policy = policy if policy is not None \
-            else SupervisorPolicy(retry=SERVICE_RETRY)
         super().__init__(
-            JobStore(journal, max_queue=max_queue,
-                     compact_every=compact_every),
-            ResultCache(self.root / "cache"), slots=workers,
-            retry=policy.retry, policy=policy,
-            lease_seconds=lease_seconds,
-            heartbeat_seconds=(policy.heartbeat_interval_seconds
-                               or heartbeat_seconds),
-            monitor=monitor, mp_context=mp_context)
+            JobStore(Journal(self.root / "journal.jsonl", fsync=fsync),
+                     max_queue=max_queue, compact_every=compact_every),
+            ResultCache(self.root / "cache"), slots=workers, policy=policy,
+            lease_seconds=lease_seconds, monitor=monitor,
+            mp_context=mp_context)
         self._lock = PathLock(self.root / "journal.jsonl")
         self._opened = False
 

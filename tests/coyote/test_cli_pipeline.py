@@ -103,7 +103,8 @@ class TestServiceRetryPolicy:
     def test_default_is_the_services_own(self, command, served, tmp_path):
         assert cli.main(command + ["--root", str(tmp_path / "root"),
                                    "--log-level", "error"]) == cli.EXIT_OK
-        assert served[0].retry == CampaignService(tmp_path / "other").retry
+        assert served[0].policy.retry \
+            == CampaignService(tmp_path / "other").policy.retry
 
     @pytest.mark.parametrize("command", [["serve"],
                                          ["cluster", "--nodes", "0"]])
@@ -112,8 +113,8 @@ class TestServiceRetryPolicy:
         assert cli.main(command + ["--root", str(tmp_path / "root"),
                                    "--log-level", "error",
                                    "--max-retries", "5"]) == cli.EXIT_OK
-        assert served[0].retry == replace(
-            CampaignService(tmp_path / "other").retry, max_attempts=6)
+        assert served[0].policy.retry == replace(
+            CampaignService(tmp_path / "other").policy.retry, max_attempts=6)
 
 
 def test_a_plain_run_imports_no_campaign_code():

@@ -100,16 +100,16 @@ class TestSupervisionFlags:
         assert executor.policy.point_timeout_seconds is None
         if command == "sweep":
             # Unsupervised: a death is final, a WorkerCrash.
-            assert executor.retry is None
+            assert executor.policy.retry == api.RetryPolicy()
             assert not executor.policy.supervised
         else:
-            assert executor.retry == api.RetryPolicy(
+            assert executor.policy.retry == api.RetryPolicy(
                 max_attempts=3, base_delay=0.1, max_delay=5.0)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_max_retries_counts_attempts(self, command, tmp_path):
         executor = self.executor(command, tmp_path, "--max-retries", "4")
-        assert executor.retry.max_attempts == 5
+        assert executor.policy.retry.max_attempts == 5
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_point_timeout_reaches_the_policy(self, command, tmp_path):
@@ -136,7 +136,8 @@ class TestSupervisionFlags:
             assert node.policy.point_timeout_seconds == 0.3
             assert node.policy.heartbeat_interval_seconds == 0.1
             assert node.pool.heartbeat_seconds == 0.1
-            assert node.retry is None   # the dispatcher charges deaths
+            # The dispatcher charges deaths: no grant carries a retry.
+            assert node.policy.retry == api.RetryPolicy()
 
 
 class TestJobsList:

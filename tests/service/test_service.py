@@ -31,7 +31,6 @@ METRICS = ("cycles", "instructions", "l1d_miss_rate")
 
 def make_service(root, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("heartbeat_seconds", 0.05)
     return CampaignService(root, **kwargs)
 
 

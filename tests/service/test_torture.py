@@ -41,8 +41,7 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 CAPTURE_SCRIPT = """
 import os, sys
 from repro.service.service import CampaignService
-service = CampaignService(sys.argv[1], workers=2, compact_every=0,
-                          heartbeat_seconds=0.05)
+service = CampaignService(sys.argv[1], workers=2, compact_every=0)
 service.open()
 service.submit("{kernel}", {axes!r}, cores={cores}, size={size},
                job_id="{job}")
@@ -114,8 +113,7 @@ class TestJournalPrefixTorture:
             root = recovery_root(tmp_path / f"b{boundary}",
                                  captured_root, prefix)
             with CampaignService(root, workers=2, compact_every=0,
-                                 lease_seconds=5.0,
-                                 heartbeat_seconds=0.05) as service:
+                                 lease_seconds=5.0) as service:
                 # Idempotent resubmit covers prefixes that predate the
                 # original submit event.
                 service.submit(KERNEL, AXES, cores=CORES, size=SIZE,
