@@ -7,7 +7,7 @@ types are re-exported under their canonical names:
 
 >>> from repro.api import run, sweep
 >>> outcome = run("scalar-matmul", cores=4, size=8)
->>> outcome.verified and outcome.results.succeeded()
+>>> outcome.succeeded
 True
 >>> table = sweep("scalar-matmul", cores=4, size=8,
 ...               axes={"l2_mode": ["shared", "private"]}, workers=2)
@@ -25,14 +25,13 @@ repro.tools.check_api``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Any
 
 from repro.coyote.config import ConfigBuilder, SimulationConfig
 from repro.coyote.errors import SimulationError
 from repro.coyote.parallel import ParallelSweep, RemoteError, WorkerCrash
-from repro.coyote.simulation import Simulation
+from repro.coyote.simulation import RunOutcome, Simulation, run_workload
 from repro.coyote.stats import CoreStats, SimulationResults
 from repro.coyote.sweep import (
     Sweep,
@@ -149,43 +148,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class RunOutcome:
-    """What :func:`run` and :func:`replay` hand back.
-
-    ``verified`` is ``None`` when no workload reference was available
-    to check against (a replayed checkpoint without kernel metadata).
-    """
-
-    results: SimulationResults
-    verified: bool | None
-    simulation: Simulation
-    workload: Any = None
-
-    @property
-    def succeeded(self) -> bool:
-        """Clean exits and (when checkable) a verified output."""
-        return bool(self.results.succeeded()
-                    and (self.verified is None or self.verified))
-
-    @property
-    def guest_profile(self) -> GuestProfile | None:
-        """The guest-side profile (``run(..., profile=True)``), or
-        ``None`` when profiling was off or the run paused."""
-        if self.results is None:
-            return None
-        return self.results.guest_profile
-
-
-def _resolve_workload(kernel, cores: int, size: int | None):
-    """A kernel name, a Workload object, or a zero-arg factory."""
-    if isinstance(kernel, str):
-        return instantiate(kernel, cores, size)
-    if callable(kernel) and not hasattr(kernel, "program"):
-        return kernel()
-    return kernel
-
-
 def run(kernel, cores: int = 8, *, size: int | None = None,
         config: SimulationConfig | None = None,
         pause_at: int | None = None, profile: bool = False,
@@ -194,11 +156,11 @@ def run(kernel, cores: int = 8, *, size: int | None = None,
 
     ``kernel`` is a name from :data:`repro.kernels.KERNELS`, a built
     workload object, or a zero-argument workload factory.  ``config``
-    supplies a full :class:`SimulationConfig`; otherwise one is built
-    as ``SimulationConfig.for_cores(cores, **overrides)``.  With
+    supplies a full :class:`SimulationConfig` (a named kernel is then
+    built for its ``num_cores``); otherwise one is built as
+    ``SimulationConfig.for_cores(cores, **overrides)``.  With
     ``pause_at`` the simulation stops at that cycle for checkpointing
-    (``outcome.results`` is ``None``-free only for completed runs, so
-    paused runs return ``verified=None`` and no results access).
+    (a paused outcome has ``results`` and ``verified`` ``None``).
     ``profile=True`` switches on the guest profiler; the finished
     :class:`GuestProfile` is ``outcome.guest_profile`` and the
     simulated outcome is bit-identical to an unprofiled run.
@@ -209,7 +171,6 @@ def run(kernel, cores: int = 8, *, size: int | None = None,
     two produce bit-identical simulated outcomes — the switch only
     trades host speed for debuggability.
     """
-    workload = _resolve_workload(kernel, cores, size)
     if config is None:
         config = SimulationConfig.for_cores(cores, **overrides)
     elif overrides:
@@ -220,14 +181,12 @@ def run(kernel, cores: int = 8, *, size: int | None = None,
         # Copy-on-enable: never mutate a caller-owned config.
         config = replace(config, telemetry=replace(
             config.telemetry, guest_profile=True))
-    simulation = Simulation(config, workload.program)
-    results = simulation.run(pause_at=pause_at)
-    if simulation.paused:
-        return RunOutcome(results=None, verified=None,
-                          simulation=simulation, workload=workload)
-    verified = workload.verify(simulation.memory)
-    return RunOutcome(results=results, verified=verified,
-                      simulation=simulation, workload=workload)
+    workload = kernel
+    if isinstance(kernel, str):
+        workload = instantiate(kernel, config.num_cores, size)
+    elif callable(kernel) and not hasattr(kernel, "program"):
+        workload = kernel()
+    return run_workload(config, workload, pause_at=pause_at)
 
 
 def sweep(kernel, cores: int = 8, *, axes: dict[str, list],
@@ -275,20 +234,13 @@ def replay(checkpoint: str | Path, *,
     against the rebuilt workload; otherwise ``verified`` is ``None``.
     """
     simulation, metadata = load_checkpoint(checkpoint)
-    results = simulation.run(pause_at=pause_at)
-    if simulation.paused:
-        return RunOutcome(results=None, verified=None,
-                          simulation=simulation)
     workload = None
-    verified = None
     if metadata.get("kernel") in KERNELS:
-        workload = instantiate(metadata["kernel"],
-                               metadata.get("cores",
-                                            results.num_cores),
-                               metadata.get("size"))
-        verified = workload.verify(simulation.memory)
-    return RunOutcome(results=results, verified=verified,
-                      simulation=simulation, workload=workload)
+        workload = instantiate(
+            metadata["kernel"],
+            metadata.get("cores", simulation.config.num_cores),
+            metadata.get("size"))
+    return run_workload(simulation, workload, pause_at=pause_at)
 
 
 # -- the durable campaign service (docs/RESILIENCE.md) ----------------------

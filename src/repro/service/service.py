@@ -685,7 +685,7 @@ class CampaignExecutor:
             if verdict == "rss-exceeded":
                 self._pool_failure(
                     f"worker RSS {worker.beats[-1][1]:.0f} MB over the "
-                    f"{self.policy.max_rss_mb:.0f} MB ceiling")
+                    f"{self.policy.max_rss_mb:.0f} MB ceiling", floor=1)
         return bool(overdue)
 
     def _worker_died(self, worker, outcome: str, exit_code: int | None,
@@ -761,14 +761,15 @@ class CampaignExecutor:
 
     # -- the degradation ladder ----------------------------------------------
 
-    def _pool_failure(self, reason: str) -> None:
-        """Register a pool-level failure (fork failure, RSS trip);
-        every ``policy.degrade_after``-th one steps the local pool
-        down ``N → N/2 → … → 1 → in-process``."""
+    def _pool_failure(self, reason: str, floor: int = 0) -> None:
+        """Register a pool-level failure; every ``policy.degrade_after``-th
+        one steps the local pool ``N → N/2 → …`` down to ``floor``: 1 on
+        an RSS trip (in-process reads no ceiling), 0 on a refused spawn."""
         self._pool_failures += 1
         after = self.policy.degrade_after
-        if after and self.slots and not self._pool_failures % after:
-            self._degrade(reason, self.slots // 2)
+        if after and (self.slots or 0) > floor \
+                and not self._pool_failures % after:
+            self._degrade(reason, max(self.slots // 2, floor))
 
     def _degrade(self, reason: str, to_workers: int,
                  from_workers: int | None = None) -> None:
