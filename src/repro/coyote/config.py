@@ -131,6 +131,7 @@ class SimulationConfig:
     def validate(self) -> None:
         """Raise ``ValueError`` for inconsistent settings."""
         self.memhier.validate()
+        self.l1.validate()
         self.telemetry.validate()
         self.resilience.validate()
         if self.vlen_bits % 64 or self.vlen_bits < 64:

@@ -25,9 +25,9 @@ a due-ring says who is due when, translated blocks let a core run ahead
 of the clock wherever nothing can observe the difference, and cycles in
 which the scheduler is silent and nobody is due are a clock assignment.
 
-``use_reference_loop = True`` selects the original straight-line
-per-cycle loop; the differential tests run both and assert bit-identical
-results, statistics and traces.
+The paper's straight-line per-cycle loop is kept as an executable spec
+in ``tests/coyote/loop_spec.py``; the differential tests run it beside
+this loop and assert bit-identical results, statistics and traces.
 """
 
 from __future__ import annotations
@@ -101,11 +101,11 @@ class Orchestrator:
         for hart in self.machine.harts:
             hart.cycle_source = cycle_source
         # Trace-compiled fast path: per-core translated-block caches,
-        # dispatched by _cycle_loop (never by the reference loop, which
-        # is what the differential tests compare against).  Each
-        # translator registers itself with the machine's
-        # CodeCacheRegistry for store invalidation and with its hart
-        # for drop_code_caches().
+        # dispatched by _cycle_loop (never by the loop spec in
+        # tests/coyote/loop_spec.py, which the differential tests
+        # compare against).  Each translator registers itself with the
+        # machine's CodeCacheRegistry for store invalidation and with
+        # its hart for drop_code_caches().
         self.translators = None
         if config.translate:
             self.translators = [BlockTranslator(core, self.machine)
@@ -131,9 +131,6 @@ class Orchestrator:
         self._raw_waiting: set[int] = set()
         # cycles spent with exactly N active cores.
         self._activity: dict[int, int] = {}
-        # Differential-testing escape hatch: run the original
-        # straight-line per-cycle loop instead of the optimised one.
-        self.use_reference_loop = False
         # Pause/resume bookkeeping (checkpoint support): wall time of
         # earlier segments, and whether the last ``run`` call stopped at
         # a pause point.
@@ -329,9 +326,7 @@ class Orchestrator:
         observers = (sampler, heartbeat, self.watchdog, self.invariants)
 
         self.paused = False
-        loop = self._cycle_loop_reference if self.use_reference_loop \
-            else self._cycle_loop
-        loop(observers, chrome, profiler, pause_at)
+        self._cycle_loop(observers, chrome, profiler, pause_at)
         if self.paused:
             self._wall_accum = self._wall()
             return None
@@ -389,10 +384,11 @@ class Orchestrator:
                     pause_at: int | None = None) -> None:
         """The optimised cycle loop.
 
-        Identical observable behaviour to :meth:`_cycle_loop_reference`
-        (the differential tests assert it).  One scheduling *kernel*
-        decides which cycles need any work and one per-core *visit* does
-        that work (docs/INTERNALS.md, "The hot loop & fast-forward").
+        Identical observable behaviour to the straight-line per-cycle
+        loop spec, ``tests/coyote/loop_spec.py`` (the differential tests
+        assert it).  One scheduling *kernel* decides which cycles need
+        any work and one per-core *visit* does that work
+        (docs/INTERNALS.md, "The hot loop & fast-forward").
 
         Kernel.  A 128-slot due-ring (``slot = cycle & 127``) holds every
         active core at the cycle it next has something to do: the cycle
@@ -406,16 +402,16 @@ class Orchestrator:
         ``advance_cycle()``; any other cycle is a bare clock bump, and a
         run of cycles in which nobody is due is one jump — bounded by
         the next event, ``pause_at``, the cycle budget and the next
-        observation (``due``), between which the reference loop would do
+        observation (``due``), between which the loop spec would do
         nothing but increment the clock.  A stretch stops ``MAX_BLOCK``
         cycles short of ``due``; inside that window every visit takes
         ``single`` and the stretch syncs at ``due - 1``, so no block has
         run past the cycle :meth:`_observe` shows.  With no core active
         a stretch jumps to the next event (or ``pause_at``) at once and
         fires it in the same pass, unseen by the budget and observers as
-        in the reference loop.  The ring is rebuilt from ``_resume_at``
-        on entry, fed by :meth:`_wake`, and settled back on every exit,
-        so ``_resume_at`` is what a checkpoint carries.
+        in the loop spec.  The ring is rebuilt from ``_resume_at`` on
+        entry, fed by :meth:`_wake`, and settled back on every exit, so
+        ``_resume_at`` is what a checkpoint carries.
 
         Visit.  RAW gate (only for a core with pending fills, which then
         gets a budget of one instruction), then a translated dispatch,
@@ -691,7 +687,7 @@ class Orchestrator:
                 elif next_event is not None:
                     # Nobody to visit: jump to the waking event and fire
                     # it in this pass, unseen by the budget check as in
-                    # the reference loop (a pause at or before it wins).
+                    # the loop spec (a pause at or before it wins).
                     sync = pause_at is None or next_event < pause_at
                     now = next_event if sync else pause_at
                 else:
@@ -726,133 +722,6 @@ class Orchestrator:
                     cycle = now + ((slot - now) & 127)
                     for core_id in bucket:
                         resume[core_id] = cycle
-
-    def _cycle_loop_reference(self, observers, chrome, profiler,
-                              pause_at: int | None = None) -> None:
-        """The original per-cycle loop, kept verbatim as the behavioural
-        reference for the differential tests.
-
-        It operates on ``_active_set`` with a fresh ``sorted()`` every
-        cycle (the optimised loop and the reference loop never run in
-        the same simulation).
-        """
-        config = self.config
-        scheduler = self.scheduler
-        cores = self.cores
-        states = self._states
-        scoreboard = self.scoreboard
-        active = self._active_set
-        remaining_cores = sum(1 for core in cores if not core.halted)
-        due = 0
-        clock = time.perf_counter
-
-        while remaining_cores:
-            if pause_at is not None \
-                    and scheduler.current_cycle >= pause_at:
-                self.paused = True
-                break
-            if scheduler.current_cycle >= config.max_cycles:
-                raise SimulationError(
-                    f"cycle budget exhausted ({config.max_cycles})",
-                    current_cycle=scheduler.current_cycle,
-                    max_cycles=config.max_cycles,
-                    pending_events=scheduler.pending_events)
-
-            if not active:
-                next_event = scheduler.next_event_cycle()
-                if next_event is None:
-                    stalled = [core.core_id for core in cores
-                               if not core.halted]
-                    raise deadlock_error(
-                        self,
-                        f"cores {stalled} stalled with no pending events")
-                if pause_at is not None and next_event >= pause_at:
-                    skipped = pause_at - scheduler.current_cycle
-                    self._activity[0] = \
-                        self._activity.get(0, 0) + skipped
-                    while scheduler.current_cycle < pause_at:
-                        scheduler.advance_cycle()
-                    self.paused = True
-                    break
-                skipped = next_event - scheduler.current_cycle + 1
-                self._activity[0] = self._activity.get(0, 0) + skipped
-                if profiler is not None:
-                    section_start = clock()
-                while scheduler.current_cycle < next_event:
-                    scheduler.advance_cycle()
-                scheduler.advance_cycle()
-                if profiler is not None:
-                    profiler.sparta_seconds += clock() - section_start
-                if scheduler.current_cycle >= due:
-                    due = self._observe(observers, scheduler.current_cycle)
-                continue
-
-            active_now = len(active)
-            self._activity[active_now] = \
-                self._activity.get(active_now, 0) + 1
-
-            if profiler is not None:
-                section_start = clock()
-            for core_id in sorted(active):
-                core = cores[core_id]
-                state = states[core_id]
-
-                try:
-                    registers = core.peek_registers()
-                except Trap as exc:
-                    raise SimulationError(
-                        f"core {core_id}: {exc}",
-                        current_cycle=scheduler.current_cycle) from exc
-                if scoreboard.blocks(core_id, registers):
-                    active.discard(core_id)
-                    self._raw_waiting.add(core_id)
-                    state.stall_start = scheduler.current_cycle
-                    if chrome is not None:
-                        chrome.set_state(core_id, RAW_STALL,
-                                         scheduler.current_cycle)
-                    continue
-
-                try:
-                    outcome = core.step()
-                except EnvironmentCall:
-                    self.machine.exit_codes[core_id] = core.hart.regs[10]
-                    core.halted = True
-                    outcome = None
-                except Trap as exc:
-                    raise SimulationError(
-                        f"core {core_id}: {exc}",
-                        current_cycle=scheduler.current_cycle) from exc
-
-                if outcome is not None:
-                    if outcome.status is StepStatus.EXECUTED:
-                        self._submit_misses(core_id, outcome.misses)
-                    elif outcome.status is StepStatus.FETCH_MISS:
-                        fetch_id = self._submit_misses(core_id,
-                                                       outcome.misses)
-                        state.waiting_fetch_id = fetch_id
-                        state.stall_start = scheduler.current_cycle
-                        self._fetch_waits[fetch_id] = core_id
-                        active.discard(core_id)
-                        if chrome is not None:
-                            chrome.set_state(core_id, FETCH_STALL,
-                                             scheduler.current_cycle)
-
-                if core.halted:
-                    state.halt_cycle = scheduler.current_cycle
-                    active.discard(core_id)
-                    remaining_cores -= 1
-                    if chrome is not None:
-                        chrome.halt(core_id, scheduler.current_cycle)
-            if profiler is not None:
-                now_wall = clock()
-                profiler.spike_seconds += now_wall - section_start
-                section_start = now_wall
-
-            scheduler.advance_cycle()
-            if profiler is not None:
-                profiler.sparta_seconds += clock() - section_start
-            if scheduler.current_cycle >= due:
-                due = self._observe(observers, scheduler.current_cycle)
 
     # -- telemetry --------------------------------------------------------------
 

@@ -20,15 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.memhier.l2bank import L2Bank
-from repro.memhier.mapping import MappingPolicy, make_policy, policy_names
-from repro.memhier.memctrl import MemoryController
+from repro.memhier.l2bank import L2Bank, check_bank
+from repro.memhier.mapping import (
+    MappingPolicy,
+    check_granules,
+    make_policy,
+    policy_names,
+)
+from repro.memhier.memctrl import MemoryController, check_channel
 from repro.memhier.noc import CrossbarNoC, NocConfig, make_noc
 from repro.memhier.request import MemRequest, RequestKind
 from repro.sparta.scheduler import Scheduler
 from repro.sparta.statistics import StatSample
 from repro.sparta.unit import Unit
 from repro.utils.bitops import clog2, is_power_of_two
+from repro.utils.tagarray import check_geometry
 
 _TILESIDE = "tileside"
 L2_MODES = ("shared", "private")
@@ -76,7 +82,8 @@ class MemHierConfig:
     mcpu_aggregation: bool = False
 
     def validate(self) -> None:
-        """Raise ``ValueError`` for inconsistent parameters."""
+        """Raise ``ValueError`` for inconsistent parameters, including
+        any the units built from them would refuse."""
         self.noc.validate()
         if self.num_tiles < 1 or self.cores_per_tile < 1 \
                 or self.banks_per_tile < 1:
@@ -98,9 +105,21 @@ class MemHierConfig:
                 and not is_power_of_two(self.banks_per_tile):
             raise ValueError("banks per tile must be a power of two for "
                              "private mode")
-        if self.l3_enable and not is_power_of_two(self.l3_banks):
-            raise ValueError(f"L3 bank count must be a power of two, "
-                             f"got {self.l3_banks}")
+        check_granules(self.line_bytes, self.page_bytes)
+        check_geometry(self.l2_bank_bytes, self.l2_associativity,
+                       self.line_bytes)
+        check_bank(self.l2_hit_latency, self.l2_miss_latency,
+                   self.l2_max_in_flight, self.l2_cycles_per_request)
+        check_channel(self.mem_latency, self.mem_cycles_per_request,
+                      self.prefetch_depth)
+        if self.l3_enable:
+            if not is_power_of_two(self.l3_banks):
+                raise ValueError(f"L3 bank count must be a power of two, "
+                                 f"got {self.l3_banks}")
+            check_geometry(self.l3_bank_bytes, self.l3_associativity,
+                           self.line_bytes)
+            check_bank(self.l3_hit_latency, self.l3_miss_latency,
+                       self.l3_max_in_flight)
 
     @property
     def num_cores(self) -> int:

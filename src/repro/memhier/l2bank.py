@@ -32,6 +32,21 @@ _STORE = RequestKind.STORE
 _WRITEBACK = RequestKind.WRITEBACK
 
 
+def check_bank(hit_latency: int, miss_latency: int, max_in_flight: int,
+               cycles_per_request: int = 0) -> None:
+    """A ``ValueError`` for bank timing no bank can model (a negative
+    latency would schedule into the past)."""
+    if hit_latency < 0 or miss_latency < 0:
+        raise ValueError(f"hit/miss latencies must be >= 0, got "
+                         f"{hit_latency}/{miss_latency}")
+    if max_in_flight < 1:
+        raise ValueError(f"max_in_flight must be >= 1, got "
+                         f"{max_in_flight}")
+    if cycles_per_request < 0:
+        raise ValueError(f"cycles_per_request must be >= 0, got "
+                         f"{cycles_per_request}")
+
+
 class CacheBank(Unit):
     """A single bank of a shared / tile-private cache level."""
 
@@ -43,12 +58,8 @@ class CacheBank(Unit):
                  bank_id: int | None = -1,
                  cycles_per_request: int = 0):
         super().__init__(name, parent)
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got "
-                             f"{max_in_flight}")
-        if cycles_per_request < 0:
-            raise ValueError(f"cycles_per_request must be >= 0, got "
-                             f"{cycles_per_request}")
+        check_bank(hit_latency, miss_latency, max_in_flight,
+                   cycles_per_request)
         self.tags = TagArray(size_bytes, associativity, line_bytes)
         self.hit_latency = hit_latency
         self.miss_latency = miss_latency

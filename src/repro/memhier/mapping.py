@@ -19,6 +19,16 @@ from functools import cached_property
 from repro.utils.bitops import clog2, is_power_of_two
 
 
+def check_granules(line_bytes: int, page_bytes: int) -> None:
+    """A ``ValueError`` unless lines and pages are powers of two and a
+    page holds whole lines."""
+    if not is_power_of_two(line_bytes):
+        raise ValueError(f"line size must be a power of two: "
+                         f"{line_bytes}")
+    if not is_power_of_two(page_bytes) or page_bytes < line_bytes:
+        raise ValueError(f"bad page size {page_bytes}")
+
+
 class MappingPolicy:
     """Base class: maps a line address to a bank index in [0, num_banks)
     from the bits just above the offset within its ``granule``."""
@@ -30,11 +40,7 @@ class MappingPolicy:
         if not is_power_of_two(num_banks):
             raise ValueError(f"bank count must be a power of two: "
                              f"{num_banks}")
-        if not is_power_of_two(line_bytes):
-            raise ValueError(f"line size must be a power of two: "
-                             f"{line_bytes}")
-        if not is_power_of_two(page_bytes) or page_bytes < line_bytes:
-            raise ValueError(f"bad page size {page_bytes}")
+        check_granules(line_bytes, page_bytes)
         self.num_banks = num_banks
         self.line_bytes = line_bytes
         self.page_bytes = page_bytes

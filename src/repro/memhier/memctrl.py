@@ -23,6 +23,19 @@ from repro.memhier.request import MemRequest, RequestKind
 from repro.sparta.unit import Unit
 
 
+def check_channel(latency: int, cycles_per_request: int,
+                  prefetch_depth: int) -> None:
+    """A ``ValueError`` for channel parameters no controller can model."""
+    if latency < 1:
+        raise ValueError(f"memory latency must be >= 1, got {latency}")
+    if cycles_per_request < 1:
+        raise ValueError(f"memory cycles_per_request must be >= 1, "
+                         f"got {cycles_per_request}")
+    if prefetch_depth < 0:
+        raise ValueError(
+            f"prefetch_depth must be >= 0, got {prefetch_depth}")
+
+
 class MemoryController(Unit):
     """One memory channel: fixed latency + initiation-interval bandwidth."""
 
@@ -31,14 +44,7 @@ class MemoryController(Unit):
                  send: Callable[[str, str, object], None] | None = None,
                  prefetch_depth: int = 0, line_bytes: int = 64):
         super().__init__(name, parent)
-        if latency < 1:
-            raise ValueError(f"latency must be >= 1, got {latency}")
-        if cycles_per_request < 1:
-            raise ValueError(
-                f"cycles_per_request must be >= 1, got {cycles_per_request}")
-        if prefetch_depth < 0:
-            raise ValueError(
-                f"prefetch_depth must be >= 0, got {prefetch_depth}")
+        check_channel(latency, cycles_per_request, prefetch_depth)
         self.latency = latency
         self.cycles_per_request = cycles_per_request
         self.prefetch_depth = prefetch_depth

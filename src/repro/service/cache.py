@@ -75,12 +75,17 @@ def result_key(config_hex: str, kernel_hex: str, seed: int) -> str:
 
 
 def point_key(settings: dict[str, Any], base_cores: int,
-              base_overrides: dict[str, Any], workload) -> str:
+              base_overrides: dict[str, Any], workload=None, *,
+              kernel_hex: str | None = None) -> str:
     """The cache key of one sweep point, built the same way
-    :func:`~repro.coyote.sweep.run_point` builds its configuration."""
+    :func:`~repro.coyote.sweep.run_point` builds its configuration;
+    ``kernel_hex`` is the workload's :func:`kernel_digest` when the
+    caller already has it."""
     config = SimulationConfig.for_cores(
         base_cores, **{**base_overrides, **settings})
-    return result_key(config_digest(config), kernel_digest(workload),
+    if kernel_hex is None:
+        kernel_hex = kernel_digest(workload)
+    return result_key(config_digest(config), kernel_hex,
                       config.resilience.fault_seed)
 
 

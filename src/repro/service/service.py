@@ -65,7 +65,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.coyote.config import SimulationConfig
 from repro.coyote.errors import SimulationError
 from repro.coyote.parallel import PointPool, RemoteError, WorkerCrash
 from repro.coyote.sweep import (
@@ -88,9 +87,8 @@ from repro.resilience.supervisor import (
 )
 from repro.service.cache import (
     ResultCache,
-    config_digest,
     kernel_digest,
-    result_key,
+    point_key,
 )
 from repro.service.journal import Journal
 from repro.service.store import (
@@ -609,12 +607,10 @@ class CampaignExecutor:
                     if len(memo) >= _DIGESTS_MAX:
                         memo.clear()
                     memo[job_id] = kernel_hex
-            config = SimulationConfig.for_cores(
-                cores, **{**overrides, **settings})
+            return point_key(settings, cores, overrides,
+                             kernel_hex=kernel_hex)
         except Exception:
             return None
-        return result_key(config_digest(config), kernel_hex,
-                          config.resilience.fault_seed)
 
     def _pump(self) -> bool:
         progressed = False

@@ -25,6 +25,7 @@ from repro.memhier.request import RequestKind
 from repro.spike.hart import Hart, Trap
 from repro.spike.l1cache import L1Cache
 from repro.spike.machine import BareMetalMachine
+from repro.utils.tagarray import check_geometry
 
 # A request leaving a core is classified with the hierarchy's own
 # request kinds, so the orchestrator submits it without a translation.
@@ -58,26 +59,23 @@ class StepStatus(enum.Enum):
     """Outcome of attempting to execute one instruction on a core."""
 
     EXECUTED = "executed"
-    RAW_STALL = "raw-stall"
     FETCH_MISS = "fetch-miss"
     HALTED = "halted"
 
 
 @dataclass
 class CoreStep:
-    """Everything the orchestrator needs to know about one core-step."""
+    """Everything the orchestrator needs to know about one core-step
+    (a halt is ``CoreModel.halted``)."""
 
     status: StepStatus
-    mnemonic: str | None = None
     misses: list[MissRequest] = field(default_factory=list)
-    exited: bool = False
-    exit_code: int = 0
 
 
 # Shared outcome instances for the two allocation-free hot cases.  A
 # clean executed step (no misses) is the overwhelmingly common outcome,
-# and nothing downstream reads ``mnemonic`` or mutates ``misses``, so a
-# single immutable-by-convention instance serves every such step.
+# and nothing downstream mutates ``misses``, so a single
+# immutable-by-convention instance serves every such step.
 # ``CLEAN_STEP`` is public: the orchestrator's hot loop recognises it by
 # identity and skips all post-step bookkeeping for it.
 CLEAN_STEP = CoreStep(StepStatus.EXECUTED, misses=[])
@@ -92,6 +90,11 @@ class L1Config:
     dcache_bytes: int = 32 * 1024
     associativity: int = 8
     line_bytes: int = 64
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless both caches have a geometry."""
+        for size_bytes in (self.icache_bytes, self.dcache_bytes):
+            check_geometry(size_bytes, self.associativity, self.line_bytes)
 
 
 class CoreModel:
@@ -197,14 +200,11 @@ class CoreModel:
         if event.exited:
             self.halted = True
             return CoreStep(StepStatus.EXECUTED,
-                            mnemonic=instr.mnemonic,
-                            misses=misses if misses is not None else [],
-                            exited=True, exit_code=event.exit_code)
+                            misses=misses if misses is not None else [])
 
         if misses is None:
             return CLEAN_STEP
-        return CoreStep(StepStatus.EXECUTED, mnemonic=instr.mnemonic,
-                        misses=misses)
+        return CoreStep(StepStatus.EXECUTED, misses=misses)
 
 
 class SpikeSimulator:

@@ -12,21 +12,29 @@ from __future__ import annotations
 from repro.utils.bitops import clog2, is_power_of_two
 
 
+def check_geometry(size_bytes: int, associativity: int,
+                   line_bytes: int) -> int:
+    """The set count of a cache of this geometry: a ``ValueError``
+    unless lines, ways and sets all come out whole and the set count is
+    a power of two."""
+    if not is_power_of_two(line_bytes):
+        raise ValueError(f"line size must be a power of two: "
+                         f"{line_bytes}")
+    num_lines, remainder = divmod(size_bytes, line_bytes)
+    if remainder:
+        raise ValueError("size must be a multiple of the line size")
+    if associativity < 1 or num_lines % associativity \
+            or not is_power_of_two(num_lines // associativity):
+        raise ValueError(
+            f"bad geometry: {size_bytes}/{associativity}/{line_bytes}")
+    return num_lines // associativity
+
+
 class TagArray:
     """Tags + LRU + dirty bits for one cache."""
 
     def __init__(self, size_bytes: int, associativity: int, line_bytes: int):
-        if not is_power_of_two(line_bytes):
-            raise ValueError(f"line size must be a power of two: "
-                             f"{line_bytes}")
-        num_lines, remainder = divmod(size_bytes, line_bytes)
-        if remainder:
-            raise ValueError("size must be a multiple of the line size")
-        self.num_sets, remainder = divmod(num_lines, associativity)
-        if remainder or self.num_sets == 0 \
-                or not is_power_of_two(self.num_sets):
-            raise ValueError(
-                f"bad geometry: {size_bytes}/{associativity}/{line_bytes}")
+        self.num_sets = check_geometry(size_bytes, associativity, line_bytes)
         self.size_bytes = size_bytes
         self.associativity = associativity
         self.line_bytes = line_bytes

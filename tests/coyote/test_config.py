@@ -1,5 +1,7 @@
 """Tests for SimulationConfig."""
 
+import json
+
 import pytest
 
 from repro.coyote.config import SimulationConfig
@@ -86,3 +88,50 @@ class TestValidation:
     def test_bad_max_cycles(self):
         with pytest.raises(ValueError):
             SimulationConfig.for_cores(1, max_cycles=0)
+
+
+# Values a unit of the model refuses.  ``for_cores`` must refuse them
+# too, so a sweep point, a journaled job or the CLI reports a
+# configuration error rather than a traceback from ``Simulation()`` or,
+# for a negative bank latency, from an event scheduled into the past.
+REFUSED_BY_THE_MODEL = {
+    "mem_cycles_per_request": {"mem_cycles_per_request": 0},
+    "mem_latency": {"mem_latency": 0},
+    "prefetch_depth": {"prefetch_depth": -1},
+    "l2_max_in_flight": {"l2_max_in_flight": 0},
+    "l2_cycles_per_request": {"l2_cycles_per_request": -1},
+    "l2_associativity": {"l2_associativity": 3},
+    "l2_bank_bytes": {"l2_bank_bytes": 1000},
+    "page_bytes": {"page_bytes": 100},
+    "l1.associativity": {"l1.associativity": 3},
+    "l1.dcache_bytes": {"l1.dcache_bytes": 1000},
+    "l1.icache_bytes": {"l1.icache_bytes": 0},
+    "l2_hit_latency": {"l2_hit_latency": -5},
+    "l2_miss_latency": {"l2_miss_latency": -3},
+    "l3_hit_latency": {"l3_enable": True, "l3_hit_latency": -1},
+    "l3_max_in_flight": {"l3_enable": True, "l3_max_in_flight": 0},
+    "l3_bank_bytes": {"l3_enable": True, "l3_bank_bytes": 1000},
+}
+
+
+@pytest.mark.parametrize("overrides", REFUSED_BY_THE_MODEL.values(),
+                         ids=REFUSED_BY_THE_MODEL)
+def test_what_the_model_refuses_is_refused_by_for_cores(overrides):
+    with pytest.raises(ValueError):
+        SimulationConfig.for_cores(2, **overrides)
+
+
+def test_the_cli_reports_a_refused_value_as_a_configuration_error(
+        tmp_path, capsys):
+    from repro.coyote import cli
+
+    kernel = ["--kernel", "vector-axpy", "--size", "16"]
+    assert cli.main([*kernel, "--cores", "2", "--mem-latency", "0"]) \
+        == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    document = SimulationConfig.for_cores(2).to_dict()
+    document["memhier"]["l2_hit_latency"] = -4
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(document))
+    assert cli.main([*kernel, "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")

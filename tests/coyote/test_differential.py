@@ -1,9 +1,10 @@
-"""Differential tests: the optimised hot loop vs the reference loop.
+"""Differential tests: the optimised hot loop vs the loop spec.
 
-The orchestrator keeps the original straight-line per-cycle loop in the
-product behind ``use_reference_loop``; these tests run every example
-kernel through both loops and assert bit-identical outcomes — cycle
-counts, all statistics, per-core breakdowns, and miss traces.  This is
+The straight-line per-cycle loop is the tests' executable spec
+(``tests/coyote/loop_spec.py``, installed by ``use_loop_spec``); these
+tests run every example kernel through both loops and assert
+bit-identical outcomes — cycle counts, all statistics, per-core
+breakdowns, and miss traces.  This is
 the proof obligation for the incremental active-list, the single-core
 run-ahead batch, and the O(1) all-stalled fast-forward.
 """
@@ -16,6 +17,7 @@ import pytest
 from repro.coyote import Simulation, SimulationConfig
 from repro.coyote.cli import make_workload
 from repro.kernels import KERNELS
+from tests.coyote.loop_spec import use_loop_spec
 
 # Tiny-but-representative sizes (mirrors the CLI kernel coverage test).
 _SIZE = {
@@ -40,7 +42,7 @@ def _run(kernel, config_kwargs, reference):
     config = SimulationConfig.for_cores(workload.num_cores,
                                         **config_kwargs)
     simulation = Simulation(config, workload.program)
-    simulation.orchestrator.use_reference_loop = reference
+    use_loop_spec(simulation.orchestrator, reference)
     results = simulation.run()
     data = results.to_dict()
     for field in _HOST_FIELDS:
@@ -87,7 +89,7 @@ def _run_profiled(reference):
     config = SimulationConfig.for_cores(
         4, telemetry=TelemetryConfig(guest_profile=True))
     simulation = Simulation(config, workload.program)
-    simulation.orchestrator.use_reference_loop = reference
+    use_loop_spec(simulation.orchestrator, reference)
     data = simulation.run().to_dict()
     profile = data.pop("guest_profile")
     for field in _HOST_FIELDS:
@@ -113,7 +115,7 @@ def test_traces_identical():
         workload = make_workload("scalar-spmv", cores=4, size=12)
         config = SimulationConfig.for_cores(4, trace_misses=True)
         simulation = Simulation(config, workload.program)
-        simulation.orchestrator.use_reference_loop = reference
+        use_loop_spec(simulation.orchestrator, reference)
         simulation.run()
         return simulation.trace.records
 

@@ -15,9 +15,14 @@ loads and stores, element-wise integer and FP operations in every
 shape, multiply-accumulates, compares into a mask, ``v0.t``-masked
 forms, reductions, moves, merges, slides and gathers) and (in a
 variant) a store into the hart's own upcoming code followed by
-``fence.i``.  It runs at 1, 2 and 8 cores through
+``fence.i``.  Beside each program Hypothesis draws a memory-system
+design — NoC kind (crossbar, mesh, torus) with its latency or routing,
+columns and link capacity; L2 mode, mapping, banks, MSHRs and port
+cycles; L2 and memory latencies and memory controllers; prefetch depth,
+MCPU aggregation and L3 — and the program runs on it at 1, 2 and 8
+cores through
 
-(a) the reference loop (``use_reference_loop``),
+(a) the loop spec (``tests/coyote/loop_spec.py``),
 (b) the fast loop with ``translate=False``,
 (c) the fast loop with ``translate=True``,
 
@@ -31,8 +36,9 @@ FP and vector register files (FP by bit pattern, any NaN equal to any
 other; vector registers byte for byte outside the numeric domain
 described below), ``vl`` and ``vtype``, and the data and patched-code
 bytes the program touched.  A second test stores into the read-only page
-at a drawn point of a generated program: every loop must stop there with
-the same store access fault, at the same cycle, the page unwritten.
+at a drawn point of a generated program, on a drawn design: every loop
+must stop there with the same store access fault, at the same cycle, the
+page unwritten.
 
 The examples are derandomized (same programs on every run).  Tier-1
 runs the default profile below; CI's ``translate-smoke`` job runs the
@@ -51,6 +57,7 @@ from repro.coyote import Simulation, SimulationConfig
 from repro.coyote.errors import SimulationError
 from repro.resilience import ResilienceConfig
 from repro.telemetry import TelemetryConfig
+from tests.coyote.loop_spec import use_loop_spec
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
                 "guest_profile")
@@ -598,15 +605,44 @@ def _vector_state(hart):
     return state
 
 
+# One memory-system design: ``for_cores`` overrides along every axis the
+# loops' timing depends on, each drawn from what
+# ``SimulationConfig.validate`` accepts at 1, 2 and 8 cores (one tile).
+_NOCS = st.one_of(
+    st.fixed_dictionaries({"noc.kind": st.just("crossbar"),
+                           "noc.latency": st.integers(0, 8)}),
+    st.fixed_dictionaries({
+        "noc.kind": st.sampled_from(("mesh", "torus")),
+        "noc.routing": st.sampled_from(("xy", "yx", "adaptive")),
+        "noc.columns": st.integers(1, 4),
+        "noc.link_capacity": st.integers(1, 3)}))
+_HIERARCHIES = st.fixed_dictionaries({
+    "l2_mode": st.sampled_from(("shared", "private")),
+    "mapping_policy": st.sampled_from(("set-interleaving", "page-to-bank")),
+    "banks_per_tile": st.sampled_from((1, 2, 4)),
+    "l2_max_in_flight": st.integers(1, 16),
+    "l2_cycles_per_request": st.integers(0, 4),
+    "l2_hit_latency": st.integers(0, 20),
+    "l2_miss_latency": st.integers(0, 10),
+    "mem_latency": st.integers(1, 200),
+    "num_memory_controllers": st.sampled_from((1, 2, 4)),
+    "prefetch_depth": st.integers(0, 3),
+    "mcpu_aggregation": st.booleans(),
+    "l3_enable": st.booleans()})
+designs = st.tuples(_NOCS, _HIERARCHIES).map(
+    lambda parts: parts[0] | parts[1])
+
+
 def _run(program, cores, reference, translate, sample_interval=0,
-         pause_at=None, invariant_interval=0):
+         pause_at=None, invariant_interval=0, design=None):
     telemetry = TelemetryConfig(sample_interval=sample_interval)
     resilience = ResilienceConfig(invariant_interval=invariant_interval)
     config = SimulationConfig.for_cores(cores, translate=translate,
                                         telemetry=telemetry,
-                                        resilience=resilience)
+                                        resilience=resilience,
+                                        **(design or {}))
     simulation = Simulation(config, program)
-    simulation.orchestrator.use_reference_loop = reference
+    use_loop_spec(simulation.orchestrator, reference)
     if pause_at is not None:
         simulation.run(pause_at=pause_at)
     results = simulation.run()
@@ -627,22 +663,25 @@ _TRAP_EXAMPLES = _CI.max_examples if settings.default is _CI else 20
 
 @settings(max_examples=_EXAMPLES, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(source=programs(), sample_interval=st.integers(1, 300),
+@given(source=programs(), design=designs,
+       sample_interval=st.integers(1, 300),
        pause_fraction=st.floats(0.0, 1.2),
        invariant_interval=st.integers(1, 300))
 def test_generated_programs_identical_across_loops(
-        source, sample_interval, pause_fraction, invariant_interval):
+        source, design, sample_interval, pause_fraction,
+        invariant_interval):
     program = _assemble(source)
     for cores in (1, 2, 8):
         plain = {}
         for name, reference, translate in _LOOPS:
-            plain[name] = _run(program, cores, reference, translate)
+            plain[name] = _run(program, cores, reference, translate,
+                               design=design)
         oracle = plain["reference"]
         for name, observed in plain.items():
             assert observed == oracle, f"{name} @ {cores} cores"
 
         sampled = [_run(program, cores, reference, translate,
-                        sample_interval=sample_interval)
+                        sample_interval=sample_interval, design=design)
                    for _name, reference, translate in _LOOPS]
         for (name, *_), observed in zip(_LOOPS, sampled):
             assert observed == sampled[0], \
@@ -656,7 +695,7 @@ def test_generated_programs_identical_across_loops(
         pause_at = int(oracle[0]["cycles"] * pause_fraction)
         for name, reference, translate in _LOOPS:
             resumed = _run(program, cores, reference, translate,
-                           pause_at=pause_at)
+                           pause_at=pause_at, design=design)
             assert resumed == oracle, \
                 f"{name} @ {cores} cores, paused at {pause_at}"
 
@@ -665,18 +704,21 @@ def test_generated_programs_identical_across_loops(
         # on any loop.
         for name, reference, translate in _LOOPS:
             checked = _run(program, cores, reference, translate,
-                           invariant_interval=invariant_interval)
+                           invariant_interval=invariant_interval,
+                           design=design)
             assert checked == oracle, \
                 f"{name} @ {cores} cores, invariants every " \
                 f"{invariant_interval}"
 
 
-def _trap(program, cores, reference, translate):
-    """Run ``program`` into its store access fault; the message (core,
-    address, pc) and the cycle, with the read-only page unwritten."""
-    config = SimulationConfig.for_cores(cores, translate=translate)
+def _trap(program, cores, reference, translate, design):
+    """Run ``program`` on ``design`` into its store access fault; the
+    message (core, address, pc) and the cycle, with the read-only page
+    unwritten."""
+    config = SimulationConfig.for_cores(cores, translate=translate,
+                                        **design)
     simulation = Simulation(config, program)
-    simulation.orchestrator.use_reference_loop = reference
+    use_loop_spec(simulation.orchestrator, reference)
     with pytest.raises(SimulationError, match="store access fault") \
             as caught:
         simulation.run()
@@ -688,11 +730,11 @@ def _trap(program, cores, reference, translate):
 
 @settings(max_examples=_TRAP_EXAMPLES, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(source=programs(readonly_store=True))
-def test_generated_stores_into_the_readonly_page_trap_alike(source):
+@given(source=programs(readonly_store=True), design=designs)
+def test_generated_stores_into_the_readonly_page_trap_alike(source, design):
     program = _assemble(source)
     for cores in (1, 2, 8):
-        faults = [_trap(program, cores, reference, translate)
+        faults = [_trap(program, cores, reference, translate, design)
                   for _name, reference, translate in _LOOPS]
         assert faults == [faults[0]] * len(_LOOPS), f"@ {cores} cores"
 

@@ -23,6 +23,7 @@ from repro.kernels import scalar_matmul
 from repro.resilience import restore_simulation, save_checkpoint
 from repro.spike.hart import StoreAccessFault
 from repro.spike.machine import whole_pages
+from tests.coyote.loop_spec import use_loop_spec
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
                 "guest_profile")
@@ -92,7 +93,7 @@ _LOOPS = (("reference", True, False), ("fast-interpreter", False, False),
 def _fault(program, cores, reference, translate):
     config = SimulationConfig.for_cores(cores, translate=translate)
     simulation = Simulation(config, program)
-    simulation.orchestrator.use_reference_loop = reference
+    use_loop_spec(simulation.orchestrator, reference)
     with pytest.raises(SimulationError) as caught:
         simulation.run()
     error = caught.value
@@ -162,7 +163,7 @@ polls: .dword 0
     for _loop, reference, translate in _LOOPS:
         config = SimulationConfig.for_cores(2, translate=translate)
         simulation = Simulation(config, program)
-        simulation.orchestrator.use_reference_loop = reference
+        use_loop_spec(simulation.orchestrator, reference)
         results = simulation.run()
         counts.add((results.cycles, simulation.memory.load_int(
             program.symbols["polls"], 8)))

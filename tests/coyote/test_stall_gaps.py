@@ -1,7 +1,7 @@
-"""The all-stalled gaps: the kernel against the reference loop at their edges.
+"""The all-stalled gaps: the kernel against the loop spec at their edges.
 
 When every live core is stalled, only a completion can wake one, so the
-reference loop (``use_reference_loop``) jumps from the gap's first
+loop spec (``tests/coyote/loop_spec.py``) jumps from the gap's first
 stalled cycle straight to the waking event, fires it, and only then
 looks at the cycle budget, a pause point and the observers again.  The
 kernel must reproduce those edges exactly: a budget that runs out
@@ -22,6 +22,7 @@ import pytest
 from repro.coyote import Simulation, SimulationConfig, SimulationError
 from repro.coyote.cli import make_workload
 from repro.telemetry import TelemetryConfig
+from tests.coyote.loop_spec import use_loop_spec
 
 KERNEL, SIZE, MEM_LATENCY = "scalar-spmv", 8, 180
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
@@ -34,7 +35,7 @@ def _simulation(reference, sample_interval=0, **overrides):
         telemetry=TelemetryConfig(sample_interval=sample_interval),
         **overrides)
     simulation = Simulation(config, workload.program)
-    simulation.orchestrator.use_reference_loop = reference
+    use_loop_spec(simulation.orchestrator, reference)
     return simulation
 
 

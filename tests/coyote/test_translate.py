@@ -29,6 +29,7 @@ from repro.resilience import (
 )
 from repro.spike import translate as translate_module
 from repro.telemetry import TelemetryConfig
+from tests.coyote.loop_spec import use_loop_spec
 
 # Tiny-but-representative sizes (mirrors test_differential.py).
 _SIZE = {
@@ -278,7 +279,7 @@ class TestSelfModifyingCode:
                                      (True, True)):
             config = SimulationConfig.for_cores(2, translate=translate)
             orchestrator = Orchestrator(config, program)
-            orchestrator.use_reference_loop = reference
+            use_loop_spec(orchestrator, reference)
             results = orchestrator.run()
             assert results.exit_codes == {0: 0, 1: 99}
             outcomes.append(_stats(results))
@@ -445,7 +446,7 @@ def test_pause_at_every_cycle_around_whole_blocks(reference):
         workload = make_workload("scalar-matmul", cores=1, size=6)
         simulation = Simulation(SimulationConfig.for_cores(1),
                                 workload.program)
-        simulation.orchestrator.use_reference_loop = reference
+        use_loop_spec(simulation.orchestrator, reference)
         if pause_at is not None:
             assert simulation.run(pause_at=pause_at) is None
             assert simulation.paused

@@ -8,6 +8,7 @@ import pytest
 from repro.coyote import Simulation, SimulationConfig
 from repro.coyote.cli import make_workload
 from repro.resilience import FaultPlan, FaultSpec, ResilienceConfig
+from tests.coyote.loop_spec import use_loop_spec
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
 
@@ -26,7 +27,7 @@ def _run(seed, faults, *, reference=False):
         faults=[FaultSpec(**vars(spec)) for spec in faults],
         fault_seed=seed)
     simulation = Simulation(config, workload.program)
-    simulation.orchestrator.use_reference_loop = reference
+    use_loop_spec(simulation.orchestrator, reference)
     results = simulation.run()
     data = results.to_dict()
     for field in _HOST_FIELDS:

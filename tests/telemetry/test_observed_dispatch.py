@@ -19,6 +19,7 @@ from repro.resilience import InvariantChecker, ResilienceConfig
 from repro.resilience.checkpoint import restore_simulation, save_checkpoint
 from repro.spike.translate import translator_totals
 from repro.telemetry import TelemetryConfig
+from tests.coyote.loop_spec import use_loop_spec
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
                 "guest_profile")
@@ -47,7 +48,7 @@ def _simulation(point, reference=False, sample_interval=0,
                                     watchdog_cycles=watchdog_cycles),
         **overrides)
     simulation = Simulation(config, workload.program)
-    simulation.orchestrator.use_reference_loop = reference
+    use_loop_spec(simulation.orchestrator, reference)
     return simulation
 
 
