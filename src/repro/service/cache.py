@@ -28,6 +28,7 @@ writes possible; they are idempotent — same key, same bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -41,6 +42,10 @@ from repro.utils.atomic import write_atomically
 
 CACHE_FORMAT = 1
 _ENTRY_MAGIC = b"coyote-result"
+
+#: Bound on the process-wide cache of :func:`point_key` config halves.
+CONFIG_KEYS_MAX = 4096
+_SCALARS = (str, int, float, bool, type(None))
 
 
 def config_digest(config: SimulationConfig) -> str:
@@ -80,13 +85,59 @@ def point_key(settings: dict[str, Any], base_cores: int,
     """The cache key of one sweep point, built the same way
     :func:`~repro.coyote.sweep.run_point` builds its configuration;
     ``kernel_hex`` is the workload's :func:`kernel_digest` when the
-    caller already has it."""
-    config = SimulationConfig.for_cores(
-        base_cores, **{**base_overrides, **settings})
+    caller already has it.
+
+    The config half — ``for_cores`` plus :func:`config_digest` — is
+    memoised process-wide (at most :data:`CONFIG_KEYS_MAX` entries)
+    when ``base_cores`` is an ``int`` and every merged override is
+    exactly a ``str``, ``int``, ``float``, ``bool`` or ``None``.  Each
+    value is keyed by its name, type and ``repr``, since ``1``,
+    ``True`` and ``1.0`` hash equal, and so do ``0.0`` and ``-0.0``.
+    Any other value (a list, a dict, a section dataclass) is digested
+    afresh on every call, and a recipe that raises is never cached.
+    """
+    merged = {**base_overrides, **settings}
+    if type(base_cores) is int and all(
+            type(value) in _SCALARS for value in merged.values()):
+        config_hex, seed = _memoised_config_half(
+            base_cores, _Overrides(merged))
+    else:
+        config_hex, seed = _config_half(base_cores, merged)
     if kernel_hex is None:
         kernel_hex = kernel_digest(workload)
-    return result_key(config_digest(config), kernel_hex,
-                      config.resilience.fault_seed)
+    return result_key(config_hex, kernel_hex, seed)
+
+
+def _config_half(base_cores: int, overrides: dict[str, Any]
+                 ) -> tuple[str, int]:
+    """``(config_digest, fault_seed)`` of one point's configuration."""
+    config = SimulationConfig.for_cores(base_cores, **overrides)
+    return config_digest(config), config.resilience.fault_seed
+
+
+class _Overrides:
+    """Scalar overrides that hash and compare by each value's name,
+    type and ``repr`` (so ``nan`` equals itself), carrying the values
+    for the one call that misses."""
+
+    __slots__ = ("values", "_key")
+
+    def __init__(self, values: dict[str, Any]):
+        self.values = values
+        self._key = tuple((name, type(value), repr(value))
+                          for name, value in values.items())
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Overrides) and self._key == other._key
+
+
+@functools.lru_cache(maxsize=CONFIG_KEYS_MAX)
+def _memoised_config_half(base_cores: int, overrides: _Overrides
+                          ) -> tuple[str, int]:
+    return _config_half(base_cores, overrides.values)
 
 
 class ResultCache:

@@ -25,6 +25,12 @@ Two mechanisms make that safe:
   between the two replaces is therefore harmless: the old journal's
   events are all ``<= snapshot.seq`` and replay ignores them.
 
+When compaction runs: every ``compact_every`` appends (the job store's
+setting), and at a clean close once the journal holds at least as many
+bytes as the snapshot, or there is no snapshot yet
+(:attr:`Journal.outgrown`).  A close that skips it leaves the files a
+kill after the last append leaves, which replay already handles.
+
 Durability scope: flush-to-OS per append, which survives process kills
 (SIGKILL included).  Pass ``fsync=True`` to also survive host power
 loss at the cost of one ``fsync`` per event.
@@ -69,6 +75,10 @@ class Journal:
         self._memory: list[dict] = []   # the history when there is no file
         self._seq = 0
         self.appends = 0
+        # Bytes in the journal file and in the snapshot (``None``: no
+        # snapshot yet), counted at load, append and compact.
+        self.bytes = 0
+        self.snapshot_bytes: int | None = None
 
     @property
     def seq(self) -> int:
@@ -118,18 +128,22 @@ class Journal:
         # complete, valid final line with no terminator; the event
         # committed, but a raw append would concatenate onto it.  Add
         # the missing terminator before reopening for appends.
-        if not self.path.exists() or self.path.stat().st_size == 0:
+        if self.bytes == 0:
             return
         with self.path.open("rb+") as handle:
             handle.seek(-1, os.SEEK_END)
             if handle.read(1) != b"\n":
                 handle.write(b"\n")
+                self.bytes += 1
 
     def _replay_lines(self, *, readonly: bool = False) -> Iterator[dict]:
+        self.bytes = 0
         if not self.path.exists():
             return
         with self.path.open("rb") as handle:
-            lines = handle.read().split(b"\n")
+            data = handle.read()
+        self.bytes = len(data)
+        lines = data.split(b"\n")
         # A trailing newline yields one empty final chunk; drop it.
         if lines and lines[-1] == b"":
             lines.pop()
@@ -154,12 +168,11 @@ class Journal:
             yield event
 
     def _truncate_tail(self, torn_line: bytes) -> None:
-        size = self.path.stat().st_size
-        keep = size - len(torn_line)
         # The torn line may or may not have been followed by nothing;
         # it is by construction the file's final bytes.
+        self.bytes = max(0, self.bytes - len(torn_line))
         with self.path.open("rb+") as handle:
-            handle.truncate(max(0, keep))
+            handle.truncate(self.bytes)
 
     # -- appending ---------------------------------------------------------
 
@@ -182,12 +195,27 @@ class Journal:
                               separators=(",", ":")).encode()
             self._handle.write(line + b"\n")
             self._handle.flush()
+            self.bytes += len(line) + 1
             if self.fsync:
                 os.fsync(self._handle.fileno())
         self.appends += 1
         return event
 
     # -- compaction --------------------------------------------------------
+
+    @property
+    def outgrown(self) -> bool:
+        """Whether a close should compact: the journal holds at least
+        as many bytes as the snapshot, or there is no snapshot yet.
+
+        After a close, replay at open reads less than twice the
+        snapshot's bytes, and each compaction follows at least as many
+        appended bytes as the snapshot it replaces.  Never true for a
+        journal not open for appending (no file, a read-only load).
+        """
+        return (self._handle is not None
+                and (self.snapshot_bytes is None
+                     or self.bytes >= self.snapshot_bytes))
 
     def compact(self, state: dict) -> None:
         """Fold ``state`` into a fresh snapshot and reset the journal.
@@ -203,20 +231,23 @@ class Journal:
                            "state": state},
                           sort_keys=True).encode()
         digest = hashlib.sha256(body).hexdigest()
-        write_atomically(self.snapshot_path,
-                         b"%s %d %s\n" % (_SNAPSHOT_MAGIC, JOURNAL_FORMAT,
-                                          digest.encode("ascii")),
-                         body, fsync=self.fsync)
+        header = b"%s %d %s\n" % (_SNAPSHOT_MAGIC, JOURNAL_FORMAT,
+                                  digest.encode("ascii"))
+        write_atomically(self.snapshot_path, header, body, fsync=self.fsync)
+        self.snapshot_bytes = len(header) + len(body)
         # Reset the journal atomically: replace it with an empty file.
         write_atomically(self.path)
+        self.bytes = 0
         self._open_for_append()
 
     def _read_snapshot(self) -> tuple[dict | None, int]:
+        self.snapshot_bytes = None
         if not self.snapshot_path.exists():
             return None, 0
         with self.snapshot_path.open("rb") as handle:
             header = handle.readline(256)
             body = handle.read()
+        self.snapshot_bytes = len(header) + len(body)
         parts = header.split()
         if len(parts) != 3 or parts[0] != _SNAPSHOT_MAGIC:
             raise CampaignCorruptError(

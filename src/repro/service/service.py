@@ -899,11 +899,13 @@ class CampaignService(CampaignExecutor):
     def close(self) -> None:
         if not self._opened:
             return
-        self._drain()
-        self.store.compact()
-        self.store.close()
-        self._lock.release()
-        self._opened = False
+        try:
+            self._drain()
+            self.store.compact_if_outgrown()
+        finally:
+            self.store.close()
+            self._lock.release()
+            self._opened = False
 
     def __enter__(self) -> "CampaignService":
         return self.open()
@@ -1033,9 +1035,10 @@ class CampaignService(CampaignExecutor):
         queue empties); returns an exit-taxonomy code.
 
         SIGTERM and SIGINT both drain gracefully — in-flight workers
-        are stopped, their leases released, state compacted — then
-        exit 0 (SIGTERM: clean shutdown) or 130 (SIGINT, the shell
-        convention the CLI taxonomy already documents).
+        are stopped, their leases released, state compacted if the
+        journal has outgrown its snapshot — then exit 0 (SIGTERM: clean
+        shutdown) or 130 (SIGINT, the shell convention the CLI taxonomy
+        already documents).
         """
         self._require_open()
         received: dict[str, int] = {}
@@ -1063,7 +1066,7 @@ class CampaignService(CampaignExecutor):
             for signum, old in previous.items():
                 signal.signal(signum, old)
         self._drain()
-        self.store.compact()
+        self.store.compact_if_outgrown()
         if received.get("signal") == signal.SIGINT:
             return 130
         return 0

@@ -166,6 +166,12 @@ class JobStore:
     def compact(self) -> None:
         self.journal.compact(self.state_dict())
 
+    def compact_if_outgrown(self) -> None:
+        """Compact when the journal has outgrown its snapshot
+        (:attr:`Journal.outgrown`): the rule a clean close follows."""
+        if self.journal.outgrown:
+            self.compact()
+
     def close(self) -> None:
         self.journal.close()
 

@@ -9,6 +9,7 @@ as :class:`QuarantinedPoint`, and a corrupt cache entry is recomputed,
 never served.
 """
 
+import errno
 import multiprocessing
 import os
 import signal
@@ -19,6 +20,7 @@ from repro import api
 from repro.coyote.sweep import SweepPoint
 from repro.resilience.locking import CampaignLockError, PathLock
 from repro.resilience.supervisor import RetryPolicy, SupervisorPolicy
+from repro.service.journal import Journal
 from repro.service.service import CampaignService, spool_submission
 from repro.service.store import QueueFullError, ServiceError
 
@@ -173,6 +175,25 @@ class TestLocking:
             pass
         with make_service(root):
             pass  # re-acquire succeeds
+
+    def test_a_failed_close_still_releases_the_root(self, root,
+                                                     monkeypatch):
+        """A compaction that fails (a full disk) propagates out of
+        ``close``, and the root is still closed and unlocked: the same
+        process reopens it and finds every committed event."""
+        def full_disk(self, state):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Journal, "compact", full_disk)
+            with pytest.raises(OSError, match="No space"):
+                with make_service(root) as service:
+                    job = service.submit(KERNEL, AXES, cores=CORES,
+                                         size=SIZE)
+            assert not service._opened
+            assert service.store.journal._handle is None
+        with make_service(root) as service:
+            assert service.status(job).pending == 2
 
     def test_spooled_submission_is_ingested(self, root):
         with make_service(root) as service:

@@ -18,7 +18,13 @@ every step asserts:
   and is counted in ``stale_writes``;
 * a store folded from the journal alone equals the live one;
 * ``outstanding_points()`` / ``has_work()`` / ``expired_leases()``
-  agree with the model.
+  agree with the model;
+* ``outstanding_points()`` / ``active_leases()`` / ``leases()`` /
+  ``has_work()`` and the point ``claim`` would lease next equal a
+  brute-force fold over the store's own records (the contract any
+  index kept by the fold must meet);
+* the journal's byte counts equal its files' sizes, and a close
+  (``close_and_reopen``) leaves the journal smaller than its snapshot.
 
 The same machine runs twice: over the durable journal file, and over
 a journal with no file behind it (what an in-process sweep's store
@@ -287,8 +293,14 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule()
     def close_and_reopen(self):
+        """What a service's clean close does: compact if the journal
+        has outgrown its snapshot, then close."""
         before = (self.store.jobs, self.store.fence_counter,
                   self.store.stale_writes)
+        self.store.compact_if_outgrown()
+        journal = self.store.journal
+        if journal.path is not None:
+            assert journal.bytes < journal.snapshot_bytes
         self.store.close()
         self.store = self.open_store()
         assert (self.store.jobs, self.store.fence_counter,
@@ -334,6 +346,48 @@ class StoreMachine(RuleBasedStateMachine):
                       if point["state"] == "leased"
                       and point["expires"] <= self.now)
         assert self.store.jobs_in_order() == list(self.model.jobs)
+
+    @invariant()
+    def queries_agree_with_a_brute_force_fold(self):
+        """Every query, and the point ``claim`` would lease next, read
+        off the records themselves in submission order."""
+        jobs = sorted(self.store.jobs.items(),
+                      key=lambda item: item[1]["order"])
+        records = [(job_id, job["state"], point) for job_id, job in jobs
+                   for point in job["points"]]
+        leased = [(job_id, point["index"]) for job_id, _, point in records
+                  if point["state"] == "leased"]
+        owed = [(job_id, point["index"]) for job_id, _, point in records
+                if point["state"] in ("pending", "leased")]
+        live = [(job_id, point) for job_id, state, point in records
+                if state == "active"]
+        assert self.store.outstanding_points() == len(owed)
+        assert self.store.active_leases() == len(leased)
+        assert [(job_id, point["index"]) for job_id, point
+                in self.store.leases()] == leased
+        assert self.store.has_work() == any(
+            point["state"] in ("pending", "leased") for _, point in live)
+        offered = []
+
+        def veto(job_id, point):      # the first offer is claim's choice
+            offered.append((job_id, point["index"]))
+            return False
+
+        seq = self.store.journal.seq
+        assert self.store.claim("probe", self.now, 1.0, veto) is None
+        assert self.store.journal.seq == seq
+        assert offered[:1] == [(job_id, point["index"]) for job_id, point
+                               in live if point["state"] == "pending"][:1]
+
+    @invariant()
+    def journal_counts_its_own_bytes(self):
+        journal = self.store.journal
+        if journal.path is None:
+            return
+        assert journal.bytes == journal.path.stat().st_size
+        snapshot = journal.snapshot_path
+        assert journal.snapshot_bytes == (
+            snapshot.stat().st_size if snapshot.exists() else None)
 
     @invariant()
     def replayed_state_equals_live_state(self):
