@@ -292,8 +292,7 @@ def jobs_main(argv: list[str]) -> int:
                            workers=args.workers), args)
         else:
             store = readonly_store(args.root)
-            summaries = [store.status(job_id)
-                         for job_id in store.jobs_in_order()]
+            summaries = [store.status(job_id) for job_id in store.jobs]
             if args.status is not None:
                 summaries = [summary for summary in summaries
                              if _job_phase(summary) == args.status]

@@ -8,13 +8,14 @@ reconstructs exactly the state whose events reached the disk.
 
 Two mechanisms make that safe:
 
-* **Torn-tail tolerance.**  A hard kill mid-append leaves at most one
-  partial line at the end of the file.  A strict prefix of a JSON
-  document is never itself valid JSON (the closing brace comes last),
-  so replay can tell "torn tail" (drop it — the event never committed)
-  from "corrupt interior" (raise
-  :class:`~repro.resilience.checkpoint.CampaignCorruptError` — the
-  disk lied) without per-line checksums.
+* **Torn-tail tolerance.**  An append writes its line and newline at
+  once, so every line that ends in a newline, the last one too, must
+  be an event object (else
+  :class:`~repro.resilience.checkpoint.CampaignCorruptError` — the disk
+  lied).  Only the bytes after the last newline can be an append a
+  hard kill cut short, and a strict prefix of a JSON object is never
+  valid JSON: if they parse, the event committed (a writer adds its
+  newline); if not, it never did (a writer truncates them away).
 
 * **Sequence-numbered compaction.**  An unbounded journal would make
   recovery O(campaign history), so the state is periodically folded
@@ -48,7 +49,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.resilience.checkpoint import CampaignCorruptError
 from repro.utils.atomic import write_atomically
@@ -95,15 +96,20 @@ class Journal:
         events are exactly those not yet folded into the snapshot, in
         append order.  Also primes the internal sequence counter so new
         appends continue the history.  ``readonly=True`` only replays —
-        it neither opens the file for appending nor truncates a torn
-        tail, so a live writer is never disturbed.
+        it neither opens the file for appending nor mends its tail, so
+        a live writer is never disturbed.
         """
         if self.path is None:
             return None, list(self._memory)
         state, snap_seq = self._read_snapshot()
+        committed, tail = self._read_lines()
+        # A tail that parses committed; only its newline was cut off.
+        tail_event = self._parse(tail, len(committed) + 1) if tail else None
+        if tail_event is not None:
+            committed.append(tail_event)
         events = []
         last_seq = snap_seq
-        for event in self._replay_lines(readonly=readonly):
+        for event in committed:
             seq = event.get("seq")
             if not isinstance(seq, int):
                 raise CampaignCorruptError(
@@ -119,60 +125,50 @@ class Journal:
             events.append(event)
         self._seq = max(snap_seq, last_seq)
         if not readonly:
-            self._repair_missing_newline()
+            self._end_tail(tail, committed=tail_event is not None)
             self._open_for_append()
         return state, events
 
-    def _repair_missing_newline(self) -> None:
-        # A kill after an event's bytes but before its newline leaves a
-        # complete, valid final line with no terminator; the event
-        # committed, but a raw append would concatenate onto it.  Add
-        # the missing terminator before reopening for appends.
-        if self.bytes == 0:
-            return
-        with self.path.open("rb+") as handle:
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) != b"\n":
-                handle.write(b"\n")
-                self.bytes += 1
-
-    def _replay_lines(self, *, readonly: bool = False) -> Iterator[dict]:
-        self.bytes = 0
-        if not self.path.exists():
-            return
-        with self.path.open("rb") as handle:
-            data = handle.read()
+    def _read_lines(self) -> tuple[list[dict], bytes]:
+        """The events of every line that ends in a newline, and the
+        bytes after the last newline (the tail, ``b""`` for none)."""
+        data = self.path.read_bytes() if self.path.exists() else b""
         self.bytes = len(data)
         lines = data.split(b"\n")
-        # A trailing newline yields one empty final chunk; drop it.
-        if lines and lines[-1] == b"":
-            lines.pop()
-        for position, line in enumerate(lines):
-            try:
-                event = json.loads(line)
-            except ValueError:
-                if position == len(lines) - 1:
-                    # Torn tail: the append never committed.  Truncate
-                    # it away so the next append starts a clean line.
-                    if not readonly:
-                        self._truncate_tail(line)
-                    return
+        tail = lines.pop()
+        events = []
+        for number, line in enumerate(lines, start=1):
+            event = self._parse(line, number)
+            if event is None:
                 raise CampaignCorruptError(
-                    f"{self.path}: journal line {position + 1} is not "
-                    f"valid JSON (mid-file corruption)",
-                    path=self.path) from None
-            if not isinstance(event, dict):
-                raise CampaignCorruptError(
-                    f"{self.path}: journal line {position + 1} is not "
-                    f"an event object", path=self.path)
-            yield event
+                    f"{self.path}: journal line {number} is not valid "
+                    f"JSON (mid-file corruption)", path=self.path)
+            events.append(event)
+        return events, tail
 
-    def _truncate_tail(self, torn_line: bytes) -> None:
-        # The torn line may or may not have been followed by nothing;
-        # it is by construction the file's final bytes.
-        self.bytes = max(0, self.bytes - len(torn_line))
-        with self.path.open("rb+") as handle:
-            handle.truncate(self.bytes)
+    def _parse(self, line: bytes, number: int) -> dict | None:
+        """Journal line ``number`` as an event; ``None`` if not JSON."""
+        try:
+            event = json.loads(line)
+        except ValueError:
+            return None
+        if not isinstance(event, dict):
+            raise CampaignCorruptError(
+                f"{self.path}: journal line {number} is not an event "
+                f"object", path=self.path)
+        return event
+
+    def _end_tail(self, tail: bytes, *, committed: bool) -> None:
+        """End the file on a newline before appending: a ``committed``
+        tail gets the newline a kill cut off, a torn one is truncated
+        away from its first byte."""
+        if committed:
+            with self.path.open("ab") as handle:
+                handle.write(b"\n")
+            self.bytes += 1
+        elif tail:
+            self.bytes -= len(tail)
+            os.truncate(self.path, self.bytes)
 
     # -- appending ---------------------------------------------------------
 

@@ -148,10 +148,6 @@ def build_spec(kernel: str, axes: dict[str, list], *, cores: int = 8,
             f"kernels only; expected one of {sorted(KERNELS)})")
     if not axes:
         raise ServiceError("a submission needs at least one axis")
-    try:
-        Sweep(base_cores=cores, axes=axes, **overrides)
-    except SweepError as exc:   # a name that is not a configuration path
-        raise ServiceError(str(exc)) from None
     spec = {"kernel": kernel, "cores": cores, "size": size,
             "axes": {name: list(values)
                      for name, values in axes.items()},
@@ -163,6 +159,10 @@ def build_spec(kernel: str, axes: dict[str, list], *, cores: int = 8,
         raise ServiceError(
             f"submission is not JSON-serialisable (service sweeps "
             f"take plain axis values): {exc}") from exc
+    try:
+        Sweep(base_cores=cores, axes=axes, **overrides)
+    except SweepError as exc:   # not a configuration path, or mistyped
+        raise ServiceError(str(exc)) from None
     return spec
 
 
@@ -184,18 +184,16 @@ def completion_record(cache: ResultCache | None, key: str | None,
                       point: SweepPoint, *, cached: bool = False) -> dict:
     """What a finished point journals; stores its results on the way.
 
-    With a cache, an outcome it deems storable (see
+    An outcome the cache deems storable (see
     :meth:`ResultCache.storable`) is written under ``key`` unless it
     was just ``cached`` — read from there; ``cache_key`` stays ``None``
-    for a point the cache does not keep, one with no key, or a write
-    that failed.  Without a cache the point itself rides on the record.
+    for a point the cache does not keep, one with no key (always, with
+    no cache), or a write that failed.
     """
     record = {"cache_key": None, "verified": point.verified,
               "failure": point.failure_record()}
-    if cache is None:
-        record["result"] = point
-    elif key is not None and (cached or (cache.storable(point)
-                                         and cache.put(key, point))):
+    if key is not None and (cached or (cache.storable(point)
+                                       and cache.put(key, point))):
         record["cache_key"] = key
     return record
 
@@ -252,8 +250,6 @@ def settled_point(record: dict,
     if state == "cancelled":
         return SweepPoint(settings, None, False, ServiceError(
             f"point {settings} was cancelled"))
-    if "result" in record:
-        return record["result"]
     if record["cache_key"] is not None:
         return cache.get(record["cache_key"])
     failure = record["failure"] or {
@@ -267,8 +263,9 @@ def assemble_result(store: JobStore, cache: ResultCache | None,
                     ) -> tuple[SweepTable | None, list[tuple[int, str]]]:
     """Build a job's :class:`SweepTable` from the settled store.
 
-    ``settled`` maps an index to the point its cache entry holds, in
-    hand already; only other cached points are read (and verified).
+    ``settled`` maps an index to a point in hand already — one its
+    cache entry holds, or any at all with no cache; only other cached
+    points are read (and verified).
     Returns ``(table, corrupt)`` where ``corrupt`` lists the
     ``(index, cache_key)`` of completed points whose cache entry could
     not be served; when any exist the table is ``None`` and those
@@ -336,7 +333,7 @@ class CampaignExecutor:
     * ``store`` — where points come from: any :class:`JobStore`,
       durable or over a journal with no file;
     * ``cache`` — where results go: a :class:`ResultCache`, or
-      ``None`` to keep each finished point on its store record;
+      ``None`` to hold each one for the waiting :meth:`result`;
     * ``slots`` — how many local workers may run at once: ``N``, ``0``
       to run points in this process (the floor of the degradation
       ladder), ``None`` while every point is granted to remote
@@ -385,7 +382,8 @@ class CampaignExecutor:
         self._kernel_digests: dict[str, str] = {}
         self._recipes: tuple = (None, None)   # (job id, its recipe)
         # While result(job, wait=True) runs: (job, index -> the point
-        # settled here under a cache key); assembly reads the rest.
+        # settled here under a cache key, or any with no cache);
+        # assembly reads the rest.
         self._held: tuple[str, dict[int, SweepPoint]] | None = None
 
     def _now(self) -> float:
@@ -490,8 +488,8 @@ class CampaignExecutor:
     def _settle(self, lease: dict, record: dict,
                 point: SweepPoint | None = None, *,
                 cached: bool = False) -> bool:
-        """Journal one point's completion under its fence; False when
-        the write was stale.
+        """Journal one point's completion under its fence (a waiting
+        :meth:`result` holds ``point``); False when the write was stale.
 
         A stale write means the lease was reaped while the result was
         in flight and the point belongs to someone else now: any cache
@@ -501,15 +499,15 @@ class CampaignExecutor:
         if not self._fenced(lease, self.store.complete,
                             cache_key=record.get("cache_key"),
                             verified=record.get("verified"),
-                            failure=record.get("failure"), cached=cached,
-                            result=record.get("result")):
+                            failure=record.get("failure"), cached=cached):
             return False
         job_id, index = lease["job_id"], lease["index"]
         self.monitor.count("completions")
         self.monitor.count("cache_hits" if cached else "cache_misses")
         self._not_before.pop((job_id, index), None)
         if self._held is not None and self._held[0] == job_id \
-                and point is not None and record.get("cache_key"):
+                and point is not None \
+                and (self.cache is None or record.get("cache_key")):
             self._held[1][index] = point
         if self.on_settle is not None and point is not None:
             self.on_settle(point)

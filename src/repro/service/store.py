@@ -6,8 +6,9 @@ lease, and every point's attempt book.  Over a journal file all state
 is JSON-serialisable and reconstructed purely by replaying the
 journal, so the store survives a hard kill at any write boundary (see
 :mod:`repro.service.journal`); over a journal with no file — an
-in-process sweep — the same code keeps its events in memory and a
-finished point may ride on its own record.
+in-process sweep — the same code keeps its events in memory.  A record
+holds only what a journal line can: a finished point's results live in
+the cache, or with the executor waiting for its table.
 
 Point lifecycle::
 
@@ -272,9 +273,6 @@ class JobStore:
         point["verified"] = event.get("verified")
         point["failure"] = event.get("failure")
         point["cached"] = bool(event.get("cached"))
-        if "result" in event:
-            # Only a journal with no file carries the point itself.
-            point["result"] = event["result"]
 
     def _apply_release(self, event: dict) -> None:
         point = self._point(event["job"], event["index"])
@@ -289,7 +287,6 @@ class JobStore:
             point["verified"] = None
             point["failure"] = None
             point["cached"] = False
-            point.pop("result", None)
 
     def _apply_cancel(self, event: dict) -> None:
         job = self._job(event["job"])
@@ -329,8 +326,7 @@ class JobStore:
         claimable.  ``eligible`` lets the caller veto points (retry
         backoff windows live with the service, not the store).
         """
-        for job_id in self.jobs_in_order():
-            job = self.jobs[job_id]
+        for job_id, job in self.jobs.items():
             if job["state"] != "active":
                 continue
             points = job["points"]
@@ -382,11 +378,8 @@ class JobStore:
     def complete(self, job_id: str, index: int, *,
                  cache_key: str | None, verified: bool | None,
                  failure: dict | None, cached: bool = False,
-                 fence: Any = _HELD_LEASE, result=None) -> None:
-        """Settle a point.  ``result`` keeps the finished
-        :class:`~repro.coyote.sweep.SweepPoint` on the record itself —
-        for stores whose journal has no file and whose results have no
-        cache to live in.  Left out, ``fence`` is the token the lease
+                 fence: Any = _HELD_LEASE) -> None:
+        """Settle a point.  Left out, ``fence`` is the token the lease
         holds: only for a caller that claims and completes in one
         thread (the benchmark's store probe); an explicit ``None`` is
         checked like any token."""
@@ -394,10 +387,9 @@ class JobStore:
             lease = self._point(job_id, index)["lease"]
             fence = None if lease is None else lease["fence"]
         self.check_fence(job_id, index, fence)
-        extra = {} if result is None else {"result": result}
         self._record("complete", job=job_id, index=index,
                      cache_key=cache_key, verified=verified,
-                     failure=failure, cached=cached, fence=fence, **extra)
+                     failure=failure, cached=cached, fence=fence)
 
     def attempt(self, job_id: str, index: int, *, outcome: str,
                 exit_code: int | None, stderr_tail: str, final: bool,
@@ -442,14 +434,10 @@ class JobStore:
                    for point in job["points"]
                    if point["state"] in ("pending", "leased"))
 
-    def jobs_in_order(self) -> list[str]:
-        """Job ids in submission order, the order ``jobs`` is kept in."""
-        return list(self.jobs)
-
     def leases(self) -> list[tuple[str, dict]]:
         """Every leased ``(job_id, point)``, jobs in submission order."""
-        return [(job_id, point) for job_id in self.jobs_in_order()
-                for point in self.jobs[job_id]["points"]
+        return [(job_id, point) for job_id, job in self.jobs.items()
+                for point in job["points"]
                 if point["state"] == "leased"
                 and point["lease"] is not None]
 

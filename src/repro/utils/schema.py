@@ -9,7 +9,7 @@ without its deep copies), and ``repro.coyote.config.config_paths()``
 names the fields by walking the same description.
 
 :func:`build` refuses an unknown key, a missing required one, or a
-``str`` / ``bool`` where the field is a number, with a ``ValueError``
+non-number (a ``bool`` too) in a number field, with a ``ValueError``
 naming the dotted path (``noc.bogus``, ``resilience.faults[0].extar``).
 Ranges and choices are each class's own ``validate()``.
 """
@@ -28,7 +28,7 @@ class Slot(typing.NamedTuple):
 
     kind: type | None     # the dataclass a value (or each item) builds into
     many: bool            # a list of ``kind``
-    number: bool          # an int / float (or None): no str, no bool
+    number: tuple         # int, float (and None if annotated); () if no number
     flat: bool            # its fields are spelled without its own name
     required: bool        # no default
 
@@ -37,7 +37,8 @@ class Slot(typing.NamedTuple):
         messages: a section (or each list item) built, a number checked."""
         path = prefix + name
         if self.kind is None:
-            if self.number and isinstance(value, (str, bool)):
+            if self.number and (isinstance(value, bool)
+                                or not isinstance(value, self.number)):
                 raise ValueError(f"{path} must be a number, got {value!r}")
             return value
         if not self.many:
@@ -64,7 +65,8 @@ def shape(kind: type) -> MappingProxyType[str, Slot]:
             else {hint}
         table[item.name] = Slot(
             kind=args[0] if many else hint if is_dataclass(hint) else None,
-            many=many, number=options <= {int, float, NoneType},
+            many=many, number=(int, float, *options & {NoneType})
+            if options <= {int, float, NoneType} else (),
             flat=bool(item.metadata.get("flat")),
             required=item.default is MISSING
             and item.default_factory is MISSING)

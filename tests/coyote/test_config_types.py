@@ -46,6 +46,18 @@ class TestLibrary:
             SimulationConfig.builder(2).set(**{path: value}).build()
         assert str(refused.value) == message
 
+    @pytest.mark.parametrize("value", [[100], (100,), {"a": 1}, None])
+    def test_a_container_or_none_is_no_number(self, value):
+        message = f"mem_latency must be a number, got {value!r}"
+        with pytest.raises(ValueError) as refused:
+            SimulationConfig.for_cores(2, mem_latency=value)
+        assert str(refused.value) == message
+        with pytest.raises(ValueError) as refused:
+            SimulationConfig.for_cores(2).with_overrides(
+                **{"noc.latency": value})
+        assert str(refused.value) \
+            == f"noc.latency must be a number, got {value!r}"
+
     def test_from_dict(self):
         with pytest.raises(ValueError) as refused:
             SimulationConfig.from_dict(bad_document())
@@ -99,6 +111,16 @@ class TestCampaigns:
                        axes={"noc.latency": [2]}, mem_latency=True)
         assert not root.exists()
 
+    def test_a_list_is_refused_as_an_axis_and_an_override(self, tmp_path):
+        with pytest.raises(SweepError, match=r"mem_latency must be a "
+                                             r"number, got \[100\]"):
+            Sweep(base_cores=2, axes={"mem_latency": [[100]]})
+        root = tmp_path / "root"
+        with pytest.raises(ServiceError, match="must be a number"):
+            api.submit("vector-axpy", root=root, cores=2,
+                       axes={"noc.latency": [2]}, mem_latency=None)
+        assert not root.exists()
+
     def test_an_out_of_range_value_stays_a_per_point_failure(self):
         table = api.sweep("vector-axpy", cores=2, size=32,
                           axes={"mem_latency": [0, 100]}, on_error="skip")
@@ -114,6 +136,17 @@ class TestCli:
             == cli.EXIT_CONFIG
         assert "configuration error: mem_latency must be a number, " \
                "got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[100], None])
+    def test_config_file_with_a_list_or_null(self, tmp_path, capsys, value):
+        document = SimulationConfig.for_cores(2).to_dict()
+        document["memhier"]["mem_latency"] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(document))
+        assert cli.main(["--kernel", "scalar-matmul", "--size", "6",
+                         "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"configuration error: mem_latency must be a number, " \
+               f"got {value!r}" in capsys.readouterr().err
 
     def test_sweep_axis(self, capsys):
         assert cli.main(["sweep", *KERNEL, "--axes", "mem_latency=abc"]) \

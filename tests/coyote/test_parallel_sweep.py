@@ -98,6 +98,38 @@ class TestCrashIsolation:
         assert str(clone) == "wedged at cycle 4242"
 
 
+def refusing_factory(settings):
+    """Settings-aware factory: raises for one point (the worker lives)."""
+    if settings.get("noc.latency") == 7:
+        raise ValueError("no workload at noc.latency=7")
+    return scalar_matmul(size=6, num_cores=2)
+
+
+class TestResultsStayOffTheStore:
+    """A point's results live with the executor waiting for the table,
+    never on a store record or a journal event."""
+
+    def test_records_hold_no_result_and_errors_keep_their_kind(self):
+        sweep = Sweep(base_cores=2, axes={"noc.latency": [2, 7, 6]})
+        tables = []
+        for workers in (1, 2):
+            engine = ParallelSweep(sweep, workers=workers, on_error="skip")
+            table = engine.run(refusing_factory)
+            store = engine.executor.store
+            assert not [record for job in store.jobs.values()
+                        for record in job["points"] if "result" in record]
+            _, events = store.journal.load()
+            assert not [event for event in events if "result" in event]
+            assert [point.failed for point in table.points] \
+                == [False, True, False]
+            refused = table.points[1]
+            assert refused.error_kind == "ValueError"
+            assert type(refused.error) is ValueError
+            tables.append(table)
+        assert tables[0].to_dict(DIFFERENTIAL_METRICS) \
+            == tables[1].to_dict(DIFFERENTIAL_METRICS)
+
+
 class TestValidation:
     def test_workers_must_be_positive(self):
         sweep = Sweep(base_cores=2, axes={"noc.latency": [2]})

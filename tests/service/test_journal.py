@@ -168,6 +168,90 @@ class TestTornTail:
             Journal(path).load()
 
 
+class TestOneTailRule:
+    """Every line that ends in a newline committed and must be an event;
+    only the bytes after the last newline can be a torn append."""
+
+    COMMITTED = b'{"seq":1,"type":"a"}\n'
+
+    def load(self, path, readonly=False):
+        journal = Journal(path)
+        _, events = journal.load(readonly=readonly)
+        assert journal.bytes == path.stat().st_size
+        journal.close()
+        return journal, events
+
+    @pytest.mark.parametrize("readonly", [False, True])
+    def test_a_garbage_final_line_with_its_newline_is_corrupt(
+            self, tmp_path, readonly):
+        path = tmp_path / "journal.jsonl"
+        blob = self.COMMITTED + b'{"seq":2,"ty\n'
+        path.write_bytes(blob)
+        journal = Journal(path)
+        with pytest.raises(CampaignCorruptError,
+                           match="line 2 is not valid JSON"):
+            journal.load(readonly=readonly)
+        assert path.read_bytes() == blob
+        assert journal.bytes == len(blob)
+
+    def test_an_unterminated_valid_tail_is_kept_and_terminated(
+            self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        blob = self.COMMITTED + b'{"seq":2,"type":"b"}'
+        path.write_bytes(blob)
+        _, events = self.load(path, readonly=True)
+        assert [event["seq"] for event in events] == [1, 2]
+        assert path.read_bytes() == blob
+        _, events = self.load(path)
+        assert [event["seq"] for event in events] == [1, 2]
+        assert path.read_bytes() == blob + b"\n"
+
+    def test_an_unterminated_torn_tail_is_cut_at_its_first_byte(
+            self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        blob = self.COMMITTED + b'{"seq":2,"ty'
+        path.write_bytes(blob)
+        _, events = self.load(path, readonly=True)
+        assert [event["seq"] for event in events] == [1]
+        assert path.read_bytes() == blob
+        _, events = self.load(path)
+        assert [event["seq"] for event in events] == [1]
+        assert path.read_bytes() == self.COMMITTED
+
+    def test_a_file_that_is_only_a_torn_tail_empties(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(b'{"se')
+        journal, events = self.load(path)
+        assert events == [] and path.read_bytes() == b""
+        assert journal.seq == 0
+
+    @pytest.mark.parametrize("blob", [
+        b"", COMMITTED, COMMITTED + b'{"seq":2,"type":"b"}',
+        COMMITTED + b'{"seq":2,"ty', b'{"se'],
+        ids=["empty", "committed", "unterminated", "torn", "only-torn"])
+    def test_a_readonly_load_never_writes(self, tmp_path, blob):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(blob)
+        self.load(path, readonly=True)
+        assert path.read_bytes() == blob
+
+    def test_appends_after_each_repair_keep_bytes_the_file_size(
+            self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        for blob in (b"", self.COMMITTED,
+                     self.COMMITTED + b'{"seq":2,"type":"b"}',
+                     self.COMMITTED + b'{"seq":2,"ty'):
+            path.write_bytes(blob)
+            journal = Journal(path)
+            journal.load()
+            journal.append("claim", job="a", index=0)
+            assert journal.bytes == path.stat().st_size
+            journal.close()
+            _, events = self.load(path)
+            assert [event["seq"] for event in events] \
+                == list(range(1, len(events) + 1))
+
+
 class TestCompaction:
     def test_compact_folds_state_and_resets_journal(self, tmp_path):
         journal, _, _ = open_journal(tmp_path)

@@ -345,7 +345,7 @@ class StoreMachine(RuleBasedStateMachine):
             == sorted(key for key, point in self.model.points.items()
                       if point["state"] == "leased"
                       and point["expires"] <= self.now)
-        assert self.store.jobs_in_order() == list(self.model.jobs)
+        assert list(self.store.jobs) == list(self.model.jobs)
 
     @invariant()
     def queries_agree_with_a_brute_force_fold(self):
