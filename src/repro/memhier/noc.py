@@ -210,15 +210,6 @@ class NocMessage:
         self.inject_cycle = inject_cycle
         self.hops = 0
 
-    def __setstate__(self, state):
-        slots = state[1]
-        if "x" in slots:  # coordinates, for MeshNoC._route_step to convert
-            slots["router"] = (slots.pop("x"), slots.pop("y"))
-            slots["home"] = (slots.pop("dest_x"), slots.pop("dest_y"))
-            del slots["queue_cycles"]
-        for name, value in slots.items():
-            setattr(self, name, value)
-
 
 class MeshNoC(CrossbarNoC):
     """2D mesh/torus with router pipelines and link contention.
@@ -263,7 +254,20 @@ class MeshNoC(CrossbarNoC):
         self._coordinates: dict[str, tuple[int, int]] = {}
         self._stations: dict[str, tuple[int, int]] = {}
         self._grid_rows = 1
-        self._new_tables()
+        self._adaptive = self.routing == "adaptive"
+        self._x_first = self.routing != "yx"
+        # Routers and links are list indices: an id is its position.
+        self._router_of: dict[str, int] = {}          # endpoint -> id
+        self._router_ids: dict[tuple[int, int], int] = {}
+        self._routers: list[tuple[int, int]] = []     # id -> coordinate
+        self._router_counts: list[int] = []
+        self._link_ids: dict[tuple, int] = {}  # ((x, y), (nx, ny)) -> id
+        self._link_to: list[int] = []
+        self._link_counts: list[int] = []
+        self._frontier_cycle: list[int] = []
+        self._frontier_used: list[int] = []
+        # (from router, to router, x first) -> route
+        self._routes: dict[tuple[int, int, bool], tuple[int, ...]] = {}
         # Optional observability hooks (telemetry; None = no overhead):
         # per-hop queueing delay, and network occupancy after each
         # inject/deliver (Chrome trace counter track).
@@ -282,42 +286,6 @@ class MeshNoC(CrossbarNoC):
             "in_network", "messages currently inside the network (gauge)")
         self._total_latency = stats.counter(
             "total_latency", "sum of end-to-end traversal latencies")
-
-    def _new_tables(self) -> None:
-        """Routing flags and empty router/link tables (an id is a list
-        index); also what a checkpoint of the coordinate layout lacks."""
-        self._adaptive = self.routing == "adaptive"
-        self._x_first = self.routing != "yx"
-        self._router_of: dict[str, int] = {}          # endpoint -> id
-        self._router_ids: dict[tuple[int, int], int] = {}
-        self._routers: list[tuple[int, int]] = []     # id -> coordinate
-        self._router_counts: list[int] = []
-        self._link_ids: dict[tuple, int] = {}  # ((x, y), (nx, ny)) -> id
-        self._link_to: list[int] = []
-        self._link_counts: list[int] = []
-        self._frontier_cycle: list[int] = []
-        self._frontier_used: list[int] = []
-        # (from router, to router, x first) -> route
-        self._routes: dict[tuple[int, int, bool], tuple[int, ...]] = {}
-
-    def __setstate__(self, state: dict) -> None:
-        frontier = state.pop("_link_next", None)
-        self.__dict__.update(state)
-        if frontier is None:
-            return
-        # Pickled while links and routers were dicts keyed by
-        # coordinates (a link is in the frontier once it is counted).
-        link_counts, router_counts = self._link_counts, self._router_counts
-        self._new_tables()
-        for endpoint, coordinate in self._coordinates.items():
-            self._router_of[endpoint] = self._router_id(coordinate)
-        for coordinate, count in router_counts.items():
-            self._router_counts[self._router_id(coordinate)] = count
-        for key, count in link_counts.items():
-            link = self._link_id(*key)
-            self._link_counts[link] = count
-            self._frontier_cycle[link], self._frontier_used[link] = \
-                frontier[key]
 
     def _router_id(self, coordinate: tuple[int, int]) -> int:
         router = self._router_ids.get(coordinate)
@@ -470,16 +438,6 @@ class MeshNoC(CrossbarNoC):
         message.router = self._link_to[link]
         scheduler.schedule(self._hop, depart + self.link_latency - now,
                            (message,))
-
-    def _route_step(self, message: NocMessage) -> None:
-        """Hop events checkpointed before routers had ids call this
-        name, with a message still holding coordinates: give it ids and
-        the rest of its route, then hop."""
-        message.router = start = self._router_id(message.router)
-        message.home = home = self._router_id(message.home)
-        message.route = self._route(start, home, self._x_first)
-        message.hops = 0
-        self._hop(message)
 
     def _deliver(self, message: NocMessage) -> None:
         now = self.scheduler.current_cycle

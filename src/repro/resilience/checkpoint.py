@@ -10,6 +10,11 @@ statistics, telemetry builders, miss-trace recorder, fault-injector RNG
 resumed run is bit-identical to an uninterrupted one: the differential
 test compares final statistics and Paraver traces byte for byte.
 
+The file is framed like a result-cache entry: a header line of magic,
+:data:`CHECKPOINT_FORMAT`, the body's sha256 and length, then the
+pickled payload.  A load checks the format and the digest before it
+unpickles anything.
+
 The module deliberately imports nothing from ``repro.coyote`` beyond
 the errors module: ``repro.coyote.config`` imports this package for
 ``ResilienceConfig``, so anything heavier here would cycle.
@@ -18,20 +23,18 @@ the errors module: ``repro.coyote.config`` imports this package for
 from __future__ import annotations
 
 import pickle
+import pickletools
 from pathlib import Path
 
 from repro.coyote.errors import SimulationError
-from repro.utils.atomic import write_atomically
+from repro.utils.atomic import body_ok, frame, write_atomically
 
-# Bump when the checkpoint payload layout changes; loads refuse a
-# mismatched format instead of failing somewhere inside unpickling.
-# 2: the cycle loop persists ``_resume_at`` (no ``_wake_epoch``); a
-# translator's block tables are never part of the payload, whatever they
-# were called when it was written.  A payload written while the loop
-# deferred block retire counts still carries them, its running
-# instruction total and each core's own counter, and nothing reads
-# them: the retire count is ``hart.instret``.
-CHECKPOINT_FORMAT = 2
+# A change to the pickled layout of anything in the payload bumps the
+# format, and no class ever upgrades an old layout: a file of another
+# format is refused whole.  3: the file is framed (formats 1 and 2 were
+# a bare pickle).
+CHECKPOINT_FORMAT = 3
+_MAGIC = b"coyote-checkpoint"
 
 
 class CheckpointError(SimulationError):
@@ -74,7 +77,6 @@ def save_checkpoint(simulation, path: str | Path,
     for core in orchestrator.cores:
         core.hart.drop_code_caches()
     payload = {
-        "format": CHECKPOINT_FORMAT,
         "metadata": dict(metadata or {}),
         "cycle": orchestrator.scheduler.current_cycle,
         "simulation": simulation,
@@ -86,7 +88,8 @@ def save_checkpoint(simulation, path: str | Path,
         raise CheckpointError(
             f"simulation state is not serialisable: {exc}") from exc
     # A failed or killed save leaves any previous checkpoint intact.
-    return write_atomically(Path(path), body)
+    return write_atomically(Path(path),
+                            frame(_MAGIC, CHECKPOINT_FORMAT, body), body)
 
 
 def load_checkpoint(path: str | Path):
@@ -98,20 +101,48 @@ def load_checkpoint(path: str | Path):
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no checkpoint at {path}")
+    data = path.read_bytes()
+    header, _newline, body = data.partition(b"\n")
+    parts = header.split()
+    version = (parts[1].decode("ascii", "replace")
+               if len(parts) == 4 and parts[0] == _MAGIC
+               else _bare_format(data))
+    if version is None:
+        raise CheckpointError(f"{path} is not a checkpoint file")
+    if version != str(CHECKPOINT_FORMAT):
+        raise CheckpointError(
+            f"{path}: checkpoint format {version} is not supported "
+            f"(expected {CHECKPOINT_FORMAT})")
+    if not body_ok(parts, body):
+        raise CheckpointError(
+            f"{path} failed its checksum (the checkpoint is damaged or "
+            f"truncated)")
     try:
-        with path.open("rb") as handle:
-            payload = pickle.load(handle)
+        payload = pickle.loads(body)
     except (pickle.UnpicklingError, EOFError, ImportError,
             AttributeError) as exc:
         raise CheckpointError(
             f"{path} is not a readable checkpoint: {exc}") from exc
-    if not isinstance(payload, dict) or "format" not in payload:
-        raise CheckpointError(f"{path} is not a checkpoint file")
-    if payload["format"] != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"{path}: checkpoint format {payload['format']} is not "
-            f"supported (expected {CHECKPOINT_FORMAT})")
     return payload["simulation"], payload["metadata"]
+
+
+def _bare_format(data: bytes) -> str | None:
+    """The format of a file from before checkpoints were framed (1 or
+    2): a bare pickled dict whose first key is ``"format"``.  Read from
+    the pickle's opcodes, so none of its classes is imported."""
+    args = []
+    try:
+        for opcode, arg, _position in pickletools.genops(data[:64]):
+            if arg is not None and opcode.name not in ("PROTO", "FRAME"):
+                args.append(arg)
+                if len(args) == 2:
+                    break
+    except ValueError:   # not a pickle
+        return None
+    if (args[:1] == ["format"] and type(args[-1]) is int
+            and 0 < args[-1] < CHECKPOINT_FORMAT):
+        return str(args[-1])
+    return None
 
 
 def restore_simulation(path: str | Path):

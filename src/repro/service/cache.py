@@ -38,7 +38,7 @@ from typing import Any
 
 from repro.coyote.config import SimulationConfig
 from repro.coyote.sweep import SweepPoint
-from repro.utils.atomic import write_atomically
+from repro.utils.atomic import body_ok, frame, write_atomically
 
 CACHE_FORMAT = 1
 _ENTRY_MAGIC = b"coyote-result"
@@ -174,7 +174,7 @@ class ResultCache:
             return None
         parts = header.split()
         if (len(parts) != 4 or parts[0] != _ENTRY_MAGIC
-                or not self._body_ok(parts, body)):
+                or not body_ok(parts, body)):
             self._quarantine(path, key)
             self.misses += 1
             return None
@@ -190,16 +190,6 @@ class ResultCache:
             return None
         self.hits += 1
         return point
-
-    @staticmethod
-    def _body_ok(parts: list[bytes], body: bytes) -> bool:
-        try:
-            expected_length = int(parts[3])
-        except ValueError:
-            return False
-        if len(body) != expected_length:
-            return False
-        return hashlib.sha256(body).hexdigest().encode("ascii") == parts[2]
 
     def _quarantine(self, path: Path, key: str) -> None:
         self.corrupt += 1
@@ -232,10 +222,7 @@ class ResultCache:
             return False
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha256(body).hexdigest()
-        write_atomically(path, b"%s %d %s %d\n" % (
-            _ENTRY_MAGIC, CACHE_FORMAT, digest.encode("ascii"), len(body)),
-            body)
+        write_atomically(path, frame(_ENTRY_MAGIC, CACHE_FORMAT, body), body)
         self.writes += 1
         return True
 

@@ -50,14 +50,6 @@ class Scheduler:
         self.current_cycle = 0
         self._events_fired = 0
 
-    def __setstate__(self, state):
-        # A format-2 checkpoint written while entries carried a priority
-        # (always 0) holds ``(cycle, 0, seq, callback, args)``; dropping
-        # the constant keeps the heap in order.
-        state["_queue"] = [entry[:1] + entry[2:] if len(entry) == 5
-                           else entry for entry in state["_queue"]]
-        self.__dict__.update(state)
-
     @property
     def events_fired(self) -> int:
         return self._events_fired

@@ -143,7 +143,7 @@ class CodeCacheRegistry:
     def __getstate__(self):
         return {"pages": self.pages, "caches": self.caches}
 
-    def __setstate__(self, state):   # a format-2 one also lists harts
+    def __setstate__(self, state):
         self.pages, self.caches = state["pages"], state["caches"]
         self.drop()
 
@@ -178,7 +178,7 @@ class Hart:
     # set_vl and never pickled.
     _vplan = None
     # The machine's read-only page set (``BareMetalMachine``), aliased
-    # like ``_code_pages``; a hart pickled before it existed has none.
+    # like ``_code_pages``; a hart built outside a machine has none.
     _readonly_pages: set[int] | frozenset = frozenset()
 
     def __init__(self, hart_id: int, memory: SparseMemory,

@@ -61,11 +61,8 @@ class BareMetalMachine:
     program's read-only ranges (``Program.readonly``): every hart aliases
     the one set, a store into it is a ``StoreAccessFault``, and
     translated blocks may load from it ahead of their cycle
-    (``repro.spike.translate``).  A machine pickled before the set
-    existed has none.
+    (``repro.spike.translate``).
     """
-
-    readonly_pages: set[int] | frozenset = frozenset()
 
     def __init__(self, program: Program, num_cores: int,
                  vlen_bits: int = 512,

@@ -1029,9 +1029,6 @@ class BlockTranslator:
         return {name: self.__dict__[name] for name in self._PICKLED}
 
     def __setstate__(self, state):
-        # Only the fields above are read, so a checkpoint of this
-        # CHECKPOINT_FORMAT written when the tables had other names (or
-        # before the counters existed) still resumes.
         for name in self._PICKLED:
             setattr(self, name, state[name])
         self._fresh()

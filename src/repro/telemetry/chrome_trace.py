@@ -69,14 +69,6 @@ class ChromeTraceBuilder:
         self._metadata("process_name", REQUEST_PID, 0,
                        "coyote memory requests")
 
-    def __setstate__(self, state: dict) -> None:
-        events = state.pop("events", None)
-        self.__dict__.update(state)
-        if events is not None:
-            # Pickled when every event was kept as its dict: fold them.
-            self._records, self._counter_keys = [], {}
-            self._fold(events)
-
     def _metadata(self, name: str, pid: int, tid: int, label: str) -> None:
         self._records.append({"ph": "M", "name": name, "pid": pid,
                               "tid": tid, "args": {"name": label}})
@@ -205,25 +197,3 @@ class ChromeTraceBuilder:
                 yield {"ph": "C", "name": name, "pid": CORE_PID,
                        "tid": tid, "ts": cycle,
                        "args": dict(zip(keys, values))}
-
-    def _fold(self, events: list[dict]) -> None:
-        """Record trace-event dicts as the records they render from."""
-        events = iter(events)
-        for event in events:
-            phase = event["ph"]
-            if phase == "X":
-                start = event["ts"]
-                self._emit_span(event["tid"], event["name"], start,
-                                start + event["dur"])
-            elif phase == "C":
-                self.counter(event["name"], event["ts"], event["args"],
-                             event["tid"])
-            elif phase == "b":
-                end = next(events)  # a request's "e" follows its "b"
-                args = event["args"]
-                self._records.append((
-                    _REQUEST, event["name"], event["tid"], event["id"],
-                    event["ts"], end["ts"], int(args["line_address"], 16),
-                    args["bank"], args["mc"], args["l2_hit"]))
-            else:
-                self._records.append(event)

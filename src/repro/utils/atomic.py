@@ -1,7 +1,9 @@
-"""Whole-file writes that nobody sees half done."""
+"""Whole-file writes that nobody sees half done, and the checksummed
+header that tells a damaged file from a whole one."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 from pathlib import Path
@@ -28,3 +30,18 @@ def write_atomically(path: Path, *chunks: bytes,
         os.unlink(scratch)
         raise
     return path
+
+
+def frame(magic: bytes, version: int, body: bytes) -> bytes:
+    """The header line written before ``body``: ``magic``, ``version``,
+    the body's sha256 and its length."""
+    return b"%s %d %s %d\n" % (
+        magic, version, hashlib.sha256(body).hexdigest().encode("ascii"),
+        len(body))
+
+
+def body_ok(parts: list[bytes], body: bytes) -> bool:
+    """Whether ``body`` has the length and sha256 that the split header
+    line ``parts`` of a :func:`frame` names."""
+    return (parts[3] == b"%d" % len(body)
+            and hashlib.sha256(body).hexdigest().encode("ascii") == parts[2])

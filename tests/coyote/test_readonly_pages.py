@@ -11,8 +11,6 @@ from those pages ahead of their cycle, so the fault is what keeps the
 promise honest.
 """
 
-import pickle
-
 import pytest
 
 from repro.assembler import DataBlock, assemble
@@ -20,13 +18,10 @@ from repro.assembler.program import Program
 from repro.coyote import Simulation, SimulationConfig
 from repro.coyote.errors import SimulationError
 from repro.kernels import scalar_matmul
-from repro.resilience import restore_simulation, save_checkpoint
 from repro.spike.hart import StoreAccessFault
 from repro.spike.machine import whole_pages
 from tests.coyote.loop_spec import use_loop_spec
 
-_HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
-                "guest_profile")
 _PAYLOAD = bytes(range(256)) * 16    # one page
 
 # name -> the faulting instruction(s); t3 points 64 bytes into the
@@ -207,33 +202,3 @@ class TestPages:
         # The output matrix is writable.
         assert machine.program.symbols["mat_c"] >> 12 \
             not in machine.readonly_pages
-
-
-def test_a_checkpoint_written_before_readonly_pages_resumes(tmp_path):
-    """A format-2 checkpoint pickled before the machine kept read-only
-    pages has no such attribute anywhere: the class-level empty defaults
-    stand in, and the resumed run is the straight one."""
-    def fresh():
-        workload = scalar_matmul(size=12, num_cores=4)
-        return Simulation(SimulationConfig.for_cores(4),
-                          workload.program), workload
-
-    straight, _ = fresh()
-    reference = straight.run().to_dict()
-    paused, workload = fresh()
-    assert paused.run(pause_at=reference["cycles"] // 2) is None
-    machine = paused.orchestrator.machine
-    del machine.__dict__["readonly_pages"]
-    for hart in machine.harts:
-        del hart.__dict__["_readonly_pages"]
-    path = save_checkpoint(paused, tmp_path / "old.ckpt")
-    assert b"readonly_pages" not in pickle.dumps(machine)
-
-    resumed = restore_simulation(path)
-    assert not resumed.orchestrator.machine.readonly_pages
-    results = resumed.run().to_dict()
-    for data in (results, reference):
-        for field in _HOST_FIELDS:
-            data.pop(field, None)
-    assert results == reference
-    assert workload.verify(resumed.memory)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.memhier.hierarchy import MemHierConfig, MemoryHierarchy
 from repro.memhier.request import RequestKind
-from repro.memhier.tagarray import TagArray
+from repro.utils.tagarray import TagArray
 from repro.sparta.scheduler import Scheduler
 
 

@@ -167,13 +167,3 @@ def test_geometry_table(cache_class, geometry, sets):
 def test_lru_table(cache_class, _name, accesses, expected):
     cache = cache_class(512, 2, 64)
     assert [touch(cache, *access) for access in accesses] == expected
-
-
-def test_the_old_module_path_still_names_the_class():
-    """Checkpoints written before the array moved pickle it as
-    ``repro.memhier.tagarray.TagArray``."""
-    import pickle
-
-    from repro.memhier import tagarray
-    assert tagarray.TagArray is TagArray
-    assert b"repro.utils.tagarray" in pickle.dumps(TagArray(512, 2, 64))

@@ -8,7 +8,7 @@ uninterrupted run."""
 import hashlib
 import json
 import pickle
-from pathlib import Path
+import random
 
 import pytest
 
@@ -23,19 +23,11 @@ from repro.resilience import (
     restore_simulation,
     save_checkpoint,
 )
-from repro.spike.translate import SHAPES, BlockTranslator
+from repro.resilience.checkpoint import CHECKPOINT_FORMAT
+from repro.utils.atomic import frame
+from tests.resilience.fixtures import DATA, FIXTURES, MATMUL, MATMUL_CHECKED
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
-# Written by ``coyote-sim --kernel scalar-matmul --cores 4 --size 8
-# --pause-at 2161 --checkpoint-out ...`` while the cycle loop still kept
-# deferred retire credits and a running instruction total, and scheduler
-# entries still carried a priority.
-_FORMAT_2_FIXTURE = Path(__file__).parent / "data" \
-    / "scalar-matmul-c4-s8-pause2161.ckpt"
-# The same point by the same code, with ``--watchdog 50000
-# --check-invariants 250`` added.
-_FORMAT_2_CHECKED_FIXTURE = Path(__file__).parent / "data" \
-    / "scalar-matmul-c4-s8-inv250-pause2161.ckpt"
 
 
 def _fresh(faults=(), trace=True):
@@ -129,86 +121,40 @@ class TestResumeDifferential:
         results = restore_simulation(path).run()
         assert _stats(results) == _stats(reference)
 
-    def test_a_checkpoint_with_the_translators_old_tables_resumes(
-            self, tmp_path, monkeypatch):
-        """Format 2 as it was written while ``BlockTranslator`` kept a
-        checked and an unchecked table per micro-block: five emptied
-        dicts under names that are gone (``_bounds`` then mapped a pc,
-        not a shape)."""
-        straight, _ = _fresh()
-        reference = straight.run()
-        paused, workload = _fresh()
-        assert paused.run(pause_at=reference.cycles // 2) is None
+    def test_the_fixture_table_names_every_committed_checkpoint(self):
+        assert sorted(fixture.file for fixture in FIXTURES) \
+            == sorted(path.name for path in DATA.glob("*.ckpt"))
+        for fixture in FIXTURES:
+            assert load_checkpoint(fixture.path)[1] == fixture.metadata
 
-        def old_state(translator):
-            kept = {name: vars(translator)[name]
-                    for name in ("core", "machine", "_exit", "_enabled")}
-            return dict(kept, cache={}, ucache={}, ufast={}, _bounds={},
-                        _ubounds={})
-        monkeypatch.setattr(BlockTranslator, "__getstate__", old_state)
-        path = save_checkpoint(paused, tmp_path / "old.ckpt")
-        monkeypatch.undo()
-
-        resumed = restore_simulation(path)
-        for translator in resumed.orchestrator.translators:
-            assert set(translator.blocks) == set(translator._bounds) \
-                == set(SHAPES)
-            assert not hasattr(translator, "ucache")
-        results = resumed.run()
-        assert _stats(results) == _stats(reference)
-        assert workload.verify(resumed.memory)
-
-
-    def test_a_checkpoint_with_the_sorted_active_list_resumes(
-            self, tmp_path):
-        """Format 2 as it was written while the orchestrator mirrored
-        ``_active_set`` in a sorted ``_active_list``: the attribute is
-        carried along and nothing reads it."""
-        straight, _ = _fresh()
-        reference = straight.run()
-        paused, workload = _fresh()
-        assert paused.run(pause_at=reference.cycles // 2) is None
-        orchestrator = paused.orchestrator
-        assert not hasattr(orchestrator, "_active_list")
-        orchestrator._active_list = sorted(orchestrator._active_set)
-        path = save_checkpoint(paused, tmp_path / "listed.ckpt")
-
-        resumed = restore_simulation(path)
-        results = resumed.run()
-        assert _stats(results) == _stats(reference)
-        assert workload.verify(resumed.memory)
-
-
-    def test_a_committed_format_2_checkpoint_resumes(self):
+    def test_a_committed_checkpoint_resumes(self):
         """Paused with events pending and cores 0 and 3 inside a
-        micro-block; the attributes nothing reads any more ride along."""
-        simulation, metadata = load_checkpoint(_FORMAT_2_FIXTURE)
-        assert metadata["kernel"] == "scalar-matmul"
+        micro-block."""
+        simulation, _ = load_checkpoint(MATMUL.path)
         orchestrator = simulation.orchestrator
         cycle = orchestrator.scheduler.current_cycle
         assert cycle == 2161 and orchestrator.scheduler.pending_events
         assert [core_id for core_id, due in enumerate(orchestrator._resume_at)
                 if due > cycle] == [0, 3]
-        assert {"_credit", "_instructions_total"} <= set(vars(orchestrator))
-        _assert_resumes_like_a_straight_run(_FORMAT_2_FIXTURE)
+        _assert_resumes_like_a_straight_run(MATMUL.path)
 
-    def test_a_committed_format_2_checkpoint_with_checks_resumes(self):
-        """The pickled invariant checker and watchdog come back as the
-        older code wrote them, and the checker still has a check due."""
-        simulation, _ = load_checkpoint(_FORMAT_2_CHECKED_FIXTURE)
+    def test_a_committed_checkpoint_with_checks_resumes(self):
+        """The pickled invariant checker and watchdog come back, and the
+        checker still has a check due."""
+        simulation, _ = load_checkpoint(MATMUL_CHECKED.path)
         checker = simulation.orchestrator.invariants
         assert checker.checks_run == 8
         assert checker.due < 2679  # the run's last cycle
         resumed = _assert_resumes_like_a_straight_run(
-            _FORMAT_2_CHECKED_FIXTURE,
+            MATMUL_CHECKED.path,
             resilience=ResilienceConfig(invariant_interval=250,
                                         watchdog_cycles=50000))
         assert resumed.simulation.orchestrator.invariants.checks_run == 9
 
     def test_code_derived_state_is_not_pickled(self):
         """A pickled registry carries its code pages but neither the
-        decoded words nor the block plans; a format-2 hart's emptied
-        per-hart decode cache rides along unread."""
+        decoded words nor the block plans, and a checkpoint's harts
+        share their machine's registry."""
         paused, _ = _fresh()
         assert paused.run(pause_at=1001) is None
         registry = paused.orchestrator.machine.code_registry
@@ -216,10 +162,9 @@ class TestResumeDifferential:
         copy = pickle.loads(pickle.dumps(registry))
         assert (copy.decoded, copy.plans) == ({}, {})
         assert copy.pages == registry.pages
-        simulation, _ = load_checkpoint(_FORMAT_2_FIXTURE)
+        simulation, _ = load_checkpoint(MATMUL.path)
         machine = simulation.orchestrator.machine
         assert all(hart.code_registry is machine.code_registry
-                   and vars(hart)["_decode_cache"] == {}
                    for hart in machine.harts)
         assert (machine.code_registry.decoded,
                 machine.code_registry.plans) == ({}, {})
@@ -270,10 +215,36 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="no checkpoint"):
             load_checkpoint(tmp_path / "absent.ckpt")
 
-    def test_garbage_file(self, tmp_path):
+    @pytest.mark.parametrize("damage",
+                             ["text", "truncated", "changed", "random"])
+    def test_garbage_file(self, tmp_path, damage):
+        """Text, or seeded damage to a committed checkpoint: cut short,
+        five bytes changed, or replaced by random bytes.  Each copy is a
+        CheckpointError, never a raw exception or a resume."""
+        rng = random.Random(1)
+        original = MATMUL.path.read_bytes()
         path = tmp_path / "garbage.ckpt"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(CheckpointError):
+        for _ in range(100):
+            if damage == "text":
+                data = b"not a pickle at all"
+            elif damage == "truncated":
+                data = original[:rng.randrange(len(original))]
+            elif damage == "changed":
+                data = bytearray(original)
+                for position in rng.sample(range(len(data)), 5):
+                    data[position] ^= rng.randrange(1, 256)
+            else:
+                data = rng.randbytes(rng.randrange(1, len(original)))
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_a_changed_byte_fails_the_checksum(self, tmp_path):
+        data = bytearray(MATMUL.path.read_bytes())
+        data[-1] ^= 1
+        path = tmp_path / "flipped.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match="failed its checksum"):
             load_checkpoint(path)
 
     def test_wrong_payload_shape(self, tmp_path):
@@ -284,7 +255,10 @@ class TestCheckpointErrors:
 
     def test_unsupported_format_version(self, tmp_path):
         path = tmp_path / "future.ckpt"
-        path.write_bytes(pickle.dumps({"format": 999, "metadata": {},
-                                       "simulation": None}))
-        with pytest.raises(CheckpointError, match="format 999"):
+        body = pickle.dumps({"metadata": {}, "simulation": None})
+        path.write_bytes(frame(b"coyote-checkpoint", 999, body) + body)
+        with pytest.raises(
+                CheckpointError,
+                match=rf"format 999 is not supported "
+                      rf"\(expected {CHECKPOINT_FORMAT}\)"):
             load_checkpoint(path)

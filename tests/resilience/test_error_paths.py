@@ -119,17 +119,30 @@ class TestSweepFailureIsolation:
             table.best()
 
 
+def _unpickled():
+    raise AssertionError("an old checkpoint was unpickled")
+
+
+class _Tripwire:
+    """Unpickling one calls :func:`_unpickled`."""
+
+    def __reduce__(self):
+        return _unpickled, ()
+
+
 class TestOldCheckpointRejected:
-    def test_previous_format_is_refused_by_version(self, tmp_path):
-        # Format 1 predates the one-kernel cycle loop (different
-        # persisted loop state).  It is refused by its version number —
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_previous_format_is_refused_by_version(self, tmp_path, version):
+        # Formats 1 and 2 were a bare pickled dict with no header.  Each
+        # is refused by its version number, read without unpickling —
         # there are no per-attribute layout shims to fall through.
         path = tmp_path / "old.ckpt"
-        path.write_bytes(pickle.dumps({"format": 1, "metadata": {},
-                                       "simulation": None}))
+        path.write_bytes(pickle.dumps(
+            {"format": version, "metadata": {},
+             "simulation": _Tripwire()}, protocol=pickle.HIGHEST_PROTOCOL))
         with pytest.raises(
                 CheckpointError,
-                match=r"format 1 is not supported \(expected 2\)"):
+                match=rf"format {version} is not supported \(expected 3\)"):
             load_checkpoint(path)
 
 

@@ -1,23 +1,17 @@
-"""A mesh checkpoint written by older code resumes to the straight run.
+"""A committed mesh checkpoint resumes to the straight run.
 
-The fixture was written by ``coyote-sim --kernel scalar-spmv --cores 8
---size 16 --noc-topology mesh --noc-columns 2 --pause-at 526
---checkpoint-out ...`` while the mesh kept its link frontier, link and
-router counts in dicts keyed by router coordinates and each in-flight
-message carried its own coordinates.  At the pause, messages sit on
-routers mid-route, others wait for delivery, and one link is granted
-four cycles into the future.
+The fixture (``tests/resilience/fixtures.py``: ``MESH``) is paused
+mid-contention: messages sit on routers mid-route, others wait for
+delivery, and one link is granted four cycles into the future.
 """
-
-from pathlib import Path
 
 from repro import api
 from repro.memhier.noc import NocMessage
 from repro.resilience import load_checkpoint
 from repro.resilience.introspect import in_network_messages, noc_state
+from tests.resilience.fixtures import MESH
 
-_FIXTURE = Path(__file__).parent / "data" \
-    / "scalar-spmv-c8-s16-mesh2-pause526.ckpt"
+_FIXTURE = MESH.path
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
 
 
@@ -30,7 +24,7 @@ def _stats(results):
 
 def test_the_fixture_is_paused_mid_contention():
     simulation, metadata = load_checkpoint(_FIXTURE)
-    assert metadata == {"kernel": "scalar-spmv", "cores": 8, "size": 16}
+    assert metadata == MESH.metadata
     orchestrator = simulation.orchestrator
     assert orchestrator.scheduler.current_cycle == 526
     assert in_network_messages(orchestrator) == 12

@@ -2,20 +2,14 @@
 
 A run paused and resumed through the CLI writes the Chrome trace-event
 JSON and the Paraver ``.prv`` of an uninterrupted run, byte for byte,
-and so does a committed checkpoint written while the Chrome trace
-builder still kept every event as a dict.
+and so does a committed checkpoint paused with both traces on.
 """
 
 from pathlib import Path
 
 from repro.coyote import cli
 from repro.resilience import load_checkpoint
-
-# Written by ``coyote-sim --kernel scalar-matmul --cores 4 --size 8
-# --chrome-trace ... --trace ... --pause-at 1300 --checkpoint-out ...``
-# while ``ChromeTraceBuilder`` held its events as a list of dicts.
-_EVENT_DICTS_FIXTURE = Path(__file__).parent / "data" \
-    / "scalar-matmul-c4-s8-chrome-pause1300.ckpt"
+from tests.resilience.fixtures import MATMUL_TRACED
 
 SPMV = ["--kernel", "spmv-csr-gather-reduce", "--cores", "8",
         "--size", "64", "--noc-topology", "mesh"]
@@ -40,15 +34,11 @@ def test_a_resumed_cli_run_writes_the_straight_run_traces(tmp_path, capsys):
         == _traces(tmp_path, "straight", *SPMV)
 
 
-def test_a_checkpoint_holding_event_dicts_resumes_to_the_same_bytes(
-        tmp_path):
-    simulation, _ = load_checkpoint(_EVENT_DICTS_FIXTURE)
-    builder = simulation.telemetry.chrome
-    assert "events" not in vars(builder)
-    folded = [record for record in builder._records
-              if isinstance(record, tuple)]
-    assert len(folded) > 100
+def test_a_committed_traced_checkpoint_resumes_to_the_same_bytes(tmp_path):
+    simulation, _ = load_checkpoint(MATMUL_TRACED.path)
+    records = simulation.telemetry.chrome._records
+    assert sum(isinstance(record, tuple) for record in records) > 100
     assert _traces(tmp_path, "resumed", "--resume",
-                   str(_EVENT_DICTS_FIXTURE)) \
+                   str(MATMUL_TRACED.path)) \
         == _traces(tmp_path, "straight", "--kernel", "scalar-matmul",
                    "--cores", "4", "--size", "8")

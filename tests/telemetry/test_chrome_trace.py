@@ -132,19 +132,6 @@ class TestRecords:
             "otherData": {"tool": "coyote-repro",
                           "time_unit": "1 ts = 1 simulated cycle"}}) + "\n"
 
-    def test_a_builder_pickled_with_event_dicts_folds_them(self, tmp_path):
-        """A checkpoint written while every event was kept as its dict
-        resumes into records that write the same bytes."""
-        builder = _every_kind_of_event()
-        legacy = ChromeTraceBuilder.__new__(ChromeTraceBuilder)
-        legacy.__setstate__({"num_cores": 2, "events": list(builder.events),
-                             "_open": [None, None]})
-        assert "events" not in vars(legacy)
-        assert sum(isinstance(record, dict)
-                   for record in legacy._records) == 6 + 2
-        expected = builder.write(tmp_path / "new.json").read_bytes()
-        assert legacy.write(tmp_path / "old.json").read_bytes() == expected
-
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
