@@ -17,7 +17,7 @@ Each is swept against memory bandwidth to find where it wins.
 
 from __future__ import annotations
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import (
     dense_vector,
     quantise_matrix,

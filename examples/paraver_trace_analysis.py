@@ -14,7 +14,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import spmv_csr_gather_reduce
 from repro.paraver import (
     bank_pressure,

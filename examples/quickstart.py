@@ -7,7 +7,7 @@ lists (miss rates, dependency stalls, execution time) and check the
 kernel's numerical result against the numpy reference.
 """
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import vector_matmul
 
 

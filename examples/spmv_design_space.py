@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import (
     banded_csr,
     clustered_csr,

@@ -9,7 +9,7 @@ before any FPGA work (§IV).
 
 from __future__ import annotations
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import vector_stencil
 
 LENGTH = 512

@@ -2,8 +2,8 @@
 
 Every supported entry point — running one simulation, sweeping a design
 space (serially or across a worker pool), replaying a checkpoint,
-building a configuration — is importable from here, and the blessed
-types are re-exported under their canonical names:
+building a configuration — is importable from here, and so is every
+public type:
 
 >>> from repro.api import run, sweep
 >>> outcome = run("scalar-matmul", cores=4, size=8)
@@ -14,12 +14,11 @@ True
 >>> len(table.points)
 2
 
-``repro.coyote`` and ``repro.resilience`` re-export from this module,
-so old import paths keep working; new code should import from
-``repro.api``.  The stability contract (public vs internal, the
-migration table from historical spellings) is documented in
-``docs/API.md`` and enforced in CI by ``python -m
-repro.tools.check_api``.
+This module is the one import path of every public name; anything it
+does not export is imported from the module that defines it.  The
+stability contract (public vs internal, the migration table from
+historical spellings) is documented in ``docs/API.md`` and enforced in
+CI by ``python -m repro.tools.check_api``.
 """
 
 from __future__ import annotations

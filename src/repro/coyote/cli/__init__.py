@@ -24,7 +24,6 @@ imported when one runs: a plain run neither imports nor compiles them.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import logging
 import os
@@ -64,33 +63,19 @@ COMMANDS = {
                 "run the multi-node campaign tier (docs/RESILIENCE.md)"),
 }
 
-# Names :mod:`.campaign` defines that are served from here on first use.
-_CAMPAIGN = ("sweep_main", "jobs_main", "serve_main", "cluster_main",
-             "build_sweep_parser", "build_jobs_parser", "build_serve_parser",
-             "build_cluster_parser", "parse_axes", "sweep_exit_code")
-
-
-def __getattr__(name: str):
-    if name in _CAMPAIGN:
-        return getattr(importlib.import_module(f"{__name__}.campaign"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in COMMANDS:
-        return getattr(sys.modules[__name__], COMMANDS[argv[0]][0])(argv[1:])
-    return run_main(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return run_main(argv)
+    if argv[0] == "profile":
+        return profile_main(argv[1:])
+    from repro.coyote.cli import campaign
+    return getattr(campaign, COMMANDS[argv[0]][0])(argv[1:])
 
 
 def command_parser(name: str) -> argparse.ArgumentParser:
     return argparse.ArgumentParser(prog=f"coyote-sim {name}",
                                    description=COMMANDS[name][1] + ".")
-
-
-def make_workload(kernel: str, cores: int, size: int | None):
-    """Instantiate a kernel with a sensible size argument."""
-    return kernels.instantiate(kernel, cores, size)
 
 
 DEFAULT_CORES = 8
@@ -250,7 +235,7 @@ def simulate(prepare, report, *, pause_at: int | None = None,
     try:
         source, kernel, cores, size = prepare()
         started = clock()
-        workload = make_workload(kernel, cores, size)
+        workload = kernels.instantiate(kernel, cores, size)
         built = clock()
     except (ValueError, KeyError, OSError, SimulationError) as exc:
         return config_error(exc)

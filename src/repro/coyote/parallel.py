@@ -11,8 +11,9 @@ executed"):
 * :class:`ParallelSweep` — ``Sweep.run`` as a tier of the one campaign
   loop (:class:`repro.service.service.CampaignExecutor`): the sweep is
   one job submitted to a job store whose journal has no file, its
-  recipe is any callable, its results stay on the store's records, and
-  its :class:`SweepTable` is assembled from the settled store exactly
+  recipe is any callable, the executor holds each point's result for
+  the waiting ``result()`` (the store's records keep only the point's
+  state), and its :class:`SweepTable` is assembled from them exactly
   as a service job's is — so a ``workers=N`` table is bit-identical to
   a ``workers=1`` table, and both to the same campaign run through
   ``repro.api.submit`` or a cluster.  Supervision (deadlines, retries,

@@ -1,6 +1,6 @@
 """The public simulation facade.
 
->>> from repro.coyote import Simulation, SimulationConfig
+>>> from repro.api import Simulation, SimulationConfig
 >>> from repro.kernels import scalar_matmul
 >>> config = SimulationConfig.for_cores(4)
 >>> workload = scalar_matmul(size=8, num_cores=4)

@@ -24,37 +24,7 @@ deterministic tools (docs/RESILIENCE.md):
   retries with seeded backoff, the degradation threshold) and the
   quarantine record; the campaign executor applies them.
 
-The canonical import surface is :mod:`repro.api`; the blessed names
-below are re-exported from there (lazily, to stay cycle-free).
+The public names (``FaultPlan``, ``save_checkpoint``, ...) are imported
+from :mod:`repro.api`; the rest (``Watchdog``, ``FaultInjector``,
+``InvariantChecker``, ...) from the module that defines them.
 """
-
-from repro.utils.reexport import lazy_exports
-
-# Names served from the repro.api facade (the canonical path).
-_API_NAMES = frozenset({
-    "AttemptRecord",
-    "CheckpointError",
-    "DeadlockError",
-    "DegradationEvent",
-    "FaultPlan",
-    "FaultSpec",
-    "QuarantinedPoint",
-    "ResilienceConfig",
-    "RetryPolicy",
-    "SupervisorPolicy",
-    "load_checkpoint",
-    "restore_simulation",
-    "save_checkpoint",
-})
-
-# Internal-but-stable names that stay below the facade.
-_LOCAL_NAMES = {
-    "FaultInjector": "repro.resilience.faults",
-    "InvariantChecker": "repro.resilience.invariants",
-    "InvariantViolation": "repro.resilience.invariants",
-    "Watchdog": "repro.resilience.watchdog",
-    "build_snapshot": "repro.resilience.watchdog",
-}
-
-__all__ = sorted(_API_NAMES | set(_LOCAL_NAMES))
-__getattr__, __dir__ = lazy_exports(globals(), _API_NAMES, _LOCAL_NAMES)

@@ -31,44 +31,8 @@ any instant (docs/RESILIENCE.md, "Campaign service"):
   grants, node health registry, rebalancing, graceful cluster→local
   degradation) coordinating :class:`ClusterNode` executors.
 
-The canonical import surface is :mod:`repro.api`
-(``submit/status/result/cancel``); the blessed names below are
-re-exported from there (lazily, to stay cycle-free).
+The public names (``submit/status/result/cancel``,
+``CampaignService``, ...) are imported from :mod:`repro.api`; the rest
+(``Journal``, ``JobStore``, ``ResultCache``, the transports, ...) from
+the module that defines them.
 """
-
-from repro.utils.reexport import lazy_exports
-
-# Names served from the repro.api facade (the canonical path).
-_API_NAMES = frozenset({
-    "CampaignService",
-    "ClusterDispatcher",
-    "ClusterNode",
-    "JobNotFoundError",
-    "JobStatus",
-    "QueueFullError",
-    "ServiceError",
-    "ServiceFaultPlan",
-    "ServiceFaultSpec",
-    "StaleWriteError",
-})
-
-# Internal-but-stable names that stay below the facade.
-_LOCAL_NAMES = {
-    "FaultyTransport": "repro.service.transport",
-    "FilesystemTransport": "repro.service.transport",
-    "InProcessTransport": "repro.service.transport",
-    "Journal": "repro.service.journal",
-    "JobStore": "repro.service.store",
-    "NodeRegistry": "repro.service.cluster",
-    "ResultCache": "repro.service.cache",
-    "Transport": "repro.service.transport",
-    "config_digest": "repro.service.cache",
-    "kernel_digest": "repro.service.cache",
-    "new_job_id": "repro.service.service",
-    "point_key": "repro.service.cache",
-    "result_key": "repro.service.cache",
-    "spool_submission": "repro.service.service",
-}
-
-__all__ = sorted(_API_NAMES | set(_LOCAL_NAMES))
-__getattr__, __dir__ = lazy_exports(globals(), _API_NAMES, _LOCAL_NAMES)

@@ -1,20 +1,15 @@
-"""API-surface lint: every public name flows through ``repro.api``.
+"""API-surface lint: ``repro.api`` is the home of every public name.
 
-The facade contract (docs/API.md) says there is exactly one canonical
-import path: a name is either exported by :mod:`repro.api` or declared
-internal-but-stable by its package (``_LOCAL_NAMES``).  This tool fails (exit 1) the
-moment a package gains a public name outside that contract, so API
-drift is caught in CI instead of in a release note.
+The facade contract (docs/API.md) has two tiers: a public name is
+exported by :mod:`repro.api`, and everything else is imported from the
+module that defines it.  This tool fails (exit 1) when the facade
+breaks that contract, so API drift is caught in CI instead of in a
+release note.
 
-Checks, in order:
+Checks:
 
 1. ``repro.api`` imports cleanly and every ``__all__`` name resolves.
-2. For each facaded package (``repro.coyote``, ``repro.resilience``):
-   every ``__all__`` name is covered by the facade or by the package's
-   own internal declaration — and nothing is declared in both.
-3. Re-exports are *identities*: ``repro.coyote.Simulation is
-   repro.api.Simulation`` (two objects under one name would mean two
-   canonical paths).
+2. Every name in :data:`REQUIRED_FACADE_NAMES` is exported.
 
 Run it as ``python -m repro.tools.check_api``.
 """
@@ -25,11 +20,9 @@ import importlib
 import sys
 
 FACADE = "repro.api"
-FACADED_PACKAGES = ("repro.coyote", "repro.resilience", "repro.service")
 
 # Names the facade is contractually required to export (subsystems that
-# were announced public; losing one is an API break even if the routing
-# bookkeeping stays self-consistent).
+# were announced public; losing one is an API break).
 REQUIRED_FACADE_NAMES = (
     # the structured interconnect configuration
     "NocConfig",
@@ -84,35 +77,9 @@ def check() -> int:
         if name not in exported:
             errors.append(f"{FACADE} no longer exports required public "
                           f"name {name!r}")
-
-    for package_name in FACADED_PACKAGES:
-        package = importlib.import_module(package_name)
-        declared = set(getattr(package, "__all__", ()))
-        via_api = set(getattr(package, "_API_NAMES", ()))
-        local = set(getattr(package, "_LOCAL_NAMES", ()))
-        if not via_api:
-            errors.append(f"{package_name} declares no _API_NAMES "
-                          f"facade routing")
-            continue
-        for name in sorted(via_api & local):
-            errors.append(f"{package_name}: {name!r} is declared both "
-                          f"facade-routed and internal")
-        for name in sorted(via_api - exported):
-            errors.append(f"{package_name} routes {name!r} through the "
-                          f"facade, but {FACADE} does not export it")
-        for name in sorted(declared - via_api - local):
-            errors.append(f"{package_name} exports public name {name!r} "
-                          f"that is neither routed through {FACADE} nor "
-                          f"declared internal (_LOCAL_NAMES)")
-        for name in sorted(via_api & exported):
-            if getattr(package, name) is not getattr(api, name):
-                errors.append(f"{package_name}.{name} is not the same "
-                              f"object as {FACADE}.{name}")
-
     if errors:
         return _fail(errors)
-    print(f"check_api: OK — {len(exported)} facade exports, "
-          f"{len(FACADED_PACKAGES)} packages routed")
+    print(f"check_api: OK — {len(exported)} facade exports")
     return 0
 
 

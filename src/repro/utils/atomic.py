@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from pathlib import Path
 
 
@@ -14,10 +13,12 @@ def write_atomically(path: Path, *chunks: bytes,
     """Write ``chunks`` to ``path`` through a temp file beside it that is
     renamed over it: a reader, a crash or a failed write leaves the old
     file or the whole new one, never part of one.  The temp file is
-    ``.<name>-*.tmp``, so no glob for the destination's suffix meets it.
-    ``fsync`` puts the bytes on disk before the rename."""
-    fd, scratch = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}-",
-                                   suffix=".tmp")
+    ``.<name>-*.tmp``, so no glob for the destination's suffix meets it;
+    it is created as a plain ``open`` would be, so the file gets the
+    process umask's mode.  ``fsync`` puts the bytes on disk before the
+    rename."""
+    scratch = path.parent / f".{path.name}-{os.urandom(8).hex()}.tmp"
+    fd = os.open(scratch, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import scalar_matmul, stream_triad
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import spmv_csr_gather_accum, stream_triad
 from repro.memhier.hierarchy import MemHierConfig, MemoryHierarchy
 from repro.memhier.request import RequestKind

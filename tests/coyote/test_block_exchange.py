@@ -18,11 +18,10 @@ import signal
 import pytest
 
 from repro import api
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
+from repro.api import Simulation, SimulationConfig
 from repro.coyote.parallel import PointPool
 from repro.coyote.sweep import run_point
-from repro.kernels import KERNELS, scalar_matmul, workload_factory
+from repro.kernels import KERNELS, instantiate, scalar_matmul, workload_factory
 from repro.spike import translate
 from repro.spike.translate import _FACTORY_CACHE
 from repro.telemetry import TelemetryConfig
@@ -58,7 +57,7 @@ def forbid_compile(monkeypatch):
 
 
 def simulate(kernel, **overrides):
-    workload = make_workload(kernel, cores=CORES, size=_SIZE[kernel])
+    workload = instantiate(kernel, num_cores=CORES, size=_SIZE[kernel])
     simulation = Simulation(SimulationConfig.for_cores(CORES, **overrides),
                             workload.program)
     document = simulation.run().to_dict()

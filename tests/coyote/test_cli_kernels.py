@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.coyote.cli import main as cli_main, make_workload
-from repro.kernels import KERNELS
+from repro.coyote.cli import main as cli_main
+from repro.kernels import KERNELS, instantiate
 
 _SIZE = {
     "scalar-matmul": 6, "vector-matmul": 6,
@@ -31,5 +31,5 @@ def test_cli_runs_every_kernel(kernel, capsys):
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS), ids=sorted(KERNELS))
 def test_make_workload_default_sizes(kernel):
-    workload = make_workload(kernel, cores=2, size=None)
+    workload = instantiate(kernel, num_cores=2, size=None)
     assert workload.num_cores == 2

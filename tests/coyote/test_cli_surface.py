@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.coyote import cli
+from repro.coyote.cli import campaign
 from repro.coyote.config import SimulationConfig
 from repro.coyote.simulation import Simulation
 
@@ -26,12 +27,12 @@ SNAPSHOT = Path(__file__).with_name("cli_surface.json")
 RECORDED = json.loads(SNAPSHOT.read_text()) if SNAPSHOT.exists() else {}
 
 PARSERS = {
-    "run": "build_parser",
-    "profile": "build_profile_parser",
-    "sweep": "build_sweep_parser",
-    "serve": "build_serve_parser",
-    "cluster": "build_cluster_parser",
-    "jobs": "build_jobs_parser",
+    "run": cli.build_parser,
+    "profile": cli.build_profile_parser,
+    "sweep": campaign.build_sweep_parser,
+    "serve": campaign.build_serve_parser,
+    "cluster": campaign.build_cluster_parser,
+    "jobs": campaign.build_jobs_parser,
 }
 
 
@@ -60,7 +61,7 @@ def surface() -> dict:
     """Every parser's options, ``jobs`` subparsers as ``jobs NAME``."""
     recorded = {}
     for name, builder in PARSERS.items():
-        parser = getattr(cli, builder)()
+        parser = builder()
         recorded[name] = describe(parser)
         for action in parser._actions:
             if isinstance(action, argparse._SubParsersAction):

@@ -15,7 +15,8 @@ import json
 import pytest
 
 from repro import api
-from repro.coyote import SimulationConfig, cli
+from repro.api import SimulationConfig
+from repro.coyote import cli
 from repro.coyote.sweep import Sweep, SweepError
 from repro.service.service import ServiceError, build_spec
 

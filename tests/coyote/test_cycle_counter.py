@@ -6,7 +6,7 @@ read ``rdcycle`` around a region and report the delta.
 """
 
 from repro.assembler import assemble
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 
 
 SOURCE = """.text

@@ -14,9 +14,8 @@ import json
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
-from repro.kernels import KERNELS
+from repro.api import Simulation, SimulationConfig
+from repro.kernels import KERNELS, instantiate
 from tests.coyote.loop_spec import use_loop_spec
 
 # Tiny-but-representative sizes (mirrors the CLI kernel coverage test).
@@ -37,8 +36,8 @@ _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
 
 
 def _run(kernel, config_kwargs, reference):
-    workload = make_workload(kernel, cores=config_kwargs.pop("cores", 2),
-                             size=_SIZE[kernel])
+    workload = instantiate(kernel, num_cores=config_kwargs.pop("cores", 2),
+                           size=_SIZE[kernel])
     config = SimulationConfig.for_cores(workload.num_cores,
                                         **config_kwargs)
     simulation = Simulation(config, workload.program)
@@ -84,8 +83,8 @@ def test_loops_identical_with_high_latency_fast_forward():
 def _run_profiled(reference):
     from repro.telemetry import TelemetryConfig
 
-    workload = make_workload("scalar-spmv", cores=4,
-                             size=_SIZE["scalar-spmv"])
+    workload = instantiate("scalar-spmv", num_cores=4,
+                           size=_SIZE["scalar-spmv"])
     config = SimulationConfig.for_cores(
         4, telemetry=TelemetryConfig(guest_profile=True))
     simulation = Simulation(config, workload.program)
@@ -112,7 +111,7 @@ def test_loops_identical_with_guest_profiling():
 
 def test_traces_identical():
     def run(reference):
-        workload = make_workload("scalar-spmv", cores=4, size=12)
+        workload = instantiate("scalar-spmv", num_cores=4, size=12)
         config = SimulationConfig.for_cores(4, trace_misses=True)
         simulation = Simulation(config, workload.program)
         use_loop_spec(simulation.orchestrator, reference)

@@ -53,9 +53,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.assembler import DataBlock, assemble
 from repro.assembler.encoder import supported_mnemonics
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import ResilienceConfig, Simulation, SimulationConfig
 from repro.coyote.errors import SimulationError
-from repro.resilience import ResilienceConfig
 from repro.telemetry import TelemetryConfig
 from tests.coyote.loop_spec import use_loop_spec
 

@@ -1,10 +1,14 @@
 """The loop spec installs without a seam in the product and leaves no
 trace in what the product writes."""
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
+from repro.api import (
+    Simulation,
+    SimulationConfig,
+    restore_simulation,
+    save_checkpoint,
+)
 from repro.coyote.orchestrator import Orchestrator
-from repro.resilience import restore_simulation, save_checkpoint
+from repro.kernels import instantiate
 from tests.coyote.loop_spec import SpecOrchestrator, use_loop_spec
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
@@ -18,7 +22,7 @@ def _document(results):
 
 
 def test_a_paused_spec_run_checkpoints_as_a_product_run(tmp_path):
-    workload = make_workload("scalar-matmul", cores=2, size=6)
+    workload = instantiate("scalar-matmul", num_cores=2, size=6)
     config = SimulationConfig.for_cores(2)
     straight = _document(Simulation(config, workload.program).run())
     simulation = Simulation(config, workload.program)
@@ -34,7 +38,7 @@ def test_a_paused_spec_run_checkpoints_as_a_product_run(tmp_path):
 
 
 def test_disabled_leaves_the_product_loop():
-    workload = make_workload("scalar-matmul", cores=1, size=4)
+    workload = instantiate("scalar-matmul", num_cores=1, size=4)
     simulation = Simulation(SimulationConfig.for_cores(1), workload.program)
     use_loop_spec(simulation.orchestrator, False)
     assert type(simulation.orchestrator) is Orchestrator

@@ -20,16 +20,16 @@ import json
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
-from repro.coyote.sweep import Sweep
-from repro.kernels import vector_axpy
-from repro.resilience import (
+from repro.api import (
     FaultSpec,
     ResilienceConfig,
+    Simulation,
+    SimulationConfig,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.coyote.sweep import Sweep
+from repro.kernels import instantiate, vector_axpy
 from repro.resilience.introspect import in_network_messages
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
@@ -65,7 +65,7 @@ def _digest(data) -> str:
 
 
 def _run(kernel, cores, size, overrides):
-    workload = make_workload(kernel, cores=cores, size=size)
+    workload = instantiate(kernel, num_cores=cores, size=size)
     config = SimulationConfig.for_cores(workload.num_cores,
                                         **dict(overrides))
     return _stats(Simulation(config, workload.program).run())
@@ -142,7 +142,7 @@ class TestLoadDependence:
 
 
 def _contended_simulation(faults=()):
-    workload = make_workload("scalar-spmv", cores=8, size=8)
+    workload = instantiate("scalar-spmv", num_cores=8, size=8)
     overrides = {"noc.kind": "torus", "noc.routing": "adaptive",
                  "noc.columns": 2}
     config = SimulationConfig.for_cores(8, **overrides)

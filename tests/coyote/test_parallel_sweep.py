@@ -14,7 +14,7 @@ import pytest
 from repro.coyote.parallel import ParallelSweep, RemoteError, WorkerCrash
 from repro.coyote.sweep import Sweep
 from repro.kernels import scalar_matmul, vector_axpy
-from repro.resilience import CheckpointError, FaultSpec, ResilienceConfig
+from repro.api import CheckpointError, FaultSpec, ResilienceConfig
 
 DIFFERENTIAL_METRICS = ("cycles", "instructions", "l1d_miss_rate",
                         "raw_stall_cycles")
@@ -296,7 +296,7 @@ class TestSweepCli:
         assert "no hierarchy counter" in capsys.readouterr().err
 
     def test_axis_tokens_are_typed(self):
-        from repro.coyote.cli import parse_axes
+        from repro.coyote.cli.campaign import parse_axes
         axes = parse_axes(["mix=2,2.5,true,shared"])
         assert axes["mix"] == [2, 2.5, True, "shared"]
 

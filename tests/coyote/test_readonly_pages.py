@@ -15,7 +15,7 @@ import pytest
 
 from repro.assembler import DataBlock, assemble
 from repro.assembler.program import Program
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.coyote.errors import SimulationError
 from repro.kernels import scalar_matmul
 from repro.spike.hart import StoreAccessFault

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig, SimulationError
+from repro.api import Simulation, SimulationConfig, SimulationError
 from repro.coyote.cli import main as cli_main
 from repro.kernels import scalar_matmul, vector_axpy
 

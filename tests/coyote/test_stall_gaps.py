@@ -19,8 +19,8 @@ import pickle
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig, SimulationError
-from repro.coyote.cli import make_workload
+from repro.api import Simulation, SimulationConfig, SimulationError
+from repro.kernels import instantiate
 from repro.telemetry import TelemetryConfig
 from tests.coyote.loop_spec import use_loop_spec
 
@@ -29,7 +29,7 @@ _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
 
 
 def _simulation(reference, sample_interval=0, **overrides):
-    workload = make_workload(KERNEL, cores=1, size=SIZE)
+    workload = instantiate(KERNEL, num_cores=1, size=SIZE)
     config = SimulationConfig.for_cores(
         1, mem_latency=MEM_LATENCY,
         telemetry=TelemetryConfig(sample_interval=sample_interval),

@@ -3,7 +3,7 @@ simulated outcome in the physically sensible direction."""
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import (
     scalar_matmul,
     scalar_spmv,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.coyote.trace import MissTraceRecorder
 from repro.kernels import scalar_spmv
 from repro.memhier.request import MemRequest, RequestKind

@@ -16,17 +16,17 @@ import json
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
-from repro.coyote.orchestrator import Orchestrator
-from repro.assembler import assemble
-from repro.kernels import KERNELS
-from repro.resilience import (
+from repro.api import (
     FaultSpec,
     ResilienceConfig,
+    Simulation,
+    SimulationConfig,
     restore_simulation,
     save_checkpoint,
 )
+from repro.coyote.orchestrator import Orchestrator
+from repro.assembler import assemble
+from repro.kernels import KERNELS, instantiate
 from repro.spike import translate as translate_module
 from repro.telemetry import TelemetryConfig
 from tests.coyote.loop_spec import use_loop_spec
@@ -59,7 +59,7 @@ def _digest(data) -> str:
 
 
 def _run(kernel, cores, translate, **config_kwargs):
-    workload = make_workload(kernel, cores=cores, size=_SIZE[kernel])
+    workload = instantiate(kernel, num_cores=cores, size=_SIZE[kernel])
     config = SimulationConfig.for_cores(workload.num_cores,
                                         translate=translate,
                                         **config_kwargs)
@@ -126,8 +126,8 @@ class TestCheckpointResume:
         # often enough to exercise the mid-block pause/resume path.
         pause_at = max(1, int(reference.cycles * fraction)) | 1
 
-        workload = make_workload("scalar-matmul", cores=4,
-                                 size=_SIZE["scalar-matmul"])
+        workload = instantiate("scalar-matmul", num_cores=4,
+                               size=_SIZE["scalar-matmul"])
         config = SimulationConfig.for_cores(4, translate=True)
         paused = Simulation(config, workload.program)
         assert paused.run(pause_at=pause_at) is None
@@ -144,8 +144,8 @@ class TestCheckpointResume:
         _sim, interp = _run("scalar-matmul", 4, translate=False)
         pause_at = max(1, interp.cycles // 2) | 1
 
-        workload = make_workload("scalar-matmul", cores=4,
-                                 size=_SIZE["scalar-matmul"])
+        workload = instantiate("scalar-matmul", num_cores=4,
+                               size=_SIZE["scalar-matmul"])
         config = SimulationConfig.for_cores(4, translate=True)
         paused = Simulation(config, workload.program)
         assert paused.run(pause_at=pause_at) is None
@@ -443,7 +443,7 @@ def test_pause_at_every_cycle_around_whole_blocks(reference):
     block, at its end, and within ``MAX_BLOCK`` cycles after one (where
     the window is too short for the next and micro-blocks take over)."""
     def run(pause_at=None):
-        workload = make_workload("scalar-matmul", cores=1, size=6)
+        workload = instantiate("scalar-matmul", num_cores=1, size=6)
         simulation = Simulation(SimulationConfig.for_cores(1),
                                 workload.program)
         use_loop_spec(simulation.orchestrator, reference)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import (
     dense_vector,
     quantise_matrix,

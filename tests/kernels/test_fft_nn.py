@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import dense_relu_layer, fft_radix2, mlp_inference
 from repro.kernels.fft import _bit_reverse_permutation
 from repro.spike import SpikeSimulator

@@ -4,7 +4,7 @@ the raw ISS and the full Coyote model, across core counts."""
 import numpy as np
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import (
     banded_csr,
     clustered_csr,

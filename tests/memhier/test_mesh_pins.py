@@ -19,10 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
-from repro.kernels import stream_triad
-from repro.resilience import build_snapshot
+from repro.api import Simulation, SimulationConfig
+from repro.kernels import instantiate, stream_triad
+from repro.resilience.watchdog import build_snapshot
 from repro.resilience.faults import FaultPlan
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
@@ -102,7 +101,7 @@ def _simulate(name):
     if kernel is None:
         workload = stream_triad(length=size, num_cores=cores)
     else:
-        workload = make_workload(kernel, cores=cores, size=size)
+        workload = instantiate(kernel, num_cores=cores, size=size)
     config = SimulationConfig.for_cores(cores, **overrides)
     if name == "mesh-fault-plan":
         FaultPlan.load(_FAULT_PLAN).apply(config.resilience)
@@ -150,7 +149,7 @@ def test_congested_mesh_snapshot_has_a_live_backlog():
     """Paused at cycle 400 a two-column mesh has links granted into the
     future; an empty ``busy_links`` would mean the frontier is not read
     (or not kept)."""
-    workload = make_workload("scalar-matmul", cores=4, size=8)
+    workload = instantiate("scalar-matmul", num_cores=4, size=8)
     config = SimulationConfig.for_cores(
         4, **{"noc.kind": "mesh", "noc.columns": 2,
               "noc.link_capacity": 1})

@@ -13,16 +13,17 @@ import random
 import pytest
 
 from repro import api
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
-from repro.resilience import (
+from repro.api import (
     CheckpointError,
     FaultSpec,
     ResilienceConfig,
+    Simulation,
+    SimulationConfig,
     load_checkpoint,
     restore_simulation,
     save_checkpoint,
 )
+from repro.kernels import instantiate
 from repro.resilience.checkpoint import CHECKPOINT_FORMAT
 from repro.utils.atomic import frame
 from tests.resilience.fixtures import DATA, FIXTURES, MATMUL, MATMUL_CHECKED
@@ -31,7 +32,7 @@ _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
 
 
 def _fresh(faults=(), trace=True):
-    workload = make_workload("scalar-matmul", cores=4, size=8)
+    workload = instantiate("scalar-matmul", num_cores=4, size=8)
     config = SimulationConfig.for_cores(4, trace_misses=trace)
     if faults:
         config.resilience = ResilienceConfig(faults=list(faults),

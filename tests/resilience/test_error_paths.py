@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro import kernels
 from repro.assembler import assemble
 from repro.coyote import cli
 from repro.coyote.config import SimulationConfig
@@ -16,11 +17,7 @@ from repro.coyote.errors import SimulationError
 from repro.coyote.orchestrator import Orchestrator
 from repro.coyote.sweep import Sweep, SweepTable
 from repro.kernels import scalar_matmul
-from repro.resilience import (
-    CheckpointError,
-    ResilienceConfig,
-    load_checkpoint,
-)
+from repro.api import CheckpointError, ResilienceConfig, load_checkpoint
 from repro.sparta.scheduler import Scheduler, SchedulerError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -210,7 +207,7 @@ class TestCliExitCodes:
         assert "DEADLOCK" in err and "orphaned" in err
 
     def test_verify_failure_is_three(self, capsys, monkeypatch):
-        real_make_workload = cli.make_workload
+        real_instantiate = kernels.instantiate
 
         class Unverifiable:
             def __init__(self, inner):
@@ -222,9 +219,9 @@ class TestCliExitCodes:
                 return False
 
         monkeypatch.setattr(
-            cli, "make_workload",
+            kernels, "instantiate",
             lambda *args, **kwargs: Unverifiable(
-                real_make_workload(*args, **kwargs)))
+                real_instantiate(*args, **kwargs)))
         assert cli.main(self.ARGS) == cli.EXIT_VERIFY
         assert "FAILED" in capsys.readouterr().err
 

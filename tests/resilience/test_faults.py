@@ -5,9 +5,14 @@ import json
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
-from repro.resilience import FaultPlan, FaultSpec, ResilienceConfig
+from repro.api import (
+    FaultPlan,
+    FaultSpec,
+    ResilienceConfig,
+    Simulation,
+    SimulationConfig,
+)
+from repro.kernels import instantiate
 from tests.coyote.loop_spec import use_loop_spec
 
 _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile")
@@ -21,7 +26,7 @@ TIMING_FAULTS = [
 
 
 def _run(seed, faults, *, reference=False):
-    workload = make_workload("scalar-matmul", cores=4, size=8)
+    workload = instantiate("scalar-matmul", num_cores=4, size=8)
     config = SimulationConfig.for_cores(4)
     config.resilience = ResilienceConfig(
         faults=[FaultSpec(**vars(spec)) for spec in faults],

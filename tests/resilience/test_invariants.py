@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import main as cli_main, make_workload
+from repro.api import ResilienceConfig, Simulation, SimulationConfig
+from repro.coyote.cli import main as cli_main
 from repro.coyote.errors import SimulationError
-from repro.resilience import InvariantChecker, InvariantViolation, \
-    ResilienceConfig
+from repro.kernels import instantiate
+from repro.resilience.invariants import InvariantChecker, InvariantViolation
 
 
 def _paused_simulation(pause_at=400):
-    workload = make_workload("scalar-matmul", cores=4, size=8)
+    workload = instantiate("scalar-matmul", num_cores=4, size=8)
     config = SimulationConfig.for_cores(4)
     simulation = Simulation(config, workload.program)
     assert simulation.run(pause_at=pause_at) is None
@@ -23,7 +23,7 @@ def _names(violations):
 
 class TestCleanRuns:
     def test_full_run_passes_every_check(self):
-        workload = make_workload("scalar-matmul", cores=4, size=8)
+        workload = instantiate("scalar-matmul", num_cores=4, size=8)
         config = SimulationConfig.for_cores(4)
         config.resilience = ResilienceConfig(invariant_interval=100)
         simulation = Simulation(config, workload.program)
@@ -34,7 +34,7 @@ class TestCleanRuns:
 
     def test_checks_do_not_perturb_statistics(self):
         def run(interval):
-            workload = make_workload("scalar-matmul", cores=4, size=8)
+            workload = instantiate("scalar-matmul", num_cores=4, size=8)
             config = SimulationConfig.for_cores(4)
             if interval:
                 config.resilience = ResilienceConfig(

@@ -7,7 +7,7 @@ delivery, and one link is granted four cycles into the future.
 
 from repro import api
 from repro.memhier.noc import NocMessage
-from repro.resilience import load_checkpoint
+from repro.api import load_checkpoint
 from repro.resilience.introspect import in_network_messages, noc_state
 from tests.resilience.fixtures import MESH
 

@@ -30,6 +30,7 @@ import pytest
 
 from repro.api import QuarantinedPoint, RetryPolicy, SupervisorPolicy
 from repro.coyote import cli
+from repro.coyote.cli.campaign import sweep_exit_code
 from repro.coyote.parallel import ParallelSweep, PointPool, WorkerCrash
 from repro.coyote.sweep import Sweep
 from repro.kernels import vector_axpy
@@ -184,7 +185,7 @@ class TestChaosCampaign:
 
     def test_quarantine_does_not_fail_the_cli_exit_code(self, chaos_run):
         *_rest, table = chaos_run
-        assert cli.sweep_exit_code(table) == cli.EXIT_OK
+        assert sweep_exit_code(table) == cli.EXIT_OK
 
     def test_quarantined_error_pickles_whole(self, chaos_run):
         *_rest, table = chaos_run

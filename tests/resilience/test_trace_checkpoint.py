@@ -8,7 +8,7 @@ and so does a committed checkpoint paused with both traces on.
 from pathlib import Path
 
 from repro.coyote import cli
-from repro.resilience import load_checkpoint
+from repro.api import load_checkpoint
 from tests.resilience.fixtures import MATMUL_TRACED
 
 SPMV = ["--kernel", "spmv-csr-gather-reduce", "--cores", "8",

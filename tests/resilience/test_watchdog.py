@@ -2,12 +2,20 @@
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
+from repro.api import (
+    DeadlockError,
+    FaultSpec,
+    ResilienceConfig,
+    Simulation,
+    SimulationConfig,
+)
 from repro.coyote.errors import SimulationError
-from repro.resilience import DeadlockError, FaultSpec, ResilienceConfig, \
-    Watchdog, build_snapshot
-from repro.resilience.watchdog import SOFT_WEDGE_FACTOR
+from repro.kernels import instantiate
+from repro.resilience.watchdog import (
+    SOFT_WEDGE_FACTOR,
+    Watchdog,
+    build_snapshot,
+)
 
 # Drops every L2-bank response in the window: some core's completion is
 # destroyed, so the run provably wedges.
@@ -16,7 +24,7 @@ DROP_PLAN = [FaultSpec(target="l2bank", kind="drop", start=300, end=500,
 
 
 def _wedged_simulation(watchdog_cycles=2000):
-    workload = make_workload("scalar-matmul", cores=4, size=8)
+    workload = instantiate("scalar-matmul", num_cores=4, size=8)
     config = SimulationConfig.for_cores(4)
     config.resilience = ResilienceConfig(
         faults=list(DROP_PLAN), fault_seed=42,
@@ -25,7 +33,7 @@ def _wedged_simulation(watchdog_cycles=2000):
 
 
 def _paused_simulation():
-    workload = make_workload("scalar-matmul", cores=4, size=8)
+    workload = instantiate("scalar-matmul", num_cores=4, size=8)
     config = SimulationConfig.for_cores(4)
     simulation = Simulation(config, workload.program)
     assert simulation.run(pause_at=400) is None
@@ -137,7 +145,7 @@ class TestNocSnapshot:
                    for count in noc["ports"].values())
 
     def test_mesh_snapshot_reports_congestion_and_backlog(self):
-        workload = make_workload("scalar-matmul", cores=4, size=8)
+        workload = instantiate("scalar-matmul", num_cores=4, size=8)
         config = SimulationConfig.for_cores(
             4, **{"noc.kind": "mesh", "noc.columns": 2,
                   "noc.link_capacity": 1})
@@ -160,7 +168,7 @@ class TestNocSnapshot:
         json.dumps(noc)
 
     def test_mesh_deadlock_snapshot_carries_noc_state(self):
-        workload = make_workload("scalar-matmul", cores=4, size=8)
+        workload = instantiate("scalar-matmul", num_cores=4, size=8)
         config = SimulationConfig.for_cores(4, **{"noc.kind": "mesh",
                                                   "noc.columns": 2})
         config.resilience = ResilienceConfig(

@@ -13,15 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.coyote.cli import (
-    EXIT_CONFIG,
-    EXIT_OK,
-    build_cluster_parser,
-    campaign,
-    cluster_main,
-    jobs_main,
-    main,
-)
+from repro.coyote.cli import EXIT_CONFIG, EXIT_OK, campaign, main
+from repro.coyote.cli.campaign import build_cluster_parser, cluster_main
 from repro.service.cluster import ClusterDispatcher, ClusterNode
 from repro.service.transport import InProcessTransport, ServiceFaultPlan
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assembler import assemble
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 
 from tests.conftest import make_hart, run_until_ebreak
 

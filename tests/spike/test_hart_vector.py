@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.assembler import assemble
-from repro.coyote import Simulation, SimulationConfig, SimulationError
+from repro.api import Simulation, SimulationConfig, SimulationError
 from repro.spike.vector import VectorConfigError
 from repro.utils.bitops import to_unsigned
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig, TelemetryConfig
+from repro.api import Simulation, SimulationConfig, TelemetryConfig
 from repro.coyote.simulation import SimulationError
 from repro.kernels import scalar_matmul
 from repro.memhier.request import MemRequest, RequestKind

@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig, Sweep, \
-    TelemetryConfig
+from repro.api import Simulation, SimulationConfig, Sweep, TelemetryConfig
 from repro.coyote.cli import main as cli_main
 from repro.kernels import scalar_matmul, scalar_spmv
 

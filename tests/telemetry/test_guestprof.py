@@ -11,9 +11,8 @@ import json
 
 import pytest
 
-from repro.api import run
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
+from repro.api import Simulation, SimulationConfig, run
+from repro.kernels import instantiate
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.guestprof import (
     CPI_CLASSES,
@@ -33,7 +32,7 @@ _HOST_FIELDS = ("wall_seconds", "host_mips", "host_profile",
 
 
 def _profiled_run(kernel, cores, size, **overrides):
-    workload = make_workload(kernel, cores=cores, size=size)
+    workload = instantiate(kernel, num_cores=cores, size=size)
     config = SimulationConfig.for_cores(
         workload.num_cores,
         telemetry=TelemetryConfig(guest_profile=True), **overrides)
@@ -107,7 +106,7 @@ def test_retired_vector_separated():
     ("vector-matmul", 2, 6),
 ])
 def test_profiling_leaves_digest_identical(kernel, cores, size):
-    workload = make_workload(kernel, cores=cores, size=size)
+    workload = instantiate(kernel, num_cores=cores, size=size)
     plain = Simulation(SimulationConfig.for_cores(workload.num_cores),
                        workload.program)
     plain_digest = _digest(plain.run())
@@ -208,7 +207,7 @@ def test_api_run_without_profile_has_none():
 
 
 def test_disabled_profiling_attaches_no_hooks():
-    workload = make_workload("scalar-matmul", cores=2, size=6)
+    workload = instantiate("scalar-matmul", num_cores=2, size=6)
     simulation = Simulation(SimulationConfig.for_cores(2),
                             workload.program)
     assert simulation.orchestrator._guestprof is None
@@ -217,7 +216,7 @@ def test_disabled_profiling_attaches_no_hooks():
 
 
 def test_enabled_profiling_attaches_per_core_hooks():
-    workload = make_workload("scalar-matmul", cores=2, size=6)
+    workload = instantiate("scalar-matmul", num_cores=2, size=6)
     config = SimulationConfig.for_cores(
         2, telemetry=TelemetryConfig(guest_profile=True))
     simulation = Simulation(config, workload.program)
@@ -232,7 +231,7 @@ def test_enabled_profiling_attaches_per_core_hooks():
 
 
 def test_chrome_counter_tracks_emitted():
-    workload = make_workload("scalar-spmv", cores=2, size=8)
+    workload = instantiate("scalar-spmv", num_cores=2, size=8)
     config = SimulationConfig.for_cores(
         2, telemetry=TelemetryConfig(guest_profile=True,
                                      chrome_trace=True))
@@ -254,7 +253,7 @@ def test_chrome_counter_tracks_emitted():
 def test_profile_survives_checkpoint_roundtrip():
     import pickle
 
-    workload = make_workload("scalar-spmv", cores=2, size=8)
+    workload = instantiate("scalar-spmv", num_cores=2, size=8)
     config = SimulationConfig.for_cores(
         2, telemetry=TelemetryConfig(guest_profile=True))
     simulation = Simulation(config, workload.program)

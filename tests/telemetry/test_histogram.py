@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig, TelemetryConfig
+from repro.api import Simulation, SimulationConfig, TelemetryConfig
 from repro.kernels import scalar_spmv
 from repro.memhier.request import MemRequest, RequestKind
 from repro.telemetry.histogram import LatencyHistogram, \

@@ -13,9 +13,9 @@ resumes into the uninterrupted run.
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig
-from repro.coyote.cli import make_workload
-from repro.resilience import InvariantChecker, ResilienceConfig
+from repro.api import ResilienceConfig, Simulation, SimulationConfig
+from repro.kernels import instantiate
+from repro.resilience.invariants import InvariantChecker
 from repro.resilience.checkpoint import restore_simulation, save_checkpoint
 from repro.spike.translate import translator_totals
 from repro.telemetry import TelemetryConfig
@@ -39,7 +39,7 @@ def _simulation(point, reference=False, sample_interval=0,
                 invariant_interval=0, watchdog_cycles=0,
                 guest_profile=False):
     kernel, cores, size, overrides = POINTS[point]
-    workload = make_workload(kernel, cores=cores, size=size)
+    workload = instantiate(kernel, num_cores=cores, size=size)
     config = SimulationConfig.for_cores(
         cores,
         telemetry=TelemetryConfig(sample_interval=sample_interval,
@@ -82,7 +82,7 @@ def test_sampled_run_keeps_its_dispatch_regime():
     """With the sampler on, the 8-core matmul point still runs
     micro-blocks at several instructions a dispatch."""
     kernel, cores, _size, _overrides = POINTS["scalar-matmul-8"]
-    workload = make_workload(kernel, cores=cores, size=48)
+    workload = instantiate(kernel, num_cores=cores, size=48)
     config = SimulationConfig.for_cores(cores, telemetry=TelemetryConfig(
         sample_interval=1000, guest_profile=True))
     simulation = Simulation(config, workload.program)

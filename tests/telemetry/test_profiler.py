@@ -6,7 +6,7 @@ import pytest
 
 import pickle
 
-from repro.coyote import Simulation, SimulationConfig, TelemetryConfig
+from repro.api import Simulation, SimulationConfig, TelemetryConfig
 from repro.coyote import orchestrator as orchestrator_module
 from repro.kernels import scalar_matmul
 from repro.telemetry.profiler import HostProfiler

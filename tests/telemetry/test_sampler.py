@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coyote import Simulation, SimulationConfig, TelemetryConfig
+from repro.api import Simulation, SimulationConfig, TelemetryConfig
 from repro.kernels import scalar_matmul, scalar_spmv, stream_triad
 from repro.telemetry.sampler import Interval, IntervalSampler
 

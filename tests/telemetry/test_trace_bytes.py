@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.resilience import FaultPlan, ResilienceConfig
+from repro.api import FaultPlan, ResilienceConfig
 
 _FAULT_PLAN = Path(__file__).parents[2] / "examples" / "fault_plan.json"
 _OUTPUTS = ("chrome.json", "trace.prv", "trace.pcf", "trace.row")

@@ -1,7 +1,7 @@
 """Cross-cutting determinism tests: identical runs produce identical
 cycle counts, statistics, and traces."""
 
-from repro.coyote import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig
 from repro.kernels import scalar_spmv, vector_stencil
 from repro.spike import SpikeSimulator
 
