@@ -23,7 +23,6 @@ CI by ``python -m repro.tools.check_api``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,6 +64,7 @@ from repro.service.service import (
     assemble_result,
     build_spec,
     new_job_id,
+    read_spooled,
     readonly_store,
     spec_points,
     spool_cancel,
@@ -282,25 +282,18 @@ def status(job_id: str, *, root: str | Path) -> JobStatus:
 
     A submission still spooled in the inbox reports state
     ``"spooled"``; one the bounded queue rejected raises
-    :class:`QueueFullError`.
+    :class:`QueueFullError`, and a damaged spool file
+    :class:`ServiceError` naming it.
     """
-    root = Path(root)
-    store = readonly_store(root)
     try:
-        return store.status(job_id)
+        return readonly_store(root).status(job_id)
     except JobNotFoundError:
-        spooled = root / "inbox" / f"{job_id}.json"
-        if spooled.exists():
-            points = len(spec_points(
-                json.loads(spooled.read_text())["spec"]))
-            return JobStatus(job_id=job_id, state="spooled",
-                             total=points, pending=points)
-        if (root / "inbox" / f"{job_id}.rejected").exists():
-            raise QueueFullError(
-                f"{job_id} was rejected by the service's bounded "
-                f"queue (see {root / 'inbox'}/{job_id}.rejected)"
-            ) from None
-        raise
+        spooled = read_spooled(root, job_id)
+        if spooled is None:
+            raise
+        points = len(spooled[1])
+        return JobStatus(job_id=job_id, state="spooled", total=points,
+                         pending=points)
 
 
 def result(job_id: str, *, root: str | Path, wait: bool = False,

@@ -10,10 +10,9 @@ statistics, telemetry builders, miss-trace recorder, fault-injector RNG
 resumed run is bit-identical to an uninterrupted one: the differential
 test compares final statistics and Paraver traces byte for byte.
 
-The file is framed like a result-cache entry: a header line of magic,
-:data:`CHECKPOINT_FORMAT`, the body's sha256 and length, then the
-pickled payload.  A load checks the format and the digest before it
-unpickles anything.
+The pickled payload is framed (:mod:`repro.utils.atomic`), so a load
+checks :data:`CHECKPOINT_FORMAT` and the digest before it unpickles
+anything.
 
 The module deliberately imports nothing from ``repro.coyote`` beyond
 the errors module: ``repro.coyote.config`` imports this package for
@@ -27,7 +26,7 @@ import pickletools
 from pathlib import Path
 
 from repro.coyote.errors import SimulationError
-from repro.utils.atomic import body_ok, frame, write_atomically
+from repro.utils.atomic import FrameError, frame, read_framed, write_atomically
 
 # A change to the pickled layout of anything in the payload bumps the
 # format, and no class ever upgrades an old layout: a file of another
@@ -99,24 +98,19 @@ def load_checkpoint(path: str | Path):
     another ``pause_at``) exactly where the saved one stopped.
     """
     path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no checkpoint at {path}")
-    data = path.read_bytes()
-    header, _newline, body = data.partition(b"\n")
-    parts = header.split()
-    version = (parts[1].decode("ascii", "replace")
-               if len(parts) == 4 and parts[0] == _MAGIC
-               else _bare_format(data))
-    if version is None:
-        raise CheckpointError(f"{path} is not a checkpoint file")
-    if version != str(CHECKPOINT_FORMAT):
+    try:
+        _format, body = read_framed(path, _MAGIC, (CHECKPOINT_FORMAT,))
+    except FileNotFoundError:
+        raise CheckpointError(f"no checkpoint at {path}") from None
+    except FrameError as exc:
+        if exc.format is not None:   # another format, or damaged
+            raise CheckpointError(str(exc)) from None
+        version = _bare_format(path)
+        if version is None:
+            raise CheckpointError(f"{path} is not a checkpoint file") from None
         raise CheckpointError(
             f"{path}: checkpoint format {version} is not supported "
-            f"(expected {CHECKPOINT_FORMAT})")
-    if not body_ok(parts, body):
-        raise CheckpointError(
-            f"{path} failed its checksum (the checkpoint is damaged or "
-            f"truncated)")
+            f"(expected {CHECKPOINT_FORMAT})") from None
     try:
         payload = pickle.loads(body)
     except (pickle.UnpicklingError, EOFError, ImportError,
@@ -126,13 +120,15 @@ def load_checkpoint(path: str | Path):
     return payload["simulation"], payload["metadata"]
 
 
-def _bare_format(data: bytes) -> str | None:
+def _bare_format(path: Path) -> int | None:
     """The format of a file from before checkpoints were framed (1 or
     2): a bare pickled dict whose first key is ``"format"``.  Read from
     the pickle's opcodes, so none of its classes is imported."""
+    with path.open("rb") as handle:
+        head = handle.read(64)
     args = []
     try:
-        for opcode, arg, _position in pickletools.genops(data[:64]):
+        for opcode, arg, _position in pickletools.genops(head):
             if arg is not None and opcode.name not in ("PROTO", "FRAME"):
                 args.append(arg)
                 if len(args) == 2:
@@ -141,7 +137,7 @@ def _bare_format(data: bytes) -> str | None:
         return None
     if (args[:1] == ["format"] and type(args[-1]) is int
             and 0 < args[-1] < CHECKPOINT_FORMAT):
-        return str(args[-1])
+        return args[-1]
     return None
 
 

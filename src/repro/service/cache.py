@@ -18,12 +18,12 @@ by the digest of everything that determines it:
   explicitly (it is also inside the config digest) because seeded
   campaigns are the canonical replay unit.
 
-Integrity is checked, not hoped: every entry is written atomically
-(temp file + ``os.replace``) under a header carrying the payload's
-sha256 and length.  A corrupt or truncated entry is detected on read,
-moved aside into ``quarantine/`` (never served, never fatal), counted,
-and the point is recomputed.  At-least-once execution makes duplicate
-writes possible; they are idempotent — same key, same bytes.
+Integrity is checked, not hoped: every entry is framed and written
+atomically (:mod:`repro.utils.atomic`).  One that fails its frame or
+does not unpickle is moved aside into ``quarantine/`` (never served,
+never fatal), counted, and the point is recomputed.  At-least-once
+execution makes duplicate writes possible; they are idempotent — same
+key, same bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Any
 
 from repro.coyote.config import SimulationConfig
 from repro.coyote.sweep import SweepPoint
-from repro.utils.atomic import body_ok, frame, write_atomically
+from repro.utils.atomic import frame, read_framed, write_atomically
 
 CACHE_FORMAT = 1
 _ENTRY_MAGIC = b"coyote-result"
@@ -166,24 +166,13 @@ class ResultCache:
         """
         path = self._entry_path(key)
         try:
-            with path.open("rb") as handle:
-                header = handle.readline(256)
-                body = handle.read()
+            _format, body = read_framed(path, _ENTRY_MAGIC, (CACHE_FORMAT,))
+            point = pickle.loads(body)
         except OSError:
             self.misses += 1
             return None
-        parts = header.split()
-        if (len(parts) != 4 or parts[0] != _ENTRY_MAGIC
-                or not body_ok(parts, body)):
-            self._quarantine(path, key)
-            self.misses += 1
-            return None
-        try:
-            point = pickle.loads(body)
-        except Exception:
-            self._quarantine(path, key)
-            self.misses += 1
-            return None
+        except Exception:   # a damaged frame, or a body that won't unpickle
+            point = None
         if not isinstance(point, SweepPoint):
             self._quarantine(path, key)
             self.misses += 1

@@ -17,16 +17,16 @@ Two mechanisms make that safe:
   valid JSON: if they parse, the event committed (a writer adds its
   newline); if not, it never did (a writer truncates them away).
 
-* **Sequence-numbered compaction.**  An unbounded journal would make
-  recovery O(campaign history), so the state is periodically folded
-  into a checksummed snapshot (atomic via temp file + ``os.replace``),
-  after which the journal is atomically reset.  Every event carries a
-  monotonic ``seq`` and the snapshot records the last seq it folded in;
-  replay skips journal events already covered by the snapshot.  A kill
-  between the two replaces is therefore harmless: the old journal's
-  events are all ``<= snapshot.seq`` and replay ignores them.
+* **Sequence-numbered compaction.**  The state is periodically folded
+  into a snapshot, framed like a root's other files
+  (:func:`~repro.utils.atomic.read_framed` is its reader, so a damaged
+  one is a loud ``CampaignCorruptError``) and written atomically; then
+  the journal is atomically reset.  Every event carries a monotonic
+  ``seq`` and the snapshot records the last seq it folded in, so replay
+  skips what the snapshot covers and a kill between the two replaces
+  is harmless.
 
-When compaction runs: every ``compact_every`` appends (the job store's
+Compaction runs every ``compact_every`` appends (the job store's
 setting), and at a clean close once the journal holds at least as many
 bytes as the snapshot, or there is no snapshot yet
 (:attr:`Journal.outgrown`).  A close that skips it leaves the files a
@@ -45,14 +45,13 @@ journal (``repro.coyote.parallel.ParallelSweep``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any
 
 from repro.resilience.checkpoint import CampaignCorruptError
-from repro.utils.atomic import write_atomically
+from repro.utils.atomic import FrameError, frame, read_framed, write_atomically
 
 JOURNAL_FORMAT = 1
 _SNAPSHOT_MAGIC = b"coyote-snapshot"
@@ -226,9 +225,7 @@ class Journal:
         body = json.dumps({"format": JOURNAL_FORMAT, "seq": self._seq,
                            "state": state},
                           sort_keys=True).encode()
-        digest = hashlib.sha256(body).hexdigest()
-        header = b"%s %d %s\n" % (_SNAPSHOT_MAGIC, JOURNAL_FORMAT,
-                                  digest.encode("ascii"))
+        header = frame(_SNAPSHOT_MAGIC, JOURNAL_FORMAT, body)
         write_atomically(self.snapshot_path, header, body, fsync=self.fsync)
         self.snapshot_bytes = len(header) + len(body)
         # Reset the journal atomically: replace it with an empty file.
@@ -238,27 +235,18 @@ class Journal:
 
     def _read_snapshot(self) -> tuple[dict | None, int]:
         self.snapshot_bytes = None
-        if not self.snapshot_path.exists():
+        path = self.snapshot_path
+        try:
+            _format, body = read_framed(path, _SNAPSHOT_MAGIC,
+                                        (JOURNAL_FORMAT,))
+        except FileNotFoundError:
             return None, 0
-        with self.snapshot_path.open("rb") as handle:
-            header = handle.readline(256)
-            body = handle.read()
-        self.snapshot_bytes = len(header) + len(body)
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != _SNAPSHOT_MAGIC:
-            raise CampaignCorruptError(
-                f"{self.snapshot_path} is not a service snapshot",
-                path=self.snapshot_path)
-        if hashlib.sha256(body).hexdigest().encode("ascii") != parts[2]:
-            raise CampaignCorruptError(
-                f"{self.snapshot_path} failed its checksum (snapshot "
-                f"is corrupt or truncated)", path=self.snapshot_path)
+        except FrameError as exc:
+            message = (str(exc) if exc.format is not None
+                       else f"{path} is not a service snapshot")
+            raise CampaignCorruptError(message, path=path) from None
+        self.snapshot_bytes = path.stat().st_size
         payload = json.loads(body)
-        if payload.get("format") != JOURNAL_FORMAT:
-            raise CampaignCorruptError(
-                f"{self.snapshot_path}: snapshot format "
-                f"{payload.get('format')} is not supported",
-                path=self.snapshot_path)
         return payload["state"], int(payload["seq"])
 
     def close(self) -> None:

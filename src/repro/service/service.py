@@ -48,10 +48,10 @@ Execution model — at-least-once, made safe by idempotence:
   — or, under an unsupervised policy, a final :class:`WorkerCrash`.
 
 Cross-process shape: the serving process holds the journal lock; other
-processes submit by spooling JSON files into ``inbox/`` (atomic,
-unique names, no lock needed) and read status lock-free from the
-snapshot + journal.  ``repro.api.submit/status/result/cancel`` and the
-``coyote-sim serve`` / ``coyote-sim jobs`` CLI wrap exactly this.
+processes submit by spooling framed JSON files into ``inbox/``
+(atomic, unique names, no lock needed) and read status lock-free from
+the snapshot + journal.  ``repro.api.submit/status/result/cancel`` and
+the ``coyote-sim serve`` / ``coyote-sim jobs`` CLI wrap exactly this.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ from repro.service.store import (
     StaleWriteError,
 )
 from repro.telemetry.campaign import CampaignMetrics
-from repro.utils.atomic import write_atomically
+from repro.utils.atomic import FrameError, frame, read_framed, write_atomically
 
 __all__ = [
     "CampaignExecutor",
@@ -114,6 +114,7 @@ __all__ = [
     "assemble_result",
     "build_spec",
     "new_job_id",
+    "read_spooled",
     "readonly_store",
     "spec_points",
     "spool_cancel",
@@ -130,6 +131,9 @@ SERVICE_POLICY = SupervisorPolicy(
 
 # Bound on the per-job kernel digests a long-lived executor keeps.
 _DIGESTS_MAX = 1024
+
+SPOOL_FORMAT = 2
+_SPOOL_MAGIC = b"coyote-submission"
 
 
 def new_job_id() -> str:
@@ -210,9 +214,39 @@ def spool_submission(root: str | Path, spec: dict,
     inbox.mkdir(parents=True, exist_ok=True)
     job_id = job_id or new_job_id()
     body = json.dumps({"job_id": job_id, "spec": spec},
-                      sort_keys=True, indent=1)
-    write_atomically(inbox / f"{job_id}.json", body.encode())
+                      sort_keys=True, indent=1).encode()
+    write_atomically(inbox / f"{job_id}.json",
+                     frame(_SPOOL_MAGIC, SPOOL_FORMAT, body), body)
     return job_id
+
+
+def read_spooled(root: str | Path, job_id: str
+                 ) -> tuple[dict, list[dict]] | None:
+    """The spec and points of ``job_id`` spooled in ``root``'s inbox,
+    ``None`` when it is not there, and :class:`QueueFullError` when the
+    bounded queue rejected it.  A file that is not whole raises
+    :class:`ServiceError` naming it.  A format-1 file — bare JSON, its
+    first byte ``{``, spooled before submissions were framed — is read
+    without a frame, so an upgrade keeps it."""
+    path = Path(root) / "inbox" / f"{job_id}.json"
+    try:
+        _format, body = read_framed(path, _SPOOL_MAGIC, (SPOOL_FORMAT,))
+    except FileNotFoundError:
+        if path.with_suffix(".rejected").exists():
+            raise QueueFullError(
+                f"{job_id} was rejected by the service's bounded queue "
+                f"(see {path.with_suffix('.rejected')})") from None
+        return None
+    except FrameError as exc:
+        body = path.read_bytes()
+        if exc.format is not None or not body.startswith(b"{"):
+            raise ServiceError(str(exc)) from None
+    try:
+        spec = json.loads(body)["spec"]
+        return spec, spec_points(spec)
+    except Exception as exc:
+        raise ServiceError(
+            f"{path} is not a readable submission: {exc}") from None
 
 
 def spool_cancel(root: str | Path, job_id: str) -> None:
@@ -974,12 +1008,10 @@ class CampaignService(CampaignExecutor):
         ingested = 0
         inbox = self.root / "inbox"
         for path in sorted(inbox.glob("*.json")):
+            job_id = path.stem
             try:
-                payload = json.loads(path.read_text())
-                job_id = payload["job_id"]
-                spec = payload["spec"]
-                points = spec_points(spec)
-            except Exception:
+                spec, points = read_spooled(self.root, job_id)
+            except (OSError, ServiceError):
                 path.rename(path.with_suffix(".corrupt"))
                 self.monitor.count(
                     "rejected", f"submission rejected (unreadable "
@@ -1041,7 +1073,7 @@ class CampaignService(CampaignExecutor):
         self._require_open()
         received: dict[str, int] = {}
 
-        def handler(signum, frame):
+        def handler(signum, _frame):
             received["signal"] = signum
 
         previous = {}

@@ -7,10 +7,10 @@ cover the deployment shapes:
 * :class:`InProcessTransport` — per-destination deques in one process.
   The test transport: no filesystem, no timing, fully deterministic.
 * :class:`FilesystemTransport` — one spool directory per destination
-  under a shared root.  Messages are written with the same atomic
-  write as the result cache (``repro.utils.atomic``), so a reader can
-  never observe a torn message; names embed a per-sender sequence
-  number so each sender's messages arrive in order.
+  under a shared root.  Messages are framed and written atomically
+  like a result-cache entry (``repro.utils.atomic``), so a reader
+  takes a message whole or sets it aside; names embed a per-sender
+  sequence number so each sender's messages arrive in order.
 
 Faults are injected *between* the endpoints, never inside them:
 :class:`FaultyTransport` wraps any transport and applies a seeded
@@ -42,9 +42,11 @@ from pathlib import Path
 
 from repro.resilience.config import FOREVER, PlanDocument
 from repro.service.store import ServiceError
-from repro.utils.atomic import write_atomically
+from repro.utils.atomic import frame, read_framed, write_atomically
 
 SERVICE_FAULT_KINDS = ("drop", "delay", "duplicate", "partition")
+MAIL_FORMAT = 1
+_MAIL_MAGIC = b"coyote-message"
 
 
 class TransportError(ServiceError):
@@ -112,6 +114,15 @@ class ServiceFaultPlan(PlanDocument):
     faults: list[ServiceFaultSpec] = field(default_factory=list)
 
 
+def _encoded(dst: str, message: dict) -> bytes:
+    """``message`` for ``dst`` as JSON, or :class:`TransportError`."""
+    try:
+        return json.dumps(message, sort_keys=True).encode()
+    except (TypeError, ValueError) as exc:
+        raise TransportError(
+            f"message to {dst!r} is not JSON-serialisable: {exc}") from exc
+
+
 class Transport:
     """The cluster messaging contract: ordered-per-sender datagrams.
 
@@ -142,13 +153,8 @@ class InProcessTransport(Transport):
         # JSON round-trip: the in-process transport must reject exactly
         # what the filesystem transport would, and a receiver must
         # never share mutable state with the sender.
-        try:
-            encoded = json.dumps(message, sort_keys=True)
-        except (TypeError, ValueError) as exc:
-            raise TransportError(
-                f"message to {dst!r} is not JSON-serialisable: "
-                f"{exc}") from exc
-        self._queues.setdefault(dst, []).append(json.loads(encoded))
+        self._queues.setdefault(dst, []).append(
+            json.loads(_encoded(dst, message)))
 
     def receive(self, endpoint: str) -> list[dict]:
         messages = self._queues.get(endpoint, [])
@@ -162,10 +168,10 @@ class FilesystemTransport(Transport):
     Each sender stamps its messages with a private monotonic sequence
     number embedded in the file name, so a receiver's sorted directory
     scan yields every sender's messages in send order.  Files appear
-    atomically (temp file + ``os.replace``) and are unlinked once read
-    (renamed ``*.corrupt`` if unreadable); a crash between read and
-    unlink re-delivers — which the fenced protocol above absorbs by
-    design.
+    atomically and framed (:func:`~repro.utils.atomic.frame`); each is
+    unlinked once read, or renamed ``*.corrupt`` if it fails its frame.
+    A crash between read and unlink re-delivers — which the fenced
+    protocol above absorbs by design.
     """
 
     def __init__(self, root: str | Path, sender: str):
@@ -180,28 +186,25 @@ class FilesystemTransport(Transport):
         return box
 
     def send(self, dst: str, message: dict) -> None:
-        try:
-            body = json.dumps(message, sort_keys=True)
-        except (TypeError, ValueError) as exc:
-            raise TransportError(
-                f"message to {dst!r} is not JSON-serialisable: "
-                f"{exc}") from exc
+        body = _encoded(dst, message)
         box = self._box(dst)
         self._seq += 1
         name = f"{self.sender}-{self._seq:010d}.msg"
-        write_atomically(box / name, body.encode())
+        write_atomically(box / name, frame(_MAIL_MAGIC, MAIL_FORMAT, body),
+                         body)
 
     def receive(self, endpoint: str) -> list[dict]:
         box = self._box(endpoint)
         messages = []
         for path in sorted(box.glob("*.msg")):
             try:
-                messages.append(json.loads(path.read_text()))
+                _format, body = read_framed(path, _MAIL_MAGIC,
+                                            (MAIL_FORMAT,))
+                messages.append(json.loads(body))
             except FileNotFoundError:
                 continue            # unlinked by a concurrent receive
             except (OSError, ValueError):
-                # Unreadable (torn messages cannot exist — os.replace is
-                # atomic): set it aside so no later receive re-reads it.
+                # A bad frame: set aside, so no receive re-reads it.
                 path.rename(path.with_suffix(".corrupt"))
                 continue
             path.unlink(missing_ok=True)

@@ -1,5 +1,5 @@
-"""Whole-file writes that nobody sees half done, and the checksummed
-header that tells a damaged file from a whole one."""
+"""Whole-file writes that nobody sees half done, and the one checksummed
+frame that tells a damaged file from a whole one."""
 
 from __future__ import annotations
 
@@ -41,8 +41,35 @@ def frame(magic: bytes, version: int, body: bytes) -> bytes:
         len(body))
 
 
-def body_ok(parts: list[bytes], body: bytes) -> bool:
-    """Whether ``body`` has the length and sha256 that the split header
-    line ``parts`` of a :func:`frame` names."""
-    return (parts[3] == b"%d" % len(body)
-            and hashlib.sha256(body).hexdigest().encode("ascii") == parts[2])
+class FrameError(ValueError):
+    """A file :func:`read_framed` refuses, named in the message.
+    ``format`` is its header's when the magic matched, else ``None``."""
+
+    def __init__(self, message: str, format: int | None = None):
+        super().__init__(message)
+        self.format = format
+
+
+def read_framed(path: Path, magic: bytes, formats) -> tuple[int, bytes]:
+    """``(format, body)`` of a file written as ``frame(magic, format,
+    body) + body``, ``format`` one of ``formats``: one open, one read,
+    one sha256.  The length is checked when the header has one (the
+    sha256 covers every byte).  Any other file raises
+    :class:`FrameError`; ``OSError`` passes through."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    end = data.find(b"\n", 0, 256)   # no header is longer
+    parts = data[:end].split(b" ") if end >= 0 else ()
+    if not (3 <= len(parts) <= 4 and parts[0] == magic
+            and parts[1].isdigit()):
+        raise FrameError(f"{path} is not a {magic.decode()} file")
+    version, body = int(parts[1]), data[end + 1:]
+    if version not in formats:
+        expected = " or ".join(map(str, formats))
+        raise FrameError(f"{path}: {magic.decode()} format {version} is "
+                         f"not supported (expected {expected})", version)
+    if (parts[3:] not in ([], [b"%d" % len(body)])
+            or hashlib.sha256(body).hexdigest().encode() != parts[2]):
+        raise FrameError(f"{path} failed its checksum (the file is "
+                         f"damaged or truncated)", version)
+    return version, body

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro.assembler import AsmSyntaxError, Assembler, assemble
+from repro.assembler import AsmSyntaxError, assemble
 from repro.assembler.program import DEFAULT_TEXT_BASE
 
 

@@ -1,7 +1,5 @@
 """Tests for the per-cycle activity profile."""
 
-import pytest
-
 from repro.api import Simulation, SimulationConfig
 from repro.kernels import scalar_matmul, stream_triad
 

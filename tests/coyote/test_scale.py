@@ -1,7 +1,5 @@
 """Scale smoke tests: the paper's headline core counts must work."""
 
-import pytest
-
 from repro.api import Simulation, SimulationConfig
 from repro.kernels import scalar_spmv, vector_axpy
 

@@ -1,8 +1,6 @@
 """Qualitative timing-model tests: turning a knob must move the
 simulated outcome in the physically sensible direction."""
 
-import pytest
-
 from repro.api import Simulation, SimulationConfig
 from repro.kernels import (
     scalar_matmul,

@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.api import Simulation, SimulationConfig
 from repro.coyote.trace import MissTraceRecorder
 from repro.kernels import scalar_spmv

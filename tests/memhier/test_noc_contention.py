@@ -17,7 +17,6 @@ import pytest
 
 from repro.coyote.config import SimulationConfig
 from repro.memhier.noc import (
-    MeshNoC,
     NocConfig,
     RoutingPolicy,
     make_noc,

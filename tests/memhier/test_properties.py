@@ -11,7 +11,6 @@ Two system-level invariants:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -4,9 +4,9 @@ code, unusual vector configurations, multicore memory interactions."""
 import pytest
 
 from repro.soc.memory import PAGE_SIZE
-from repro.spike.hart import Hart, IllegalInstructionTrap
+from repro.spike.hart import Hart
 from repro.spike.vector import VectorConfigError
-from repro.utils.bitops import MASK64, to_unsigned
+from repro.utils.bitops import MASK64
 
 from tests.conftest import (
     make_hart,

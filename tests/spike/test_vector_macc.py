@@ -6,8 +6,6 @@ three-operand semantics where ``vd`` is both source and destination;
 each is checked against its RVV 1.0 definition.
 """
 
-import struct
-
 import numpy as np
 import pytest
 
